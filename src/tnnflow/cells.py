@@ -37,6 +37,7 @@ __all__ = [
     "FacePoset",
     "face_poset",
     "validate_poset",
+    "census_verdict",
     "witness_toward",
     "limit_report",
     "census_payload",
@@ -422,6 +423,21 @@ def validate_poset(poset: FacePoset) -> dict:
     checks["euler_boundary_sphere"] = poset.census.euler(max_dim=2) == 2
     checks["euler_ball"] = poset.census.euler() == 1
     return checks
+
+
+def census_verdict(census: Census, poset_checks: dict) -> dict:
+    """The census gate shared by the ``cells`` and ``verify`` commands.
+
+    The f-vector must match the Bruhat interval counts, the 0-cells must
+    carry the six vertex labels of the figure, and every check of
+    :func:`validate_poset` must hold (a 2-sphere boundary among them).  The
+    census passes when every entry is true.
+    """
+    return {
+        "bruhat_match": list(census.f_vector) == list(bruhat_interval_counts(3)),
+        "vertex_labels_match": census.vertex_labels() == frozenset(_VERTEX_POS),
+        "poset_valid": all(poset_checks.values()),
+    }
 
 
 # ---------------------------------------------------------------------------

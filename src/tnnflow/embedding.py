@@ -9,6 +9,13 @@ fundamental factors as the lowering closure of the highest vector, with an
 exact reduced-echelon basis so that coordinates can be read off pivot
 positions without solving anything.
 
+Each generator E_i, F_i moves one factor's basis index at a time with
+structure constant +1, so it is stored as an index map on the tensor product
+and applied to sparse ``{flat index: Fraction}`` vectors.  Every vector of
+the closure is a weight vector, so each echelon step touches one weight
+space only.  The image of a flag is the tensor product of the leading
+compound columns of a representing matrix.
+
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue; the affine chart of projective space centered at the top
 eigenline, expressed in an orthonormal eigenbasis, is the coordinate system
@@ -25,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .chevalley import FLOAT, RATIONAL, GroupElement
-from .totpos import FactorizationParams
+from .totpos import FactorizationParams, sample_positive
 
 __all__ = [
     "Weight",
@@ -112,36 +119,88 @@ def _subset_label(s) -> str:
     return "".join(str(a) for a in s)
 
 
-def _wedge_ops(n: int, k: int):
-    """E_i, F_i, H_i on the k-th wedge power of the defining module.
+def _wedge_maps(n: int, k: int):
+    """E_i and F_i on the k-th wedge power of the defining module.
 
-    Basis vectors are indexed by sorted k-subsets in lexicographic order;
-    replacing i+1 by i (or back) never reorders a sorted subset, so all
-    structure constants are +1.
+    Basis vectors are indexed by sorted k-subsets in lexicographic order.
+    E_i replaces i+1 by i and F_i replaces i by i+1; neither reorders a
+    sorted subset, so each is a partial map ``subset index -> subset index``
+    with every structure constant +1.
     """
     subsets = _wedge_subsets(n, k)
     index = {s: a for a, s in enumerate(subsets)}
-    d = len(subsets)
-    e_ops, f_ops, h_ops = {}, {}, {}
-    for i in range(1, n):
-        e = linalg.rational_zeros(d, d)
-        f = linalg.rational_zeros(d, d)
-        h = linalg.rational_zeros(d, d)
-        for a, s in enumerate(subsets):
-            if (i + 1) in s and i not in s:
-                t = tuple(sorted(set(s) - {i + 1} | {i}))
-                e[index[t], a] = Fraction(1)
-            if i in s and (i + 1) not in s:
-                t = tuple(sorted(set(s) - {i} | {i + 1}))
-                f[index[t], a] = Fraction(1)
-            h[a, a] = Fraction((i in s) - ((i + 1) in s))
-        e_ops[i], f_ops[i], h_ops[i] = e, f, h
-    return subsets, e_ops, f_ops, h_ops
+
+    def move(old, new):
+        return {
+            a: index[tuple(sorted(set(s) - {old} | {new}))]
+            for a, s in enumerate(subsets)
+            if old in s and new not in s
+        }
+
+    e_maps = {i: move(i + 1, i) for i in range(1, n)}
+    f_maps = {i: move(i, i + 1) for i in range(1, n)}
+    return subsets, e_maps, f_maps
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.einsum("ij,kl->ikjl", a, b)
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+def _tensor_moves(n: int, factors):
+    """E_i and F_i on the tensor product of wedge factors, as index moves.
+
+    Ambient basis vectors are tuples of factor subsets, flattened in
+    row-major order (the first factor varies slowest).  ``e[i][a]`` lists the
+    flat indices that E_i sends basis vector ``a`` to, one per factor it acts
+    on; every coefficient is +1.  Also returns each basis vector's label and
+    its weight, the eigenvalues of H_1 .. H_{n-1}.
+    """
+    subsets, e_maps, f_maps = zip(*(_wedge_maps(n, k) for k in factors))
+    dims = [len(subs) for subs in subsets]
+    strides = [int(np.prod(dims[j + 1 :])) for j in range(len(dims))]
+    combos = list(itertools.product(*(range(d) for d in dims)))
+
+    def moves(factor_maps, i):
+        maps = [fm[i] for fm in factor_maps]
+        return tuple(
+            tuple(a + (m[d] - d) * s for d, m, s in zip(digits, maps, strides) if d in m)
+            for a, digits in enumerate(combos)
+        )
+
+    e = {i: moves(e_maps, i) for i in range(1, n)}
+    f = {i: moves(f_maps, i) for i in range(1, n)}
+    labels, weights = [], []
+    for digits in combos:
+        sets = [subs[d] for subs, d in zip(subsets, digits)]
+        labels.append("*".join(_subset_label(s) for s in sets))
+        weights.append(
+            tuple(sum((i in s) - (i + 1 in s) for s in sets) for i in range(1, n))
+        )
+    return e, f, labels, weights
+
+
+def _apply(moves, vec: dict) -> dict:
+    """A generator given by its index moves, applied to a sparse vector."""
+    out: dict = {}
+    for a, x in vec.items():
+        for b in moves[a]:
+            out[b] = out.get(b, 0) + x
+    return {b: x for b, x in out.items() if x != 0}
+
+
+def _echelon(vectors) -> list:
+    """Reduced-echelon basis of the span of sparse vectors, as (pivot, vector).
+
+    The rows are reduced by :func:`linalg.reduce_rows` over the union of
+    their supports; columns outside it are zero in every row.
+    """
+    cols = sorted(set().union(*vectors))
+    rows = []
+    for vec in vectors:
+        row = np.empty(len(cols), dtype=object)
+        row[:] = [vec.get(c, Fraction(0)) for c in cols]
+        rows.append(row)
+    basis, pivots = linalg.reduce_rows(rows)
+    return [
+        (cols[p], {c: x for c, x in zip(cols, row) if x != 0})
+        for row, p in zip(basis, pivots)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +211,8 @@ class RepModule:
     the module into the tensor product of its fundamental factors; module
     coordinates of an ambient vector known to lie in the module are simply
     its entries at ``pivot_cols``.  ``e``, ``f``, ``h`` are the generator
-    actions in module coordinates; ``big_e`` etc. act on the ambient space.
+    actions in module coordinates; ``ambient_e`` and ``ambient_f`` give E_i
+    and F_i on the ambient space as index moves (see ``_tensor_moves``).
     """
 
     n: int
@@ -167,9 +227,8 @@ class RepModule:
     e: dict
     f: dict
     h: dict
-    big_e: dict
-    big_f: dict
-    big_h: dict
+    ambient_e: dict
+    ambient_f: dict
 
     def generator_sum(self) -> np.ndarray:
         """sum_i E_i + F_i in module coordinates (exact)."""
@@ -178,57 +237,17 @@ class RepModule:
             tau = tau + self.e[i] + self.f[i]
         return tau
 
-    def big_generator_sum(self) -> np.ndarray:
-        tau = linalg.rational_zeros(self.ambient_dim, self.ambient_dim)
-        for i in range(1, self.n):
-            tau = tau + self.big_e[i] + self.big_f[i]
+    def ambient_generator_sum(self) -> np.ndarray:
+        """sum_i E_i + F_i on the ambient space, as a dense 0/1 float matrix."""
+        tau = np.zeros((self.ambient_dim, self.ambient_dim))
+        for moves in (*self.ambient_e.values(), *self.ambient_f.values()):
+            for a, targets in enumerate(moves):
+                tau[list(targets), a] += 1.0
         return tau
 
     def coords_of(self, ambient_vec: np.ndarray) -> np.ndarray:
         """Module coordinates of an ambient vector (pivot read-off)."""
         return ambient_vec[list(self.pivot_cols)]
-
-
-def _echelon_insert(basis, pivots, vec) -> bool:
-    """Insert ``vec`` into a reduced echelon basis; False if dependent."""
-    v = vec.copy()
-    for b, p in zip(basis, pivots):
-        if v[p] != 0:
-            v = v - v[p] * b
-    nz = next((j for j in range(v.shape[0]) if v[j] != 0), None)
-    if nz is None:
-        return False
-    v = v / v[nz]
-    for k in range(len(basis)):
-        if basis[k][nz] != 0:
-            basis[k] = basis[k] - basis[k][nz] * v
-    pos = next((k for k, p in enumerate(pivots) if p > nz), len(pivots))
-    basis.insert(pos, v)
-    pivots.insert(pos, nz)
-    return True
-
-
-def _tensor_big_ops(n: int, factors):
-    """Generator actions on the full tensor product of wedge factors."""
-    per_factor = [_wedge_ops(n, k) for k in factors]
-    dims = [len(pf[0]) for pf in per_factor]
-    ambient = int(np.prod(dims))
-    big = {"e": {}, "f": {}, "h": {}}
-    for i in range(1, n):
-        for key, slot in (("e", 1), ("f", 2), ("h", 3)):
-            total = linalg.rational_zeros(ambient, ambient)
-            for j in range(len(factors)):
-                op = linalg.rational_identity(1)
-                for m in range(len(factors)):
-                    piece = per_factor[m][slot][i] if m == j else linalg.rational_identity(dims[m])
-                    op = _kron(op, piece)
-                total = total + op
-            big[key][i] = total
-    subset_lists = [pf[0] for pf in per_factor]
-    labels = []
-    for combo in itertools.product(*subset_lists):
-        labels.append("*".join(_subset_label(s) for s in combo))
-    return ambient, big, labels
 
 
 def fundamental_rep(n: int, k: int) -> RepModule:
@@ -242,11 +261,13 @@ def fundamental_rep(n: int, k: int) -> RepModule:
 def build_rep(weight: Weight) -> RepModule:
     """Construct the irreducible module by lowering closure (exact).
 
-    Inside the tensor product of fundamental factors, repeatedly apply the
-    lowering operators to the highest vector and keep a reduced-echelon basis
-    of everything reachable; the span is the irreducible submodule.  The
-    generator actions are then re-expressed in the echelon basis by pivot
-    read-off, with an exact residual check that the span really is invariant.
+    Inside the tensor product of fundamental factors, apply the lowering
+    operators to the highest vector, one depth at a time: the weight space
+    V_mu is spanned by the F_i-images of the weight spaces V_{mu + alpha_i}
+    one level up, and each gets its own reduced-echelon basis.  Vectors are
+    sparse maps ``flat index -> Fraction``.  The generator actions are then
+    re-expressed in the echelon basis by pivot read-off, with an exact
+    residual check that the span really is invariant.
     """
     n = weight.n
     factors = tuple(
@@ -254,61 +275,68 @@ def build_rep(weight: Weight) -> RepModule:
     )
     if not factors:
         raise ValueError("the zero weight has no projective geometry attached")
-    ambient, big, big_labels = _tensor_big_ops(n, factors)
+    e_moves, f_moves, ambient_labels, weights = _tensor_moves(n, factors)
+    ambient = len(ambient_labels)
 
-    highest = np.empty(ambient, dtype=object)
-    highest[:] = Fraction(0)
-    highest[0] = Fraction(1)  # top subset of each factor is lexicographically first
+    # the top subset of each factor is lexicographically first
+    rows = {0: {0: Fraction(1)}}  # pivot column -> sparse basis vector
+    level = [rows[0]]
+    while level:
+        spanning: dict = {}
+        for vec in level:
+            for i in range(1, n):
+                lowered = _apply(f_moves[i], vec)
+                if lowered:
+                    spanning.setdefault(weights[next(iter(lowered))], []).append(lowered)
+        level = []
+        for vectors in spanning.values():
+            for pivot, vec in _echelon(vectors):
+                rows[pivot] = vec
+                level.append(vec)
 
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
-    _echelon_insert(basis, pivots, highest)
-    frontier = [highest]
-    while frontier:
-        vec = frontier.pop()
-        for i in range(1, n):
-            lowered = big["f"][i] @ vec
-            if any(x != 0 for x in lowered) and _echelon_insert(basis, pivots, lowered):
-                frontier.append(lowered)
+    pivots = sorted(rows)
+    position = {p: r for r, p in enumerate(pivots)}
+    dim = len(pivots)
+    bmat = linalg.rational_zeros(dim, ambient)
+    for r, p in enumerate(pivots):
+        for a, x in rows[p].items():
+            bmat[r, a] = x
 
-    dim = len(basis)
-    bmat = np.empty((dim, ambient), dtype=object)
-    for r, row in enumerate(basis):
-        bmat[r] = row
-
-    def to_module(op_big):
-        op = np.empty((dim, dim), dtype=object)
-        for c in range(dim):
-            image = op_big @ bmat[c]
-            coords = image[pivots]
-            residual = image - coords @ bmat
-            if any(x != 0 for x in residual):
+    def to_module(moves):
+        op = linalg.rational_zeros(dim, dim)
+        for c, p in enumerate(pivots):
+            image = _apply(moves, rows[p])
+            residual = dict(image)
+            for q, x in image.items():
+                if q in position:
+                    op[position[q], c] = x
+                    for a, y in rows[q].items():
+                        residual[a] = residual.get(a, 0) - x * y
+            if any(residual.values()):
                 raise AssertionError("closure is not invariant; construction bug")
-            op[:, c] = coords
         return op
 
-    e_ops = {i: to_module(big["e"][i]) for i in range(1, n)}
-    f_ops = {i: to_module(big["f"][i]) for i in range(1, n)}
-    h_ops = {i: to_module(big["h"][i]) for i in range(1, n)}
+    def weight_op(i):
+        op = linalg.rational_zeros(dim, dim)
+        for r, p in enumerate(pivots):
+            op[r, r] = Fraction(weights[p][i - 1])
+        return op
 
-    labels = tuple(big_labels[p] for p in pivots)
-    highest_index = pivots.index(0)
     return RepModule(
         n=n,
         weight=weight,
         factors=factors,
         dim=dim,
         ambient_dim=ambient,
-        labels=labels,
+        labels=tuple(ambient_labels[p] for p in pivots),
         basis=bmat,
         pivot_cols=tuple(pivots),
-        highest_index=highest_index,
-        e=e_ops,
-        f=f_ops,
-        h=h_ops,
-        big_e=big["e"],
-        big_f=big["f"],
-        big_h=big["h"],
+        highest_index=position[0],
+        e={i: to_module(e_moves[i]) for i in range(1, n)},
+        f={i: to_module(f_moves[i]) for i in range(1, n)},
+        h={i: weight_op(i) for i in range(1, n)},
+        ambient_e=e_moves,
+        ambient_f=f_moves,
     )
 
 
@@ -332,69 +360,19 @@ class LineCoords:
         return LineCoords(linalg.to_float(self.vec), FLOAT)
 
 
-def _apply_exp_big(rep: RepModule, kind: str, i: int, t, vec: np.ndarray) -> np.ndarray:
-    """Apply exp(t * generator) to an ambient vector, one factor at a time.
-
-    Raising/lowering generators are nilpotent so the series terminates
-    (exactly, in rational arithmetic); coweights act diagonally by integer
-    powers of t.
-    """
-    exact = linalg.is_rational_array(vec)
-    t = Fraction(t) if exact else float(t)
-    if kind == "coweight":
-        if t == 0:
-            raise ValueError("coweight parameter must be nonzero")
-        weights = [int(rep.big_h[i][a, a]) for a in range(rep.ambient_dim)]
-        scaled = [t**wt * x for wt, x in zip(weights, vec)]
-        return np.array(scaled, dtype=object if exact else np.float64)
-    op = rep.big_e[i] if kind == "x" else rep.big_f[i]
-    if not exact:
-        op = linalg.to_float(op)
-    out = vec.copy()
-    term = vec
-    for k in range(1, rep.ambient_dim + 2):
-        term = (op @ term) * (t / k)
-        if all(x == 0 for x in term):
-            break
-        out = out + term
-    else:
-        raise AssertionError("nilpotent series failed to terminate")
-    return out
-
-
-def _factor_sequence(params: FactorizationParams, side: str):
-    word = params.word
-    ell = len(word)
-    if side == "upper":
-        return [("x", i, tk) for i, tk in zip(word.letters, params.t[:ell])]
-    if side == "lower":
-        return [("y", i, tk) for i, tk in zip(word.letters, params.t[:ell])]
-    if side == "group":
-        upper = [("x", i, tk) for i, tk in zip(word.letters, params.t[:ell])]
-        lower_ts = params.t[ell:] if len(params.t) == 2 * ell else params.t
-        lower = [("y", i, tk) for i, tk in zip(word.letters, lower_ts)]
-        torus_ts = params.torus if params.torus is not None else (Fraction(1),) * (word.n - 1)
-        torus = [("coweight", i, s) for i, s in zip(range(1, word.n), torus_ts)]
-        return upper + torus + lower
-    raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
+def _compound_column(g: GroupElement, cols) -> np.ndarray:
+    """The image of e_cols under the k-th compound: minors on columns ``cols``."""
+    cidx = [c - 1 for c in cols]
+    ridxs = [[r - 1 for r in rows] for rows in _wedge_subsets(g.n, len(cols))]
+    if g.field == RATIONAL:
+        return np.array([linalg.minor(g.entries, ridx, cidx) for ridx in ridxs], dtype=object)
+    fmat = linalg.to_float(g.entries)
+    return np.array([np.linalg.det(fmat[np.ix_(ridx, cidx)]) for ridx in ridxs])
 
 
 def compound_matrix(g: GroupElement, k: int) -> np.ndarray:
     """The induced action on the k-th wedge power: all k x k minors of g."""
-    subsets = _wedge_subsets(g.n, k)
-    exact = g.field == RATIONAL
-    d = len(subsets)
-    out = np.empty((d, d), dtype=object if exact else np.float64)
-    fmat = None if exact else linalg.to_float(g.entries)
-    for b, cols in enumerate(subsets):
-        cidx = [c - 1 for c in cols]
-        for a, rows in enumerate(subsets):
-            ridx = [r - 1 for r in rows]
-            if exact:
-                out[a, b] = linalg.minor(g.entries, ridx, cidx)
-            else:
-                out[a, b] = np.linalg.det(fmat[np.ix_(ridx, cidx)])
-    return out
+    return np.column_stack([_compound_column(g, cols) for cols in _wedge_subsets(g.n, k)])
 
 
 def rep_matrix(rep: RepModule, g: GroupElement) -> np.ndarray:
@@ -407,7 +385,7 @@ def rep_matrix(rep: RepModule, g: GroupElement) -> np.ndarray:
     big = None
     for k in rep.factors:
         c = compound_matrix(g, k)
-        big = c if big is None else _kron(big, c)
+        big = c if big is None else np.kron(big, c)
     exact = g.field == RATIONAL
     out = np.empty((rep.dim, rep.dim), dtype=object if exact else np.float64)
     basis = rep.basis if exact else linalg.to_float(rep.basis)
@@ -425,32 +403,24 @@ def rep_matrix(rep: RepModule, g: GroupElement) -> np.ndarray:
 def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
     """Image of the highest-weight line under a group element.
 
-    ``g`` may be factorization parameters (exact path: the one-parameter
-    factors act on the highest vector by terminating series) or a
-    :class:`~tnnflow.chevalley.GroupElement` (minor/compound path, exact for
-    rational entries and floating otherwise).
+    ``g`` is a :class:`~tnnflow.chevalley.GroupElement` (exact for rational
+    entries, floating otherwise) or factorization parameters, which are
+    first multiplied out on ``side`` by :func:`~tnnflow.totpos.sample_positive`.
+    The highest vector of the k-th wedge factor is e_1 ^ ... ^ e_k, so its
+    image is the leading compound column of g, and the line is spanned by the
+    tensor product of those columns.
     """
     if isinstance(g, FactorizationParams):
-        scalars = list(g.t) + list(g.torus or ())
-        exact = all(isinstance(tk, (int, Fraction)) for tk in scalars)
-        vec = np.empty(rep.ambient_dim, dtype=object)
-        vec[:] = Fraction(0)
-        vec[0] = Fraction(1)
-        if not exact:
-            vec = linalg.to_float(vec)
-        for kind, i, tk in reversed(_factor_sequence(g, side)):
-            vec = _apply_exp_big(rep, kind, i, tk, vec)
-        return LineCoords(rep.coords_of(vec), RATIONAL if exact else FLOAT)
-    if isinstance(g, GroupElement):
-        vecs = []
-        for k, kdeg in enumerate(rep.factors):
-            comp = compound_matrix(g, kdeg)
-            vecs.append(comp[:, 0])  # highest vector of each factor is index 0
-        big = vecs[0]
-        for v in vecs[1:]:
-            big = np.multiply.outer(big, v).reshape(-1)
-        return LineCoords(rep.coords_of(big), g.field)
-    raise TypeError("g must be FactorizationParams or GroupElement")
+        g = sample_positive(g, side)
+    if not isinstance(g, GroupElement):
+        raise TypeError("g must be FactorizationParams or GroupElement")
+    if g.n != rep.n:
+        raise ValueError(f"a {g.n} x {g.n} matrix does not act on a module for n = {rep.n}")
+    big = None
+    for k in rep.factors:
+        col = _compound_column(g, range(1, k + 1))
+        big = col if big is None else np.multiply.outer(big, col).reshape(-1)
+    return LineCoords(rep.coords_of(big), g.field)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +476,7 @@ def eigenchart(rep: RepModule, gap_tol: float = 1e-8) -> EigenChart:
     signs[signs == 0] = 1.0
     q = q * signs
     r = signs[:, None] * r
-    tau_big = linalg.to_float(rep.big_generator_sum())
+    tau_big = rep.ambient_generator_sum()
     tau_q = q.T @ tau_big @ q
     tau_q = (tau_q + tau_q.T) / 2.0
     w, v = np.linalg.eigh(tau_q)

@@ -445,7 +445,7 @@ def commutation_check(
     line_acted = line_of(chart.rep, GroupElement(acted, FLOAT))
     p_acted = chart_coords(chart, line_acted)
 
-    p_start = chart_coords(chart, line_of(chart.rep, params, side))
+    p_start = chart_coords(chart, line_of(chart.rep, g))
     p_flowed = flow_point(flow, t, p_start)
     diff = float(np.max(np.abs(p_acted - p_flowed)))
     return {"acted": p_acted, "flowed": p_flowed, "max_diff": diff}

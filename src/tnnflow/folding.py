@@ -66,17 +66,6 @@ class Folding:
             raise ValueError(f"simple root index {i} out of range")
         return self.n - i
 
-    def orbits(self) -> tuple:
-        """Orbits of simple roots under the flip, ascending representatives."""
-        out = []
-        for i in range(1, self.n):
-            j = self.n - i
-            if i < j:
-                out.append((i, j))
-            elif i == j:
-                out.append((i,))
-        return tuple(out)
-
 
 def _signed_antidiagonal(n: int) -> np.ndarray:
     s = linalg.rational_zeros(n, n)

@@ -140,6 +140,17 @@ def test_error_exit_codes(capsys, tmp_path):
     bad.write_text('{"whatever": 1}')
     code, _, err = run_cli(capsys, "embed", "--config", str(bad))
     assert code == 2 and "unknown config keys" in err
+    small = tmp_path / "small_flag.json"
+    small.write_text('{"flag": [[1,0],[0,1]]}')
+    code, out, err = run_cli(capsys, "flow", "--from", str(small))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    nan = tmp_path / "nan_chart.json"
+    nan.write_text('{"chart": ["nan",0,0,0,0,0,0]}')
+    code, out, err = run_cli(capsys, "flow", "--from", str(nan), "--crossing", "--radius", "0.5")
+    assert code == 2 and out == "" and "finite" in err
+    nan.write_text('{"flag": [[1,0,0],[0,"nan",0],[0,0,1]]}')
+    code, out, err = run_cli(capsys, "flow", "--from", str(nan))
+    assert code == 2 and out == "" and "finite" in err
 
 
 def test_verify_quick_run_passes(capsys):

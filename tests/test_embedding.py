@@ -24,7 +24,7 @@ from tnnflow.embedding import (
     rep_matrix,
     weyl_dim,
 )
-from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import sample_params, standard_word_w0
 
 
 def test_lambda_for_places_ones_off_J():
@@ -56,7 +56,7 @@ def test_fundamental_rep_is_wedge_power():
 
 @pytest.mark.parametrize(
     "n,J",
-    [(3, ()), (3, (2,)), (3, (1,)), (4, (2,)), (4, (1, 3)), (4, (1, 2))],
+    [(3, ()), (3, (2,)), (3, (1,)), (4, (2,)), (4, (1, 3)), (4, (1, 2)), (4, ()), (5, (2, 3)), (5, (1, 4))],
 )
 def test_module_dims_match_weyl_oracle(n, J):
     weight = lambda_for(n, J)
@@ -70,7 +70,7 @@ def test_sl3_complete_module_shape(rep3):
     assert rep3.factors == (1, 2)
     # the ambient generator sum is symmetric (E^T = F there); the module
     # basis is echelon, not orthonormal, so symmetry is only ambient
-    big = linalg.to_float(rep3.big_generator_sum())
+    big = rep3.ambient_generator_sum()
     assert np.max(np.abs(big - big.T)) == 0
 
 
@@ -85,17 +85,43 @@ def test_highest_vector_coordinates(rep3, pin3):
     assert all(isinstance(x, Fraction) for x in vec)
 
 
-def test_line_of_agrees_between_params_and_matrix(rep3, rng):
-    params = sample_params(standard_word_w0(3), rng)
-    g = sample_positive(params, "lower")
-    a = line_of(rep3, params, "lower")
-    b = line_of(rep3, g)
-    fa, fb = a.to_float().vec, b.to_float().vec
-    fa = fa / np.linalg.norm(fa)
-    fb = fb / np.linalg.norm(fb)
-    if np.dot(fa, fb) < 0:
-        fb = -fb
-    assert np.max(np.abs(fa - fb)) < 1e-12
+def _exp_nilpotent(op, t, vec):
+    """exp(t * op) applied to vec by its terminating series (op nilpotent)."""
+    out, term = vec, vec
+    for k in itertools.count(1):
+        term = (op @ term) * (t / k)
+        if not any(x != 0 for x in term):
+            return out
+        out = out + term
+
+
+def test_line_of_agrees_between_params_and_matrix(rng):
+    """The compound route equals the factors acting on the highest vector.
+
+    The oracle applies exp(t F_i), the torus and exp(t E_i) to the highest
+    basis vector in module coordinates, through the exact ``rep.f``,
+    ``rep.h`` and ``rep.e`` matrices, in the order of ``sample_positive``.
+    """
+    for n, J in ((3, ()), (4, (2,)), (5, (2, 3))):
+        rep = build_rep(lambda_for(n, J))
+        word = standard_word_w0(n)
+        ell = len(word)
+        for side in ("lower", "group"):
+            params = sample_params(word, rng, group=(side == "group"))
+            vec = linalg.rational_zeros(rep.dim, 1)[:, 0]
+            vec[rep.highest_index] = Fraction(1)
+            # the lower factor takes the last ell parameters on either side
+            for i, t in reversed(list(zip(word.letters, params.t[-ell:]))):
+                vec = _exp_nilpotent(rep.f[i], t, vec)
+            if side == "group":
+                for i, s in zip(range(1, n), params.torus):
+                    diag = [s ** int(rep.h[i][r, r]) for r in range(rep.dim)]
+                    vec = vec * np.array(diag, dtype=object)
+                for i, t in reversed(list(zip(word.letters, params.t[:ell]))):
+                    vec = _exp_nilpotent(rep.e[i], t, vec)
+            got = line_of(rep, params, side)
+            assert got.field == RATIONAL
+            assert np.equal(got.vec, vec).all(), (n, J, side)
 
 
 def test_line_of_projective_invariance(rep3, pin3):
