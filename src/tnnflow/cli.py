@@ -57,6 +57,7 @@ from .flow import (
     default_ball_radius,
     default_invariance_cases,
     flow_point,
+    has_overflow,
     invariance_check,
     line_to_sl3_coords,
     sphere_crossing,
@@ -66,6 +67,7 @@ from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical, encode_tree
 from .totpos import (
     Positivity,
+    certify_minors,
     is_tnn_matrix,
     sample_params,
     sample_positive,
@@ -95,15 +97,17 @@ class RunConfig:
         if self.n < 2:
             raise ValueError("need n >= 2")
         for name in ("float_tol", "bisect_tol", "vanish_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails this too
                 raise ValueError(f"{name} must be positive")
         bad = [j for j in self.J if not 1 <= j <= self.n - 1]
         if bad:
             raise ValueError(f"J indices {bad} out of range for n = {self.n}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if self.radius is not None and self.radius <= 0:
+        if self.radius is not None and not self.radius > 0:
             raise ValueError("radius must be positive")
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
 
     def meta(self, command: str) -> dict:
         out = {"command": command}
@@ -204,8 +208,7 @@ def cmd_sample(cfg: RunConfig, side: str) -> int:
     for k in range(cfg.count):
         params = sample_params(word, rng, group=(side == "group"))
         g = sample_positive(params, side)
-        verdict = is_tnn_matrix(g)
-        minors = [value for _, _, value in linalg.all_minors(g.entries)]
+        verdict, least = certify_minors(g)
         record = {
             "index": k,
             "side": side,
@@ -213,7 +216,7 @@ def cmd_sample(cfg: RunConfig, side: str) -> int:
             "params": list(params.t),
             "matrix": g.entries,
             "positivity": verdict,
-            "min_minor": min(minors),
+            "min_minor": least,
         }
         if params.torus is not None:
             record["torus"] = list(params.torus)
@@ -288,6 +291,8 @@ def cmd_flow(cfg: RunConfig, from_path: str | None, want_crossing: bool) -> int:
     if p.shape != (chart.ncoords,):
         raise ValueError(f"chart point has {p.shape[0]} coordinates, expected {chart.ncoords}")
     moved = flow_point(flow, cfg.t, p)
+    if has_overflow(moved):
+        raise ValueError(f"the flow to t = {cfg.t!r} overflows binary64 in the chart")
     payload = {
         "meta": cfg.meta("flow"),
         "origin": origin,

@@ -10,6 +10,7 @@ rather than an approximation.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -68,7 +69,7 @@ def is_rational_array(a: np.ndarray) -> bool:
 
 
 def det(a: np.ndarray) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Gaussian elimination (plain ints become Fractions)."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("determinant needs a square matrix")
@@ -82,7 +83,7 @@ def det(a: np.ndarray) -> Fraction:
         if pivot_row != col:
             m[[col, pivot_row]] = m[[pivot_row, col]]
             sign = -sign
-        pivot = m[col, col]
+        pivot = Fraction(m[col, col])
         result *= pivot
         for r in range(col + 1, n):
             if m[r, col] != 0:
@@ -113,12 +114,44 @@ def minor(a: np.ndarray, rows, cols) -> Fraction:
 
 
 def all_minors(a: np.ndarray):
-    """Yield ``(rows, cols, value)`` over every square minor, smallest first."""
+    """Yield ``(rows, cols, value)`` over every square minor, smallest first.
+
+    Minors of size k come in lexicographic order of ``rows``, then of
+    ``cols``, and each value is the exact ``Fraction`` that :func:`minor`
+    returns.  The pass runs on integers: ``a`` is scaled by the LCM ``D`` of
+    its denominators, each k-minor of the scaled matrix is a Laplace
+    expansion along its first row over the (k-1)-minors of the level before,
+    and the yielded value is ``s / D**k``.  That is sum_k C(n,k) C(m,k) k
+    integer multiply-adds in all.  Only the levels k-1 and k are alive at
+    once; the largest level of an n x n matrix holds C(n, n//2)**2 ints,
+    63,504 at n = 10.
+    """
     n, m = a.shape
+    entries = [[Fraction(x) for x in row] for row in a.tolist()]
+    scale = math.lcm(1, *(x.denominator for row in entries for x in row))
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    prev_rows, prev_cols, prev = [()], [()], [[1]]
     for k in range(1, min(n, m) + 1):
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(m), k):
-                yield rows, cols, minor(a, rows, cols)
+        row_index = {r: j for j, r in enumerate(prev_rows)}
+        col_index = {c: j for j, c in enumerate(prev_cols)}
+        rows_k = list(itertools.combinations(range(n), k))
+        cols_k = list(itertools.combinations(range(m), k))
+        # expansion terms of each column set: (sign, column, index of the rest)
+        terms = [
+            [((-1) ** j, c, col_index[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols)]
+            for cols in cols_k
+        ]
+        denom = scale**k
+        level = []
+        for rows in rows_k:
+            top, below = ints[rows[0]], prev[row_index[rows[1:]]]
+            values = []
+            for cols, expansion in zip(cols_k, terms):
+                s = sum(sign * top[c] * below[rest] for sign, c, rest in expansion)
+                values.append(s)
+                yield rows, cols, Fraction(s, denom)
+            level.append(values)
+        prev_rows, prev_cols, prev = rows_k, cols_k, level
 
 
 def rank(a: np.ndarray) -> int:

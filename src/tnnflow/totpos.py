@@ -1,8 +1,11 @@
 """Total positivity in SL(n) and its flag varieties.
 
 Positive elements are produced by factorizations along reduced words for the
-longest permutation; positivity of a given matrix is certified by checking
-every minor in exact rational arithmetic.  Flags are represented by a unique
+longest permutation, multiplied out by one column operation per letter;
+positivity of a given matrix is certified by the sign of every minor, all of
+them exact and taken in one integer Laplace pass
+(:func:`tnnflow.linalg.all_minors`) whose verdict and least minor come
+together.  Flags are represented by a unique
 canonical matrix (block-wise reduced column echelon form with bottom-most
 pivots), and for the complete SL(3) flag variety we expose the classical
 six-coordinate chart ``(v, w)`` together with its membership oracle:
@@ -16,7 +19,6 @@ part.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -24,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, RATIONAL, GroupElement, Pinning, build_pinning, one_param
+from .chevalley import FLOAT, RATIONAL, GroupElement, _coerce_scalar
 
 __all__ = [
     "Positivity",
@@ -35,6 +37,7 @@ __all__ = [
     "sample_params",
     "sample_positive",
     "is_tnn_matrix",
+    "certify_minors",
     "FlagPoint",
     "flag_of",
     "Sl3Coords",
@@ -167,49 +170,84 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
     (lower unipotent); with strictly positive parameters this lands in the
     totally positive part, and letting parameters degenerate to zero sweeps
     out the nonnegative closure.
+
+    Right multiplication by a factor is a column operation on the product so
+    far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
+    y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
+    column i-1 by s and column i by 1/s (columns counted from 0).  The
+    product is exact when every parameter is, and binary64 otherwise.
     """
     word = params.word
-    pin = build_pinning(word.n)
     ell = len(word)
 
-    def unipotent(kind, ts):
-        g = None
-        for i, tk in zip(word.letters, ts):
-            factor = one_param(pin, kind, i, tk)
-            g = factor if g is None else g @ factor
-        return g
+    def along(kind, ts):
+        return [(kind, i, tk) for i, tk in zip(word.letters, ts)]
 
     if side == "upper":
-        return unipotent("x", params.t[:ell])
-    if side == "lower":
-        return unipotent("y", params.t[:ell])
-    if side == "group":
-        upper_ts = params.t[:ell]
+        factors = along("x", params.t[:ell])
+    elif side == "lower":
+        factors = along("y", params.t[:ell])
+    elif side == "group":
         lower_ts = params.t[ell:] if len(params.t) == 2 * ell else params.t
         torus_ts = params.torus if params.torus is not None else (Fraction(1),) * (word.n - 1)
-        g = unipotent("x", upper_ts)
-        for i, s in zip(pin.indices, torus_ts):
-            g = g @ one_param(pin, "coweight", i, s)
-        return g @ unipotent("y", lower_ts)
-    raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
+        coweights = [("coweight", i, s) for i, s in zip(range(1, word.n), torus_ts)]
+        factors = along("x", params.t[:ell]) + coweights + along("y", lower_ts)
+    else:
+        raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
+    scalars = [_coerce_scalar(t) for _, _, t in factors]
+    field = FLOAT if any(f == FLOAT for _, f in scalars) else RATIONAL
+    m = linalg.rational_identity(word.n) if field == RATIONAL else np.eye(word.n)
+    for (kind, i, _), (t, _) in zip(factors, scalars):
+        if kind == "x":
+            m[:, i] += t * m[:, i - 1]
+        elif kind == "y":
+            m[:, i - 1] += t * m[:, i]
+        else:
+            m[:, i - 1] *= t
+            m[:, i] *= 1 / t
+    return GroupElement(m, field)
+
+
+def _least_minor(g, *, stop_below_zero: bool):
+    entries = g.entries if isinstance(g, GroupElement) else g
+    if not linalg.is_rational_array(entries):
+        raise TypeError("exact entries required; rationalize float input first")
+    least = None
+    for _rows, _cols, value in linalg.all_minors(entries):
+        if least is None or value < least:
+            least = value
+            if stop_below_zero and value < 0:
+                break
+    return least
+
+
+def _positivity(least_minor) -> Positivity:
+    """The sign rule: a negative minor rules out TNN, a zero one rules out TP."""
+    if least_minor < 0:
+        return Positivity.NEITHER
+    return Positivity.TOTALLY_POSITIVE if least_minor > 0 else Positivity.TOTALLY_NONNEGATIVE
 
 
 def is_tnn_matrix(g) -> Positivity:
     """Classify a matrix by the signs of all its minors (exact arithmetic).
 
     Requires exact rational entries; run floats through
-    ``linalg.rationalize`` first so that the verdict is a certificate.
+    ``linalg.rationalize`` first so that the verdict is a certificate.  The
+    minors come smallest first from the integer Laplace pass of
+    :func:`tnnflow.linalg.all_minors`, and the walk stops at the first
+    negative one.
     """
-    entries = g.entries if isinstance(g, GroupElement) else g
-    if not linalg.is_rational_array(entries):
-        raise TypeError("exact entries required; rationalize float input first")
-    all_positive = True
-    for _rows, _cols, value in linalg.all_minors(entries):
-        if value < 0:
-            return Positivity.NEITHER
-        if value == 0:
-            all_positive = False
-    return Positivity.TOTALLY_POSITIVE if all_positive else Positivity.TOTALLY_NONNEGATIVE
+    return _positivity(_least_minor(g, stop_below_zero=True))
+
+
+def certify_minors(g) -> tuple[Positivity, Fraction]:
+    """``(verdict, least minor)`` of an exact matrix, from one pass over all minors.
+
+    The verdict is the one :func:`is_tnn_matrix` gives; the least minor is
+    taken over every minor, so this walk has no early exit.
+    """
+    least = _least_minor(g, stop_below_zero=False)
+    return _positivity(least), least
 
 
 # ---------------------------------------------------------------------------

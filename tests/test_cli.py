@@ -1,5 +1,6 @@
 """The command-line surface: output contracts, config precedence, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,10 @@ def test_run_config_validation():
         RunConfig(float_tol=0.0)
     with pytest.raises(ValueError):
         RunConfig(radius=-1.0)
+    with pytest.raises(ValueError):
+        RunConfig(radius=float("nan"))
+    with pytest.raises(ValueError):
+        RunConfig(t=float("nan"))
 
 
 def test_pinning_prints_generator_sum(capsys):
@@ -46,6 +51,31 @@ def test_sample_emits_certificates(capsys):
     for rec in doc["samples"]:
         assert rec["positivity"] == "TotallyPositive"
         assert "/" in rec["min_minor"] or rec["min_minor"].isdigit()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--n", "3", "--count", "3"),
+            "061209cf77187cb9cd0cfcb19cf77db490cfaa6e9f41b44ed48642f80dbe0b26",
+        ),
+        (
+            ("--n", "6", "--side", "group", "--count", "3", "--seed", "0", "--format", "json"),
+            "b154ae50dba67c93f1e090366e346976103cea80c66931ed2de6d0f53a88cedf",
+        ),
+        (
+            ("--n", "6", "--side", "lower", "--count", "3", "--seed", "0", "--format", "json"),
+            "e083823ac1b7b25fd29eff2395b8a1776c861c4f14dab50b17dea267a699a320",
+        ),
+    ],
+    ids=["n3", "n6-group", "n6-lower"],
+)
+def test_sample_report_bytes_are_pinned(capsys, argv, digest):
+    """Exact-only reports: their bytes depend on no platform, BLAS or float rounding."""
+    code, out, _ = run_cli(capsys, "sample", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_embed_summary(capsys):
@@ -151,6 +181,8 @@ def test_error_exit_codes(capsys, tmp_path):
     nan.write_text('{"flag": [[1,0,0],[0,"nan",0],[0,0,1]]}')
     code, out, err = run_cli(capsys, "flow", "--from", str(nan))
     assert code == 2 and out == "" and "finite" in err
+    code, out, err = run_cli(capsys, "flow", "--t=-1e4", "--seed", "3", "--format", "json")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "overflows" in err
 
 
 def test_verify_quick_run_passes(capsys):

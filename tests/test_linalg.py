@@ -1,5 +1,6 @@
 """Exact rational linear algebra underneath everything else."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,9 @@ def test_det_known_values():
     # Vandermonde on 1, 2, 3: product of differences = 2
     v = linalg.rational_matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
     assert linalg.det(v) == 2
+    # plain ints stay exact: the pivot 3 would otherwise divide into floats
+    ints = np.array([[3, 1, 2], [1, 7, 1], [2, 5, 11]], dtype=object)
+    assert type(linalg.det(ints)) is Fraction and linalg.det(ints) == 189
 
 
 @settings(max_examples=40, deadline=None)
@@ -62,6 +66,34 @@ def test_minor_and_all_minors():
     assert all(isinstance(v, Fraction) for _, _, v in minors)
     full = [v for rows, cols, v in minors if len(rows) == 3]
     assert full == [linalg.det(m)]
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """1x1 to 5x5, square or not, with plain ints, negatives and zero rows/columns."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-9, 9), fractions)
+    a = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)), dtype=object)
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        a[i, :] = 0
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        a[:, j] = 0
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangular_matrices())
+def test_all_minors_matches_elimination_oracle(a):
+    n, m = a.shape
+    expected = [
+        (rows, cols, linalg.minor(a, rows, cols))
+        for k in range(1, min(n, m) + 1)
+        for rows in itertools.combinations(range(n), k)
+        for cols in itertools.combinations(range(m), k)
+    ]
+    got = list(linalg.all_minors(a))
+    assert got == expected
+    assert all(type(v) is Fraction for _, _, v in got)
 
 
 def test_rank():

@@ -1,6 +1,7 @@
 """Total positivity: factorizations, the all-minors oracle, canonical flag
 forms, and the SL(3) coordinate chart."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from tnnflow.totpos import (
     Membership,
     Positivity,
     ReducedWord,
+    certify_minors,
     flag_of,
     is_tnn_matrix,
     sample_params,
@@ -93,6 +95,101 @@ def test_zero_mask_lands_on_boundary():
     params = sample_params(word, rng, zero_mask=[0, 1, 2])
     g = sample_positive(params, "lower")
     assert np.equal(g.entries, linalg.rational_identity(3)).all()
+
+
+def _oracle_minors(a):
+    n = a.shape[0]
+    return [
+        linalg.minor(a, rows, cols)
+        for k in range(1, n + 1)
+        for rows in itertools.combinations(range(n), k)
+        for cols in itertools.combinations(range(n), k)
+    ]
+
+
+def _sign_rule(values):
+    if any(v < 0 for v in values):
+        return Positivity.NEITHER
+    if all(v > 0 for v in values):
+        return Positivity.TOTALLY_POSITIVE
+    return Positivity.TOTALLY_NONNEGATIVE
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_verdict_matches_sign_rule_over_oracle_minors(n):
+    rng = np.random.default_rng([n, 11])
+    word = standard_word_w0(n)
+    interior = sample_positive(sample_params(word, rng, group=True), "group").entries
+    mask = rng.choice(2 * len(word), size=n, replace=False)
+    boundary = sample_positive(sample_params(word, rng, group=True, zero_mask=mask), "group").entries
+    j = int(rng.integers(0, n - 1))
+    swapped = interior.copy()
+    swapped[:, [j, j + 1]] = swapped[:, [j + 1, j]]
+    cases = [
+        (interior, Positivity.TOTALLY_POSITIVE),
+        (boundary, Positivity.TOTALLY_NONNEGATIVE),
+        (swapped, Positivity.NEITHER),
+    ]
+    for a, expected in cases:
+        values = _oracle_minors(a)
+        assert _sign_rule(values) is expected
+        assert is_tnn_matrix(a) is expected
+        assert certify_minors(a) == (expected, min(values))
+
+
+def _dense_product(params, side):
+    """The factorization multiplied out one dense ``one_param`` factor at a time."""
+    word = params.word
+    pin = build_pinning(word.n)
+    ell = len(word)
+    factors = []
+    if side in ("upper", "group"):
+        factors += [("x", i, t) for i, t in zip(word.letters, params.t[:ell])]
+    if side == "group":
+        torus = params.torus if params.torus is not None else (Fraction(1),) * (word.n - 1)
+        factors += [("coweight", i, s) for i, s in zip(pin.indices, torus)]
+        lower = params.t[ell:] if len(params.t) == 2 * ell else params.t
+    else:
+        lower = params.t[:ell]
+    if side in ("lower", "group"):
+        factors += [("y", i, t) for i, t in zip(word.letters, lower)]
+    g = one_param(pin, *factors[0])
+    for f in factors[1:]:
+        g = g @ one_param(pin, *f)
+    return g
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("side", ["upper", "lower", "group"])
+def test_sample_positive_matches_dense_product(n, side):
+    rng = np.random.default_rng([n, 5])
+    word = standard_word_w0(n)
+    ell = len(word)
+    group = side == "group"
+    drawn = sample_params(word, rng, group=group)
+    count = len(drawn.t)
+    cases = [
+        drawn,
+        sample_params(word, rng, group=group, zero_mask=rng.choice(count, size=count // 2 + 1, replace=False)),
+    ]
+    if group:
+        # torus omitted, and one t shared by the upper and the lower half
+        cases += [FactorizationParams(word, drawn.t, None), FactorizationParams(word, drawn.t[:ell], None)]
+    for params in cases:
+        got, want = sample_positive(params, side), _dense_product(params, side)
+        assert got.field == want.field == RATIONAL
+        assert np.equal(got.entries, want.entries).all()
+    params = sample_params(word, rng, group=group, field=FLOAT)
+    got, want = sample_positive(params, side), _dense_product(params, side)
+    assert got.field == want.field == FLOAT
+    scale = float(np.max(np.abs(want.entries)))
+    assert float(np.max(np.abs(got.entries - want.entries))) <= 1e-14 * scale
+
+
+def test_sample_positive_rejects_unknown_side():
+    params = sample_params(standard_word_w0(3), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_positive(params, "middle")
 
 
 # -- canonical flag form ------------------------------------------------------
