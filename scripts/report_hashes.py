@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Print the sha256 of each canonical CLI report, one line per command.
+
+Usage: PYTHONPATH=src python scripts/report_hashes.py
+
+Each line is ``<sha256 of stdout>  <exit code>  tnnflow <args>``.  The
+commands are the canonical reports that a refactor must keep
+byte-identical; diff the output of two trees to check that it did.  The
+float reports depend on the platform's libm and BLAS, so the hashes are
+compared between trees on one machine, not against a fixed list.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from tnnflow import cli
+
+COMMANDS = [
+    *(["verify", "--seed", s] for s in ("0", "7", "21", "22", "23", "24")),
+    ["verify", "--seed", "5", "--count", "300"],
+    *(
+        ["embed", "--n", n, "--J", J, "--format", "json"]
+        for n, J in (("3", ""), ("3", "2"), ("4", "2"), ("4", "1"), ("4", "1,3"), ("5", "2,3"))
+    ),
+    ["flow", "--t", "2", "--seed", "3", "--crossing"],
+    ["flow", "--t", "2", "--seed", "3", "--crossing", "--radius", "0.5"],
+    ["flow", "--crossing", "--n", "4", "--J", "2"],
+    ["flow", "--crossing", "--n", "5", "--J", "2,3"],
+    ["fold", "--count", "30"],
+    ["sample", "--n", "3", "--count", "3"],
+    ["sample", "--n", "6", "--side", "group", "--count", "3", "--seed", "0", "--format", "json"],
+    ["sample", "--n", "6", "--side", "lower", "--count", "3", "--seed", "0", "--format", "json"],
+    ["flow", "--t=-1e4", "--seed", "3"],
+]
+
+
+def main() -> int:
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        print(f"{digest}  {code}  tnnflow {' '.join(argv)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

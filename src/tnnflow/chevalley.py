@@ -170,7 +170,7 @@ def generator_sum(pinning: Pinning) -> np.ndarray:
     """The symmetric tridiagonal matrix ``sum_i e_i + f_i`` (exact entries)."""
     tau = linalg.rational_zeros(pinning.n, pinning.n)
     for i in pinning.indices:
-        tau = tau + pinning.raising(i) + pinning.lowering(i)
+        tau[i - 1, i] = tau[i, i - 1] = Fraction(1)
     return tau
 
 

@@ -25,6 +25,7 @@ in which the induced dynamics become diagonal (see :mod:`tnnflow.flow`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -408,7 +409,8 @@ def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
     first multiplied out on ``side`` by :func:`~tnnflow.totpos.sample_positive`.
     The highest vector of the k-th wedge factor is e_1 ^ ... ^ e_k, so its
     image is the leading compound column of g, and the line is spanned by the
-    tensor product of those columns.
+    tensor product of those columns.  An exact g multiplies out only the pivots:
+    the digits of a pivot's ambient index pick one leading minor per factor.
     """
     if isinstance(g, FactorizationParams):
         g = sample_positive(g, side)
@@ -416,6 +418,12 @@ def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
         raise TypeError("g must be FactorizationParams or GroupElement")
     if g.n != rep.n:
         raise ValueError(f"a {g.n} x {g.n} matrix does not act on a module for n = {rep.n}")
+    if g.field == RATIONAL:
+        levels, scale = linalg.leading_minors(g.entries, max(rep.factors))
+        digits = np.unravel_index(rep.pivot_cols, [len(levels[k]) for k in rep.factors])
+        vec = [math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) for ds in zip(*digits)]
+        denom = scale ** sum(rep.factors)
+        return LineCoords(np.array([Fraction(x, denom) for x in vec], dtype=object), RATIONAL)
     big = None
     for k in rep.factors:
         col = _compound_column(g, range(1, k + 1))

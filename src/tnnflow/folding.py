@@ -80,11 +80,14 @@ def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
 
 
 def _apply_matrix(folding: Folding, m: np.ndarray) -> np.ndarray:
+    """S X S^T for X = (m^T)^-1: X with both indices reversed and (a, b) signed (-1)^(a+b)."""
     if linalg.is_rational_array(m):
-        s = folding.s_matrix
-        return s @ linalg.inv(m.T) @ s.T
-    s = linalg.to_float(folding.s_matrix)
-    return s @ np.linalg.inv(np.asarray(m, dtype=np.float64).T) @ s.T
+        out = linalg.inv(m.T)[::-1, ::-1]
+    else:
+        out = np.linalg.inv(np.asarray(m, dtype=np.float64).T)[::-1, ::-1]
+    out[1::2, ::2] *= -1
+    out[::2, 1::2] *= -1
+    return out
 
 
 def sigma_stable(folding: Folding, J) -> bool:
@@ -243,6 +246,8 @@ def fixed_locus_flow_check(
     from .totpos import sample_positive
 
     n = folding.n
+    if n < 4:
+        raise ValueError(f"the fixed-locus check needs n >= 4 (a mirrored pair to untie), got {n}")
     pin = build_pinning(n)
     word, blocks = symmetric_word(n)
     s = linalg.to_float(folding.s_matrix)
@@ -253,14 +258,13 @@ def fixed_locus_flow_check(
         bwd = s @ exp_generator_sum(pin, -t / k).entries @ s.T
         step_cache[t] = (k, fwd, bwd)
 
-    def flag_gap(u) -> dict:
-        uf = linalg.to_float(u.entries)
-        su = linalg.to_float(apply_group(folding, u).entries)
+    def flag_gap(u, su) -> dict:
+        uf, suf = linalg.to_float(u.entries), linalg.to_float(su.entries)
         gaps = {}
         for t in times:
             k, fwd, bwd = step_cache[t]
             moved = _flowed_flag(fwd, k, uf)
-            image = _flowed_flag(bwd, k, su)
+            image = _flowed_flag(bwd, k, suf)
             gap = float(np.max(np.abs(image.mat - moved.mat)))
             gaps[t] = gap / max(1.0, float(np.max(np.abs(moved.mat))))
         return gaps
@@ -275,13 +279,14 @@ def fixed_locus_flow_check(
             zero_blocks = rng.choice(len(blocks), size=size, replace=False).tolist()
         params = symmetric_params(n, rng, zero_blocks=zero_blocks)
         u = sample_positive(params, "lower")
-        if not np.equal(apply_group(folding, u).entries, u.entries).all():
+        su = apply_group(folding, u)
+        if not np.equal(su.entries, u.entries).all():
             raise AssertionError("symmetric sampler produced a non-fixed element")
         base = flag_of(u)
         if apply_flag(folding, base) != base:
             all_fixed = False
             witness = {"sample": k, "time": 0.0}
-        for t, gap in flag_gap(u).items():
+        for t, gap in flag_gap(u, su).items():
             worst = max(worst, gap)
             if gap > tol:
                 all_fixed = False
@@ -292,7 +297,7 @@ def fixed_locus_flow_check(
     u_bad = sample_positive(control, "lower")
     bad_flag = flag_of(u_bad)
     control_broken = apply_flag(folding, bad_flag) != bad_flag
-    bad_gaps = flag_gap(u_bad)
+    bad_gaps = flag_gap(u_bad, apply_group(folding, u_bad))
     control_broken = control_broken and all(g > 1e-6 for g in bad_gaps.values())
 
     return {

@@ -4,7 +4,9 @@ Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
 entries, so ``@`` composes exactly and every routine here is free of rounding.
 Float work is delegated to numpy proper; these helpers exist for the places
 where the answer must be a certificate (minor signs, ranks, echelon bases)
-rather than an approximation.
+rather than an approximation.  Determinants, inverses and minors run on
+Python ints: the matrix is scaled by the LCM ``D`` of its denominators, and
+one ``Fraction`` is built per result entry at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "inv",
     "minor",
     "all_minors",
+    "leading_minors",
     "rank",
     "reduce_rows",
     "cross3",
@@ -34,14 +37,12 @@ __all__ = [
 
 def rational_matrix(rows) -> np.ndarray:
     """Build an object array of Fractions from any nested int/Fraction data."""
-    a = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-    return a
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
 
 
 def rational_identity(n: int) -> np.ndarray:
     a = rational_zeros(n, n)
-    for i in range(n):
-        a[i, i] = Fraction(1)
+    np.fill_diagonal(a, Fraction(1))
     return a
 
 
@@ -68,49 +69,60 @@ def is_rational_array(a: np.ndarray) -> bool:
     return a.dtype == object
 
 
+def _scaled_ints(a) -> tuple[list, int]:
+    """The rows of ``a`` times the LCM ``D`` of its denominators, as ints, and ``D``."""
+    entries = [[Fraction(x) for x in row] for row in a.tolist()]
+    scale = math.lcm(1, *(x.denominator for row in entries for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in entries], scale
+
+
+def _bareiss(m: list, jordan: bool) -> tuple[int, int]:
+    """Bareiss elimination of int rows in place, also above each pivot if ``jordan``.
+
+    Entries stay integer minors, so each division is exact.  Returns the last pivot
+    ``d`` (0 if singular) and the sign of the row swaps; the determinant is ``sign * d``.
+    """
+    n, sign, prev = len(m), 1, 1
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot_row is None:
+            return 0, sign
+        if pivot_row != k:
+            m[k], m[pivot_row], sign = m[pivot_row], m[k], -sign
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                m[i] = [(m[k][k] * y - m[i][k] * t) // prev for y, t in zip(m[i], m[k])]
+        prev = m[k][k]
+    return prev, sign
+
+
 def det(a: np.ndarray) -> Fraction:
-    """Exact determinant by Gaussian elimination (plain ints become Fractions)."""
+    """Exact determinant, always a ``Fraction``: Bareiss on ``D a``, over ``D**n``."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("determinant needs a square matrix")
-    m = a.copy()
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r, col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[[col, pivot_row]] = m[[pivot_row, col]]
-            sign = -sign
-        pivot = Fraction(m[col, col])
-        result *= pivot
-        for r in range(col + 1, n):
-            if m[r, col] != 0:
-                m[r, col:] = m[r, col:] - (m[r, col] / pivot) * m[col, col:]
-    return sign * result
+    m, scale = _scaled_ints(a)
+    d, sign = _bareiss(m, jordan=False)
+    return Fraction(sign * d, scale**n)
 
 
 def inv(a: np.ndarray) -> np.ndarray:
-    """Exact inverse via Gauss-Jordan; raises on singular input."""
+    """Exact inverse in Fractions; raises ``ZeroDivisionError`` on singular input.
+
+    Fraction-free Gauss-Jordan takes ``[D a | I]`` to ``[d I | d (D a)^-1]``.
+    """
     n = a.shape[0]
-    aug = np.concatenate([a.copy(), rational_identity(n)], axis=1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r, col] != 0), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("matrix is singular over the rationals")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] = aug[col] / aug[col, col]
-        for r in range(n):
-            if r != col and aug[r, col] != 0:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
-    return aug[:, n:]
+    m, scale = _scaled_ints(a)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    d, _ = _bareiss(aug, jordan=True)
+    if d == 0:
+        raise ZeroDivisionError("matrix is singular over the rationals")
+    out = [[Fraction(scale * y, d) for y in row[n:]] for row in aug]
+    return np.array(out, dtype=object).reshape(n, n)
 
 
 def minor(a: np.ndarray, rows, cols) -> Fraction:
-    sub = a[np.ix_(list(rows), list(cols))]
-    return det(sub)
+    return det(a[np.ix_(list(rows), list(cols))])
 
 
 def all_minors(a: np.ndarray):
@@ -118,18 +130,14 @@ def all_minors(a: np.ndarray):
 
     Minors of size k come in lexicographic order of ``rows``, then of
     ``cols``, and each value is the exact ``Fraction`` that :func:`minor`
-    returns.  The pass runs on integers: ``a`` is scaled by the LCM ``D`` of
-    its denominators, each k-minor of the scaled matrix is a Laplace
-    expansion along its first row over the (k-1)-minors of the level before,
-    and the yielded value is ``s / D**k``.  That is sum_k C(n,k) C(m,k) k
-    integer multiply-adds in all.  Only the levels k-1 and k are alive at
-    once; the largest level of an n x n matrix holds C(n, n//2)**2 ints,
-    63,504 at n = 10.
+    returns.  Each k-minor ``s`` of the integer scaling ``D a`` is a Laplace
+    expansion along its first row over the (k-1)-minors, and is yielded as
+    ``s / D**k``: sum_k C(n,k) C(m,k) k multiply-adds in all.  Only the levels
+    k-1 and k are alive at once; the largest level of an n x n matrix holds
+    C(n, n//2)**2 ints, 63,504 at n = 10.
     """
     n, m = a.shape
-    entries = [[Fraction(x) for x in row] for row in a.tolist()]
-    scale = math.lcm(1, *(x.denominator for row in entries for x in row))
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in entries]
+    ints, scale = _scaled_ints(a)
     prev_rows, prev_cols, prev = [()], [()], [[1]]
     for k in range(1, min(n, m) + 1):
         row_index = {r: j for j, r in enumerate(prev_rows)}
@@ -154,12 +162,31 @@ def all_minors(a: np.ndarray):
         prev_rows, prev_cols, prev = rows_k, cols_k, level
 
 
+def leading_minors(a: np.ndarray, kmax: int) -> tuple[list, int]:
+    """Minors on leading columns, as ints: ``(levels, D)`` for the scaling ``D a``.
+
+    ``levels[k][j]`` is ``D**k`` times the minor on the j-th k-subset of rows
+    (lexicographic) and columns 0..k-1, k <= kmax, by Laplace expansion along
+    the last column over level k-1: sum_k C(n,k) k multiply-adds in all.
+    """
+    ints, scale = _scaled_ints(a)
+    levels, index = [[1]], {(): 0}
+    for k in range(1, kmax + 1):
+        rows_k = list(itertools.combinations(range(a.shape[0]), k))
+        levels.append([
+            sum((-1) ** (k - 1 - j) * ints[r][k - 1] * levels[-1][index[rows[:j] + rows[j + 1 :]]]
+                for j, r in enumerate(rows))
+            for rows in rows_k
+        ])
+        index = {rows: j for j, rows in enumerate(rows_k)}
+    return levels, scale
+
+
 def rank(a: np.ndarray) -> int:
     """Exact rank via row reduction."""
     if a.size == 0:
         return 0
-    reduced, pivots = reduce_rows([a[i, :] for i in range(a.shape[0])])
-    return len(pivots)
+    return len(reduce_rows([a[i, :] for i in range(a.shape[0])])[1])
 
 
 def reduce_rows(rows):

@@ -1,6 +1,9 @@
 """Shared fixtures: pinnings, modules, and charts are expensive enough to
 build once per session."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,25 @@ from tnnflow.cells import enumerate_cells, face_poset
 from tnnflow.chevalley import build_pinning
 from tnnflow.embedding import build_rep, eigenchart, lambda_for
 from tnnflow.flow import DiagonalFlow
+
+
+def _leibniz_det(a) -> Fraction:
+    """The signed sum over permutations: a determinant sharing no code with ``linalg``."""
+    n = a.shape[0]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, p in enumerate(perm):
+            term *= a[i, p]
+        total += term
+    return total
+
+
+@pytest.fixture(scope="session")
+def leibniz_det():
+    """Determinant oracle for the exact kernels, independent of elimination."""
+    return _leibniz_det
 
 
 @pytest.fixture(scope="session")

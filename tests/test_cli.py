@@ -166,6 +166,9 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and "SL(3)" in err
     code, _, err = run_cli(capsys, "fold", "--n", "5")
     assert code == 2
+    for count in ("1", "3"):  # n = 2 has no mirrored pair to untie
+        code, out, err = run_cli(capsys, "fold", "--n", "2", "--count", count)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1 and "n >= 4" in err
     bad = tmp_path / "bad.json"
     bad.write_text('{"whatever": 1}')
     code, _, err = run_cli(capsys, "embed", "--config", str(bad))

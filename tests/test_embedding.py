@@ -24,7 +24,7 @@ from tnnflow.embedding import (
     rep_matrix,
     weyl_dim,
 )
-from tnnflow.totpos import sample_params, standard_word_w0
+from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
 
 
 def test_lambda_for_places_ones_off_J():
@@ -122,6 +122,30 @@ def test_line_of_agrees_between_params_and_matrix(rng):
             got = line_of(rep, params, side)
             assert got.field == RATIONAL
             assert np.equal(got.vec, vec).all(), (n, J, side)
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, ()), (5, (2, 3))])
+def test_exact_line_of_matches_full_outer_product(n, J, leibniz_det):
+    """The pivot-only exact route equals the full ambient tensor, read at the pivots.
+
+    The oracle builds each factor's compound column from permutation-sum
+    minors on the leading columns, takes the whole outer product over the
+    ambient space, and only then reads ``rep.pivot_cols``.
+    """
+    rep = build_rep(lambda_for(n, J))
+    rng = np.random.default_rng([n, len(J), 3])
+    for side in ("lower", "group"):
+        params = sample_params(standard_word_w0(n), rng, group=(side == "group"))
+        g = sample_positive(params, side)
+        big = np.ones(1, dtype=object)
+        for k in rep.factors:
+            col = [leibniz_det(g.entries[np.ix_(rows, range(k))]) for rows in itertools.combinations(range(n), k)]
+            big = np.multiply.outer(big, np.array(col, dtype=object)).reshape(-1)
+        want = big[list(rep.pivot_cols)]
+        for got in (line_of(rep, params, side), line_of(rep, g)):
+            assert got.field == RATIONAL
+            assert all(type(x) is Fraction for x in got.vec)
+            assert np.equal(got.vec, want).all(), (n, J, side)
 
 
 def test_line_of_projective_invariance(rep3, pin3):

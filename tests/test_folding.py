@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tnnflow import linalg
-from tnnflow.chevalley import build_pinning, generator_sum, one_param
+from tnnflow.chevalley import RATIONAL, GroupElement, build_pinning, generator_sum, one_param
 from tnnflow.folding import (
     apply_flag,
     apply_group,
@@ -17,7 +17,7 @@ from tnnflow.folding import (
     symmetric_params,
     symmetric_word,
 )
-from tnnflow.totpos import flag_of, sample_positive
+from tnnflow.totpos import flag_of, sample_params, sample_positive, standard_word_w0
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,28 @@ def test_sigma_swaps_one_parameter_subgroups(n):
         got = apply_group(fold, one_param(pin, "x", i, Fraction(5, 3)))
         want = one_param(pin, "x", n - i, Fraction(5, 3))
         assert np.equal(got.entries, want.entries).all()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_apply_group_matches_literal_product(n):
+    """The signed reversal equals S (g^T)^-1 S^T multiplied out, on exact elements."""
+    fold = build_folding(n)
+    rng = np.random.default_rng([n, 17])
+    s = fold.s_matrix
+    word = standard_word_w0(n)
+    positive = sample_positive(sample_params(word, rng, group=True), "group")
+    lower = sample_positive(sample_params(word, rng), "lower")
+    # lower-unipotent times a signed cyclic shift: its first pivot is 0
+    shift = linalg.rational_zeros(n, n)
+    for i in range(n):
+        shift[(i + 1) % n, i] = Fraction(1)
+    shift[0, n - 1] = Fraction(-1 if n % 2 == 0 else 1)
+    for g in (positive, lower @ GroupElement(shift, RATIONAL)):
+        assert g is positive or g.entries[0, 0] == 0
+        got = apply_group(fold, g).entries
+        assert np.equal(got, s @ linalg.inv(g.entries.T) @ s.T).all()
+        # and without any inverse: sigma(g) S g^T S^T = I
+        assert np.equal(got @ s @ g.entries.T @ s.T, linalg.rational_identity(n)).all()
 
 
 def test_sigma_is_involution_and_fixes_tau(fold4, pin4):

@@ -47,14 +47,32 @@ def test_det_is_multiplicative(a, b):
     assert linalg.det(a @ b) == linalg.det(a) * linalg.det(b)
 
 
-@settings(max_examples=40, deadline=None)
-@given(rational_matrices(3))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(rational_matrices))
 def test_inverse_exact(m):
+    n = m.shape[0]
     if linalg.det(m) == 0:
         with pytest.raises(ZeroDivisionError):
             linalg.inv(m)
     else:
-        assert np.equal(m @ linalg.inv(m), linalg.rational_identity(3)).all()
+        inverse = linalg.inv(m)
+        assert inverse.shape == (n, n) and all(type(x) is Fraction for x in inverse.flat)
+        assert np.equal(m @ inverse, linalg.rational_identity(n)).all()
+    singular = m.copy()
+    singular[-1] = 0 if n == 1 else 3 * singular[0]
+    with pytest.raises(ZeroDivisionError):
+        linalg.inv(singular)
+
+
+def test_inverse_pivots_past_a_zero_and_returns_fractions():
+    # nonsingular, yet the first pivot is 0: a row swap is needed, not an error
+    for rows in ([[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 1], [1, 1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]):
+        m = np.array(rows, dtype=object)
+        inverse = linalg.inv(m)
+        assert all(type(x) is Fraction for x in inverse.flat)
+        assert np.equal(m @ inverse, linalg.rational_identity(len(rows))).all()
+    with pytest.raises(ZeroDivisionError):
+        linalg.inv(np.array([[0, 1], [0, 2]], dtype=object))
 
 
 def test_minor_and_all_minors():
@@ -81,12 +99,50 @@ def rectangular_matrices(draw):
     return a
 
 
+@st.composite
+def square_matrices(draw):
+    """0x0 to 5x5 with plain ints, negatives and Fractions, some rows zeroed or repeated."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-9, 9), fractions)
+    a = np.empty((n, n), dtype=object)
+    for i in range(n):
+        a[i] = draw(st.lists(entry, min_size=n, max_size=n))
+    if n:
+        rows = st.integers(0, n - 1)
+        for i in draw(st.sets(rows, max_size=2)):
+            a[i] = 0
+        for i, j in draw(st.lists(st.tuples(rows, rows), max_size=2)):
+            a[i] = a[j]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=square_matrices())
+def test_det_matches_leibniz_oracle(a, leibniz_det):
+    got = linalg.det(a)
+    assert type(got) is Fraction
+    assert got == leibniz_det(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=square_matrices())
+def test_leading_minors_match_leibniz_oracle(a, leibniz_det):
+    n = a.shape[0]
+    levels, scale = linalg.leading_minors(a, n)
+    assert len(levels) == n + 1
+    for k, level in enumerate(levels):
+        rows_k = list(itertools.combinations(range(n), k))
+        assert len(level) == len(rows_k) and all(type(s) is int for s in level)
+        assert [Fraction(s, scale**k) for s in level] == [leibniz_det(a[np.ix_(r, range(k))]) for r in rows_k]
+
+
 @settings(max_examples=150, deadline=None)
-@given(rectangular_matrices())
-def test_all_minors_matches_elimination_oracle(a):
+@given(a=rectangular_matrices())
+def test_all_minors_matches_elimination_oracle(a, leibniz_det):
+    """Every minor from the Laplace pass equals the permutation sum, and so does ``minor``."""
     n, m = a.shape
     expected = [
-        (rows, cols, linalg.minor(a, rows, cols))
+        (rows, cols, leibniz_det(a[np.ix_(rows, cols)]))
         for k in range(1, min(n, m) + 1)
         for rows in itertools.combinations(range(n), k)
         for cols in itertools.combinations(range(m), k)
@@ -94,6 +150,7 @@ def test_all_minors_matches_elimination_oracle(a):
     got = list(linalg.all_minors(a))
     assert got == expected
     assert all(type(v) is Fraction for _, _, v in got)
+    assert [linalg.minor(a, rows, cols) for rows, cols, _ in got] == [v for _, _, v in got]
 
 
 def test_rank():
