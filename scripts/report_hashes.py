@@ -28,6 +28,8 @@ COMMANDS = [
     ["flow", "--t", "2", "--seed", "3", "--crossing", "--radius", "0.5"],
     ["flow", "--crossing", "--n", "4", "--J", "2"],
     ["flow", "--crossing", "--n", "5", "--J", "2,3"],
+    ["flow", "--crossing", "--n", "4"],
+    ["flow", "--crossing", "--n", "4", "--J", "1,3"],
     ["fold", "--count", "30"],
     ["sample", "--n", "3", "--count", "3"],
     ["sample", "--n", "6", "--side", "group", "--count", "3", "--seed", "0", "--format", "json"],

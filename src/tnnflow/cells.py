@@ -25,8 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, RATIONAL
-from .totpos import Membership, Sl3Coords, sl3_membership
+from .chevalley import FLOAT, RATIONAL, build_pinning
+from .flow import fixed_flag
+from .serialize import frac
+from .totpos import Membership, Sl3Coords, sl3_coords, sl3_membership
 
 __all__ = [
     "Cell",
@@ -530,11 +532,6 @@ def census_payload(
     together with the cell containing it.  ``census_from_payload`` inverts
     the cell list.
     """
-    from .chevalley import build_pinning
-    from .flow import fixed_flag
-    from .serialize import frac
-    from .totpos import sl3_coords
-
     if poset is None:
         poset = face_poset(census)
     cells_out = []

@@ -104,8 +104,8 @@ class RunConfig:
             raise ValueError(f"J indices {bad} out of range for n = {self.n}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
 
@@ -320,6 +320,10 @@ def cmd_flow(cfg: RunConfig, from_path: str | None, want_crossing: bool) -> int:
             radius = default_ball_radius(chart, np.random.default_rng([cfg.seed, 1]))
             rule = "1e-2 * smallest chart norm over 25 boundary samples"
         crossing = sphere_crossing(flow, p, radius, tol=cfg.bisect_tol)
+        if not abs(crossing.residual) <= cfg.bisect_tol * radius:
+            raise ValueError(
+                f"the crossing misses the sphere of radius {radius!r} by {crossing.residual!r}"
+            )
         payload["crossing"] = {
             "radius": crossing.radius,
             "radius_rule": rule,
@@ -382,10 +386,8 @@ def cmd_figure(cfg: RunConfig) -> int:
 # the verification suite
 
 
-def _verify_axioms_section(rng, counts) -> dict:
-    rep = build_rep(lambda_for(3, ()))
-    chart = eigenchart(rep)
-    flow = DiagonalFlow.from_chart(chart)
+def _verify_axioms_section(charts, rng, counts) -> dict:
+    flow = DiagonalFlow.from_chart(charts[(3, frozenset())])
     report = verify_axioms(flow, rng, samples=counts["axioms"])
     return {
         "samples": counts["axioms"],
@@ -398,13 +400,12 @@ def _verify_axioms_section(rng, counts) -> dict:
     }
 
 
-def _verify_commutation_section(rng, counts) -> dict:
+def _verify_commutation_section(charts, rng, counts) -> dict:
     cases = []
     passed = True
     for case in default_invariance_cases():
         pin = build_pinning(case.n)
-        rep = build_rep(lambda_for(case.n, case.J))
-        chart = eigenchart(rep)
+        chart = charts[(case.n, case.J)]
         word = standard_word_w0(case.n)
         for t in (0.1, 1.0):
             worst = 0.0
@@ -427,13 +428,12 @@ def _verify_commutation_section(rng, counts) -> dict:
     return {"cases": cases, "tolerance": 1e-8, "passed": passed}
 
 
-def _verify_invariance_section(rng, counts) -> dict:
+def _verify_invariance_section(charts, rng, counts) -> dict:
     cases = []
     passed = True
     for case in default_invariance_cases():
-        rep = build_rep(lambda_for(case.n, case.J))
-        chart = eigenchart(rep) if (case.n, tuple(sorted(case.J))) == (3, ()) else None
-        result = invariance_check(case, rep, chart, 0.1, rng, count=counts["invariance"])
+        rep = charts[(case.n, case.J)].rep
+        result = invariance_check(case, rep, 0.1, rng, count=counts["invariance"])
         passed = passed and result["passed"]
         cases.append(
             {
@@ -484,10 +484,8 @@ def _verify_exp_tp_section() -> dict:
     }
 
 
-def _verify_fixed_point_section(rng, counts) -> dict:
-    pin = build_pinning(3)
-    rep = build_rep(lambda_for(3, ()))
-    chart = eigenchart(rep)
+def _verify_fixed_point_section(charts, rng, counts) -> dict:
+    chart = charts[(3, frozenset())]
     flow = DiagonalFlow.from_chart(chart)
     target = np.array([1.0, math.sqrt(2.0), 1.0, 1.0, math.sqrt(2.0), 1.0])
     target /= 2.0 + math.sqrt(2.0)
@@ -496,7 +494,7 @@ def _verify_fixed_point_section(rng, counts) -> dict:
     bounded = True
     for _ in range(counts["fixed_point"]):
         params = sample_params(word, rng)
-        p = chart_coords(chart, line_of(rep, params, "lower"))
+        p = chart_coords(chart, line_of(chart.rep, params, "lower"))
         run = converge(flow, p, tol=1e-9)
         bounded = bounded and run.within_bound
         moved = flow_point(flow, run.time, p)
@@ -513,13 +511,12 @@ def _verify_fixed_point_section(rng, counts) -> dict:
     }
 
 
-def _verify_dims_section() -> dict:
+def _verify_dims_section(charts) -> dict:
     entries = []
     ok = True
     for n, J in ((3, ()), (4, (1, 3))):
-        weight = lambda_for(n, J)
-        rep = build_rep(weight)
-        chart = eigenchart(rep)
+        chart = charts[(n, frozenset(J))]
+        rep, weight = chart.rep, chart.rep.weight
         match = rep.dim == weyl_dim(weight)
         gap_ok = chart.mu[0] > chart.mu[1]
         ok = ok and match and gap_ok
@@ -545,16 +542,21 @@ def cmd_verify(cfg: RunConfig) -> int:
         "folding": max(cfg.count // 3, 20),
         "fixed_point": 5,
     }
+    # every module the sections use, built and charted once per run
+    charts = {
+        (n, frozenset(J)): eigenchart(build_rep(lambda_for(n, J)))
+        for n, J in ((3, ()), (3, {2}), (4, {2}), (4, {1, 3}))
+    }
     rng = np.random.default_rng(cfg.seed)
     sections = {
-        "axioms": _verify_axioms_section(rng, counts),
-        "commutation": _verify_commutation_section(rng, counts),
-        "invariance": _verify_invariance_section(rng, counts),
+        "axioms": _verify_axioms_section(charts, rng, counts),
+        "commutation": _verify_commutation_section(charts, rng, counts),
+        "invariance": _verify_invariance_section(charts, rng, counts),
         "folding": _verify_folding_section(rng, counts),
         "census": _verify_census_section(),
         "exp_total_positivity": _verify_exp_tp_section(),
-        "fixed_point": _verify_fixed_point_section(rng, counts),
-        "representation_dims": _verify_dims_section(),
+        "fixed_point": _verify_fixed_point_section(charts, rng, counts),
+        "representation_dims": _verify_dims_section(charts),
     }
     passed = all(section["passed"] for section in sections.values())
     payload = {
@@ -595,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(subs.add_parser("pinning", help="print Chevalley generators and their sum"))
     sample = subs.add_parser("sample", help="sample TP elements with minor certificates")
     _add_common(sample, fmt_choices=("json",), default_fmt="json")
-    sample.add_argument("--positive", action="store_true", help="full G_{>0} samples (default)")
     sample.add_argument("--side", choices=("group", "upper", "lower"), default="group")
 
     _add_common(subs.add_parser("embed", help="build a module and its eigenbasis chart"))
@@ -628,8 +629,7 @@ def main(argv=None) -> int:
         if args.command == "pinning":
             return cmd_pinning(cfg)
         if args.command == "sample":
-            side = "group" if args.positive else args.side
-            return cmd_sample(cfg, side)
+            return cmd_sample(cfg, args.side)
         if args.command == "embed":
             return cmd_embed(cfg)
         if args.command == "flow":

@@ -14,7 +14,8 @@ structure constant +1, so it is stored as an index map on the tensor product
 and applied to sparse ``{flat index: Fraction}`` vectors.  Every vector of
 the closure is a weight vector, so each echelon step touches one weight
 space only.  The image of a flag is the tensor product of the leading
-compound columns of a representing matrix.
+compound columns of a representing matrix; its module coordinates are read
+off at the pivots, one leading minor per factor.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue; the affine chart of projective space centered at the top
@@ -44,8 +45,6 @@ __all__ = [
     "build_rep",
     "LineCoords",
     "line_of",
-    "compound_matrix",
-    "rep_matrix",
     "EigenChart",
     "eigenchart",
     "chart_coords",
@@ -112,10 +111,6 @@ def weyl_dim(weight: Weight) -> int:
 # module construction
 
 
-def _wedge_subsets(n: int, k: int):
-    return list(itertools.combinations(range(1, n + 1), k))
-
-
 def _subset_label(s) -> str:
     return "".join(str(a) for a in s)
 
@@ -128,7 +123,7 @@ def _wedge_maps(n: int, k: int):
     sorted subset, so each is a partial map ``subset index -> subset index``
     with every structure constant +1.
     """
-    subsets = _wedge_subsets(n, k)
+    subsets = list(itertools.combinations(range(1, n + 1), k))
     index = {s: a for a, s in enumerate(subsets)}
 
     def move(old, new):
@@ -246,10 +241,6 @@ class RepModule:
                 tau[list(targets), a] += 1.0
         return tau
 
-    def coords_of(self, ambient_vec: np.ndarray) -> np.ndarray:
-        """Module coordinates of an ambient vector (pivot read-off)."""
-        return ambient_vec[list(self.pivot_cols)]
-
 
 def fundamental_rep(n: int, k: int) -> RepModule:
     """The k-th fundamental module: the wedge power Lambda^k of Q^n."""
@@ -361,46 +352,6 @@ class LineCoords:
         return LineCoords(linalg.to_float(self.vec), FLOAT)
 
 
-def _compound_column(g: GroupElement, cols) -> np.ndarray:
-    """The image of e_cols under the k-th compound: minors on columns ``cols``."""
-    cidx = [c - 1 for c in cols]
-    ridxs = [[r - 1 for r in rows] for rows in _wedge_subsets(g.n, len(cols))]
-    if g.field == RATIONAL:
-        return np.array([linalg.minor(g.entries, ridx, cidx) for ridx in ridxs], dtype=object)
-    fmat = linalg.to_float(g.entries)
-    return np.array([np.linalg.det(fmat[np.ix_(ridx, cidx)]) for ridx in ridxs])
-
-
-def compound_matrix(g: GroupElement, k: int) -> np.ndarray:
-    """The induced action on the k-th wedge power: all k x k minors of g."""
-    return np.column_stack([_compound_column(g, cols) for cols in _wedge_subsets(g.n, k)])
-
-
-def rep_matrix(rep: RepModule, g: GroupElement) -> np.ndarray:
-    """The action of a group element in module coordinates.
-
-    Built from compound matrices of the factors; exact for rational input.
-    For float input the pivot read-off silently projects away the (tiny)
-    numerical residual normal to the module.
-    """
-    big = None
-    for k in rep.factors:
-        c = compound_matrix(g, k)
-        big = c if big is None else np.kron(big, c)
-    exact = g.field == RATIONAL
-    out = np.empty((rep.dim, rep.dim), dtype=object if exact else np.float64)
-    basis = rep.basis if exact else linalg.to_float(rep.basis)
-    for c in range(rep.dim):
-        image = big @ basis[c]
-        coords = image[list(rep.pivot_cols)]
-        if exact:
-            residual = image - coords @ basis
-            if any(x != 0 for x in residual):
-                raise AssertionError("module is not invariant under the group action")
-        out[:, c] = coords
-    return out
-
-
 def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
     """Image of the highest-weight line under a group element.
 
@@ -409,8 +360,11 @@ def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
     first multiplied out on ``side`` by :func:`~tnnflow.totpos.sample_positive`.
     The highest vector of the k-th wedge factor is e_1 ^ ... ^ e_k, so its
     image is the leading compound column of g, and the line is spanned by the
-    tensor product of those columns.  An exact g multiplies out only the pivots:
-    the digits of a pivot's ambient index pick one leading minor per factor.
+    tensor product of those columns.  Only the module's pivot coordinates are
+    multiplied out: the digits of a pivot's ambient index pick one leading
+    minor per factor, and the product runs left to right over the factors.
+    Exact g gives Fractions (the integer minors divided by their scaling);
+    float g gives binary64 products of ``np.linalg.det`` minors.
     """
     if isinstance(g, FactorizationParams):
         g = sample_positive(g, side)
@@ -418,17 +372,21 @@ def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
         raise TypeError("g must be FactorizationParams or GroupElement")
     if g.n != rep.n:
         raise ValueError(f"a {g.n} x {g.n} matrix does not act on a module for n = {rep.n}")
+    kmax = max(rep.factors)
     if g.field == RATIONAL:
-        levels, scale = linalg.leading_minors(g.entries, max(rep.factors))
-        digits = np.unravel_index(rep.pivot_cols, [len(levels[k]) for k in rep.factors])
-        vec = [math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) for ds in zip(*digits)]
+        levels, scale = linalg.leading_minors(g.entries, kmax)
+    else:  # levels[k]: one stacked det over the k-row submatrices of the first k columns
+        fmat = linalg.to_float(g.entries)
+        levels = [[1.0]] + [
+            np.linalg.det(fmat[np.array(list(itertools.combinations(range(g.n), k))), :k])
+            for k in range(1, kmax + 1)
+        ]
+    digits = np.unravel_index(rep.pivot_cols, [len(levels[k]) for k in rep.factors])
+    vec = [math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) for ds in zip(*digits)]
+    if g.field == RATIONAL:
         denom = scale ** sum(rep.factors)
         return LineCoords(np.array([Fraction(x, denom) for x in vec], dtype=object), RATIONAL)
-    big = None
-    for k in rep.factors:
-        col = _compound_column(g, range(1, k + 1))
-        big = col if big is None else np.multiply.outer(big, col).reshape(-1)
-    return LineCoords(rep.coords_of(big), g.field)
+    return LineCoords(np.array(vec), FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +417,6 @@ class EigenChart:
     @property
     def gap(self) -> float:
         return float(self.mu[0] - self.mu[1])
-
-    def top_line(self) -> LineCoords:
-        """The fixed line (top eigenvector) in module coordinates."""
-        vec = self.r_inv @ self.vectors[:, 0]
-        k = int(np.argmax(np.abs(vec)))
-        if vec[k] < 0:
-            vec = -vec
-        return LineCoords(vec, FLOAT)
 
 
 def eigenchart(rep: RepModule, gap_tol: float = 1e-8) -> EigenChart:

@@ -17,20 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
 from .chevalley import FLOAT, GroupElement, Pinning, build_pinning, exp_generator_sum, generator_sum
-from .embedding import (
-    ChartOverflowError,
-    EigenChart,
-    LineCoords,
-    chart_coords,
-    chart_line,
-    line_of,
-)
+from .embedding import EigenChart, LineCoords, chart_coords, line_of
 from .totpos import (
     FlagPoint,
     Membership,
@@ -310,7 +302,8 @@ def sphere_crossing(
         raise ValueError("radius must be positive")
 
     def norm_at(t: float) -> float:
-        return float(np.linalg.norm(flow_point(flow, t, p)))
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, and brackets as such
+            return float(np.linalg.norm(flow_point(flow, t, p)))
 
     lo, hi = 0.0, 0.0  # norm_at(lo) >= radius >= norm_at(hi)
     start = norm_at(0.0)
@@ -337,7 +330,7 @@ def sphere_crossing(
         else:
             hi = t_star
     point = flow_point(flow, t_star, p)
-    return CrossingResult(t_star, point, radius, float(np.linalg.norm(point)) - radius)
+    return CrossingResult(t_star, point, radius, norm_at(t_star) - radius)
 
 
 @dataclass(frozen=True)
@@ -485,7 +478,6 @@ def _interior_margin(rep, g_float: GroupElement) -> float:
 def invariance_check(
     case: InvarianceCase,
     rep,
-    chart: EigenChart | None,
     t: float,
     rng: np.random.Generator,
     count: int = 100,

@@ -20,21 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chevalley import (
-    FLOAT,
-    RATIONAL,
-    GroupElement,
-    Pinning,
-    build_pinning,
-    generator_sum,
-    one_param,
-)
+from .chevalley import GroupElement, build_pinning, exp_generator_sum, generator_sum, one_param
 from .totpos import (
     FactorizationParams,
     FlagPoint,
     ReducedWord,
     _rational_positive,
     flag_of,
+    sample_positive,
 )
 
 __all__ = [
@@ -242,9 +235,6 @@ def fixed_locus_flow_check(
     deliberately de-symmetrized sample must fail, which guards against a
     vacuously symmetric pipeline.
     """
-    from .chevalley import exp_generator_sum
-    from .totpos import sample_positive
-
     n = folding.n
     if n < 4:
         raise ValueError(f"the fixed-locus check needs n >= 4 (a mirrored pair to untie), got {n}")

@@ -26,6 +26,8 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(radius=float("nan"))
     with pytest.raises(ValueError):
+        RunConfig(radius=float("inf"))
+    with pytest.raises(ValueError):
         RunConfig(t=float("nan"))
 
 
@@ -43,7 +45,7 @@ def test_pinning_json(capsys):
 
 
 def test_sample_emits_certificates(capsys):
-    code, out, _ = run_cli(capsys, "sample", "--n", "3", "--positive", "--count", "3", "--seed", "1")
+    code, out, _ = run_cli(capsys, "sample", "--n", "3", "--side", "group", "--count", "3", "--seed", "1")
     assert code == 0
     doc = json.loads(out)
     assert doc["all_certified"] is True
@@ -51,6 +53,10 @@ def test_sample_emits_certificates(capsys):
     for rec in doc["samples"]:
         assert rec["positivity"] == "TotallyPositive"
         assert "/" in rec["min_minor"] or rec["min_minor"].isdigit()
+    # --side is the one spelling of the sampled side
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--n", "3", "--side", "lower", "--positive"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -186,6 +192,12 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and out == "" and "finite" in err
     code, out, err = run_cli(capsys, "flow", "--t=-1e4", "--seed", "3", "--format", "json")
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "overflows" in err
+    # none of these crossings lies on its sphere: the radius is infinite, or
+    # the norm along the trajectory overflows or underflows before reaching it
+    for argv in (("--radius", "inf"), ("--radius", "1e300"), ("--radius", "1e-300"),
+                 ("--n", "4", "--radius", "1e300")):
+        code, out, err = run_cli(capsys, "flow", "--crossing", *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
 
 
 def test_verify_quick_run_passes(capsys):

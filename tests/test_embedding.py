@@ -6,22 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tnnflow import linalg
-from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, build_pinning, one_param
+from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, build_pinning, exp_generator_sum, one_param
 from tnnflow.embedding import (
     ChartOverflowError,
     build_rep,
     chart_coords,
     chart_line,
-    compound_matrix,
     eigenchart,
     fundamental_rep,
     lambda_for,
     line_of,
-    rep_matrix,
     weyl_dim,
 )
 from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
@@ -126,26 +122,38 @@ def test_line_of_agrees_between_params_and_matrix(rng):
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, ()), (5, (2, 3))])
 def test_exact_line_of_matches_full_outer_product(n, J, leibniz_det):
-    """The pivot-only exact route equals the full ambient tensor, read at the pivots.
+    """The pivot read-off equals the full ambient tensor, read at the pivots.
 
-    The oracle builds each factor's compound column from permutation-sum
-    minors on the leading columns, takes the whole outer product over the
-    ambient space, and only then reads ``rep.pivot_cols``.
+    The oracle builds each factor's compound column minor by minor on the
+    leading columns, takes the whole outer product over the ambient space,
+    and only then reads ``rep.pivot_cols``.  Exact minors are permutation
+    sums; float minors are one ``np.linalg.det`` each, and the float line must
+    match bit for bit, on a float flag and on one flowed by exp(tau).
     """
     rep = build_rep(lambda_for(n, J))
     rng = np.random.default_rng([n, len(J), 3])
+    exp_tau = exp_generator_sum(build_pinning(n), 1.0).entries
+
+    def outer_at_pivots(rows_det, dtype):
+        big = np.ones(1, dtype=dtype)
+        for k in rep.factors:
+            col = [rows_det(list(rows), k) for rows in itertools.combinations(range(n), k)]
+            big = np.multiply.outer(big, np.array(col, dtype=dtype)).reshape(-1)
+        return big[list(rep.pivot_cols)]
+
     for side in ("lower", "group"):
         params = sample_params(standard_word_w0(n), rng, group=(side == "group"))
         g = sample_positive(params, side)
-        big = np.ones(1, dtype=object)
-        for k in rep.factors:
-            col = [leibniz_det(g.entries[np.ix_(rows, range(k))]) for rows in itertools.combinations(range(n), k)]
-            big = np.multiply.outer(big, np.array(col, dtype=object)).reshape(-1)
-        want = big[list(rep.pivot_cols)]
+        want = outer_at_pivots(lambda rows, k: leibniz_det(g.entries[np.ix_(rows, range(k))]), object)
         for got in (line_of(rep, params, side), line_of(rep, g)):
             assert got.field == RATIONAL
             assert all(type(x) is Fraction for x in got.vec)
             assert np.equal(got.vec, want).all(), (n, J, side)
+        for h in (g.to_float(), GroupElement(exp_tau @ g.to_float().entries, FLOAT)):
+            want = outer_at_pivots(lambda rows, k: np.linalg.det(h.entries[np.ix_(rows, range(k))]), np.float64)
+            got = line_of(rep, h)
+            assert got.field == FLOAT
+            assert np.array_equal(got.vec, want), (n, J, side)
 
 
 def test_line_of_projective_invariance(rep3, pin3):
@@ -155,36 +163,6 @@ def test_line_of_projective_invariance(rep3, pin3):
     va, vb = np.asarray(a.vec), np.asarray(b.vec)
     k = next(i for i, x in enumerate(va) if x != 0)
     assert np.equal(va * vb[k], vb * va[k]).all()
-
-
-small_fracs = st.fractions(min_value="1/9", max_value=9, max_denominator=9)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(small_fracs, min_size=6, max_size=6))
-def test_compound_matrix_multiplicative(vals):
-    """Cauchy-Binet: the k-th compound is a homomorphism."""
-    pin = build_pinning(4)
-    word = standard_word_w0(4)
-    g = GroupElement(linalg.rational_identity(4), RATIONAL)
-    h = GroupElement(linalg.rational_identity(4), RATIONAL)
-    for i, (letter, t) in enumerate(zip(word.letters, vals)):
-        if i % 2:
-            g = g @ one_param(pin, "y", letter, t)
-        else:
-            h = h @ one_param(pin, "x", letter, t)
-    for k in (1, 2, 3):
-        lhs = compound_matrix(g @ h, k)
-        rhs = compound_matrix(g, k) @ compound_matrix(h, k)
-        assert np.equal(lhs, rhs).all()
-
-
-def test_rep_matrix_is_homomorphism(rep3, pin3):
-    g = one_param(pin3, "y", 1, Fraction(1, 2))
-    h = one_param(pin3, "x", 2, Fraction(3))
-    lhs = rep_matrix(rep3, g @ h)
-    rhs = rep_matrix(rep3, g) @ rep_matrix(rep3, h)
-    assert np.equal(lhs, rhs).all()
 
 
 def test_eigenchart_spectrum(chart3):

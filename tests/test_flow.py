@@ -176,11 +176,10 @@ def test_line_to_sl3_coords_roundtrip(chart3, rng):
 
 
 def test_invariance_all_cases(rng):
-    from tnnflow.embedding import build_rep, eigenchart, lambda_for
+    from tnnflow.embedding import build_rep, lambda_for
 
     for case in default_invariance_cases():
         rep = build_rep(lambda_for(case.n, case.J))
-        chart = eigenchart(rep) if (case.n, case.J) == (3, frozenset()) else None
-        out = invariance_check(case, rep, chart, 0.1, rng, count=25)
+        out = invariance_check(case, rep, 0.1, rng, count=25)
         assert out["passed"], out
         assert not out["control_interior"]
