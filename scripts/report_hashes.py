@@ -31,6 +31,8 @@ COMMANDS = [
     ["flow", "--crossing", "--n", "4"],
     ["flow", "--crossing", "--n", "4", "--J", "1,3"],
     ["fold", "--count", "30"],
+    ["fold", "--n", "6", "--count", "2", "--seed", "0"],
+    ["fold", "--n", "8", "--count", "30", "--seed", "1"],
     ["sample", "--n", "3", "--count", "3"],
     ["sample", "--n", "6", "--side", "group", "--count", "3", "--seed", "0", "--format", "json"],
     ["sample", "--n", "6", "--side", "lower", "--count", "3", "--seed", "0", "--format", "json"],

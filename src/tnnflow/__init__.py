@@ -13,8 +13,8 @@ from .chevalley import (
     Pinning,
     build_pinning,
     exp_generator_sum,
-    exp_generator_sum_series,
     generator_sum,
+    generator_sum_spectrum,
     one_param,
 )
 from .totpos import (
@@ -29,7 +29,6 @@ from .totpos import (
     sample_params,
     sample_positive,
     sl3_coords,
-    sl3_flag_from_coords,
     sl3_membership,
     standard_word_w0,
 )
@@ -67,7 +66,6 @@ from .flow import (
 from .cells import (
     Census,
     bruhat_interval_counts,
-    census_from_payload,
     census_payload,
     enumerate_cells,
     face_poset,

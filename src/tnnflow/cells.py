@@ -43,7 +43,6 @@ __all__ = [
     "witness_toward",
     "limit_report",
     "census_payload",
-    "census_from_payload",
     "figure_svg",
 ]
 
@@ -335,9 +334,6 @@ class FacePoset:
     leq: np.ndarray  # leq[a, b] == True iff cell a lies in the closure of b
     covers: tuple
 
-    def cell_index(self, key: str) -> int:
-        return next(i for i, c in enumerate(self.census.cells) if c.key == key)
-
     def faces_of(self, b: int, dim: int | None = None) -> list:
         cells = self.census.cells
         return [
@@ -529,8 +525,7 @@ def census_payload(
     Each cell records its vanishing pattern, dimension, and exact witness
     coordinates; ``relations`` lists the covering pairs (face key, coface
     key); ``fixed_point`` gives the attractor of the contraction in decimals
-    together with the cell containing it.  ``census_from_payload`` inverts
-    the cell list.
+    together with the cell containing it.
     """
     if poset is None:
         poset = face_poset(census)
@@ -566,32 +561,6 @@ def census_payload(
         },
         "meta": {"seed": seed, "tol": tol},
     }
-
-
-def census_from_payload(doc: dict) -> Census:
-    """Rebuild a census from its payload (inverse of :func:`census_payload`).
-
-    Patterns, dimensions, and exact witnesses are restored; randomized extra
-    witnesses are not serialized, so a round-tripped census compares equal to
-    the original cell-for-cell on those fields.
-    """
-    cells = []
-    for entry in doc["cells"]:
-        witness = Sl3Coords(
-            tuple(Fraction(x) for x in entry["witness_v"]),
-            tuple(Fraction(x) for x in entry["witness_w"]),
-            RATIONAL,
-        )
-        cells.append(
-            Cell(
-                frozenset(int(i) for i in entry["zeros"]["v"]),
-                frozenset(int(i) for i in entry["zeros"]["w"]),
-                int(entry["dim"]),
-                witness,
-            )
-        )
-    cells.sort(key=lambda c: (c.dim, c.key))
-    return Census(tuple(cells))
 
 
 # Projection geometry for the schematic figure: the 2-sphere boundary drawn

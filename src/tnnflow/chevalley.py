@@ -23,9 +23,8 @@ __all__ = [
     "build_pinning",
     "one_param",
     "generator_sum",
+    "generator_sum_spectrum",
     "exp_generator_sum",
-    "exp_generator_sum_series",
-    "commutator",
 ]
 
 RATIONAL = "rational"
@@ -174,38 +173,26 @@ def generator_sum(pinning: Pinning) -> np.ndarray:
     return tau
 
 
-def exp_generator_sum(pinning: Pinning, t: float) -> GroupElement:
-    """exp(t * generator_sum), computed spectrally.
+def generator_sum_spectrum(pinning: Pinning) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, P)`` with ``generator_sum = P diag(d) P^T``, in closed form, top first.
 
-    The generator sum is symmetric, so we diagonalize once with ``eigh`` and
-    exponentiate the (real) spectrum.  Its trace is zero, hence the result
-    has determinant 1 up to roundoff.
+    The generator sum is the adjacency matrix of the path on n vertices:
+    ``d_k = 2 cos(k pi / (n+1))`` and ``P[j, k] = sqrt(2/(n+1)) sin(j k pi / (n+1))``
+    for j, k = 1..n, so P is orthogonal and its first column is positive.  The
+    integer jk is reduced mod 2(n+1) before the sine, so every angle is below 2 pi.
     """
-    tau = linalg.to_float(generator_sum(pinning))
-    w, v = np.linalg.eigh(tau)
-    m = (v * np.exp(float(t) * w)) @ v.T
-    return GroupElement((m + m.T) / 2.0, FLOAT)
-
-
-def exp_generator_sum_series(pinning: Pinning, t: float, terms: int = 24) -> GroupElement:
-    """Independent route to exp(t * generator_sum): Taylor series with squaring.
-
-    Scales ``t*tau`` down by a power of two until its 1-norm is below 1/2,
-    sums the truncated exponential series by Horner's rule, then squares back
-    up.  Used as a cross-check oracle against the spectral route.
-    """
-    a = float(t) * linalg.to_float(generator_sum(pinning))
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0 else 0)
-    a = a / (2.0**squarings)
     n = pinning.n
-    result = np.eye(n)
-    for k in range(terms, 0, -1):
-        result = np.eye(n) + (a / k) @ result
-    for _ in range(squarings):
-        result = result @ result
-    return GroupElement(result, FLOAT)
+    k = np.arange(1, n + 1)
+    d = 2.0 * np.cos(np.pi * k / (n + 1))
+    return d, np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def exp_generator_sum(pinning: Pinning, t: float) -> GroupElement:
+    """exp(t * generator_sum), computed spectrally from the closed-form eigenbasis.
+
+    The trace of the generator sum is zero, hence the result has
+    determinant 1 up to roundoff.
+    """
+    d, p = generator_sum_spectrum(pinning)
+    m = (p * np.exp(float(t) * d)) @ p.T
+    return GroupElement((m + m.T) / 2.0, FLOAT)

@@ -21,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, GroupElement, Pinning, build_pinning, exp_generator_sum, generator_sum
+from .chevalley import FLOAT, GroupElement, Pinning, build_pinning, exp_generator_sum, generator_sum_spectrum
 from .embedding import EigenChart, LineCoords, chart_coords, line_of
 from .totpos import (
-    FlagPoint,
     Membership,
     Sl3Coords,
-    flag_of,
     sample_params,
     sample_positive,
     sl3_coords,
@@ -291,7 +289,9 @@ def sphere_crossing(
     The chart norm along a contracting trajectory is strictly decreasing and
     spans (0, inf), so a bracket always exists; it is found by doubling and
     then refined by bisection until the norm matches the radius to ``tol``
-    relative.
+    relative.  A crossing that still misses the sphere by more than that
+    (the norm overflows or underflows binary64 on the way) raises
+    ``ValueError``.
     """
     p = np.asarray(p, dtype=np.float64)
     if not flow.is_contractive:
@@ -329,8 +329,10 @@ def sphere_crossing(
             lo = t_star
         else:
             hi = t_star
-    point = flow_point(flow, t_star, p)
-    return CrossingResult(t_star, point, radius, norm_at(t_star) - radius)
+    residual = norm_at(t_star) - radius
+    if not abs(residual) <= tol * radius:
+        raise ValueError(f"the crossing misses the sphere of radius {radius!r} by {residual!r}")
+    return CrossingResult(t_star, flow_point(flow, t_star, p), radius, residual)
 
 
 @dataclass(frozen=True)
@@ -378,16 +380,15 @@ def converge(flow: DiagonalFlow, p: np.ndarray, tol: float) -> Convergence:
     return Convergence(hi, norm_at(hi), bound)
 
 
-def fixed_flag(pinning: Pinning, J=()) -> FlagPoint:
-    """The stationary flag: eigenspaces of the generator sum, top first.
+def fixed_flag(pinning: Pinning) -> np.ndarray:
+    """The stationary flag, as an orthonormal frame: eigenvectors of the generator sum, top first.
 
     The generator sum on the defining representation is an irreducible Jacobi
-    matrix, so its spectrum is simple and the flag is well defined.
+    matrix, so its spectrum is simple and the flag is well defined; the frame
+    is the closed-form eigenbasis of :func:`tnnflow.chevalley.generator_sum_spectrum`.
+    Its leading k columns span the fixed k-plane, for every partial flag type.
     """
-    tau = linalg.to_float(generator_sum(pinning))
-    w, v = np.linalg.eigh(tau)
-    v_desc = v[:, ::-1].copy()
-    return flag_of(GroupElement(v_desc, FLOAT), J)
+    return generator_sum_spectrum(pinning)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +489,10 @@ def invariance_check(
     Boundary samples come from factorizations with zeroed parameters (the
     first sample zeroes every parameter: the base flag).  For each sample the
     line-coordinate positivity margin must clear ``margin_tol``; for the
-    complete SL(3) case the (v, w) membership oracle must simultaneously say
-    PositivePart.  The negative control re-runs the first sample at t = 0,
-    where the certificate must fail.
+    complete SL(3) case the (v, w) membership oracle, read straight off the
+    columns of exp(t tau) u, must simultaneously say PositivePart.  The
+    negative control re-runs the first sample at t = 0, where the certificate
+    must fail.
     """
     pin = build_pinning(case.n)
     word = standard_word_w0(case.n)
@@ -508,11 +510,11 @@ def invariance_check(
             mask = sorted(rng.choice(ell, size=size, replace=False).tolist())
         params = sample_params(word, rng, zero_mask=mask)
         u = sample_positive(params, "lower")
-        moved = GroupElement(exp_t @ linalg.to_float(u.entries), FLOAT)
-        margin = _interior_margin(rep, moved)
+        moved = exp_t @ linalg.to_float(u.entries)
+        margin = _interior_margin(rep, GroupElement(moved, FLOAT))
         interior = margin > margin_tol
         if case.n == 3 and not case.J:
-            membership = sl3_membership(sl3_coords(flag_of(moved)), tol=1e-10)
+            membership = sl3_membership(sl3_coords(moved), tol=1e-10)
             interior = interior and membership is Membership.POSITIVE_PART
         if margin < worst:
             worst = margin
@@ -524,10 +526,11 @@ def invariance_check(
     base = sample_positive(
         sample_params(word, rng, zero_mask=list(range(ell))), "lower"
     )
-    control_margin = _interior_margin(rep, base.to_float())
+    base = base.to_float()
+    control_margin = _interior_margin(rep, base)
     control_interior = control_margin > margin_tol
     if case.n == 3 and not case.J:
-        membership = sl3_membership(sl3_coords(flag_of(base.to_float())), tol=1e-10)
+        membership = sl3_membership(sl3_coords(base.entries), tol=1e-10)
         control_interior = control_interior and membership is Membership.POSITIVE_PART
 
     return {

@@ -197,19 +197,33 @@ def break_symmetry(params: FactorizationParams) -> FactorizationParams:
     return FactorizationParams(word, tuple(vals))
 
 
-def _flowed_flag(step: np.ndarray, nsteps: int, m: np.ndarray) -> FlagPoint:
-    """Flag of step^nsteps @ m, re-orthonormalizing between steps.
+def _flowed_flag(step: np.ndarray, nsteps: int, m: np.ndarray) -> np.ndarray:
+    """Orthonormal frame of the flag of step^nsteps @ m, re-orthonormalizing between steps.
 
-    A single product exp(t tau) @ m at t = 5 can have condition number ~1e12,
-    and canonicalizing it in floats burns half the mantissa.  QR preserves
-    leading column spans -- hence the flag -- so orthonormalizing after each
-    modest step keeps every intermediate well conditioned and the final
-    canonical form accurate to ~1e-13.
+    A single product exp(t tau) @ m at t = 5 can have condition number ~1e12.
+    QR preserves leading column spans -- hence the flag -- so orthonormalizing
+    after each modest step keeps every intermediate well conditioned, and the
+    returned frame Q carries the flag: its leading k columns span the k-plane.
     """
     q, _ = np.linalg.qr(np.asarray(m, dtype=np.float64))
     for _ in range(nsteps):
         q, _ = np.linalg.qr(step @ q)
-    return flag_of(q)
+    return q
+
+
+def _frame_gap(qa: np.ndarray, qb: np.ndarray) -> float:
+    """Largest sine of the principal angles between the nested spans of two frames.
+
+    For orthonormal frames, ``||Qb_k - Qa_k Qa_k^T Qb_k||_2`` is the sine of
+    the largest principal angle between the spans of the leading k columns
+    (Bjorck-Golub 1973); the maximum over k = 1..n-1 is 0 iff the flags agree,
+    whatever basis each frame picks within its subspaces.
+    """
+    gaps = [
+        np.linalg.norm(qb[:, :k] - qa[:, :k] @ (qa[:, :k].T @ qb[:, :k]), 2)
+        for k in range(1, qa.shape[0])
+    ]
+    return float(max(gaps, default=0.0))
 
 
 def _flow_steps(t: float, max_step: float = 0.5) -> int:
@@ -228,12 +242,13 @@ def fixed_locus_flow_check(
     Each sample is an exactly symmetric lower-unipotent factorization u (its
     flag is verified sigma-fixed in exact arithmetic at t = 0).  For t > 0
     the flag of exp(t tau) u is compared against its sigma image within
-    ``tol``.  The image is evaluated through exact group identities --
-    sigma(exp(t tau) u) = S exp(-t tau) S^T sigma(u) with sigma(u) computed
-    on rationals -- and both sides go through :func:`_flowed_flag` so neither
-    is polluted by the ~1e12 conditioning of the raw product at t = 5.  A
-    deliberately de-symmetrized sample must fail, which guards against a
-    vacuously symmetric pipeline.
+    ``tol``, as the largest sine of a principal angle between the two flags
+    (:func:`_frame_gap`), which is scale-invariant.  The image is evaluated
+    through exact group identities -- sigma(exp(t tau) u) = S exp(-t tau) S^T
+    sigma(u) with sigma(u) computed on rationals -- and both sides go through
+    :func:`_flowed_flag` so neither is polluted by the ~1e12 conditioning of
+    the raw product at t = 5.  A deliberately de-symmetrized sample must
+    fail, which guards against a vacuously symmetric pipeline.
     """
     n = folding.n
     if n < 4:
@@ -253,10 +268,7 @@ def fixed_locus_flow_check(
         gaps = {}
         for t in times:
             k, fwd, bwd = step_cache[t]
-            moved = _flowed_flag(fwd, k, uf)
-            image = _flowed_flag(bwd, k, suf)
-            gap = float(np.max(np.abs(image.mat - moved.mat)))
-            gaps[t] = gap / max(1.0, float(np.max(np.abs(moved.mat))))
+            gaps[t] = _frame_gap(_flowed_flag(fwd, k, uf), _flowed_flag(bwd, k, suf))
         return gaps
 
     worst = 0.0

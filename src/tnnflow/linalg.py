@@ -26,7 +26,6 @@ __all__ = [
     "is_rational_array",
     "det",
     "inv",
-    "minor",
     "all_minors",
     "leading_minors",
     "rank",
@@ -121,16 +120,12 @@ def inv(a: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=object).reshape(n, n)
 
 
-def minor(a: np.ndarray, rows, cols) -> Fraction:
-    return det(a[np.ix_(list(rows), list(cols))])
-
-
 def all_minors(a: np.ndarray):
     """Yield ``(rows, cols, value)`` over every square minor, smallest first.
 
     Minors of size k come in lexicographic order of ``rows``, then of
-    ``cols``, and each value is the exact ``Fraction`` that :func:`minor`
-    returns.  Each k-minor ``s`` of the integer scaling ``D a`` is a Laplace
+    ``cols``, and each value is the exact ``Fraction`` of the submatrix's
+    :func:`det`.  Each k-minor ``s`` of the integer scaling ``D a`` is a Laplace
     expansion along its first row over the (k-1)-minors, and is yielded as
     ``s / D**k``: sum_k C(n,k) C(m,k) k multiply-adds in all.  Only the levels
     k-1 and k are alive at once; the largest level of an n x n matrix holds

@@ -17,7 +17,6 @@ __all__ = [
     "fnum",
     "frac",
     "encode_value",
-    "encode_matrix",
     "encode_tree",
     "dumps_canonical",
 ]
@@ -44,14 +43,6 @@ def encode_value(x):
     if isinstance(x, (float, np.floating)):
         return fnum(x)
     return x
-
-
-def encode_matrix(a) -> list:
-    """Nested lists of encoded scalars for a 1- or 2-d array."""
-    arr = np.asarray(a)
-    if arr.ndim == 1:
-        return [encode_value(x) for x in arr]
-    return [[encode_value(x) for x in row] for row in arr]
 
 
 def encode_tree(obj):

@@ -5,9 +5,10 @@ longest permutation, multiplied out by one column operation per letter;
 positivity of a given matrix is certified by the sign of every minor, all of
 them exact and taken in one integer Laplace pass
 (:func:`tnnflow.linalg.all_minors`) whose verdict and least minor come
-together.  Flags are represented by a unique
-canonical matrix (block-wise reduced column echelon form with bottom-most
-pivots), and for the complete SL(3) flag variety we expose the classical
+together.  Exact flags are represented by a unique canonical matrix
+(block-wise reduced column echelon form with bottom-most pivots); a float
+flag is any matrix whose leading columns span it, in practice an orthonormal
+frame.  For the complete SL(3) flag variety we expose the classical
 six-coordinate chart ``(v, w)`` together with its membership oracle:
 
     v1 + v2 + v3 = 1,   w1 + w2 + w3 = 1,   v1*w1 - v2*w2 + v3*w3 = 0,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "flag_of",
     "Sl3Coords",
     "sl3_coords",
-    "sl3_flag_from_coords",
     "sl3_membership",
     "sl3_residuals",
 ]
@@ -254,30 +254,25 @@ def certify_minors(g) -> tuple[Positivity, Fraction]:
 # flags
 
 
-def _last_nonzero(col, field: str, scale_tol: float):
-    if field == RATIONAL:
-        idx = [r for r in range(col.shape[0]) if col[r] != 0]
-    else:
-        thresh = scale_tol * max(1.0, float(np.max(np.abs(col))))
-        idx = [r for r in range(col.shape[0]) if abs(col[r]) > thresh]
-    return idx[-1] if idx else None
+def _last_nonzero(col):
+    return next((r for r in range(col.shape[0] - 1, -1, -1) if col[r] != 0), None)
 
 
 @dataclass(frozen=True)
 class FlagPoint:
-    """A point of the partial flag variety of type ``J``, in canonical form.
+    """A point of the partial flag variety of type ``J``, in exact canonical form.
 
     The matrix columns span the nested subspaces of dimensions
     ``{1..n-1} - J``; within each block the columns are in reduced column
     echelon form with pivots normalized to 1, placed bottom-most, cleared
     across the whole matrix, and ordered by ascending pivot row.  Two flag
-    points are equal iff their canonical matrices agree.
+    points are equal iff their canonical matrices agree.  A float flag has no
+    canonical form worth computing: it is carried by an orthonormal frame of
+    its leading columns instead.
     """
 
     mat: np.ndarray
     J: frozenset
-    field: str
-    pivot_rows: tuple = dc_field(compare=False, default=())
 
     def __post_init__(self):
         self.mat.setflags(write=False)
@@ -293,39 +288,21 @@ class FlagPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagPoint):
             return NotImplemented
-        if self.J != other.J or self.field != other.field:
-            return False
-        if self.field == RATIONAL:
-            return bool(np.equal(self.mat, other.mat).all())
-        return bool(np.array_equal(self.mat, other.mat))
-
-    def approx_eq(self, other: "FlagPoint", tol: float = 1e-10) -> bool:
-        if self.J != other.J:
-            return False
-        a = linalg.to_float(self.mat)
-        b = linalg.to_float(other.mat)
-        scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        return bool(np.max(np.abs(a - b)) <= tol * scale)
-
-    def to_float(self) -> "FlagPoint":
-        if self.field == FLOAT:
-            return self
-        return FlagPoint(linalg.to_float(self.mat), self.J, FLOAT, self.pivot_rows)
+        return self.J == other.J and self.n == other.n and bool(np.equal(self.mat, other.mat).all())
 
 
-def flag_of(g, J=(), *, float_tol: float = 1e-10) -> FlagPoint:
+def flag_of(g, J=()) -> FlagPoint:
     """Canonical representative of the flag spanned by ``g``'s leading columns.
 
-    ``g`` may be a group element or any invertible square matrix (exact or
-    float entries).  Column operations only ever mix columns within the same
-    nested subspace, so the flag is unchanged; the result is the unique
-    block-echelon representative described on :class:`FlagPoint`.
+    ``g`` may be a group element or any invertible square matrix with exact
+    entries; float entries raise ``TypeError``.  Column operations only ever
+    mix columns within the same nested subspace, so the flag is unchanged;
+    the result is the unique block-echelon representative described on
+    :class:`FlagPoint`.
     """
-    if isinstance(g, GroupElement):
-        entries, field = g.entries, g.field
-    else:
-        entries = np.asarray(g)
-        field = RATIONAL if linalg.is_rational_array(entries) else FLOAT
+    entries = g.entries if isinstance(g, GroupElement) else np.asarray(g)
+    if not linalg.is_rational_array(entries):
+        raise TypeError("exact entries required; carry a float flag as an orthonormal frame")
     J = frozenset(J)
     n = entries.shape[0]
     if any(j < 1 or j >= n for j in J):
@@ -345,7 +322,7 @@ def flag_of(g, J=(), *, float_tol: float = 1e-10) -> FlagPoint:
         remaining = list(range(lo, hi))
         block_pivots: list[tuple[int, int]] = []
         while remaining:
-            located = [(c, _last_nonzero(a[:, c], field, float_tol)) for c in remaining]
+            located = [(c, _last_nonzero(a[:, c])) for c in remaining]
             if any(r is None for _, r in located):
                 raise ValueError("columns do not span a flag (singular input)")
             c0, r0 = max(located, key=lambda cr: (cr[1], -cr[0]))
@@ -358,10 +335,7 @@ def flag_of(g, J=(), *, float_tol: float = 1e-10) -> FlagPoint:
         order = sorted(block_pivots)
         a[:, lo:hi] = a[:, [c for _, c in order]]
         done.extend((r, lo + k) for k, (r, _) in enumerate(order))
-    if field == FLOAT:
-        a[np.abs(a) == 0.0] = 0.0  # normalize -0.0
-    pivot_rows = tuple(r for r, _ in sorted(done, key=lambda rc: rc[1]))
-    return FlagPoint(a, J, field, pivot_rows)
+    return FlagPoint(a, J)
 
 
 # ---------------------------------------------------------------------------
@@ -395,41 +369,24 @@ def _normalize_sum(vec, field: str):
     return tuple(x / total for x in vec)
 
 
-def sl3_coords(flag: FlagPoint) -> Sl3Coords:
+def sl3_coords(flag) -> Sl3Coords:
     """Extract (v, w) from a complete SL(3) flag.
 
-    The line gives ``v`` directly; the plane spanned by the first two columns
-    has normal ``z = col1 x col2``, and ``w = (z1, -z2, z3)`` up to the sum-1
-    normalization.
+    ``flag`` is a :class:`FlagPoint`, or any 3x3 matrix (exact or float) whose
+    leading columns span the flag, such as an orthonormal frame.  The line
+    gives ``v`` directly; the plane spanned by the first two columns has
+    normal ``z = col1 x col2``, and ``w = (z1, -z2, z3)``.  Both are
+    normalized to sum 1, so the choice of basis of each subspace cancels.
     """
-    if flag.n != 3 or flag.J:
+    m = flag.mat if isinstance(flag, FlagPoint) else np.asarray(flag)
+    if m.shape != (3, 3) or (isinstance(flag, FlagPoint) and flag.J):
         raise ValueError("the (v, w) chart lives on the complete SL(3) flag variety")
-    c0, c1 = flag.mat[:, 0], flag.mat[:, 1]
-    if flag.field == RATIONAL:
-        z = linalg.cross3(c0, c1)
-    else:
-        z = np.cross(np.asarray(c0, dtype=np.float64), np.asarray(c1, dtype=np.float64))
-    v = _normalize_sum(tuple(c0), flag.field)
-    w = _normalize_sum((z[0], -z[1], z[2]), flag.field)
-    return Sl3Coords(v, w, flag.field)
-
-
-def sl3_flag_from_coords(coords: Sl3Coords) -> FlagPoint:
-    """Exact inverse of :func:`sl3_coords` on chart points (rational only)."""
-    if coords.field != RATIONAL:
-        raise TypeError("building a flag from coordinates is an exact operation")
-    v = np.array([Fraction(x) for x in coords.v], dtype=object)
-    wt = np.array(
-        [Fraction(coords.w[0]), -Fraction(coords.w[1]), Fraction(coords.w[2])], dtype=object
-    )
-    c1 = linalg.cross3(wt, v)  # lies in the plane normal to wt, independent of v
-    m = np.empty((3, 3), dtype=object)
-    m[:, 0], m[:, 1], m[:, 2] = v, c1, wt
-    d = linalg.det(m)
-    if d == 0:
-        raise ValueError("degenerate coordinates do not determine a flag")
-    m[:, 2] = m[:, 2] / d
-    return flag_of(GroupElement(m, RATIONAL))
+    field = RATIONAL if linalg.is_rational_array(m) else FLOAT
+    c0, c1 = m[:, 0], m[:, 1]
+    z = linalg.cross3(c0, c1) if field == RATIONAL else np.cross(c0, c1)
+    v = _normalize_sum(tuple(c0), field)
+    w = _normalize_sum((z[0], -z[1], z[2]), field)
+    return Sl3Coords(v, w, field)
 
 
 def sl3_residuals(coords: Sl3Coords) -> dict:

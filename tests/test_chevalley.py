@@ -13,12 +13,31 @@ from tnnflow.chevalley import (
     RATIONAL,
     GroupElement,
     build_pinning,
-    commutator,
     exp_generator_sum,
-    exp_generator_sum_series,
     generator_sum,
+    generator_sum_spectrum,
     one_param,
 )
+
+
+def _exp_series(pinning, t: float, terms: int = 24) -> np.ndarray:
+    """exp(t * generator_sum) by a Taylor series with scaling and squaring.
+
+    Scales ``t*tau`` down by a power of two until its 1-norm is below 1/2,
+    sums the truncated series by Horner's rule, then squares back up: a route
+    that shares nothing with the spectral one.
+    """
+    a = float(t) * linalg.to_float(generator_sum(pinning))
+    norm = np.linalg.norm(a, 1)
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0 else 0)
+    a = a / (2.0**squarings)
+    n = pinning.n
+    result = np.eye(n)
+    for k in range(terms, 0, -1):
+        result = np.eye(n) + (a / k) @ result
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def test_generators_sl3(pin3):
@@ -48,18 +67,21 @@ def test_generator_sum_is_jacobi(pin3, pin4):
 
 
 def test_serre_style_relations(pin3):
-    a = [[2, -1], [-1, 2]]  # Cartan matrix of A2
+    def bracket(a, b):
+        return a @ b - b @ a
+
+    cartan = [[2, -1], [-1, 2]]  # Cartan matrix of A2
     for i in (1, 2):
         for j in (1, 2):
-            got = commutator(pin3.coroot(i), pin3.raising(j))
-            want = a[i - 1][j - 1] * pin3.raising(j)
+            got = bracket(pin3.coroot(i), pin3.raising(j))
+            want = cartan[i - 1][j - 1] * pin3.raising(j)
             assert np.equal(got, want).all()
     for i in (1, 2):
-        got = commutator(pin3.raising(i), pin3.lowering(i))
+        got = bracket(pin3.raising(i), pin3.lowering(i))
         assert np.equal(got, pin3.coroot(i)).all()
     # off-diagonal e/f commute
     assert np.equal(
-        commutator(pin3.raising(1), pin3.lowering(2)), linalg.rational_zeros(3, 3)
+        bracket(pin3.raising(1), pin3.lowering(2)), linalg.rational_zeros(3, 3)
     ).all()
 
 
@@ -116,8 +138,21 @@ def test_exp_sl3_closed_form(pin3):
 def test_exp_two_routes_agree(pin4, t):
     """Spectral evaluation against an independent scaling-and-squaring series."""
     a = linalg.to_float(exp_generator_sum(pin4, t).entries)
-    b = linalg.to_float(exp_generator_sum_series(pin4, t).entries)
-    assert np.max(np.abs(a - b)) < 1e-11
+    assert np.max(np.abs(a - _exp_series(pin4, t))) < 1e-11
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_closed_form_spectrum_matches_eigh(n):
+    """The closed-form (d, P) of the path graph against ``np.linalg.eigh``."""
+    pin = build_pinning(n)
+    d, p = generator_sum_spectrum(pin)
+    tau = linalg.to_float(generator_sum(pin))
+    w, _ = np.linalg.eigh(tau)
+    assert np.max(np.abs(d - w[::-1])) < 1e-14
+    assert np.all(np.diff(d) < 0)  # simple spectrum, top first
+    assert np.linalg.norm(tau @ p - p * d) < 1e-14
+    assert np.linalg.norm(p.T @ p - np.eye(n)) < 1e-14
+    assert np.all(p[:, 0] > 0)  # the top eigenvector is positive (Perron)
 
 
 def test_exp_group_law(pin3):

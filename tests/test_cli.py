@@ -136,6 +136,16 @@ def test_fold_defaults_to_n4(capsys):
     assert doc["n"] == 4 and doc["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [("--n", "6", "--count", "2", "--seed", "0"),
+                                  ("--n", "8", "--count", "30", "--seed", "1")])
+def test_fold_passes_past_n4(capsys, argv):
+    """At n = 6 and 8 the flowed flags agree to round-off, and the control still breaks."""
+    code, out, _ = run_cli(capsys, "fold", *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True and doc["control_broken"] is True
+    assert float(doc["worst_gap"]) <= 1e-10
+
+
 def test_figure_svg(capsys):
     code, out, _ = run_cli(capsys, "figure")
     assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnnflow import linalg
-from tnnflow.chevalley import build_pinning, exp_generator_sum
+from tnnflow.chevalley import build_pinning, exp_generator_sum, generator_sum
 from tnnflow.embedding import chart_coords, line_of
 from tnnflow.flow import (
     Convergence,
@@ -124,6 +124,15 @@ def test_default_ball_radius(chart3):
     assert abs(r - 1e-2 * min(norms)) < 1e-15
 
 
+def test_sphere_crossing_refuses_a_miss(chart3, flow3):
+    """Below ~1e-300 the chart norm underflows, and the crossing cannot land on the sphere."""
+    params = sample_params(standard_word_w0(3), np.random.default_rng(0))
+    p = chart_coords(chart3, line_of(chart3.rep, params, "lower"))
+    assert sphere_crossing(flow3, p, radius=1e-3).residual <= 1e-12 * 1e-3
+    with pytest.raises(ValueError, match="misses the sphere"):
+        sphere_crossing(flow3, p, radius=1e-300)
+
+
 def test_sphere_crossing_rejects_bad_input(flow3):
     with pytest.raises(ValueError):
         sphere_crossing(flow3, np.zeros(flow3.ncoords), radius=1.0)
@@ -145,8 +154,11 @@ def test_converge_single_rate():
 
 
 def test_fixed_flag_matches_closed_form(pin3):
-    flag = fixed_flag(pin3)
-    coords = sl3_coords(flag)
+    frame = fixed_flag(pin3)
+    assert np.max(np.abs(frame.T @ frame - np.eye(3))) < 1e-15
+    tau = linalg.to_float(generator_sum(pin3))
+    assert np.max(np.abs(tau @ frame - frame * np.array([math.sqrt(2.0), 0.0, -math.sqrt(2.0)]))) < 1e-15
+    coords = sl3_coords(frame)
     s = 2.0 + math.sqrt(2.0)
     v = np.array([float(x) for x in coords.v])
     w = np.array([float(x) for x in coords.w])

@@ -8,6 +8,7 @@ import pytest
 from tnnflow import linalg
 from tnnflow.chevalley import RATIONAL, GroupElement, build_pinning, generator_sum, one_param
 from tnnflow.folding import (
+    _frame_gap,
     apply_flag,
     apply_group,
     break_symmetry,
@@ -135,6 +136,26 @@ def test_fixed_locus_flow_check(fold4, rng):
     assert report["passed"], report
     assert report["worst_gap"] <= 1e-10
     assert report["control_broken"]
+
+
+def test_frame_gap_ignores_the_basis_within_each_subspace(rng):
+    """g and g b span the same flag for upper-triangular b: the gap is round-off."""
+    for n in (3, 4, 6):
+        g = rng.standard_normal((n, n))
+        b = np.triu(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
+        qa, _ = np.linalg.qr(g)
+        qb, _ = np.linalg.qr(g @ b)
+        assert _frame_gap(qa, qb) < 1e-13
+        assert _frame_gap(qa, -qa[:, ::-1]) > 0.1  # reversing the frame moves the flag
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-4, 0.3, 1.2, np.pi / 2])
+def test_frame_gap_is_the_sine_of_the_angle_between_lines(theta):
+    """Turning the first two axes of R^3 by theta moves the line and keeps the plane: the gap is sin(theta)."""
+    qa = np.eye(3)
+    qb = np.eye(3)
+    qb[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    assert _frame_gap(qa, qb) == pytest.approx(np.sin(theta), rel=1e-12)
 
 
 def test_folding_sl2_middle_orbit():

@@ -23,7 +23,6 @@ from tnnflow.totpos import (
     sample_params,
     sample_positive,
     sl3_coords,
-    sl3_flag_from_coords,
     sl3_membership,
     sl3_residuals,
     standard_word_w0,
@@ -207,14 +206,13 @@ def test_flag_canonical_form_pinned(pin3):
         [2, 1, 0],
         [1, 0, 0],
     ]
-    assert flag.pivot_rows == (2, 1, 0)
     assert flag.dims == (1, 2)
 
 
 def test_flag_of_identity_and_J(pin3):
     e = GroupElement(linalg.rational_identity(3), RATIONAL)
     complete = flag_of(e)
-    assert complete.pivot_rows == (0, 1, 2)
+    assert np.equal(complete.mat, e.entries).all()
     partial = flag_of(e, J={2})
     assert partial.dims == (1,)
     assert partial.J == frozenset({2})
@@ -240,16 +238,28 @@ def test_flag_invariant_under_stabilizer(tvals, svals):
     assert flag_of(g @ stab) == flag_of(g)
 
 
+def test_flag_of_refuses_float_entries(pin3):
+    g = one_param(pin3, "y", 1, Fraction(1))
+    for floated in (g.to_float(), g.to_float().entries, np.eye(3)):
+        with pytest.raises(TypeError):
+            flag_of(floated)
+
+
 @settings(max_examples=25, deadline=None)
 @given(rational_params)
-def test_flag_float_path_tracks_exact_path(tvals):
+def test_sl3_coords_of_float_frame_track_exact_flag(tvals):
+    """(v, w) read off a float matrix, or off its orthonormal frame, match the exact flag."""
     pin = build_pinning(3)
     g = GroupElement(linalg.rational_identity(3), RATIONAL)
     for i, t in zip((1, 2, 1), tvals):
         g = g @ one_param(pin, "y", i, t)
-    exact = flag_of(g)
-    floated = flag_of(g.to_float())
-    assert exact.approx_eq(floated, tol=1e-9)
+    exact = sl3_coords(flag_of(g)).as_vector().astype(np.float64)
+    floated = g.to_float().entries
+    frame, _ = np.linalg.qr(floated)
+    for m in (floated, frame):
+        got = sl3_coords(m)
+        assert got.field == FLOAT
+        assert np.max(np.abs(got.as_vector() - exact)) <= 1e-12
 
 
 # -- SL(3) coordinates ---------------------------------------------------------
@@ -273,15 +283,6 @@ def test_sl3_residuals_vanish_on_flags(pin3, rng):
     res = sl3_residuals(c)
     assert res["sum_v"] == 0 and res["sum_w"] == 0
     assert res["orthogonality"] == 0
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_sl3_roundtrip_exact(seed):
-    rng = np.random.default_rng(seed)
-    params = sample_params(standard_word_w0(3), rng)
-    flag = flag_of(sample_positive(params, "lower"))
-    coords = sl3_coords(flag)
-    assert sl3_flag_from_coords(coords) == flag
 
 
 def test_sl3_membership_cases():
