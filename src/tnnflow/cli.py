@@ -120,6 +120,30 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+# what a config file may give each RunConfig field ("fmt" is checked against
+# the subcommand's --format choices instead)
+_CONFIG_TYPES = {
+    "n": ("an int", _is_int),
+    "seed": ("an int", _is_int),
+    "count": ("an int", _is_int),
+    "J": ("a list of ints", lambda x: isinstance(x, list) and all(map(_is_int, x))),
+    "t": ("a number", _is_real),
+    "radius": ("a number or null", lambda x: x is None or _is_real(x)),
+    "float_tol": ("a number", _is_real),
+    "bisect_tol": ("a number", _is_real),
+    "vanish_tol": ("a number", _is_real),
+    "out": ("a string or null", lambda x: x is None or isinstance(x, str)),
+}
+
+
 def _parse_J(text) -> tuple:
     if text is None:
         return None
@@ -131,17 +155,31 @@ def _resolve_config(args, overrides: dict | None = None) -> RunConfig:
     """Merge flags over config file over env/default into a RunConfig.
 
     ``overrides`` replaces built-in defaults for one command (lowest
-    precedence), e.g. the fold check defaulting to n = 4.
+    precedence), e.g. the fold check defaulting to n = 4.  Each config-file
+    value must have its field's type (``_CONFIG_TYPES``), and ``fmt`` must be
+    one of the subcommand's ``--format`` choices; anything else raises
+    ``ValueError``, which ``main`` turns into exit 2.
     """
     values = dict(overrides or {})
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        fmt_choices = _COMMANDS[args.command][1]
+        for key, value in file_cfg.items():
+            if key == "fmt":
+                expected, ok = f"one of {list(fmt_choices)}", value in fmt_choices
+            else:
+                expected, check = _CONFIG_TYPES[key]
+                ok = check(value)
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         if "J" in file_cfg:
-            file_cfg["J"] = tuple(int(j) for j in file_cfg["J"])
+            file_cfg["J"] = tuple(file_cfg["J"])
         values.update(file_cfg)
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -568,52 +606,51 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common(sub, *, fmt_choices=("text", "json"), default_fmt=None):
-    sub.add_argument("--config", help="JSON config file (flags take precedence)")
-    sub.add_argument("--n", type=int, dest="n")
-    sub.add_argument("--J", type=_parse_J, dest="J", help='comma list, e.g. "2" or "1,3"; "" = complete')
-    sub.add_argument("--seed", type=int, dest="seed")
-    sub.add_argument("--count", type=int, dest="count")
-    sub.add_argument("--t", type=float, dest="t")
-    sub.add_argument("--radius", type=float, dest="radius")
-    sub.add_argument("--tol-float", type=float, dest="float_tol")
-    sub.add_argument("--tol-bisect", type=float, dest="bisect_tol")
-    sub.add_argument("--tol-vanish", type=float, dest="vanish_tol")
-    sub.add_argument("--format", choices=fmt_choices, dest="fmt", default=default_fmt)
-    sub.add_argument("--out", dest="out")
+# name -> (help, --format choices, --format default); None defers to RunConfig.fmt
+_COMMANDS = {
+    "pinning": ("print Chevalley generators and their sum", ("text", "json"), None),
+    "sample": ("sample TP elements with minor certificates", ("json",), "json"),
+    "embed": ("build a module and its eigenbasis chart", ("text", "json"), None),
+    "flow": ("flow a chart point or flag", ("json",), "json"),
+    "verify": ("run the full property suite", ("json",), "json"),
+    "cells": ("SL(3) cell census and face poset", ("text", "json"), None),
+    "fold": ("diagram-flip fixed-locus flow check", ("json",), "json"),
+    "figure": ("schematic drawing of the SL(3) decomposition", ("svg", "json"), "svg"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built afresh: the flags every subcommand shares
+    are made once, in a parent that each subparser copies them from."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file (flags take precedence)")
+    common.add_argument("--n", type=int, dest="n")
+    common.add_argument("--J", type=_parse_J, dest="J", help='comma list, e.g. "2" or "1,3"; "" = complete')
+    common.add_argument("--seed", type=int, dest="seed")
+    common.add_argument("--count", type=int, dest="count")
+    common.add_argument("--t", type=float, dest="t")
+    common.add_argument("--radius", type=float, dest="radius")
+    common.add_argument("--tol-float", type=float, dest="float_tol")
+    common.add_argument("--tol-bisect", type=float, dest="bisect_tol")
+    common.add_argument("--tol-vanish", type=float, dest="vanish_tol")
+    common.add_argument("--out", dest="out")
+
     parser = argparse.ArgumentParser(
         prog="tnnflow",
         description="totally nonnegative flag varieties: flows, charts, cells",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(subs.add_parser("pinning", help="print Chevalley generators and their sum"))
-    sample = subs.add_parser("sample", help="sample TP elements with minor certificates")
-    _add_common(sample, fmt_choices=("json",), default_fmt="json")
-    sample.add_argument("--side", choices=("group", "upper", "lower"), default="group")
-
-    _add_common(subs.add_parser("embed", help="build a module and its eigenbasis chart"))
-    flow = subs.add_parser("flow", help="flow a chart point or flag")
-    _add_common(flow, fmt_choices=("json",), default_fmt="json")
-    flow.add_argument("--from", dest="from_path", help="JSON file with a 'chart' or 'flag' entry")
-    flow.add_argument(
+    sub = {}
+    for name, (help_text, fmt_choices, default_fmt) in _COMMANDS.items():
+        sub[name] = subs.add_parser(name, help=help_text, parents=[common])
+        sub[name].add_argument("--format", choices=fmt_choices, dest="fmt", default=default_fmt)
+    sub["sample"].add_argument("--side", choices=("group", "upper", "lower"), default="group")
+    sub["flow"].add_argument("--from", dest="from_path", help="JSON file with a 'chart' or 'flag' entry")
+    sub["flow"].add_argument(
         "--crossing",
         action="store_true",
         help="locate the sphere crossing (--radius, or 1e-2 * smallest sampled boundary norm)",
     )
-
-    verify = subs.add_parser("verify", help="run the full property suite")
-    _add_common(verify, fmt_choices=("json",), default_fmt="json")
-
-    _add_common(subs.add_parser("cells", help="SL(3) cell census and face poset"))
-    fold = subs.add_parser("fold", help="diagram-flip fixed-locus flow check")
-    _add_common(fold, fmt_choices=("json",), default_fmt="json")
-
-    figure = subs.add_parser("figure", help="schematic drawing of the SL(3) decomposition")
-    _add_common(figure, fmt_choices=("svg", "json"), default_fmt="svg")
     return parser
 
 

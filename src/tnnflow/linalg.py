@@ -6,7 +6,11 @@ Float work is delegated to numpy proper; these helpers exist for the places
 where the answer must be a certificate (minor signs, ranks, echelon bases)
 rather than an approximation.  Determinants, inverses and minors run on
 Python ints: the matrix is scaled by the LCM ``D`` of its denominators, and
-one ``Fraction`` is built per result entry at the end.
+one ``Fraction`` is built per result entry at the end.  The minors come from
+one integer Laplace pass, :func:`_scaled_minors`, which yields every k-minor
+of ``D a`` as a plain int over the common denominator ``D**k``; callers that
+only compare minors (``tnnflow.totpos``) read it directly, and
+:func:`all_minors` is its ``Fraction`` view.
 """
 
 from __future__ import annotations
@@ -69,8 +73,13 @@ def is_rational_array(a: np.ndarray) -> bool:
 
 
 def _scaled_ints(a) -> tuple[list, int]:
-    """The rows of ``a`` times the LCM ``D`` of its denominators, as ints, and ``D``."""
-    entries = [[Fraction(x) for x in row] for row in a.tolist()]
+    """The rows of ``a`` times the LCM ``D`` of its denominators, as ints, and ``D``.
+
+    ``Fraction`` and ``int`` entries are used as they are; only other types
+    (floats, numpy scalars) are converted, because ``Fraction(Fraction)``
+    costs more than the scaling itself.
+    """
+    entries = [[x if type(x) in (Fraction, int) else Fraction(x) for x in row] for row in a.tolist()]
     scale = math.lcm(1, *(x.denominator for row in entries for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in entries], scale
 
@@ -120,14 +129,15 @@ def inv(a: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=object).reshape(n, n)
 
 
-def all_minors(a: np.ndarray):
-    """Yield ``(rows, cols, value)`` over every square minor, smallest first.
+def _scaled_minors(a):
+    """Yield ``(rows, cols, k, s, D)`` over every square minor, smallest first.
 
+    ``s`` is the k-minor on ``rows`` x ``cols`` of the integer scaling ``D a``,
+    a plain int, so the minor of ``a`` itself is ``s / D**k``.  All k-minors
+    share that denominator: within a level, ints compare as the minors do.
     Minors of size k come in lexicographic order of ``rows``, then of
-    ``cols``, and each value is the exact ``Fraction`` of the submatrix's
-    :func:`det`.  Each k-minor ``s`` of the integer scaling ``D a`` is a Laplace
-    expansion along its first row over the (k-1)-minors, and is yielded as
-    ``s / D**k``: sum_k C(n,k) C(m,k) k multiply-adds in all.  Only the levels
+    ``cols``.  Each is a Laplace expansion along its first row over the
+    (k-1)-minors: sum_k C(n,k) C(m,k) k multiply-adds in all.  Only the levels
     k-1 and k are alive at once; the largest level of an n x n matrix holds
     C(n, n//2)**2 ints, 63,504 at n = 10.
     """
@@ -144,7 +154,6 @@ def all_minors(a: np.ndarray):
             [((-1) ** j, c, col_index[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols)]
             for cols in cols_k
         ]
-        denom = scale**k
         level = []
         for rows in rows_k:
             top, below = ints[rows[0]], prev[row_index[rows[1:]]]
@@ -152,9 +161,21 @@ def all_minors(a: np.ndarray):
             for cols, expansion in zip(cols_k, terms):
                 s = sum(sign * top[c] * below[rest] for sign, c, rest in expansion)
                 values.append(s)
-                yield rows, cols, Fraction(s, denom)
+                yield rows, cols, k, s, scale
             level.append(values)
         prev_rows, prev_cols, prev = rows_k, cols_k, level
+
+
+def all_minors(a: np.ndarray):
+    """Yield ``(rows, cols, value)`` over every square minor, smallest first.
+
+    Minors of size k come in lexicographic order of ``rows``, then of
+    ``cols``, and each value is the exact ``Fraction`` of the submatrix's
+    :func:`det`.  This is a view over the integer pass :func:`_scaled_minors`:
+    one ``Fraction(s, D**k)`` per minor, and no arithmetic of its own.
+    """
+    for rows, cols, k, s, scale in _scaled_minors(a):
+        yield rows, cols, Fraction(s, scale**k)
 
 
 def leading_minors(a: np.ndarray, kmax: int) -> tuple[list, int]:

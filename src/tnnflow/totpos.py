@@ -1,11 +1,11 @@
 """Total positivity in SL(n) and its flag varieties.
 
 Positive elements are produced by factorizations along reduced words for the
-longest permutation, multiplied out by one column operation per letter;
-positivity of a given matrix is certified by the sign of every minor, all of
-them exact and taken in one integer Laplace pass
-(:func:`tnnflow.linalg.all_minors`) whose verdict and least minor come
-together.  Exact flags are represented by a unique canonical matrix
+longest permutation, multiplied out by one column operation per letter (on
+int columns when the parameters are exact); positivity of a given matrix is
+certified by the sign of every minor, all of them exact and taken as ints in
+one Laplace pass (``tnnflow.linalg._scaled_minors``) whose verdict and least
+minor come together.  Exact flags are represented by a unique canonical matrix
 (block-wise reduced column echelon form with bottom-most pivots); a float
 flag is any matrix whose leading columns span it, in practice an orthonormal
 frame.  For the complete SL(3) flag variety we expose the classical
@@ -175,7 +175,9 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
     far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
     y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
     column i-1 by s and column i by 1/s (columns counted from 0).  The
-    product is exact when every parameter is, and binary64 otherwise.
+    product is exact when every parameter is, and binary64 otherwise.  The
+    exact product runs on int columns, each over its own denominator (see
+    :func:`_exact_product`), and builds its n**2 ``Fraction``s once at the end.
     """
     word = params.word
     ell = len(word)
@@ -195,8 +197,10 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
     else:
         raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
     scalars = [_coerce_scalar(t) for _, _, t in factors]
-    field = FLOAT if any(f == FLOAT for _, f in scalars) else RATIONAL
-    m = linalg.rational_identity(word.n) if field == RATIONAL else np.eye(word.n)
+    if all(f == RATIONAL for _, f in scalars):
+        steps = [(kind, i, t) for (kind, i, _), (t, _) in zip(factors, scalars)]
+        return GroupElement(_exact_product(word.n, steps), RATIONAL)
+    m = np.eye(word.n)
     for (kind, i, _), (t, _) in zip(factors, scalars):
         if kind == "x":
             m[:, i] += t * m[:, i - 1]
@@ -205,20 +209,56 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
         else:
             m[:, i - 1] *= t
             m[:, i] *= 1 / t
-    return GroupElement(m, field)
+    return GroupElement(m, FLOAT)
 
 
-def _least_minor(g, *, stop_below_zero: bool):
+def _reduced(column: list, den: int) -> tuple[list, int]:
+    g = math.gcd(den, *column)
+    return ([x // g for x in column], den // g) if g > 1 else (column, den)
+
+
+def _exact_product(n: int, steps) -> np.ndarray:
+    """The column operations of :func:`sample_positive` on exact ``(kind, i, t)`` steps.
+
+    Column c is held as ``(ints, den)`` for the column ``ints / den``, kept in
+    lowest terms, so every step is int arithmetic over a common denominator.
+    """
+    cols = [([int(r == c) for r in range(n)], 1) for c in range(n)]
+    for kind, i, t in steps:
+        p, q = t.numerator, t.denominator
+        if kind == "coweight":
+            (a, da), (b, db) = cols[i - 1], cols[i]
+            cols[i - 1] = _reduced([x * p for x in a], da * q)
+            cols[i] = _reduced([x * q for x in b], db * p)
+        elif p:
+            dst, src = (i, i - 1) if kind == "x" else (i - 1, i)
+            (a, da), (b, db) = cols[dst], cols[src]
+            den = math.lcm(da, q * db)
+            fa, fb = den // da, p * (den // (q * db))
+            cols[dst] = _reduced([fa * x + fb * y for x, y in zip(a, b)], den)
+    rows = [[Fraction(a[r], da) for a, da in cols] for r in range(n)]
+    return np.array(rows, dtype=object)
+
+
+def _least_minor(g, *, stop_below_zero: bool) -> Fraction:
+    """The least minor of an exact matrix, walked on the ints of the Laplace pass.
+
+    Every k-minor is ``s / D**k`` for an int ``s``, so within level k the least
+    ``s`` gives the least minor; only the n per-level winners become
+    ``Fraction``s, and the least of those is the answer.  With
+    ``stop_below_zero`` the walk ends at the first negative ``s`` and returns
+    that negative minor instead, which decides the sign rule alone.
+    """
     entries = g.entries if isinstance(g, GroupElement) else g
     if not linalg.is_rational_array(entries):
         raise TypeError("exact entries required; rationalize float input first")
-    least = None
-    for _rows, _cols, value in linalg.all_minors(entries):
-        if least is None or value < least:
-            least = value
-            if stop_below_zero and value < 0:
-                break
-    return least
+    least: dict[int, int] = {}
+    for _rows, _cols, k, s, scale in linalg._scaled_minors(entries):
+        if s < least.get(k, s + 1):
+            least[k] = s
+            if stop_below_zero and s < 0:
+                return Fraction(s, scale**k)
+    return min(Fraction(s, scale**k) for k, s in least.items())
 
 
 def _positivity(least_minor) -> Positivity:
@@ -233,9 +273,10 @@ def is_tnn_matrix(g) -> Positivity:
 
     Requires exact rational entries; run floats through
     ``linalg.rationalize`` first so that the verdict is a certificate.  The
-    minors come smallest first from the integer Laplace pass of
-    :func:`tnnflow.linalg.all_minors`, and the walk stops at the first
-    negative one.
+    minors come smallest first, as scaled ints ``s`` over ``D**k``, from the
+    integer Laplace pass behind :func:`tnnflow.linalg.all_minors`; the sign of
+    ``s`` is the sign of the minor, and the walk stops at the first negative
+    one.  No ``Fraction`` is built on the way.
     """
     return _positivity(_least_minor(g, stop_below_zero=True))
 
@@ -244,7 +285,8 @@ def certify_minors(g) -> tuple[Positivity, Fraction]:
     """``(verdict, least minor)`` of an exact matrix, from one pass over all minors.
 
     The verdict is the one :func:`is_tnn_matrix` gives; the least minor is
-    taken over every minor, so this walk has no early exit.
+    taken over every minor, so this walk has no early exit.  It keeps the
+    least scaled int of each size k and builds one ``Fraction`` per size.
     """
     least = _least_minor(g, stop_below_zero=False)
     return _positivity(least), least

@@ -24,7 +24,6 @@ from tnnflow.embedding import (
     weyl_dim,
 )
 from tnnflow.flow import (
-    DiagonalFlow,
     commutation_check,
     converge,
     default_invariance_cases,

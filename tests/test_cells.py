@@ -3,14 +3,10 @@
 import math
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
 from tnnflow.cells import (
     bruhat_interval_counts,
     census_payload,
     enumerate_cells,
-    face_poset,
     figure_svg,
     label_of,
     limit_report,

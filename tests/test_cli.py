@@ -1,11 +1,12 @@
 """The command-line surface: output contracts, config precedence, exit codes."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from tnnflow.cli import RunConfig, main
+from tnnflow.cli import RunConfig, _parse_J, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -74,8 +75,12 @@ def test_sample_emits_certificates(capsys):
             ("--n", "6", "--side", "lower", "--count", "3", "--seed", "0", "--format", "json"),
             "e083823ac1b7b25fd29eff2395b8a1776c861c4f14dab50b17dea267a699a320",
         ),
+        (
+            ("--n", "8", "--side", "group", "--count", "1", "--seed", "0", "--format", "json"),
+            "621ec515c58a650bb68315f340906d5371dec3bec72aac3622d413e2a6148494",
+        ),
     ],
-    ids=["n3", "n6-group", "n6-lower"],
+    ids=["n3", "n6-group", "n6-lower", "n8-group"],
 )
 def test_sample_report_bytes_are_pinned(capsys, argv, digest):
     """Exact-only reports: their bytes depend on no platform, BLAS or float rounding."""
@@ -189,6 +194,24 @@ def test_error_exit_codes(capsys, tmp_path):
     bad.write_text('{"whatever": 1}')
     code, _, err = run_cli(capsys, "embed", "--config", str(bad))
     assert code == 2 and "unknown config keys" in err
+    # a config value of the wrong type is refused, not run or left to a traceback
+    for command, text in [
+        ("sample", '{"n": 3.5}'),
+        ("sample", '{"seed": 1e30}'),
+        ("sample", '{"J": 2}'),
+        ("sample", '{"J": [1, true]}'),
+        ("sample", '{"radius": "0.5"}'),
+        ("sample", '{"t": "1"}'),
+        ("sample", '{"float_tol": null}'),
+        ("sample", '{"count": true}'),
+        ("sample", '{"out": 3}'),
+        ("sample", '3'),
+        ("embed", '{"fmt": "xml"}'),
+        ("sample", '{"fmt": "text"}'),
+    ]:
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, command, "--config", str(bad))
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, (command, text)
     small = tmp_path / "small_flag.json"
     small.write_text('{"flag": [[1,0],[0,1]]}')
     code, out, err = run_cli(capsys, "flow", "--from", str(small))
@@ -233,3 +256,77 @@ def test_verify_is_deterministic(capsys):
     assert out1 == out2
     _, out3, _ = run_cli(capsys, "verify", "--seed", "6")
     assert out1 != out3
+
+
+# Every subcommand's options as (option strings, dest, default, choices, type,
+# help), recorded from the parser before its shared flags moved to a parent.
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, None, "show this help message and exit")
+_COMMON = [
+    (("--config",), "config", None, None, None, "JSON config file (flags take precedence)"),
+    (("--n",), "n", None, None, int, None),
+    (("--J",), "J", None, None, _parse_J, 'comma list, e.g. "2" or "1,3"; "" = complete'),
+    (("--seed",), "seed", None, None, int, None),
+    (("--count",), "count", None, None, int, None),
+    (("--t",), "t", None, None, float, None),
+    (("--radius",), "radius", None, None, float, None),
+    (("--tol-float",), "float_tol", None, None, float, None),
+    (("--tol-bisect",), "bisect_tol", None, None, float, None),
+    (("--tol-vanish",), "vanish_tol", None, None, float, None),
+    (("--out",), "out", None, None, None, None),
+]
+_TEXT_JSON = (("--format",), "fmt", None, ("text", "json"), None, None)
+_JSON = (("--format",), "fmt", "json", ("json",), None, None)
+PARSER_TABLE = {
+    "pinning": ("print Chevalley generators and their sum", [_HELP, *_COMMON, _TEXT_JSON]),
+    "sample": (
+        "sample TP elements with minor certificates",
+        [_HELP, *_COMMON, _JSON, (("--side",), "side", "group", ("group", "upper", "lower"), None, None)],
+    ),
+    "embed": ("build a module and its eigenbasis chart", [_HELP, *_COMMON, _TEXT_JSON]),
+    "flow": (
+        "flow a chart point or flag",
+        [
+            _HELP,
+            *_COMMON,
+            _JSON,
+            (("--from",), "from_path", None, None, None, "JSON file with a 'chart' or 'flag' entry"),
+            (
+                ("--crossing",),
+                "crossing",
+                False,
+                None,
+                None,
+                "locate the sphere crossing (--radius, or 1e-2 * smallest sampled boundary norm)",
+            ),
+        ],
+    ),
+    "verify": ("run the full property suite", [_HELP, *_COMMON, _JSON]),
+    "cells": ("SL(3) cell census and face poset", [_HELP, *_COMMON, _TEXT_JSON]),
+    "fold": ("diagram-flip fixed-locus flow check", [_HELP, *_COMMON, _JSON]),
+    "figure": (
+        "schematic drawing of the SL(3) decomposition",
+        [_HELP, *_COMMON, (("--format",), "fmt", "svg", ("svg", "json"), None, None)],
+    ),
+}
+
+
+def test_parser_matches_its_recorded_table():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(PARSER_TABLE)
+    assert [(a.dest, a.help) for a in subs._choices_actions] == [
+        (name, help_text) for name, (help_text, _) in PARSER_TABLE.items()
+    ]
+    for name, (_, table) in PARSER_TABLE.items():
+        got = {
+            tuple(a.option_strings): (a.dest, a.default, a.choices, a.type, a.help)
+            for a in subs.choices[name]._actions
+        }
+        assert got == {row[0]: row[1:] for row in table}, name
+
+
+@pytest.mark.parametrize("command", list(PARSER_TABLE))
+def test_every_subcommand_prints_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: tnnflow {command}")

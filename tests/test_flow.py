@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnnflow import linalg
-from tnnflow.chevalley import build_pinning, exp_generator_sum, generator_sum
+from tnnflow.chevalley import generator_sum
 from tnnflow.embedding import chart_coords, line_of
 from tnnflow.flow import (
-    Convergence,
     DiagonalFlow,
     commutation_check,
     converge,

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnnflow import linalg
 from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, one_param, build_pinning
 from tnnflow.totpos import (
     FactorizationParams,
-    FlagPoint,
     Membership,
     Positivity,
     ReducedWord,
@@ -183,6 +182,70 @@ def test_sample_positive_matches_dense_product(n, side):
     assert got.field == want.field == FLOAT
     scale = float(np.max(np.abs(want.entries)))
     assert float(np.max(np.abs(got.entries - want.entries))) <= 1e-14 * scale
+
+
+# non-dyadic and zero parameters, and magnitudes near e^20 and e^-20: values
+# that sample_params never draws, so the denominators of the int columns differ
+exact_scalars = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30),
+    st.sampled_from([Fraction(1, 3), Fraction(7, 5), Fraction(1455495586, 3), Fraction(3, 1455495586)]),
+)
+
+
+@st.composite
+def exact_factorizations(draw):
+    n = draw(st.integers(2, 5))
+    side = draw(st.sampled_from(["upper", "lower", "group"]))
+    word = standard_word_w0(n)
+    count = len(word) * (draw(st.sampled_from([1, 2])) if side == "group" else 1)
+    t = draw(st.lists(exact_scalars, min_size=count, max_size=count))
+    positive = exact_scalars.filter(lambda x: x > 0)
+    torus = draw(st.none() | st.lists(positive, min_size=n - 1, max_size=n - 1).map(tuple))
+    return FactorizationParams(word, tuple(t), torus), side
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_factorizations())
+def test_exact_sample_positive_matches_dense_product(case):
+    params, side = case
+    got, want = sample_positive(params, side), _dense_product(params, side)
+    assert got.field == want.field == RATIONAL
+    assert np.equal(got.entries, want.entries).all()
+    assert all(type(x) is Fraction for x in got.entries.flat)
+
+
+mixed_entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    st.fractions(min_value=0, max_value=4, max_denominator=9),
+)
+
+
+@st.composite
+def certify_cases(draw):
+    """Small square matrices: free entries with mixed denominators (mostly
+    NEITHER), or exact factorization products (TP or TNN)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(mixed_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+        return np.array(rows, dtype=object)
+    params, side = draw(exact_factorizations())
+    return sample_positive(params, side).entries
+
+
+# the least minor 2/9 is a 2-minor whose scaled int (2, over D**2 = 9) exceeds
+# the least scaled 1-minor (1, over D = 3)
+@example(a=np.array([[Fraction(1, 3), Fraction(1, 3)], [Fraction(1, 3), 1]], dtype=object))
+@example(a=np.array([[Fraction(1, 2), 3], [Fraction(1, 7), 1]], dtype=object))
+@settings(max_examples=150, deadline=None)
+@given(a=certify_cases())
+def test_certificate_matches_leibniz_oracle(a, leibniz_det):
+    values = _oracle_minors(a, leibniz_det)
+    expected = _sign_rule(values)
+    assert is_tnn_matrix(a) is expected
+    verdict, least = certify_minors(a)
+    assert verdict is expected and least == min(values) and type(least) is Fraction
 
 
 def test_sample_positive_rejects_unknown_side():
