@@ -43,7 +43,6 @@ from .embedding import (
     chart_coords,
     chart_line,
     eigenchart,
-    fundamental_rep,
     lambda_for,
     line_of,
     weyl_dim,

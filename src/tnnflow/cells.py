@@ -165,8 +165,8 @@ def _pattern_dim(coords: Sl3Coords) -> int:
         [0, 0, 0, 1, 1, 1],
         [w[0], -w[1], w[2], v[0], -v[1], v[2]],
     ]
-    jac = np.array([[Fraction(g[k]) for k in free] for g in grads], dtype=object)
-    return len(free) - linalg.rank(jac)
+    jac = [{j: Fraction(g[k]) for j, k in enumerate(free) if g[k] != 0} for g in grads]
+    return len(free) - len(linalg.reduce_rows(jac))
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,13 @@ class RunConfig:
         if self.n < 2:
             raise ValueError("need n >= 2")
         for name in ("float_tol", "bisect_tol", "vanish_tol"):
-            if not getattr(self, name) > 0:  # NaN fails this too
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
+                raise ValueError(f"{name} must be positive and finite")
         bad = [j for j in self.J if not 1 <= j <= self.n - 1]
         if bad:
             raise ValueError(f"J indices {bad} out of range for n = {self.n}")
+        if len(set(self.J)) != len(self.J):
+            raise ValueError(f"J indices {sorted(self.J)} repeat")
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if self.radius is not None and not 0 < self.radius < math.inf:
@@ -155,7 +157,8 @@ def _resolve_config(args, overrides: dict | None = None) -> RunConfig:
     """Merge flags over config file over env/default into a RunConfig.
 
     ``overrides`` replaces built-in defaults for one command (lowest
-    precedence), e.g. the fold check defaulting to n = 4.  Each config-file
+    precedence, see ``_DEFAULTS``), e.g. the fold check defaulting to n = 4
+    and the figure to SVG.  Each config-file
     value must have its field's type (``_CONFIG_TYPES``), and ``fmt`` must be
     one of the subcommand's ``--format`` choices; anything else raises
     ``ValueError``, which ``main`` turns into exit 2.
@@ -606,7 +609,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 
 
-# name -> (help, --format choices, --format default); None defers to RunConfig.fmt
+# name -> (help, --format choices, --format default); None defers to the
+# config file, then to _DEFAULTS, then to RunConfig.fmt
 _COMMANDS = {
     "pinning": ("print Chevalley generators and their sum", ("text", "json"), None),
     "sample": ("sample TP elements with minor certificates", ("json",), "json"),
@@ -615,8 +619,12 @@ _COMMANDS = {
     "verify": ("run the full property suite", ("json",), "json"),
     "cells": ("SL(3) cell census and face poset", ("text", "json"), None),
     "fold": ("diagram-flip fixed-locus flow check", ("json",), "json"),
-    "figure": ("schematic drawing of the SL(3) decomposition", ("svg", "json"), "svg"),
+    "figure": ("schematic drawing of the SL(3) decomposition", ("svg", "json"), None),
 }
+
+# built-in defaults of one command, below the config file: the fold check
+# needs n >= 4, and the figure is drawn as SVG
+_DEFAULTS = {"fold": {"n": 4}, "figure": {"fmt": "svg"}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -657,8 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {"n": 4} if args.command == "fold" else None
-        cfg = _resolve_config(args, overrides)
+        cfg = _resolve_config(args, _DEFAULTS.get(args.command))
         if args.command == "pinning":
             return cmd_pinning(cfg)
         if args.command == "sample":

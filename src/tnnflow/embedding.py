@@ -13,9 +13,11 @@ Each generator E_i, F_i moves one factor's basis index at a time with
 structure constant +1, so it is stored as an index map on the tensor product
 and applied to sparse ``{flat index: Fraction}`` vectors.  Every vector of
 the closure is a weight vector, so each echelon step touches one weight
-space only.  The image of a flag is the tensor product of the leading
-compound columns of a representing matrix; its module coordinates are read
-off at the pivots, one leading minor per factor.
+space only.  The basis rows stay sparse: they are the module's only exact
+form, and the one dense view is their float64 image for the chart.  The
+image of a flag is the tensor product of the leading compound columns of a
+representing matrix; its module coordinates are read off at the pivots, one
+leading minor per factor.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue; the affine chart of projective space centered at the top
@@ -41,7 +43,6 @@ __all__ = [
     "lambda_for",
     "weyl_dim",
     "RepModule",
-    "fundamental_rep",
     "build_rep",
     "LineCoords",
     "line_of",
@@ -180,35 +181,18 @@ def _apply(moves, vec: dict) -> dict:
     return {b: x for b, x in out.items() if x != 0}
 
 
-def _echelon(vectors) -> list:
-    """Reduced-echelon basis of the span of sparse vectors, as (pivot, vector).
-
-    The rows are reduced by :func:`linalg.reduce_rows` over the union of
-    their supports; columns outside it are zero in every row.
-    """
-    cols = sorted(set().union(*vectors))
-    rows = []
-    for vec in vectors:
-        row = np.empty(len(cols), dtype=object)
-        row[:] = [vec.get(c, Fraction(0)) for c in cols]
-        rows.append(row)
-    basis, pivots = linalg.reduce_rows(rows)
-    return [
-        (cols[p], {c: x for c, x in zip(cols, row) if x != 0})
-        for row, p in zip(basis, pivots)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class RepModule:
     """An irreducible sl(n)-module with an exact weight-coordinate basis.
 
-    ``basis`` is a (dim x ambient) reduced-echelon matrix over Q embedding
-    the module into the tensor product of its fundamental factors; module
-    coordinates of an ambient vector known to lie in the module are simply
-    its entries at ``pivot_cols``.  ``e``, ``f``, ``h`` are the generator
-    actions in module coordinates; ``ambient_e`` and ``ambient_f`` give E_i
-    and F_i on the ambient space as index moves (see ``_tensor_moves``).
+    ``rows`` are the reduced-echelon basis vectors of the module inside the
+    tensor product of its fundamental factors, as sparse maps
+    ``{flat ambient index: Fraction}`` in the order of their pivots
+    ``pivot_cols``; the first pivot is flat index 0, the highest vector.
+    Module coordinates of an ambient vector known to lie in the module are
+    simply its entries at ``pivot_cols``.  ``ambient_e`` and ``ambient_f``
+    give E_i and F_i on the ambient space as index moves (see
+    ``_tensor_moves``).
     """
 
     n: int
@@ -217,21 +201,17 @@ class RepModule:
     dim: int
     ambient_dim: int
     labels: tuple
-    basis: np.ndarray
+    rows: tuple
     pivot_cols: tuple
-    highest_index: int
-    e: dict
-    f: dict
-    h: dict
     ambient_e: dict
     ambient_f: dict
 
-    def generator_sum(self) -> np.ndarray:
-        """sum_i E_i + F_i in module coordinates (exact)."""
-        tau = linalg.rational_zeros(self.dim, self.dim)
-        for i in range(1, self.n):
-            tau = tau + self.e[i] + self.f[i]
-        return tau
+    def float_basis(self) -> np.ndarray:
+        """The basis rows as a dense (dim x ambient) float64 matrix."""
+        out = np.zeros((self.dim, self.ambient_dim))
+        for r, row in enumerate(self.rows):
+            out[r, list(row)] = [float(x) for x in row.values()]
+        return out
 
     def ambient_generator_sum(self) -> np.ndarray:
         """sum_i E_i + F_i on the ambient space, as a dense 0/1 float matrix."""
@@ -242,24 +222,17 @@ class RepModule:
         return tau
 
 
-def fundamental_rep(n: int, k: int) -> RepModule:
-    """The k-th fundamental module: the wedge power Lambda^k of Q^n."""
-    if not 1 <= k <= n - 1:
-        raise ValueError("fundamental index must lie in 1..n-1")
-    weight = Weight(n, tuple(1 if j == k else 0 for j in range(1, n)))
-    return build_rep(weight)
-
-
 def build_rep(weight: Weight) -> RepModule:
     """Construct the irreducible module by lowering closure (exact).
 
     Inside the tensor product of fundamental factors, apply the lowering
     operators to the highest vector, one depth at a time: the weight space
     V_mu is spanned by the F_i-images of the weight spaces V_{mu + alpha_i}
-    one level up, and each gets its own reduced-echelon basis.  Vectors are
-    sparse maps ``flat index -> Fraction``.  The generator actions are then
-    re-expressed in the echelon basis by pivot read-off, with an exact
-    residual check that the span really is invariant.
+    one level up, and :func:`linalg.reduce_rows` gives each its own
+    reduced-echelon basis.  Vectors are sparse maps ``flat index ->
+    Fraction``.  An exact residual check then confirms that every E_i and
+    F_i maps the span into itself: the image of a basis row must equal the
+    combination of basis rows read off at its pivots.
     """
     n = weight.n
     factors = tuple(
@@ -268,7 +241,6 @@ def build_rep(weight: Weight) -> RepModule:
     if not factors:
         raise ValueError("the zero weight has no projective geometry attached")
     e_moves, f_moves, ambient_labels, weights = _tensor_moves(n, factors)
-    ambient = len(ambient_labels)
 
     # the top subset of each factor is lexicographically first
     rows = {0: {0: Fraction(1)}}  # pivot column -> sparse basis vector
@@ -282,51 +254,30 @@ def build_rep(weight: Weight) -> RepModule:
                     spanning.setdefault(weights[next(iter(lowered))], []).append(lowered)
         level = []
         for vectors in spanning.values():
-            for pivot, vec in _echelon(vectors):
+            for pivot, vec in linalg.reduce_rows(vectors):
                 rows[pivot] = vec
                 level.append(vec)
 
-    pivots = sorted(rows)
-    position = {p: r for r, p in enumerate(pivots)}
-    dim = len(pivots)
-    bmat = linalg.rational_zeros(dim, ambient)
-    for r, p in enumerate(pivots):
-        for a, x in rows[p].items():
-            bmat[r, a] = x
-
-    def to_module(moves):
-        op = linalg.rational_zeros(dim, dim)
-        for c, p in enumerate(pivots):
-            image = _apply(moves, rows[p])
+    for moves in (*e_moves.values(), *f_moves.values()):
+        for row in rows.values():
+            image = _apply(moves, row)
             residual = dict(image)
             for q, x in image.items():
-                if q in position:
-                    op[position[q], c] = x
-                    for a, y in rows[q].items():
-                        residual[a] = residual.get(a, 0) - x * y
+                for a, y in rows.get(q, {}).items():
+                    residual[a] = residual.get(a, 0) - x * y
             if any(residual.values()):
                 raise AssertionError("closure is not invariant; construction bug")
-        return op
 
-    def weight_op(i):
-        op = linalg.rational_zeros(dim, dim)
-        for r, p in enumerate(pivots):
-            op[r, r] = Fraction(weights[p][i - 1])
-        return op
-
+    pivots = sorted(rows)
     return RepModule(
         n=n,
         weight=weight,
         factors=factors,
-        dim=dim,
-        ambient_dim=ambient,
+        dim=len(pivots),
+        ambient_dim=len(ambient_labels),
         labels=tuple(ambient_labels[p] for p in pivots),
-        basis=bmat,
+        rows=tuple(rows[p] for p in pivots),
         pivot_cols=tuple(pivots),
-        highest_index=position[0],
-        e={i: to_module(e_moves[i]) for i in range(1, n)},
-        f={i: to_module(f_moves[i]) for i in range(1, n)},
-        h={i: weight_op(i) for i in range(1, n)},
         ambient_e=e_moves,
         ambient_f=f_moves,
     )
@@ -424,11 +375,12 @@ def eigenchart(rep: RepModule, gap_tol: float = 1e-8) -> EigenChart:
 
     The generator sum is symmetric in the ambient tensor basis (raising and
     lowering operators are mutual transposes), so we orthonormalize the
-    module basis by a QR factorization and call ``eigh`` in that frame.
+    module basis, in its float64 view ``rep.float_basis()``, by a QR
+    factorization and call ``eigh`` in that frame.
     A spectral gap below ``gap_tol`` is refused: the chart would not have a
     well-defined center.
     """
-    bt = linalg.to_float(rep.basis).T  # ambient x dim, full column rank
+    bt = rep.float_basis().T  # ambient x dim, full column rank
     q, r = np.linalg.qr(bt)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0

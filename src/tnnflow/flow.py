@@ -407,7 +407,7 @@ def line_to_sl3_coords(chart: EigenChart, line: LineCoords) -> Sl3Coords:
     if rep.n != 3 or rep.factors != (1, 2):
         raise ValueError("flag recovery is implemented for the complete SL(3) module")
     vec = np.asarray(line.to_float().vec, dtype=np.float64)
-    big = linalg.to_float(rep.basis).T @ vec
+    big = rep.float_basis().T @ vec
     m = big.reshape(3, 3)
     u, s, vt = np.linalg.svd(m)
     if s[0] == 0.0 or s[1] > 1e-8 * s[0]:

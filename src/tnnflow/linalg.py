@@ -1,7 +1,11 @@
-"""Dense linear algebra over exact rationals.
+"""Linear algebra over exact rationals.
 
 Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
 entries, so ``@`` composes exactly and every routine here is free of rounding.
+The one echelon routine, :func:`reduce_rows`, takes sparse rows
+``{column: Fraction}`` instead: the highest-weight modules of
+:mod:`tnnflow.embedding` are spanned by such rows, one weight space at a
+time, and :func:`rank` hands it the nonzero entries of each matrix row.
 Float work is delegated to numpy proper; these helpers exist for the places
 where the answer must be a certificate (minor signs, ranks, echelon bases)
 rather than an approximation.  Determinants, inverses and minors run on
@@ -200,35 +204,44 @@ def leading_minors(a: np.ndarray, kmax: int) -> tuple[list, int]:
 
 def rank(a: np.ndarray) -> int:
     """Exact rank via row reduction."""
-    if a.size == 0:
-        return 0
-    return len(reduce_rows([a[i, :] for i in range(a.shape[0])])[1])
+    return len(reduce_rows({j: x for j, x in enumerate(row) if x != 0} for row in a))
 
 
-def reduce_rows(rows):
-    """Reduced row echelon basis of the span of ``rows`` (object Fractions).
+def _subtract(v: dict, x, b: dict) -> None:
+    """``v -= x * b`` on sparse rows, in place; entries that cancel are dropped."""
+    for c, y in b.items():
+        z = v.get(c, 0) - x * y
+        if z:
+            v[c] = z
+        else:
+            del v[c]
 
-    Returns ``(basis, pivots)`` with basis rows sorted by pivot column, each
-    pivot entry 1, and pivot columns cleared in all other rows.
+
+def reduce_rows(rows) -> list:
+    """Reduced row echelon basis of the span of sparse rows ``{column: Fraction}``.
+
+    Returns ``[(pivot, row)]`` sorted by pivot column, each row sparse with
+    its pivot entry 1, and every pivot column cleared from every other row.
+    The reduced echelon basis of a span is unique, so the Fractions do not
+    depend on the order of ``rows``.  Int entries are promoted to Fractions.
     """
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
+    basis: dict = {}  # pivot column -> reduced row
     for row in rows:
-        v = row.copy()
-        for b, p in zip(basis, pivots):
-            if v[p] != 0:
-                v = v - v[p] * b
-        nz = next((j for j in range(v.shape[0]) if v[j] != 0), None)
-        if nz is None:
+        v = {c: x for c, x in row.items() if x != 0}
+        # a basis row is zero at every other pivot, so subtracting it leaves
+        # the other pivot entries of v as they are
+        for p in [c for c in v if c in basis]:
+            _subtract(v, v[p], basis[p])
+        if not v:
             continue
-        v = v / v[nz]
-        for k, b in enumerate(basis):
-            if b[nz] != 0:
-                basis[k] = b - b[nz] * v
-        basis.append(v)
-        pivots.append(nz)
-    order = sorted(range(len(basis)), key=lambda k: pivots[k])
-    return [basis[k] for k in order], [pivots[k] for k in order]
+        pivot = min(v)
+        scale = 1 / Fraction(v[pivot])
+        v = {c: x * scale for c, x in v.items()}
+        for b in basis.values():
+            if pivot in b:
+                _subtract(b, b[pivot], v)
+        basis[pivot] = v
+    return sorted(basis.items())
 
 
 def cross3(u, v) -> np.ndarray:

@@ -21,7 +21,12 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(n=3, J=(3,))
     with pytest.raises(ValueError):
+        RunConfig(n=4, J=(2, 2))
+    with pytest.raises(ValueError):
         RunConfig(float_tol=0.0)
+    for name in ("float_tol", "bisect_tol", "vanish_tol"):
+        with pytest.raises(ValueError):
+            RunConfig(**{name: float("inf")})
     with pytest.raises(ValueError):
         RunConfig(radius=-1.0)
     with pytest.raises(ValueError):
@@ -162,6 +167,17 @@ def test_figure_json(capsys):
     assert json.loads(out)["cell_count"] == 19
 
 
+def test_figure_honours_config_format(capsys, tmp_path):
+    _, flag_out, _ = run_cli(capsys, "figure", "--format", "json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"fmt": "json"}')
+    code, out, _ = run_cli(capsys, "figure", "--config", str(cfg))
+    assert code == 0 and out == flag_out
+    # the flag still beats the config file
+    code, out, _ = run_cli(capsys, "figure", "--config", str(cfg), "--format", "svg")
+    assert code == 0 and out.startswith("<svg")
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"seed": 9, "count": 2}')
@@ -208,6 +224,7 @@ def test_error_exit_codes(capsys, tmp_path):
         ("sample", '3'),
         ("embed", '{"fmt": "xml"}'),
         ("sample", '{"fmt": "text"}'),
+        ("embed", '{"n": 4, "J": [2, 2]}'),
     ]:
         bad.write_text(text)
         code, out, err = run_cli(capsys, command, "--config", str(bad))
@@ -230,6 +247,15 @@ def test_error_exit_codes(capsys, tmp_path):
     for argv in (("--radius", "inf"), ("--radius", "1e300"), ("--radius", "1e-300"),
                  ("--n", "4", "--radius", "1e300")):
         code, out, err = run_cli(capsys, "flow", "--crossing", *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+    # repeated J indices, and tolerances that are not finite
+    for argv in (
+        ("embed", "--n", "4", "--J", "2,2"),
+        ("flow", "--t", "2", "--seed", "3", "--crossing", "--radius", "0.5", "--tol-bisect", "inf"),
+        ("flow", "--t", "2", "--seed", "3", "--tol-float", "inf"),
+        ("flow", "--t", "2", "--seed", "3", "--tol-vanish", "inf"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
 
 
@@ -260,6 +286,8 @@ def test_verify_is_deterministic(capsys):
 
 # Every subcommand's options as (option strings, dest, default, choices, type,
 # help), recorded from the parser before its shared flags moved to a parent.
+# Since then figure's --format default is None, so that a config file's "fmt"
+# is honoured; the SVG default comes from the command's built-in defaults.
 _HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, None, "show this help message and exit")
 _COMMON = [
     (("--config",), "config", None, None, None, "JSON config file (flags take precedence)"),
@@ -305,7 +333,7 @@ PARSER_TABLE = {
     "fold": ("diagram-flip fixed-locus flow check", [_HELP, *_COMMON, _JSON]),
     "figure": (
         "schematic drawing of the SL(3) decomposition",
-        [_HELP, *_COMMON, (("--format",), "fmt", "svg", ("svg", "json"), None, None)],
+        [_HELP, *_COMMON, (("--format",), "fmt", None, ("svg", "json"), None, None)],
     ),
 }
 

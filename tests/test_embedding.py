@@ -1,6 +1,8 @@
 """Highest-weight modules, the projective embedding, and the eigenbasis chart."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -15,7 +17,6 @@ from tnnflow.embedding import (
     chart_coords,
     chart_line,
     eigenchart,
-    fundamental_rep,
     lambda_for,
     line_of,
     weyl_dim,
@@ -43,21 +44,47 @@ def test_weyl_dim_formula():
 
 
 def test_fundamental_rep_is_wedge_power():
-    rep = fundamental_rep(4, 2)
-    assert rep.dim == 6
+    rep = build_rep(lambda_for(4, (1, 3)))
+    assert rep.dim == rep.ambient_dim == 6
     assert rep.labels == ("12", "13", "14", "23", "24", "34")
-    tau = linalg.to_float(rep.generator_sum())
-    assert np.allclose(tau, tau.T)
+    assert rep.rows == tuple({a: 1} for a in range(6))
+    tau = rep.ambient_generator_sum()
+    assert np.array_equal(tau, tau.T)
 
 
 @pytest.mark.parametrize(
     "n,J",
-    [(3, ()), (3, (2,)), (3, (1,)), (4, (2,)), (4, (1, 3)), (4, (1, 2)), (4, ()), (5, (2, 3)), (5, (1, 4))],
+    [
+        (3, ()), (3, (2,)), (3, (1,)), (4, (2,)), (4, (1, 3)), (4, (1, 2)), (4, ()),
+        (5, (2, 3)), (5, (1, 4)), (5, ()), (6, (1, 5)),
+    ],
 )
 def test_module_dims_match_weyl_oracle(n, J):
     weight = lambda_for(n, J)
     rep = build_rep(weight)
     assert rep.dim == weyl_dim(weight)
+
+
+# sha256 of the pivots and the sparse basis rows, entries as "p/q"; recorded
+# from the dense reduced-echelon basis these rows replaced
+_BASIS_HASHES = {
+    (4, (1, 3)): "1f42a3e94a5bfb8fc7381bfb5434629372d3ea5fcc2a3967909f535a28755054",
+    (5, (2, 3)): "65f95afb1a7d1c5b0cec26e19681d9de9360e4620172c3d72e39e3f400b87fa3",
+    (5, (1, 4)): "f2e5b494cd5ea4c19047e0d32c6e26a86e2194eaca2fb528e0794ff650402ce9",
+    (5, ()): "076cef8c556936ffb36ab00207400d359d7bd7de664a6192d438c5be5c94050b",
+}
+
+
+@pytest.mark.parametrize("n,J", list(_BASIS_HASHES), ids=["n4-J13", "n5-J23", "n5-J14", "n5-J"])
+def test_module_basis_is_pinned(n, J):
+    rep = build_rep(lambda_for(n, J))
+    assert all(row[p] == 1 for p, row in zip(rep.pivot_cols, rep.rows))
+    rows = [
+        [[c, f"{x.numerator}/{x.denominator}"] for c, x in sorted(row.items())]
+        for row in rep.rows
+    ]
+    payload = json.dumps([list(rep.pivot_cols), rows], separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == _BASIS_HASHES[n, J]
 
 
 def test_sl3_complete_module_shape(rep3):
@@ -75,49 +102,69 @@ def test_highest_vector_coordinates(rep3, pin3):
     e = GroupElement(linalg.rational_identity(3), RATIONAL)
     line = line_of(rep3, e)
     vec = np.asarray(line.vec)
-    top = vec[rep3.highest_index]
-    assert top != 0
+    assert rep3.pivot_cols[0] == 0  # the highest vector is the first pivot
+    assert vec[0] != 0
     # exactness: identity flag gives rational coordinates
     assert all(isinstance(x, Fraction) for x in vec)
 
 
-def _exp_nilpotent(op, t, vec):
-    """exp(t * op) applied to vec by its terminating series (op nilpotent)."""
-    out, term = vec, vec
+def _exp_nilpotent(moves, t, vec):
+    """exp(t * X) on a sparse ambient vector, X a generator given by its index
+    moves (every structure constant +1), by its terminating series."""
+    out, term = dict(vec), vec
     for k in itertools.count(1):
-        term = (op @ term) * (t / k)
-        if not any(x != 0 for x in term):
+        image: dict = {}
+        for a, x in term.items():
+            for b in moves[a]:
+                image[b] = image.get(b, 0) + x * t / k
+        term = {b: x for b, x in image.items() if x != 0}
+        if not term:
             return out
-        out = out + term
+        for b, x in term.items():
+            out[b] = out.get(b, 0) + x
+
+
+def _ambient_weights(n, factors):
+    """The eigenvalues of H_1 .. H_{n-1} on each flat ambient index, from the
+    sorted k-subsets of each wedge factor (the first factor varies slowest)."""
+    subsets = [list(itertools.combinations(range(1, n + 1), k)) for k in factors]
+    return [
+        [sum((i in s) - (i + 1 in s) for s in sets) for i in range(1, n)]
+        for sets in itertools.product(*subsets)
+    ]
 
 
 def test_line_of_agrees_between_params_and_matrix(rng):
     """The compound route equals the factors acting on the highest vector.
 
-    The oracle applies exp(t F_i), the torus and exp(t E_i) to the highest
-    basis vector in module coordinates, through the exact ``rep.f``,
-    ``rep.h`` and ``rep.e`` matrices, in the order of ``sample_positive``.
+    The oracle applies exp(t F_i), the torus and exp(t E_i) to the ambient
+    highest vector (flat index 0) through the index moves ``rep.ambient_f``
+    and ``rep.ambient_e``, in the order of ``sample_positive``, and reads the
+    result at ``rep.pivot_cols``.  The torus scales each ambient basis vector
+    by s_i to the power of its H_i-eigenvalue.
     """
     for n, J in ((3, ()), (4, (2,)), (5, (2, 3))):
         rep = build_rep(lambda_for(n, J))
+        weights = _ambient_weights(n, rep.factors)
         word = standard_word_w0(n)
         ell = len(word)
         for side in ("lower", "group"):
             params = sample_params(word, rng, group=(side == "group"))
-            vec = linalg.rational_zeros(rep.dim, 1)[:, 0]
-            vec[rep.highest_index] = Fraction(1)
+            vec = {0: Fraction(1)}
             # the lower factor takes the last ell parameters on either side
             for i, t in reversed(list(zip(word.letters, params.t[-ell:]))):
-                vec = _exp_nilpotent(rep.f[i], t, vec)
+                vec = _exp_nilpotent(rep.ambient_f[i], t, vec)
             if side == "group":
-                for i, s in zip(range(1, n), params.torus):
-                    diag = [s ** int(rep.h[i][r, r]) for r in range(rep.dim)]
-                    vec = vec * np.array(diag, dtype=object)
+                vec = {
+                    a: x * math.prod(s ** w for s, w in zip(params.torus, weights[a]))
+                    for a, x in vec.items()
+                }
                 for i, t in reversed(list(zip(word.letters, params.t[:ell]))):
-                    vec = _exp_nilpotent(rep.e[i], t, vec)
+                    vec = _exp_nilpotent(rep.ambient_e[i], t, vec)
+            want = np.array([vec.get(p, Fraction(0)) for p in rep.pivot_cols], dtype=object)
             got = line_of(rep, params, side)
             assert got.field == RATIONAL
-            assert np.equal(got.vec, vec).all(), (n, J, side)
+            assert np.equal(got.vec, want).all(), (n, J, side)
 
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, ()), (5, (2, 3))])

@@ -172,11 +172,37 @@ def test_rank_matches_float_rank(m):
 
 
 def test_reduce_rows_gives_echelon_basis():
-    rows = linalg.rational_matrix([[2, 4, 0], [1, 2, 1], [3, 6, 1]])
-    basis, pivots = linalg.reduce_rows(rows)
-    assert list(pivots) == [0, 2]
-    assert basis[0][0] == 1 and basis[0][2] == 0
-    assert basis[1][0] == 0 and basis[1][2] == 1
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 2, 2: 1}, {0: 3, 1: 6, 2: Fraction(1)}]
+    assert linalg.reduce_rows(rows) == [(0, {0: 1, 1: 2}), (2, {2: 1})]
+    assert linalg.reduce_rows([{0: Fraction(0)}, {}]) == []
+    basis = linalg.reduce_rows([{1: 3, 2: 1}, {0: 1, 1: 1}])
+    assert basis == [(0, {0: 1, 2: Fraction(-1, 3)}), (1, {1: 1, 2: Fraction(1, 3)})]
+    assert all(type(x) is Fraction for _, row in basis for x in row.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 7), fractions, max_size=5), max_size=6))
+def test_reduce_rows_is_reduced_echelon_and_spans_its_input(rows):
+    basis = linalg.reduce_rows(rows)
+    pivots = [p for p, _ in basis]
+    assert pivots == sorted(set(pivots))
+    for p, row in basis:
+        assert min(row) == p and row[p] == 1
+        assert all(type(x) is Fraction and x != 0 for x in row.values())
+        assert not set(pivots) & set(row) - {p}
+    # every input row reduces to zero: its coordinates are its pivot entries
+    for row in rows:
+        residual = {c: x for c, x in row.items() if x != 0}
+        for p, b in basis:
+            x = row.get(p, 0)
+            for c, y in b.items():
+                residual[c] = residual.get(c, 0) - x * y
+        assert not any(residual.values())
+    # and no more than the input spans: the basis is as large as its rank,
+    # and the reduced echelon basis does not depend on the order of the rows
+    dense = np.array([[float(row.get(c, 0)) for c in range(8)] for row in rows]).reshape(-1, 8)
+    assert len(basis) == np.linalg.matrix_rank(dense, tol=1e-9)
+    assert linalg.reduce_rows(rows[::-1]) == basis
 
 
 def test_rationalize_is_exact():
