@@ -19,12 +19,10 @@ from .chevalley import (
 )
 from .totpos import (
     FactorizationParams,
-    FlagPoint,
     Membership,
     Positivity,
     ReducedWord,
     Sl3Coords,
-    flag_of,
     is_tnn_matrix,
     sample_params,
     sample_positive,
@@ -73,7 +71,6 @@ from .cells import (
 )
 from .folding import (
     Folding,
-    apply_flag,
     apply_group,
     build_folding,
     fixed_locus_flow_check,

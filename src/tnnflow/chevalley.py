@@ -73,23 +73,10 @@ class GroupElement:
             linalg.to_float(self.entries) @ linalg.to_float(other.entries), FLOAT
         )
 
-    def inverse(self) -> "GroupElement":
-        if self.field == RATIONAL:
-            return GroupElement(linalg.inv(self.entries), RATIONAL)
-        return GroupElement(np.linalg.inv(self.entries), FLOAT)
-
-    def transpose(self) -> "GroupElement":
-        return GroupElement(self.entries.T.copy(), self.field)
-
     def to_float(self) -> "GroupElement":
         if self.field == FLOAT:
             return self
         return GroupElement(linalg.to_float(self.entries), FLOAT)
-
-    def det(self):
-        if self.field == RATIONAL:
-            return linalg.det(self.entries)
-        return float(np.linalg.det(self.entries))
 
 
 @dataclass(frozen=True)

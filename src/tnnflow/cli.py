@@ -302,7 +302,10 @@ def cmd_embed(cfg: RunConfig) -> int:
 
 
 def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
-    """Starting chart point from a JSON file, or a seeded random TNN flag."""
+    """Starting chart point from a JSON file, or a seeded random TNN flag.
+
+    A malformed entry, or a start point that is not finite, raises ``ValueError``.
+    """
     if path is None:
         rng = np.random.default_rng(cfg.seed)
         params = sample_params(standard_word_w0(cfg.n), rng)
@@ -310,18 +313,24 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
         return p, "random TNN flag"
     with open(path) as fh:
         doc = json.load(fh)
-    if "chart" in doc:
-        p = np.array([float(x) for x in doc["chart"]])
+    try:
+        if "chart" in doc:
+            entries, origin = [float(x) for x in doc["chart"]], "chart point"
+        elif "flag" in doc:
+            entries, origin = [[float(x) for x in row] for row in doc["flag"]], "flag matrix"
+        else:
+            raise ValueError("point file needs a 'chart' or 'flag' entry")
+    except TypeError as exc:
+        raise ValueError(f"malformed point file ({exc})") from None
+    p = np.array(entries)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{origin} entries must be finite")
+    if origin == "flag matrix":
+        with np.errstate(all="ignore"):
+            p = chart_coords(chart, line_of(chart.rep, GroupElement(p, FLOAT)))
         if not np.all(np.isfinite(p)):
-            raise ValueError("chart point entries must be finite")
-        return p, "chart point"
-    if "flag" in doc:
-        mat = np.array([[float(x) for x in row] for row in doc["flag"]])
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("flag matrix entries must be finite")
-        g = GroupElement(mat, FLOAT)
-        return chart_coords(chart, line_of(chart.rep, g)), "flag matrix"
-    raise ValueError("point file needs a 'chart' or 'flag' entry")
+            raise ValueError("the flag matrix has no finite chart point in binary64")
+    return p, origin
 
 
 def cmd_flow(cfg: RunConfig, from_path: str | None, want_crossing: bool) -> int:
@@ -372,9 +381,13 @@ def cmd_flow(cfg: RunConfig, from_path: str | None, want_crossing: bool) -> int:
     return 0
 
 
-def cmd_cells(cfg: RunConfig) -> int:
-    if cfg.n != 3:
+def _require_complete_sl3(cfg: RunConfig) -> None:
+    if cfg.n != 3 or cfg.J:
         raise ValueError("the cell census is implemented for the complete SL(3) flag variety")
+
+
+def cmd_cells(cfg: RunConfig) -> int:
+    _require_complete_sl3(cfg)
     census = enumerate_cells(seed=cfg.seed)
     poset = face_poset(census)
     checks = validate_poset(poset)
@@ -408,6 +421,7 @@ def cmd_fold(cfg: RunConfig) -> int:
 
 
 def cmd_figure(cfg: RunConfig) -> int:
+    _require_complete_sl3(cfg)
     census = enumerate_cells(seed=cfg.seed)
     poset = face_poset(census)
     if cfg.fmt == "json":

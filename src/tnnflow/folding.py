@@ -21,21 +21,12 @@ import numpy as np
 
 from . import linalg
 from .chevalley import GroupElement, build_pinning, exp_generator_sum, generator_sum, one_param
-from .totpos import (
-    FactorizationParams,
-    FlagPoint,
-    ReducedWord,
-    _rational_positive,
-    flag_of,
-    sample_positive,
-)
+from .totpos import FactorizationParams, ReducedWord, _rational_positive, sample_positive
 
 __all__ = [
     "Folding",
     "build_folding",
     "apply_group",
-    "apply_flag",
-    "sigma_stable",
     "symmetric_word",
     "symmetric_params",
     "break_symmetry",
@@ -68,30 +59,19 @@ def _signed_antidiagonal(n: int) -> np.ndarray:
 
 
 def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
-    """sigma(g) = S (g^T)^{-1} S^T; exact when g is exact."""
-    return GroupElement(_apply_matrix(folding, g.entries), g.field)
+    """sigma(g) = S (g^T)^{-1} S^T; exact when g is exact.
 
-
-def _apply_matrix(folding: Folding, m: np.ndarray) -> np.ndarray:
-    """S X S^T for X = (m^T)^-1: X with both indices reversed and (a, b) signed (-1)^(a+b)."""
+    S X S^T for X = (g^T)^-1 is X with both indices reversed and entry
+    (a, b) signed (-1)^(a+b).
+    """
+    m = g.entries
     if linalg.is_rational_array(m):
         out = linalg.inv(m.T)[::-1, ::-1]
     else:
         out = np.linalg.inv(np.asarray(m, dtype=np.float64).T)[::-1, ::-1]
     out[1::2, ::2] *= -1
     out[::2, 1::2] *= -1
-    return out
-
-
-def sigma_stable(folding: Folding, J) -> bool:
-    return frozenset(folding.sigma(j) for j in J) == frozenset(J)
-
-
-def apply_flag(folding: Folding, flag: FlagPoint) -> FlagPoint:
-    """sigma applied to a flag (its type J must be flip-stable)."""
-    if not sigma_stable(folding, flag.J):
-        raise ValueError("flag type J is not stable under the diagram flip")
-    return flag_of(_apply_matrix(folding, flag.mat), flag.J)
+    return GroupElement(out, g.field)
 
 
 def build_folding(n: int) -> Folding:
@@ -239,16 +219,24 @@ def fixed_locus_flow_check(
 ) -> dict:
     """Flowing a sigma-fixed flag keeps it sigma-fixed, at every sampled time.
 
-    Each sample is an exactly symmetric lower-unipotent factorization u (its
-    flag is verified sigma-fixed in exact arithmetic at t = 0).  For t > 0
-    the flag of exp(t tau) u is compared against its sigma image within
+    Each sample is an exactly symmetric lower-unipotent factorization u.  At
+    t = 0 its flag is sigma-fixed iff sigma(u) == u exactly, by one fact:
+
+    - for lower-unipotent u and v, flag(u) = flag(v) iff u^-1 v lies in
+      B+ (the stabilizer of the base flag) and U-, whose intersection is
+      {1}; that is, iff u = v;
+    - sigma maps U- to U-, since sigma(y_i(t)) = y_{n-i}(t).
+
+    So the t = 0 check is the exact element equality the loop makes.  For
+    t > 0 the flag of exp(t tau) u is compared against its sigma image within
     ``tol``, as the largest sine of a principal angle between the two flags
     (:func:`_frame_gap`), which is scale-invariant.  The image is evaluated
     through exact group identities -- sigma(exp(t tau) u) = S exp(-t tau) S^T
     sigma(u) with sigma(u) computed on rationals -- and both sides go through
     :func:`_flowed_flag` so neither is polluted by the ~1e12 conditioning of
     the raw product at t = 5.  A deliberately de-symmetrized sample must
-    fail, which guards against a vacuously symmetric pipeline.
+    fail, exactly at t = 0 and beyond ``1e-6`` at every t > 0, which guards
+    against a vacuously symmetric pipeline.
     """
     n = folding.n
     if n < 4:
@@ -284,10 +272,6 @@ def fixed_locus_flow_check(
         su = apply_group(folding, u)
         if not np.equal(su.entries, u.entries).all():
             raise AssertionError("symmetric sampler produced a non-fixed element")
-        base = flag_of(u)
-        if apply_flag(folding, base) != base:
-            all_fixed = False
-            witness = {"sample": k, "time": 0.0}
         for t, gap in flag_gap(u, su).items():
             worst = max(worst, gap)
             if gap > tol:
@@ -297,10 +281,9 @@ def fixed_locus_flow_check(
     # negative control
     control = break_symmetry(symmetric_params(n, rng))
     u_bad = sample_positive(control, "lower")
-    bad_flag = flag_of(u_bad)
-    control_broken = apply_flag(folding, bad_flag) != bad_flag
-    bad_gaps = flag_gap(u_bad, apply_group(folding, u_bad))
-    control_broken = control_broken and all(g > 1e-6 for g in bad_gaps.values())
+    su_bad = apply_group(folding, u_bad)
+    control_broken = not np.equal(su_bad.entries, u_bad.entries).all()
+    control_broken = control_broken and all(g > 1e-6 for g in flag_gap(u_bad, su_bad).values())
 
     return {
         "n": n,

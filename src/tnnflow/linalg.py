@@ -5,9 +5,8 @@ entries, so ``@`` composes exactly and every routine here is free of rounding.
 The one echelon routine, :func:`reduce_rows`, takes sparse rows
 ``{column: Fraction}`` instead: the highest-weight modules of
 :mod:`tnnflow.embedding` are spanned by such rows, one weight space at a
-time, and :func:`rank` hands it the nonzero entries of each matrix row.
-Float work is delegated to numpy proper; these helpers exist for the places
-where the answer must be a certificate (minor signs, ranks, echelon bases)
+time.  Float work is delegated to numpy proper; these helpers exist for the
+places where the answer must be a certificate (minor signs, echelon bases)
 rather than an approximation.  Determinants, inverses and minors run on
 Python ints: the matrix is scaled by the LCM ``D`` of its denominators, and
 one ``Fraction`` is built per result entry at the end.  The minors come from
@@ -36,7 +35,6 @@ __all__ = [
     "inv",
     "all_minors",
     "leading_minors",
-    "rank",
     "reduce_rows",
     "cross3",
 ]
@@ -200,11 +198,6 @@ def leading_minors(a: np.ndarray, kmax: int) -> tuple[list, int]:
         ])
         index = {rows: j for j, rows in enumerate(rows_k)}
     return levels, scale
-
-
-def rank(a: np.ndarray) -> int:
-    """Exact rank via row reduction."""
-    return len(reduce_rows({j: x for j, x in enumerate(row) if x != 0} for row in a))
 
 
 def _subtract(v: dict, x, b: dict) -> None:

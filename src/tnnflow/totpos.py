@@ -1,15 +1,14 @@
 """Total positivity in SL(n) and its flag varieties.
 
 Positive elements are produced by factorizations along reduced words for the
-longest permutation, multiplied out by one column operation per letter (on
-int columns when the parameters are exact); positivity of a given matrix is
-certified by the sign of every minor, all of them exact and taken as ints in
-one Laplace pass (``tnnflow.linalg._scaled_minors``) whose verdict and least
-minor come together.  Exact flags are represented by a unique canonical matrix
-(block-wise reduced column echelon form with bottom-most pivots); a float
-flag is any matrix whose leading columns span it, in practice an orthonormal
-frame.  For the complete SL(3) flag variety we expose the classical
-six-coordinate chart ``(v, w)`` together with its membership oracle:
+longest permutation, multiplied out exactly by one int column operation per
+letter; positivity of a given matrix is certified by the sign of every minor,
+all of them exact and taken as ints in one Laplace pass
+(``tnnflow.linalg._scaled_minors``) whose verdict and least minor come
+together.  A flag, exact or float, is carried by any matrix whose leading
+columns span it: a group element, or in float work an orthonormal frame.
+For the complete SL(3) flag variety we expose the classical six-coordinate
+chart ``(v, w)`` together with its membership oracle:
 
     v1 + v2 + v3 = 1,   w1 + w2 + w3 = 1,   v1*w1 - v2*w2 + v3*w3 = 0,
 
@@ -23,11 +22,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, RATIONAL, GroupElement, _coerce_scalar
+from .chevalley import FLOAT, RATIONAL, GroupElement
 
 __all__ = [
     "Positivity",
@@ -39,8 +39,6 @@ __all__ = [
     "sample_positive",
     "is_tnn_matrix",
     "certify_minors",
-    "FlagPoint",
-    "flag_of",
     "Sl3Coords",
     "sl3_coords",
     "sl3_membership",
@@ -140,27 +138,23 @@ def sample_params(
     *,
     zero_mask=None,
     group: bool = False,
-    with_torus: bool = False,
-    field: str = RATIONAL,
 ) -> FactorizationParams:
-    """Draw random factorization parameters (exact rationals by default).
+    """Draw random exact factorization parameters.
 
     ``zero_mask`` pins the chosen positions to zero, which lands the sample
     on the boundary of the nonnegative part; ``group=True`` draws two
-    parameters per letter for an upper*torus*lower product.
+    parameters per letter and the n-1 torus parameters, for an
+    upper*torus*lower product.
     """
     count = (2 if group else 1) * len(word)
-    if field == RATIONAL:
-        vals = [_rational_positive(rng) for _ in range(count)]
-        torus = tuple(_rational_positive(rng) for _ in range(word.n - 1))
-    else:
-        vals = list(np.exp(rng.uniform(-3.0, 3.0, size=count)))
-        torus = tuple(np.exp(rng.uniform(-3.0, 3.0, size=word.n - 1)))
+    vals = [_rational_positive(rng) for _ in range(count)]
+    # drawn even when unused, so the draws that follow on rng (and the
+    # report bytes) do not depend on which product the caller forms
+    torus = tuple(_rational_positive(rng) for _ in range(word.n - 1))
     if zero_mask is not None:
-        zero = Fraction(0) if field == RATIONAL else 0.0
         for k in zero_mask:
-            vals[k] = zero
-    return FactorizationParams(word, tuple(vals), torus if (with_torus or group) else None)
+            vals[k] = Fraction(0)
+    return FactorizationParams(word, tuple(vals), torus if group else None)
 
 
 def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
@@ -174,9 +168,9 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
     Right multiplication by a factor is a column operation on the product so
     far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
     y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
-    column i-1 by s and column i by 1/s (columns counted from 0).  The
-    product is exact when every parameter is, and binary64 otherwise.  The
-    exact product runs on int columns, each over its own denominator (see
+    column i-1 by s and column i by 1/s (columns counted from 0).  Every
+    parameter must be exact (float ones raise ``TypeError``): the product
+    runs on int columns, each over its own denominator (see
     :func:`_exact_product`), and builds its n**2 ``Fraction``s once at the end.
     """
     word = params.word
@@ -196,20 +190,10 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
         factors = along("x", params.t[:ell]) + coweights + along("y", lower_ts)
     else:
         raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
-    scalars = [_coerce_scalar(t) for _, _, t in factors]
-    if all(f == RATIONAL for _, f in scalars):
-        steps = [(kind, i, t) for (kind, i, _), (t, _) in zip(factors, scalars)]
-        return GroupElement(_exact_product(word.n, steps), RATIONAL)
-    m = np.eye(word.n)
-    for (kind, i, _), (t, _) in zip(factors, scalars):
-        if kind == "x":
-            m[:, i] += t * m[:, i - 1]
-        elif kind == "y":
-            m[:, i - 1] += t * m[:, i]
-        else:
-            m[:, i - 1] *= t
-            m[:, i] *= 1 / t
-    return GroupElement(m, FLOAT)
+    if not all(isinstance(t, Rational) for _, _, t in factors):
+        raise TypeError("exact parameters required; rationalize float parameters first")
+    steps = [(kind, i, Fraction(t)) for kind, i, t in factors]
+    return GroupElement(_exact_product(word.n, steps), RATIONAL)
 
 
 def _reduced(column: list, den: int) -> tuple[list, int]:
@@ -293,94 +277,6 @@ def certify_minors(g) -> tuple[Positivity, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# flags
-
-
-def _last_nonzero(col):
-    return next((r for r in range(col.shape[0] - 1, -1, -1) if col[r] != 0), None)
-
-
-@dataclass(frozen=True)
-class FlagPoint:
-    """A point of the partial flag variety of type ``J``, in exact canonical form.
-
-    The matrix columns span the nested subspaces of dimensions
-    ``{1..n-1} - J``; within each block the columns are in reduced column
-    echelon form with pivots normalized to 1, placed bottom-most, cleared
-    across the whole matrix, and ordered by ascending pivot row.  Two flag
-    points are equal iff their canonical matrices agree.  A float flag has no
-    canonical form worth computing: it is carried by an orthonormal frame of
-    its leading columns instead.
-    """
-
-    mat: np.ndarray
-    J: frozenset
-
-    def __post_init__(self):
-        self.mat.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(d for d in range(1, self.n) if d not in self.J)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlagPoint):
-            return NotImplemented
-        return self.J == other.J and self.n == other.n and bool(np.equal(self.mat, other.mat).all())
-
-
-def flag_of(g, J=()) -> FlagPoint:
-    """Canonical representative of the flag spanned by ``g``'s leading columns.
-
-    ``g`` may be a group element or any invertible square matrix with exact
-    entries; float entries raise ``TypeError``.  Column operations only ever
-    mix columns within the same nested subspace, so the flag is unchanged;
-    the result is the unique block-echelon representative described on
-    :class:`FlagPoint`.
-    """
-    entries = g.entries if isinstance(g, GroupElement) else np.asarray(g)
-    if not linalg.is_rational_array(entries):
-        raise TypeError("exact entries required; carry a float flag as an orthonormal frame")
-    J = frozenset(J)
-    n = entries.shape[0]
-    if any(j < 1 or j >= n for j in J):
-        raise ValueError("J must be a subset of {1, ..., n-1}")
-    a = entries.copy()
-    a.setflags(write=True)
-    dims = [d for d in range(1, n) if d not in J]
-    bounds = [0] + dims + [n]
-    done: list[tuple[int, int]] = []  # (pivot row, column) in final positions
-    for b in range(len(bounds) - 1):
-        lo, hi = bounds[b], bounds[b + 1]
-        for pr, pc in done:
-            for c in range(lo, hi):
-                coef = a[pr, c]
-                if coef != 0:
-                    a[:, c] = a[:, c] - coef * a[:, pc]
-        remaining = list(range(lo, hi))
-        block_pivots: list[tuple[int, int]] = []
-        while remaining:
-            located = [(c, _last_nonzero(a[:, c])) for c in remaining]
-            if any(r is None for _, r in located):
-                raise ValueError("columns do not span a flag (singular input)")
-            c0, r0 = max(located, key=lambda cr: (cr[1], -cr[0]))
-            a[:, c0] = a[:, c0] / a[r0, c0]
-            for c in range(lo, hi):
-                if c != c0 and a[r0, c] != 0:
-                    a[:, c] = a[:, c] - a[r0, c] * a[:, c0]
-            block_pivots.append((r0, c0))
-            remaining.remove(c0)
-        order = sorted(block_pivots)
-        a[:, lo:hi] = a[:, [c for _, c in order]]
-        done.extend((r, lo + k) for k, (r, _) in enumerate(order))
-    return FlagPoint(a, J)
-
-
-# ---------------------------------------------------------------------------
 # the SL(3) coordinate chart
 
 
@@ -411,17 +307,17 @@ def _normalize_sum(vec, field: str):
     return tuple(x / total for x in vec)
 
 
-def sl3_coords(flag) -> Sl3Coords:
+def sl3_coords(m) -> Sl3Coords:
     """Extract (v, w) from a complete SL(3) flag.
 
-    ``flag`` is a :class:`FlagPoint`, or any 3x3 matrix (exact or float) whose
-    leading columns span the flag, such as an orthonormal frame.  The line
+    ``m`` is any 3x3 matrix (exact or float) whose leading columns span the
+    flag: a group element's entries, or an orthonormal frame.  The line
     gives ``v`` directly; the plane spanned by the first two columns has
     normal ``z = col1 x col2``, and ``w = (z1, -z2, z3)``.  Both are
     normalized to sum 1, so the choice of basis of each subspace cancels.
     """
-    m = flag.mat if isinstance(flag, FlagPoint) else np.asarray(flag)
-    if m.shape != (3, 3) or (isinstance(flag, FlagPoint) and flag.J):
+    m = np.asarray(m)
+    if m.shape != (3, 3):
         raise ValueError("the (v, w) chart lives on the complete SL(3) flag variety")
     field = RATIONAL if linalg.is_rational_array(m) else FLOAT
     c0, c1 = m[:, 0], m[:, 1]

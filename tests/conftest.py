@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tnnflow import linalg
 from tnnflow.cells import enumerate_cells, face_poset
 from tnnflow.chevalley import build_pinning
 from tnnflow.embedding import build_rep, eigenchart, lambda_for
@@ -30,6 +31,17 @@ def _leibniz_det(a) -> Fraction:
 def leibniz_det():
     """Determinant oracle for the exact kernels, independent of elimination."""
     return _leibniz_det
+
+
+def _exact_rank(a) -> int:
+    """Rank of an exact matrix: the size of the reduced echelon basis of its rows."""
+    return len(linalg.reduce_rows({j: x for j, x in enumerate(row) if x != 0} for row in a))
+
+
+@pytest.fixture(scope="session")
+def exact_rank():
+    """Rank oracle for exact matrices (no production code needs a rank)."""
+    return _exact_rank
 
 
 @pytest.fixture(scope="session")

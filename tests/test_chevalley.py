@@ -167,5 +167,3 @@ def test_matmul_promotes_field(pin3):
     h = GroupElement(np.eye(3), FLOAT)
     assert (g @ h).field == FLOAT
     assert (g @ g).field == RATIONAL
-    assert g.inverse().entries[0, 1] == Fraction(-1)
-    assert g.transpose().entries[1, 0] == Fraction(1)

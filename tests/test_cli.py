@@ -201,6 +201,10 @@ def test_env_seed_fallback(monkeypatch, capsys):
 def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cells", "--n", "4")
     assert code == 2 and "SL(3)" in err
+    # the census and its figure exist for the complete SL(3) flag variety only
+    for argv in (("cells", "--J", "2"), ("figure", "--n", "4"), ("figure", "--J", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1 and "SL(3)" in err, argv
     code, _, err = run_cli(capsys, "fold", "--n", "5")
     assert code == 2
     for count in ("1", "3"):  # n = 2 has no mirrored pair to untie
@@ -240,6 +244,14 @@ def test_error_exit_codes(capsys, tmp_path):
     nan.write_text('{"flag": [[1,0,0],[0,"nan",0],[0,0,1]]}')
     code, out, err = run_cli(capsys, "flow", "--from", str(nan))
     assert code == 2 and out == "" and "finite" in err
+    # entries that are not numbers, and a flag whose chart point overflows
+    for text in ('{"chart": [1, null]}', '{"chart": 5}', '{"flag": [[1,0,0],[0,null,0],[0,0,1]]}'):
+        nan.write_text(text)
+        code, out, err = run_cli(capsys, "flow", "--from", str(nan))
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, text
+    nan.write_text('{"flag": [[1e308,0,0],[0,1,0],[0,0,1]]}')
+    code, out, err = run_cli(capsys, "flow", "--from", str(nan))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "finite" in err
     code, out, err = run_cli(capsys, "flow", "--t=-1e4", "--seed", "3", "--format", "json")
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "overflows" in err
     # none of these crossings lies on its sphere: the radius is infinite, or

@@ -178,9 +178,9 @@ def test_line_to_sl3_coords_roundtrip(chart3, rng):
     params = sample_params(standard_word_w0(3), rng)
     line = line_of(chart3.rep, params, "lower")
     coords = line_to_sl3_coords(chart3, line)
-    from tnnflow.totpos import flag_of, sample_positive
+    from tnnflow.totpos import sample_positive
 
-    direct = sl3_coords(flag_of(sample_positive(params, "lower")))
+    direct = sl3_coords(sample_positive(params, "lower").entries)
     got = np.array(list(coords.v) + list(coords.w), dtype=float)
     want = np.array([float(x) for x in list(direct.v) + list(direct.w)])
     assert np.max(np.abs(got - want)) < 1e-10

@@ -1,24 +1,25 @@
 """The diagram flip of SL(n): signs, fixed flags, and flow compatibility."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnnflow import linalg
 from tnnflow.chevalley import RATIONAL, GroupElement, build_pinning, generator_sum, one_param
 from tnnflow.folding import (
     _frame_gap,
-    apply_flag,
     apply_group,
     break_symmetry,
     build_folding,
     fixed_locus_flow_check,
-    sigma_stable,
     symmetric_params,
     symmetric_word,
 )
-from tnnflow.totpos import flag_of, sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
 
 
 @pytest.fixture(scope="module")
@@ -84,19 +85,6 @@ def test_sigma_is_involution_and_fixes_tau(fold4, pin4):
     assert np.equal(-(s @ tau.T @ s.T), tau).all()
 
 
-def test_sigma_stable_types(fold4):
-    assert sigma_stable(fold4, ())
-    assert sigma_stable(fold4, {2})
-    assert sigma_stable(fold4, {1, 3})
-    assert not sigma_stable(fold4, {1})
-
-
-def test_apply_flag_requires_stable_type(fold4, pin4):
-    g = one_param(pin4, "y", 1, Fraction(1))
-    with pytest.raises(ValueError):
-        apply_flag(fold4, flag_of(g, J={1}))
-
-
 def test_symmetric_word_structure():
     word, blocks = symmetric_word(4)
     assert word.letters == (1, 3, 2, 1, 3, 2)
@@ -121,14 +109,54 @@ def test_symmetric_samples_are_exactly_fixed(fold4, rng):
         params = symmetric_params(4, rng)
         u = sample_positive(params, "lower")
         assert np.equal(apply_group(fold4, u).entries, u.entries).all()
-        flag = flag_of(u)
-        assert apply_flag(fold4, flag) == flag
 
 
 def test_break_symmetry_unties(fold4, rng):
     params = break_symmetry(symmetric_params(4, rng))
     u = sample_positive(params, "lower")
     assert not np.equal(apply_group(fold4, u).entries, u.entries).all()
+
+
+def _same_flag(a, b, exact_rank) -> bool:
+    """The rank oracle: the leading k columns of a and of b span one k-plane, for every k."""
+    return all(exact_rank(np.hstack([a[:, :k], b[:, :k]])) == k for k in range(1, a.shape[0]))
+
+
+nonzero_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@st.composite
+def lower_unipotent_samples(draw):
+    """Exact lower-unipotent samples of one SL(n), boundary ones included, and
+    an exact invertible upper-triangular matrix b."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    word = standard_word_w0(n)
+    masks = draw(st.lists(st.sets(st.integers(0, len(word) - 1)), min_size=1, max_size=3))
+    samples = [sample_positive(sample_params(word, rng, zero_mask=sorted(m)), "lower") for m in masks]
+    if n % 2 == 0:
+        blocks = symmetric_word(n)[1]
+        zeros = draw(st.lists(st.sets(st.integers(0, len(blocks) - 1)), min_size=1, max_size=3))
+        samples += [sample_positive(symmetric_params(n, rng, zero_blocks=z), "lower") for z in zeros]
+    b = linalg.rational_zeros(n, n)
+    for i in range(n):
+        b[i, i] = draw(nonzero_fractions)
+        for j in range(i + 1, n):
+            b[i, j] = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    return samples, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lower_unipotent_samples())
+def test_lower_unipotent_flags_agree_iff_elements_agree(case, exact_rank):
+    """flag(u) = flag(v) iff u = v on U-: the fact the exact t = 0 fold check rests on."""
+    samples, b = case
+    for u, v in itertools.product(samples, repeat=2):
+        equal = bool(np.equal(u.entries, v.entries).all())
+        assert _same_flag(u.entries, v.entries, exact_rank) == equal
+    # the oracle is not vacuous: u and u b span one flag, though u b != u for b != 1
+    for u in samples:
+        assert _same_flag(u.entries, u.entries @ b, exact_rank)
 
 
 def test_fixed_locus_flow_check(fold4, rng):

@@ -1,5 +1,5 @@
-"""Total positivity: factorizations, the all-minors oracle, canonical flag
-forms, and the SL(3) coordinate chart."""
+"""Total positivity: factorizations, the all-minors oracle, flags carried by
+matrices, and the SL(3) coordinate chart."""
 
 import itertools
 from fractions import Fraction
@@ -17,7 +17,6 @@ from tnnflow.totpos import (
     Positivity,
     ReducedWord,
     certify_minors,
-    flag_of,
     is_tnn_matrix,
     sample_params,
     sample_positive,
@@ -177,11 +176,13 @@ def test_sample_positive_matches_dense_product(n, side):
         got, want = sample_positive(params, side), _dense_product(params, side)
         assert got.field == want.field == RATIONAL
         assert np.equal(got.entries, want.entries).all()
-    params = sample_params(word, rng, group=group, field=FLOAT)
-    got, want = sample_positive(params, side), _dense_product(params, side)
-    assert got.field == want.field == FLOAT
-    scale = float(np.max(np.abs(want.entries)))
-    assert float(np.max(np.abs(got.entries - want.entries))) <= 1e-14 * scale
+    # float parameters are refused, as float entries are by the minors pass
+    floated = [FactorizationParams(word, tuple(float(t) for t in drawn.t), drawn.torus)]
+    if group:
+        floated.append(FactorizationParams(word, drawn.t, tuple(float(s) for s in drawn.torus)))
+    for params in floated:
+        with pytest.raises(TypeError):
+            sample_positive(params, side)
 
 
 # non-dyadic and zero parameters, and magnitudes near e^20 and e^-20: values
@@ -254,31 +255,7 @@ def test_sample_positive_rejects_unknown_side():
         sample_positive(params, "middle")
 
 
-# -- canonical flag form ------------------------------------------------------
-
-
-def test_flag_canonical_form_pinned(pin3):
-    g = (
-        one_param(pin3, "y", 1, Fraction(1))
-        @ one_param(pin3, "y", 2, Fraction(1))
-        @ one_param(pin3, "y", 1, Fraction(1))
-    )
-    flag = flag_of(g)
-    assert linalg.to_float(flag.mat).tolist() == [
-        [1, 1, 1],
-        [2, 1, 0],
-        [1, 0, 0],
-    ]
-    assert flag.dims == (1, 2)
-
-
-def test_flag_of_identity_and_J(pin3):
-    e = GroupElement(linalg.rational_identity(3), RATIONAL)
-    complete = flag_of(e)
-    assert np.equal(complete.mat, e.entries).all()
-    partial = flag_of(e, J={2})
-    assert partial.dims == (1,)
-    assert partial.J == frozenset({2})
+# -- flags carried by matrices -------------------------------------------------
 
 
 rational_params = st.lists(
@@ -298,14 +275,9 @@ def test_flag_invariant_under_stabilizer(tvals, svals):
         g = g @ one_param(pin, "y", i, t)
     stab = one_param(pin, "x", 1, svals[0]) @ one_param(pin, "x", 2, svals[1])
     stab = stab @ one_param(pin, "coweight", 1, svals[2])
-    assert flag_of(g @ stab) == flag_of(g)
-
-
-def test_flag_of_refuses_float_entries(pin3):
-    g = one_param(pin3, "y", 1, Fraction(1))
-    for floated in (g.to_float(), g.to_float().entries, np.eye(3)):
-        with pytest.raises(TypeError):
-            flag_of(floated)
+    got, want = sl3_coords((g @ stab).entries), sl3_coords(g.entries)
+    assert got.field == want.field == RATIONAL
+    assert got == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -316,7 +288,7 @@ def test_sl3_coords_of_float_frame_track_exact_flag(tvals):
     g = GroupElement(linalg.rational_identity(3), RATIONAL)
     for i, t in zip((1, 2, 1), tvals):
         g = g @ one_param(pin, "y", i, t)
-    exact = sl3_coords(flag_of(g)).as_vector().astype(np.float64)
+    exact = sl3_coords(g.entries).as_vector().astype(np.float64)
     floated = g.to_float().entries
     frame, _ = np.linalg.qr(floated)
     for m in (floated, frame):
@@ -334,7 +306,7 @@ def test_sl3_coords_of_base_flags(pin3):
         @ one_param(pin3, "y", 2, Fraction(1))
         @ one_param(pin3, "y", 1, Fraction(1))
     )
-    c = sl3_coords(flag_of(g))
+    c = sl3_coords(g.entries)
     assert c.v == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
     assert c.w == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     assert sl3_membership(c) is Membership.POSITIVE_PART
@@ -342,16 +314,14 @@ def test_sl3_coords_of_base_flags(pin3):
 
 def test_sl3_residuals_vanish_on_flags(pin3, rng):
     params = sample_params(standard_word_w0(3), rng)
-    c = sl3_coords(flag_of(sample_positive(params, "lower")))
+    c = sl3_coords(sample_positive(params, "lower").entries)
     res = sl3_residuals(c)
     assert res["sum_v"] == 0 and res["sum_w"] == 0
     assert res["orthogonality"] == 0
 
 
 def test_sl3_membership_cases():
-    inside = sl3_coords(
-        flag_of(linalg.rational_matrix([[1, 1, 1], [2, 1, 0], [1, 0, 0]]))
-    )
+    inside = sl3_coords(linalg.rational_matrix([[1, 1, 1], [2, 1, 0], [1, 0, 0]]))
     assert sl3_membership(inside) is Membership.POSITIVE_PART
     from tnnflow.totpos import Sl3Coords
 
