@@ -6,8 +6,10 @@ Usage: PYTHONPATH=src python scripts/report_hashes.py
 Each line is ``<sha256 of stdout>  <exit code>  tnnflow <args>``.  The
 commands are the canonical reports that a refactor must keep
 byte-identical; diff the output of two trees to check that it did.  The
-float reports depend on the platform's libm and BLAS, so the hashes are
-compared between trees on one machine, not against a fixed list.
+float reports depend on the platform's libm, BLAS and LAPACK: the chart's
+eigenbasis is fixed in closed form, but its entries come from binary64
+determinants and per-weight-space QR.  So the hashes are compared between
+trees on one machine, not against a fixed list.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ COMMANDS = [
     ["flow", "--crossing", "--n", "5", "--J", "2,3"],
     ["flow", "--crossing", "--n", "4"],
     ["flow", "--crossing", "--n", "4", "--J", "1,3"],
+    ["flow", "--crossing", "--n", "5"],
     ["fold", "--count", "30"],
     ["fold", "--n", "6", "--count", "2", "--seed", "0"],
     ["fold", "--n", "8", "--count", "30", "--seed", "1"],

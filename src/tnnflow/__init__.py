@@ -35,7 +35,6 @@ from .embedding import (
     EigenChart,
     LineCoords,
     RepModule,
-    SpectralGapError,
     Weight,
     build_rep,
     chart_coords,

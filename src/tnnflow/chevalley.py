@@ -31,15 +31,6 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 
-def _coerce_scalar(t):
-    """Classify a scalar as exact (Fraction) or floating, preserving exactness."""
-    if isinstance(t, Rational):
-        return Fraction(t), RATIONAL
-    if isinstance(t, float) or isinstance(t, np.floating):
-        return float(t), FLOAT
-    raise TypeError(f"unsupported scalar type {type(t).__name__}")
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """An element of SL(n), stored as a matrix over Q or over binary64.
@@ -128,16 +119,15 @@ def one_param(pinning: Pinning, kind: str, i: int, t) -> GroupElement:
 
     ``x_i(t) = I + t e_i`` and ``y_i(t) = I + t f_i`` (the nilpotent series
     stops after one term); the coweight puts ``t`` at slot ``i`` and ``1/t``
-    at slot ``i+1`` and requires ``t != 0``.
+    at slot ``i+1`` and requires ``t != 0``.  The parameter must be exact
+    (a float raises ``TypeError``), and so is the element.
     """
     if i not in pinning.indices:
         raise ValueError(f"simple root index {i} out of range for n={pinning.n}")
-    t, field = _coerce_scalar(t)
-    n = pinning.n
-    if field == RATIONAL:
-        m = linalg.rational_identity(n)
-    else:
-        m = np.eye(n)
+    if not isinstance(t, Rational):
+        raise TypeError("exact parameter required; rationalize a float parameter first")
+    t = Fraction(t)
+    m = linalg.rational_identity(pinning.n)
     if kind == "x":
         m[i - 1, i] = t
     elif kind == "y":
@@ -149,7 +139,7 @@ def one_param(pinning: Pinning, kind: str, i: int, t) -> GroupElement:
         m[i, i] = 1 / t
     else:
         raise ValueError(f"kind must be 'x', 'y' or 'coweight', got {kind!r}")
-    return GroupElement(m, field)
+    return GroupElement(m, RATIONAL)
 
 
 def generator_sum(pinning: Pinning) -> np.ndarray:

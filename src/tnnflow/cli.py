@@ -327,7 +327,9 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
         raise ValueError(f"{origin} entries must be finite")
     if origin == "flag matrix":
         with np.errstate(all="ignore"):
-            p = chart_coords(chart, line_of(chart.rep, GroupElement(p, FLOAT)))
+            line = line_of(chart.rep, GroupElement(p, FLOAT))
+            # an inf entry of the line would read as a point on the chart's equator
+            p = chart_coords(chart, line) if np.all(np.isfinite(line.vec)) else line.vec
         if not np.all(np.isfinite(p)):
             raise ValueError("the flag matrix has no finite chart point in binary64")
     return p, origin

@@ -14,15 +14,17 @@ structure constant +1, so it is stored as an index map on the tensor product
 and applied to sparse ``{flat index: Fraction}`` vectors.  Every vector of
 the closure is a weight vector, so each echelon step touches one weight
 space only.  The basis rows stay sparse: they are the module's only exact
-form, and the one dense view is their float64 image for the chart.  The
+form, and the chart reads them in float64 one weight space at a time.  The
 image of a flag is the tensor product of the leading compound columns of a
 representing matrix; its module coordinates are read off at the pivots, one
 leading minor per factor.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
-top eigenvalue; the affine chart of projective space centered at the top
-eigenline, expressed in an orthonormal eigenbasis, is the coordinate system
-in which the induced dynamics become diagonal (see :mod:`tnnflow.flow`).
+top eigenvalue and a closed-form orthonormal eigenbasis: the orthogonal
+eigenbasis P of its defining matrix, acting on orthonormal bases of the
+weight spaces.  The affine chart of projective space centered at the top
+eigenline, expressed in that eigenbasis, is the coordinate system in which
+the induced dynamics become diagonal (see :mod:`tnnflow.flow`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, RATIONAL, GroupElement
+from .chevalley import FLOAT, RATIONAL, GroupElement, build_pinning, generator_sum_spectrum
 from .totpos import FactorizationParams, sample_positive
 
 __all__ = [
@@ -51,16 +53,11 @@ __all__ = [
     "chart_coords",
     "chart_line",
     "ChartOverflowError",
-    "SpectralGapError",
 ]
 
 
 class ChartOverflowError(ValueError):
     """The line is orthogonal to the top eigenvector: no chart coordinates."""
-
-
-class SpectralGapError(ValueError):
-    """Top of the spectrum is not simple enough to center a chart on."""
 
 
 @dataclass(frozen=True)
@@ -213,14 +210,6 @@ class RepModule:
             out[r, list(row)] = [float(x) for x in row.values()]
         return out
 
-    def ambient_generator_sum(self) -> np.ndarray:
-        """sum_i E_i + F_i on the ambient space, as a dense 0/1 float matrix."""
-        tau = np.zeros((self.ambient_dim, self.ambient_dim))
-        for moves in (*self.ambient_e.values(), *self.ambient_f.values()):
-            for a, targets in enumerate(moves):
-                tau[list(targets), a] += 1.0
-        return tau
-
 
 def build_rep(weight: Weight) -> RepModule:
     """Construct the irreducible module by lowering closure (exact).
@@ -348,18 +337,17 @@ def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
 class EigenChart:
     """Affine chart of P(V) centered at the top eigenline of the generator sum.
 
-    ``vectors`` are orthonormal eigenvectors (columns, eigenvalues ``mu``
-    descending) expressed in the Q-frame of the module basis; ``r_mat`` maps
-    module coordinates to that orthonormal frame (vec_Q = r_mat @ vec).
-    Chart coordinates of a line are ratios a_k / a_0 of its eigenbasis
-    components, k = 1..dim-1.
+    ``eigvecs`` holds orthonormal eigenvectors (columns, eigenvalues ``mu``
+    descending) in module coordinates, their entries at the pivots;
+    ``eigvecs_inv`` maps module coordinates to eigenbasis components.  Chart
+    coordinates of a line are ratios a_k / a_0 of its eigenbasis components,
+    k = 1..dim-1.
     """
 
     rep: RepModule
     mu: np.ndarray
-    vectors: np.ndarray
-    r_mat: np.ndarray
-    r_inv: np.ndarray
+    eigvecs: np.ndarray
+    eigvecs_inv: np.ndarray
 
     @property
     def ncoords(self) -> int:
@@ -370,36 +358,57 @@ class EigenChart:
         return float(self.mu[0] - self.mu[1])
 
 
-def eigenchart(rep: RepModule, gap_tol: float = 1e-8) -> EigenChart:
-    """Diagonalize the generator sum on the module and center a chart on top.
+def _compound(p: np.ndarray, k: int) -> np.ndarray:
+    """The k-th compound of p: its k x k minors on lexicographic k-subsets."""
+    s = np.array(list(itertools.combinations(range(p.shape[0]), k)))
+    return np.linalg.det(p[s[:, None, :, None], s[None, :, None, :]])
 
-    The generator sum is symmetric in the ambient tensor basis (raising and
-    lowering operators are mutual transposes), so we orthonormalize the
-    module basis, in its float64 view ``rep.float_basis()``, by a QR
-    factorization and call ``eigh`` in that frame.
-    A spectral gap below ``gap_tol`` is refused: the chart would not have a
-    well-defined center.
+
+def eigenchart(rep: RepModule) -> EigenChart:
+    """Diagonalize the generator sum on the module, in closed form, and center a chart on top.
+
+    On C^n the generator sum is ``P diag(d) P^T`` (:func:`generator_sum_spectrum`).
+    On the ambient tensor product of wedge powers it is therefore
+    ``rho(P) D rho(P)^T``: rho(P) is the tensor product of the compounds of the
+    orthogonal P, one per wedge factor, and D multiplies each weight space by
+    <mu, d>.  The weight spaces of the module are orthogonal in the ambient
+    basis, so an orthonormal basis of each, mapped by rho(P), is an orthonormal
+    eigenbasis; each weight space's echelon rows are orthonormalized in pivot
+    order with a positive diagonal.  Eigenvalues are sorted descending by a
+    stable sort.  The top one, <lambda, d>, is simple: every other weight is
+    lambda minus a sum of positive roots e_i - e_j (i < j), and d is strictly
+    decreasing.
     """
-    bt = rep.float_basis().T  # ambient x dim, full column rank
-    q, r = np.linalg.qr(bt)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs
-    r = signs[:, None] * r
-    tau_big = rep.ambient_generator_sum()
-    tau_q = q.T @ tau_big @ q
-    tau_q = (tau_q + tau_q.T) / 2.0
-    w, v = np.linalg.eigh(tau_q)
-    w, v = w[::-1].copy(), v[:, ::-1].copy()
-    if w[0] - w[1] < gap_tol:
-        raise SpectralGapError(
-            f"top eigenvalue gap {w[0] - w[1]:.3e} below {gap_tol:.1e}"
-        )
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0:
-            v[:, j] = -v[:, j]
-    return EigenChart(rep=rep, mu=w, vectors=v, r_mat=r, r_inv=np.linalg.inv(r))
+    n = rep.n
+    d, p = generator_sum_spectrum(build_pinning(n))
+    dims = [math.comb(n, k) for k in rep.factors]
+    # occupancy[r, i]: how often index i lies in the factor subsets of pivot r
+    occupancy = sum(
+        np.array([[i in s for i in range(n)] for s in itertools.combinations(range(n), k)])[digits]
+        for k, digits in zip(rep.factors, np.unravel_index(rep.pivot_cols, dims))
+    )
+    spaces: dict = {}
+    for r, weight in enumerate(map(tuple, occupancy)):
+        spaces.setdefault(weight, []).append(r)
+    frame = np.zeros((rep.ambient_dim, rep.dim))
+    blocks = []
+    for rows in spaces.values():
+        cols = sorted(set().union(*(rep.rows[r] for r in rows)))
+        block = np.array([[float(rep.rows[r].get(c, 0)) for c in cols] for r in rows])
+        q, tri = np.linalg.qr(block.T)
+        frame[np.ix_(cols, rows)] = q * np.sign(np.diag(tri))
+        blocks.append((rows, cols, block))
+    for axis, k in enumerate(rep.factors):  # frame <- rho(P) frame, one factor at a time
+        shaped = frame.reshape(*dims, rep.dim)
+        frame = np.moveaxis(np.tensordot(_compound(p, k), shaped, axes=(1, axis)), 0, axis)
+    mu = occupancy @ d
+    order = np.argsort(-mu, kind="stable")
+    frame = frame.reshape(rep.ambient_dim, rep.dim)[:, order]
+    # the components frame^T x of the ambient vector x = sum_r c_r row_r
+    inv = np.empty((rep.dim, rep.dim))
+    for rows, cols, block in blocks:
+        inv[:, rows] = frame[cols].T @ block.T
+    return EigenChart(rep=rep, mu=mu[order], eigvecs=frame[list(rep.pivot_cols)], eigvecs_inv=inv)
 
 
 def chart_coords(chart: EigenChart, line: LineCoords) -> np.ndarray:
@@ -410,7 +419,7 @@ def chart_coords(chart: EigenChart, line: LineCoords) -> np.ndarray:
     error on a nominally nonnegative input signals numerical trouble.
     """
     vec = np.asarray(line.to_float().vec, dtype=np.float64)
-    a = chart.vectors.T @ (chart.r_mat @ vec)
+    a = chart.eigvecs_inv @ vec
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         raise ValueError("zero vector does not span a line")
@@ -425,4 +434,4 @@ def chart_line(chart: EigenChart, p: np.ndarray) -> LineCoords:
     if p.shape != (chart.ncoords,):
         raise ValueError(f"expected {chart.ncoords} coordinates, got {p.shape}")
     a = np.concatenate([[1.0], p])
-    return LineCoords(chart.r_inv @ (chart.vectors @ a), FLOAT)
+    return LineCoords(chart.eigvecs @ a, FLOAT)

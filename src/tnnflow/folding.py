@@ -59,16 +59,14 @@ def _signed_antidiagonal(n: int) -> np.ndarray:
 
 
 def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
-    """sigma(g) = S (g^T)^{-1} S^T; exact when g is exact.
+    """sigma(g) = S (g^T)^{-1} S^T, for an exact g (float entries raise ``TypeError``).
 
     S X S^T for X = (g^T)^-1 is X with both indices reversed and entry
     (a, b) signed (-1)^(a+b).
     """
-    m = g.entries
-    if linalg.is_rational_array(m):
-        out = linalg.inv(m.T)[::-1, ::-1]
-    else:
-        out = np.linalg.inv(np.asarray(m, dtype=np.float64).T)[::-1, ::-1]
+    if not linalg.is_rational_array(g.entries):
+        raise TypeError("exact entries required; rationalize float input first")
+    out = linalg.inv(g.entries.T)[::-1, ::-1]
     out[1::2, ::2] *= -1
     out[::2, 1::2] *= -1
     return GroupElement(out, g.field)

@@ -96,6 +96,14 @@ def test_one_param_matrices(pin3):
         one_param(pin3, "coweight", 1, Fraction(0))
 
 
+def test_one_param_refuses_float_parameter(pin3):
+    for t in (0.5, np.float64(0.5)):
+        for kind in ("x", "y", "coweight"):
+            with pytest.raises(TypeError):
+                one_param(pin3, kind, 1, t)
+    assert one_param(pin3, "x", 2, np.int64(3)).entries[1, 2] == 3
+
+
 def test_one_param_product_pinned(pin3):
     g = (
         one_param(pin3, "y", 1, Fraction(1))

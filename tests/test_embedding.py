@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from tnnflow import linalg
-from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, build_pinning, exp_generator_sum, one_param
+from tnnflow.chevalley import (
+    FLOAT,
+    RATIONAL,
+    GroupElement,
+    build_pinning,
+    exp_generator_sum,
+    generator_sum_spectrum,
+    one_param,
+)
 from tnnflow.embedding import (
     ChartOverflowError,
     build_rep,
@@ -22,6 +30,21 @@ from tnnflow.embedding import (
     weyl_dim,
 )
 from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
+
+
+def _tau_times(rep, x):
+    """sum_i E_i + F_i applied to the rows of x (one per ambient index), through
+    the index moves ``rep.ambient_e`` and ``rep.ambient_f``."""
+    out = np.zeros_like(x)
+    for moves in (*rep.ambient_e.values(), *rep.ambient_f.values()):
+        for a, targets in enumerate(moves):
+            out[list(targets)] += x[a]
+    return out
+
+
+def _ambient_tau(rep):
+    """The generator sum on the ambient space, as a dense float matrix."""
+    return _tau_times(rep, np.eye(rep.ambient_dim))
 
 
 def test_lambda_for_places_ones_off_J():
@@ -48,7 +71,7 @@ def test_fundamental_rep_is_wedge_power():
     assert rep.dim == rep.ambient_dim == 6
     assert rep.labels == ("12", "13", "14", "23", "24", "34")
     assert rep.rows == tuple({a: 1} for a in range(6))
-    tau = rep.ambient_generator_sum()
+    tau = _ambient_tau(rep)
     assert np.array_equal(tau, tau.T)
 
 
@@ -93,7 +116,7 @@ def test_sl3_complete_module_shape(rep3):
     assert rep3.factors == (1, 2)
     # the ambient generator sum is symmetric (E^T = F there); the module
     # basis is echelon, not orthonormal, so symmetry is only ambient
-    big = rep3.ambient_generator_sum()
+    big = _ambient_tau(rep3)
     assert np.max(np.abs(big - big.T)) == 0
 
 
@@ -229,21 +252,109 @@ def test_eigenchart_42(chart42):
 
 
 def test_chart_roundtrip(chart3, rng):
-    p = rng.normal(size=chart3.ncoords)
-    line = chart_line(chart3, p)
-    q = chart_coords(chart3, line)
-    assert np.max(np.abs(p - q)) < 1e-10
+    """chart_coords inverts chart_line, also where eigenvalues repeat: with
+    multiplicity 2 at (3, ()), up to 8 at (4, ()) and up to 7 at (5, {1,4})."""
+    for chart in (chart3, *(eigenchart(build_rep(lambda_for(n, J))) for n, J in ((4, ()), (5, (1, 4))))):
+        p = rng.normal(size=chart.ncoords)
+        line = chart_line(chart, p)
+        q = chart_coords(chart, line)
+        assert np.max(np.abs(p - q)) < 1e-10
 
 
 def test_chart_overflow():
     rep = build_rep(lambda_for(3, ()))
     chart = eigenchart(rep)
     # a line orthogonal to the top eigenvector has no chart coordinates
-    vec = chart.r_inv @ chart.vectors[:, 3]
+    vec = chart.eigvecs[:, 3]
     from tnnflow.embedding import LineCoords
 
     with pytest.raises(ChartOverflowError):
         chart_coords(chart, LineCoords(vec, FLOAT))
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, ()), (5, (1, 4))])
+def test_eigenvectors_are_rho_p_on_orthonormal_weight_bases(n, J):
+    """Each eigenvector is rho(P) q, q from one weight space's echelon rows
+    orthonormalized in pivot order with a positive diagonal.
+
+    rho(P) is built here as a dense Kronecker product of compounds, each
+    entry one determinant of a submatrix of P.  Pulled back by rho(P)^T, the
+    eigenvectors of one weight space must meet its echelon rows in a lower
+    triangular matrix with a positive diagonal, and keep the rows' order.
+    """
+    rep = build_rep(lambda_for(n, J))
+    chart = eigenchart(rep)
+    _, p = generator_sum_spectrum(build_pinning(n))
+    rho = np.ones((1, 1))
+    for k in rep.factors:
+        subsets = list(itertools.combinations(range(n), k))
+        rho = np.kron(rho, [[np.linalg.det(p[np.ix_(s, t)]) for t in subsets] for s in subsets])
+    basis = rep.float_basis()
+    frame = rho.T @ basis.T @ chart.eigvecs
+    weights = np.array(_ambient_weights(n, rep.factors))
+    row_weight = [tuple(weights[c]) for c in rep.pivot_cols]
+    col_weight = [tuple(weights[int(np.argmax(np.abs(frame[:, j])))]) for j in range(rep.dim)]
+    for j, w in enumerate(col_weight):
+        assert np.max(np.abs(frame[(weights != w).any(axis=1), j]), initial=0.0) <= 1e-12
+    for w in set(row_weight):
+        rows = [r for r in range(rep.dim) if row_weight[r] == w]
+        cols = [j for j in range(rep.dim) if col_weight[j] == w]
+        assert len(rows) == len(cols)
+        meet = basis[rows] @ frame[:, cols]
+        assert np.max(np.abs(np.triu(meet, 1))) <= 1e-12
+        assert np.all(np.diag(meet) > 1e-6)
+    assert np.allclose(frame.T @ frame, np.eye(rep.dim), atol=1e-12)
+
+
+def _eigh_chart(rep):
+    """The numerical route: orthonormalize the module basis by QR, diagonalize
+    the generator sum in that frame with ``eigh``.  Returns the eigenvalues,
+    descending, and the eigenvectors as ambient columns."""
+    q, _ = np.linalg.qr(rep.float_basis().T)
+    w, v = np.linalg.eigh(q.T @ _tau_times(rep, q))
+    return w[::-1], q @ v[:, ::-1]
+
+
+@pytest.mark.parametrize(
+    "n,J",
+    [(3, ()), (3, (2,)), (4, (2,)), (4, (1,)), (4, (1, 3)), (4, ()), (5, (2, 3)), (5, (1, 4)), (5, ())],
+)
+def test_eigenchart_matches_eigh_oracle(n, J):
+    """The closed-form chart against ``eigh`` on the module, up to dim 1024.
+
+    Eigenvalues agree to 1e-12.  The eigenvectors, mapped to the ambient space
+    through the echelon rows, are orthonormal and satisfy tau E = E diag(mu) to
+    1e-12 in the Frobenius norm, with tau applied through the index moves.
+    Inside a repeated eigenvalue the two bases differ, so TNN flags are
+    compared by their chart norm and by their norm within each eigenspace.
+    The oracle's eigenvectors carry an error of about eps * |tau| / gap in
+    every direction, which is large beside an eigenspace holding 1e-5 of the
+    point, so those norms are compared to 1e-12 of the chart norm.
+    """
+    rep = build_rep(lambda_for(n, J))
+    chart = eigenchart(rep)
+    mu_oracle, vecs_oracle = _eigh_chart(rep)
+    assert np.max(np.abs(chart.mu - mu_oracle)) <= 1e-12
+    assert chart.gap > 0.5 and np.all(np.diff(chart.mu) <= 0)
+
+    basis = rep.float_basis()
+    e = basis.T @ chart.eigvecs
+    assert np.linalg.norm(_tau_times(rep, e) - e * chart.mu) <= 1e-12
+    assert np.linalg.norm(e.T @ e - np.eye(rep.dim)) <= 1e-12
+
+    # eigenspace index of each chart coordinate
+    space = np.cumsum(np.diff(chart.mu) < -1e-9)
+    rng = np.random.default_rng([n, *J, 10])
+    for _ in range(3):
+        line = line_of(rep, sample_params(standard_word_w0(n), rng), "lower")
+        p = chart_coords(chart, line)
+        a = vecs_oracle.T @ (basis.T @ line.to_float().vec)
+        want = a[1:] / a[0]
+        norm = np.linalg.norm(want)
+        assert abs(np.linalg.norm(p) - norm) <= 1e-12 * norm
+        for k in np.unique(space):
+            at = space == k
+            assert abs(np.linalg.norm(p[at]) - np.linalg.norm(want[at])) <= 1e-12 * norm, k
 
 
 def test_chart_coords_of_tnn_flags_are_finite(chart3, rng):

@@ -77,6 +77,12 @@ def test_apply_group_matches_literal_product(n):
         assert np.equal(got @ s @ g.entries.T @ s.T, linalg.rational_identity(n)).all()
 
 
+def test_apply_group_refuses_float_entries(fold4, pin4):
+    g = one_param(pin4, "y", 2, Fraction(7, 2)) @ one_param(pin4, "x", 3, Fraction(2))
+    with pytest.raises(TypeError):
+        apply_group(fold4, g.to_float())
+
+
 def test_sigma_is_involution_and_fixes_tau(fold4, pin4):
     g = one_param(pin4, "y", 2, Fraction(7, 2)) @ one_param(pin4, "x", 3, Fraction(2))
     assert np.equal(apply_group(fold4, apply_group(fold4, g)).entries, g.entries).all()
