@@ -36,6 +36,9 @@ COMMANDS = [
     ["fold", "--count", "30"],
     ["fold", "--n", "6", "--count", "2", "--seed", "0"],
     ["fold", "--n", "8", "--count", "30", "--seed", "1"],
+    # larger stacks for the fold gate, which flows all its samples at once
+    ["fold", "--n", "4", "--count", "300", "--seed", "2"],
+    ["fold", "--n", "6", "--count", "60", "--seed", "3"],
     ["sample", "--n", "3", "--count", "3"],
     ["sample", "--n", "6", "--side", "group", "--count", "3", "--seed", "0", "--format", "json"],
     ["sample", "--n", "6", "--side", "lower", "--count", "3", "--seed", "0", "--format", "json"],

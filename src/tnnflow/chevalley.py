@@ -37,7 +37,10 @@ class GroupElement:
 
     ``field`` records which arithmetic the entries live in; exact elements
     compose exactly, and mixing an exact element with a float one demotes
-    the product to floats.
+    the product to floats.  Calling the constructor checks an exact
+    determinant; elements whose determinant is 1 by construction (factor
+    products, one-parameter subgroups, sigma images) are built through
+    :meth:`_det_one` instead.
     """
 
     entries: np.ndarray
@@ -53,13 +56,22 @@ class GroupElement:
             raise ValueError("exact group element must have determinant 1")
         self.entries.setflags(write=False)
 
+    @classmethod
+    def _det_one(cls, entries: np.ndarray) -> "GroupElement":
+        """An exact element whose determinant is 1 by theorem, built without re-proving it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "entries", entries)
+        object.__setattr__(g, "field", RATIONAL)
+        entries.setflags(write=False)
+        return g
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.field == RATIONAL and other.field == RATIONAL:
-            return GroupElement(self.entries @ other.entries, RATIONAL)
+            return GroupElement._det_one(self.entries @ other.entries)  # det is multiplicative
         return GroupElement(
             linalg.to_float(self.entries) @ linalg.to_float(other.entries), FLOAT
         )
@@ -139,7 +151,7 @@ def one_param(pinning: Pinning, kind: str, i: int, t) -> GroupElement:
         m[i, i] = 1 / t
     else:
         raise ValueError(f"kind must be 'x', 'y' or 'coweight', got {kind!r}")
-    return GroupElement(m, RATIONAL)
+    return GroupElement._det_one(m)
 
 
 def generator_sum(pinning: Pinning) -> np.ndarray:

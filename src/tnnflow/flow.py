@@ -24,6 +24,7 @@ from . import linalg
 from .chevalley import FLOAT, GroupElement, Pinning, build_pinning, exp_generator_sum, generator_sum_spectrum
 from .embedding import EigenChart, LineCoords, chart_coords, line_of
 from .totpos import (
+    FactorizationParams,
     Membership,
     Sl3Coords,
     sample_params,
@@ -431,17 +432,26 @@ def commutation_check(
 
     Path one: act on the flag matrix, embed, read chart coordinates.
     Path two: embed first, read chart coordinates, flow diagonally.
-    Both are returned with their max coordinate difference.
+    Both are returned with their max coordinate difference.  ``params`` is
+    one factorization or a sequence of them; exp(t tau) is built once for
+    the whole sequence, whose chart points come back as rows.
     """
+    single = isinstance(params, FactorizationParams)
+    batch = [params] if single else list(params)
+    if not batch:
+        raise ValueError("the commutation check needs at least one sample")
     flow = DiagonalFlow.from_chart(chart)
-    g = sample_positive(params, side)
-    acted = exp_generator_sum(pinning, t).entries @ linalg.to_float(g.entries)
-    line_acted = line_of(chart.rep, GroupElement(acted, FLOAT))
-    p_acted = chart_coords(chart, line_acted)
-
-    p_start = chart_coords(chart, line_of(chart.rep, g))
-    p_flowed = flow_point(flow, t, p_start)
+    exp_t = exp_generator_sum(pinning, t).entries
+    acted, flowed = [], []
+    for p in batch:
+        g = sample_positive(p, side)
+        moved = GroupElement(exp_t @ linalg.to_float(g.entries), FLOAT)
+        acted.append(chart_coords(chart, line_of(chart.rep, moved)))
+        flowed.append(flow_point(flow, t, chart_coords(chart, line_of(chart.rep, g))))
+    p_acted, p_flowed = np.array(acted), np.array(flowed)
     diff = float(np.max(np.abs(p_acted - p_flowed)))
+    if single:
+        p_acted, p_flowed = p_acted[0], p_flowed[0]
     return {"acted": p_acted, "flowed": p_flowed, "max_diff": diff}
 
 
@@ -492,8 +502,11 @@ def invariance_check(
     complete SL(3) case the (v, w) membership oracle, read straight off the
     columns of exp(t tau) u, must simultaneously say PositivePart.  The
     negative control re-runs the first sample at t = 0, where the certificate
-    must fail.
+    must fail.  ``count`` below 1 raises ``ValueError``: an empty sample
+    would certify nothing.
     """
+    if count < 1:
+        raise ValueError(f"the invariance check needs count >= 1, got {count}")
     pin = build_pinning(case.n)
     word = standard_word_w0(case.n)
     ell = len(word)

@@ -69,7 +69,7 @@ def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
     out = linalg.inv(g.entries.T)[::-1, ::-1]
     out[1::2, ::2] *= -1
     out[::2, 1::2] *= -1
-    return GroupElement(out, g.field)
+    return GroupElement._det_one(out)  # det(S g^-T S^T) = det(g)^-1
 
 
 def build_folding(n: int) -> Folding:
@@ -182,6 +182,8 @@ def _flowed_flag(step: np.ndarray, nsteps: int, m: np.ndarray) -> np.ndarray:
     QR preserves leading column spans -- hence the flag -- so orthonormalizing
     after each modest step keeps every intermediate well conditioned, and the
     returned frame Q carries the flag: its leading k columns span the k-plane.
+    ``m`` may be one matrix or a stack of them; a stack is flowed with one
+    stacked product and one stacked QR per step.
     """
     q, _ = np.linalg.qr(np.asarray(m, dtype=np.float64))
     for _ in range(nsteps):
@@ -189,19 +191,25 @@ def _flowed_flag(step: np.ndarray, nsteps: int, m: np.ndarray) -> np.ndarray:
     return q
 
 
-def _frame_gap(qa: np.ndarray, qb: np.ndarray) -> float:
+def _frame_gap(qa: np.ndarray, qb: np.ndarray):
     """Largest sine of the principal angles between the nested spans of two frames.
 
     For orthonormal frames, ``||Qb_k - Qa_k Qa_k^T Qb_k||_2`` is the sine of
     the largest principal angle between the spans of the leading k columns
     (Bjorck-Golub 1973); the maximum over k = 1..n-1 is 0 iff the flags agree,
-    whatever basis each frame picks within its subspaces.
+    whatever basis each frame picks within its subspaces.  For one pair of
+    frames the gap is a float; for two stacks it is an array, one gap per pair.
     """
     gaps = [
-        np.linalg.norm(qb[:, :k] - qa[:, :k] @ (qa[:, :k].T @ qb[:, :k]), 2)
-        for k in range(1, qa.shape[0])
+        np.linalg.norm(
+            qb[..., :k] - qa[..., :k] @ (np.swapaxes(qa[..., :k], -1, -2) @ qb[..., :k]),
+            2,
+            axis=(-2, -1),
+        )
+        for k in range(1, qa.shape[-2])
     ]
-    return float(max(gaps, default=0.0))
+    worst = np.max(gaps, axis=0) if gaps else np.zeros(qa.shape[:-2])
+    return float(worst) if qa.ndim == 2 else worst
 
 
 def _flow_steps(t: float, max_step: float = 0.5) -> int:
@@ -232,13 +240,18 @@ def fixed_locus_flow_check(
     through exact group identities -- sigma(exp(t tau) u) = S exp(-t tau) S^T
     sigma(u) with sigma(u) computed on rationals -- and both sides go through
     :func:`_flowed_flag` so neither is polluted by the ~1e12 conditioning of
-    the raw product at t = 5.  A deliberately de-symmetrized sample must
-    fail, exactly at t = 0 and beyond ``1e-6`` at every t > 0, which guards
-    against a vacuously symmetric pipeline.
+    the raw product at t = 5.  All samples are drawn first and then flowed
+    as one stack; the witness is the first failing (sample, time) in sample
+    order.  A deliberately de-symmetrized sample must fail, exactly at t = 0
+    and beyond ``1e-6`` at every t > 0, which guards against a vacuously
+    symmetric pipeline.  ``count`` below 1 raises ``ValueError``: an empty
+    sample would certify nothing.
     """
     n = folding.n
     if n < 4:
         raise ValueError(f"the fixed-locus check needs n >= 4 (a mirrored pair to untie), got {n}")
+    if count < 1:
+        raise ValueError(f"the fixed-locus check needs count >= 1, got {count}")
     pin = build_pinning(n)
     word, blocks = symmetric_word(n)
     s = linalg.to_float(folding.s_matrix)
@@ -249,17 +262,17 @@ def fixed_locus_flow_check(
         bwd = s @ exp_generator_sum(pin, -t / k).entries @ s.T
         step_cache[t] = (k, fwd, bwd)
 
-    def flag_gap(u, su) -> dict:
-        uf, suf = linalg.to_float(u.entries), linalg.to_float(su.entries)
+    def flag_gaps(us, sus) -> dict:
+        """For each time, the fold gaps of a stack of elements against their sigma images."""
+        uf = np.array([linalg.to_float(u.entries) for u in us])
+        suf = np.array([linalg.to_float(su.entries) for su in sus])
         gaps = {}
         for t in times:
             k, fwd, bwd = step_cache[t]
             gaps[t] = _frame_gap(_flowed_flag(fwd, k, uf), _flowed_flag(bwd, k, suf))
         return gaps
 
-    worst = 0.0
-    all_fixed = True
-    witness = None
+    us, sus = [], []
     for k in range(count):
         zero_blocks = None
         if k % 3 == 1:  # mix boundary samples in
@@ -270,18 +283,30 @@ def fixed_locus_flow_check(
         su = apply_group(folding, u)
         if not np.equal(su.entries, u.entries).all():
             raise AssertionError("symmetric sampler produced a non-fixed element")
-        for t, gap in flag_gap(u, su).items():
+        us.append(u)
+        sus.append(su)
+
+    # negative control, drawn after the samples
+    control = break_symmetry(symmetric_params(n, rng))
+    u_bad = sample_positive(control, "lower")
+    su_bad = apply_group(folding, u_bad)
+
+    gaps = flag_gaps(us, sus)
+    worst = 0.0
+    all_fixed = True
+    witness = None
+    for k in range(count):
+        for t in times:
+            gap = float(gaps[t][k])
             worst = max(worst, gap)
             if gap > tol:
                 all_fixed = False
                 witness = witness or {"sample": k, "time": t, "gap": gap}
 
-    # negative control
-    control = break_symmetry(symmetric_params(n, rng))
-    u_bad = sample_positive(control, "lower")
-    su_bad = apply_group(folding, u_bad)
     control_broken = not np.equal(su_bad.entries, u_bad.entries).all()
-    control_broken = control_broken and all(g > 1e-6 for g in flag_gap(u_bad, su_bad).values())
+    control_broken = control_broken and all(
+        g[0] > 1e-6 for g in flag_gaps([u_bad], [su_bad]).values()
+    )
 
     return {
         "n": n,

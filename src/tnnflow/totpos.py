@@ -193,7 +193,8 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
     if not all(isinstance(t, Rational) for _, _, t in factors):
         raise TypeError("exact parameters required; rationalize float parameters first")
     steps = [(kind, i, Fraction(t)) for kind, i, t in factors]
-    return GroupElement(_exact_product(word.n, steps), RATIONAL)
+    # unipotent and coweight factors all have determinant 1
+    return GroupElement._det_one(_exact_product(word.n, steps))
 
 
 def _reduced(column: list, den: int) -> tuple[list, int]:

@@ -119,6 +119,22 @@ def test_group_element_rejects_wrong_determinant():
         GroupElement(bad, RATIONAL)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_closed_constructions_have_determinant_one(n):
+    """one_param and exact products skip the det check; the exact det is still 1."""
+    pin = build_pinning(n)
+    ts = (Fraction(3, 7), Fraction(-5, 2), Fraction(11))
+    product = GroupElement(linalg.rational_identity(n), RATIONAL)
+    for kind in ("x", "y", "coweight"):
+        for i in pin.indices:
+            for t in ts:
+                g = one_param(pin, kind, i, t)
+                assert g.field == RATIONAL and linalg.det(g.entries) == 1
+                product = product @ g
+                assert product.field == RATIONAL and linalg.det(product.entries) == 1
+    assert not product.entries.flags.writeable
+
+
 def test_exp_sl2_closed_form():
     # for n = 2 the sum is [[0,1],[1,0]] and exp(t tau) = cosh/sinh
     pin = build_pinning(2)

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from tnnflow import linalg
+from tnnflow.chevalley import RATIONAL, GroupElement
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
 
 
@@ -286,6 +288,24 @@ def test_verify_quick_run_passes(capsys):
         "fixed_point",
         "representation_dims",
     }
+
+
+def test_verify_makes_no_exact_det_call(capsys, monkeypatch):
+    """Every exact element verify builds has det 1 by construction, so none is re-proved."""
+    calls = []
+    det = linalg.det
+
+    def counted(a):
+        calls.append(a.shape)
+        return det(a)
+
+    monkeypatch.setattr(linalg, "det", counted)
+    code, _, _ = run_cli(capsys, "verify", "--seed", "7", "--count", "10")
+    assert code == 0
+    assert calls == []
+    # the counter sees the checked constructor
+    GroupElement(linalg.rational_identity(3), RATIONAL)
+    assert calls == [(3, 3)]
 
 
 def test_verify_is_deterministic(capsys):

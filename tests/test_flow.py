@@ -186,6 +186,25 @@ def test_line_to_sl3_coords_roundtrip(chart3, rng):
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_invariance_check_refuses_an_empty_sample(rep3, rng, count):
+    with pytest.raises(ValueError, match="count"):
+        invariance_check(default_invariance_cases()[0], rep3, 0.1, rng, count=count)
+
+
+def test_commutation_check_takes_a_batch(pin3, chart3):
+    """A batch gives each sample's points as rows, the same as one call per sample."""
+    word = standard_word_w0(3)
+    batch = [sample_params(word, np.random.default_rng(k)) for k in range(3)]
+    result = commutation_check(pin3, chart3, batch, 1.0)
+    singles = [commutation_check(pin3, chart3, params, 1.0) for params in batch]
+    assert result["max_diff"] == max(r["max_diff"] for r in singles)
+    for key in ("acted", "flowed"):
+        assert np.array_equal(result[key], np.array([r[key] for r in singles]))
+    with pytest.raises(ValueError):
+        commutation_check(pin3, chart3, [], 1.0)
+
+
 def test_invariance_all_cases(rng):
     from tnnflow.embedding import build_rep, lambda_for
 

@@ -9,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnnflow import linalg
-from tnnflow.chevalley import RATIONAL, GroupElement, build_pinning, generator_sum, one_param
+from tnnflow.chevalley import (
+    RATIONAL,
+    GroupElement,
+    build_pinning,
+    exp_generator_sum,
+    generator_sum,
+    one_param,
+)
 from tnnflow.folding import (
+    _flow_steps,
+    _flowed_flag,
     _frame_gap,
     apply_group,
     break_symmetry,
@@ -75,6 +84,18 @@ def test_apply_group_matches_literal_product(n):
         assert np.equal(got, s @ linalg.inv(g.entries.T) @ s.T).all()
         # and without any inverse: sigma(g) S g^T S^T = I
         assert np.equal(got @ s @ g.entries.T @ s.T, linalg.rational_identity(n)).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_apply_group_keeps_determinant_one(n):
+    """apply_group skips the det check: det(S g^-T S^T) = det(g)^-1 = 1."""
+    fold = build_folding(n)
+    rng = np.random.default_rng([n, 23])
+    word = standard_word_w0(n)
+    for side, group in (("group", True), ("lower", False), ("upper", False)):
+        g = sample_positive(sample_params(word, rng, zero_mask=[0], group=group), side)
+        image = apply_group(fold, g)
+        assert image.field == RATIONAL and linalg.det(image.entries) == 1
 
 
 def test_apply_group_refuses_float_entries(fold4, pin4):
@@ -170,6 +191,86 @@ def test_fixed_locus_flow_check(fold4, rng):
     assert report["passed"], report
     assert report["worst_gap"] <= 1e-10
     assert report["control_broken"]
+
+
+def _per_sample_fold_check(folding, rng, times, count, tol):
+    """The fold gate flowed one sample at a time, as an oracle for the stacked gate.
+
+    Same draws, same order; each sample and the control go through
+    :func:`_flowed_flag` and :func:`_frame_gap` as a single pair.
+    """
+    n = folding.n
+    pin = build_pinning(n)
+    blocks = symmetric_word(n)[1]
+    s = linalg.to_float(folding.s_matrix)
+    steps = {}
+    for t in times:
+        k = _flow_steps(t)
+        bwd = s @ exp_generator_sum(pin, -t / k).entries @ s.T
+        steps[t] = (k, exp_generator_sum(pin, t / k).entries, bwd)
+
+    def flag_gap(u, su):
+        uf, suf = linalg.to_float(u.entries), linalg.to_float(su.entries)
+        return {
+            t: _frame_gap(_flowed_flag(fwd, k, uf), _flowed_flag(bwd, k, suf))
+            for t, (k, fwd, bwd) in steps.items()
+        }
+
+    worst, all_fixed, witness = 0.0, True, None
+    for k in range(count):
+        zero_blocks = None
+        if k % 3 == 1:
+            size = int(rng.integers(1, len(blocks)))
+            zero_blocks = rng.choice(len(blocks), size=size, replace=False).tolist()
+        u = sample_positive(symmetric_params(n, rng, zero_blocks=zero_blocks), "lower")
+        for t, gap in flag_gap(u, apply_group(folding, u)).items():
+            assert isinstance(gap, float)
+            worst = max(worst, gap)
+            if gap > tol:
+                all_fixed = False
+                witness = witness or {"sample": k, "time": t, "gap": gap}
+    u_bad = sample_positive(break_symmetry(symmetric_params(n, rng)), "lower")
+    su_bad = apply_group(folding, u_bad)
+    control_broken = not np.equal(su_bad.entries, u_bad.entries).all()
+    control_broken = control_broken and all(g > 1e-6 for g in flag_gap(u_bad, su_bad).values())
+    return {"worst_gap": worst, "witness": witness, "all_fixed": all_fixed, "control_broken": control_broken}
+
+
+@pytest.mark.parametrize("n, count", [(4, 40), (6, 10), (8, 7)])
+def test_stacked_fold_gate_matches_per_sample_flow(n, count):
+    """Flowing all samples as one stack changes no bit of the gate's verdict.
+
+    Every third sample from the second on zeroes whole blocks (boundary
+    samples).  Beside the gate's own 1e-10, tolerances at 0, a half and nine
+    tenths of the worst round-off gap make some gaps fail, so the witness --
+    the first failing (sample, time) in sample order -- is compared too.
+    """
+    fold = build_folding(n)
+    times = (0.1, 1.0, 5.0)
+    worst = _per_sample_fold_check(fold, np.random.default_rng([n, 5]), times, count, 1e-10)["worst_gap"]
+    assert 0.0 < worst <= 1e-10
+    for tol in (1e-10, 0.0, 0.5 * worst, 0.9 * worst):
+        got = fixed_locus_flow_check(fold, np.random.default_rng([n, 5]), times=times, count=count, tol=tol)
+        want = _per_sample_fold_check(fold, np.random.default_rng([n, 5]), times, count, tol)
+        assert {key: got[key] for key in want} == want, tol
+        assert want["control_broken"]
+        assert (want["witness"] is None) == (tol == 1e-10)
+
+
+def test_frame_gap_of_stacks_is_the_gap_of_each_pair(rng):
+    qa = np.linalg.qr(rng.standard_normal((5, 4, 4)))[0]
+    qb = np.linalg.qr(rng.standard_normal((5, 4, 4)))[0]
+    stacked = _frame_gap(qa, qb)
+    assert stacked.shape == (5,)
+    assert stacked.tolist() == [_frame_gap(a, b) for a, b in zip(qa, qb)]
+    flowed = _flowed_flag(qa[0], 3, qb)
+    assert all(np.array_equal(f, _flowed_flag(qa[0], 3, b)) for f, b in zip(flowed, qb))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_fixed_locus_flow_check_refuses_an_empty_sample(fold4, rng, count):
+    with pytest.raises(ValueError, match="count"):
+        fixed_locus_flow_check(fold4, rng, count=count)
 
 
 def test_frame_gap_ignores_the_basis_within_each_subspace(rng):

@@ -86,6 +86,24 @@ def test_unipotent_samples_are_tnn(side):
             assert np.allclose(np.triu(tri, 1), 0.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_samples_have_determinant_one(n):
+    """sample_positive skips the det check; the exact det of every side is still 1."""
+    rng = np.random.default_rng([n, 3])
+    word = standard_word_w0(n)
+    ell = len(word)
+    for mask in (None, [0], list(range(0, ell, 2))):
+        for side in ("upper", "lower"):
+            g = sample_positive(sample_params(word, rng, zero_mask=mask), side)
+            assert linalg.det(g.entries) == 1
+        with_torus = sample_params(word, rng, zero_mask=mask, group=True)
+        without_torus = FactorizationParams(word, with_torus.t)
+        for params in (with_torus, without_torus):
+            g = sample_positive(params, "group")
+            assert g.field == RATIONAL and linalg.det(g.entries) == 1
+            assert not g.entries.flags.writeable
+
+
 def test_zero_mask_lands_on_boundary():
     rng = np.random.default_rng(1)
     word = standard_word_w0(3)
