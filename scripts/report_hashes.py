@@ -33,6 +33,9 @@ COMMANDS = [
     ["flow", "--crossing", "--n", "4"],
     ["flow", "--crossing", "--n", "4", "--J", "1,3"],
     ["flow", "--crossing", "--n", "5"],
+    # the largest module built here, dim 1960, and a crossing in the past
+    ["flow", "--crossing", "--n", "6", "--J", "1,5"],
+    ["flow", "--t", "2", "--seed", "3", "--crossing", "--radius", "1e6"],
     ["fold", "--count", "30"],
     ["fold", "--n", "6", "--count", "2", "--seed", "0"],
     ["fold", "--n", "8", "--count", "30", "--seed", "1"],

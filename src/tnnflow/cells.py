@@ -165,7 +165,7 @@ def _pattern_dim(coords: Sl3Coords) -> int:
         [0, 0, 0, 1, 1, 1],
         [w[0], -w[1], w[2], v[0], -v[1], v[2]],
     ]
-    jac = [{j: Fraction(g[k]) for j, k in enumerate(free) if g[k] != 0} for g in grads]
+    jac = [{j: g[k] for j, k in enumerate(free) if g[k] != 0} for g in grads]
     return len(free) - len(linalg.reduce_rows(jac))
 
 

@@ -11,7 +11,7 @@ positions without solving anything.
 
 Each generator E_i, F_i moves one factor's basis index at a time with
 structure constant +1, so it is stored as an index map on the tensor product
-and applied to sparse ``{flat index: Fraction}`` vectors.  Every vector of
+and applied to sparse ``{flat index: int}`` vectors.  Every vector of
 the closure is a weight vector, so each echelon step touches one weight
 space only.  The basis rows stay sparse: they are the module's only exact
 form, and the chart reads them in float64 one weight space at a time.  The
@@ -187,9 +187,7 @@ class RepModule:
     ``{flat ambient index: Fraction}`` in the order of their pivots
     ``pivot_cols``; the first pivot is flat index 0, the highest vector.
     Module coordinates of an ambient vector known to lie in the module are
-    simply its entries at ``pivot_cols``.  ``ambient_e`` and ``ambient_f``
-    give E_i and F_i on the ambient space as index moves (see
-    ``_tensor_moves``).
+    simply its entries at ``pivot_cols``.
     """
 
     n: int
@@ -200,8 +198,6 @@ class RepModule:
     labels: tuple
     rows: tuple
     pivot_cols: tuple
-    ambient_e: dict
-    ambient_f: dict
 
     def float_basis(self) -> np.ndarray:
         """The basis rows as a dense (dim x ambient) float64 matrix."""
@@ -217,11 +213,17 @@ def build_rep(weight: Weight) -> RepModule:
     Inside the tensor product of fundamental factors, apply the lowering
     operators to the highest vector, one depth at a time: the weight space
     V_mu is spanned by the F_i-images of the weight spaces V_{mu + alpha_i}
-    one level up, and :func:`linalg.reduce_rows` gives each its own
-    reduced-echelon basis.  Vectors are sparse maps ``flat index ->
-    Fraction``.  An exact residual check then confirms that every E_i and
-    F_i maps the span into itself: the image of a basis row must equal the
-    combination of basis rows read off at its pivots.
+    one level up, and the integer echelon pass behind
+    :func:`linalg.reduce_rows` gives each its own reduced-echelon basis.
+    Vectors are sparse maps ``flat index -> int``: each basis row is held as
+    a primitive int vector over its pivot entry, and F_i moves entries with
+    constant +1, so lowering stays on integers.  The ``Fraction`` rows are
+    built once, at the end.
+
+    The closure is a submodule by theorem: by PBW, U(g) v = U(n-) U(b) v =
+    U(n-) v for the highest vector v.  So no generator is re-applied here;
+    the closure dimension is checked against the Weyl dimension formula,
+    and a mismatch raises ``AssertionError``.
     """
     n = weight.n
     factors = tuple(
@@ -229,10 +231,10 @@ def build_rep(weight: Weight) -> RepModule:
     )
     if not factors:
         raise ValueError("the zero weight has no projective geometry attached")
-    e_moves, f_moves, ambient_labels, weights = _tensor_moves(n, factors)
+    _, f_moves, ambient_labels, weights = _tensor_moves(n, factors)
 
     # the top subset of each factor is lexicographically first
-    rows = {0: {0: Fraction(1)}}  # pivot column -> sparse basis vector
+    rows = {0: {0: 1}}  # pivot column -> primitive int basis vector
     level = [rows[0]]
     while level:
         spanning: dict = {}
@@ -243,21 +245,15 @@ def build_rep(weight: Weight) -> RepModule:
                     spanning.setdefault(weights[next(iter(lowered))], []).append(lowered)
         level = []
         for vectors in spanning.values():
-            for pivot, vec in linalg.reduce_rows(vectors):
-                rows[pivot] = vec
-                level.append(vec)
-
-    for moves in (*e_moves.values(), *f_moves.values()):
-        for row in rows.values():
-            image = _apply(moves, row)
-            residual = dict(image)
-            for q, x in image.items():
-                for a, y in rows.get(q, {}).items():
-                    residual[a] = residual.get(a, 0) - x * y
-            if any(residual.values()):
-                raise AssertionError("closure is not invariant; construction bug")
+            basis = linalg._scaled_echelon(vectors)
+            rows.update(basis)
+            level.extend(basis.values())
 
     pivots = sorted(rows)
+    if len(pivots) != weyl_dim(weight):
+        raise AssertionError(
+            f"closure dimension {len(pivots)} != Weyl dimension {weyl_dim(weight)}; construction bug"
+        )
     return RepModule(
         n=n,
         weight=weight,
@@ -265,10 +261,9 @@ def build_rep(weight: Weight) -> RepModule:
         dim=len(pivots),
         ambient_dim=len(ambient_labels),
         labels=tuple(ambient_labels[p] for p in pivots),
-        rows=tuple(rows[p] for p in pivots),
+        # popped: each int row is freed as its Fraction row is built
+        rows=tuple(linalg._fraction_row(rows.pop(p), p) for p in pivots),
         pivot_cols=tuple(pivots),
-        ambient_e=e_moves,
-        ambient_f=f_moves,
     )
 
 

@@ -90,13 +90,30 @@ class DiagonalFlow:
         return float(-np.max(self.rates))
 
 
-def flow_point(flow: DiagonalFlow, t: float, p: np.ndarray) -> np.ndarray:
-    """Evaluate f(t, p).  Very negative t may overflow to inf (not an error)."""
+def _chart_point(flow: DiagonalFlow, p) -> np.ndarray:
+    """p as a float64 chart point of the flow; a wrong shape raises ``ValueError``."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (flow.ncoords,):
         raise ValueError(f"expected {flow.ncoords} chart coordinates, got {p.shape}")
+    return p
+
+
+def flow_point(flow: DiagonalFlow, t: float, p: np.ndarray) -> np.ndarray:
+    """Evaluate f(t, p).  Very negative t may overflow to inf (not an error)."""
+    p = _chart_point(flow, p)
     with np.errstate(over="ignore", under="ignore"):
         return np.exp(float(t) * flow.rates) * p
+
+
+def _norm_at(rates: np.ndarray, p: np.ndarray, t: float) -> float:
+    """||f(t, p)|| for a float64 point p, bit for bit ``np.linalg.norm(flow_point(...))``.
+
+    numpy's 1-d norm is ``sqrt(x.dot(x))``; this skips the argument checks
+    of :func:`flow_point`.  An overflowed norm is inf, and brackets as such.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        v = np.exp(float(t) * rates) * p
+        return math.sqrt(v.dot(v))
 
 
 def has_overflow(p: np.ndarray) -> bool:
@@ -301,36 +318,35 @@ def sphere_crossing(
         raise ValueError("the zero point never crosses a positive sphere")
     if radius <= 0:
         raise ValueError("radius must be positive")
-
-    def norm_at(t: float) -> float:
-        with np.errstate(over="ignore"):  # an overflowed norm is inf, and brackets as such
-            return float(np.linalg.norm(flow_point(flow, t, p)))
-
-    lo, hi = 0.0, 0.0  # norm_at(lo) >= radius >= norm_at(hi)
-    start = norm_at(0.0)
+    p = _chart_point(flow, p)
+    rates = flow.rates
+    lo, hi = 0.0, 0.0  # norm(lo) >= radius >= norm(hi)
+    start = _norm_at(rates, p, 0.0)
     if start >= radius:
         hi = 1.0
-        while norm_at(hi) > radius:
+        while _norm_at(rates, p, hi) > radius:
             hi *= 2.0
             if hi > 2.0**60:
                 raise RuntimeError("failed to bracket the crossing")
     else:
         lo = -1.0
-        while norm_at(lo) < radius:
+        while _norm_at(rates, p, lo) < radius:
             lo *= 2.0
             if lo < -(2.0**60):
                 raise RuntimeError("failed to bracket the crossing")
     t_star = lo
     for _ in range(max_iter):
         t_star = (lo + hi) / 2.0
-        value = norm_at(t_star)
+        value = _norm_at(rates, p, t_star)
         if abs(value - radius) <= tol * radius:
+            break
+        if t_star == lo or t_star == hi:  # every later midpoint is t_star again
             break
         if value > radius:
             lo = t_star
         else:
             hi = t_star
-    residual = norm_at(t_star) - radius
+    residual = _norm_at(rates, p, t_star) - radius
     if not abs(residual) <= tol * radius:
         raise ValueError(f"the crossing misses the sphere of radius {radius!r} by {residual!r}")
     return CrossingResult(t_star, flow_point(flow, t_star, p), radius, residual)
@@ -362,23 +378,23 @@ def converge(flow: DiagonalFlow, p: np.ndarray, tol: float) -> Convergence:
     bound = max(0.0, math.log(max(norm0, 1e-300) / tol)) / flow.log_contraction
     if norm0 < tol:
         return Convergence(0.0, norm0, bound)
-
-    def norm_at(t: float) -> float:
-        return float(np.linalg.norm(flow_point(flow, t, p)))
-
+    p = _chart_point(flow, p)
+    rates = flow.rates
     hi = 1.0
-    while norm_at(hi) >= tol:
+    while _norm_at(rates, p, hi) >= tol:
         hi *= 2.0
         if hi > 2.0**60:
             raise RuntimeError("trajectory failed to enter the target ball")
     lo = 0.0 if hi == 1.0 else hi / 2.0
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if norm_at(mid) < tol:
+        if mid == lo or mid == hi:  # the bracket cannot shrink: norm(hi) < tol <= norm(lo)
+            break
+        if _norm_at(rates, p, mid) < tol:
             hi = mid
         else:
             lo = mid
-    return Convergence(hi, norm_at(hi), bound)
+    return Convergence(hi, _norm_at(rates, p, hi), bound)
 
 
 def fixed_flag(pinning: Pinning) -> np.ndarray:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chevalley import GroupElement, build_pinning, exp_generator_sum, generator_sum, one_param
+from .chevalley import GroupElement, build_pinning, exp_generator_sum
 from .totpos import FactorizationParams, ReducedWord, _rational_positive, sample_positive
 
 __all__ = [
@@ -67,45 +67,21 @@ def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
     if not linalg.is_rational_array(g.entries):
         raise TypeError("exact entries required; rationalize float input first")
     out = linalg.inv(g.entries.T)[::-1, ::-1]
-    out[1::2, ::2] *= -1
-    out[::2, 1::2] *= -1
+    out[1::2, ::2] = -out[1::2, ::2]  # negation, not a Fraction product per entry
+    out[::2, 1::2] = -out[::2, 1::2]
     return GroupElement._det_one(out)  # det(S g^-T S^T) = det(g)^-1
 
 
 def build_folding(n: int) -> Folding:
-    """Construct the automorphism and verify its defining identities exactly.
+    """The automorphism of SL(n), realized by the signed antidiagonal S.
 
-    Checked on the nose: sigma(x_i(t)) = x_{n-i}(t) and sigma(y_i(t)) =
-    y_{n-i}(t) for sample rational t, sigma is an involution, and the
-    derivative fixes the generator sum.  A wrong sign in S would fail loudly
-    here rather than corrupt downstream symmetry checks.
+    With these signs sigma(x_i(t)) = x_{n-i}(t) and sigma(y_i(t)) = y_{n-i}(t),
+    sigma is an involution, and its derivative fixes the generator sum; the
+    tests check each identity exactly for n = 2..8.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    folding = Folding(n, _signed_antidiagonal(n))
-    pin = build_pinning(n)
-    samples = (Fraction(1), Fraction(2), Fraction(1, 2))
-    for i in pin.indices:
-        for kind in ("x", "y"):
-            for t in samples:
-                got = apply_group(folding, one_param(pin, kind, i, t))
-                want = one_param(pin, kind, folding.sigma(i), t)
-                if not np.equal(got.entries, want.entries).all():
-                    raise AssertionError(
-                        f"sigma({kind}_{i}({t})) != {kind}_{folding.sigma(i)}({t})"
-                    )
-    # involution on a generic exact element
-    probe = one_param(pin, "x", 1, Fraction(3, 7))
-    for i in pin.indices:
-        probe = probe @ one_param(pin, "y", i, Fraction(2, 3)) @ one_param(pin, "x", i, Fraction(1, 5))
-    if not np.equal(apply_group(folding, apply_group(folding, probe)).entries, probe.entries).all():
-        raise AssertionError("sigma is not an involution")
-    # derivative fixes the generator sum: -S tau^T S^T = tau
-    tau = generator_sum(pin)
-    s = folding.s_matrix
-    if not np.equal(-(s @ tau.T @ s.T), tau).all():
-        raise AssertionError("the derivative of sigma does not fix the generator sum")
-    return folding
+    return Folding(n, _signed_antidiagonal(n))
 
 
 # ---------------------------------------------------------------------------

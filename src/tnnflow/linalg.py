@@ -5,9 +5,11 @@ entries, so ``@`` composes exactly and every routine here is free of rounding.
 The one echelon routine, :func:`reduce_rows`, takes sparse rows
 ``{column: Fraction}`` instead: the highest-weight modules of
 :mod:`tnnflow.embedding` are spanned by such rows, one weight space at a
-time.  Float work is delegated to numpy proper; these helpers exist for the
-places where the answer must be a certificate (minor signs, echelon bases)
-rather than an approximation.  Determinants, inverses and minors run on
+time.  It is the ``Fraction`` view of a fraction-free pass on int rows,
+:func:`_scaled_echelon`, which the module construction calls directly.
+Float work is delegated to numpy proper; these helpers exist for the places
+where the answer must be a certificate (minor signs, echelon bases) rather
+than an approximation.  Determinants, inverses and minors run on
 Python ints: the matrix is scaled by the LCM ``D`` of its denominators, and
 one ``Fraction`` is built per result entry at the end.  The minors come from
 one integer Laplace pass, :func:`_scaled_minors`, which yields every k-minor
@@ -210,6 +212,61 @@ def _subtract(v: dict, x, b: dict) -> None:
             del v[c]
 
 
+def _primitive(v: dict, pivot) -> dict:
+    """The int row ``v`` divided by the gcd of its entries, signed so that ``v[pivot] > 0``."""
+    g = math.gcd(*v.values())
+    if v[pivot] < 0:
+        g = -g
+    return v if g == 1 else {c: x // g for c, x in v.items()}
+
+
+def _scaled_echelon(rows) -> dict:
+    """The reduced echelon basis of the span of sparse int rows, fraction-free.
+
+    Returns ``{pivot: row}``.  Each row is a primitive int vector (its entries
+    have gcd 1) whose pivot entry ``d = row[pivot]`` is positive: the reduced
+    echelon row in lowest terms is ``row / d``.  A row is reduced against the
+    basis by one scaling with the LCM of the pivots it meets, which keeps it
+    integral; a new row is then eliminated from the others by
+    ``d * b - b[pivot] * row``.  The span does not change when an input row is
+    scaled, so callers may hand in rows over any denominator.
+    """
+    basis: dict = {}  # pivot column -> primitive int row
+    for row in rows:
+        v = {c: x for c, x in row.items() if x}
+        # a basis row is zero at every other pivot, so subtracting it leaves
+        # the other pivot entries of v as they are
+        hits = [p for p in v if p in basis]
+        if hits:
+            scale = math.lcm(*(basis[p][p] for p in hits))
+            if scale != 1:
+                v = {c: x * scale for c, x in v.items()}
+            for p in hits:
+                b = basis[p]
+                _subtract(v, v[p] // b[p], b)
+        if not v:
+            continue
+        pivot = min(v)
+        v = _primitive(v, pivot)
+        d = v[pivot]
+        for p, b in basis.items():
+            x = b.get(pivot)
+            if x:
+                if d != 1:
+                    for c in b:
+                        b[c] *= d
+                _subtract(b, x, v)
+                basis[p] = _primitive(b, p)
+        basis[pivot] = v
+    return basis
+
+
+def _fraction_row(row: dict, pivot) -> dict:
+    """A row of :func:`_scaled_echelon` as the Fractions of its reduced echelon row."""
+    d = row[pivot]
+    return {c: Fraction(x, d) for c, x in row.items()}
+
+
 def reduce_rows(rows) -> list:
     """Reduced row echelon basis of the span of sparse rows ``{column: Fraction}``.
 
@@ -217,24 +274,16 @@ def reduce_rows(rows) -> list:
     its pivot entry 1, and every pivot column cleared from every other row.
     The reduced echelon basis of a span is unique, so the Fractions do not
     depend on the order of ``rows``.  Int entries are promoted to Fractions.
+    This is a view over the integer pass :func:`_scaled_echelon`: each input
+    row is scaled by the LCM of its denominators, and one ``Fraction`` is
+    built per entry of the result.
     """
-    basis: dict = {}  # pivot column -> reduced row
+    scaled = []
     for row in rows:
-        v = {c: x for c, x in row.items() if x != 0}
-        # a basis row is zero at every other pivot, so subtracting it leaves
-        # the other pivot entries of v as they are
-        for p in [c for c in v if c in basis]:
-            _subtract(v, v[p], basis[p])
-        if not v:
-            continue
-        pivot = min(v)
-        scale = 1 / Fraction(v[pivot])
-        v = {c: x * scale for c, x in v.items()}
-        for b in basis.values():
-            if pivot in b:
-                _subtract(b, b[pivot], v)
-        basis[pivot] = v
-    return sorted(basis.items())
+        scale = math.lcm(1, *(x.denominator for x in row.values()))
+        scaled.append({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
+    basis = _scaled_echelon(scaled)
+    return [(p, _fraction_row(basis[p], p)) for p in sorted(basis)]
 
 
 def cross3(u, v) -> np.ndarray:

@@ -33,6 +33,46 @@ def leibniz_det():
     return _leibniz_det
 
 
+def _subtract(v: dict, x, b: dict) -> None:
+    """``v -= x * b`` on sparse rows, in place; entries that cancel are dropped."""
+    for c, y in b.items():
+        z = v.get(c, 0) - x * y
+        if z:
+            v[c] = z
+        else:
+            del v[c]
+
+
+def _fraction_reduce_rows(rows) -> list:
+    """Reduced row echelon basis of sparse rows ``{column: Fraction}``, in Fractions.
+
+    The ``Fraction`` elimination that the integer pass of ``linalg`` replaced:
+    each row is reduced against the basis, scaled to pivot 1, and cleared from
+    every other basis row.  Returns ``[(pivot, row)]`` sorted by pivot.
+    """
+    basis: dict = {}
+    for row in rows:
+        v = {c: x for c, x in row.items() if x != 0}
+        for p in [c for c in v if c in basis]:
+            _subtract(v, v[p], basis[p])
+        if not v:
+            continue
+        pivot = min(v)
+        scale = 1 / Fraction(v[pivot])
+        v = {c: x * scale for c, x in v.items()}
+        for b in basis.values():
+            if pivot in b:
+                _subtract(b, b[pivot], v)
+        basis[pivot] = v
+    return sorted(basis.items())
+
+
+@pytest.fixture(scope="session")
+def fraction_reduce_rows():
+    """Echelon oracle for ``linalg.reduce_rows``, in ``Fraction`` arithmetic."""
+    return _fraction_reduce_rows
+
+
 def _exact_rank(a) -> int:
     """Rank of an exact matrix: the size of the reduced echelon basis of its rows."""
     return len(linalg.reduce_rows({j: x for j, x in enumerate(row) if x != 0} for row in a))

@@ -1,5 +1,6 @@
 """Highest-weight modules, the projective embedding, and the eigenbasis chart."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,8 +20,10 @@ from tnnflow.chevalley import (
     generator_sum_spectrum,
     one_param,
 )
+from tnnflow import embedding
 from tnnflow.embedding import (
     ChartOverflowError,
+    _tensor_moves,
     build_rep,
     chart_coords,
     chart_line,
@@ -32,11 +35,18 @@ from tnnflow.embedding import (
 from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
 
 
+def _generator_moves(rep):
+    """E_i and F_i on the ambient tensor product of ``rep``, as index moves."""
+    e, f, _, _ = _tensor_moves(rep.n, rep.factors)
+    return e, f
+
+
 def _tau_times(rep, x):
     """sum_i E_i + F_i applied to the rows of x (one per ambient index), through
-    the index moves ``rep.ambient_e`` and ``rep.ambient_f``."""
+    the index moves of :func:`_generator_moves`."""
     out = np.zeros_like(x)
-    for moves in (*rep.ambient_e.values(), *rep.ambient_f.values()):
+    e, f = _generator_moves(rep)
+    for moves in (*e.values(), *f.values()):
         for a, targets in enumerate(moves):
             out[list(targets)] += x[a]
     return out
@@ -88,17 +98,80 @@ def test_module_dims_match_weyl_oracle(n, J):
     assert rep.dim == weyl_dim(weight)
 
 
+@pytest.mark.slow
+def test_complete_flag_module_of_sl6_builds():
+    """(6, ()), dim 32,768 inside an ambient space of 162,000: deselected by
+    default, run with ``pytest -m slow``."""
+    weight = lambda_for(6, ())
+    assert build_rep(weight).dim == weyl_dim(weight) == 32768
+
+
+def _invariance_residuals(rep):
+    """Each E_i and F_i applied to each basis row, minus its expansion in the basis.
+
+    The image of a row lies in the module iff it equals the combination of
+    basis rows read off at its pivots.  Yields the nonzero residuals: none
+    means the span is a submodule.
+    """
+    rows = dict(zip(rep.pivot_cols, rep.rows))
+    e, f = _generator_moves(rep)
+    for moves in (*e.values(), *f.values()):
+        for row in rep.rows:
+            image: dict = {}
+            for a, x in row.items():
+                for b in moves[a]:
+                    image[b] = image.get(b, 0) + x
+            residual = dict(image)
+            for q, x in image.items():
+                for a, y in rows.get(q, {}).items():
+                    residual[a] = residual.get(a, 0) - x * y
+            if any(residual.values()):
+                yield residual
+
+
+@pytest.mark.parametrize(
+    "n,J",
+    [
+        (3, ()), (3, (2,)), (3, (1,)), (4, (2,)), (4, (1,)), (4, (1, 3)), (4, (1, 2)), (4, ()),
+        (5, (2, 3)), (5, (1, 4)), (5, ()), (6, (1, 5)),
+    ],
+)
+def test_module_is_invariant_under_every_generator(n, J):
+    """The lowering closure is a submodule, checked exactly on every module the
+    tests build: every E_i and F_i maps the span of the rows into itself."""
+    rep = build_rep(lambda_for(n, J))
+    assert next(_invariance_residuals(rep), None) is None
+
+
+def test_invariance_oracle_catches_a_foreign_row():
+    """At (3, ()) the zero weight space has the echelon rows {2: 1, 6: -1} and
+    {4: 1, 6: 1}; a span with the basis vector e_2 in place of the first is not
+    a submodule, and the oracle must say so."""
+    rep = build_rep(lambda_for(3, ()))
+    assert rep.rows[2] == {2: 1, 6: -1}
+    broken = dataclasses.replace(rep, rows=(*rep.rows[:2], {2: Fraction(1)}, *rep.rows[3:]))
+    assert next(_invariance_residuals(broken), None) is not None
+
+
+def test_build_rep_refuses_a_closure_of_the_wrong_dimension(monkeypatch):
+    monkeypatch.setattr(embedding, "weyl_dim", lambda weight: 9)
+    with pytest.raises(AssertionError, match="closure dimension 8 != Weyl dimension 9"):
+        build_rep(lambda_for(3, ()))
+
+
 # sha256 of the pivots and the sparse basis rows, entries as "p/q"; recorded
-# from the dense reduced-echelon basis these rows replaced
+# from the dense reduced-echelon basis these rows replaced, and (6, {1,5})
+# from the Fraction echelon that the integer one replaced
 _BASIS_HASHES = {
     (4, (1, 3)): "1f42a3e94a5bfb8fc7381bfb5434629372d3ea5fcc2a3967909f535a28755054",
     (5, (2, 3)): "65f95afb1a7d1c5b0cec26e19681d9de9360e4620172c3d72e39e3f400b87fa3",
     (5, (1, 4)): "f2e5b494cd5ea4c19047e0d32c6e26a86e2194eaca2fb528e0794ff650402ce9",
     (5, ()): "076cef8c556936ffb36ab00207400d359d7bd7de664a6192d438c5be5c94050b",
+    (6, (1, 5)): "1a37a2c02bc82f1e4788decae71f79c5e96b22d482ebad899d5b798fa291cfe4",
 }
 
 
-@pytest.mark.parametrize("n,J", list(_BASIS_HASHES), ids=["n4-J13", "n5-J23", "n5-J14", "n5-J"])
+@pytest.mark.parametrize("n,J", list(_BASIS_HASHES), ids=["n4-J13", "n5-J23", "n5-J14", "n5-J", "n6-J15"])
 def test_module_basis_is_pinned(n, J):
     rep = build_rep(lambda_for(n, J))
     assert all(row[p] == 1 for p, row in zip(rep.pivot_cols, rep.rows))
@@ -161,13 +234,14 @@ def test_line_of_agrees_between_params_and_matrix(rng):
     """The compound route equals the factors acting on the highest vector.
 
     The oracle applies exp(t F_i), the torus and exp(t E_i) to the ambient
-    highest vector (flat index 0) through the index moves ``rep.ambient_f``
-    and ``rep.ambient_e``, in the order of ``sample_positive``, and reads the
+    highest vector (flat index 0) through the index moves of F_i and E_i
+    (:func:`_generator_moves`), in the order of ``sample_positive``, and reads the
     result at ``rep.pivot_cols``.  The torus scales each ambient basis vector
     by s_i to the power of its H_i-eigenvalue.
     """
     for n, J in ((3, ()), (4, (2,)), (5, (2, 3))):
         rep = build_rep(lambda_for(n, J))
+        e, f = _generator_moves(rep)
         weights = _ambient_weights(n, rep.factors)
         word = standard_word_w0(n)
         ell = len(word)
@@ -176,14 +250,14 @@ def test_line_of_agrees_between_params_and_matrix(rng):
             vec = {0: Fraction(1)}
             # the lower factor takes the last ell parameters on either side
             for i, t in reversed(list(zip(word.letters, params.t[-ell:]))):
-                vec = _exp_nilpotent(rep.ambient_f[i], t, vec)
+                vec = _exp_nilpotent(f[i], t, vec)
             if side == "group":
                 vec = {
                     a: x * math.prod(s ** w for s, w in zip(params.torus, weights[a]))
                     for a, x in vec.items()
                 }
                 for i, t in reversed(list(zip(word.letters, params.t[:ell]))):
-                    vec = _exp_nilpotent(rep.ambient_e[i], t, vec)
+                    vec = _exp_nilpotent(e[i], t, vec)
             want = np.array([vec.get(p, Fraction(0)) for p in rep.pivot_cols], dtype=object)
             got = line_of(rep, params, side)
             assert got.field == RATIONAL

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from tnnflow import linalg
 from tnnflow.chevalley import generator_sum
-from tnnflow.embedding import chart_coords, line_of
+from tnnflow.embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of
 from tnnflow.flow import (
+    Convergence,
+    CrossingResult,
     DiagonalFlow,
     commutation_check,
     converge,
@@ -213,3 +215,119 @@ def test_invariance_all_cases(rng):
         out = invariance_check(case, rep, 0.1, rng, count=25)
         assert out["passed"], out
         assert not out["control_interior"]
+
+
+# ---------------------------------------------------------------------------
+# the bisections against the evaluations they replaced
+
+
+def _oracle_sphere_crossing(flow, p, radius, tol=1e-12, max_iter=200):
+    """The crossing as first written: every norm is ``np.linalg.norm`` of a
+    public :func:`flow_point`, and the bisection runs until it hits the sphere
+    or ``max_iter`` is spent."""
+    p = np.asarray(p, dtype=np.float64)
+    if not flow.is_contractive or np.linalg.norm(p) == 0.0 or radius <= 0:
+        raise ValueError("bad input")
+
+    def norm_at(t):
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(flow_point(flow, t, p)))
+
+    lo, hi = 0.0, 0.0
+    if norm_at(0.0) >= radius:
+        hi = 1.0
+        while norm_at(hi) > radius:
+            hi *= 2.0
+    else:
+        lo = -1.0
+        while norm_at(lo) < radius:
+            lo *= 2.0
+    t_star = lo
+    for _ in range(max_iter):
+        t_star = (lo + hi) / 2.0
+        value = norm_at(t_star)
+        if abs(value - radius) <= tol * radius:
+            break
+        if value > radius:
+            lo = t_star
+        else:
+            hi = t_star
+    residual = norm_at(t_star) - radius
+    if not abs(residual) <= tol * radius:
+        raise ValueError(f"the crossing misses the sphere of radius {radius!r} by {residual!r}")
+    return CrossingResult(t_star, flow_point(flow, t_star, p), radius, residual)
+
+
+def _oracle_converge(flow, p, tol):
+    """Convergence as first written: 80 bisection steps, whether or not the
+    bracket can still shrink, each norm through :func:`flow_point`."""
+    p = np.asarray(p, dtype=np.float64)
+    norm0 = float(np.linalg.norm(p))
+    bound = max(0.0, math.log(max(norm0, 1e-300) / tol)) / flow.log_contraction
+    if norm0 < tol:
+        return Convergence(0.0, norm0, bound)
+
+    def norm_at(t):
+        return float(np.linalg.norm(flow_point(flow, t, p)))
+
+    hi = 1.0
+    while norm_at(hi) >= tol:
+        hi *= 2.0
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if norm_at(mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return Convergence(hi, norm_at(hi), bound)
+
+
+def _same_crossing(flow, p, radius):
+    """Both crossings land on the same bits, or both miss with the same message."""
+    try:
+        want = _oracle_sphere_crossing(flow, p, radius)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            sphere_crossing(flow, p, radius)
+        assert str(got.value) == str(exc)
+        return None
+    got = sphere_crossing(flow, p, radius)
+    assert got.time == want.time and got.residual == want.residual and got.radius == want.radius
+    assert np.array_equal(got.point, want.point)
+    return got
+
+
+def _same_convergence(flow, p, tol):
+    got, want = converge(flow, p, tol), _oracle_converge(flow, p, tol)
+    assert (got.time, got.final_norm, got.bound) == (want.time, want.final_norm, want.bound)
+    return got
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3))])
+def test_bisections_match_the_flow_point_oracles_bit_for_bit(n, J):
+    """converge and sphere_crossing on the lean norm kernel, with converge
+    stopping once the bracket cannot shrink, give the results of the
+    flow_point evaluations to the bit: on TNN chart points, a start already
+    inside the target ball, the bracket [0, 1], a start inside the sphere
+    (the negative-time bracket), and norms that overflow binary64."""
+    chart = eigenchart(build_rep(lambda_for(n, J)))
+    flow = DiagonalFlow.from_chart(chart)
+    rng = np.random.default_rng([n, *J, 13])
+    for _ in range(4):
+        p = chart_coords(chart, line_of(chart.rep, sample_params(standard_word_w0(n), rng), "lower"))
+        norm0 = float(np.linalg.norm(p))
+        norm1 = float(np.linalg.norm(flow_point(flow, 1.0, p)))
+        for tol in (1e-3, 1e-9, 1e-12, 2.0 * norm0):
+            _same_convergence(flow, p, tol)
+        assert _same_convergence(flow, p, 2.0 * norm0).time == 0.0
+        # norm(1) < tol <= norm(0): the bracket is [0, 1] from the start
+        assert _same_convergence(flow, p, (norm0 + norm1) / 2.0).time <= 1.0
+        for radius in (1e-2 * norm0, 1e-9 * norm0, (norm0 + norm1) / 2.0):
+            assert _same_crossing(flow, p, radius).time > 0.0
+        for radius in (2.0 * norm0, 1e6):  # inside the sphere: the crossing is in the past
+            assert _same_crossing(flow, p, radius).time < 0.0
+        # the squared norm overflows past 1.3e154, so this sphere cannot be met
+        assert _same_crossing(flow, p, 1e200) is None
+        with np.errstate(over="ignore"):  # a start whose norm overflows
+            assert _same_convergence(flow, p * 1e300, 1e-9).bound == math.inf

@@ -56,7 +56,7 @@ def test_signed_antidiagonal():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sigma_swaps_one_parameter_subgroups(n):
-    fold = build_folding(n)  # build_folding itself asserts the identities
+    fold = build_folding(n)
     pin = build_pinning(n)
     for i in range(1, n):
         got = apply_group(fold, one_param(pin, "x", i, Fraction(5, 3)))
@@ -109,6 +109,29 @@ def test_sigma_is_involution_and_fixes_tau(fold4, pin4):
     assert np.equal(apply_group(fold4, apply_group(fold4, g)).entries, g.entries).all()
     tau = generator_sum(pin4)
     s = fold4.s_matrix
+    assert np.equal(-(s @ tau.T @ s.T), tau).all()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_folding_identities_hold_exactly(n):
+    """The identities that make S the right twist, checked on the nose:
+    sigma(x_i(t)) = x_{n-i}(t) and sigma(y_i(t)) = y_{n-i}(t) for sample
+    rational t, sigma is an involution on a generic exact element, and the
+    derivative fixes the generator sum: -S tau^T S^T = tau."""
+    fold = build_folding(n)
+    pin = build_pinning(n)
+    for i in pin.indices:
+        for kind in ("x", "y"):
+            for t in (Fraction(1), Fraction(2), Fraction(1, 2)):
+                got = apply_group(fold, one_param(pin, kind, i, t))
+                want = one_param(pin, kind, fold.sigma(i), t)
+                assert np.equal(got.entries, want.entries).all(), (kind, i, t)
+    probe = one_param(pin, "x", 1, Fraction(3, 7))
+    for i in pin.indices:
+        probe = probe @ one_param(pin, "y", i, Fraction(2, 3)) @ one_param(pin, "x", i, Fraction(1, 5))
+    assert np.equal(apply_group(fold, apply_group(fold, probe)).entries, probe.entries).all()
+    tau = generator_sum(pin)
+    s = fold.s_matrix
     assert np.equal(-(s @ tau.T @ s.T), tau).all()
 
 

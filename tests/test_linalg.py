@@ -1,6 +1,7 @@
 """Exact rational linear algebra underneath everything else."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +204,35 @@ def test_reduce_rows_is_reduced_echelon_and_spans_its_input(rows):
     dense = np.array([[float(row.get(c, 0)) for c in range(8)] for row in rows]).reshape(-1, 8)
     assert len(basis) == np.linalg.matrix_rank(dense, tol=1e-9)
     assert linalg.reduce_rows(rows[::-1]) == basis
+
+
+# sparse rows over columns 0..9: the same few rows recur, entries may be
+# zero or negative, and denominators run up to 10**12
+_big_fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)
+_sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, 9), st.one_of(st.just(Fraction(0)), fractions, _big_fractions), max_size=6),
+    max_size=5,
+).flatmap(lambda rows: st.lists(st.sampled_from(rows) if rows else st.just({}), max_size=10).map(lambda extra: rows + extra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_sparse_rows)
+def test_reduce_rows_matches_the_fraction_oracle(rows, fraction_reduce_rows):
+    """The integer echelon gives the Fraction elimination's basis, entry for entry."""
+    want = fraction_reduce_rows(rows)
+    got = linalg.reduce_rows(rows)
+    assert got == want
+    assert all(type(x) is Fraction for _, row in got for x in row.values())
+    # the integer pass itself: primitive int rows with a positive pivot entry
+    scaled = linalg._scaled_echelon(
+        [{c: x.numerator * math.lcm(1, *(y.denominator for y in row.values())) // x.denominator
+          for c, x in row.items()} for row in rows]
+    )
+    assert sorted(scaled) == [p for p, _ in want]
+    for p, row in want:
+        ints = scaled[p]
+        assert ints[p] > 0 and math.gcd(*ints.values()) == 1
+        assert {c: Fraction(x, ints[p]) for c, x in ints.items()} == row
 
 
 def test_rationalize_is_exact():
