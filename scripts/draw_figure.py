@@ -16,7 +16,7 @@ def main() -> int:
     ap.add_argument("--out", default="figure.svg")
     args = ap.parse_args()
 
-    census = enumerate_cells(seed=0)
+    census = enumerate_cells()
     svg = figure_svg(census, face_poset(census))
     with open(args.out, "w") as fh:
         fh.write(svg)

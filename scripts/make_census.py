@@ -24,7 +24,7 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    census = enumerate_cells(seed=args.seed)
+    census = enumerate_cells()
     poset = face_poset(census)
     doc = census_payload(census, poset, seed=args.seed)
     doc["poset_checks"] = validate_poset(poset)

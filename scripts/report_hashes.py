@@ -46,6 +46,10 @@ COMMANDS = [
     ["sample", "--n", "6", "--side", "group", "--count", "3", "--seed", "0", "--format", "json"],
     ["sample", "--n", "6", "--side", "lower", "--count", "3", "--seed", "0", "--format", "json"],
     ["flow", "--t=-1e4", "--seed", "3"],
+    ["cells", "--format", "json"],
+    ["cells", "--seed", "5", "--format", "json"],
+    ["figure"],
+    ["figure", "--format", "json"],
 ]
 
 

@@ -33,7 +33,6 @@ from .totpos import (
 from .embedding import (
     ChartOverflowError,
     EigenChart,
-    LineCoords,
     RepModule,
     Weight,
     build_rep,

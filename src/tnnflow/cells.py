@@ -179,7 +179,6 @@ class Cell:
     wzeros: frozenset
     dim: int
     witness: Sl3Coords
-    extra_witnesses: tuple = ()
 
     @property
     def key(self) -> str:
@@ -228,38 +227,25 @@ class Census:
         return frozenset(c.vertex_label for c in self.cells if c.dim == 0)
 
 
-def enumerate_cells(seed: int = 0, extra_witnesses: int = 2) -> Census:
+def enumerate_cells() -> Census:
     """Decide realizability of all 49 vanishing patterns and collect the cells.
 
-    Realizability is decided by the deterministic closed-form solver; the
-    seed only feeds the additional randomized witnesses stored per cell
-    (two censuses with different seeds therefore carry the same cell list).
+    Realizability is decided by the deterministic closed-form solver, and
+    each cell's dimension is the Jacobian rank count at its witness.
     """
-    rng = np.random.default_rng(seed)
     cells = []
     subsets = [frozenset(s) for k in range(3) for s in itertools.combinations(_INDICES, k)]
     for vz, wz in itertools.product(subsets, repeat=2):
         witness = _pattern_witness(vz, wz)
-        if witness is None:
-            continue
-        dim = _pattern_dim(witness)
-        extras = []
-        for _ in range(extra_witnesses):
-            v_hint = {i: Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 30))) for i in _INDICES}
-            w_hint = {i: Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 30))) for i in _INDICES}
-            extra = _pattern_witness(vz, wz, v_hint=v_hint, w_hint=w_hint)
-            if extra is not None:
-                if _pattern_dim(extra) != dim:
-                    raise AssertionError(f"inconsistent dimension within pattern {vz},{wz}")
-                extras.append(extra)
-        cells.append(Cell(vz, wz, dim, witness, tuple(extras)))
+        if witness is not None:
+            cells.append(Cell(vz, wz, _pattern_dim(witness), witness))
     cells.sort(key=lambda c: (c.dim, c.key))
     return Census(tuple(cells))
 
 
 @lru_cache(maxsize=1)
 def _default_census() -> Census:
-    return enumerate_cells(seed=0)
+    return enumerate_cells()
 
 
 def label_of(coords: Sl3Coords, tol: float = 1e-9, census: Census | None = None) -> Cell:

@@ -329,7 +329,7 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
         with np.errstate(all="ignore"):
             line = line_of(chart.rep, GroupElement(p, FLOAT))
             # an inf entry of the line would read as a point on the chart's equator
-            p = chart_coords(chart, line) if np.all(np.isfinite(line.vec)) else line.vec
+            p = chart_coords(chart, line) if np.all(np.isfinite(line)) else line
         if not np.all(np.isfinite(p)):
             raise ValueError("the flag matrix has no finite chart point in binary64")
     return p, origin
@@ -390,7 +390,7 @@ def _require_complete_sl3(cfg: RunConfig) -> None:
 
 def cmd_cells(cfg: RunConfig) -> int:
     _require_complete_sl3(cfg)
-    census = enumerate_cells(seed=cfg.seed)
+    census = enumerate_cells()
     poset = face_poset(census)
     checks = validate_poset(poset)
     limits = limit_report(census, poset)
@@ -424,7 +424,7 @@ def cmd_fold(cfg: RunConfig) -> int:
 
 def cmd_figure(cfg: RunConfig) -> int:
     _require_complete_sl3(cfg)
-    census = enumerate_cells(seed=cfg.seed)
+    census = enumerate_cells()
     poset = face_poset(census)
     if cfg.fmt == "json":
         payload = census_payload(census, poset, seed=cfg.seed, tol=cfg.vanish_tol)
@@ -508,7 +508,7 @@ def _verify_folding_section(rng, counts) -> dict:
 
 
 def _verify_census_section() -> dict:
-    census = enumerate_cells(seed=0)
+    census = enumerate_cells()
     poset = face_poset(census)
     checks = validate_poset(poset)
     return {

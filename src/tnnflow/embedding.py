@@ -9,15 +9,15 @@ fundamental factors as the lowering closure of the highest vector, with an
 exact reduced-echelon basis so that coordinates can be read off pivot
 positions without solving anything.
 
-Each generator E_i, F_i moves one factor's basis index at a time with
+Each lowering generator F_i moves one factor's basis index at a time with
 structure constant +1, so it is stored as an index map on the tensor product
 and applied to sparse ``{flat index: int}`` vectors.  Every vector of
 the closure is a weight vector, so each echelon step touches one weight
-space only.  The basis rows stay sparse: they are the module's only exact
-form, and the chart reads them in float64 one weight space at a time.  The
-image of a flag is the tensor product of the leading compound columns of a
-representing matrix; its module coordinates are read off at the pivots, one
-leading minor per factor.
+space only.  The basis rows stay sparse primitive int vectors: they are the
+module's only exact form, and the chart reads them in float64 one weight
+space at a time.  The image of a flag is the tensor product of the leading
+compound columns of a representing matrix; its module coordinates are read
+off at the pivots, one leading minor per factor, and returned in binary64.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue and a closed-form orthonormal eigenbasis: the orthogonal
@@ -32,12 +32,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, RATIONAL, GroupElement, build_pinning, generator_sum_spectrum
+from .chevalley import RATIONAL, GroupElement, build_pinning, generator_sum_spectrum
 from .totpos import FactorizationParams, sample_positive
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "weyl_dim",
     "RepModule",
     "build_rep",
-    "LineCoords",
     "line_of",
     "EigenChart",
     "eigenchart",
@@ -97,76 +95,67 @@ def lambda_for(n: int, J) -> Weight:
 def weyl_dim(weight: Weight) -> int:
     """Dimension of the irreducible module, by the Weyl product formula."""
     n, c = weight.n, weight.coeffs
-    result = Fraction(1)
-    for i in range(1, n):
-        for j in range(i, n):
-            result *= Fraction(sum(c[i - 1 : j]) + (j - i + 1), j - i + 1)
-    assert result.denominator == 1
-    return int(result)
+    pairs = [(i, j) for i in range(1, n) for j in range(i, n)]
+    dim, rest = divmod(
+        math.prod(sum(c[i - 1 : j]) + (j - i + 1) for i, j in pairs),
+        math.prod(j - i + 1 for i, j in pairs),
+    )
+    assert rest == 0
+    return dim
 
 
 # ---------------------------------------------------------------------------
 # module construction
 
 
-def _subset_label(s) -> str:
-    return "".join(str(a) for a in s)
-
-
 def _wedge_maps(n: int, k: int):
-    """E_i and F_i on the k-th wedge power of the defining module.
+    """F_i on the k-th wedge power of the defining module.
 
     Basis vectors are indexed by sorted k-subsets in lexicographic order.
-    E_i replaces i+1 by i and F_i replaces i by i+1; neither reorders a
-    sorted subset, so each is a partial map ``subset index -> subset index``
-    with every structure constant +1.
+    F_i replaces i by i+1, which does not reorder a sorted subset, so it is
+    a partial map ``subset index -> subset index`` with every structure
+    constant +1.
     """
     subsets = list(itertools.combinations(range(1, n + 1), k))
     index = {s: a for a, s in enumerate(subsets)}
-
-    def move(old, new):
-        return {
-            a: index[tuple(sorted(set(s) - {old} | {new}))]
+    f_maps = {
+        i: {
+            a: index[tuple(sorted(set(s) - {i} | {i + 1}))]
             for a, s in enumerate(subsets)
-            if old in s and new not in s
+            if i in s and i + 1 not in s
         }
-
-    e_maps = {i: move(i + 1, i) for i in range(1, n)}
-    f_maps = {i: move(i, i + 1) for i in range(1, n)}
-    return subsets, e_maps, f_maps
+        for i in range(1, n)
+    }
+    return subsets, f_maps
 
 
 def _tensor_moves(n: int, factors):
-    """E_i and F_i on the tensor product of wedge factors, as index moves.
+    """F_i on the tensor product of wedge factors, as index moves, and the weights.
 
     Ambient basis vectors are tuples of factor subsets, flattened in
-    row-major order (the first factor varies slowest).  ``e[i][a]`` lists the
-    flat indices that E_i sends basis vector ``a`` to, one per factor it acts
-    on; every coefficient is +1.  Also returns each basis vector's label and
-    its weight, the eigenvalues of H_1 .. H_{n-1}.
+    row-major order (the first factor varies slowest).  ``f[i][a]`` lists the
+    flat indices that F_i sends basis vector ``a`` to, one per factor it acts
+    on; every coefficient is +1.  ``weights[a]`` holds the eigenvalues of
+    H_1 .. H_{n-1} on basis vector ``a``.
     """
-    subsets, e_maps, f_maps = zip(*(_wedge_maps(n, k) for k in factors))
+    subsets, f_maps = zip(*(_wedge_maps(n, k) for k in factors))
     dims = [len(subs) for subs in subsets]
     strides = [int(np.prod(dims[j + 1 :])) for j in range(len(dims))]
     combos = list(itertools.product(*(range(d) for d in dims)))
 
-    def moves(factor_maps, i):
-        maps = [fm[i] for fm in factor_maps]
+    def moves(i):
+        maps = [fm[i] for fm in f_maps]
         return tuple(
             tuple(a + (m[d] - d) * s for d, m, s in zip(digits, maps, strides) if d in m)
             for a, digits in enumerate(combos)
         )
 
-    e = {i: moves(e_maps, i) for i in range(1, n)}
-    f = {i: moves(f_maps, i) for i in range(1, n)}
-    labels, weights = [], []
-    for digits in combos:
-        sets = [subs[d] for subs, d in zip(subsets, digits)]
-        labels.append("*".join(_subset_label(s) for s in sets))
-        weights.append(
-            tuple(sum((i in s) - (i + 1 in s) for s in sets) for i in range(1, n))
-        )
-    return e, f, labels, weights
+    f = {i: moves(i) for i in range(1, n)}
+    weights = [
+        tuple(sum((i in s) - (i + 1 in s) for s in sets) for i in range(1, n))
+        for sets in itertools.product(*subsets)
+    ]
+    return f, weights
 
 
 def _apply(moves, vec: dict) -> dict:
@@ -182,12 +171,14 @@ def _apply(moves, vec: dict) -> dict:
 class RepModule:
     """An irreducible sl(n)-module with an exact weight-coordinate basis.
 
-    ``rows`` are the reduced-echelon basis vectors of the module inside the
-    tensor product of its fundamental factors, as sparse maps
-    ``{flat ambient index: Fraction}`` in the order of their pivots
-    ``pivot_cols``; the first pivot is flat index 0, the highest vector.
-    Module coordinates of an ambient vector known to lie in the module are
-    simply its entries at ``pivot_cols``.
+    ``rows`` span the module inside the tensor product of its fundamental
+    factors, as sparse maps ``{flat ambient index: int}`` in the order of
+    their pivots ``pivot_cols``; the first pivot is flat index 0, the highest
+    vector.  Each row is a primitive int vector (its entries have gcd 1)
+    with a positive pivot entry, as :func:`linalg._scaled_echelon` returns
+    it: the reduced-echelon basis row is ``row / row[pivot]``.  Module
+    coordinates of an ambient vector known to lie in the module, in the
+    reduced-echelon basis, are simply its entries at ``pivot_cols``.
     """
 
     n: int
@@ -195,15 +186,14 @@ class RepModule:
     factors: tuple
     dim: int
     ambient_dim: int
-    labels: tuple
     rows: tuple
     pivot_cols: tuple
 
     def float_basis(self) -> np.ndarray:
-        """The basis rows as a dense (dim x ambient) float64 matrix."""
+        """The reduced-echelon basis rows as a dense (dim x ambient) float64 matrix."""
         out = np.zeros((self.dim, self.ambient_dim))
-        for r, row in enumerate(self.rows):
-            out[r, list(row)] = [float(x) for x in row.values()]
+        for r, (row, p) in enumerate(zip(self.rows, self.pivot_cols)):
+            out[r, list(row)] = [x / row[p] for x in row.values()]
         return out
 
 
@@ -217,8 +207,7 @@ def build_rep(weight: Weight) -> RepModule:
     :func:`linalg.reduce_rows` gives each its own reduced-echelon basis.
     Vectors are sparse maps ``flat index -> int``: each basis row is held as
     a primitive int vector over its pivot entry, and F_i moves entries with
-    constant +1, so lowering stays on integers.  The ``Fraction`` rows are
-    built once, at the end.
+    constant +1, so lowering stays on integers, and so do the rows kept.
 
     The closure is a submodule by theorem: by PBW, U(g) v = U(n-) U(b) v =
     U(n-) v for the highest vector v.  So no generator is re-applied here;
@@ -231,7 +220,7 @@ def build_rep(weight: Weight) -> RepModule:
     )
     if not factors:
         raise ValueError("the zero weight has no projective geometry attached")
-    _, f_moves, ambient_labels, weights = _tensor_moves(n, factors)
+    f_moves, weights = _tensor_moves(n, factors)
 
     # the top subset of each factor is lexicographically first
     rows = {0: {0: 1}}  # pivot column -> primitive int basis vector
@@ -259,10 +248,8 @@ def build_rep(weight: Weight) -> RepModule:
         weight=weight,
         factors=factors,
         dim=len(pivots),
-        ambient_dim=len(ambient_labels),
-        labels=tuple(ambient_labels[p] for p in pivots),
-        # popped: each int row is freed as its Fraction row is built
-        rows=tuple(linalg._fraction_row(rows.pop(p), p) for p in pivots),
+        ambient_dim=len(weights),
+        rows=tuple(rows[p] for p in pivots),
         pivot_cols=tuple(pivots),
     )
 
@@ -271,24 +258,8 @@ def build_rep(weight: Weight) -> RepModule:
 # the embedding of the flag variety
 
 
-@dataclass(frozen=True)
-class LineCoords:
-    """Homogeneous coordinates of a line in a module, in the module basis."""
-
-    vec: np.ndarray
-    field: str
-
-    def __post_init__(self):
-        self.vec.setflags(write=False)
-
-    def to_float(self) -> "LineCoords":
-        if self.field == FLOAT:
-            return self
-        return LineCoords(linalg.to_float(self.vec), FLOAT)
-
-
-def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
-    """Image of the highest-weight line under a group element.
+def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
+    """Image of the highest-weight line under a group element, in binary64.
 
     ``g`` is a :class:`~tnnflow.chevalley.GroupElement` (exact for rational
     entries, floating otherwise) or factorization parameters, which are
@@ -298,8 +269,11 @@ def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
     tensor product of those columns.  Only the module's pivot coordinates are
     multiplied out: the digits of a pivot's ambient index pick one leading
     minor per factor, and the product runs left to right over the factors.
-    Exact g gives Fractions (the integer minors divided by their scaling);
-    float g gives binary64 products of ``np.linalg.det`` minors.
+    The result holds homogeneous coordinates in the reduced-echelon basis.
+    For exact g each is the correctly rounded value of the exact coordinate:
+    the product of int minors over the product of their scalings, divided
+    once as Python ints.  For float g each is a binary64 product of
+    ``np.linalg.det`` minors.
     """
     if isinstance(g, FactorizationParams):
         g = sample_positive(g, side)
@@ -320,8 +294,8 @@ def line_of(rep: RepModule, g, side: str = "lower") -> LineCoords:
     vec = [math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) for ds in zip(*digits)]
     if g.field == RATIONAL:
         denom = scale ** sum(rep.factors)
-        return LineCoords(np.array([Fraction(x, denom) for x in vec], dtype=object), RATIONAL)
-    return LineCoords(np.array(vec), FLOAT)
+        vec = [x / denom for x in vec]
+    return np.array(vec, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +363,9 @@ def eigenchart(rep: RepModule) -> EigenChart:
     blocks = []
     for rows in spaces.values():
         cols = sorted(set().union(*(rep.rows[r] for r in rows)))
-        block = np.array([[float(rep.rows[r].get(c, 0)) for c in cols] for r in rows])
+        block = np.array([
+            [rep.rows[r].get(c, 0) / rep.rows[r][rep.pivot_cols[r]] for c in cols] for r in rows
+        ])
         q, tri = np.linalg.qr(block.T)
         frame[np.ix_(cols, rows)] = q * np.sign(np.diag(tri))
         blocks.append((rows, cols, block))
@@ -406,15 +382,15 @@ def eigenchart(rep: RepModule) -> EigenChart:
     return EigenChart(rep=rep, mu=mu[order], eigvecs=frame[list(rep.pivot_cols)], eigvecs_inv=inv)
 
 
-def chart_coords(chart: EigenChart, line: LineCoords) -> np.ndarray:
-    """Chart coordinates of a line; raises ChartOverflowError at the equator.
+def chart_coords(chart: EigenChart, line: np.ndarray) -> np.ndarray:
+    """Chart coordinates of a line, given in module coordinates; raises
+    ChartOverflowError at the equator.
 
     Lines orthogonal to the top eigenvector have no finite coordinates; the
     totally nonnegative region never meets that hyperplane, so hitting the
     error on a nominally nonnegative input signals numerical trouble.
     """
-    vec = np.asarray(line.to_float().vec, dtype=np.float64)
-    a = chart.eigvecs_inv @ vec
+    a = chart.eigvecs_inv @ np.asarray(line, dtype=np.float64)
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         raise ValueError("zero vector does not span a line")
@@ -423,10 +399,11 @@ def chart_coords(chart: EigenChart, line: LineCoords) -> np.ndarray:
     return a[1:] / a[0]
 
 
-def chart_line(chart: EigenChart, p: np.ndarray) -> LineCoords:
-    """The line with the given chart coordinates (inverse of chart_coords)."""
+def chart_line(chart: EigenChart, p: np.ndarray) -> np.ndarray:
+    """The line with the given chart coordinates, in module coordinates
+    (inverse of chart_coords)."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (chart.ncoords,):
         raise ValueError(f"expected {chart.ncoords} coordinates, got {p.shape}")
     a = np.concatenate([[1.0], p])
-    return LineCoords(chart.eigvecs @ a, FLOAT)
+    return chart.eigvecs @ a

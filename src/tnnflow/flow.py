@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .chevalley import FLOAT, GroupElement, Pinning, build_pinning, exp_generator_sum, generator_sum_spectrum
-from .embedding import EigenChart, LineCoords, chart_coords, line_of
+from .embedding import EigenChart, chart_coords, line_of
 from .totpos import (
     FactorizationParams,
     Membership,
@@ -110,10 +110,11 @@ def _norm_at(rates: np.ndarray, p: np.ndarray, t: float) -> float:
 
     numpy's 1-d norm is ``sqrt(x.dot(x))``; this skips the argument checks
     of :func:`flow_point`.  An overflowed norm is inf, and brackets as such.
+    The caller runs it under ``np.errstate(over="ignore", under="ignore")``,
+    entered once around a whole bisection rather than on every evaluation.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        v = np.exp(float(t) * rates) * p
-        return math.sqrt(v.dot(v))
+    v = np.exp(float(t) * rates) * p
+    return math.sqrt(v.dot(v))
 
 
 def has_overflow(p: np.ndarray) -> bool:
@@ -321,32 +322,33 @@ def sphere_crossing(
     p = _chart_point(flow, p)
     rates = flow.rates
     lo, hi = 0.0, 0.0  # norm(lo) >= radius >= norm(hi)
-    start = _norm_at(rates, p, 0.0)
-    if start >= radius:
-        hi = 1.0
-        while _norm_at(rates, p, hi) > radius:
-            hi *= 2.0
-            if hi > 2.0**60:
-                raise RuntimeError("failed to bracket the crossing")
-    else:
-        lo = -1.0
-        while _norm_at(rates, p, lo) < radius:
-            lo *= 2.0
-            if lo < -(2.0**60):
-                raise RuntimeError("failed to bracket the crossing")
-    t_star = lo
-    for _ in range(max_iter):
-        t_star = (lo + hi) / 2.0
-        value = _norm_at(rates, p, t_star)
-        if abs(value - radius) <= tol * radius:
-            break
-        if t_star == lo or t_star == hi:  # every later midpoint is t_star again
-            break
-        if value > radius:
-            lo = t_star
+    with np.errstate(over="ignore", under="ignore"):
+        start = _norm_at(rates, p, 0.0)
+        if start >= radius:
+            hi = 1.0
+            while _norm_at(rates, p, hi) > radius:
+                hi *= 2.0
+                if hi > 2.0**60:
+                    raise RuntimeError("failed to bracket the crossing")
         else:
-            hi = t_star
-    residual = _norm_at(rates, p, t_star) - radius
+            lo = -1.0
+            while _norm_at(rates, p, lo) < radius:
+                lo *= 2.0
+                if lo < -(2.0**60):
+                    raise RuntimeError("failed to bracket the crossing")
+        t_star = lo
+        for _ in range(max_iter):
+            t_star = (lo + hi) / 2.0
+            value = _norm_at(rates, p, t_star)
+            if abs(value - radius) <= tol * radius:
+                break
+            if t_star == lo or t_star == hi:  # every later midpoint is t_star again
+                break
+            if value > radius:
+                lo = t_star
+            else:
+                hi = t_star
+        residual = _norm_at(rates, p, t_star) - radius
     if not abs(residual) <= tol * radius:
         raise ValueError(f"the crossing misses the sphere of radius {radius!r} by {residual!r}")
     return CrossingResult(t_star, flow_point(flow, t_star, p), radius, residual)
@@ -381,20 +383,21 @@ def converge(flow: DiagonalFlow, p: np.ndarray, tol: float) -> Convergence:
     p = _chart_point(flow, p)
     rates = flow.rates
     hi = 1.0
-    while _norm_at(rates, p, hi) >= tol:
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise RuntimeError("trajectory failed to enter the target ball")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:  # the bracket cannot shrink: norm(hi) < tol <= norm(lo)
-            break
-        if _norm_at(rates, p, mid) < tol:
-            hi = mid
-        else:
-            lo = mid
-    return Convergence(hi, _norm_at(rates, p, hi), bound)
+    with np.errstate(over="ignore", under="ignore"):
+        while _norm_at(rates, p, hi) >= tol:
+            hi *= 2.0
+            if hi > 2.0**60:
+                raise RuntimeError("trajectory failed to enter the target ball")
+        lo = 0.0 if hi == 1.0 else hi / 2.0
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            if mid == lo or mid == hi:  # the bracket cannot shrink: norm(hi) < tol <= norm(lo)
+                break
+            if _norm_at(rates, p, mid) < tol:
+                hi = mid
+            else:
+                lo = mid
+        return Convergence(hi, _norm_at(rates, p, hi), bound)
 
 
 def fixed_flag(pinning: Pinning) -> np.ndarray:
@@ -412,7 +415,7 @@ def fixed_flag(pinning: Pinning) -> np.ndarray:
 # commutation between the two evaluation paths
 
 
-def line_to_sl3_coords(chart: EigenChart, line: LineCoords) -> Sl3Coords:
+def line_to_sl3_coords(chart: EigenChart, line: np.ndarray) -> Sl3Coords:
     """Recover (v, w) coordinates of a complete SL(3) flag from its line.
 
     The module sits inside (defining) x (wedge^2); the ambient vector of a
@@ -423,8 +426,7 @@ def line_to_sl3_coords(chart: EigenChart, line: LineCoords) -> Sl3Coords:
     rep = chart.rep
     if rep.n != 3 or rep.factors != (1, 2):
         raise ValueError("flag recovery is implemented for the complete SL(3) module")
-    vec = np.asarray(line.to_float().vec, dtype=np.float64)
-    big = rep.float_basis().T @ vec
+    big = rep.float_basis().T @ np.asarray(line, dtype=np.float64)
     m = big.reshape(3, 3)
     u, s, vt = np.linalg.svd(m)
     if s[0] == 0.0 or s[1] > 1e-8 * s[0]:
@@ -495,7 +497,7 @@ def _interior_margin(rep, g_float: GroupElement) -> float:
     Strictly positive margin certifies an interior flag; the margin vanishes
     (some weight coordinate is zero) on the boundary.
     """
-    vec = np.asarray(line_of(rep, g_float).vec, dtype=np.float64)
+    vec = line_of(rep, g_float)
     scale = float(np.max(np.abs(vec)))
     if scale == 0.0:
         return -math.inf

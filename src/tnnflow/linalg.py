@@ -2,11 +2,12 @@
 
 Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
 entries, so ``@`` composes exactly and every routine here is free of rounding.
-The one echelon routine, :func:`reduce_rows`, takes sparse rows
-``{column: Fraction}`` instead: the highest-weight modules of
-:mod:`tnnflow.embedding` are spanned by such rows, one weight space at a
-time.  It is the ``Fraction`` view of a fraction-free pass on int rows,
-:func:`_scaled_echelon`, which the module construction calls directly.
+The one echelon routine is a fraction-free pass on sparse int rows
+``{column: int}``, :func:`_scaled_echelon`: the highest-weight modules of
+:mod:`tnnflow.embedding` run it one weight space at a time and keep the
+primitive int rows it returns.  :func:`reduce_rows` is its ``Fraction``
+view on sparse rows ``{column: Fraction}``, which the cell census uses for
+the exact Jacobian rank at a witness.
 Float work is delegated to numpy proper; these helpers exist for the places
 where the answer must be a certificate (minor signs, echelon bases) rather
 than an approximation.  Determinants, inverses and minors run on

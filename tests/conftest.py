@@ -123,7 +123,7 @@ def chart42(rep42):
 
 @pytest.fixture(scope="session")
 def census3():
-    return enumerate_cells(seed=0)
+    return enumerate_cells()
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from tnnflow.cells import (
+    _pattern_dim,
+    _pattern_witness,
     bruhat_interval_counts,
     census_payload,
     enumerate_cells,
@@ -128,6 +133,24 @@ def test_figure_svg_structure(census3, poset3):
 
 
 def test_census_deterministic():
-    a = census_payload(enumerate_cells(seed=0))
-    b = census_payload(enumerate_cells(seed=0))
+    a = census_payload(enumerate_cells())
+    b = census_payload(enumerate_cells())
     assert a == b
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hinted_witnesses_have_their_cell_dimension(census3, seed):
+    """Witnesses steered by random positive hints realize each cell's pattern
+    and give the Jacobian rank count the same dimension as the census's own
+    witness: the dimension belongs to the cell, not to the point."""
+    rng = np.random.default_rng(seed)
+
+    def hint():
+        return {i: Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 30))) for i in (1, 2, 3)}
+
+    for cell in census3.cells:
+        for _ in range(2):
+            witness = _pattern_witness(cell.vzeros, cell.wzeros, v_hint=hint(), w_hint=hint())
+            assert witness is not None, cell.key
+            assert label_of(witness, census=census3) is cell
+            assert _pattern_dim(witness) == cell.dim, cell.key

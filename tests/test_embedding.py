@@ -32,12 +32,33 @@ from tnnflow.embedding import (
     line_of,
     weyl_dim,
 )
-from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import FactorizationParams, sample_params, sample_positive, standard_word_w0
 
 
 def _generator_moves(rep):
-    """E_i and F_i on the ambient tensor product of ``rep``, as index moves."""
-    e, f, _, _ = _tensor_moves(rep.n, rep.factors)
+    """E_i and F_i on the ambient tensor product of ``rep``, as index moves.
+
+    Built from their definition: E_i replaces i+1 by i and F_i replaces i by
+    i+1 in one factor subset, with structure constant +1.  ``e[i][a]`` lists
+    the flat indices that E_i sends ambient basis vector ``a`` to, one per
+    factor it acts on; ambient basis vectors are tuples of sorted factor
+    subsets, flattened with the first factor varying slowest.
+    """
+    subsets = [list(itertools.combinations(range(1, rep.n + 1), k)) for k in rep.factors]
+    index = {sets: a for a, sets in enumerate(itertools.product(*subsets))}
+
+    def moves(old, new):
+        return tuple(
+            tuple(
+                index[sets[:j] + (tuple(sorted(set(s) - {old} | {new})),) + sets[j + 1 :]]
+                for j, s in enumerate(sets)
+                if old in s and new not in s
+            )
+            for sets in index
+        )
+
+    e = {i: moves(i + 1, i) for i in range(1, rep.n)}
+    f = {i: moves(i, i + 1) for i in range(1, rep.n)}
     return e, f
 
 
@@ -79,10 +100,20 @@ def test_weyl_dim_formula():
 def test_fundamental_rep_is_wedge_power():
     rep = build_rep(lambda_for(4, (1, 3)))
     assert rep.dim == rep.ambient_dim == 6
-    assert rep.labels == ("12", "13", "14", "23", "24", "34")
+    assert rep.pivot_cols == tuple(range(6))
     assert rep.rows == tuple({a: 1} for a in range(6))
     tau = _ambient_tau(rep)
     assert np.array_equal(tau, tau.T)
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, (1, 3)), (5, (2, 3))])
+def test_tensor_moves_match_the_definition(n, J):
+    """The F moves and weights that ``build_rep`` lowers with are the ones built
+    in the tests from their definition."""
+    rep = build_rep(lambda_for(n, J))
+    f, weights = _tensor_moves(n, rep.factors)
+    assert f == _generator_moves(rep)[1]
+    assert [list(w) for w in weights] == _ambient_weights(n, rep.factors)
 
 
 @pytest.mark.parametrize(
@@ -109,14 +140,15 @@ def test_complete_flag_module_of_sl6_builds():
 def _invariance_residuals(rep):
     """Each E_i and F_i applied to each basis row, minus its expansion in the basis.
 
+    Each row is read as its reduced-echelon row, ``Fraction(x, row[pivot])``.
     The image of a row lies in the module iff it equals the combination of
     basis rows read off at its pivots.  Yields the nonzero residuals: none
     means the span is a submodule.
     """
-    rows = dict(zip(rep.pivot_cols, rep.rows))
+    rows = {p: {a: Fraction(x, row[p]) for a, x in row.items()} for p, row in zip(rep.pivot_cols, rep.rows)}
     e, f = _generator_moves(rep)
     for moves in (*e.values(), *f.values()):
-        for row in rep.rows:
+        for row in rows.values():
             image: dict = {}
             for a, x in row.items():
                 for b in moves[a]:
@@ -149,7 +181,7 @@ def test_invariance_oracle_catches_a_foreign_row():
     a submodule, and the oracle must say so."""
     rep = build_rep(lambda_for(3, ()))
     assert rep.rows[2] == {2: 1, 6: -1}
-    broken = dataclasses.replace(rep, rows=(*rep.rows[:2], {2: Fraction(1)}, *rep.rows[3:]))
+    broken = dataclasses.replace(rep, rows=(*rep.rows[:2], {2: 1}, *rep.rows[3:]))
     assert next(_invariance_residuals(broken), None) is not None
 
 
@@ -159,9 +191,9 @@ def test_build_rep_refuses_a_closure_of_the_wrong_dimension(monkeypatch):
         build_rep(lambda_for(3, ()))
 
 
-# sha256 of the pivots and the sparse basis rows, entries as "p/q"; recorded
-# from the dense reduced-echelon basis these rows replaced, and (6, {1,5})
-# from the Fraction echelon that the integer one replaced
+# sha256 of the pivots and the sparse reduced-echelon rows, entries as "p/q";
+# recorded from the dense reduced-echelon basis these rows replaced, and
+# (6, {1,5}) from the Fraction echelon that the integer one replaced
 _BASIS_HASHES = {
     (4, (1, 3)): "1f42a3e94a5bfb8fc7381bfb5434629372d3ea5fcc2a3967909f535a28755054",
     (5, (2, 3)): "65f95afb1a7d1c5b0cec26e19681d9de9360e4620172c3d72e39e3f400b87fa3",
@@ -174,10 +206,10 @@ _BASIS_HASHES = {
 @pytest.mark.parametrize("n,J", list(_BASIS_HASHES), ids=["n4-J13", "n5-J23", "n5-J14", "n5-J", "n6-J15"])
 def test_module_basis_is_pinned(n, J):
     rep = build_rep(lambda_for(n, J))
-    assert all(row[p] == 1 for p, row in zip(rep.pivot_cols, rep.rows))
+    assert all(row[p] > 0 and math.gcd(*row.values()) == 1 for p, row in zip(rep.pivot_cols, rep.rows))
     rows = [
-        [[c, f"{x.numerator}/{x.denominator}"] for c, x in sorted(row.items())]
-        for row in rep.rows
+        [[c, f"{x.numerator}/{x.denominator}"] for c, x in sorted((c, Fraction(x, row[p])) for c, x in row.items())]
+        for p, row in zip(rep.pivot_cols, rep.rows)
     ]
     payload = json.dumps([list(rep.pivot_cols), rows], separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == _BASIS_HASHES[n, J]
@@ -194,14 +226,13 @@ def test_sl3_complete_module_shape(rep3):
 
 
 def test_highest_vector_coordinates(rep3, pin3):
-    """psi of the identity flag pinned against the hand computation."""
+    """psi of the identity flag is the highest vector itself, exactly e_0."""
     e = GroupElement(linalg.rational_identity(3), RATIONAL)
     line = line_of(rep3, e)
-    vec = np.asarray(line.vec)
     assert rep3.pivot_cols[0] == 0  # the highest vector is the first pivot
-    assert vec[0] != 0
-    # exactness: identity flag gives rational coordinates
-    assert all(isinstance(x, Fraction) for x in vec)
+    want = np.array([Fraction(1)] + [Fraction(0)] * (rep3.dim - 1), dtype=np.float64)
+    assert line.dtype == np.float64
+    assert np.equal(line, want).all()
 
 
 def _exp_nilpotent(moves, t, vec):
@@ -237,7 +268,8 @@ def test_line_of_agrees_between_params_and_matrix(rng):
     highest vector (flat index 0) through the index moves of F_i and E_i
     (:func:`_generator_moves`), in the order of ``sample_positive``, and reads the
     result at ``rep.pivot_cols``.  The torus scales each ambient basis vector
-    by s_i to the power of its H_i-eigenvalue.
+    by s_i to the power of its H_i-eigenvalue.  The exact oracle, rounded
+    once to binary64, must equal the line bit for bit.
     """
     for n, J in ((3, ()), (4, (2,)), (5, (2, 3))):
         rep = build_rep(lambda_for(n, J))
@@ -258,10 +290,10 @@ def test_line_of_agrees_between_params_and_matrix(rng):
                 }
                 for i, t in reversed(list(zip(word.letters, params.t[:ell]))):
                     vec = _exp_nilpotent(e[i], t, vec)
-            want = np.array([vec.get(p, Fraction(0)) for p in rep.pivot_cols], dtype=object)
+            want = np.array([vec.get(p, Fraction(0)) for p in rep.pivot_cols], dtype=np.float64)
             got = line_of(rep, params, side)
-            assert got.field == RATIONAL
-            assert np.equal(got.vec, want).all(), (n, J, side)
+            assert got.dtype == np.float64
+            assert np.equal(got, want).all(), (n, J, side)
 
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, ()), (5, (2, 3))])
@@ -271,8 +303,9 @@ def test_exact_line_of_matches_full_outer_product(n, J, leibniz_det):
     The oracle builds each factor's compound column minor by minor on the
     leading columns, takes the whole outer product over the ambient space,
     and only then reads ``rep.pivot_cols``.  Exact minors are permutation
-    sums; float minors are one ``np.linalg.det`` each, and the float line must
-    match bit for bit, on a float flag and on one flowed by exp(tau).
+    sums, and the exact flag's line must equal their product rounded once to
+    binary64; float minors are one ``np.linalg.det`` each, and the float line
+    must match bit for bit, on a float flag and on one flowed by exp(tau).
     """
     rep = build_rep(lambda_for(n, J))
     rng = np.random.default_rng([n, len(J), 3])
@@ -288,25 +321,52 @@ def test_exact_line_of_matches_full_outer_product(n, J, leibniz_det):
     for side in ("lower", "group"):
         params = sample_params(standard_word_w0(n), rng, group=(side == "group"))
         g = sample_positive(params, side)
-        want = outer_at_pivots(lambda rows, k: leibniz_det(g.entries[np.ix_(rows, range(k))]), object)
+        exact = outer_at_pivots(lambda rows, k: leibniz_det(g.entries[np.ix_(rows, range(k))]), object)
+        want = np.array(exact, dtype=np.float64)
         for got in (line_of(rep, params, side), line_of(rep, g)):
-            assert got.field == RATIONAL
-            assert all(type(x) is Fraction for x in got.vec)
-            assert np.equal(got.vec, want).all(), (n, J, side)
+            assert got.dtype == np.float64
+            assert np.equal(got, want).all(), (n, J, side)
         for h in (g.to_float(), GroupElement(exp_tau @ g.to_float().entries, FLOAT)):
             want = outer_at_pivots(lambda rows, k: np.linalg.det(h.entries[np.ix_(rows, range(k))]), np.float64)
             got = line_of(rep, h)
-            assert got.field == FLOAT
-            assert np.array_equal(got.vec, want), (n, J, side)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want), (n, J, side)
 
 
 def test_line_of_projective_invariance(rep3, pin3):
+    """g x_1(5) is another representative of the flag of g: adding a multiple
+    of the first column to the second leaves every leading minor as it is, so
+    the two lines are equal, not just proportional."""
     g = one_param(pin3, "y", 1, Fraction(2)) @ one_param(pin3, "y", 2, Fraction(3))
-    h = g @ one_param(pin3, "x", 1, Fraction(5))  # same flag, other representative
+    h = g @ one_param(pin3, "x", 1, Fraction(5))
     a, b = line_of(rep3, g), line_of(rep3, h)
-    va, vb = np.asarray(a.vec), np.asarray(b.vec)
-    k = next(i for i, x in enumerate(va) if x != 0)
-    assert np.equal(va * vb[k], vb * va[k]).all()
+    assert np.any(a != 0)
+    assert np.equal(a, b).all()
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, (1,))])
+def test_exact_line_of_is_correctly_rounded_at_extreme_parameters(n, J, leibniz_det):
+    """Parameters from about 1e-30 to 1e30: the exact flag's line equals the
+    exact coordinates rounded once to binary64, bit for bit, subnormal and
+    tiny entries included."""
+    rep = build_rep(lambda_for(n, J))
+    rng = np.random.default_rng([n, len(J), 30])
+    word = standard_word_w0(n)
+
+    def extreme():
+        return Fraction(int(rng.integers(1, 1000)), int(rng.integers(1, 1000))) * Fraction(10) ** int(rng.integers(-30, 31))
+
+    for _ in range(4):
+        params = FactorizationParams(word, tuple(extreme() for _ in word.letters))
+        g = sample_positive(params, "lower")
+        exact = np.ones(1, dtype=object)
+        for k in rep.factors:
+            col = [leibniz_det(g.entries[np.ix_(rows, range(k))]) for rows in itertools.combinations(range(n), k)]
+            exact = np.multiply.outer(exact, np.array(col, dtype=object)).reshape(-1)
+        want = np.array(exact[list(rep.pivot_cols)], dtype=np.float64)
+        got = line_of(rep, params, "lower")
+        assert np.all(np.isfinite(got)) and np.any(got != 0)
+        assert np.equal(got, want).all(), (n, J)
 
 
 def test_eigenchart_spectrum(chart3):
@@ -340,10 +400,8 @@ def test_chart_overflow():
     chart = eigenchart(rep)
     # a line orthogonal to the top eigenvector has no chart coordinates
     vec = chart.eigvecs[:, 3]
-    from tnnflow.embedding import LineCoords
-
     with pytest.raises(ChartOverflowError):
-        chart_coords(chart, LineCoords(vec, FLOAT))
+        chart_coords(chart, vec)
 
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, ()), (5, (1, 4))])
@@ -422,7 +480,7 @@ def test_eigenchart_matches_eigh_oracle(n, J):
     for _ in range(3):
         line = line_of(rep, sample_params(standard_word_w0(n), rng), "lower")
         p = chart_coords(chart, line)
-        a = vecs_oracle.T @ (basis.T @ line.to_float().vec)
+        a = vecs_oracle.T @ (basis.T @ line)
         want = a[1:] / a[0]
         norm = np.linalg.norm(want)
         assert abs(np.linalg.norm(p) - norm) <= 1e-12 * norm

@@ -304,6 +304,26 @@ def _same_convergence(flow, p, tol):
     return got
 
 
+def test_bisections_set_their_own_floating_point_error_state(chart3, flow3, rng):
+    """converge and sphere_crossing run their norm kernel under their own
+    error state: under the caller's ``np.errstate(all="raise")`` they give the
+    same bits, or the same refusal, also where exp(t * rates) underflows
+    (tol 1e-300, radius 1e-150) and where the squared norm overflows (1e200)."""
+    p = chart_coords(chart3, line_of(chart3.rep, sample_params(standard_word_w0(3), rng), "lower"))
+    for tol in (1e-9, 1e-300):
+        want = converge(flow3, p, tol)
+        with np.errstate(all="raise"):
+            got = converge(flow3, p, tol)
+        assert (got.time, got.final_norm, got.bound) == (want.time, want.final_norm, want.bound)
+    for radius in (1e-9, 1e-150):
+        want = sphere_crossing(flow3, p, radius)
+        with np.errstate(all="raise"):
+            got = sphere_crossing(flow3, p, radius)
+        assert (got.time, got.residual) == (want.time, want.residual)
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="misses the sphere"):
+        sphere_crossing(flow3, p, 1e200)
+
+
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3))])
 def test_bisections_match_the_flow_point_oracles_bit_for_bit(n, J):
     """converge and sphere_crossing on the lean norm kernel, with converge
