@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the SL(3) cell census JSON, with all validations run.
 
-Usage: python scripts/make_census.py [--seed N] [--out census.json]
+Usage: python scripts/make_census.py [--out census.json]
 """
 
 import argparse
@@ -20,13 +20,12 @@ from tnnflow.serialize import dumps_canonical, encode_tree
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
     census = enumerate_cells()
     poset = face_poset(census)
-    doc = census_payload(census, poset, seed=args.seed)
+    doc = census_payload(census, poset)
     doc["poset_checks"] = validate_poset(poset)
     doc["limits"] = limit_report(census, poset)
 

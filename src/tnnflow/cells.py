@@ -20,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -243,20 +242,13 @@ def enumerate_cells() -> Census:
     return Census(tuple(cells))
 
 
-@lru_cache(maxsize=1)
-def _default_census() -> Census:
-    return enumerate_cells()
-
-
-def label_of(coords: Sl3Coords, tol: float = 1e-9, census: Census | None = None) -> Cell:
-    """The cell whose vanishing pattern matches the given chart point.
+def label_of(coords: Sl3Coords, census: Census, tol: float = 1e-9) -> Cell:
+    """The cell of ``census`` whose vanishing pattern matches the given chart point.
 
     Exact input is labeled exactly; float input treats coordinates within
     ``tol`` of zero as vanishing.  Points outside the nonnegative variety,
     or exhibiting a pattern that is not a cell, are rejected.
     """
-    if census is None:
-        census = _default_census()
     membership_tol = tol if coords.field == FLOAT else 1e-10
     if sl3_membership(coords, tol=membership_tol) is Membership.OUTSIDE:
         raise ValueError("point is outside the nonnegative variety")
@@ -452,10 +444,9 @@ def witness_toward(cell: Cell, target: Sl3Coords, eps: Fraction) -> Sl3Coords | 
     return got
 
 
-def limit_report(census: Census, poset: FacePoset, eps_list=None) -> dict:
-    """Check every covering pair: the small cell is a limit of the big one."""
-    if eps_list is None:
-        eps_list = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+def limit_report(census: Census, poset: FacePoset) -> dict:
+    """Check every covering pair: the small cell is a limit of the big one,
+    through points of the big cell at eps = 1/10, 1/100 and 1/1000."""
     cells = census.cells
     pairs = 0
     worst_final = 0.0
@@ -465,7 +456,7 @@ def limit_report(census: Census, poset: FacePoset, eps_list=None) -> dict:
         target = cells[a].witness
         distances = []
         ok = True
-        for eps in eps_list:
+        for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
             approx = witness_toward(cells[b], target, eps)
             if approx is None:
                 ok = False
@@ -500,12 +491,7 @@ def limit_report(census: Census, poset: FacePoset, eps_list=None) -> dict:
 # export
 
 
-def census_payload(
-    census: Census,
-    poset: FacePoset | None = None,
-    seed: int | None = None,
-    tol: float = 1e-9,
-) -> dict:
+def census_payload(census: Census, poset: FacePoset, tol: float = 1e-9) -> dict:
     """JSON-ready description: cells, relations, fixed point, counts, meta.
 
     Each cell records its vanishing pattern, dimension, and exact witness
@@ -513,8 +499,6 @@ def census_payload(
     key); ``fixed_point`` gives the attractor of the contraction in decimals
     together with the cell containing it.
     """
-    if poset is None:
-        poset = face_poset(census)
     cells_out = []
     for c in census.cells:
         entry = {
@@ -543,9 +527,9 @@ def census_payload(
         "fixed_point": {
             "v": [float(x) for x in fixed.v],
             "w": [float(x) for x in fixed.w],
-            "cell": label_of(fixed, tol=tol, census=census).key,
+            "cell": label_of(fixed, census, tol=tol).key,
         },
-        "meta": {"seed": seed, "tol": tol},
+        "meta": {"tol": tol},
     }
 
 
@@ -583,15 +567,13 @@ def _arc(p1, p2, rx, ry, dashed, edge_key) -> str:
     )
 
 
-def figure_svg(census: Census, poset: FacePoset | None = None) -> str:
+def figure_svg(census: Census, poset: FacePoset) -> str:
     """Schematic SVG of the boundary 2-sphere: 6 vertices, 8 arcs, 4 labels.
 
     Every arc carries a ``data-edge`` attribute naming the 1-cell it draws,
     and the arc endpoints are looked up through the face poset, so the figure
     cannot silently disagree with the census.
     """
-    if poset is None:
-        poset = face_poset(census)
     cells = census.cells
 
     def edge_key(l1, l2):

@@ -11,11 +11,13 @@ cells     SL(3) cell census + face poset (summary line and JSON document)
 fold      check the diagram-flip fixed locus is preserved by the flow
 figure    emit the schematic cell-decomposition drawing (SVG or JSON)
 
-Configuration precedence is flags > config file (--config, JSON) > the
-environment variable TNNFLOW_SEED (seed only) > built-in defaults, and every
-effective value is echoed into the report's "meta" block.  All JSON output
-goes through the canonical encoder, so identical configuration produces
-byte-identical bytes -- there are no timestamps and no machine identifiers.
+Each command takes, as flags and as config-file keys, only the settings it
+reads (``_COMMANDS``), and echoes exactly those into the report's "meta"
+block.  Precedence is flags > config file (--config, JSON) > the environment
+variable TNNFLOW_SEED (seed only, where the command reads it) > built-in
+defaults.  All JSON output goes through the canonical encoder, so identical
+configuration produces byte-identical bytes -- there are no timestamps and no
+machine identifiers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,14 +115,11 @@ class RunConfig:
             raise ValueError("t must be finite")
 
     def meta(self, command: str) -> dict:
+        """The command name and the value of each setting the command reads."""
         out = {"command": command}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        out["J"] = sorted(self.J)
+        for name in _COMMANDS[command].settings:
+            out[name] = sorted(self.J) if name == "J" else getattr(self, name)
         return out
-
-
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _is_int(x) -> bool:
@@ -130,22 +130,6 @@ def _is_real(x) -> bool:
     return _is_int(x) or isinstance(x, float)
 
 
-# what a config file may give each RunConfig field ("fmt" is checked against
-# the subcommand's --format choices instead)
-_CONFIG_TYPES = {
-    "n": ("an int", _is_int),
-    "seed": ("an int", _is_int),
-    "count": ("an int", _is_int),
-    "J": ("a list of ints", lambda x: isinstance(x, list) and all(map(_is_int, x))),
-    "t": ("a number", _is_real),
-    "radius": ("a number or null", lambda x: x is None or _is_real(x)),
-    "float_tol": ("a number", _is_real),
-    "bisect_tol": ("a number", _is_real),
-    "vanish_tol": ("a number", _is_real),
-    "out": ("a string or null", lambda x: x is None or isinstance(x, str)),
-}
-
-
 def _parse_J(text) -> tuple:
     if text is None:
         return None
@@ -153,42 +137,73 @@ def _parse_J(text) -> tuple:
     return tuple(sorted(int(p) for p in items if p))
 
 
-def _resolve_config(args, overrides: dict | None = None) -> RunConfig:
+class _Setting(NamedTuple):
+    flag: str
+    type: object  # the argparse type
+    expected: str | None  # what a config-file value must be, in words
+    check: object  # check(value) -> bool, on the config-file value
+    help: str | None = None
+
+
+# each RunConfig field once; "fmt" takes its command's --format choices, on
+# the command line and in a config file
+_SETTINGS = {
+    "n": _Setting("--n", int, "an int", _is_int),
+    "J": _Setting(
+        "--J",
+        _parse_J,
+        "a list of ints",
+        lambda x: isinstance(x, list) and all(map(_is_int, x)),
+        'comma list, e.g. "2" or "1,3"; "" = complete',
+    ),
+    "seed": _Setting("--seed", int, "an int", _is_int),
+    "count": _Setting("--count", int, "an int", _is_int),
+    "t": _Setting("--t", float, "a number", _is_real),
+    "radius": _Setting("--radius", float, "a number or null", lambda x: x is None or _is_real(x)),
+    "float_tol": _Setting("--tol-float", float, "a number", _is_real),
+    "bisect_tol": _Setting("--tol-bisect", float, "a number", _is_real),
+    "vanish_tol": _Setting("--tol-vanish", float, "a number", _is_real),
+    "fmt": _Setting("--format", None, None, None),
+    "out": _Setting("--out", None, "a string or null", lambda x: x is None or isinstance(x, str)),
+}
+
+
+def _resolve_config(args) -> RunConfig:
     """Merge flags over config file over env/default into a RunConfig.
 
-    ``overrides`` replaces built-in defaults for one command (lowest
-    precedence, see ``_DEFAULTS``), e.g. the fold check defaulting to n = 4
-    and the figure to SVG.  Each config-file
-    value must have its field's type (``_CONFIG_TYPES``), and ``fmt`` must be
-    one of the subcommand's ``--format`` choices; anything else raises
-    ``ValueError``, which ``main`` turns into exit 2.
+    Only the settings the command reads are taken.  The command's built-in
+    defaults (``_DEFAULTS``) sit below the config file, e.g. the fold check
+    defaulting to n = 4 and the figure to SVG.  A config-file key the command
+    does not read, or a value without its setting's type (``_SETTINGS``, and
+    for ``fmt`` the command's ``--format`` choices), raises ``ValueError``,
+    which ``main`` turns into exit 2.  ``TNNFLOW_SEED`` is read only by
+    commands that read ``seed``.
     """
-    values = dict(overrides or {})
-    if getattr(args, "config", None):
+    command = _COMMANDS[args.command]
+    values = dict(_DEFAULTS.get(args.command, {}))
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
+        unknown = sorted(set(file_cfg) - set(command.settings))
         if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        fmt_choices = _COMMANDS[args.command][1]
+            raise ValueError(f"unknown config keys for {args.command}: {unknown}")
         for key, value in file_cfg.items():
             if key == "fmt":
-                expected, ok = f"one of {list(fmt_choices)}", value in fmt_choices
+                expected, ok = f"one of {list(command.formats)}", value in command.formats
             else:
-                expected, check = _CONFIG_TYPES[key]
-                ok = check(value)
+                expected, ok = _SETTINGS[key].expected, _SETTINGS[key].check(value)
             if not ok:
                 raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         if "J" in file_cfg:
             file_cfg["J"] = tuple(file_cfg["J"])
         values.update(file_cfg)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    for key in command.settings:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    if "seed" not in values:
+    if "seed" in command.settings and "seed" not in values:
         env = os.environ.get("TNNFLOW_SEED")
         if env is not None:
             values["seed"] = int(env)
@@ -219,7 +234,7 @@ def _compact(rows) -> str:
 # subcommands
 
 
-def cmd_pinning(cfg: RunConfig) -> int:
+def cmd_pinning(cfg: RunConfig, args) -> int:
     pin = build_pinning(cfg.n)
     tau = _int_matrix(generator_sum(pin))
     if cfg.fmt == "json":
@@ -241,7 +256,8 @@ def cmd_pinning(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sample(cfg: RunConfig, side: str) -> int:
+def cmd_sample(cfg: RunConfig, args) -> int:
+    side = args.side
     rng = np.random.default_rng(cfg.seed)
     word = standard_word_w0(cfg.n)
     records = []
@@ -270,7 +286,7 @@ def cmd_sample(cfg: RunConfig, side: str) -> int:
     return 0 if all_certified else 1
 
 
-def cmd_embed(cfg: RunConfig) -> int:
+def cmd_embed(cfg: RunConfig, args) -> int:
     weight = lambda_for(cfg.n, cfg.J)
     rep = build_rep(weight)
     chart = eigenchart(rep)
@@ -335,11 +351,11 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
     return p, origin
 
 
-def cmd_flow(cfg: RunConfig, from_path: str | None, want_crossing: bool) -> int:
+def cmd_flow(cfg: RunConfig, args) -> int:
     rep = build_rep(lambda_for(cfg.n, cfg.J))
     chart = eigenchart(rep)
     flow = DiagonalFlow.from_chart(chart)
-    p, origin = _load_start_point(cfg, from_path, chart)
+    p, origin = _load_start_point(cfg, args.from_path, chart)
     if p.shape != (chart.ncoords,):
         raise ValueError(f"chart point has {p.shape[0]} coordinates, expected {chart.ncoords}")
     moved = flow_point(flow, cfg.t, p)
@@ -366,7 +382,7 @@ def cmd_flow(cfg: RunConfig, from_path: str | None, want_crossing: bool) -> int:
                 "w": list(coords.w),
                 "membership": sl3_membership(coords, tol=cfg.float_tol),
             }
-    if want_crossing:
+    if args.crossing:
         radius, rule = cfg.radius, "explicit"
         if radius is None:
             radius = default_ball_radius(chart, np.random.default_rng([cfg.seed, 1]))
@@ -388,19 +404,19 @@ def _require_complete_sl3(cfg: RunConfig) -> None:
         raise ValueError("the cell census is implemented for the complete SL(3) flag variety")
 
 
-def cmd_cells(cfg: RunConfig) -> int:
+def cmd_cells(cfg: RunConfig, args) -> int:
     _require_complete_sl3(cfg)
     census = enumerate_cells()
     poset = face_poset(census)
     checks = validate_poset(poset)
     limits = limit_report(census, poset)
-    payload = census_payload(census, poset, seed=cfg.seed, tol=cfg.vanish_tol)
+    payload = census_payload(census, poset, tol=cfg.vanish_tol)
     payload["poset_checks"] = checks
     payload["limits_pass"] = limits["passed"]
     verdict = census_verdict(census, checks)
     payload["bruhat_match"] = verdict["bruhat_match"]
     payload["vertex_labels_match"] = verdict["vertex_labels_match"]
-    payload["meta"] = {**payload["meta"], **cfg.meta("cells")}
+    payload["meta"] = cfg.meta("cells")
     ok = all(verdict.values()) and payload["limits_pass"]
     f = census.f_vector
     summary = f"{len(census.cells)} cells: f = ({f[0]}, {f[1]}, {f[2]}, {f[3]})\n"
@@ -413,7 +429,7 @@ def cmd_cells(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_fold(cfg: RunConfig) -> int:
+def cmd_fold(cfg: RunConfig, args) -> int:
     folding = build_folding(cfg.n)
     rng = np.random.default_rng(cfg.seed)
     report = fixed_locus_flow_check(folding, rng, count=cfg.count)
@@ -422,13 +438,13 @@ def cmd_fold(cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
-def cmd_figure(cfg: RunConfig) -> int:
+def cmd_figure(cfg: RunConfig, args) -> int:
     _require_complete_sl3(cfg)
     census = enumerate_cells()
     poset = face_poset(census)
     if cfg.fmt == "json":
-        payload = census_payload(census, poset, seed=cfg.seed, tol=cfg.vanish_tol)
-        payload["meta"] = {**payload["meta"], **cfg.meta("figure")}
+        payload = census_payload(census, poset, tol=cfg.vanish_tol)
+        payload["meta"] = cfg.meta("figure")
         _emit_report(payload, cfg)
     else:
         _emit(figure_svg(census, poset), cfg.out)
@@ -584,7 +600,7 @@ def _verify_dims_section(charts) -> dict:
     return {"modules": entries, "passed": ok}
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, args) -> int:
     counts = {
         "axioms": max(cfg.count, 100),
         "commutation": max(cfg.count // 5, 10),
@@ -622,17 +638,28 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 
 
-# name -> (help, --format choices, --format default); None defers to the
-# config file, then to _DEFAULTS, then to RunConfig.fmt
+class _Command(NamedTuple):
+    help: str
+    run: object  # run(cfg, args) -> exit code
+    settings: tuple  # the RunConfig fields the command reads
+    formats: tuple = ()  # --format choices, for a command with more than one
+
+
 _COMMANDS = {
-    "pinning": ("print Chevalley generators and their sum", ("text", "json"), None),
-    "sample": ("sample TP elements with minor certificates", ("json",), "json"),
-    "embed": ("build a module and its eigenbasis chart", ("text", "json"), None),
-    "flow": ("flow a chart point or flag", ("json",), "json"),
-    "verify": ("run the full property suite", ("json",), "json"),
-    "cells": ("SL(3) cell census and face poset", ("text", "json"), None),
-    "fold": ("diagram-flip fixed-locus flow check", ("json",), "json"),
-    "figure": ("schematic drawing of the SL(3) decomposition", ("svg", "json"), None),
+    "pinning": _Command("print Chevalley generators and their sum", cmd_pinning,
+                        ("n", "fmt", "out"), ("text", "json")),
+    "sample": _Command("sample TP elements with minor certificates", cmd_sample,
+                       ("n", "seed", "count", "out")),
+    "embed": _Command("build a module and its eigenbasis chart", cmd_embed,
+                      ("n", "J", "fmt", "out"), ("text", "json")),
+    "flow": _Command("flow a chart point or flag", cmd_flow,
+                     ("n", "J", "seed", "t", "radius", "float_tol", "bisect_tol", "out")),
+    "verify": _Command("run the full property suite", cmd_verify, ("seed", "count", "out")),
+    "cells": _Command("SL(3) cell census and face poset", cmd_cells,
+                      ("n", "J", "vanish_tol", "fmt", "out"), ("text", "json")),
+    "fold": _Command("diagram-flip fixed-locus flow check", cmd_fold, ("n", "seed", "count", "out")),
+    "figure": _Command("schematic drawing of the SL(3) decomposition", cmd_figure,
+                       ("n", "J", "vanish_tol", "fmt", "out"), ("svg", "json")),
 }
 
 # built-in defaults of one command, below the config file: the fold check
@@ -640,31 +667,37 @@ _COMMANDS = {
 _DEFAULTS = {"fold": {"n": 4}, "figure": {"fmt": "svg"}}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built afresh: the flags every subcommand shares
-    are made once, in a parent that each subparser copies them from."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (flags take precedence)")
-    common.add_argument("--n", type=int, dest="n")
-    common.add_argument("--J", type=_parse_J, dest="J", help='comma list, e.g. "2" or "1,3"; "" = complete')
-    common.add_argument("--seed", type=int, dest="seed")
-    common.add_argument("--count", type=int, dest="count")
-    common.add_argument("--t", type=float, dest="t")
-    common.add_argument("--radius", type=float, dest="radius")
-    common.add_argument("--tol-float", type=float, dest="float_tol")
-    common.add_argument("--tol-bisect", type=float, dest="bisect_tol")
-    common.add_argument("--tol-vanish", type=float, dest="vanish_tol")
-    common.add_argument("--out", dest="out")
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with one line on stderr and exit code 2."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built afresh: each subcommand takes ``--config``
+    and the flag of each setting it reads.  Abbreviated flags are refused, so
+    that a flag a command does not take is never read as a longer one it does
+    (``cells --t`` as ``--tol-vanish``)."""
+    parser = _Parser(
         prog="tnnflow",
         description="totally nonnegative flag varieties: flows, charts, cells",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
     sub = {}
-    for name, (help_text, fmt_choices, default_fmt) in _COMMANDS.items():
-        sub[name] = subs.add_parser(name, help=help_text, parents=[common])
-        sub[name].add_argument("--format", choices=fmt_choices, dest="fmt", default=default_fmt)
+    for name, command in _COMMANDS.items():
+        sub[name] = subs.add_parser(name, help=command.help, allow_abbrev=False)
+        sub[name].add_argument("--config", help="JSON config file (flags take precedence)")
+        for key in command.settings:
+            setting = _SETTINGS[key]
+            sub[name].add_argument(
+                setting.flag,
+                type=setting.type,
+                dest=key,
+                help=setting.help,
+                choices=command.formats if key == "fmt" else None,
+            )
     sub["sample"].add_argument("--side", choices=("group", "upper", "lower"), default="group")
     sub["flow"].add_argument("--from", dest="from_path", help="JSON file with a 'chart' or 'flag' entry")
     sub["flow"].add_argument(
@@ -678,24 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args, _DEFAULTS.get(args.command))
-        if args.command == "pinning":
-            return cmd_pinning(cfg)
-        if args.command == "sample":
-            return cmd_sample(cfg, args.side)
-        if args.command == "embed":
-            return cmd_embed(cfg)
-        if args.command == "flow":
-            return cmd_flow(cfg, args.from_path, args.crossing)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "cells":
-            return cmd_cells(cfg)
-        if args.command == "fold":
-            return cmd_fold(cfg)
-        if args.command == "figure":
-            return cmd_figure(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command].run(_resolve_config(args), args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

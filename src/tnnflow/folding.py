@@ -188,8 +188,9 @@ def _frame_gap(qa: np.ndarray, qb: np.ndarray):
     return float(worst) if qa.ndim == 2 else worst
 
 
-def _flow_steps(t: float, max_step: float = 0.5) -> int:
-    return max(1, int(np.ceil(abs(t) / max_step)))
+def _flow_steps(t: float) -> int:
+    """The number of steps, each at most 0.5 long, that flow to time t."""
+    return max(1, int(np.ceil(abs(t) / 0.5)))
 
 
 def fixed_locus_flow_check(

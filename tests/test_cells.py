@@ -12,6 +12,7 @@ from tnnflow.cells import (
     bruhat_interval_counts,
     census_payload,
     enumerate_cells,
+    face_poset,
     figure_svg,
     label_of,
     limit_report,
@@ -101,7 +102,7 @@ def test_witness_toward_interpolates(census3):
 
 
 def test_census_payload_schema(census3, poset3):
-    doc = census_payload(census3, poset3, seed=0)
+    doc = census_payload(census3, poset3)
     assert doc["cell_count"] == 19
     assert doc["f_vector"] == [6, 8, 4, 1]
     assert doc["euler_boundary"] == 2
@@ -111,7 +112,7 @@ def test_census_payload_schema(census3, poset3):
         assert set(entry["zeros"]) == {"v", "w"}
         assert ("vertex_label" in entry) == (entry["dim"] == 0)
     assert all(len(pair) == 2 for pair in doc["relations"])
-    assert doc["meta"] == {"seed": 0, "tol": 1e-9}
+    assert doc["meta"] == {"tol": 1e-9}
     # the attractor sits in the open top cell; decimals match the closed form
     fp = doc["fixed_point"]
     assert fp["cell"] == "v|w"
@@ -133,8 +134,9 @@ def test_figure_svg_structure(census3, poset3):
 
 
 def test_census_deterministic():
-    a = census_payload(enumerate_cells())
-    b = census_payload(enumerate_cells())
+    census_a, census_b = enumerate_cells(), enumerate_cells()
+    a = census_payload(census_a, face_poset(census_a))
+    b = census_payload(census_b, face_poset(census_b))
     assert a == b
 
 

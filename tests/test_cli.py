@@ -72,19 +72,19 @@ def test_sample_emits_certificates(capsys):
     [
         (
             ("--n", "3", "--count", "3"),
-            "061209cf77187cb9cd0cfcb19cf77db490cfaa6e9f41b44ed48642f80dbe0b26",
+            "291a3d732272b1267ce48757b2f283f21c3e85331ee95a7c269654c76dce642c",
         ),
         (
-            ("--n", "6", "--side", "group", "--count", "3", "--seed", "0", "--format", "json"),
-            "b154ae50dba67c93f1e090366e346976103cea80c66931ed2de6d0f53a88cedf",
+            ("--n", "6", "--side", "group", "--count", "3", "--seed", "0"),
+            "748855875ce5c0739a19963bfea43aa61f6ec8c44c5cfb1daba5f1bf321c48a4",
         ),
         (
-            ("--n", "6", "--side", "lower", "--count", "3", "--seed", "0", "--format", "json"),
-            "e083823ac1b7b25fd29eff2395b8a1776c861c4f14dab50b17dea267a699a320",
+            ("--n", "6", "--side", "lower", "--count", "3", "--seed", "0"),
+            "30d75634ed19ec47aa075c73077a53f3e3170c0ec9fed633381168b026781dfc",
         ),
         (
-            ("--n", "8", "--side", "group", "--count", "1", "--seed", "0", "--format", "json"),
-            "621ec515c58a650bb68315f340906d5371dec3bec72aac3622d413e2a6148494",
+            ("--n", "8", "--side", "group", "--count", "1", "--seed", "0"),
+            "92624db370eaff2261666e324541e73cc2f4ecb4019fe4d586a677c78aa80481",
         ),
     ],
     ids=["n3", "n6-group", "n6-lower", "n8-group"],
@@ -198,6 +198,12 @@ def test_env_seed_fallback(monkeypatch, capsys):
     # explicit flag still beats the environment
     _, out, _ = run_cli(capsys, "sample", "--count", "1", "--seed", "4")
     assert json.loads(out)["meta"]["seed"] == 4
+    # only a command that reads the seed consults the environment
+    monkeypatch.setenv("TNNFLOW_SEED", "not a seed")
+    code, out, err = run_cli(capsys, "sample", "--count", "1")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    code, out, _ = run_cli(capsys, "pinning", "--n", "3")
+    assert code == 0 and out.startswith("pinning for SL(3)")
 
 
 def test_error_exit_codes(capsys, tmp_path):
@@ -215,16 +221,16 @@ def test_error_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"whatever": 1}')
     code, _, err = run_cli(capsys, "embed", "--config", str(bad))
-    assert code == 2 and "unknown config keys" in err
+    assert code == 2 and "unknown config keys" in err and len(err.splitlines()) == 1
     # a config value of the wrong type is refused, not run or left to a traceback
     for command, text in [
         ("sample", '{"n": 3.5}'),
         ("sample", '{"seed": 1e30}'),
-        ("sample", '{"J": 2}'),
-        ("sample", '{"J": [1, true]}'),
-        ("sample", '{"radius": "0.5"}'),
-        ("sample", '{"t": "1"}'),
-        ("sample", '{"float_tol": null}'),
+        ("embed", '{"J": 2}'),
+        ("embed", '{"J": [1, true]}'),
+        ("flow", '{"radius": "0.5"}'),
+        ("flow", '{"t": "1"}'),
+        ("flow", '{"float_tol": null}'),
         ("sample", '{"count": true}'),
         ("sample", '{"out": 3}'),
         ("sample", '3'),
@@ -254,7 +260,7 @@ def test_error_exit_codes(capsys, tmp_path):
     nan.write_text('{"flag": [[1e308,0,0],[0,1,0],[0,0,1]]}')
     code, out, err = run_cli(capsys, "flow", "--from", str(nan))
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "finite" in err
-    code, out, err = run_cli(capsys, "flow", "--t=-1e4", "--seed", "3", "--format", "json")
+    code, out, err = run_cli(capsys, "flow", "--t=-1e4", "--seed", "3")
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "overflows" in err
     # none of these crossings lies on its sphere: the radius is infinite, or
     # the norm along the trajectory overflows or underflows before reaching it
@@ -267,7 +273,7 @@ def test_error_exit_codes(capsys, tmp_path):
         ("embed", "--n", "4", "--J", "2,2"),
         ("flow", "--t", "2", "--seed", "3", "--crossing", "--radius", "0.5", "--tol-bisect", "inf"),
         ("flow", "--t", "2", "--seed", "3", "--tol-float", "inf"),
-        ("flow", "--t", "2", "--seed", "3", "--tol-vanish", "inf"),
+        ("cells", "--tol-vanish", "inf"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
@@ -316,39 +322,68 @@ def test_verify_is_deterministic(capsys):
     assert out1 != out3
 
 
+# The settings each subcommand reads, and a value of the right type for each:
+# as a flag and as a config-file value.
+READS = {
+    "pinning": ("n", "fmt", "out"),
+    "sample": ("n", "seed", "count", "out"),
+    "embed": ("n", "J", "fmt", "out"),
+    "flow": ("n", "J", "seed", "t", "radius", "float_tol", "bisect_tol", "out"),
+    "verify": ("seed", "count", "out"),
+    "cells": ("n", "J", "vanish_tol", "fmt", "out"),
+    "figure": ("n", "J", "vanish_tol", "fmt", "out"),
+    "fold": ("n", "seed", "count", "out"),
+}
+_VALUES = {
+    "n": ("--n", "5", 5),
+    "J": ("--J", "2", [2]),
+    "seed": ("--seed", "5", 5),
+    "count": ("--count", "2", 2),
+    "t": ("--t", "1", 1.0),
+    "radius": ("--radius", "0.5", 0.5),
+    "float_tol": ("--tol-float", "1e-10", 1e-10),
+    "bisect_tol": ("--tol-bisect", "1e-12", 1e-12),
+    "vanish_tol": ("--tol-vanish", "1e-9", 1e-9),
+    "fmt": ("--format", "json", "json"),
+    "out": ("--out", "report.json", None),
+}
+UNREAD = [(command, key) for command, keys in READS.items() for key in _VALUES if key not in keys]
+
+
 # Every subcommand's options as (option strings, dest, default, choices, type,
-# help), recorded from the parser before its shared flags moved to a parent.
-# Since then figure's --format default is None, so that a config file's "fmt"
-# is honoured; the SVG default comes from the command's built-in defaults.
+# help): --config, the flag of each setting in READS, and the command's own.
 _HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, None, "show this help message and exit")
-_COMMON = [
-    (("--config",), "config", None, None, None, "JSON config file (flags take precedence)"),
-    (("--n",), "n", None, None, int, None),
-    (("--J",), "J", None, None, _parse_J, 'comma list, e.g. "2" or "1,3"; "" = complete'),
-    (("--seed",), "seed", None, None, int, None),
-    (("--count",), "count", None, None, int, None),
-    (("--t",), "t", None, None, float, None),
-    (("--radius",), "radius", None, None, float, None),
-    (("--tol-float",), "float_tol", None, None, float, None),
-    (("--tol-bisect",), "bisect_tol", None, None, float, None),
-    (("--tol-vanish",), "vanish_tol", None, None, float, None),
-    (("--out",), "out", None, None, None, None),
-]
+_CONFIG = (("--config",), "config", None, None, None, "JSON config file (flags take precedence)")
+_FLAGS = {
+    "n": (("--n",), "n", None, None, int, None),
+    "J": (("--J",), "J", None, None, _parse_J, 'comma list, e.g. "2" or "1,3"; "" = complete'),
+    "seed": (("--seed",), "seed", None, None, int, None),
+    "count": (("--count",), "count", None, None, int, None),
+    "t": (("--t",), "t", None, None, float, None),
+    "radius": (("--radius",), "radius", None, None, float, None),
+    "float_tol": (("--tol-float",), "float_tol", None, None, float, None),
+    "bisect_tol": (("--tol-bisect",), "bisect_tol", None, None, float, None),
+    "vanish_tol": (("--tol-vanish",), "vanish_tol", None, None, float, None),
+    "out": (("--out",), "out", None, None, None, None),
+}
 _TEXT_JSON = (("--format",), "fmt", None, ("text", "json"), None, None)
-_JSON = (("--format",), "fmt", "json", ("json",), None, None)
+
+
+def _flags(command, fmt=None):
+    return [_HELP, _CONFIG, *(_FLAGS[k] for k in READS[command] if k != "fmt"), *([fmt] if fmt else [])]
+
+
 PARSER_TABLE = {
-    "pinning": ("print Chevalley generators and their sum", [_HELP, *_COMMON, _TEXT_JSON]),
+    "pinning": ("print Chevalley generators and their sum", _flags("pinning", _TEXT_JSON)),
     "sample": (
         "sample TP elements with minor certificates",
-        [_HELP, *_COMMON, _JSON, (("--side",), "side", "group", ("group", "upper", "lower"), None, None)],
+        [*_flags("sample"), (("--side",), "side", "group", ("group", "upper", "lower"), None, None)],
     ),
-    "embed": ("build a module and its eigenbasis chart", [_HELP, *_COMMON, _TEXT_JSON]),
+    "embed": ("build a module and its eigenbasis chart", _flags("embed", _TEXT_JSON)),
     "flow": (
         "flow a chart point or flag",
         [
-            _HELP,
-            *_COMMON,
-            _JSON,
+            *_flags("flow"),
             (("--from",), "from_path", None, None, None, "JSON file with a 'chart' or 'flag' entry"),
             (
                 ("--crossing",),
@@ -360,12 +395,12 @@ PARSER_TABLE = {
             ),
         ],
     ),
-    "verify": ("run the full property suite", [_HELP, *_COMMON, _JSON]),
-    "cells": ("SL(3) cell census and face poset", [_HELP, *_COMMON, _TEXT_JSON]),
-    "fold": ("diagram-flip fixed-locus flow check", [_HELP, *_COMMON, _JSON]),
+    "verify": ("run the full property suite", _flags("verify")),
+    "cells": ("SL(3) cell census and face poset", _flags("cells", _TEXT_JSON)),
+    "fold": ("diagram-flip fixed-locus flow check", _flags("fold")),
     "figure": (
         "schematic drawing of the SL(3) decomposition",
-        [_HELP, *_COMMON, (("--format",), "fmt", None, ("svg", "json"), None, None)],
+        _flags("figure", (("--format",), "fmt", None, ("svg", "json"), None, None)),
     ),
 }
 
@@ -390,3 +425,48 @@ def test_every_subcommand_prints_help(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: tnnflow {command}")
+
+
+def test_parser_takes_47_flags():
+    """--config and each read setting's flag, per command, plus --side, --from and --crossing."""
+    assert sum(len(table) - 1 for _, table in PARSER_TABLE.values()) == 47
+    assert sum(map(len, READS.values())) == 36  # the config keys
+
+
+@pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+def test_settings_a_command_does_not_read_are_refused(capsys, tmp_path, command, key):
+    """A flag or config key the command does not read exits 2 with one line, and writes nothing."""
+    flag, text, value = _VALUES[key]
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: unrecognized arguments")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "unknown config keys" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pinning", "--format", "json"),
+        ("sample", "--count", "1"),
+        ("embed", "--format", "json"),
+        ("flow", "--seed", "3"),
+        ("verify", "--count", "1"),
+        ("cells", "--format", "json"),
+        ("figure", "--format", "json"),
+        ("fold", "--count", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_meta_echoes_exactly_the_settings_read(capsys, argv):
+    command = argv[0]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    extra = {"counts"} if command == "verify" else set()
+    assert set(meta) == {"command", *READS[command]} | extra
+    assert meta["command"] == command and meta["out"] is None
