@@ -6,7 +6,7 @@ pinning   print the Chevalley generator matrices and their sum
 sample    draw factorized totally positive elements with minor certificates
 embed     build a highest-weight module and its eigenbasis chart
 flow      flow a chart point / flag, optionally locating a sphere crossing
-verify    run the full property suite; exit nonzero on any failure
+verify    run the property suite of tnnflow.suite; exit nonzero on any failure
 cells     SL(3) cell census + face poset (summary line and JSON document)
 fold      check the diagram-flip fixed locus is preserved by the flow
 figure    emit the schematic cell-decomposition drawing (SVG or JSON)
@@ -32,9 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .cells import (
-    bruhat_interval_counts,
     census_payload,
     census_verdict,
     enumerate_cells,
@@ -43,35 +41,22 @@ from .cells import (
     limit_report,
     validate_poset,
 )
-from .chevalley import FLOAT, GroupElement, build_pinning, exp_generator_sum, generator_sum
-from .embedding import (
-    build_rep,
-    chart_coords,
-    chart_line,
-    eigenchart,
-    lambda_for,
-    line_of,
-    weyl_dim,
-)
+from .chevalley import FLOAT, GroupElement, build_pinning, generator_sum
+from .embedding import build_rep, chart_coords, chart_line, eigenchart, lambda_for, line_of, weyl_dim
 from .flow import (
     DiagonalFlow,
-    commutation_check,
-    converge,
     default_ball_radius,
-    default_invariance_cases,
     flow_point,
     has_overflow,
-    invariance_check,
     line_to_sl3_coords,
     sphere_crossing,
-    verify_axioms,
 )
 from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical, encode_tree
+from .suite import run_suite
 from .totpos import (
     Positivity,
     certify_minors,
-    is_tnn_matrix,
     sample_params,
     sample_positive,
     sl3_membership,
@@ -451,179 +436,8 @@ def cmd_figure(cfg: RunConfig, args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# the verification suite
-
-
-def _verify_axioms_section(charts, rng, counts) -> dict:
-    flow = DiagonalFlow.from_chart(charts[(3, frozenset())])
-    report = verify_axioms(flow, rng, samples=counts["axioms"])
-    return {
-        "samples": counts["axioms"],
-        "log_contraction": flow.log_contraction,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "worst": c.worst, "samples": c.samples}
-            for c in report.checks
-        ],
-        "passed": report.passed,
-    }
-
-
-def _verify_commutation_section(charts, rng, counts) -> dict:
-    cases = []
-    passed = True
-    for case in default_invariance_cases():
-        pin = build_pinning(case.n)
-        chart = charts[(case.n, case.J)]
-        word = standard_word_w0(case.n)
-        for t in (0.1, 1.0):
-            batch = [sample_params(word, rng) for _ in range(counts["commutation"])]
-            worst = commutation_check(pin, chart, batch, t)["max_diff"]
-            ok = worst <= 1e-8
-            passed = passed and ok
-            cases.append(
-                {
-                    "n": case.n,
-                    "J": sorted(case.J),
-                    "t": t,
-                    "samples": counts["commutation"],
-                    "worst": worst,
-                    "passed": ok,
-                }
-            )
-    return {"cases": cases, "tolerance": 1e-8, "passed": passed}
-
-
-def _verify_invariance_section(charts, rng, counts) -> dict:
-    cases = []
-    passed = True
-    for case in default_invariance_cases():
-        rep = charts[(case.n, case.J)].rep
-        result = invariance_check(case, rep, 0.1, rng, count=counts["invariance"])
-        passed = passed and result["passed"]
-        cases.append(
-            {
-                "n": case.n,
-                "J": sorted(case.J),
-                "all_interior": result["all_interior"],
-                "count": result["count"],
-                "worst_margin": result["worst_margin"],
-                "control_interior": result["control_interior"],
-                "passed": result["passed"],
-            }
-        )
-    return {"cases": cases, "t": 0.1, "passed": passed}
-
-
-def _verify_folding_section(rng, counts) -> dict:
-    folding = build_folding(4)
-    report = fixed_locus_flow_check(folding, rng, count=counts["folding"])
-    return {k: v for k, v in report.items() if k != "witness"} | {
-        "witness": report["witness"] or "none"
-    }
-
-
-def _verify_census_section() -> dict:
-    census = enumerate_cells()
-    poset = face_poset(census)
-    checks = validate_poset(poset)
-    return {
-        "cell_count": len(census.cells),
-        "f_vector": list(census.f_vector),
-        "bruhat_counts": list(bruhat_interval_counts(3)),
-        "euler_boundary": census.euler(max_dim=2),
-        "vertex_labels": sorted(census.vertex_labels()),
-        "poset_checks": checks,
-        "passed": all(census_verdict(census, checks).values()),
-    }
-
-
-def _verify_exp_tp_section() -> dict:
-    pin = build_pinning(3)
-    g = exp_generator_sum(pin, 1.0)
-    rational = linalg.rationalize(g.entries)
-    verdict = is_tnn_matrix(rational)
-    return {
-        "t": 1.0,
-        "verdict": verdict,
-        "passed": verdict is Positivity.TOTALLY_POSITIVE,
-    }
-
-
-def _verify_fixed_point_section(charts, rng, counts) -> dict:
-    chart = charts[(3, frozenset())]
-    flow = DiagonalFlow.from_chart(chart)
-    target = np.array([1.0, math.sqrt(2.0), 1.0, 1.0, math.sqrt(2.0), 1.0])
-    target /= 2.0 + math.sqrt(2.0)
-    word = standard_word_w0(3)
-    worst = 0.0
-    bounded = True
-    for _ in range(counts["fixed_point"]):
-        params = sample_params(word, rng)
-        p = chart_coords(chart, line_of(chart.rep, params, "lower"))
-        run = converge(flow, p, tol=1e-9)
-        bounded = bounded and run.within_bound
-        moved = flow_point(flow, run.time, p)
-        coords = line_to_sl3_coords(chart, chart_line(chart, moved))
-        got = np.array(list(coords.v) + list(coords.w))
-        worst = max(worst, float(np.max(np.abs(got - target))))
-    ok = bounded and worst <= 1e-8
-    return {
-        "starts": counts["fixed_point"],
-        "worst_coordinate_error": worst,
-        "within_a_priori_bound": bounded,
-        "tolerance": 1e-8,
-        "passed": ok,
-    }
-
-
-def _verify_dims_section(charts) -> dict:
-    entries = []
-    ok = True
-    for n, J in ((3, ()), (4, (1, 3))):
-        chart = charts[(n, frozenset(J))]
-        rep, weight = chart.rep, chart.rep.weight
-        match = rep.dim == weyl_dim(weight)
-        gap_ok = chart.mu[0] > chart.mu[1]
-        ok = ok and match and gap_ok
-        entries.append(
-            {
-                "n": n,
-                "J": list(J),
-                "dim": rep.dim,
-                "weyl_dim": weyl_dim(weight),
-                "mu0": chart.mu[0],
-                "mu1": chart.mu[1],
-                "passed": match and gap_ok,
-            }
-        )
-    return {"modules": entries, "passed": ok}
-
-
 def cmd_verify(cfg: RunConfig, args) -> int:
-    counts = {
-        "axioms": max(cfg.count, 100),
-        "commutation": max(cfg.count // 5, 10),
-        "invariance": max(cfg.count // 3, 20),
-        "folding": max(cfg.count // 3, 20),
-        "fixed_point": 5,
-    }
-    # every module the sections use, built and charted once per run
-    charts = {
-        (n, frozenset(J)): eigenchart(build_rep(lambda_for(n, J)))
-        for n, J in ((3, ()), (3, {2}), (4, {2}), (4, {1, 3}))
-    }
-    rng = np.random.default_rng(cfg.seed)
-    sections = {
-        "axioms": _verify_axioms_section(charts, rng, counts),
-        "commutation": _verify_commutation_section(charts, rng, counts),
-        "invariance": _verify_invariance_section(charts, rng, counts),
-        "folding": _verify_folding_section(rng, counts),
-        "census": _verify_census_section(),
-        "exp_total_positivity": _verify_exp_tp_section(),
-        "fixed_point": _verify_fixed_point_section(charts, rng, counts),
-        "representation_dims": _verify_dims_section(charts),
-    }
+    counts, sections = run_suite(cfg.seed, cfg.count)
     passed = all(section["passed"] for section in sections.values())
     payload = {
         "meta": cfg.meta("verify") | {"counts": counts},

@@ -50,8 +50,6 @@ __all__ = [
     "fixed_flag",
     "line_to_sl3_coords",
     "commutation_check",
-    "InvarianceCase",
-    "default_invariance_cases",
     "invariance_check",
 ]
 
@@ -447,20 +445,6 @@ def commutation_check(pinning: Pinning, chart: EigenChart, params, t: float) -> 
 # invariance: the boundary moves strictly inside
 
 
-@dataclass(frozen=True)
-class InvarianceCase:
-    n: int
-    J: frozenset
-
-
-def default_invariance_cases() -> tuple:
-    return (
-        InvarianceCase(3, frozenset()),
-        InvarianceCase(3, frozenset({2})),
-        InvarianceCase(4, frozenset({2})),
-    )
-
-
 def _interior_margin(rep, g_float: GroupElement) -> float:
     """Positivity margin of the embedded line: min coord over max |coord|.
 
@@ -474,19 +458,13 @@ def _interior_margin(rep, g_float: GroupElement) -> float:
     return float(np.min(vec)) / scale
 
 
-def invariance_check(
-    case: InvarianceCase,
-    rep,
-    t: float,
-    rng: np.random.Generator,
-    count: int = 100,
-) -> dict:
+def invariance_check(rep, t: float, rng: np.random.Generator, count: int = 100) -> dict:
     """Flow boundary flags for time t and certify they land strictly inside.
 
     Boundary samples come from factorizations with zeroed parameters (the
     first sample zeroes every parameter: the base flag).  For each sample the
     line-coordinate positivity margin must clear 1e-12; for the
-    complete SL(3) case the (v, w) membership oracle, read straight off the
+    complete SL(3) module the (v, w) membership oracle, read straight off the
     columns of exp(t tau) u, must simultaneously say PositivePart.  The
     negative control re-runs the first sample at t = 0, where the certificate
     must fail.  ``count`` below 1 raises ``ValueError``: an empty sample
@@ -494,14 +472,13 @@ def invariance_check(
     """
     if count < 1:
         raise ValueError(f"the invariance check needs count >= 1, got {count}")
-    pin = build_pinning(case.n)
-    word = standard_word_w0(case.n)
+    pin = build_pinning(rep.n)
+    word = standard_word_w0(rep.n)
+    sl3 = rep.n == 3 and rep.factors == (1, 2)
     ell = len(word)
     exp_t = exp_generator_sum(pin, t).entries
-    results = []
     all_interior = True
     worst = math.inf
-    witness = None
     for k in range(count):
         if k == 0:
             mask = list(range(ell))
@@ -513,14 +490,11 @@ def invariance_check(
         moved = exp_t @ linalg.to_float(u.entries)
         margin = _interior_margin(rep, GroupElement(moved, FLOAT))
         interior = margin > 1e-12
-        if case.n == 3 and not case.J:
+        if sl3:
             membership = sl3_membership(sl3_coords(moved), tol=1e-10)
             interior = interior and membership is Membership.POSITIVE_PART
-        if margin < worst:
-            worst = margin
-            witness = {"sample": k, "mask": mask, "margin": margin}
+        worst = min(worst, margin)
         all_interior = all_interior and interior
-        results.append(interior)
 
     # negative control: with t = 0 the base-flag sample stays on the boundary
     base = sample_positive(
@@ -529,18 +503,14 @@ def invariance_check(
     base = base.to_float()
     control_margin = _interior_margin(rep, base)
     control_interior = control_margin > 1e-12
-    if case.n == 3 and not case.J:
+    if sl3:
         membership = sl3_membership(sl3_coords(base.entries), tol=1e-10)
         control_interior = control_interior and membership is Membership.POSITIVE_PART
 
     return {
-        "n": case.n,
-        "J": sorted(case.J),
-        "t": t,
         "count": count,
         "all_interior": all_interior,
         "worst_margin": worst,
-        "witness": witness,
         "control_interior": control_interior,  # must be False
         "passed": all_interior and not control_interior,
     }

@@ -26,12 +26,12 @@ from tnnflow.embedding import (
 from tnnflow.flow import (
     commutation_check,
     converge,
-    default_invariance_cases,
     flow_point,
     invariance_check,
     line_to_sl3_coords,
 )
 from tnnflow.folding import build_folding, fixed_locus_flow_check
+from tnnflow.suite import CASES
 from tnnflow.totpos import (
     Positivity,
     is_tnn_matrix,
@@ -133,11 +133,10 @@ def test_criterion_05_invariance(rep3, rep42):
     rng = np.random.default_rng(10)
     all_ok = True
     details = []
-    for case in default_invariance_cases():
-        rep = reps[(case.n, tuple(sorted(case.J)))]
-        out = invariance_check(case, rep, 0.1, rng, count=100)
+    for row in (row for row in CASES if row.gate == "invariance"):
+        out = invariance_check(reps[(row.n, row.J)], row.t, rng, count=100)
         all_ok = all_ok and out["passed"] and not out["control_interior"]
-        details.append(f"({case.n},{sorted(case.J)}) margin {out['worst_margin']:.1e}")
+        details.append(f"({row.n},{list(row.J)}) margin {out['worst_margin']:.1e}")
     report(5, "invariance", all_ok, "; ".join(details))
 
 

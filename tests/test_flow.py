@@ -18,7 +18,6 @@ from tnnflow.flow import (
     commutation_check,
     converge,
     default_ball_radius,
-    default_invariance_cases,
     fixed_flag,
     flow_point,
     has_overflow,
@@ -28,6 +27,7 @@ from tnnflow.flow import (
     trajectory,
     verify_axioms,
 )
+from tnnflow.suite import CASES
 from tnnflow.totpos import sample_params, sample_positive, sl3_coords, standard_word_w0
 
 
@@ -191,7 +191,7 @@ def test_line_to_sl3_coords_roundtrip(chart3, rng):
 @pytest.mark.parametrize("count", [0, -2])
 def test_invariance_check_refuses_an_empty_sample(rep3, rng, count):
     with pytest.raises(ValueError, match="count"):
-        invariance_check(default_invariance_cases()[0], rep3, 0.1, rng, count=count)
+        invariance_check(rep3, 0.1, rng, count=count)
 
 
 def test_commutation_check_takes_a_batch(pin3, chart3):
@@ -208,11 +208,12 @@ def test_commutation_check_takes_a_batch(pin3, chart3):
 
 
 def test_invariance_all_cases(rng):
-    from tnnflow.embedding import build_rep, lambda_for
-
-    for case in default_invariance_cases():
-        rep = build_rep(lambda_for(case.n, case.J))
-        out = invariance_check(case, rep, 0.1, rng, count=25)
+    """Each invariance row of the verify table, at its own t."""
+    for row in CASES:
+        if row.gate != "invariance":
+            continue
+        rep = build_rep(lambda_for(row.n, row.J))
+        out = invariance_check(rep, row.t, rng, count=25)
         assert out["passed"], out
         assert not out["control_interior"]
 
