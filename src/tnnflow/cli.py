@@ -439,11 +439,7 @@ def cmd_figure(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     counts, sections = run_suite(cfg.seed, cfg.count)
     passed = all(section["passed"] for section in sections.values())
-    payload = {
-        "meta": cfg.meta("verify") | {"counts": counts},
-        "sections": sections,
-        "passed": passed,
-    }
+    payload = {"meta": cfg.meta("verify") | {"counts": counts}, "sections": sections, "passed": passed}
     _emit_report(payload, cfg)
     return 0 if passed else 1
 

@@ -384,6 +384,29 @@ def fixed_flag(pinning: Pinning) -> np.ndarray:
     return generator_sum_spectrum(pinning)[1]
 
 
+def _frame_gaps(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Largest sine of the principal angles between the nested spans of two frames, per k.
+
+    For orthonormal frames, ``||Qb_k - Qa_k Qa_k^T Qb_k||_2`` is the sine of
+    the largest principal angle between the spans of the leading k columns
+    (Bjorck-Golub 1973), whatever basis each frame picks within its
+    subspaces.  The last axis holds it for k = 1..n-1 (n >= 2); stacks of
+    frames keep their leading axes.
+    """
+    def gap(k):
+        a, b = qa[..., :k], qb[..., :k]
+        return np.linalg.norm(b - a @ (np.swapaxes(a, -1, -2) @ b), 2, axis=(-2, -1))
+
+    return np.stack([gap(k) for k in range(1, qa.shape[-2])], axis=-1)
+
+
+def _frame_gap(qa: np.ndarray, qb: np.ndarray):
+    """The largest of :func:`_frame_gaps` over k = 1..n-1, 0 iff the two flags agree:
+    a float for one pair of frames, and for two stacks an array of one gap per pair."""
+    worst = np.max(_frame_gaps(qa, qb), axis=-1)
+    return float(worst) if qa.ndim == 2 else worst
+
+
 # ---------------------------------------------------------------------------
 # commutation between the two evaluation paths
 
@@ -497,12 +520,8 @@ def invariance_check(rep, t: float, rng: np.random.Generator, count: int = 100) 
         all_interior = all_interior and interior
 
     # negative control: with t = 0 the base-flag sample stays on the boundary
-    base = sample_positive(
-        sample_params(word, rng, zero_mask=list(range(ell))), "lower"
-    )
-    base = base.to_float()
-    control_margin = _interior_margin(rep, base)
-    control_interior = control_margin > 1e-12
+    base = sample_positive(sample_params(word, rng, zero_mask=list(range(ell))), "lower").to_float()
+    control_interior = _interior_margin(rep, base) > 1e-12
     if sl3:
         membership = sl3_membership(sl3_coords(base.entries), tol=1e-10)
         control_interior = control_interior and membership is Membership.POSITIVE_PART

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg
 from .chevalley import GroupElement, build_pinning, exp_generator_sum
+from .flow import _frame_gap
 from .totpos import FactorizationParams, ReducedWord, _rational_positive, sample_positive
 
 __all__ = [
@@ -165,27 +166,6 @@ def _flowed_flag(step: np.ndarray, nsteps: int, m: np.ndarray) -> np.ndarray:
     for _ in range(nsteps):
         q, _ = np.linalg.qr(step @ q)
     return q
-
-
-def _frame_gap(qa: np.ndarray, qb: np.ndarray):
-    """Largest sine of the principal angles between the nested spans of two frames.
-
-    For orthonormal frames, ``||Qb_k - Qa_k Qa_k^T Qb_k||_2`` is the sine of
-    the largest principal angle between the spans of the leading k columns
-    (Bjorck-Golub 1973); the maximum over k = 1..n-1 is 0 iff the flags agree,
-    whatever basis each frame picks within its subspaces.  For one pair of
-    frames the gap is a float; for two stacks it is an array, one gap per pair.
-    """
-    gaps = [
-        np.linalg.norm(
-            qb[..., :k] - qa[..., :k] @ (np.swapaxes(qa[..., :k], -1, -2) @ qb[..., :k]),
-            2,
-            axis=(-2, -1),
-        )
-        for k in range(1, qa.shape[-2])
-    ]
-    worst = np.max(gaps, axis=0) if gaps else np.zeros(qa.shape[:-2])
-    return float(worst) if qa.ndim == 2 else worst
 
 
 def _flow_steps(t: float) -> int:
