@@ -9,8 +9,8 @@ commands are the canonical reports that a refactor must keep
 byte-identical; diff the output of two trees to check that it did.  The
 float reports depend on the platform's libm, BLAS and LAPACK: the chart's
 eigenbasis is fixed in closed form, but its entries come from binary64
-determinants and per-weight-space QR.  So the hashes are compared between
-trees on one machine, not against a fixed list.
+determinants and QR stacked per block shape.  So the hashes are compared
+between trees on one machine, not against a fixed list.
 """
 
 import contextlib

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, RATIONAL, build_pinning
+from .chevalley import FLOAT, RATIONAL
 from .flow import fixed_flag
 from .serialize import frac
 from .totpos import Membership, Sl3Coords, sl3_coords, sl3_membership
@@ -511,7 +511,7 @@ def census_payload(census: Census, poset: FacePoset, tol: float = 1e-9) -> dict:
         if c.dim == 0:
             entry["vertex_label"] = c.vertex_label
         cells_out.append(entry)
-    fixed = sl3_coords(fixed_flag(build_pinning(3)))
+    fixed = sl3_coords(fixed_flag(3))
     cells_list = census.cells
     return {
         "n": 3,

@@ -162,26 +162,25 @@ def generator_sum(pinning: Pinning) -> np.ndarray:
     return tau
 
 
-def generator_sum_spectrum(pinning: Pinning) -> tuple[np.ndarray, np.ndarray]:
-    """``(d, P)`` with ``generator_sum = P diag(d) P^T``, in closed form, top first.
+def generator_sum_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, P)`` with ``generator_sum = P diag(d) P^T`` on C^n, in closed form, top first.
 
     The generator sum is the adjacency matrix of the path on n vertices:
     ``d_k = 2 cos(k pi / (n+1))`` and ``P[j, k] = sqrt(2/(n+1)) sin(j k pi / (n+1))``
     for j, k = 1..n, so P is orthogonal and its first column is positive.  The
     integer jk is reduced mod 2(n+1) before the sine, so every angle is below 2 pi.
     """
-    n = pinning.n
     k = np.arange(1, n + 1)
     d = 2.0 * np.cos(np.pi * k / (n + 1))
     return d, np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
 
 
-def exp_generator_sum(pinning: Pinning, t: float) -> GroupElement:
-    """exp(t * generator_sum), computed spectrally from the closed-form eigenbasis.
+def exp_generator_sum(n: int, t: float) -> GroupElement:
+    """exp(t * generator_sum) in SL(n), computed spectrally from the closed-form eigenbasis.
 
     The trace of the generator sum is zero, hence the result has
     determinant 1 up to roundoff.
     """
-    d, p = generator_sum_spectrum(pinning)
+    d, p = generator_sum_spectrum(n)
     m = (p * np.exp(float(t) * d)) @ p.T
     return GroupElement((m + m.T) / 2.0, FLOAT)

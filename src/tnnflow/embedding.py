@@ -14,15 +14,18 @@ structure constant +1, so it is stored as an index map on the tensor product
 and applied to sparse ``{flat index: int}`` vectors.  Every vector of
 the closure is a weight vector, so each echelon step touches one weight
 space only.  The basis rows stay sparse primitive int vectors: they are the
-module's only exact form, and the chart reads them in float64 one weight
-space at a time.  The image of a flag is the tensor product of the leading
+module's only exact form, and the chart reads them in float64, one block
+of echelon rows per weight space.  The image of a flag is the tensor product of the leading
 compound columns of a representing matrix; its module coordinates are read
 off at the pivots, one leading minor per factor, and returned in binary64.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue and a closed-form orthonormal eigenbasis: the orthogonal
 eigenbasis P of its defining matrix, acting on orthonormal bases of the
-weight spaces.  The affine chart of projective space centered at the top
+weight spaces.  Those bases are orthonormalized in stacked groups: the
+weight spaces of one block shape (rows x support columns) share one stacked
+QR, and a 1 x 1 space, one row with one ambient entry, is its own unit
+basis vector in closed form.  The affine chart of projective space centered at the top
 eigenline, expressed in that eigenbasis, is the coordinate system in which
 the induced dynamics become diagonal (see :mod:`tnnflow.flow`).
 """
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chevalley import RATIONAL, GroupElement, build_pinning, generator_sum_spectrum
+from .chevalley import RATIONAL, GroupElement, generator_sum_spectrum
 from .totpos import FactorizationParams, sample_positive
 
 __all__ = [
@@ -343,13 +346,18 @@ def eigenchart(rep: RepModule) -> EigenChart:
     <mu, d>.  The weight spaces of the module are orthogonal in the ambient
     basis, so an orthonormal basis of each, mapped by rho(P), is an orthonormal
     eigenbasis; each weight space's echelon rows are orthonormalized in pivot
-    order with a positive diagonal.  Eigenvalues are sorted descending by a
-    stable sort.  The top one, <lambda, d>, is simple: every other weight is
-    lambda minus a sum of positive roots e_i - e_j (i < j), and d is strictly
-    decreasing.
+    order with a positive diagonal.  The spaces are grouped by block shape
+    (rows x support columns) and each group takes one stacked QR; a 1 x 1
+    space, one row with one ambient entry, has q = 1 and takes none, and its
+    column of ``eigvecs_inv`` is its frame row.  Each group is scattered into
+    the frame and its columns of ``eigvecs_inv`` assembled in one step, with
+    the same floating-point operations as one space at a time, so the chart
+    has the same bits.  Eigenvalues are sorted descending by a stable sort.
+    The top one, <lambda, d>, is simple: every other weight is lambda minus a
+    sum of positive roots e_i - e_j (i < j), and d is strictly decreasing.
     """
     n = rep.n
-    d, p = generator_sum_spectrum(build_pinning(n))
+    d, p = generator_sum_spectrum(n)
     dims = [math.comb(n, k) for k in rep.factors]
     # occupancy[r, i]: how often index i lies in the factor subsets of pivot r
     occupancy = sum(
@@ -359,16 +367,23 @@ def eigenchart(rep: RepModule) -> EigenChart:
     spaces: dict = {}
     for r, weight in enumerate(map(tuple, occupancy)):
         spaces.setdefault(weight, []).append(r)
-    frame = np.zeros((rep.ambient_dim, rep.dim))
-    blocks = []
+    # a 1 x 1 space (one row, one ambient entry; the top space is one) has q = 1
+    units, shapes = [], {}
     for rows in spaces.values():
         cols = sorted(set().union(*(rep.rows[r] for r in rows)))
-        block = np.array([
-            [rep.rows[r].get(c, 0) / rep.rows[r][rep.pivot_cols[r]] for c in cols] for r in rows
-        ])
-        q, tri = np.linalg.qr(block.T)
-        frame[np.ix_(cols, rows)] = q * np.sign(np.diag(tri))
-        blocks.append((rows, cols, block))
+        if len(cols) == 1:
+            units.append((rows[0], cols[0]))
+            continue
+        block = [[rep.rows[r].get(c, 0) / rep.rows[r][rep.pivot_cols[r]] for c in cols] for r in rows]
+        shapes.setdefault((len(rows), len(cols)), []).append((rows, cols, block))
+    unit_rows, unit_cols = np.array(units).T
+    # per shape: stacked rows (m, r), support columns (m, c) and blocks (m, r, c)
+    groups = [[np.array(part) for part in zip(*members)] for members in shapes.values()]
+    frame = np.zeros((rep.ambient_dim, rep.dim))
+    frame[unit_cols, unit_rows] = 1.0
+    for rows, cols, blocks in groups:  # one QR per shape, each q with a positive diagonal
+        q, tri = np.linalg.qr(np.swapaxes(blocks, 1, 2))
+        frame[cols[:, :, None], rows[:, None, :]] = q * np.sign(np.diagonal(tri, axis1=1, axis2=2))[:, None, :]
     for axis, k in enumerate(rep.factors):  # frame <- rho(P) frame, one factor at a time
         shaped = frame.reshape(*dims, rep.dim)
         frame = np.moveaxis(np.tensordot(_compound(p, k), shaped, axes=(1, axis)), 0, axis)
@@ -377,8 +392,9 @@ def eigenchart(rep: RepModule) -> EigenChart:
     frame = frame.reshape(rep.ambient_dim, rep.dim)[:, order]
     # the components frame^T x of the ambient vector x = sum_r c_r row_r
     inv = np.empty((rep.dim, rep.dim))
-    for rows, cols, block in blocks:
-        inv[:, rows] = frame[cols].T @ block.T
+    inv[:, unit_rows] = frame[unit_cols].T  # a unit row is one ambient basis vector
+    for rows, cols, blocks in groups:
+        inv[:, rows] = (np.swapaxes(frame[cols], 1, 2) @ np.swapaxes(blocks, 1, 2)).swapaxes(0, 1)
     return EigenChart(rep=rep, mu=mu[order], eigvecs=frame[list(rep.pivot_cols)], eigvecs_inv=inv)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, GroupElement, Pinning, build_pinning, exp_generator_sum, generator_sum_spectrum
+from .chevalley import FLOAT, GroupElement, exp_generator_sum, generator_sum_spectrum
 from .embedding import EigenChart, chart_coords, line_of
 from .totpos import (
     FactorizationParams,
@@ -373,7 +373,7 @@ def converge(flow: DiagonalFlow, p: np.ndarray, tol: float) -> Convergence:
         return Convergence(hi, _norm_at(rates, p, hi), bound)
 
 
-def fixed_flag(pinning: Pinning) -> np.ndarray:
+def fixed_flag(n: int) -> np.ndarray:
     """The stationary flag, as an orthonormal frame: eigenvectors of the generator sum, top first.
 
     The generator sum on the defining representation is an irreducible Jacobi
@@ -381,7 +381,7 @@ def fixed_flag(pinning: Pinning) -> np.ndarray:
     is the closed-form eigenbasis of :func:`tnnflow.chevalley.generator_sum_spectrum`.
     Its leading k columns span the fixed k-plane, for every partial flag type.
     """
-    return generator_sum_spectrum(pinning)[1]
+    return generator_sum_spectrum(n)[1]
 
 
 def _frame_gaps(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
@@ -435,7 +435,7 @@ def line_to_sl3_coords(chart: EigenChart, line: np.ndarray) -> Sl3Coords:
     return Sl3Coords(tuple(v), tuple(w), FLOAT)
 
 
-def commutation_check(pinning: Pinning, chart: EigenChart, params, t: float) -> dict:
+def commutation_check(chart: EigenChart, params, t: float) -> dict:
     """Compare flowing in the chart against acting on the flag by exp(t tau).
 
     Path one: act on the lower-unipotent flag matrix, embed, read chart
@@ -450,7 +450,7 @@ def commutation_check(pinning: Pinning, chart: EigenChart, params, t: float) -> 
     if not batch:
         raise ValueError("the commutation check needs at least one sample")
     flow = DiagonalFlow.from_chart(chart)
-    exp_t = exp_generator_sum(pinning, t).entries
+    exp_t = exp_generator_sum(chart.rep.n, t).entries
     acted, flowed = [], []
     for p in batch:
         g = sample_positive(p, "lower")
@@ -495,11 +495,10 @@ def invariance_check(rep, t: float, rng: np.random.Generator, count: int = 100) 
     """
     if count < 1:
         raise ValueError(f"the invariance check needs count >= 1, got {count}")
-    pin = build_pinning(rep.n)
     word = standard_word_w0(rep.n)
     sl3 = rep.n == 3 and rep.factors == (1, 2)
     ell = len(word)
-    exp_t = exp_generator_sum(pin, t).entries
+    exp_t = exp_generator_sum(rep.n, t).entries
     all_interior = True
     worst = math.inf
     for k in range(count):

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chevalley import GroupElement, build_pinning, exp_generator_sum
+from .chevalley import GroupElement, exp_generator_sum
 from .flow import _frame_gap
 from .totpos import FactorizationParams, ReducedWord, _rational_positive, sample_positive
 
@@ -209,14 +209,13 @@ def fixed_locus_flow_check(
         raise ValueError(f"the fixed-locus check needs n >= 4 (a mirrored pair to untie), got {n}")
     if count < 1:
         raise ValueError(f"the fixed-locus check needs count >= 1, got {count}")
-    pin = build_pinning(n)
     word, blocks = symmetric_word(n)
     s = linalg.to_float(folding.s_matrix)
     step_cache = {}
     for t in times:
         k = _flow_steps(t)
-        fwd = exp_generator_sum(pin, t / k).entries
-        bwd = s @ exp_generator_sum(pin, -t / k).entries @ s.T
+        fwd = exp_generator_sum(n, t / k).entries
+        bwd = s @ exp_generator_sum(n, -t / k).entries @ s.T
         step_cache[t] = (k, fwd, bwd)
 
     def flag_gaps(us, sus) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .cells import bruhat_interval_counts, census_verdict, enumerate_cells, face_poset, validate_poset
-from .chevalley import build_pinning, exp_generator_sum, generator_sum_spectrum
+from .chevalley import exp_generator_sum, generator_sum_spectrum
 from .embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of, weyl_dim
 from .flow import DiagonalFlow, _frame_gaps, commutation_check, converge, invariance_check, verify_axioms
 from .folding import build_folding, fixed_locus_flow_check
@@ -79,11 +79,11 @@ def _axioms(rows, charts, rng, count) -> dict:
 
 def _commutation(rows, charts, rng, count) -> dict:
     tol, cases = _the(row.tol for row in rows), []
-    groups = {n: (build_pinning(n), standard_word_w0(n)) for n in dict.fromkeys(row.n for row in rows)}
+    words = {n: standard_word_w0(n) for n in dict.fromkeys(row.n for row in rows)}
     for row in rows:
-        pin, word = groups[row.n]
+        word = words[row.n]
         batch = [sample_params(word, rng) for _ in range(count)]
-        worst = commutation_check(pin, charts[row.n, row.J], batch, row.t)["max_diff"]
+        worst = commutation_check(charts[row.n, row.J], batch, row.t)["max_diff"]
         cases.append({"n": row.n, "J": list(row.J), "t": row.t, "samples": count, "worst": worst,
                       "passed": worst <= tol})
     return {"cases": cases, "tolerance": tol, "passed": all(case["passed"] for case in cases)}
@@ -120,7 +120,7 @@ def _census(rows, charts, rng, count) -> dict:
 
 def _exp_total_positivity(rows, charts, rng, count) -> dict:
     (row,) = rows
-    g = exp_generator_sum(build_pinning(row.n), row.t)
+    g = exp_generator_sum(row.n, row.t)
     verdict = is_tnn_matrix(linalg.rationalize(g.entries))
     return {"t": row.t, "verdict": verdict, "passed": verdict is Positivity.TOTALLY_POSITIVE}
 
@@ -155,7 +155,7 @@ def fixed_point_gap(starts: np.ndarray, times: np.ndarray, J) -> float:
     not in J, only: an unrecorded one is no part of the flag, and lags.
     """
     n = starts.shape[-1]
-    d, p = generator_sum_spectrum(build_pinning(n))
+    d, p = generator_sum_spectrum(n)
     frames = p.T @ np.linalg.qr(starts)[0]
     q = np.linalg.qr(np.exp(np.multiply.outer(times, d - d[0]))[:, :, None] * frames)[0]
     return float(np.max(_frame_gaps(np.eye(n), q)[:, [k - 1 for k in range(1, n) if k not in J]]))

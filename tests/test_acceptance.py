@@ -13,7 +13,7 @@ import numpy as np
 
 from tnnflow import linalg
 from tnnflow.cells import bruhat_interval_counts, enumerate_cells
-from tnnflow.chevalley import build_pinning, exp_generator_sum
+from tnnflow.chevalley import exp_generator_sum
 from tnnflow.embedding import (
     build_rep,
     chart_coords,
@@ -117,12 +117,11 @@ def test_criterion_04_commutation_identity(chart3, chart42):
     rng = np.random.default_rng(9)
     worst = 0.0
     for (n, J), chart in charts.items():
-        pin = build_pinning(n)
         word = standard_word_w0(n)
         for t in (0.1, 1.0):
             for _ in range(100):
                 params = sample_params(word, rng)
-                result = commutation_check(pin, chart, params, t)
+                result = commutation_check(chart, params, t)
                 worst = max(worst, result["max_diff"])
     report(4, "commutation", worst <= 1e-8, f"worst diff {worst:.2e}")
 
@@ -140,8 +139,8 @@ def test_criterion_05_invariance(rep3, rep42):
     report(5, "invariance", all_ok, "; ".join(details))
 
 
-def test_criterion_06_exp_tau_totally_positive(pin3):
-    g = exp_generator_sum(pin3, 1.0)
+def test_criterion_06_exp_tau_totally_positive():
+    g = exp_generator_sum(3, 1.0)
     verdict = is_tnn_matrix(linalg.rationalize(g.entries))
     report(6, "exp TP", verdict is Positivity.TOTALLY_POSITIVE, verdict.value)
 

@@ -137,9 +137,8 @@ def test_closed_constructions_have_determinant_one(n):
 
 def test_exp_sl2_closed_form():
     # for n = 2 the sum is [[0,1],[1,0]] and exp(t tau) = cosh/sinh
-    pin = build_pinning(2)
     for t in (0.3, 1.0, 2.5):
-        g = linalg.to_float(exp_generator_sum(pin, t).entries)
+        g = linalg.to_float(exp_generator_sum(2, t).entries)
         want = [[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]]
         assert np.allclose(g, want, atol=1e-14)
 
@@ -154,14 +153,14 @@ def test_exp_sl3_closed_form(pin3):
         + (math.sinh(r) / r) * tau
         + ((math.cosh(r) - 1.0) / 2.0) * (tau @ tau)
     )
-    got = linalg.to_float(exp_generator_sum(pin3, 1.0).entries)
+    got = linalg.to_float(exp_generator_sum(3, 1.0).entries)
     assert np.max(np.abs(got - want)) < 1e-14
 
 
 @pytest.mark.parametrize("t", [-5.0, -1.0, 0.0, 0.25, 1.0, 5.0])
 def test_exp_two_routes_agree(pin4, t):
     """Spectral evaluation against an independent scaling-and-squaring series."""
-    a = linalg.to_float(exp_generator_sum(pin4, t).entries)
+    a = linalg.to_float(exp_generator_sum(4, t).entries)
     assert np.max(np.abs(a - _exp_series(pin4, t))) < 1e-11
 
 
@@ -169,7 +168,7 @@ def test_exp_two_routes_agree(pin4, t):
 def test_closed_form_spectrum_matches_eigh(n):
     """The closed-form (d, P) of the path graph against ``np.linalg.eigh``."""
     pin = build_pinning(n)
-    d, p = generator_sum_spectrum(pin)
+    d, p = generator_sum_spectrum(n)
     tau = linalg.to_float(generator_sum(pin))
     w, _ = np.linalg.eigh(tau)
     assert np.max(np.abs(d - w[::-1])) < 1e-14
@@ -179,9 +178,9 @@ def test_closed_form_spectrum_matches_eigh(n):
     assert np.all(p[:, 0] > 0)  # the top eigenvector is positive (Perron)
 
 
-def test_exp_group_law(pin3):
-    a = exp_generator_sum(pin3, 0.7)
-    b = exp_generator_sum(pin3, 1.4)
+def test_exp_group_law():
+    a = exp_generator_sum(3, 0.7)
+    b = exp_generator_sum(3, 1.4)
     ab = linalg.to_float((a @ a).entries)
     assert np.max(np.abs(ab - linalg.to_float(b.entries))) < 1e-13
 

@@ -15,7 +15,6 @@ from tnnflow.chevalley import (
     FLOAT,
     RATIONAL,
     GroupElement,
-    build_pinning,
     exp_generator_sum,
     generator_sum_spectrum,
     one_param,
@@ -309,7 +308,7 @@ def test_exact_line_of_matches_full_outer_product(n, J, leibniz_det):
     """
     rep = build_rep(lambda_for(n, J))
     rng = np.random.default_rng([n, len(J), 3])
-    exp_tau = exp_generator_sum(build_pinning(n), 1.0).entries
+    exp_tau = exp_generator_sum(n, 1.0).entries
 
     def outer_at_pivots(rows_det, dtype):
         big = np.ones(1, dtype=dtype)
@@ -416,7 +415,7 @@ def test_eigenvectors_are_rho_p_on_orthonormal_weight_bases(n, J):
     """
     rep = build_rep(lambda_for(n, J))
     chart = eigenchart(rep)
-    _, p = generator_sum_spectrum(build_pinning(n))
+    _, p = generator_sum_spectrum(n)
     rho = np.ones((1, 1))
     for k in rep.factors:
         subsets = list(itertools.combinations(range(n), k))
@@ -487,6 +486,103 @@ def test_eigenchart_matches_eigh_oracle(n, J):
         for k in np.unique(space):
             at = space == k
             assert abs(np.linalg.norm(p[at]) - np.linalg.norm(want[at])) <= 1e-12 * norm, k
+
+
+def _per_space_chart(rep):
+    """The eigenchart with one QR, one scatter and one product per weight space.
+
+    The same steps as :func:`eigenchart` in its per-weight-space form: each
+    space's echelon rows are orthonormalized by their own ``np.linalg.qr``
+    with a positive diagonal, rho(P) is applied one factor at a time, the
+    eigenvalues are sorted by a stable sort, and each space's columns of the
+    inverse are its frame rows times its block.  Returns ``(mu, eigvecs,
+    eigvecs_inv)``.
+    """
+    n = rep.n
+    d, p = generator_sum_spectrum(n)
+    dims = [math.comb(n, k) for k in rep.factors]
+    occupancy = sum(
+        np.array([[i in s for i in range(n)] for s in itertools.combinations(range(n), k)])[digits]
+        for k, digits in zip(rep.factors, np.unravel_index(rep.pivot_cols, dims))
+    )
+    spaces = {}
+    for r, weight in enumerate(map(tuple, occupancy)):
+        spaces.setdefault(weight, []).append(r)
+    frame = np.zeros((rep.ambient_dim, rep.dim))
+    blocks = []
+    for rows in spaces.values():
+        cols = sorted(set().union(*(rep.rows[r] for r in rows)))
+        block = np.array([[rep.rows[r].get(c, 0) / rep.rows[r][rep.pivot_cols[r]] for c in cols] for r in rows])
+        q, tri = np.linalg.qr(block.T)
+        frame[np.ix_(cols, rows)] = q * np.sign(np.diag(tri))
+        blocks.append((rows, cols, block))
+    for axis, k in enumerate(rep.factors):
+        shaped = frame.reshape(*dims, rep.dim)
+        frame = np.moveaxis(np.tensordot(embedding._compound(p, k), shaped, axes=(1, axis)), 0, axis)
+    mu = occupancy @ d
+    order = np.argsort(-mu, kind="stable")
+    frame = frame.reshape(rep.ambient_dim, rep.dim)[:, order]
+    inv = np.empty((rep.dim, rep.dim))
+    for rows, cols, block in blocks:
+        inv[:, rows] = frame[cols].T @ block.T
+    return mu[order], frame[list(rep.pivot_cols)], inv
+
+
+def _counting_qr(monkeypatch):
+    """Count the calls to ``np.linalg.qr`` from here on."""
+    calls, qr = [], np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+# (n, J): QR calls per chart, one per weight space / one per block shape other than 1 x 1
+QR_CALLS = {
+    (2, ()): (2, 0),  # only 1 x 1 spaces
+    (3, ()): (7, 1),
+    (3, (2,)): (3, 0),
+    (4, (2,)): (13, 1),
+    (4, (1,)): (16, 1),  # four 2 x 3 blocks share one shape
+    (4, (1, 3)): (6, 0),
+    (5, (2, 3)): (21, 1),
+    (5, ()): (291, 5),  # six shapes up to 24 x 110, one of them 1 x 1
+}
+
+
+@pytest.mark.parametrize("n,J", list(QR_CALLS))
+def test_eigenchart_equals_the_per_weight_space_oracle(n, J, monkeypatch):
+    """The stacked chart has the per-space chart's bits, with one QR per block shape.
+
+    Spaces of one (rows, support columns) shape share one stacked QR, and a
+    space with one row and one ambient entry takes q = 1 with no QR at all.
+    """
+    rep = build_rep(lambda_for(n, J))
+    calls = _counting_qr(monkeypatch)
+    chart = eigenchart(rep)
+    stacked = len(calls)
+    oracle = _per_space_chart(rep)
+    assert (len(calls) - stacked, stacked) == QR_CALLS[n, J]
+    assert all(shape[:-2] for shape in calls[:stacked])  # each call takes a stack
+    for name, want in zip(("mu", "eigvecs", "eigvecs_inv"), oracle):
+        np.testing.assert_array_equal(getattr(chart, name), want, err_msg=name)
+
+
+def test_eigenchart_makes_one_qr_per_shape_that_is_not_one_by_one(monkeypatch):
+    """The stacks are exactly the distinct block shapes of the weight spaces other than 1 x 1."""
+    rep = build_rep(lambda_for(5, ()))
+    weights = np.array(_ambient_weights(5, rep.factors))
+    spaces = {}
+    for r, c in enumerate(rep.pivot_cols):
+        spaces.setdefault(tuple(weights[c]), []).append(r)
+    shapes = {(len(rows), len(set().union(*(rep.rows[r] for r in rows)))) for rows in spaces.values()}
+    assert len(shapes) == 6 and (1, 1) in shapes and (24, 110) in shapes
+    calls = _counting_qr(monkeypatch)
+    eigenchart(rep)
+    assert sorted(shape[1:][::-1] for shape in calls) == sorted(shapes - {(1, 1)})
 
 
 def test_chart_coords_of_tnn_flags_are_finite(chart3, rng):

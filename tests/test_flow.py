@@ -155,7 +155,7 @@ def test_converge_single_rate():
 
 
 def test_fixed_flag_matches_closed_form(pin3):
-    frame = fixed_flag(pin3)
+    frame = fixed_flag(3)
     assert np.max(np.abs(frame.T @ frame - np.eye(3))) < 1e-15
     tau = linalg.to_float(generator_sum(pin3))
     assert np.max(np.abs(tau @ frame - frame * np.array([math.sqrt(2.0), 0.0, -math.sqrt(2.0)]))) < 1e-15
@@ -168,11 +168,11 @@ def test_fixed_flag_matches_closed_form(pin3):
     assert np.max(np.abs(w - want_v)) < 1e-12
 
 
-def test_commutation_paths_agree(pin3, chart3, rng):
+def test_commutation_paths_agree(chart3, rng):
     word = standard_word_w0(3)
     for t in (0.1, 1.0):
         params = sample_params(word, rng)
-        result = commutation_check(pin3, chart3, params, t)
+        result = commutation_check(chart3, params, t)
         assert result["max_diff"] < 1e-9
 
 
@@ -194,17 +194,17 @@ def test_invariance_check_refuses_an_empty_sample(rep3, rng, count):
         invariance_check(rep3, 0.1, rng, count=count)
 
 
-def test_commutation_check_takes_a_batch(pin3, chart3):
+def test_commutation_check_takes_a_batch(chart3):
     """A batch gives each sample's points as rows, the same as one call per sample."""
     word = standard_word_w0(3)
     batch = [sample_params(word, np.random.default_rng(k)) for k in range(3)]
-    result = commutation_check(pin3, chart3, batch, 1.0)
-    singles = [commutation_check(pin3, chart3, params, 1.0) for params in batch]
+    result = commutation_check(chart3, batch, 1.0)
+    singles = [commutation_check(chart3, params, 1.0) for params in batch]
     assert result["max_diff"] == max(r["max_diff"] for r in singles)
     for key in ("acted", "flowed"):
         assert np.array_equal(result[key], np.array([r[key] for r in singles]))
     with pytest.raises(ValueError):
-        commutation_check(pin3, chart3, [], 1.0)
+        commutation_check(chart3, [], 1.0)
 
 
 def test_invariance_all_cases(rng):

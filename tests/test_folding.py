@@ -223,14 +223,13 @@ def _per_sample_fold_check(folding, rng, times, count, tol):
     :func:`_flowed_flag` and :func:`_frame_gap` as a single pair.
     """
     n = folding.n
-    pin = build_pinning(n)
     blocks = symmetric_word(n)[1]
     s = linalg.to_float(folding.s_matrix)
     steps = {}
     for t in times:
         k = _flow_steps(t)
-        bwd = s @ exp_generator_sum(pin, -t / k).entries @ s.T
-        steps[t] = (k, exp_generator_sum(pin, t / k).entries, bwd)
+        bwd = s @ exp_generator_sum(n, -t / k).entries @ s.T
+        steps[t] = (k, exp_generator_sum(n, t / k).entries, bwd)
 
     def flag_gap(u, su):
         uf, suf = linalg.to_float(u.entries), linalg.to_float(su.entries)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tnnflow import linalg, suite
-from tnnflow.chevalley import build_pinning, exp_generator_sum
+from tnnflow.chevalley import exp_generator_sum
 from tnnflow.cli import main
 from tnnflow.flow import _frame_gaps, fixed_flag
 from tnnflow.folding import _flow_steps, _flowed_flag
@@ -58,7 +58,6 @@ def test_fixed_point_gap_fails_at_half_the_convergence_time(charts, n, J):
 def test_closed_form_gap_matches_the_stepwise_flowed_frame(n):
     """One QR of the row-scaled P^T g against flowing g step by step and
     re-orthonormalizing, compared with the fixed flag as a frame, per start."""
-    pin = build_pinning(n)
     word = standard_word_w0(n)
     rng = np.random.default_rng(n)
     starts = np.array(
@@ -69,10 +68,10 @@ def test_closed_form_gap_matches_the_stepwise_flowed_frame(n):
     )
     for t in (0.5, 3.0, 10.0, 20.0):
         k = _flow_steps(t)
-        step = exp_generator_sum(pin, t / k).entries
+        step = exp_generator_sum(n, t / k).entries
         for g in starts:
             closed = fixed_point_gap(g[None], np.array([t]), ())
-            oracle = float(np.max(_frame_gaps(fixed_flag(pin), _flowed_flag(step, k, g))))
+            oracle = float(np.max(_frame_gaps(fixed_flag(n), _flowed_flag(step, k, g))))
             assert abs(closed - oracle) <= 1e-13, (t, closed, oracle)
 
 
