@@ -121,8 +121,9 @@ def _census(rows, charts, rng, count) -> dict:
 def _exp_total_positivity(rows, charts, rng, count) -> dict:
     (row,) = rows
     g = exp_generator_sum(row.n, row.t)
-    verdict = is_tnn_matrix(linalg.rationalize(g.entries))
-    return {"t": row.t, "verdict": verdict, "passed": verdict is Positivity.TOTALLY_POSITIVE}
+    verdict = is_tnn_matrix(linalg.rationalize(g.entries))  # the exact certificate of a float matrix
+    return {"t": row.t, "certifies": "binary64 rounding of exp(t tau)", "verdict": verdict,
+            "passed": verdict is Positivity.TOTALLY_POSITIVE}
 
 
 def converged_starts(chart, rng, count: int) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -12,7 +12,7 @@ from tnnflow.cli import main
 from tnnflow.flow import _frame_gaps, fixed_flag
 from tnnflow.folding import _flow_steps, _flowed_flag
 from tnnflow.suite import CASES, GATES, Case, build_charts, converged_starts, fixed_point_gap
-from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import Positivity, is_tnn_matrix, sample_params, sample_positive, standard_word_w0
 
 TOL = 1e-8  # the fixed-point row's tolerance in verify
 
@@ -128,3 +128,16 @@ def test_verify_calls_no_sl3_readout(capsys, monkeypatch):
         "tolerance",
         "passed",
     }
+
+
+def test_exp_total_positivity_says_what_it_certifies():
+    """The certificate is issued on the binary64 exp(t tau), rationalized, and the section says so."""
+    (row,) = [row for row in CASES if row.gate == "exp_total_positivity"]
+    section = GATES[row.gate].section([row], {}, None, None)
+    assert section == {
+        "t": 1.0,
+        "certifies": "binary64 rounding of exp(t tau)",
+        "verdict": Positivity.TOTALLY_POSITIVE,
+        "passed": True,
+    }
+    assert is_tnn_matrix(linalg.rationalize(exp_generator_sum(row.n, row.t).entries)) is section["verdict"]
