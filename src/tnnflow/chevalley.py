@@ -170,6 +170,8 @@ def generator_sum_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
     for j, k = 1..n, so P is orthogonal and its first column is positive.  The
     integer jk is reduced mod 2(n+1) before the sine, so every angle is below 2 pi.
     """
+    if n < 2:
+        raise ValueError("the special linear group needs n >= 2")
     k = np.arange(1, n + 1)
     d = 2.0 * np.cos(np.pi * k / (n + 1))
     return d, np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))

@@ -14,10 +14,11 @@ structure constant +1, so it is stored as an index map on the tensor product
 and applied to sparse ``{flat index: int}`` vectors.  Every vector of
 the closure is a weight vector, so each echelon step touches one weight
 space only.  The basis rows stay sparse primitive int vectors: they are the
-module's only exact form, and the chart reads them in float64, one block
-of echelon rows per weight space.  The image of a flag is the tensor product of the leading
-compound columns of a representing matrix; its module coordinates are read
-off at the pivots, one leading minor per factor, and returned in binary64.
+module's only exact form, and the chart reads them in float64, one block of
+echelon rows per weight space.  The image of a flag is the tensor product of
+the leading compound columns of a representing matrix; its module
+coordinates are read off at the pivots, one leading minor per factor, and
+returned in binary64.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue and a closed-form orthonormal eigenbasis: the orthogonal
@@ -25,9 +26,9 @@ eigenbasis P of its defining matrix, acting on orthonormal bases of the
 weight spaces.  Those bases are orthonormalized in stacked groups: the
 weight spaces of one block shape (rows x support columns) share one stacked
 QR, and a 1 x 1 space, one row with one ambient entry, is its own unit
-basis vector in closed form.  The affine chart of projective space centered at the top
-eigenline, expressed in that eigenbasis, is the coordinate system in which
-the induced dynamics become diagonal (see :mod:`tnnflow.flow`).
+basis vector in closed form.  The affine chart of projective space centered
+at the top eigenline, expressed in that eigenbasis, is the coordinate system
+in which the induced dynamics become diagonal (see :mod:`tnnflow.flow`).
 """
 
 from __future__ import annotations
@@ -350,9 +351,10 @@ def eigenchart(rep: RepModule) -> EigenChart:
     (rows x support columns) and each group takes one stacked QR; a 1 x 1
     space, one row with one ambient entry, has q = 1 and takes none, and its
     column of ``eigvecs_inv`` is its frame row.  Each group is scattered into
-    the frame and its columns of ``eigvecs_inv`` assembled in one step, with
-    the same floating-point operations as one space at a time, so the chart
-    has the same bits.  Eigenvalues are sorted descending by a stable sort.
+    the frame and its columns of ``eigvecs_inv`` are assembled in one step;
+    every entry keeps the bits of the same steps taken one space at a time
+    (the tests hold that route as the oracle).  Eigenvalues are sorted
+    descending by a stable sort.
     The top one, <lambda, d>, is simple: every other weight is lambda minus a
     sum of positive roots e_i - e_j (i < j), and d is strictly decreasing.
     """

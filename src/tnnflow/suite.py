@@ -81,8 +81,7 @@ def _commutation(rows, charts, rng, count) -> dict:
     tol, cases = _the(row.tol for row in rows), []
     words = {n: standard_word_w0(n) for n in dict.fromkeys(row.n for row in rows)}
     for row in rows:
-        word = words[row.n]
-        batch = [sample_params(word, rng) for _ in range(count)]
+        batch = [sample_params(words[row.n], rng) for _ in range(count)]
         worst = commutation_check(charts[row.n, row.J], batch, row.t)["max_diff"]
         cases.append({"n": row.n, "J": list(row.J), "t": row.t, "samples": count, "worst": worst,
                       "passed": worst <= tol})
@@ -121,7 +120,7 @@ def _census(rows, charts, rng, count) -> dict:
 def _exp_total_positivity(rows, charts, rng, count) -> dict:
     (row,) = rows
     g = exp_generator_sum(row.n, row.t)
-    verdict = is_tnn_matrix(linalg.rationalize(g.entries))  # the exact certificate of a float matrix
+    verdict = is_tnn_matrix(linalg.rationalize(g.entries))
     return {"t": row.t, "certifies": "binary64 rounding of exp(t tau)", "verdict": verdict,
             "passed": verdict is Positivity.TOTALLY_POSITIVE}
 

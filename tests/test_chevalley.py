@@ -164,6 +164,14 @@ def test_exp_two_routes_agree(pin4, t):
     assert np.max(np.abs(a - _exp_series(pin4, t))) < 1e-11
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_spectrum_of_tau_refuses_n_below_2(n):
+    """The spectrum takes n itself, and refuses it where no SL(n) exists, as build_pinning does."""
+    for build in (generator_sum_spectrum, lambda n: exp_generator_sum(n, 1.0), build_pinning):
+        with pytest.raises(ValueError, match="n >= 2"):
+            build(n)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_closed_form_spectrum_matches_eigh(n):
     """The closed-form (d, P) of the path graph against ``np.linalg.eigh``."""
