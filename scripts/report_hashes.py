@@ -46,6 +46,8 @@ COMMANDS = [
     ["sample", "--n", "3", "--count", "3"],
     ["sample", "--n", "6", "--side", "group", "--count", "3", "--seed", "0"],
     ["sample", "--n", "6", "--side", "lower", "--count", "3", "--seed", "0"],
+    # past n = 6, where the big ints of the all-minors pass dominate
+    ["sample", "--n", "8", "--side", "group", "--count", "1", "--seed", "3"],
     ["flow", "--t=-1e4", "--seed", "3"],
     ["cells", "--format", "json"],
     # cells reads no seed: the parser refuses the flag

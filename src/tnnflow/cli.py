@@ -23,6 +23,7 @@ machine identifiers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -485,10 +486,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built afresh: each subcommand takes ``--config``
-    and the flag of each setting it reads.  Abbreviated flags are refused, so
-    that a flag a command does not take is never read as a longer one it does
-    (``cells --t`` as ``--tol-vanish``)."""
+    """The argument parser: each subcommand takes ``--config`` and the flag of
+    each setting it reads.  Abbreviated flags are refused, so that a flag a
+    command does not take is never read as a longer one it does (``cells --t``
+    as ``--tol-vanish``).  It is built on the first call and the same parser
+    is returned after that: ``parse_args`` keeps no state between calls."""
+    return _parser()
+
+
+# the cache sits on a private function so that build_parser stays a plain
+# function, which perfbench/tracing.py wraps like every name in __all__
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tnnflow",
         description="totally nonnegative flag varieties: flows, charts, cells",

@@ -11,12 +11,14 @@ the exact Jacobian rank at a witness.
 Float work is delegated to numpy proper; these helpers exist for the places
 where the answer must be a certificate (minor signs, echelon bases) rather
 than an approximation.  Determinants, inverses and minors run on
-Python ints: the matrix is scaled by the LCM ``D`` of its denominators, and
-one ``Fraction`` is built per result entry at the end.  The minors come from
-one integer Laplace pass, :func:`_scaled_minors`, which yields every k-minor
-of ``D a`` as a plain int over the common denominator ``D**k``; callers that
-only compare minors (``tnnflow.totpos``) read it directly, and
-:func:`all_minors` is its ``Fraction`` view.
+Python ints, and one ``Fraction`` is built per result entry at the end.
+Determinants, inverses and leading minors scale the matrix by the LCM ``D``
+of its denominators.  All minors come from one integer Laplace pass,
+:func:`_scaled_minors`, which scales each column c by the LCM ``e_c`` of its
+own denominators: the k-minor on columns C is a plain int over
+``prod(e_c for c in C)``.  Callers that only compare minors
+(``tnnflow.totpos``) read it directly, and :func:`all_minors` is its
+``Fraction`` view.
 """
 
 from __future__ import annotations
@@ -77,14 +79,19 @@ def is_rational_array(a: np.ndarray) -> bool:
     return a.dtype == object
 
 
-def _scaled_ints(a) -> tuple[list, int]:
-    """The rows of ``a`` times the LCM ``D`` of its denominators, as ints, and ``D``.
+def _exact_rows(a) -> list:
+    """The rows of ``a`` as lists of exact entries.
 
     ``Fraction`` and ``int`` entries are used as they are; only other types
     (floats, numpy scalars) are converted, because ``Fraction(Fraction)``
-    costs more than the scaling itself.
+    costs more than the scaling that follows.
     """
-    entries = [[x if type(x) in (Fraction, int) else Fraction(x) for x in row] for row in a.tolist()]
+    return [[x if type(x) in (Fraction, int) else Fraction(x) for x in row] for row in a.tolist()]
+
+
+def _scaled_ints(a) -> tuple[list, int]:
+    """The rows of ``a`` times the LCM ``D`` of its denominators, as ints, and ``D``."""
+    entries = _exact_rows(a)
     scale = math.lcm(1, *(x.denominator for row in entries for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in entries], scale
 
@@ -135,40 +142,45 @@ def inv(a: np.ndarray) -> np.ndarray:
 
 
 def _scaled_minors(a):
-    """Yield ``(rows, cols, k, s, D)`` over every square minor, smallest first.
+    """Yield ``(rows, cols, s, den)`` over every square minor, smallest first.
 
-    ``s`` is the k-minor on ``rows`` x ``cols`` of the integer scaling ``D a``,
-    a plain int, so the minor of ``a`` itself is ``s / D**k``.  All k-minors
-    share that denominator: within a level, ints compare as the minors do.
-    Minors of size k come in lexicographic order of ``rows``, then of
-    ``cols``.  Each is a Laplace expansion along its first row over the
-    (k-1)-minors: sum_k C(n,k) C(m,k) k multiply-adds in all.  Only the levels
-    k-1 and k are alive at once; the largest level of an n x n matrix holds
-    C(n, n//2)**2 ints, 63,504 at n = 10.
+    Column c of ``a`` is scaled by the LCM ``e_c`` of its denominators, and
+    ``s`` is the minor on ``rows`` x ``cols`` of that int matrix, so the minor
+    of ``a`` itself is ``s / den`` with ``den = prod(e_c for c in cols)``.  All
+    minors on one column set share ``den``: within a column set, ints compare
+    as the minors do.  Minors of size k come in lexicographic order of
+    ``rows``, then of ``cols``.  Each is a Laplace expansion along the last of
+    its columns over the (k-1)-minors on the other columns: sum_k C(n,k)
+    C(m,k) k multiply-adds in all.  Only the levels k-1 and k are alive at
+    once; the largest level of an n x n matrix holds C(n, n//2)**2 ints,
+    63,504 at n = 10.
     """
     n, m = a.shape
-    ints, scale = _scaled_ints(a)
-    prev_rows, prev_cols, prev = [()], [()], [[1]]
+    entries = _exact_rows(a)
+    scales = [math.lcm(1, *(row[c].denominator for row in entries)) for c in range(m)]
+    columns = [[row[c].numerator * (e // row[c].denominator) for row in entries] for c, e in enumerate(scales)]
+    prev_rows, prev_cols, prev = [()], [((), 1)], [[1]]
     for k in range(1, min(n, m) + 1):
         row_index = {r: j for j, r in enumerate(prev_rows)}
-        col_index = {c: j for j, c in enumerate(prev_cols)}
         rows_k = list(itertools.combinations(range(n), k))
-        cols_k = list(itertools.combinations(range(m), k))
-        # expansion terms of each column set: (sign, column, index of the rest)
-        terms = [
-            [((-1) ** j, c, col_index[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols)]
-            for cols in cols_k
+        # each column set, in lexicographic order, as (index of its first k-1
+        # columns in the level below, its last column's ints, the set, den)
+        cols_k = [
+            (j, columns[c], head + (c,), den * scales[c])
+            for j, (head, den) in enumerate(prev_cols)
+            for c in range(head[-1] + 1 if head else 0, m)
         ]
         level = []
         for rows in rows_k:
-            top, below = ints[rows[0]], prev[row_index[rows[1:]]]
+            # expansion terms of each row set: (sign, row, (k-1)-minors without that row)
+            terms = [((-1) ** (k - 1 - j), r, prev[row_index[rows[:j] + rows[j + 1 :]]]) for j, r in enumerate(rows)]
             values = []
-            for cols, expansion in zip(cols_k, terms):
-                s = sum(sign * top[c] * below[rest] for sign, c, rest in expansion)
+            for rest, column, cols, den in cols_k:
+                s = sum(sign * column[r] * below[rest] for sign, r, below in terms)
                 values.append(s)
-                yield rows, cols, k, s, scale
+                yield rows, cols, s, den
             level.append(values)
-        prev_rows, prev_cols, prev = rows_k, cols_k, level
+        prev_rows, prev_cols, prev = rows_k, [(cols, den) for _, _, cols, den in cols_k], level
 
 
 def all_minors(a: np.ndarray):
@@ -177,10 +189,10 @@ def all_minors(a: np.ndarray):
     Minors of size k come in lexicographic order of ``rows``, then of
     ``cols``, and each value is the exact ``Fraction`` of the submatrix's
     :func:`det`.  This is a view over the integer pass :func:`_scaled_minors`:
-    one ``Fraction(s, D**k)`` per minor, and no arithmetic of its own.
+    one ``Fraction(s, den)`` per minor, and no arithmetic of its own.
     """
-    for rows, cols, k, s, scale in _scaled_minors(a):
-        yield rows, cols, Fraction(s, scale**k)
+    for rows, cols, s, den in _scaled_minors(a):
+        yield rows, cols, Fraction(s, den)
 
 
 def leading_minors(a: np.ndarray, kmax: int) -> tuple[list, int]:

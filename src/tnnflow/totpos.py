@@ -4,9 +4,10 @@ Positive elements are produced by factorizations along reduced words for the
 longest permutation, multiplied out exactly by one int column operation per
 letter; positivity of a given matrix is certified by the sign of every minor,
 all of them exact and taken as ints in one Laplace pass
-(``tnnflow.linalg._scaled_minors``) whose verdict and least minor come
-together.  A flag, exact or float, is carried by any matrix whose leading
-columns span it: a group element, or in float work an orthonormal frame.
+(``tnnflow.linalg._scaled_minors``, each column scaled by its own
+denominator) whose verdict and least minor come together.  A flag, exact or
+float, is carried by any matrix whose leading columns span it: a group
+element, or in float work an orthonormal frame.
 For the complete SL(3) flag variety we expose the classical six-coordinate
 chart ``(v, w)`` together with its membership oracle:
 
@@ -228,22 +229,29 @@ def _exact_product(n: int, steps) -> np.ndarray:
 def _least_minor(g, *, stop_below_zero: bool) -> Fraction:
     """The least minor of an exact matrix, walked on the ints of the Laplace pass.
 
-    Every k-minor is ``s / D**k`` for an int ``s``, so within level k the least
-    ``s`` gives the least minor; only the n per-level winners become
-    ``Fraction``s, and the least of those is the answer.  With
+    A k-minor on columns C is ``s / den`` for an int ``s`` and the product
+    ``den`` of the column scales of C, so within one column set the least
+    ``s`` gives the least minor, by plain int comparison.  The per-set
+    winners are compared exactly by cross-multiplying, ``s * den' < s' * den``:
+    one comparison per column set, and one ``Fraction`` for the answer.  With
     ``stop_below_zero`` the walk ends at the first negative ``s`` and returns
     that negative minor instead, which decides the sign rule alone.
     """
     entries = g.entries if isinstance(g, GroupElement) else g
     if not linalg.is_rational_array(entries):
         raise TypeError("exact entries required; rationalize float input first")
-    least: dict[int, int] = {}
-    for _rows, _cols, k, s, scale in linalg._scaled_minors(entries):
-        if s < least.get(k, s + 1):
-            least[k] = s
+    least: dict[tuple, tuple[int, int]] = {}  # column set -> (least s, den)
+    for _rows, cols, s, den in linalg._scaled_minors(entries):
+        best = least.get(cols)
+        if best is None or s < best[0]:
+            least[cols] = (s, den)
             if stop_below_zero and s < 0:
-                return Fraction(s, scale**k)
-    return min(Fraction(s, scale**k) for k, s in least.items())
+                return Fraction(s, den)
+    (s, den), *rest = least.values()
+    for t, d in rest:
+        if t * den < s * d:
+            s, den = t, d
+    return Fraction(s, den)
 
 
 def _positivity(least_minor) -> Positivity:
@@ -258,10 +266,11 @@ def is_tnn_matrix(g) -> Positivity:
 
     Requires exact rational entries; run floats through
     ``linalg.rationalize`` first so that the verdict is a certificate.  The
-    minors come smallest first, as scaled ints ``s`` over ``D**k``, from the
-    integer Laplace pass behind :func:`tnnflow.linalg.all_minors`; the sign of
-    ``s`` is the sign of the minor, and the walk stops at the first negative
-    one.  No ``Fraction`` is built on the way.
+    minors come smallest first, from the integer Laplace pass behind
+    :func:`tnnflow.linalg.all_minors`, each as a scaled int ``s`` over the
+    positive product of its columns' denominators; the sign of ``s`` is the
+    sign of the minor, and the walk stops at the first negative one.  No
+    ``Fraction`` is built on the way.
     """
     return _positivity(_least_minor(g, stop_below_zero=True))
 
@@ -271,7 +280,7 @@ def certify_minors(g) -> tuple[Positivity, Fraction]:
 
     The verdict is the one :func:`is_tnn_matrix` gives; the least minor is
     taken over every minor, so this walk has no early exit.  It keeps the
-    least scaled int of each size k and builds one ``Fraction`` per size.
+    least scaled int of each column set and builds one ``Fraction``.
     """
     least = _least_minor(g, stop_below_zero=False)
     return _positivity(least), least

@@ -3,6 +3,8 @@
 import argparse
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -425,6 +427,29 @@ def test_every_subcommand_prints_help(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: tnnflow {command}")
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys):
+    """One parser serves every call of a process, and each report's bytes equal
+    those of a fresh ``python -m tnnflow`` process."""
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--n", "3", "--positive"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and len(captured.err.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: tnnflow sample")
+    sides = []
+    for argv in (
+        ["sample", "--n", "3", "--side", "lower", "--count", "2", "--seed", "4"],
+        ["sample", "--n", "3", "--count", "2", "--seed", "4"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "tnnflow", *argv], capture_output=True)
+        assert code == fresh.returncode == 0 and out.encode() == fresh.stdout
+        sides.append({rec["side"] for rec in json.loads(out)["samples"]})
+    assert sides == [{"lower"}, {"group"}]
 
 
 def test_parser_takes_47_flags():

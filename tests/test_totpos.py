@@ -2,6 +2,7 @@
 matrices, and the SL(3) coordinate chart."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,57 @@ def test_verdict_matches_sign_rule_over_oracle_minors(n, leibniz_det):
         assert certify_minors(a) == (expected, min(values))
 
 
+def _extreme_params(word, rng, group):
+    """Parameters of size e^20 or e^-20, each made exact."""
+
+    def draw():
+        return Fraction(*math.exp(rng.choice([-20.0, 20.0]) + rng.uniform(-1.0, 1.0)).as_integer_ratio())
+
+    count = (2 if group else 1) * len(word)
+    torus = tuple(draw() for _ in range(word.n - 1)) if group else None
+    return FactorizationParams(word, tuple(draw() for _ in range(count)), torus)
+
+
+@pytest.mark.parametrize(
+    "n, side",
+    [(n, side) for n in range(2, 8) for side in ("group", "lower") if (n, side) != (7, "group")]
+    # about 7 s: 3,431 exact dets per matrix, over the largest ints
+    + [pytest.param(7, "group", marks=pytest.mark.slow)],
+)
+def test_certificate_matches_the_bareiss_oracle(n, side):
+    """Verdict and least minor against ``linalg.det`` of every square submatrix.
+
+    Interior, boundary (``zero_mask``), near-singular (the masked parameters
+    at 2**-80 instead of 0, so some minors nearly vanish), extreme (e^±20) and
+    column-swapped samples.  The oracle is Bareiss elimination on each
+    submatrix, which shares no arithmetic with the Laplace pass.
+    """
+    group = side == "group"
+    rng = np.random.default_rng([n, 17, int(group)])
+    word = standard_word_w0(n)
+    drawn = sample_params(word, rng, group=group)
+    mask = rng.choice(len(drawn.t), size=min(n, len(drawn.t)), replace=False)
+    tiny = tuple(Fraction(1, 2**80) if k in mask else t for k, t in enumerate(drawn.t))
+    interior = sample_positive(drawn, side).entries
+    j = int(rng.integers(0, n - 1))
+    swapped = interior.copy()
+    swapped[:, [j, j + 1]] = swapped[:, [j + 1, j]]
+    inside = Positivity.TOTALLY_POSITIVE if group else Positivity.TOTALLY_NONNEGATIVE
+    cases = [
+        (interior, inside),
+        (sample_positive(sample_params(word, rng, group=group, zero_mask=mask), side).entries,
+         Positivity.TOTALLY_NONNEGATIVE),
+        (sample_positive(FactorizationParams(word, tiny, drawn.torus), side).entries, inside),
+        (sample_positive(_extreme_params(word, rng, group), side).entries, inside),
+        (swapped, Positivity.NEITHER),
+    ]
+    for a, expected in cases:
+        values = _oracle_minors(a, linalg.det)
+        assert _sign_rule(values) is expected
+        assert is_tnn_matrix(a) is expected
+        assert certify_minors(a) == (expected, min(values))
+
+
 def _dense_product(params, side):
     """The factorization multiplied out one dense ``one_param`` factor at a time."""
     word = params.word
@@ -253,9 +305,13 @@ def certify_cases(draw):
     return sample_positive(params, side).entries
 
 
-# the least minor 2/9 is a 2-minor whose scaled int (2, over D**2 = 9) exceeds
-# the least scaled 1-minor (1, over D = 3)
+# the least minor 2/9 is a 2-minor whose scaled int (2, over e_0 e_1 = 9)
+# exceeds the least scaled 1-minor (1, over e_0 = 3)
 @example(a=np.array([[Fraction(1, 3), Fraction(1, 3)], [Fraction(1, 3), 1]], dtype=object))
+# the least minor 2/3 is a 1-minor in column 0, whose scaled int (2, over e_0 = 3)
+# exceeds the least scaled int of column 1 (1, over e_1 = 1): across column
+# sets the ints order differently from the minors
+@example(a=np.array([[Fraction(2, 3), 1], [1, 3]], dtype=object))
 @example(a=np.array([[Fraction(1, 2), 3], [Fraction(1, 7), 1]], dtype=object))
 @settings(max_examples=150, deadline=None)
 @given(a=certify_cases())
