@@ -51,6 +51,7 @@ from .flow import (
     converge,
     default_ball_radius,
     fixed_flag,
+    flag_frame,
     flow_point,
     invariance_check,
     line_to_sl3_coords,

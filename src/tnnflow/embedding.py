@@ -275,9 +275,9 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     minor per factor, and the product runs left to right over the factors.
     The result holds homogeneous coordinates in the reduced-echelon basis.
     For exact g each is the correctly rounded value of the exact coordinate:
-    the product of int minors over the product of their scalings, divided
-    once as Python ints.  For float g each is a binary64 product of
-    ``np.linalg.det`` minors.
+    the product of int minors of the column-scaled g over the product of
+    their denominators, one per wedge factor, divided once as Python ints.
+    For float g each is a binary64 product of ``np.linalg.det`` minors.
     """
     if isinstance(g, FactorizationParams):
         g = sample_positive(g, side)
@@ -287,7 +287,7 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
         raise ValueError(f"a {g.n} x {g.n} matrix does not act on a module for n = {rep.n}")
     kmax = max(rep.factors)
     if g.field == RATIONAL:
-        levels, scale = linalg.leading_minors(g.entries, kmax)
+        levels, dens = linalg.leading_minors(g.entries, kmax)
     else:  # levels[k]: one stacked det over the k-row submatrices of the first k columns
         fmat = linalg.to_float(g.entries)
         levels = [[1.0]] + [
@@ -297,7 +297,7 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     digits = np.unravel_index(rep.pivot_cols, [len(levels[k]) for k in rep.factors])
     vec = [math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) for ds in zip(*digits)]
     if g.field == RATIONAL:
-        denom = scale ** sum(rep.factors)
+        denom = math.prod(dens[k] for k in rep.factors)
         vec = [x / denom for x in vec]
     return np.array(vec, dtype=np.float64)
 

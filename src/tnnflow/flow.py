@@ -10,7 +10,8 @@ rates are negative, so every chart point is pulled to the origin -- the
 stationary flag -- at exponential speed governed by the spectral gap.
 This module houses the diagonal flow itself, a verifier for the axioms a
 contracting flow must satisfy, sphere-crossing and convergence reporters,
-and the invariance check that boundary flags move strictly inside.
+the invariance check that boundary flags move strictly inside, and, off the
+chart, :func:`flag_frame`, which flows a flag's frame in closed form.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "Convergence",
     "converge",
     "fixed_flag",
+    "flag_frame",
     "line_to_sl3_coords",
     "commutation_check",
     "invariance_check",
@@ -382,6 +384,20 @@ def fixed_flag(n: int) -> np.ndarray:
     Its leading k columns span the fixed k-plane, for every partial flag type.
     """
     return generator_sum_spectrum(n)[1]
+
+
+def flag_frame(g: np.ndarray, t, d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The orthonormal frame Q, in p's coordinates, of the flag of p diag(e^{t d}) p^T g.
+
+    ``g`` is one matrix or a stack, ``t >= 0`` a scalar or one time per
+    matrix, ``p`` orthogonal and ``d`` descending, as from
+    :func:`~tnnflow.chevalley.generator_sum_spectrum`.  The rows of p^T Q_g,
+    for the QR frame Q_g of g, are scaled by e^{t (d - d_0)}, graded large to
+    small: the case in which Householder QR stays accurate, so one stacked QR
+    gives what flowing step by step and re-orthonormalizing gives.
+    """
+    scale = np.exp(np.multiply.outer(t, d - d[0]))[..., :, None]
+    return np.linalg.qr(scale * (p.T @ np.linalg.qr(g)[0]))[0]
 
 
 def _frame_gaps(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ maps each one-parameter subgroup x_i(t), y_i(t) to its mirror x_{n-i}(t),
 y_{n-i}(t) with the *same* parameter -- no sign leaks -- so sigma preserves
 total nonnegativity, commutes with exp(t * generator_sum), and its fixed
 locus is swept out by factorizations whose mirrored parameters are tied.
+The flow check flows each flag in closed form, with no steps.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chevalley import GroupElement, exp_generator_sum
-from .flow import _frame_gap
+from .chevalley import GroupElement, generator_sum_spectrum
+from .flow import _frame_gap, flag_frame
 from .totpos import FactorizationParams, ReducedWord, _rational_positive, sample_positive
 
 __all__ = [
@@ -152,25 +153,17 @@ def break_symmetry(params: FactorizationParams) -> FactorizationParams:
     return FactorizationParams(word, tuple(vals))
 
 
-def _flowed_flag(step: np.ndarray, nsteps: int, m: np.ndarray) -> np.ndarray:
-    """Orthonormal frame of the flag of step^nsteps @ m, re-orthonormalizing between steps.
+def _flowed_frames(s: np.ndarray, t: float, uf: np.ndarray, suf: np.ndarray) -> tuple:
+    """The frames of the flags of exp(t tau) u and S exp(-t tau) S^T sigma(u), for stacks uf and suf.
 
-    A single product exp(t tau) @ m at t = 5 can have condition number ~1e12.
-    QR preserves leading column spans -- hence the flag -- so orthonormalizing
-    after each modest step keeps every intermediate well conditioned, and the
-    returned frame Q carries the flag: its leading k columns span the k-plane.
-    ``m`` may be one matrix or a stack of them; a stack is flowed with one
-    stacked product and one stacked QR per step.
+    S exp(-t tau) S^T = (S P) diag(e^{-t d}) (S P)^T, so sigma(u) is flowed
+    with -d and S P, both reversed to keep the spectrum descending (ascending,
+    the gaps reach 1 by t = 20).  Flowing S^T sigma(u) back and multiplying by
+    S would repeat the QR on a row-permuted u, exact only to eps cond(u).
     """
-    q, _ = np.linalg.qr(np.asarray(m, dtype=np.float64))
-    for _ in range(nsteps):
-        q, _ = np.linalg.qr(step @ q)
-    return q
-
-
-def _flow_steps(t: float) -> int:
-    """The number of steps, each at most 0.5 long, that flow to time t."""
-    return max(1, int(np.ceil(abs(t) / 0.5)))
+    d, p = generator_sum_spectrum(len(s))
+    sp = (s @ p)[:, ::-1]
+    return p @ flag_frame(uf, t, d, p), sp @ flag_frame(suf, t, -d[::-1], sp)
 
 
 def fixed_locus_flow_check(
@@ -195,14 +188,17 @@ def fixed_locus_flow_check(
     ``tol``, as the largest sine of a principal angle between the two flags
     (:func:`_frame_gap`), which is scale-invariant.  The image is evaluated
     through exact group identities -- sigma(exp(t tau) u) = S exp(-t tau) S^T
-    sigma(u) with sigma(u) computed on rationals -- and both sides go through
-    :func:`_flowed_flag` so neither is polluted by the ~1e12 conditioning of
-    the raw product at t = 5.  All samples are drawn first and then flowed
-    as one stack; the witness is the first failing (sample, time) in sample
-    order.  A deliberately de-symmetrized sample must fail, exactly at t = 0
-    and beyond ``1e-6`` at every t > 0, which guards against a vacuously
-    symmetric pipeline.  ``count`` below 1 raises ``ValueError``: an empty
-    sample would certify nothing.
+    sigma(u) with sigma(u) computed on rationals.  Neither side forms the
+    product, whose condition number reaches ~1e12 at t = 5: each is one
+    closed-form row scaling of an orthonormal frame and one QR, with no
+    steps, and the sigma side is (S P) diag(e^{-t d}) (S P)^T applied to
+    sigma(u), its spectrum -d reversed to stay descending
+    (:func:`_flowed_frames`).  All samples are drawn first and then flowed
+    as one stack per time and side; the witness is the first failing
+    (sample, time) in sample order.  A deliberately de-symmetrized sample
+    must fail, exactly at t = 0 and beyond ``1e-6`` at every t > 0, which
+    guards against a vacuously symmetric pipeline.  ``count`` below 1 raises
+    ``ValueError``: an empty sample would certify nothing.
     """
     n = folding.n
     if n < 4:
@@ -211,22 +207,12 @@ def fixed_locus_flow_check(
         raise ValueError(f"the fixed-locus check needs count >= 1, got {count}")
     word, blocks = symmetric_word(n)
     s = linalg.to_float(folding.s_matrix)
-    step_cache = {}
-    for t in times:
-        k = _flow_steps(t)
-        fwd = exp_generator_sum(n, t / k).entries
-        bwd = s @ exp_generator_sum(n, -t / k).entries @ s.T
-        step_cache[t] = (k, fwd, bwd)
 
     def flag_gaps(us, sus) -> dict:
         """For each time, the fold gaps of a stack of elements against their sigma images."""
         uf = np.array([linalg.to_float(u.entries) for u in us])
         suf = np.array([linalg.to_float(su.entries) for su in sus])
-        gaps = {}
-        for t in times:
-            k, fwd, bwd = step_cache[t]
-            gaps[t] = _frame_gap(_flowed_flag(fwd, k, uf), _flowed_flag(bwd, k, suf))
-        return gaps
+        return {t: _frame_gap(*_flowed_frames(s, t, uf, suf)) for t in times}
 
     us, sus = [], []
     for k in range(count):

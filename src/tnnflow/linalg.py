@@ -12,13 +12,14 @@ Float work is delegated to numpy proper; these helpers exist for the places
 where the answer must be a certificate (minor signs, echelon bases) rather
 than an approximation.  Determinants, inverses and minors run on
 Python ints, and one ``Fraction`` is built per result entry at the end.
-Determinants, inverses and leading minors scale the matrix by the LCM ``D``
-of its denominators.  All minors come from one integer Laplace pass,
-:func:`_scaled_minors`, which scales each column c by the LCM ``e_c`` of its
-own denominators: the k-minor on columns C is a plain int over
+Every exact kernel scales each column c by the LCM ``e_c`` of its own
+denominators.  Determinants and inverses run Bareiss elimination on those
+ints.  All minors come from one integer Laplace pass,
+:func:`_scaled_minors`: the k-minor on columns C is a plain int over
 ``prod(e_c for c in C)``.  Callers that only compare minors
-(``tnnflow.totpos``) read it directly, and :func:`all_minors` is its
-``Fraction`` view.
+(``tnnflow.totpos``) read it directly, :func:`all_minors` is its
+``Fraction`` view, and :func:`leading_minors` its restriction to leading
+columns.
 """
 
 from __future__ import annotations
@@ -79,21 +80,16 @@ def is_rational_array(a: np.ndarray) -> bool:
     return a.dtype == object
 
 
-def _exact_rows(a) -> list:
-    """The rows of ``a`` as lists of exact entries.
+def _scaled_columns(a) -> tuple[list, list]:
+    """The columns of ``a``, column c times the LCM ``e_c`` of its denominators, as ints, and the ``e_c``.
 
     ``Fraction`` and ``int`` entries are used as they are; only other types
     (floats, numpy scalars) are converted, because ``Fraction(Fraction)``
     costs more than the scaling that follows.
     """
-    return [[x if type(x) in (Fraction, int) else Fraction(x) for x in row] for row in a.tolist()]
-
-
-def _scaled_ints(a) -> tuple[list, int]:
-    """The rows of ``a`` times the LCM ``D`` of its denominators, as ints, and ``D``."""
-    entries = _exact_rows(a)
-    scale = math.lcm(1, *(x.denominator for row in entries for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in entries], scale
+    entries = [[x if type(x) in (Fraction, int) else Fraction(x) for x in row] for row in a.tolist()]
+    scales = [math.lcm(1, *(row[c].denominator for row in entries)) for c in range(a.shape[1])]
+    return [[row[c].numerator * (e // row[c].denominator) for row in entries] for c, e in enumerate(scales)], scales
 
 
 def _bareiss(m: list, jordan: bool) -> tuple[int, int]:
@@ -117,31 +113,33 @@ def _bareiss(m: list, jordan: bool) -> tuple[int, int]:
 
 
 def det(a: np.ndarray) -> Fraction:
-    """Exact determinant, always a ``Fraction``: Bareiss on ``D a``, over ``D**n``."""
+    """Exact determinant, always a ``Fraction``: Bareiss on the column-scaled ints, over ``prod(e_c)``."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("determinant needs a square matrix")
-    m, scale = _scaled_ints(a)
-    d, sign = _bareiss(m, jordan=False)
-    return Fraction(sign * d, scale**n)
+    columns, scales = _scaled_columns(a)
+    d, sign = _bareiss([list(row) for row in zip(*columns)], jordan=False)
+    return Fraction(sign * d, math.prod(scales))
 
 
 def inv(a: np.ndarray) -> np.ndarray:
     """Exact inverse in Fractions; raises ``ZeroDivisionError`` on singular input.
 
-    Fraction-free Gauss-Jordan takes ``[D a | I]`` to ``[d I | d (D a)^-1]``.
+    Fraction-free Gauss-Jordan takes ``[M | I]`` to ``[d I | d M^-1]`` for the
+    column-scaled ints ``M = a diag(e)``, and ``a^-1 = diag(e) M^-1``: row i
+    of the inverse is scaled by ``e_i``.
     """
     n = a.shape[0]
-    m, scale = _scaled_ints(a)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    columns, scales = _scaled_columns(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*columns))]
     d, _ = _bareiss(aug, jordan=True)
     if d == 0:
         raise ZeroDivisionError("matrix is singular over the rationals")
-    out = [[Fraction(scale * y, d) for y in row[n:]] for row in aug]
+    out = [[Fraction(e * y, d) for y in row[n:]] for e, row in zip(scales, aug)]
     return np.array(out, dtype=object).reshape(n, n)
 
 
-def _scaled_minors(a):
+def _scaled_minors(a, leading: bool = False):
     """Yield ``(rows, cols, s, den)`` over every square minor, smallest first.
 
     Column c of ``a`` is scaled by the LCM ``e_c`` of its denominators, and
@@ -153,12 +151,11 @@ def _scaled_minors(a):
     its columns over the (k-1)-minors on the other columns: sum_k C(n,k)
     C(m,k) k multiply-adds in all.  Only the levels k-1 and k are alive at
     once; the largest level of an n x n matrix holds C(n, n//2)**2 ints,
-    63,504 at n = 10.
+    63,504 at n = 10.  With ``leading``, the last column of a k-set is bounded
+    by k - 1, so the pass runs over the leading columns 0..k-1 only.
     """
     n, m = a.shape
-    entries = _exact_rows(a)
-    scales = [math.lcm(1, *(row[c].denominator for row in entries)) for c in range(m)]
-    columns = [[row[c].numerator * (e // row[c].denominator) for row in entries] for c, e in enumerate(scales)]
+    columns, scales = _scaled_columns(a)
     prev_rows, prev_cols, prev = [()], [((), 1)], [[1]]
     for k in range(1, min(n, m) + 1):
         row_index = {r: j for j, r in enumerate(prev_rows)}
@@ -168,7 +165,7 @@ def _scaled_minors(a):
         cols_k = [
             (j, columns[c], head + (c,), den * scales[c])
             for j, (head, den) in enumerate(prev_cols)
-            for c in range(head[-1] + 1 if head else 0, m)
+            for c in range(head[-1] + 1 if head else 0, k if leading else m)
         ]
         level = []
         for rows in rows_k:
@@ -195,24 +192,24 @@ def all_minors(a: np.ndarray):
         yield rows, cols, Fraction(s, den)
 
 
-def leading_minors(a: np.ndarray, kmax: int) -> tuple[list, int]:
-    """Minors on leading columns, as ints: ``(levels, D)`` for the scaling ``D a``.
+def leading_minors(a: np.ndarray, kmax: int) -> tuple[list, list]:
+    """Minors on leading columns, as ints: ``(levels, dens)`` for the column-scaled ints.
 
-    ``levels[k][j]`` is ``D**k`` times the minor on the j-th k-subset of rows
-    (lexicographic) and columns 0..k-1, k <= kmax, by Laplace expansion along
-    the last column over level k-1: sum_k C(n,k) k multiply-adds in all.
+    ``levels[k][j]`` is the minor on the j-th k-subset of rows (lexicographic)
+    and columns 0..k-1 of the column-scaled ints, for k <= kmax, and
+    ``dens[k] = prod(e_c for c < k)``: the minor of ``a`` is
+    ``levels[k][j] / dens[k]``.  This is the leading-column restriction of
+    the one Laplace pass :func:`_scaled_minors`: sum_k C(n,k) k multiply-adds
+    in all.
     """
-    ints, scale = _scaled_ints(a)
-    levels, index = [[1]], {(): 0}
-    for k in range(1, kmax + 1):
-        rows_k = list(itertools.combinations(range(a.shape[0]), k))
-        levels.append([
-            sum((-1) ** (k - 1 - j) * ints[r][k - 1] * levels[-1][index[rows[:j] + rows[j + 1 :]]]
-                for j, r in enumerate(rows))
-            for rows in rows_k
-        ])
-        index = {rows: j for j, rows in enumerate(rows_k)}
-    return levels, scale
+    levels, dens = [[1]], [1]
+    total = sum(math.comb(a.shape[0], k) for k in range(1, kmax + 1))
+    for rows, _, s, den in itertools.islice(_scaled_minors(a, leading=True), total):
+        if len(rows) == len(levels):
+            levels.append([])
+            dens.append(den)
+        levels[-1].append(s)
+    return levels, dens
 
 
 def _subtract(v: dict, x, b: dict) -> None:

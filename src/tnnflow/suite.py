@@ -19,7 +19,7 @@ from . import linalg
 from .cells import bruhat_interval_counts, census_verdict, enumerate_cells, face_poset, validate_poset
 from .chevalley import exp_generator_sum, generator_sum_spectrum
 from .embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of, weyl_dim
-from .flow import DiagonalFlow, _frame_gaps, commutation_check, converge, invariance_check, verify_axioms
+from .flow import DiagonalFlow, _frame_gaps, commutation_check, converge, flag_frame, invariance_check, verify_axioms
 from .folding import build_folding, fixed_locus_flow_check
 from .totpos import Positivity, is_tnn_matrix, sample_params, sample_positive, standard_word_w0
 
@@ -144,20 +144,16 @@ def converged_starts(chart, rng, count: int) -> tuple[np.ndarray, np.ndarray, bo
 def fixed_point_gap(starts: np.ndarray, times: np.ndarray, J) -> float:
     """The largest distance from a flowed start exp(T tau) g to the fixed flag, over the starts.
 
-    With tau = P diag(d) P^T in closed form, the flag of exp(T tau) g has the
-    frame P Q, Q = qr(diag(e^{T (d - d_0)}) P^T Q_g), where the QR frame Q_g
-    of g carries its flag: scaling the rows of an orthonormal frame, not of
-    an ill-conditioned g, keeps this as accurate as flowing step by step.
-    Each QR is one stacked call.  The fixed flag is the frame P
+    With tau = P diag(d) P^T in closed form, :func:`~tnnflow.flow.flag_frame`
+    gives the frame Q of exp(T tau) g in P's coordinates, one stacked QR for
+    all starts.  The fixed flag is the frame P
     (:func:`~tnnflow.flow.fixed_flag`), the identity in P's coordinates, so
     the largest sine of the principal angles at dimension k is
     ``||Q[k:, :k]||_2``.  The maximum runs over the recorded dimensions, k
     not in J, only: an unrecorded one is no part of the flag, and lags.
     """
     n = starts.shape[-1]
-    d, p = generator_sum_spectrum(n)
-    frames = p.T @ np.linalg.qr(starts)[0]
-    q = np.linalg.qr(np.exp(np.multiply.outer(times, d - d[0]))[:, :, None] * frames)[0]
+    q = flag_frame(starts, times, *generator_sum_spectrum(n))
     return float(np.max(_frame_gaps(np.eye(n), q)[:, [k - 1 for k in range(1, n) if k not in J]]))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from tnnflow import linalg
 from tnnflow.cells import enumerate_cells, face_poset
-from tnnflow.chevalley import build_pinning
+from tnnflow.chevalley import build_pinning, exp_generator_sum
 from tnnflow.embedding import build_rep, eigenchart, lambda_for
 from tnnflow.flow import DiagonalFlow
 
@@ -82,6 +82,32 @@ def _exact_rank(a) -> int:
 def exact_rank():
     """Rank oracle for exact matrices (no production code needs a rank)."""
     return _exact_rank
+
+
+def _stepwise_frame(m, t: float, s=None) -> np.ndarray:
+    """The orthonormal frame of the flag of exp(t tau) m, or of S exp(-t tau) S^T m
+    for the fold's ``s``, flowed in steps at most 0.5 long with a QR after each.
+
+    A single product exp(t tau) m at t = 5 can have condition number ~1e12.
+    QR preserves leading column spans -- hence the flag -- so orthonormalizing
+    after each modest step keeps every intermediate well conditioned.  ``m``
+    may be one matrix or a stack of them.
+    """
+    n = np.shape(m)[-1]
+    k = max(1, int(np.ceil(abs(t) / 0.5)))
+    step = exp_generator_sum(n, t / k).entries
+    if s is not None:
+        step = s @ exp_generator_sum(n, -t / k).entries @ s.T
+    q, _ = np.linalg.qr(np.asarray(m, dtype=np.float64))
+    for _ in range(k):
+        q, _ = np.linalg.qr(step @ q)
+    return q
+
+
+@pytest.fixture(scope="session")
+def stepwise_frame():
+    """Flowed-flag oracle for ``flow.flag_frame``: the flow taken step by step, with no closed form."""
+    return _stepwise_frame
 
 
 @pytest.fixture(scope="session")

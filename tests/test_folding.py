@@ -13,13 +13,13 @@ from tnnflow.chevalley import (
     RATIONAL,
     GroupElement,
     build_pinning,
-    exp_generator_sum,
     generator_sum,
+    generator_sum_spectrum,
     one_param,
 )
+from tnnflow.flow import flag_frame
 from tnnflow.folding import (
-    _flow_steps,
-    _flowed_flag,
+    _flowed_frames,
     _frame_gap,
     apply_group,
     break_symmetry,
@@ -220,23 +220,17 @@ def _per_sample_fold_check(folding, rng, times, count, tol):
     """The fold gate flowed one sample at a time, as an oracle for the stacked gate.
 
     Same draws, same order; each sample and the control go through
-    :func:`_flowed_flag` and :func:`_frame_gap` as a single pair.
+    :func:`~tnnflow.flow.flag_frame` and :func:`_frame_gap` as a single pair.
     """
     n = folding.n
     blocks = symmetric_word(n)[1]
     s = linalg.to_float(folding.s_matrix)
-    steps = {}
-    for t in times:
-        k = _flow_steps(t)
-        bwd = s @ exp_generator_sum(n, -t / k).entries @ s.T
-        steps[t] = (k, exp_generator_sum(n, t / k).entries, bwd)
+    d, p = generator_sum_spectrum(n)
+    sp = (s @ p)[:, ::-1]
 
     def flag_gap(u, su):
         uf, suf = linalg.to_float(u.entries), linalg.to_float(su.entries)
-        return {
-            t: _frame_gap(_flowed_flag(fwd, k, uf), _flowed_flag(bwd, k, suf))
-            for t, (k, fwd, bwd) in steps.items()
-        }
+        return {t: _frame_gap(p @ flag_frame(uf, t, d, p), sp @ flag_frame(suf, t, -d[::-1], sp)) for t in times}
 
     worst, all_fixed, witness = 0.0, True, None
     for k in range(count):
@@ -285,8 +279,38 @@ def test_frame_gap_of_stacks_is_the_gap_of_each_pair(rng):
     stacked = _frame_gap(qa, qb)
     assert stacked.shape == (5,)
     assert stacked.tolist() == [_frame_gap(a, b) for a, b in zip(qa, qb)]
-    flowed = _flowed_flag(qa[0], 3, qb)
-    assert all(np.array_equal(f, _flowed_flag(qa[0], 3, b)) for f, b in zip(flowed, qb))
+    d, p = generator_sum_spectrum(4)
+    times = np.array([0.0, 0.1, 1.0, 5.0, 20.0])
+    flowed = flag_frame(qb, times, d, p)
+    assert all(np.array_equal(f, flag_frame(b, t, d, p)) for f, b, t in zip(flowed, qb, times))
+    # one time for the whole stack is that time for each matrix
+    assert np.array_equal(flag_frame(qb, 5.0, d, p), flag_frame(qb, np.full(5, 5.0), d, p))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_flowed_frames_match_the_stepwise_flow(n, stepwise_frame):
+    """Both sides of the fold gate, one row scaling and one QR each, against
+    the flow taken step by step: exp(t tau) on u and S exp(-t tau) S^T on
+    sigma(u), to 1e-13 in frame gap up to t = 20.  Every third sample from the
+    second on zeroes whole blocks (boundary samples), as in the gate."""
+    fold = build_folding(n)
+    rng = np.random.default_rng([n, 19])
+    blocks = symmetric_word(n)[1]
+    us, sus = [], []
+    for k in range(40):
+        zero_blocks = None
+        if k % 3 == 1:
+            size = int(rng.integers(1, len(blocks)))
+            zero_blocks = rng.choice(len(blocks), size=size, replace=False).tolist()
+        u = sample_positive(symmetric_params(n, rng, zero_blocks=zero_blocks), "lower")
+        us.append(linalg.to_float(u.entries))
+        sus.append(linalg.to_float(apply_group(fold, u).entries))
+    uf, suf = np.array(us), np.array(sus)
+    s = linalg.to_float(fold.s_matrix)
+    for t in (0.1, 1.0, 5.0, 20.0):
+        forward, backward = _flowed_frames(s, t, uf, suf)
+        assert np.max(_frame_gap(forward, stepwise_frame(uf, t))) <= 1e-13, t
+        assert np.max(_frame_gap(backward, stepwise_frame(suf, t, s))) <= 1e-13, t
 
 
 @pytest.mark.parametrize("count", [0, -1])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnnflow import linalg
+from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -134,12 +135,24 @@ def test_det_matches_leibniz_oracle(a, leibniz_det):
 @given(a=square_matrices())
 def test_leading_minors_match_leibniz_oracle(a, leibniz_det):
     n = a.shape[0]
-    levels, scale = linalg.leading_minors(a, n)
-    assert len(levels) == n + 1
-    for k, level in enumerate(levels):
+    levels, dens = linalg.leading_minors(a, n)
+    assert len(levels) == len(dens) == n + 1
+    for k, (level, den) in enumerate(zip(levels, dens)):
         rows_k = list(itertools.combinations(range(n), k))
         assert len(level) == len(rows_k) and all(type(s) is int for s in level)
-        assert [Fraction(s, scale**k) for s in level] == [leibniz_det(a[np.ix_(r, range(k))]) for r in rows_k]
+        assert [Fraction(s, den) for s in level] == [leibniz_det(a[np.ix_(r, range(k))]) for r in rows_k]
+
+
+def test_leading_minors_scale_each_column_by_its_own_denominators():
+    """Level k is over the product of the first k column LCMs, not over the
+    k-th power of one LCM D of the whole matrix: on the n = 5 lower sample of
+    ``default_rng(1)``, 462 bits at k = 3, where D**3 has 628."""
+    u = sample_positive(sample_params(standard_word_w0(5), np.random.default_rng(1)), "lower").entries
+    _, dens = linalg.leading_minors(u, 4)
+    scales = [math.lcm(*(x.denominator for x in u[:, c])) for c in range(5)]
+    assert dens == [math.prod(scales[:k]) for k in range(5)]
+    assert dens[3].bit_length() == 462
+    assert (math.lcm(*(x.denominator for x in u.flat)) ** 3).bit_length() == 628
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,7 +10,6 @@ from tnnflow import linalg, suite
 from tnnflow.chevalley import exp_generator_sum
 from tnnflow.cli import main
 from tnnflow.flow import _frame_gaps, fixed_flag
-from tnnflow.folding import _flow_steps, _flowed_flag
 from tnnflow.suite import CASES, GATES, Case, build_charts, converged_starts, fixed_point_gap
 from tnnflow.totpos import Positivity, is_tnn_matrix, sample_params, sample_positive, standard_word_w0
 
@@ -55,7 +54,7 @@ def test_fixed_point_gap_fails_at_half_the_convergence_time(charts, n, J):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_closed_form_gap_matches_the_stepwise_flowed_frame(n):
+def test_closed_form_gap_matches_the_stepwise_flowed_frame(n, stepwise_frame):
     """One QR of the row-scaled P^T g against flowing g step by step and
     re-orthonormalizing, compared with the fixed flag as a frame, per start."""
     word = standard_word_w0(n)
@@ -67,11 +66,9 @@ def test_closed_form_gap_matches_the_stepwise_flowed_frame(n):
         ]
     )
     for t in (0.5, 3.0, 10.0, 20.0):
-        k = _flow_steps(t)
-        step = exp_generator_sum(n, t / k).entries
         for g in starts:
             closed = fixed_point_gap(g[None], np.array([t]), ())
-            oracle = float(np.max(_frame_gaps(fixed_flag(n), _flowed_flag(step, k, g))))
+            oracle = float(np.max(_frame_gaps(fixed_flag(n), stepwise_frame(g, t))))
             assert abs(closed - oracle) <= 1e-13, (t, closed, oracle)
 
 
