@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, GroupElement, exp_generator_sum, generator_sum_spectrum
+from .chevalley import FLOAT, GroupElement, generator_sum_spectrum
 from .embedding import EigenChart, chart_coords, line_of
 from .totpos import (
     FactorizationParams,
@@ -254,6 +254,16 @@ class CrossingResult:
     residual: float
 
 
+def _boundary_sample(word, rng: np.random.Generator, mask=None) -> GroupElement:
+    """A lower-unipotent boundary flag in binary64: the factorization along
+    ``word`` with the parameters of ``mask`` zeroed, by default a random
+    nonempty set of them drawn first."""
+    if mask is None:
+        size = int(rng.integers(1, len(word) + 1))
+        mask = sorted(rng.choice(len(word), size=size, replace=False).tolist())
+    return sample_positive(sample_params(word, rng, zero_mask=mask), "lower").to_float()
+
+
 def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
     """A chart-adapted target radius: 1e-2 times the smallest boundary norm.
 
@@ -264,13 +274,9 @@ def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
     makes a sensible default when the caller has no radius in mind.
     """
     word = standard_word_w0(chart.rep.n)
-    ell = len(word)
     smallest = math.inf
     for _ in range(25):
-        size = int(rng.integers(1, ell + 1))
-        mask = sorted(rng.choice(ell, size=size, replace=False).tolist())
-        u = sample_positive(sample_params(word, rng, zero_mask=mask), "lower")
-        p = chart_coords(chart, line_of(chart.rep, u.to_float()))
+        p = chart_coords(chart, line_of(chart.rep, _boundary_sample(word, rng)))
         smallest = min(smallest, float(np.linalg.norm(p)))
     if not math.isfinite(smallest) or smallest <= 0.0:
         raise RuntimeError("boundary sampling never produced a nonzero chart norm")
@@ -451,29 +457,34 @@ def line_to_sl3_coords(chart: EigenChart, line: np.ndarray) -> Sl3Coords:
     return Sl3Coords(tuple(v), tuple(w), FLOAT)
 
 
+def _acted_frames(gs: np.ndarray, t: float) -> np.ndarray:
+    """Orthonormal frames, in the standard basis, of the flags of exp(t tau) g for a
+    stack of float g: one :func:`flag_frame` call, whose graded QR needs t >= 0."""
+    if not t >= 0:
+        raise ValueError(f"flags flow forward only: t must be >= 0, got {t}")
+    d, p = generator_sum_spectrum(gs.shape[-1])
+    return p @ flag_frame(gs, t, d, p)
+
+
 def commutation_check(chart: EigenChart, params, t: float) -> dict:
     """Compare flowing in the chart against acting on the flag by exp(t tau).
 
-    Path one: act on the lower-unipotent flag matrix, embed, read chart
-    coordinates.
+    Path one: flow the frame of the lower-unipotent flag matrix
+    (:func:`flag_frame`), embed, read chart coordinates.
     Path two: embed first, read chart coordinates, flow diagonally.
     Both are returned with their max coordinate difference.  ``params`` is
-    one factorization or a sequence of them; exp(t tau) is built once for
-    the whole sequence, whose chart points come back as rows.
+    one factorization or a sequence of them, flowed as one stack, whose
+    chart points come back as rows.  t < 0 raises ``ValueError``.
     """
     single = isinstance(params, FactorizationParams)
     batch = [params] if single else list(params)
     if not batch:
         raise ValueError("the commutation check needs at least one sample")
     flow = DiagonalFlow.from_chart(chart)
-    exp_t = exp_generator_sum(chart.rep.n, t).entries
-    acted, flowed = [], []
-    for p in batch:
-        g = sample_positive(p, "lower")
-        moved = GroupElement(exp_t @ linalg.to_float(g.entries), FLOAT)
-        acted.append(chart_coords(chart, line_of(chart.rep, moved)))
-        flowed.append(flow_point(flow, t, chart_coords(chart, line_of(chart.rep, g))))
-    p_acted, p_flowed = np.array(acted), np.array(flowed)
+    gs = [sample_positive(p, "lower") for p in batch]
+    frames = _acted_frames(np.array([linalg.to_float(g.entries) for g in gs]), t)
+    p_acted = np.array([chart_coords(chart, line_of(chart.rep, GroupElement(q, FLOAT))) for q in frames])
+    p_flowed = np.array([flow_point(flow, t, chart_coords(chart, line_of(chart.rep, g))) for g in gs])
     diff = float(np.max(np.abs(p_acted - p_flowed)))
     if single:
         p_acted, p_flowed = p_acted[0], p_flowed[0]
@@ -484,67 +495,53 @@ def commutation_check(chart: EigenChart, params, t: float) -> dict:
 # invariance: the boundary moves strictly inside
 
 
-def _interior_margin(rep, g_float: GroupElement) -> float:
-    """Positivity margin of the embedded line: min coord over max |coord|.
+def _interior_margin(line: np.ndarray) -> float:
+    """Positivity margin of a line: min coord over the coord of largest magnitude,
+    the same for a vector and its negation, since a line has no sign.
 
     Strictly positive margin certifies an interior flag; the margin vanishes
     (some weight coordinate is zero) on the boundary.
     """
-    vec = line_of(rep, g_float)
-    scale = float(np.max(np.abs(vec)))
+    scale = line[np.argmax(np.abs(line))]
     if scale == 0.0:
         return -math.inf
-    return float(np.min(vec)) / scale
+    return float(np.min(line / scale))
+
+
+def _interior(rep, frame: np.ndarray) -> tuple[float, bool]:
+    """The margin of the flag whose frame (or float group element) is ``frame``,
+    and whether it certifies the interior: the margin clears 1e-12 and, on the
+    complete SL(3) module, the (v, w) membership oracle says PositivePart."""
+    margin = _interior_margin(line_of(rep, GroupElement(frame, FLOAT)))
+    if rep.n == 3 and rep.factors == (1, 2):
+        return margin, margin > 1e-12 and sl3_membership(sl3_coords(frame)) is Membership.POSITIVE_PART
+    return margin, margin > 1e-12
 
 
 def invariance_check(rep, t: float, rng: np.random.Generator, count: int = 100) -> dict:
     """Flow boundary flags for time t and certify they land strictly inside.
 
     Boundary samples come from factorizations with zeroed parameters (the
-    first sample zeroes every parameter: the base flag).  For each sample the
-    line-coordinate positivity margin must clear 1e-12; for the
-    complete SL(3) module the (v, w) membership oracle, read straight off the
-    columns of exp(t tau) u, must simultaneously say PositivePart.  The
-    negative control re-runs the first sample at t = 0, where the certificate
-    must fail.  ``count`` below 1 raises ``ValueError``: an empty sample
-    would certify nothing.
+    first sample zeroes every parameter: the base flag).  They flow as one
+    stack of frames (:func:`flag_frame`), and each flowed frame must pass
+    :func:`_interior`.  The negative control re-runs the first sample at
+    t = 0, where the certificate must fail.  ``count`` below 1 raises
+    ``ValueError``, since an empty sample would certify nothing, and so does
+    t < 0.
     """
     if count < 1:
         raise ValueError(f"the invariance check needs count >= 1, got {count}")
     word = standard_word_w0(rep.n)
-    sl3 = rep.n == 3 and rep.factors == (1, 2)
-    ell = len(word)
-    exp_t = exp_generator_sum(rep.n, t).entries
-    all_interior = True
-    worst = math.inf
-    for k in range(count):
-        if k == 0:
-            mask = list(range(ell))
-        else:
-            size = int(rng.integers(1, ell + 1))
-            mask = sorted(rng.choice(ell, size=size, replace=False).tolist())
-        params = sample_params(word, rng, zero_mask=mask)
-        u = sample_positive(params, "lower")
-        moved = exp_t @ linalg.to_float(u.entries)
-        margin = _interior_margin(rep, GroupElement(moved, FLOAT))
-        interior = margin > 1e-12
-        if sl3:
-            membership = sl3_membership(sl3_coords(moved), tol=1e-10)
-            interior = interior and membership is Membership.POSITIVE_PART
-        worst = min(worst, margin)
-        all_interior = all_interior and interior
-
+    full = list(range(len(word)))
+    us = [_boundary_sample(word, rng, full if k == 0 else None).entries for k in range(count)]
+    verdicts = [_interior(rep, frame) for frame in _acted_frames(np.array(us), t)]
+    all_interior = all(interior for _, interior in verdicts)
     # negative control: with t = 0 the base-flag sample stays on the boundary
-    base = sample_positive(sample_params(word, rng, zero_mask=list(range(ell))), "lower").to_float()
-    control_interior = _interior_margin(rep, base) > 1e-12
-    if sl3:
-        membership = sl3_membership(sl3_coords(base.entries), tol=1e-10)
-        control_interior = control_interior and membership is Membership.POSITIVE_PART
-
+    control_interior = _interior(rep, _boundary_sample(word, rng, full).entries)[1]
     return {
         "count": count,
         "all_interior": all_interior,
-        "worst_margin": worst,
+        "worst_margin": min(margin for margin, _ in verdicts),
         "control_interior": control_interior,  # must be False
         "passed": all_interior and not control_interior,
     }

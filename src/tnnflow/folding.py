@@ -171,7 +171,7 @@ def fixed_locus_flow_check(
     rng: np.random.Generator,
     times=(0.1, 1.0, 5.0),
     count: int = 100,
-    tol: float = 1e-10,
+    tol: float = 1e-12,
 ) -> dict:
     """Flowing a sigma-fixed flag keeps it sigma-fixed, at every sampled time.
 

@@ -46,9 +46,9 @@ CASES = (
     Case("invariance", 3, (), 0.1, None),
     Case("invariance", 3, (2,), 0.1, None),
     Case("invariance", 4, (2,), 0.1, None),
-    Case("folding", 4, (), 0.1, 1e-10),
-    Case("folding", 4, (), 1.0, 1e-10),
-    Case("folding", 4, (), 5.0, 1e-10),
+    Case("folding", 4, (), 0.1, 1e-12),
+    Case("folding", 4, (), 1.0, 1e-12),
+    Case("folding", 4, (), 5.0, 1e-12),
     Case("census", 3, (), None, None),
     Case("exp_total_positivity", 3, (), 1.0, None),
     Case("fixed_point", 3, (), None, 1e-8),

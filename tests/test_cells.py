@@ -1,11 +1,15 @@
 """SL(3) cell census, face poset, limits toward boundary cells, and the figure."""
 
 import math
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tnnflow import cells
 from tnnflow.cells import (
     _pattern_dim,
     _pattern_witness,
@@ -91,6 +95,19 @@ def test_limits_reach_boundary_cells(census3, poset3):
     assert report["passed"], report
     assert report["covering_pairs"] == len(poset3.covers)
     assert report["worst_final_distance"] < 0.02
+
+
+@pytest.mark.parametrize("limits_pass", [True, False])
+def test_make_census_script_exits_on_the_cells_verdict(monkeypatch, capsys, limits_pass):
+    """The script exits 1 on a failed limit, as ``tnnflow cells`` does, and 0 otherwise."""
+    real = cells.limit_report
+    monkeypatch.setattr(cells, "limit_report", lambda census, poset: real(census, poset) | {"passed": limits_pass})
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_census.py"
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_.value.code == (0 if limits_pass else 1)
+    assert f"census passed: {limits_pass}" in capsys.readouterr().err
 
 
 def test_witness_toward_interpolates(census3):

@@ -157,7 +157,7 @@ def test_fold_passes_past_n4(capsys, argv):
     code, out, _ = run_cli(capsys, "fold", *argv)
     doc = json.loads(out)
     assert code == 0 and doc["passed"] is True and doc["control_broken"] is True
-    assert float(doc["worst_gap"]) <= 1e-10
+    assert float(doc["worst_gap"]) <= 1e-12
 
 
 def test_figure_svg(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnnflow import flow as flow_module
 from tnnflow import linalg
 from tnnflow.chevalley import generator_sum
 from tnnflow.embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of
@@ -15,10 +16,12 @@ from tnnflow.flow import (
     Convergence,
     CrossingResult,
     DiagonalFlow,
+    _interior_margin,
     commutation_check,
     converge,
     default_ball_radius,
     fixed_flag,
+    flag_frame,
     flow_point,
     has_overflow,
     invariance_check,
@@ -174,6 +177,49 @@ def test_commutation_paths_agree(chart3, rng):
         params = sample_params(word, rng)
         result = commutation_check(chart3, params, t)
         assert result["max_diff"] < 1e-9
+
+
+@pytest.mark.parametrize("n, J", [(3, ()), (4, (2,)), (4, ()), (5, (2, 3))])
+def test_commutation_holds_at_large_t(n, J):
+    """Acting on the flowed frame agrees with the chart flow at t = 4 and 8,
+    where a product exp(t tau) g loses the small coordinates (up to 5e-2)."""
+    chart = eigenchart(build_rep(lambda_for(n, J)))
+    word = standard_word_w0(n)
+    rng = np.random.default_rng([n, len(J)])
+    for t in (4.0, 8.0):
+        result = commutation_check(chart, [sample_params(word, rng) for _ in range(20)], t)
+        assert result["max_diff"] <= 1e-9 * np.max(np.abs(result["flowed"])), (t, result["max_diff"])
+
+
+def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
+    stacks = []
+
+    def recorded(g, *args):
+        stacks.append(g.shape)
+        return flag_frame(g, *args)
+
+    monkeypatch.setattr(flow_module, "flag_frame", recorded)
+    commutation_check(chart3, [sample_params(standard_word_w0(3), rng) for _ in range(4)], 1.0)
+    invariance_check(chart3.rep, 0.1, rng, count=5)
+    assert stacks == [(4, 3, 3), (5, 3, 3)]
+
+
+def test_checks_refuse_negative_time(chart3, rng):
+    """The graded QR of ``flag_frame`` flows forward only."""
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        commutation_check(chart3, sample_params(standard_word_w0(3), rng), -0.1)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        invariance_check(chart3.rep, -0.1, rng, count=2)
+
+
+def test_interior_margin_ignores_the_sign_of_a_line(rep3, rng):
+    """A frame's leading minors share an arbitrary sign; the margin of a line must not see it."""
+    word = standard_word_w0(3)
+    interior = line_of(rep3, sample_params(word, rng))
+    boundary = line_of(rep3, sample_params(word, rng, zero_mask=[0]))
+    assert _interior_margin(-interior) == _interior_margin(interior) > 0
+    assert _interior_margin(-boundary) == _interior_margin(boundary) == 0.0
+    assert _interior_margin(np.zeros(3)) == -math.inf
 
 
 def test_line_to_sl3_coords_roundtrip(chart3, rng):

@@ -212,7 +212,7 @@ def test_lower_unipotent_flags_agree_iff_elements_agree(case, exact_rank):
 def test_fixed_locus_flow_check(fold4, rng):
     report = fixed_locus_flow_check(fold4, rng, count=25)
     assert report["passed"], report
-    assert report["worst_gap"] <= 1e-10
+    assert report["worst_gap"] <= 1e-12
     assert report["control_broken"]
 
 
@@ -257,20 +257,20 @@ def test_stacked_fold_gate_matches_per_sample_flow(n, count):
     """Flowing all samples as one stack changes no bit of the gate's verdict.
 
     Every third sample from the second on zeroes whole blocks (boundary
-    samples).  Beside the gate's own 1e-10, tolerances at 0, a half and nine
+    samples).  Beside the gate's own 1e-12, tolerances at 0, a half and nine
     tenths of the worst round-off gap make some gaps fail, so the witness --
     the first failing (sample, time) in sample order -- is compared too.
     """
     fold = build_folding(n)
     times = (0.1, 1.0, 5.0)
-    worst = _per_sample_fold_check(fold, np.random.default_rng([n, 5]), times, count, 1e-10)["worst_gap"]
-    assert 0.0 < worst <= 1e-10
-    for tol in (1e-10, 0.0, 0.5 * worst, 0.9 * worst):
+    worst = _per_sample_fold_check(fold, np.random.default_rng([n, 5]), times, count, 1e-12)["worst_gap"]
+    assert 0.0 < worst <= 1e-12
+    for tol in (1e-12, 0.0, 0.5 * worst, 0.9 * worst):
         got = fixed_locus_flow_check(fold, np.random.default_rng([n, 5]), times=times, count=count, tol=tol)
         want = _per_sample_fold_check(fold, np.random.default_rng([n, 5]), times, count, tol)
         assert {key: got[key] for key in want} == want, tol
         assert want["control_broken"]
-        assert (want["witness"] is None) == (tol == 1e-10)
+        assert (want["witness"] is None) == (tol == 1e-12)
 
 
 def test_frame_gap_of_stacks_is_the_gap_of_each_pair(rng):
