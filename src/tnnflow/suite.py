@@ -5,8 +5,9 @@ unrecorded dimensions, as in :func:`~tnnflow.embedding.lambda_for`), its flow
 time t and its tolerance, where the gate has them.  ``GATES`` gives each gate
 its report section, the rule that turns ``--count`` into its sample count,
 and whether it reads the module of its rows.  Those modules are built and
-charted once per run, from the rows.  The gates run in table order and draw
-from one generator, so a seed fixes every sample.
+charted once per run, from the rows.  Each gate draws from a generator of its
+own, seeded by the seed and the gate's name, so a seed fixes every sample and
+a row added to or dropped from one gate moves no other section.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class Gate(NamedTuple):
     charted: bool  # whether the gate reads the module of each of its rows
 
 
-# in report order, which is also the order of the draws
+# in report order
 GATES = {
     "axioms": Gate(_axioms, lambda c: max(c, 100), True),
     "commutation": Gate(_commutation, lambda c: max(c // 5, 10), True),
@@ -202,13 +203,15 @@ def build_charts(cases) -> dict:
 
 
 def run_suite(seed: int, count: int) -> tuple[dict, dict]:
-    """Every gate of ``CASES`` on one generator seeded by ``seed``: the sample
-    count of each gate that samples, and each gate's report section."""
+    """Every gate of ``CASES``, each on its own generator seeded by ``seed`` and
+    the gate's name: the sample count of each gate that samples, and each
+    gate's report section.  The name enters the seed as its bytes, not by
+    ``hash()``, which is salted per process."""
     counts = {name: gate.count(count) for name, gate in GATES.items() if gate.count}
     charts = build_charts(CASES)
-    rng = np.random.default_rng(seed)
     sections = {
-        name: gate.section([row for row in CASES if row.gate == name], charts, rng, counts.get(name))
+        name: gate.section([row for row in CASES if row.gate == name], charts,
+                           np.random.default_rng([seed, *name.encode()]), counts.get(name))
         for name, gate in GATES.items()
     }
     return counts, sections

@@ -10,6 +10,7 @@ from tnnflow import linalg, suite
 from tnnflow.chevalley import exp_generator_sum
 from tnnflow.cli import main
 from tnnflow.flow import _frame_gaps, fixed_flag
+from tnnflow.serialize import dumps_canonical, encode_tree
 from tnnflow.suite import CASES, GATES, Case, build_charts, converged_starts, fixed_point_gap
 from tnnflow.totpos import Positivity, is_tnn_matrix, sample_params, sample_positive, standard_word_w0
 
@@ -103,6 +104,19 @@ def test_the_modules_built_are_the_ones_the_rows_name(monkeypatch):
     assert len(built) == len(set(built))
     assert set(built) == named == read == {(3, ()), (3, (2,)), (4, (2,)), (4, (1, 3))}
     assert all(section["passed"] for section in sections.values())
+
+
+def test_a_deleted_row_moves_only_its_own_section(monkeypatch):
+    """Each section draws from its own generator: with one commutation row
+    dropped, every other section comes out byte for byte as before."""
+    _, before = suite.run_suite(seed=3, count=10)
+    dropped = next(row for row in CASES if row.gate == "commutation")
+    monkeypatch.setattr(suite, "CASES", tuple(row for row in CASES if row != dropped))
+    _, after = suite.run_suite(seed=3, count=10)
+    assert len(after["commutation"]["cases"]) == len(before["commutation"]["cases"]) - 1
+    for name in GATES:
+        if name != "commutation":
+            assert dumps_canonical(encode_tree(after[name])) == dumps_canonical(encode_tree(before[name])), name
 
 
 def test_verify_calls_no_sl3_readout(capsys, monkeypatch):
