@@ -17,7 +17,7 @@ import numpy as np
 
 from tnnflow.chevalley import generator_sum_spectrum
 from tnnflow.embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of
-from tnnflow.flow import DiagonalFlow, converge, flag_frame, trajectory
+from tnnflow.flow import DiagonalFlow, converge, flag_frame, flow_point
 from tnnflow.totpos import sample_params, sample_positive, sl3_coords, standard_word_w0
 
 
@@ -44,8 +44,7 @@ def main() -> int:
         g = sample_positive(sample_params(word, rng, group=True), "group")
         p = chart_coords(chart, line_of(rep, g))
         run = converge(flow, p, tol=1e-9)
-        times = np.linspace(0.0, run.time, 6)
-        norms = np.linalg.norm(trajectory(flow, p, times), axis=1)
+        norms = [np.linalg.norm(flow_point(flow, t, p)) for t in np.linspace(0.0, run.time, 6)]
         print(f"start {k}: ||p|| along t = {', '.join(f'{x:.3g}' for x in norms)}")
         coords = sl3_coords(frame @ flag_frame(g.to_float().entries, run.time, d, frame))
         miss = float(np.max(np.abs(np.array([coords.v, coords.w], dtype=np.float64) - target)))

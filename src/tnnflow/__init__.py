@@ -44,7 +44,6 @@ from .embedding import (
     weyl_dim,
 )
 from .flow import (
-    AxiomReport,
     Convergence,
     DiagonalFlow,
     commutation_check,
@@ -55,9 +54,8 @@ from .flow import (
     flow_point,
     invariance_check,
     line_to_sl3_coords,
+    log_contraction,
     sphere_crossing,
-    trajectory,
-    verify_axioms,
 )
 from .cells import (
     Census,

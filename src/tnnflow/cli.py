@@ -95,6 +95,8 @@ class RunConfig:
             raise ValueError(f"J indices {sorted(self.J)} repeat")
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.radius is not None and not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
         if not math.isfinite(self.t):

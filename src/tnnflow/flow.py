@@ -8,10 +8,10 @@ of the embedding module, the diagonal map
 whose rates are the eigenvalue drops below the top of the spectrum.  All
 rates are negative, so every chart point is pulled to the origin -- the
 stationary flag -- at exponential speed governed by the spectral gap.
-This module houses the diagonal flow itself, a verifier for the axioms a
-contracting flow must satisfy, sphere-crossing and convergence reporters,
-the invariance check that boundary flags move strictly inside, and, off the
-chart, :func:`flag_frame`, which flows a flag's frame in closed form.
+This module houses the diagonal flow itself, its slowest rate log C in closed
+form, sphere-crossing and convergence reporters, the invariance check that
+boundary flags move strictly inside, and, off the chart, :func:`flag_frame`,
+which flows a flag's frame in closed form.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ from .totpos import (
 __all__ = [
     "DiagonalFlow",
     "flow_point",
-    "trajectory",
     "has_overflow",
-    "AxiomCheck",
-    "AxiomReport",
-    "verify_axioms",
+    "log_contraction",
     "CrossingResult",
     "default_ball_radius",
     "sphere_crossing",
@@ -62,8 +59,7 @@ class DiagonalFlow:
 
     ``rates`` holds mu_k - mu_0 for k >= 1.  A genuinely contracting flow has
     all rates negative; the constructor does not enforce that, so degenerate
-    specimens can be built deliberately and fed to :func:`verify_axioms` as
-    negative controls.
+    specimens can be built deliberately as negative controls.
     """
 
     rates: np.ndarray
@@ -121,125 +117,16 @@ def has_overflow(p: np.ndarray) -> bool:
     return not bool(np.all(np.isfinite(p)))
 
 
-def trajectory(flow: DiagonalFlow, p: np.ndarray, times) -> np.ndarray:
-    """Sample the flow at the given times; rows are chart points."""
-    return np.array([flow_point(flow, t, p) for t in times])
+def log_contraction(n: int, J=()) -> float:
+    """log C = mu_0 - mu_1 of the (n, J) module's chart, in closed form, with no module built.
 
-
-# ---------------------------------------------------------------------------
-# axioms
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    samples: int
-    worst: float
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> AxiomCheck:
-        return next(c for c in self.checks if c.name == name)
-
-
-def _sample_point(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    while True:
-        p = rng.uniform(-scale, scale, size=n)
-        if np.linalg.norm(p) > 1e-3:
-            return p
-
-
-def verify_axioms(flow: DiagonalFlow, rng: np.random.Generator, samples: int = 1000) -> AxiomReport:
-    """Check the contracting-flow axioms on random samples.
-
-    Points are drawn uniformly from the cube [-10, 10]^n, and the times of
-    the continuity and contraction checks from [0, 5].
-
-    * continuity -- joint local Lipschitz bound with the theoretical constant;
-    * identity   -- f(0, p) = p exactly;
-    * semigroup  -- f(t1+t2, p) = f(t2, f(t1, p)) to 1e-12 relative;
-    * contraction -- ||f(t, p)|| <= exp(-t logC) ||p|| + 1e-12 and strictly
-      decreasing for t > 0.
-
-    The deterministic coordinate axes are appended to the random batch so a
-    flow with a flat direction cannot slip through on sampling luck.
+    tau = P diag(d) P^T with d strictly decreasing, so rho(tau) on V_lambda has
+    the eigenvalues <mu, d> over the weights mu.  The top one, <lambda, d>, is
+    simple, and the next is reached at lambda - alpha_k for a recorded k (k not
+    in J), so log C is the least d_k - d_{k+1} over those k.
     """
-    n = flow.ncoords
-    rates = flow.rates
-    t_max = 5.0
-    amp = math.exp(t_max * max(0.0, float(np.max(rates))))
-    max_rate = float(np.max(np.abs(rates)))
-
-    def batch():
-        pts = [_sample_point(rng, n, 10.0) for _ in range(samples)]
-        pts.extend(np.eye(n))  # one per coordinate axis
-        return pts
-
-    # identity
-    worst_id = 0.0
-    id_points = batch()
-    for p in id_points:
-        worst_id = max(worst_id, float(np.max(np.abs(flow_point(flow, 0.0, p) - p))))
-    identity = AxiomCheck("identity", worst_id == 0.0, len(id_points), worst_id)
-
-    # continuity
-    worst_cont = -math.inf
-    cont_ok = True
-    cont_points = batch()
-    for p in cont_points:
-        t = rng.uniform(0.0, t_max)
-        dt = rng.uniform(-1e-6, 1e-6)
-        if t + dt < 0:
-            dt = -dt
-        dp = rng.uniform(-1e-6, 1e-6, size=n)
-        lhs = float(np.linalg.norm(flow_point(flow, t + dt, p + dp) - flow_point(flow, t, p)))
-        rhs = amp * float(np.linalg.norm(dp)) + abs(dt) * max_rate * amp * float(np.linalg.norm(p))
-        margin = rhs * (1 + 1e-9) + 1e-12 - lhs
-        if margin < worst_cont or worst_cont == -math.inf:
-            worst_cont = margin
-        if margin < 0:
-            cont_ok = False
-    continuity = AxiomCheck("continuity", cont_ok, len(cont_points), worst_cont)
-
-    # semigroup
-    worst_semi = 0.0
-    semi_points = batch()
-    for p in semi_points:
-        t1 = rng.uniform(-3.0, 3.0)
-        t2 = rng.uniform(-3.0, 3.0)
-        once = flow_point(flow, t1 + t2, p)
-        twice = flow_point(flow, t2, flow_point(flow, t1, p))
-        scale = max(float(np.linalg.norm(once)), float(np.linalg.norm(twice)), 1e-300)
-        worst_semi = max(worst_semi, float(np.linalg.norm(once - twice)) / scale)
-    semigroup = AxiomCheck("semigroup", worst_semi <= 1e-12, len(semi_points), worst_semi)
-
-    # contraction
-    logc = flow.log_contraction
-    worst_contr = -math.inf
-    contr_ok = True
-    contr_points = batch()
-    for p in contr_points:
-        t = rng.uniform(0.0, t_max)
-        t = max(t, 1e-6)  # strictly positive time for the strict-decrease clause
-        norm_p = float(np.linalg.norm(p))
-        norm_f = float(np.linalg.norm(flow_point(flow, t, p)))
-        bound = math.exp(-t * logc) * norm_p + 1e-12
-        margin = min(bound - norm_f, norm_p - norm_f)
-        if margin < worst_contr or worst_contr == -math.inf:
-            worst_contr = margin
-        if norm_f > bound or not norm_f < norm_p:  # a margin of 0 from the strict decrease fails
-            contr_ok = False
-    contraction = AxiomCheck("contraction", contr_ok, len(contr_points), worst_contr)
-
-    return AxiomReport((continuity, identity, semigroup, contraction))
+    d = generator_sum_spectrum(n)[0]
+    return float(min(d[k - 1] - d[k] for k in range(1, n) if k not in J))
 
 
 # ---------------------------------------------------------------------------

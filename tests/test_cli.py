@@ -2,12 +2,15 @@
 
 import argparse
 import hashlib
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import tnnflow
 from tnnflow import linalg
 from tnnflow.chevalley import RATIONAL, GroupElement
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
@@ -39,6 +42,16 @@ def test_run_config_validation():
         RunConfig(radius=float("inf"))
     with pytest.raises(ValueError):
         RunConfig(t=float("nan"))
+    with pytest.raises(ValueError):
+        RunConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(tnnflow.__path__) if m.name != "__main__"])
+def test_every_name_in_all_resolves(name):
+    """A name left in ``__all__`` after its function is gone breaks ``import *``
+    and every traced benchmark run, which looks each one up."""
+    module = importlib.import_module(f"tnnflow.{name}")
+    assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []
 
 
 def test_pinning_prints_generator_sum(capsys):
@@ -206,6 +219,20 @@ def test_env_seed_fallback(monkeypatch, capsys):
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     code, out, _ = run_cli(capsys, "pinning", "--n", "3")
     assert code == 0 and out.startswith("pinning for SL(3)")
+
+
+def test_negative_seed_is_refused_by_name(monkeypatch, capsys, tmp_path):
+    """A negative seed from the flag, the config file or the environment exits 2
+    with one line that names the setting, before any generator is made."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": -1}')
+    for env, argv in ((None, ("--seed", "-1")), (None, ("--config", str(cfg))), ("-3", ())):
+        if env is None:
+            monkeypatch.delenv("TNNFLOW_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TNNFLOW_SEED", env)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1 and "seed" in err, (env, argv, err)
 
 
 def test_error_exit_codes(capsys, tmp_path):

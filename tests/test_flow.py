@@ -1,7 +1,11 @@
-"""The closed-form contractive flow: axioms, crossings, convergence, and the
-two evaluation paths of the commutation identity."""
+"""The closed-form contractive flow: its rates and its slowest rate log C,
+crossings, convergence, and the two evaluation paths of the commutation
+identity."""
 
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +30,8 @@ from tnnflow.flow import (
     has_overflow,
     invariance_check,
     line_to_sl3_coords,
+    log_contraction,
     sphere_crossing,
-    trajectory,
-    verify_axioms,
 )
 from tnnflow.suite import CASES
 from tnnflow.totpos import sample_params, sample_positive, sl3_coords, standard_word_w0
@@ -73,27 +76,19 @@ def test_contraction_bound(t):
     assert lhs <= rhs + 1e-12
 
 
-def test_verify_axioms_passes(flow3, rng):
-    report = verify_axioms(flow3, rng, samples=200)
-    assert report.passed
-    names = {c.name for c in report.checks}
-    assert names == {"continuity", "identity", "semigroup", "contraction"}
+@pytest.mark.parametrize("n, J", [(3, ()), (3, (2,)), (4, (2,)), (4, ()), (4, (1, 3)), (5, (2, 3)), (5, ())])
+def test_log_contraction_matches_the_chart(n, J):
+    """The closed form min over recorded k of d_k - d_{k+1} against the built chart's mu_0 - mu_1."""
+    assert abs(log_contraction(n, J) - eigenchart(build_rep(lambda_for(n, J))).gap) <= 1e-14
 
 
-def test_verify_axioms_catches_flat_direction(rng):
-    # a rate pinned at zero is not contractive and must fail loudly
-    flat = DiagonalFlow(rates=np.array([-1.0, 0.0, -2.0]))
-    report = verify_axioms(flat, rng, samples=50)
-    assert not report.passed
-    assert not report.check("contraction").passed
-
-
-def test_trajectory_shape(flow3):
-    p = np.ones(flow3.ncoords)
-    ts = [0.0, 0.5, 1.0, 2.0]
-    traj = trajectory(flow3, p, ts)
-    assert traj.shape == (4, flow3.ncoords)
-    assert np.array_equal(traj[0], p)
+def test_fixed_point_demo_script_runs(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fixed_point_demo.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--starts", "1"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_.value.code == 0
+    assert "start 0: ||p|| along t = " in capsys.readouterr().out
 
 
 def test_has_overflow():

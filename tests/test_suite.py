@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tnnflow import linalg, suite
+from tnnflow import flow, linalg, suite
 from tnnflow.chevalley import exp_generator_sum
 from tnnflow.cli import main
 from tnnflow.flow import _frame_gaps, fixed_flag
@@ -139,6 +139,37 @@ def test_verify_calls_no_sl3_readout(capsys, monkeypatch):
         "tolerance",
         "passed",
     }
+
+
+# ---------------------------------------------------------------------------
+# the axioms gate, in closed form
+
+
+def _axioms(charts):
+    return GATES["axioms"].section([row for row in CASES if row.gate == "axioms"], charts, None, None)
+
+
+def test_axioms_gate_draws_nothing_and_matches_every_chart():
+    """With no generator at all the section passes: log C is closed form, and equals
+    mu_0 - mu_1 on each module another gate charts, with no module built for n = 8 or 30."""
+    section = _axioms(build_charts(CASES))
+    assert section["passed"] is True and section["tolerance"] == 1e-12
+    assert not GATES["axioms"].charted and GATES["axioms"].count is None
+    charted = {(case["n"], tuple(case["J"])): case for case in section["cases"] if "chart_gap" in case}
+    assert set(charted) == {(3, ()), (3, (2,)), (4, (2,)), (4, (1, 3))}
+    assert all(case["chart_gap"] <= 1e-12 for case in charted.values())
+    assert {case["n"] for case in section["cases"] if "chart_gap" not in case} == {8, 30}
+    assert all(case["log_contraction"] > 0 for case in section["cases"])
+
+
+def test_axioms_gate_fails_on_the_reversed_spectrum(monkeypatch):
+    """Negative control: with d ascending every rate d_k - d_{k+1} is negative, so no row passes."""
+    charts = build_charts(CASES)
+    spectrum = flow.generator_sum_spectrum
+    monkeypatch.setattr(flow, "generator_sum_spectrum", lambda n: tuple(x[..., ::-1] for x in spectrum(n)))
+    section = _axioms(charts)
+    assert section["passed"] is False
+    assert not any(case["passed"] for case in section["cases"])
 
 
 def test_exp_total_positivity_says_what_it_certifies():
