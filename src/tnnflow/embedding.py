@@ -15,10 +15,10 @@ and applied to sparse ``{flat index: int}`` vectors.  Every vector of
 the closure is a weight vector, so each echelon step touches one weight
 space only.  The basis rows stay sparse primitive int vectors: they are the
 module's only exact form, and the chart reads them in float64, one block of
-echelon rows per weight space.  The image of a flag is the tensor product of
-the leading compound columns of a representing matrix; its module
-coordinates are read off at the pivots, one leading minor per factor, and
-returned in binary64.
+echelon rows per weight space.  A flag's image is the tensor product of the
+leading compound columns of a matrix; its binary64 coordinates are read off
+at the pivots, one leading minor per factor: int minors of the int product
+of factorization parameters, or stacked dets over a stack of float frames.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue and a closed-form orthonormal eigenbasis: the orthogonal
@@ -33,6 +33,7 @@ in which the induced dynamics become diagonal (see :mod:`tnnflow.flow`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .chevalley import RATIONAL, GroupElement, generator_sum_spectrum
-from .totpos import FactorizationParams, sample_positive
+from .totpos import FactorizationParams, _scaled_product
 
 __all__ = [
     "Weight",
@@ -266,8 +267,8 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     """Image of the highest-weight line under a group element, in binary64.
 
     ``g`` is a :class:`~tnnflow.chevalley.GroupElement` (exact for rational
-    entries, floating otherwise) or factorization parameters, which are
-    first multiplied out on ``side`` by :func:`~tnnflow.totpos.sample_positive`.
+    entries, floating otherwise) or factorization parameters, multiplied out
+    on ``side`` as int columns (:func:`~tnnflow.totpos._scaled_product`).
     The highest vector of the k-th wedge factor is e_1 ^ ... ^ e_k, so its
     image is the leading compound column of g, and the line is spanned by the
     tensor product of those columns.  Only the module's pivot coordinates are
@@ -277,29 +278,44 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     For exact g each is the correctly rounded value of the exact coordinate:
     the product of int minors of the column-scaled g over the product of
     their denominators, one per wedge factor, divided once as Python ints.
-    For float g each is a binary64 product of ``np.linalg.det`` minors.
+    For float g each is a binary64 product of ``np.linalg.det`` minors, by
+    the stacked kernel :func:`_float_lines` on a stack of one.
     """
     if isinstance(g, FactorizationParams):
-        g = sample_positive(g, side)
-    if not isinstance(g, GroupElement):
+        n, scaled = g.word.n, _scaled_product(g, side)
+    elif isinstance(g, GroupElement):
+        n, scaled = g.n, linalg._scaled_columns(g.entries) if g.field == RATIONAL else None
+    else:
         raise TypeError("g must be FactorizationParams or GroupElement")
-    if g.n != rep.n:
-        raise ValueError(f"a {g.n} x {g.n} matrix does not act on a module for n = {rep.n}")
-    kmax = max(rep.factors)
-    if g.field == RATIONAL:
-        levels, dens = linalg.leading_minors(g.entries, kmax)
-    else:  # levels[k]: one stacked det over the k-row submatrices of the first k columns
-        fmat = linalg.to_float(g.entries)
-        levels = [[1.0]] + [
-            np.linalg.det(fmat[np.array(list(itertools.combinations(range(g.n), k))), :k])
-            for k in range(1, kmax + 1)
-        ]
-    digits = np.unravel_index(rep.pivot_cols, [len(levels[k]) for k in rep.factors])
-    vec = [math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) for ds in zip(*digits)]
-    if g.field == RATIONAL:
-        denom = math.prod(dens[k] for k in rep.factors)
-        vec = [x / denom for x in vec]
+    if n != rep.n:
+        raise ValueError(f"a {n} x {n} matrix does not act on a module for n = {rep.n}")
+    return _scaled_line(rep, scaled) if scaled is not None else _float_lines(rep, linalg.to_float(g.entries)[None])[0]
+
+
+def _pivot_digits(rep: RepModule) -> tuple:
+    """Per wedge factor, the index of each pivot's subset: the leading minor it reads."""
+    return np.unravel_index(rep.pivot_cols, [math.comb(rep.n, k) for k in rep.factors])
+
+
+def _scaled_line(rep: RepModule, scaled: tuple) -> np.ndarray:
+    """The line of the exact matrix whose column-scaled ints are ``scaled = (columns, scales)``."""
+    levels, dens = linalg.leading_minors(*scaled, max(rep.factors))
+    denom = math.prod(dens[k] for k in rep.factors)
+    vec = [math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) / denom for ds in zip(*_pivot_digits(rep))]
     return np.array(vec, dtype=np.float64)
+
+
+def _float_lines(rep: RepModule, frames: np.ndarray) -> np.ndarray:
+    """The lines of a stack of float matrices, ``(m, n, n)`` to ``(m, dim)``, in binary64.
+
+    One stacked ``np.linalg.det`` per level k takes the leading k-column
+    minors of every matrix, a ``det`` per matrix; the product per pivot runs
+    left to right over the factors, elementwise as ``math.prod`` would, so
+    each row is bit for bit the line of its matrix alone.
+    """
+    subsets = {k: np.array(list(itertools.combinations(range(frames.shape[-1]), k))) for k in set(rep.factors)}
+    levels = {k: np.linalg.det(frames[:, rows, :k]) for k, rows in subsets.items()}
+    return functools.reduce(np.multiply, (levels[k][:, d] for k, d in zip(rep.factors, _pivot_digits(rep))))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +380,7 @@ def eigenchart(rep: RepModule) -> EigenChart:
     # occupancy[r, i]: how often index i lies in the factor subsets of pivot r
     occupancy = sum(
         np.array([[i in s for i in range(n)] for s in itertools.combinations(range(n), k)])[digits]
-        for k, digits in zip(rep.factors, np.unravel_index(rep.pivot_cols, dims))
+        for k, digits in zip(rep.factors, _pivot_digits(rep))
     )
     spaces: dict = {}
     for r, weight in enumerate(map(tuple, occupancy)):

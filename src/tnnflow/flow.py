@@ -22,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, GroupElement, generator_sum_spectrum
-from .embedding import EigenChart, chart_coords, line_of
+from .chevalley import FLOAT, generator_sum_spectrum
+from .embedding import EigenChart, _float_lines, _scaled_line, chart_coords
 from .totpos import (
     FactorizationParams,
     Membership,
     Sl3Coords,
+    _scaled_product,
     sample_params,
-    sample_positive,
     sl3_coords,
     sl3_membership,
     standard_word_w0,
@@ -141,30 +141,30 @@ class CrossingResult:
     residual: float
 
 
-def _boundary_sample(word, rng: np.random.Generator, mask=None) -> GroupElement:
-    """A lower-unipotent boundary flag in binary64: the factorization along
-    ``word`` with the parameters of ``mask`` zeroed, by default a random
+def _boundary_sample(word, rng: np.random.Generator, mask=None) -> np.ndarray:
+    """A lower-unipotent boundary flag as a binary64 matrix: the factorization
+    along ``word`` with the parameters of ``mask`` zeroed, by default a random
     nonempty set of them drawn first."""
     if mask is None:
         size = int(rng.integers(1, len(word) + 1))
         mask = sorted(rng.choice(len(word), size=size, replace=False).tolist())
-    return sample_positive(sample_params(word, rng, zero_mask=mask), "lower").to_float()
+    return linalg._float_of_scaled(*_scaled_product(sample_params(word, rng, zero_mask=mask), "lower"))
 
 
 def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
     """A chart-adapted target radius: 1e-2 times the smallest boundary norm.
 
     Samples 25 boundary flags (factorizations with at least one zeroed
-    parameter), embeds them, and returns a hundredth of the smallest chart
-    norm seen.  The smallest boundary norm sets the scale below which the
-    sphere is unambiguously "near the fixed point", so a small fraction of it
-    makes a sensible default when the caller has no radius in mind.
+    parameter), embeds them in one stack, and returns a hundredth of the
+    smallest chart norm seen.  The smallest boundary norm sets the scale below
+    which the sphere is unambiguously "near the fixed point", so a small
+    fraction of it makes a sensible default when the caller has none in mind.
     """
     word = standard_word_w0(chart.rep.n)
+    lines = _float_lines(chart.rep, np.array([_boundary_sample(word, rng) for _ in range(25)]))
     smallest = math.inf
-    for _ in range(25):
-        p = chart_coords(chart, line_of(chart.rep, _boundary_sample(word, rng)))
-        smallest = min(smallest, float(np.linalg.norm(p)))
+    for line in lines:
+        smallest = min(smallest, float(np.linalg.norm(chart_coords(chart, line))))
     if not math.isfinite(smallest) or smallest <= 0.0:
         raise RuntimeError("boundary sampling never produced a nonzero chart norm")
     return 1e-2 * smallest
@@ -360,18 +360,19 @@ def commutation_check(chart: EigenChart, params, t: float) -> dict:
     (:func:`flag_frame`), embed, read chart coordinates.
     Path two: embed first, read chart coordinates, flow diagonally.
     Both are returned with their max coordinate difference.  ``params`` is
-    one factorization or a sequence of them, flowed as one stack, whose
-    chart points come back as rows.  t < 0 raises ``ValueError``.
+    one factorization or a sequence of them, flowed and embedded as one
+    stack, whose chart points come back as rows.  Each sample is multiplied
+    out once, as int columns, for both paths.  t < 0 raises ``ValueError``.
     """
     single = isinstance(params, FactorizationParams)
     batch = [params] if single else list(params)
     if not batch:
         raise ValueError("the commutation check needs at least one sample")
     flow = DiagonalFlow.from_chart(chart)
-    gs = [sample_positive(p, "lower") for p in batch]
-    frames = _acted_frames(np.array([linalg.to_float(g.entries) for g in gs]), t)
-    p_acted = np.array([chart_coords(chart, line_of(chart.rep, GroupElement(q, FLOAT))) for q in frames])
-    p_flowed = np.array([flow_point(flow, t, chart_coords(chart, line_of(chart.rep, g))) for g in gs])
+    scaled = [_scaled_product(p, "lower") for p in batch]
+    frames = _acted_frames(np.array([linalg._float_of_scaled(*s) for s in scaled]), t)
+    p_acted = np.array([chart_coords(chart, line) for line in _float_lines(chart.rep, frames)])
+    p_flowed = np.array([flow_point(flow, t, chart_coords(chart, _scaled_line(chart.rep, s))) for s in scaled])
     diff = float(np.max(np.abs(p_acted - p_flowed)))
     if single:
         p_acted, p_flowed = p_acted[0], p_flowed[0]
@@ -395,11 +396,11 @@ def _interior_margin(line: np.ndarray) -> float:
     return float(np.min(line / scale))
 
 
-def _interior(rep, frame: np.ndarray) -> tuple[float, bool]:
-    """The margin of the flag whose frame (or float group element) is ``frame``,
-    and whether it certifies the interior: the margin clears 1e-12 and, on the
+def _interior(rep, frame: np.ndarray, line: np.ndarray) -> tuple[float, bool]:
+    """The margin of a flag given by its frame (or float matrix) and its line, and
+    whether it certifies the interior: the margin clears 1e-12 and, on the
     complete SL(3) module, the (v, w) membership oracle says PositivePart."""
-    margin = _interior_margin(line_of(rep, GroupElement(frame, FLOAT)))
+    margin = _interior_margin(line)
     if rep.n == 3 and rep.factors == (1, 2):
         return margin, margin > 1e-12 and sl3_membership(sl3_coords(frame)) is Membership.POSITIVE_PART
     return margin, margin > 1e-12
@@ -412,19 +413,20 @@ def invariance_check(rep, t: float, rng: np.random.Generator, count: int = 100) 
     first sample zeroes every parameter: the base flag).  They flow as one
     stack of frames (:func:`flag_frame`), and each flowed frame must pass
     :func:`_interior`.  The negative control re-runs the first sample at
-    t = 0, where the certificate must fail.  ``count`` below 1 raises
-    ``ValueError``, since an empty sample would certify nothing, and so does
-    t < 0.
+    t = 0, where the certificate must fail; one stacked call embeds it and
+    the flowed frames.  ``count`` below 1 raises ``ValueError``, since an
+    empty sample would certify nothing, and so does t < 0.
     """
     if count < 1:
         raise ValueError(f"the invariance check needs count >= 1, got {count}")
     word = standard_word_w0(rep.n)
     full = list(range(len(word)))
-    us = [_boundary_sample(word, rng, full if k == 0 else None).entries for k in range(count)]
-    verdicts = [_interior(rep, frame) for frame in _acted_frames(np.array(us), t)]
-    all_interior = all(interior for _, interior in verdicts)
+    us = [_boundary_sample(word, rng, full if k == 0 else None) for k in range(count)]
     # negative control: with t = 0 the base-flag sample stays on the boundary
-    control_interior = _interior(rep, _boundary_sample(word, rng, full).entries)[1]
+    frames = [*_acted_frames(np.array(us), t), _boundary_sample(word, rng, full)]
+    lines = _float_lines(rep, np.array(frames))
+    *verdicts, (_, control_interior) = [_interior(rep, frame, line) for frame, line in zip(frames, lines)]
+    all_interior = all(interior for _, interior in verdicts)
     return {
         "count": count,
         "all_interior": all_interior,

@@ -13,13 +13,14 @@ where the answer must be a certificate (minor signs, echelon bases) rather
 than an approximation.  Determinants, inverses and minors run on
 Python ints, and one ``Fraction`` is built per result entry at the end.
 Every exact kernel scales each column c by the LCM ``e_c`` of its own
-denominators.  Determinants and inverses run Bareiss elimination on those
-ints.  All minors come from one integer Laplace pass,
-:func:`_scaled_minors`: the k-minor on columns C is a plain int over
-``prod(e_c for c in C)``.  Callers that only compare minors
-(``tnnflow.totpos``) read it directly, :func:`all_minors` is its
-``Fraction`` view, and :func:`leading_minors` its restriction to leading
-columns.
+denominators: the pair ``(columns, scales)`` of :func:`_scaled_columns`,
+in which ``tnnflow.totpos`` also multiplies out its products.  Determinants
+and inverses run Bareiss elimination on those ints.  All minors come from
+one integer Laplace pass on the pair, :func:`_scaled_minors`: the k-minor on
+columns C is a plain int over ``prod(e_c for c in C)``.  Callers that only
+compare minors (``tnnflow.totpos``) read it directly, :func:`all_minors` is
+its ``Fraction`` view, and :func:`leading_minors` its restriction to leading
+columns, which the line embedding reads with no ``Fraction`` built.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def _scaled_columns(a) -> tuple[list, list]:
     return [[row[c].numerator * (e // row[c].denominator) for row in entries] for c, e in enumerate(scales)], scales
 
 
+def _float_of_scaled(columns: list, scales: list) -> np.ndarray:
+    """The binary64 matrix ``columns[c][r] / scales[c]``: int true division rounds as ``to_float`` does."""
+    return np.array([[x / e for x, e in zip(row, scales)] for row in zip(*columns)])
+
+
 def _bareiss(m: list, jordan: bool) -> tuple[int, int]:
     """Bareiss elimination of int rows in place, also above each pivot if ``jordan``.
 
@@ -139,12 +145,12 @@ def inv(a: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=object).reshape(n, n)
 
 
-def _scaled_minors(a, leading: bool = False):
+def _scaled_minors(columns: list, scales: list, leading: bool = False):
     """Yield ``(rows, cols, s, den)`` over every square minor, smallest first.
 
-    Column c of ``a`` is scaled by the LCM ``e_c`` of its denominators, and
-    ``s`` is the minor on ``rows`` x ``cols`` of that int matrix, so the minor
-    of ``a`` itself is ``s / den`` with ``den = prod(e_c for c in cols)``.  All
+    Column c of the matrix ``a`` is ``columns[c] / scales[c]``, and ``s`` is
+    the minor on ``rows`` x ``cols`` of the int columns, so the minor of ``a``
+    is ``s / den`` with ``den = prod(scales[c] for c in cols)``.  All
     minors on one column set share ``den``: within a column set, ints compare
     as the minors do.  Minors of size k come in lexicographic order of
     ``rows``, then of ``cols``.  Each is a Laplace expansion along the last of
@@ -154,8 +160,8 @@ def _scaled_minors(a, leading: bool = False):
     63,504 at n = 10.  With ``leading``, the last column of a k-set is bounded
     by k - 1, so the pass runs over the leading columns 0..k-1 only.
     """
-    n, m = a.shape
-    columns, scales = _scaled_columns(a)
+    m = len(columns)
+    n = len(columns[0]) if m else 0
     prev_rows, prev_cols, prev = [()], [((), 1)], [[1]]
     for k in range(1, min(n, m) + 1):
         row_index = {r: j for j, r in enumerate(prev_rows)}
@@ -188,23 +194,24 @@ def all_minors(a: np.ndarray):
     :func:`det`.  This is a view over the integer pass :func:`_scaled_minors`:
     one ``Fraction(s, den)`` per minor, and no arithmetic of its own.
     """
-    for rows, cols, s, den in _scaled_minors(a):
+    for rows, cols, s, den in _scaled_minors(*_scaled_columns(a)):
         yield rows, cols, Fraction(s, den)
 
 
-def leading_minors(a: np.ndarray, kmax: int) -> tuple[list, list]:
-    """Minors on leading columns, as ints: ``(levels, dens)`` for the column-scaled ints.
+def leading_minors(columns: list, scales: list, kmax: int) -> tuple[list, list]:
+    """Minors on leading columns, as ints: ``(levels, dens)`` for column-scaled ints.
 
+    Column c of ``a`` is ``columns[c] / scales[c]``, as for :func:`_scaled_minors`.
     ``levels[k][j]`` is the minor on the j-th k-subset of rows (lexicographic)
-    and columns 0..k-1 of the column-scaled ints, for k <= kmax, and
-    ``dens[k] = prod(e_c for c < k)``: the minor of ``a`` is
+    and columns 0..k-1 of the int columns, for k <= kmax, and
+    ``dens[k] = prod(scales[c] for c < k)``: the minor of ``a`` is
     ``levels[k][j] / dens[k]``.  This is the leading-column restriction of
     the one Laplace pass :func:`_scaled_minors`: sum_k C(n,k) k multiply-adds
     in all.
     """
     levels, dens = [[1]], [1]
-    total = sum(math.comb(a.shape[0], k) for k in range(1, kmax + 1))
-    for rows, _, s, den in itertools.islice(_scaled_minors(a, leading=True), total):
+    total = sum(math.comb(len(columns[0]), k) for k in range(1, kmax + 1))
+    for rows, _, s, den in itertools.islice(_scaled_minors(columns, scales, leading=True), total):
         if len(rows) == len(levels):
             levels.append([])
             dens.append(den)

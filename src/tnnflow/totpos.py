@@ -2,12 +2,13 @@
 
 Positive elements are produced by factorizations along reduced words for the
 longest permutation, multiplied out exactly by one int column operation per
-letter; positivity of a given matrix is certified by the sign of every minor,
-all of them exact and taken as ints in one Laplace pass
-(``tnnflow.linalg._scaled_minors``, each column scaled by its own
-denominator) whose verdict and least minor come together.  A flag, exact or
-float, is carried by any matrix whose leading columns span it: a group
-element, or in float work an orthonormal frame.
+letter, each column over its own denominator (``sample_positive`` is the
+``Fraction`` view of that int product); positivity of a given matrix is
+certified by the sign of every minor, all of them exact and taken as ints in
+one Laplace pass (``tnnflow.linalg._scaled_minors``) whose verdict and least
+minor come together.  A flag, exact or float, is carried by any matrix whose
+leading columns span it: a group element, or in float work an orthonormal
+frame.
 For the complete SL(3) flag variety we expose the classical six-coordinate
 chart ``(v, w)`` together with its membership oracle:
 
@@ -145,13 +146,14 @@ def sample_params(
     ``zero_mask`` pins the chosen positions to zero, which lands the sample
     on the boundary of the nonnegative part; ``group=True`` draws two
     parameters per letter and the n-1 torus parameters, for an
-    upper*torus*lower product.
+    upper*torus*lower product.  Each parameter is a :func:`_rational_positive`
+    draw; one ``rng.uniform`` call makes them all, in the same stream.
     """
     count = (2 if group else 1) * len(word)
-    vals = [_rational_positive(rng) for _ in range(count)]
-    # drawn even when unused, so the draws that follow on rng (and the
-    # report bytes) do not depend on which product the caller forms
-    torus = tuple(_rational_positive(rng) for _ in range(word.n - 1))
+    # the torus is drawn even when unused, so the draws that follow on rng
+    # (and the report bytes) do not depend on which product the caller forms
+    vals = [Fraction(*math.exp(x).as_integer_ratio()) for x in rng.uniform(-3.0, 3.0, count + word.n - 1).tolist()]
+    vals, torus = vals[:count], tuple(vals[count:])
     if zero_mask is not None:
         for k in zero_mask:
             vals[k] = Fraction(0)
@@ -164,38 +166,14 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
     ``side='group'`` forms the product (upper unipotent) * (torus) *
     (lower unipotent); with strictly positive parameters this lands in the
     totally positive part, and letting parameters degenerate to zero sweeps
-    out the nonnegative closure.
-
-    Right multiplication by a factor is a column operation on the product so
-    far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
-    y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
-    column i-1 by s and column i by 1/s (columns counted from 0).  Every
-    parameter must be exact (float ones raise ``TypeError``): the product
-    runs on int columns, each over its own denominator (see
-    :func:`_exact_product`), and builds its n**2 ``Fraction``s once at the end.
+    out the nonnegative closure.  With two parameters per letter, ``'upper'``
+    reads the first half and ``'lower'`` the second.  This is the
+    ``Fraction`` view, one per entry, of the int product :func:`_scaled_product`.
     """
-    word = params.word
-    ell = len(word)
-
-    def along(kind, ts):
-        return [(kind, i, tk) for i, tk in zip(word.letters, ts)]
-
-    if side == "upper":
-        factors = along("x", params.t[:ell])
-    elif side == "lower":
-        factors = along("y", params.t[:ell])
-    elif side == "group":
-        lower_ts = params.t[ell:] if len(params.t) == 2 * ell else params.t
-        torus_ts = params.torus if params.torus is not None else (Fraction(1),) * (word.n - 1)
-        coweights = [("coweight", i, s) for i, s in zip(range(1, word.n), torus_ts)]
-        factors = along("x", params.t[:ell]) + coweights + along("y", lower_ts)
-    else:
-        raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
-    if not all(isinstance(t, Rational) for _, _, t in factors):
-        raise TypeError("exact parameters required; rationalize float parameters first")
-    steps = [(kind, i, Fraction(t)) for kind, i, t in factors]
+    columns, scales = _scaled_product(params, side)
+    rows = [[Fraction(x, e) for x, e in zip(row, scales)] for row in zip(*columns)]
     # unipotent and coweight factors all have determinant 1
-    return GroupElement._det_one(_exact_product(word.n, steps))
+    return GroupElement._det_one(np.array(rows, dtype=object))
 
 
 def _reduced(column: list, den: int) -> tuple[list, int]:
@@ -203,15 +181,41 @@ def _reduced(column: list, den: int) -> tuple[list, int]:
     return ([x // g for x in column], den // g) if g > 1 else (column, den)
 
 
-def _exact_product(n: int, steps) -> np.ndarray:
-    """The column operations of :func:`sample_positive` on exact ``(kind, i, t)`` steps.
+def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]:
+    """The product of :func:`sample_positive` as column-scaled ints ``(columns, scales)``.
 
-    Column c is held as ``(ints, den)`` for the column ``ints / den``, kept in
-    lowest terms, so every step is int arithmetic over a common denominator.
+    Right multiplication by a factor is a column operation on the product so
+    far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
+    y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
+    column i-1 by s and column i by 1/s (columns counted from 0).  Every
+    parameter must be exact (float ones raise ``TypeError``).  Column c is
+    held as ``(ints, den)`` for the column ``ints / den``, kept in lowest
+    terms, so every step is int arithmetic over a common denominator, and
+    ``den`` is the LCM of the column's denominators: ``columns[c]`` and
+    ``scales[c]`` are what :func:`tnnflow.linalg._scaled_columns` reads off
+    the ``Fraction`` matrix.
     """
+    n, ell = params.word.n, len(params.word)
+
+    def along(kind, ts):
+        return [(kind, i, tk) for i, tk in zip(params.word.letters, ts)]
+
+    # with 2 * ell parameters the lower factor takes the second half
+    if side == "upper":
+        steps = along("x", params.t[:ell])
+    elif side == "lower":
+        steps = along("y", params.t[-ell:])
+    elif side == "group":
+        torus_ts = params.torus if params.torus is not None else (1,) * (n - 1)
+        coweights = [("coweight", i, s) for i, s in enumerate(torus_ts, 1)]
+        steps = along("x", params.t[:ell]) + coweights + along("y", params.t[-ell:])
+    else:
+        raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
+    if not all(isinstance(t, Rational) for _, _, t in steps):
+        raise TypeError("exact parameters required; rationalize float parameters first")
     cols = [([int(r == c) for r in range(n)], 1) for c in range(n)]
     for kind, i, t in steps:
-        p, q = t.numerator, t.denominator
+        p, q = Fraction(t).as_integer_ratio()
         if kind == "coweight":
             (a, da), (b, db) = cols[i - 1], cols[i]
             cols[i - 1] = _reduced([x * p for x in a], da * q)
@@ -222,8 +226,7 @@ def _exact_product(n: int, steps) -> np.ndarray:
             den = math.lcm(da, q * db)
             fa, fb = den // da, p * (den // (q * db))
             cols[dst] = _reduced([fa * x + fb * y for x, y in zip(a, b)], den)
-    rows = [[Fraction(a[r], da) for a, da in cols] for r in range(n)]
-    return np.array(rows, dtype=object)
+    return [a for a, _ in cols], [da for _, da in cols]
 
 
 def _least_minor(g, *, stop_below_zero: bool) -> Fraction:
@@ -241,7 +244,7 @@ def _least_minor(g, *, stop_below_zero: bool) -> Fraction:
     if not linalg.is_rational_array(entries):
         raise TypeError("exact entries required; rationalize float input first")
     least: dict[tuple, tuple[int, int]] = {}  # column set -> (least s, den)
-    for _rows, cols, s, den in linalg._scaled_minors(entries):
+    for _rows, cols, s, den in linalg._scaled_minors(*linalg._scaled_columns(entries)):
         best = least.get(cols)
         if best is None or s < best[0]:
             least[cols] = (s, den)

@@ -31,6 +31,7 @@ from tnnflow.embedding import (
     line_of,
     weyl_dim,
 )
+from tnnflow.suite import CASES, GATES
 from tnnflow.totpos import FactorizationParams, sample_params, sample_positive, standard_word_w0
 
 
@@ -366,6 +367,67 @@ def test_exact_line_of_is_correctly_rounded_at_extreme_parameters(n, J, leibniz_
         got = line_of(rep, params, "lower")
         assert np.all(np.isfinite(got)) and np.any(got != 0)
         assert np.equal(got, want).all(), (n, J)
+
+
+# every module that verify charts, plus a partial and the complete flag at n = 5
+LINE_MODULES = sorted({(row.n, row.J) for row in CASES if GATES[row.gate].charted}) + [(5, (2, 3)), (5, ())]
+
+
+def _line_one_det_at_a_time(rep, m):
+    """The float line of one matrix, one ``np.linalg.det`` per leading minor and
+    ``math.prod`` per pivot: the loop that the stacked kernel replaces."""
+    levels = {
+        k: [np.linalg.det(m[np.ix_(rows, range(k))]) for rows in itertools.combinations(range(rep.n), k)]
+        for k in set(rep.factors)
+    }
+    digits = np.unravel_index(rep.pivot_cols, [math.comb(rep.n, k) for k in rep.factors])
+    return np.array([math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) for ds in zip(*digits)])
+
+
+@pytest.mark.parametrize("n,J", LINE_MODULES)
+def test_stacked_float_lines_match_one_frame_at_a_time(n, J):
+    """Each row of the stacked kernel is bit for bit the line of its matrix alone,
+    on orthonormal frames of either orientation, a general matrix, and boundary
+    flags whose zero parameters zero some leading minors; and so is a stack of one."""
+    rep = build_rep(lambda_for(n, J))
+    rng = np.random.default_rng([n, len(J), 17])
+    word = standard_word_w0(n)
+    flip = np.diag([-1.0] + [1.0] * (n - 1))
+    frames = [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2)]
+    frames += [frames[0] @ flip, rng.standard_normal((n, n))]
+    frames += [sample_positive(sample_params(word, rng, zero_mask=mask), "lower").to_float().entries
+               for mask in ([0], range(len(word)), range(0, len(word), 2))]
+    frames = np.array(frames)
+    assert {-1.0, 1.0} <= set(np.sign(np.linalg.det(frames)))
+    lines = embedding._float_lines(rep, frames)
+    assert lines.shape == (len(frames), rep.dim) and lines.dtype == np.float64
+    assert np.any(lines[4:] == 0.0)
+    for frame, line in zip(frames, lines):
+        want = _line_one_det_at_a_time(rep, frame).tobytes()
+        assert line.tobytes() == want
+        assert embedding._float_lines(rep, frame[None])[0].tobytes() == want
+        assert line_of(rep, GroupElement(frame, FLOAT)).tobytes() == want
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3))])
+def test_line_of_params_equals_line_of_their_product(n, J):
+    """From parameters, line_of takes the column-scaled ints of the product and
+    builds no Fraction; its line is bit for bit that of the exact product, on
+    every side, with zeroed parameters and magnitudes near e^20 and e^-20.
+    Float parameters are refused, as sample_positive refuses them."""
+    rep = build_rep(lambda_for(n, J))
+    rng = np.random.default_rng([n, len(J), 19])
+    word = standard_word_w0(n)
+    for side in ("upper", "lower", "group"):
+        drawn = sample_params(word, rng, group=(side == "group"))
+        extreme = tuple(Fraction(*math.exp(20.0 * s + rng.uniform(-1.0, 1.0)).as_integer_ratio())
+                        for s in rng.choice([-1, 1], len(drawn.t)))
+        for params in (drawn, dataclasses.replace(drawn, t=(Fraction(0),) + drawn.t[1:]),
+                       dataclasses.replace(drawn, t=extreme)):
+            want = line_of(rep, sample_positive(params, side))
+            assert line_of(rep, params, side).tobytes() == want.tobytes(), side
+        with pytest.raises(TypeError):
+            line_of(rep, dataclasses.replace(drawn, t=tuple(float(t) for t in drawn.t)), side)
 
 
 def test_eigenchart_spectrum(chart3):

@@ -187,16 +187,26 @@ def test_commutation_holds_at_large_t(n, J):
 
 
 def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
-    stacks = []
+    """Each check makes one stacked flow call and one stacked embedding call;
+    the invariance check embeds its negative control in the same stack."""
+    stacks, float_lines = [], flow_module._float_lines
 
-    def recorded(g, *args):
-        stacks.append(g.shape)
+    def flowed(g, *args):
+        stacks.append(("flow", g.shape))
         return flag_frame(g, *args)
 
-    monkeypatch.setattr(flow_module, "flag_frame", recorded)
+    def embedded(rep, frames):
+        stacks.append(("embed", frames.shape))
+        return float_lines(rep, frames)
+
+    monkeypatch.setattr(flow_module, "flag_frame", flowed)
+    monkeypatch.setattr(flow_module, "_float_lines", embedded)
     commutation_check(chart3, [sample_params(standard_word_w0(3), rng) for _ in range(4)], 1.0)
+    assert stacks == [("flow", (4, 3, 3)), ("embed", (4, 3, 3))]
     invariance_check(chart3.rep, 0.1, rng, count=5)
-    assert stacks == [(4, 3, 3), (5, 3, 3)]
+    assert stacks[2:] == [("flow", (5, 3, 3)), ("embed", (6, 3, 3))]
+    default_ball_radius(chart3, rng)
+    assert stacks[4:] == [("embed", (25, 3, 3))]
 
 
 def test_checks_refuse_negative_time(chart3, rng):

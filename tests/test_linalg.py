@@ -135,7 +135,7 @@ def test_det_matches_leibniz_oracle(a, leibniz_det):
 @given(a=square_matrices())
 def test_leading_minors_match_leibniz_oracle(a, leibniz_det):
     n = a.shape[0]
-    levels, dens = linalg.leading_minors(a, n)
+    levels, dens = linalg.leading_minors(*linalg._scaled_columns(a), n)
     assert len(levels) == len(dens) == n + 1
     for k, (level, den) in enumerate(zip(levels, dens)):
         rows_k = list(itertools.combinations(range(n), k))
@@ -148,7 +148,7 @@ def test_leading_minors_scale_each_column_by_its_own_denominators():
     k-th power of one LCM D of the whole matrix: on the n = 5 lower sample of
     ``default_rng(1)``, 462 bits at k = 3, where D**3 has 628."""
     u = sample_positive(sample_params(standard_word_w0(5), np.random.default_rng(1)), "lower").entries
-    _, dens = linalg.leading_minors(u, 4)
+    _, dens = linalg.leading_minors(*linalg._scaled_columns(u), 4)
     scales = [math.lcm(*(x.denominator for x in u[:, c])) for c in range(5)]
     assert dens == [math.prod(scales[:k]) for k in range(5)]
     assert dens[3].bit_length() == 462

@@ -14,6 +14,8 @@ from tnnflow import linalg
 from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, one_param, build_pinning
 from tnnflow.totpos import (
     FactorizationParams,
+    _rational_positive,
+    _scaled_product,
     Membership,
     Positivity,
     ReducedWord,
@@ -215,9 +217,8 @@ def _dense_product(params, side):
     if side == "group":
         torus = params.torus if params.torus is not None else (Fraction(1),) * (word.n - 1)
         factors += [("coweight", i, s) for i, s in zip(pin.indices, torus)]
-        lower = params.t[ell:] if len(params.t) == 2 * ell else params.t
-    else:
-        lower = params.t[:ell]
+    # with 2 * ell parameters the lower factor takes the second half
+    lower = params.t[-ell:]
     if side in ("lower", "group"):
         factors += [("y", i, t) for i, t in zip(word.letters, lower)]
     g = one_param(pin, *factors[0])
@@ -321,6 +322,62 @@ def test_certificate_matches_leibniz_oracle(a, leibniz_det):
     assert is_tnn_matrix(a) is expected
     verdict, least = certify_minors(a)
     assert verdict is expected and least == min(values) and type(least) is Fraction
+
+
+def test_lower_side_of_a_two_half_set_reads_the_second_half():
+    """With 2 * ell parameters the first half is the upper factor and the second
+    the lower, on the 'upper' and 'lower' sides as on 'group'."""
+    word = standard_word_w0(3)
+    ell = len(word)
+    params = sample_params(word, np.random.default_rng(3), group=True)
+    for side, half in (("upper", params.t[:ell]), ("lower", params.t[ell:])):
+        want = sample_positive(FactorizationParams(word, half), side).entries
+        assert np.equal(sample_positive(params, side).entries, want).all(), side
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scaled_product_is_the_scaled_columns_of_the_fraction_product(n):
+    """The int columns of the product are in lowest terms, so they are the column
+    ints and column LCMs that ``linalg._scaled_columns`` reads back off the
+    Fractions; and their binary64 matrix, by int true division, is ``to_float``
+    of the Fractions.  On every side, with zeroed parameters and with
+    magnitudes near e^20 and e^-20."""
+    rng = np.random.default_rng([n, 41])
+    word = standard_word_w0(n)
+    for side in ("upper", "lower", "group"):
+        group = side == "group"
+        drawn = sample_params(word, rng, group=group)
+        count = len(drawn.t)
+        extreme = tuple(Fraction(*math.exp(20.0 * s + rng.uniform(-1.0, 1.0)).as_integer_ratio())
+                        for s in rng.choice([-1, 1], count))
+        for params in (
+            drawn,
+            sample_params(word, rng, group=group, zero_mask=rng.choice(count, size=count // 2 + 1, replace=False)),
+            FactorizationParams(word, extreme, drawn.torus),
+        ):
+            columns, scales = _scaled_product(params, side)
+            entries = sample_positive(params, side).entries
+            assert (columns, scales) == linalg._scaled_columns(entries), side
+            got = linalg._float_of_scaled(columns, scales)
+            assert got.dtype == np.float64 and got.tobytes() == linalg.to_float(entries).tobytes(), side
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_sample_params_draws_the_stream_of_scalar_draws(seed):
+    """One vector draw gives the Fractions of one scalar :func:`_rational_positive`
+    draw per parameter, t first and then the torus, and leaves the generator
+    where the scalar draws leave it."""
+    word = standard_word_w0(4)
+    ell = len(word)
+    for group, mask in ((False, None), (True, None), (False, [0, 3]), (True, [1, ell + 2])):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        params = sample_params(word, rng, zero_mask=mask, group=group)
+        vals = [_rational_positive(oracle) for _ in range((2 if group else 1) * ell)]
+        torus = tuple(_rational_positive(oracle) for _ in range(word.n - 1))
+        for k in mask or ():
+            vals[k] = Fraction(0)
+        assert params.t == tuple(vals) and params.torus == (torus if group else None)
+        assert rng.uniform() == oracle.uniform()
 
 
 def test_sample_positive_rejects_unknown_side():
