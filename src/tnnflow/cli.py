@@ -57,6 +57,7 @@ from .serialize import dumps_canonical, encode_tree
 from .suite import run_suite
 from .totpos import (
     Positivity,
+    Sl3ChartError,
     certify_minors,
     sample_params,
     sample_positive,
@@ -359,9 +360,11 @@ def cmd_flow(cfg: RunConfig, args) -> int:
         "log_contraction": flow.log_contraction,
     }
     if cfg.n == 3 and not cfg.J:
-        # coordinate readout only exists on decomposable lines (flag images)
+        # coordinate readout only exists on decomposable lines (flag images) whose v and w sum to nonzero
         try:
             coords = line_to_sl3_coords(chart, chart_line(chart, moved))
+        except Sl3ChartError:
+            payload["sl3"] = "outside the (v, w) chart"
         except ValueError:
             payload["sl3"] = "not a flag image"
         else:

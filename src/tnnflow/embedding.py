@@ -42,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .chevalley import RATIONAL, GroupElement, generator_sum_spectrum
-from .totpos import FactorizationParams, _scaled_product
+from .totpos import FactorizationParams, _scaled_product, flag_minors
 
 __all__ = [
     "Weight",
@@ -308,13 +308,11 @@ def _scaled_line(rep: RepModule, scaled: tuple) -> np.ndarray:
 def _float_lines(rep: RepModule, frames: np.ndarray) -> np.ndarray:
     """The lines of a stack of float matrices, ``(m, n, n)`` to ``(m, dim)``, in binary64.
 
-    One stacked ``np.linalg.det`` per level k takes the leading k-column
-    minors of every matrix, a ``det`` per matrix; the product per pivot runs
-    left to right over the factors, elementwise as ``math.prod`` would, so
+    Each pivot coordinate is a product of :func:`~tnnflow.totpos.flag_minors`,
+    one per factor, run left to right, elementwise as ``math.prod`` would, so
     each row is bit for bit the line of its matrix alone.
     """
-    subsets = {k: np.array(list(itertools.combinations(range(frames.shape[-1]), k))) for k in set(rep.factors)}
-    levels = {k: np.linalg.det(frames[:, rows, :k]) for k, rows in subsets.items()}
+    levels = flag_minors(frames, set(rep.factors))
     return functools.reduce(np.multiply, (levels[k][:, d] for k, d in zip(rep.factors, _pivot_digits(rep))))
 
 

@@ -9,9 +9,9 @@ whose rates are the eigenvalue drops below the top of the spectrum.  All
 rates are negative, so every chart point is pulled to the origin -- the
 stationary flag -- at exponential speed governed by the spectral gap.
 This module houses the diagonal flow itself, its slowest rate log C in closed
-form, sphere-crossing and convergence reporters, the invariance check that
-boundary flags move strictly inside, and, off the chart, :func:`flag_frame`,
-which flows a flag's frame in closed form.
+form, sphere-crossing and convergence reporters, and, off the chart,
+:func:`flag_frame`, which flows a flag's frame in closed form, and the
+module-free check, by flag minors, that boundary flags move strictly inside.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ import numpy as np
 
 from . import linalg
 from .chevalley import FLOAT, generator_sum_spectrum
-from .embedding import EigenChart, _float_lines, _scaled_line, chart_coords
+from .embedding import EigenChart, _float_lines, _scaled_line, chart_coords, lambda_for
 from .totpos import (
     FactorizationParams,
-    Membership,
     Sl3Coords,
+    _normalize_sum,
     _scaled_product,
+    flag_minors,
     sample_params,
-    sl3_coords,
-    sl3_membership,
     standard_word_w0,
 )
 
@@ -326,7 +325,8 @@ def line_to_sl3_coords(chart: EigenChart, line: np.ndarray) -> Sl3Coords:
     The module sits inside (defining) x (wedge^2); the ambient vector of a
     decomposable line is a rank-one 3x3 matrix v * z^T whose factors are the
     line of the flag and the Pluecker vector of its plane.  The factors are
-    split off with an SVD, which also certifies decomposability.
+    split off with an SVD, which also certifies decomposability, and
+    normalized to sum 1; a sum of zero raises :class:`~tnnflow.totpos.Sl3ChartError`.
     """
     rep = chart.rep
     if rep.n != 3 or rep.factors != (1, 2):
@@ -339,9 +339,7 @@ def line_to_sl3_coords(chart: EigenChart, line: np.ndarray) -> Sl3Coords:
     v_raw = u[:, 0]
     z = vt[0]  # Pluecker coordinates (12, 13, 23) of the plane
     w_raw = np.array([z[2], z[1], z[0]])
-    v = v_raw / v_raw.sum()
-    w = w_raw / w_raw.sum()
-    return Sl3Coords(tuple(v), tuple(w), FLOAT)
+    return Sl3Coords(_normalize_sum(v_raw, FLOAT), _normalize_sum(w_raw, FLOAT), FLOAT)
 
 
 def _acted_frames(gs: np.ndarray, t: float) -> np.ndarray:
@@ -383,54 +381,45 @@ def commutation_check(chart: EigenChart, params, t: float) -> dict:
 # invariance: the boundary moves strictly inside
 
 
-def _interior_margin(line: np.ndarray) -> float:
-    """Positivity margin of a line: min coord over the coord of largest magnitude,
-    the same for a vector and its negation, since a line has no sign.
-
-    Strictly positive margin certifies an interior flag; the margin vanishes
-    (some weight coordinate is zero) on the boundary.
-    """
-    scale = line[np.argmax(np.abs(line))]
-    if scale == 0.0:
-        return -math.inf
-    return float(np.min(line / scale))
-
-
-def _interior(rep, frame: np.ndarray, line: np.ndarray) -> tuple[float, bool]:
-    """The margin of a flag given by its frame (or float matrix) and its line, and
-    whether it certifies the interior: the margin clears 1e-12 and, on the
-    complete SL(3) module, the (v, w) membership oracle says PositivePart."""
-    margin = _interior_margin(line)
-    if rep.n == 3 and rep.factors == (1, 2):
-        return margin, margin > 1e-12 and sl3_membership(sl3_coords(frame)) is Membership.POSITIVE_PART
-    return margin, margin > 1e-12
+def _flag_margin(frames: np.ndarray, levels) -> np.ndarray:
+    """Per frame of a stack, the least over ``levels`` of the level's least flag minor over
+    its minor of largest magnitude (-inf for an all-zero level): positive iff every flag
+    minor of the levels is, and blind, bit for bit, to the sign of a frame's columns."""
+    worst = np.full(frames.shape[0], np.inf)
+    for minors in flag_minors(frames, levels).values():
+        scale = np.take_along_axis(minors, np.argmax(np.abs(minors), axis=1)[:, None], axis=1)
+        margin = np.min(minors / np.where(scale == 0.0, 1.0, scale), axis=1) + 0.0  # -0.0 reads as 0.0
+        worst = np.minimum(worst, np.where(scale[:, 0] == 0.0, -np.inf, margin))
+    return worst
 
 
-def invariance_check(rep, t: float, rng: np.random.Generator, count: int = 100) -> dict:
-    """Flow boundary flags for time t and certify they land strictly inside.
+def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int = 100) -> dict:
+    """Flow boundary flags of type (n, J) for time t and certify they land strictly inside.
 
     Boundary samples come from factorizations with zeroed parameters (the
     first sample zeroes every parameter: the base flag).  They flow as one
-    stack of frames (:func:`flag_frame`), and each flowed frame must pass
-    :func:`_interior`.  The negative control re-runs the first sample at
-    t = 0, where the certificate must fail; one stacked call embeds it and
-    the flowed frames.  ``count`` below 1 raises ``ValueError``, since an
-    empty sample would certify nothing, and so does t < 0.
+    stack of frames (:func:`flag_frame`), and each flowed frame's
+    :func:`_flag_margin` on the recorded dimensions must clear 1e-12; no
+    module is built.  On a type with a gap, such as (4, {2}), that is weaker
+    than membership in Y_{>=0} (Bloch-Karp, arXiv:2206.05806).  The negative
+    control, the first sample at t = 0, must fail; it shares the flowed
+    frames' stack.  ``count`` below 1 raises ``ValueError``, since an empty
+    sample would certify nothing, and so does t < 0.
     """
     if count < 1:
         raise ValueError(f"the invariance check needs count >= 1, got {count}")
-    word = standard_word_w0(rep.n)
+    levels = sorted(lambda_for(n, J).support)
+    word = standard_word_w0(n)
     full = list(range(len(word)))
     us = [_boundary_sample(word, rng, full if k == 0 else None) for k in range(count)]
     # negative control: with t = 0 the base-flag sample stays on the boundary
-    frames = [*_acted_frames(np.array(us), t), _boundary_sample(word, rng, full)]
-    lines = _float_lines(rep, np.array(frames))
-    *verdicts, (_, control_interior) = [_interior(rep, frame, line) for frame, line in zip(frames, lines)]
-    all_interior = all(interior for _, interior in verdicts)
+    frames = np.array([*_acted_frames(np.array(us), t), _boundary_sample(word, rng, full)])
+    *margins, control = _flag_margin(frames, levels).tolist()
+    worst = min(margins)
     return {
         "count": count,
-        "all_interior": all_interior,
-        "worst_margin": min(margin for margin, _ in verdicts),
-        "control_interior": control_interior,  # must be False
-        "passed": all_interior and not control_interior,
+        "all_interior": worst > 1e-12,
+        "worst_margin": worst,
+        "control_interior": control > 1e-12,  # must be False
+        "passed": worst > 1e-12 and not control > 1e-12,
     }

@@ -49,7 +49,7 @@ CASES = (
     Case("commutation", 3, (2,), 1.0, 1e-8),
     Case("commutation", 4, (2,), 0.1, 1e-8),
     Case("commutation", 4, (2,), 1.0, 1e-8),
-    # the interior margin each sample must clear, 1e-12, is invariance_check's own
+    # the flag-minor margin each sample must clear on every recorded level, 1e-12, is invariance_check's own
     Case("invariance", 3, (), 0.1, None),
     Case("invariance", 3, (2,), 0.1, None),
     Case("invariance", 4, (2,), 0.1, None),
@@ -100,9 +100,10 @@ def _commutation(rows, charts, rng, count) -> dict:
 
 def _invariance(rows, charts, rng, count) -> dict:
     t = _the(row.t for row in rows)
-    cases = [{"n": row.n, "J": list(row.J)} | invariance_check(charts[row.n, row.J].rep, t, rng, count=count)
-             for row in rows]
-    return {"cases": cases, "t": t, "passed": all(case["passed"] for case in cases)}
+    cases = [{"n": row.n, "J": list(row.J)} | invariance_check(row.n, row.J, t, rng, count=count) for row in rows]
+    return {"cases": cases, "t": t, "passed": all(case["passed"] for case in cases),
+            "certifies": "every flag minor of each recorded level, over the level's minor of largest magnitude, above"
+                         " 1e-12; weaker than membership in Y>=0 for a type with a gap, such as (4, {2})"}
 
 
 def _folding(rows, charts, rng, count) -> dict:
@@ -197,7 +198,7 @@ class Gate(NamedTuple):
 GATES = {
     "axioms": Gate(_axioms, None, False),
     "commutation": Gate(_commutation, lambda c: max(c // 5, 10), True),
-    "invariance": Gate(_invariance, lambda c: max(c // 3, 20), True),
+    "invariance": Gate(_invariance, lambda c: max(c // 3, 20), False),
     "folding": Gate(_folding, lambda c: max(c // 3, 20), False),
     "census": Gate(_census, None, False),
     "exp_total_positivity": Gate(_exp_total_positivity, None, False),

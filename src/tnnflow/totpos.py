@@ -8,7 +8,7 @@ certified by the sign of every minor, all of them exact and taken as ints in
 one Laplace pass (``tnnflow.linalg._scaled_minors``) whose verdict and least
 minor come together.  A flag, exact or float, is carried by any matrix whose
 leading columns span it: a group element, or in float work an orthonormal
-frame.
+frame, whose flag minors :func:`flag_minors` takes for a whole stack at once.
 For the complete SL(3) flag variety we expose the classical six-coordinate
 chart ``(v, w)`` together with its membership oracle:
 
@@ -21,6 +21,7 @@ part.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,9 @@ __all__ = [
     "sample_positive",
     "is_tnn_matrix",
     "certify_minors",
+    "flag_minors",
     "Sl3Coords",
+    "Sl3ChartError",
     "sl3_coords",
     "sl3_membership",
     "sl3_residuals",
@@ -289,6 +292,14 @@ def certify_minors(g) -> tuple[Positivity, Fraction]:
     return _positivity(least), least
 
 
+def flag_minors(frames: np.ndarray, levels) -> dict:
+    """Per level k, the minors of the leading k columns of a stack of float frames on every
+    k-subset of rows, lexicographic, ``(m, n, n)`` to ``(m, comb(n, k))``: one stacked
+    ``np.linalg.det``, each minor bit for bit the ``det`` of its frame's alone."""
+    n = frames.shape[-1]
+    return {k: np.linalg.det(frames[:, np.array(list(itertools.combinations(range(n), k))), :k]) for k in levels}
+
+
 # ---------------------------------------------------------------------------
 # the SL(3) coordinate chart
 
@@ -310,13 +321,17 @@ class Sl3Coords:
         return np.array(list(self.v) + list(self.w), dtype=dtype)
 
 
+class Sl3ChartError(ValueError):
+    """v or w sums to zero: the flag has no point in the (v, w) chart."""
+
+
 def _normalize_sum(vec, field: str):
     total = vec[0] + vec[1] + vec[2]
     if field == RATIONAL:
         if total == 0:
-            raise ValueError("coordinate vector sums to zero; chart undefined here")
+            raise Sl3ChartError("coordinate vector sums to zero; chart undefined here")
     elif abs(total) <= 1e-14 * float(np.max(np.abs(np.asarray(vec, dtype=np.float64)))):
-        raise ValueError("coordinate vector sums to ~zero; chart undefined here")
+        raise Sl3ChartError("coordinate vector sums to ~zero; chart undefined here")
     return tuple(x / total for x in vec)
 
 
@@ -358,16 +373,9 @@ def sl3_membership(coords: Sl3Coords, tol: float = 1e-10) -> Membership:
     constraint residuals and for deciding whether a coordinate vanishes.
     """
     res = sl3_residuals(coords)
-    if coords.field == RATIONAL:
-        eq_tol, sign_tol = 0, 0
-    else:
-        eq_tol, sign_tol = tol, tol
-    if abs(res["sum_v"]) > eq_tol or abs(res["sum_w"]) > eq_tol:
+    tol = 0 if coords.field == RATIONAL else tol
+    if any(abs(res[key]) > tol for key in ("sum_v", "sum_w", "orthogonality")) or res["min_coord"] < -tol:
         return Membership.OUTSIDE
-    if abs(res["orthogonality"]) > eq_tol:
-        return Membership.OUTSIDE
-    if res["min_coord"] < -sign_tol:
-        return Membership.OUTSIDE
-    if res["min_coord"] <= sign_tol:
+    if res["min_coord"] <= tol:
         return Membership.NONNEGATIVE_BOUNDARY
     return Membership.POSITIVE_PART

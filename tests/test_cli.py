@@ -1,19 +1,25 @@
 """The command-line surface: output contracts, config precedence, exit codes."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
 import json
+import math
 import pkgutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tnnflow
 from tnnflow import linalg
 from tnnflow.chevalley import RATIONAL, GroupElement
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
+from tnnflow.totpos import Sl3Coords, sl3_residuals
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +145,48 @@ def test_flow_from_flag_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["sl3"]["membership"] == "PositivePart"
     assert float(doc["norm_flowed"]) < float(doc["norm_start"])
+
+
+def _flow_from_flag(path, flag, t) -> tuple[int, str, str]:
+    """``flow --from`` on a flag matrix written to ``path``: exit code, stdout, stderr."""
+    path.write_text(json.dumps({"flag": flag}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["flow", "--from", str(path), "--t", str(t)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("flag", [[[1, 0, 0], [-1, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [-2, 0, 1]]])
+def test_flow_refuses_an_sl3_read_off_whose_v_sums_to_zero(tmp_path, flag):
+    """Each line's v sums to 0 exactly, so the (v, w) chart has no point for it; dividing
+    by the round-off of that sum once reported v near 1e15 as coordinates."""
+    code, out, _ = _flow_from_flag(tmp_path / "flag.json", flag, 0)
+    assert code == 0 and json.loads(out)["sl3"] == "outside the (v, w) chart"
+
+
+nonsingular_flags = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3).filter(
+    lambda m: linalg.det(linalg.rational_matrix(m)) != 0
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonsingular_flags, st.sampled_from([0, 1]))
+def test_flow_from_any_small_int_flag_reads_off_sl3_or_refuses(tmp_path_factory, flag, t):
+    """Every nonsingular small-int flag either exits 2 with one line, or reports its
+    SL(3) read-off as a refusal string or as finite (v, w) on the variety to 1e-9."""
+    code, out, err = _flow_from_flag(tmp_path_factory.mktemp("flag") / "flag.json", flag, t)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1
+        return
+    assert code == 0
+    sl3 = json.loads(out)["sl3"]
+    if isinstance(sl3, str):
+        assert sl3 in ("outside the (v, w) chart", "not a flag image")
+        return
+    coords = Sl3Coords(tuple(map(float, sl3["v"])), tuple(map(float, sl3["w"])), "float")
+    assert all(map(math.isfinite, coords.as_vector()))
+    res = sl3_residuals(coords)
+    assert max(abs(res[key]) for key in ("sum_v", "sum_w", "orthogonality")) <= 1e-9, (flag, t, sl3)
 
 
 def test_flow_crossing_radius_defaults_from_boundary(capsys):

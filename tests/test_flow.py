@@ -5,6 +5,7 @@ identity."""
 import math
 import runpy
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from tnnflow.flow import (
     Convergence,
     CrossingResult,
     DiagonalFlow,
-    _interior_margin,
+    _flag_margin,
     commutation_check,
     converge,
     default_ball_radius,
@@ -187,9 +188,9 @@ def test_commutation_holds_at_large_t(n, J):
 
 
 def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
-    """Each check makes one stacked flow call and one stacked embedding call;
-    the invariance check embeds its negative control in the same stack."""
-    stacks, float_lines = [], flow_module._float_lines
+    """Each check makes one stacked flow call and one stacked embedding or minors
+    call; the invariance check takes its negative control's minors in the same stack."""
+    stacks, float_lines, minors = [], flow_module._float_lines, flow_module.flag_minors
 
     def flowed(g, *args):
         stacks.append(("flow", g.shape))
@@ -199,12 +200,17 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
         stacks.append(("embed", frames.shape))
         return float_lines(rep, frames)
 
+    def minored(frames, levels):
+        stacks.append(("minors", frames.shape))
+        return minors(frames, levels)
+
     monkeypatch.setattr(flow_module, "flag_frame", flowed)
     monkeypatch.setattr(flow_module, "_float_lines", embedded)
+    monkeypatch.setattr(flow_module, "flag_minors", minored)
     commutation_check(chart3, [sample_params(standard_word_w0(3), rng) for _ in range(4)], 1.0)
     assert stacks == [("flow", (4, 3, 3)), ("embed", (4, 3, 3))]
-    invariance_check(chart3.rep, 0.1, rng, count=5)
-    assert stacks[2:] == [("flow", (5, 3, 3)), ("embed", (6, 3, 3))]
+    invariance_check(3, (), 0.1, rng, count=5)
+    assert stacks[2:] == [("flow", (5, 3, 3)), ("minors", (6, 3, 3))]
     default_ball_radius(chart3, rng)
     assert stacks[4:] == [("embed", (25, 3, 3))]
 
@@ -214,17 +220,42 @@ def test_checks_refuse_negative_time(chart3, rng):
     with pytest.raises(ValueError, match="t must be >= 0"):
         commutation_check(chart3, sample_params(standard_word_w0(3), rng), -0.1)
     with pytest.raises(ValueError, match="t must be >= 0"):
-        invariance_check(chart3.rep, -0.1, rng, count=2)
+        invariance_check(3, (), -0.1, rng, count=2)
 
 
-def test_interior_margin_ignores_the_sign_of_a_line(rep3, rng):
-    """A frame's leading minors share an arbitrary sign; the margin of a line must not see it."""
-    word = standard_word_w0(3)
-    interior = line_of(rep3, sample_params(word, rng))
-    boundary = line_of(rep3, sample_params(word, rng, zero_mask=[0]))
-    assert _interior_margin(-interior) == _interior_margin(interior) > 0
-    assert _interior_margin(-boundary) == _interior_margin(boundary) == 0.0
-    assert _interior_margin(np.zeros(3)) == -math.inf
+def test_flag_margin_ignores_the_sign_of_a_frame(rng):
+    """A level's minors share the sign of the frame's basis; negating any column of a
+    frame leaves the margin of each level the same, bit for bit, on interior and
+    boundary flags, as matrices and as orthonormal frames."""
+    for n in (3, 4, 5):
+        word = standard_word_w0(n)
+        frames = np.array([sample_positive(sample_params(word, rng, zero_mask=mask), "lower").to_float().entries
+                           for mask in ([], [], [0], [len(word) - 1], range(len(word)))])
+        frames = np.concatenate([frames, np.linalg.qr(frames)[0]])
+        for k in range(1, n):
+            margins = _flag_margin(frames, [k])
+            for column in range(n):
+                flipped = frames.copy()
+                flipped[:, :, column] *= -1.0
+                assert _flag_margin(flipped, [k]).tobytes() == margins.tobytes(), (n, k, column)
+        interior, boundary = _flag_margin(frames, range(1, n))[[0, 4]]
+        assert interior > 0 and boundary == 0.0
+        assert _flag_margin(np.zeros((1, n, n)), [1])[0] == -math.inf
+
+
+def test_flag_margin_reads_the_recorded_levels_only(monkeypatch):
+    """A negative flag minor on a recorded level refuses a frame; one on a level the
+    type does not record does not.  Here every entry of the first column is positive,
+    and the 2 x 2 minor on rows {1, 2} is negative."""
+    frame = np.array([[1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 1.0]])
+    assert _flag_margin(frame[None], [1]) == 1.0
+    assert _flag_margin(frame[None], [2]) == _flag_margin(frame[None], [1, 2]) == -0.5
+    # every flowed sample of the check replaced by this frame
+    monkeypatch.setattr(flow_module, "_acted_frames", lambda gs, t: np.array([frame] * len(gs)))
+    for J, passed in (((2,), True), ((), False), ((1,), False)):
+        out = invariance_check(3, J, 0.1, np.random.default_rng(0), count=3)
+        assert out["passed"] is out["all_interior"] is passed, J
+        assert out["control_interior"] is False
 
 
 def test_line_to_sl3_coords_roundtrip(chart3, rng):
@@ -240,9 +271,9 @@ def test_line_to_sl3_coords_roundtrip(chart3, rng):
 
 
 @pytest.mark.parametrize("count", [0, -2])
-def test_invariance_check_refuses_an_empty_sample(rep3, rng, count):
+def test_invariance_check_refuses_an_empty_sample(rng, count):
     with pytest.raises(ValueError, match="count"):
-        invariance_check(rep3, 0.1, rng, count=count)
+        invariance_check(3, (), 0.1, rng, count=count)
 
 
 def test_commutation_check_takes_a_batch(chart3):
@@ -263,10 +294,38 @@ def test_invariance_all_cases(rng):
     for row in CASES:
         if row.gate != "invariance":
             continue
-        rep = build_rep(lambda_for(row.n, row.J))
-        out = invariance_check(rep, row.t, rng, count=25)
+        out = invariance_check(row.n, row.J, row.t, rng, count=25)
         assert out["passed"], out
         assert not out["control_interior"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [4, 5])
+def test_invariance_of_the_complete_flag_at_n_4_and_5(n, seed):
+    """The complete flag at t = 0.1, where a product margin over the module line
+    read 2.3e-13 at n = 4 and 8.3e-28 at n = 5 on the base flag; per level it
+    reads 8.3e-6 and 6.9e-9."""
+    out = invariance_check(n, (), 0.1, np.random.default_rng(seed), count=33)
+    assert out["passed"] and not out["control_interior"], out
+
+
+def test_invariance_check_builds_no_module(monkeypatch):
+    """At n = 8 the check runs on frames alone: building a module or a chart raises.
+    t = 1, since at t = 0.1 the flowed base flag's minors at n = 8 are about 1e-25
+    of the largest of their level, below the 1e-12 bar."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the invariance check built a module")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("tnnflow")]:
+        for name in ("build_rep", "eigenchart"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    started = time.perf_counter()
+    out = invariance_check(8, (), 1.0, np.random.default_rng(0), count=100)
+    elapsed = time.perf_counter() - started
+    assert out["passed"] and 1e-12 < out["worst_margin"] < 1e-6, out
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -183,3 +183,16 @@ def test_exp_total_positivity_says_what_it_certifies():
         "passed": True,
     }
     assert is_tnn_matrix(linalg.rationalize(exp_generator_sum(row.n, row.t).entries)) is section["verdict"]
+
+
+def test_invariance_gate_reads_no_chart_and_says_what_it_certifies():
+    """The invariance section runs with no chart at all, and names the flag-minor bar
+    and that on a type with a gap it is weaker than membership in Y>=0."""
+    rows = [row for row in CASES if row.gate == "invariance"]
+    assert not GATES["invariance"].charted
+    section = GATES["invariance"].section(rows, {}, np.random.default_rng(0), 20)
+    assert section["passed"] is True and [case["count"] for case in section["cases"]] == [20] * len(rows)
+    assert section["certifies"] == (
+        "every flag minor of each recorded level, over the level's minor of largest magnitude, above 1e-12;"
+        " weaker than membership in Y>=0 for a type with a gap, such as (4, {2})"
+    )

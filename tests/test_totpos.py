@@ -20,6 +20,7 @@ from tnnflow.totpos import (
     Positivity,
     ReducedWord,
     certify_minors,
+    flag_minors,
     is_tnn_matrix,
     sample_params,
     sample_positive,
@@ -428,6 +429,29 @@ def test_sl3_coords_of_float_frame_track_exact_flag(tvals):
         assert np.max(np.abs(got.as_vector() - exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_flag_minors_are_each_frames_own_dets(n):
+    """Each stacked minor is bit for bit the ``det`` of its frame's minor alone, and
+    rounds the exact leading minor of a factorization product to 1e-12 relative."""
+    rng = np.random.default_rng(n)
+    word = standard_word_w0(n)
+    products = [_scaled_product(sample_params(word, rng), "lower") for _ in range(3)]
+    frames = np.array([linalg._float_of_scaled(*scaled) for scaled in products] + [rng.standard_normal((n, n))])
+    minors = flag_minors(frames, range(1, n + 1))
+    assert sorted(minors) == list(range(1, n + 1))
+    for k, level in minors.items():
+        subsets = list(itertools.combinations(range(n), k))
+        assert level.shape == (len(frames), len(subsets))
+        for frame, row in zip(frames, level):
+            want = [np.linalg.det(frame[np.ix_(rows, range(k))]) for rows in subsets]
+            assert row.tobytes() == np.array(want).tobytes()
+    for m, scaled in enumerate(products):
+        levels, dens = linalg.leading_minors(*scaled, n)
+        for k in range(1, n + 1):
+            exact = np.array([float(Fraction(x, dens[k])) for x in levels[k]])
+            assert np.allclose(minors[k][m], exact, rtol=1e-12, atol=1e-12 * np.max(np.abs(exact)))
+
+
 # -- SL(3) coordinates ---------------------------------------------------------
 
 
@@ -474,3 +498,4 @@ def test_factorization_params_validation():
             (Fraction(1), Fraction(1), Fraction(1)),
             torus=(Fraction(0), Fraction(1)),
         )
+
