@@ -355,8 +355,8 @@ def cmd_flow(cfg: RunConfig, args) -> int:
         "origin": origin,
         "start": p,
         "flowed": moved,
-        "norm_start": float(np.linalg.norm(p)),
-        "norm_flowed": float(np.linalg.norm(moved)),
+        "norm_start": math.hypot(*p),
+        "norm_flowed": math.hypot(*moved),
         "log_contraction": flow.log_contraction,
     }
     if cfg.n == 3 and not cfg.J:

@@ -9,7 +9,8 @@ whose rates are the eigenvalue drops below the top of the spectrum.  All
 rates are negative, so every chart point is pulled to the origin -- the
 stationary flag -- at exponential speed governed by the spectral gap.
 This module houses the diagonal flow itself, its slowest rate log C in closed
-form, sphere-crossing and convergence reporters, and, off the chart,
+form, sphere-crossing and convergence reporters, which share one Newton
+solver for the time at which a trajectory reaches a given norm, and, off the chart,
 :func:`flag_frame`, which flows a flag's frame in closed form, and the
 module-free check, by flag minors, that boundary flags move strictly inside.
 """
@@ -93,23 +94,53 @@ def _chart_point(flow: DiagonalFlow, p) -> np.ndarray:
     return p
 
 
+def _flowed(rates: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
+    """exp(t * rates) * p, each zero coordinate kept zero where exp overflows."""
+    return np.exp(float(t) * rates, out=np.zeros_like(p), where=p != 0) * p
+
+
 def flow_point(flow: DiagonalFlow, t: float, p: np.ndarray) -> np.ndarray:
-    """Evaluate f(t, p).  Very negative t may overflow to inf (not an error)."""
+    """Evaluate f(t, p).  Very negative t may overflow to inf (not an error); zeros stay zero."""
     p = _chart_point(flow, p)
     with np.errstate(over="ignore", under="ignore"):
-        return np.exp(float(t) * flow.rates) * p
+        return _flowed(flow.rates, p, t)
 
 
 def _norm_at(rates: np.ndarray, p: np.ndarray, t: float) -> float:
-    """||f(t, p)|| for a float64 point p, bit for bit ``np.linalg.norm(flow_point(...))``.
+    """||f(t, p)|| summed at the power-of-two scale of its largest coordinate: exactly
+    ``np.linalg.norm(flow_point(...))`` where that squared norm is a normal number, and
+    free of overflow and underflow elsewhere.  Callers run it with over- and underflow ignored."""
+    v = _flowed(rates, p, t)
+    scale = math.frexp(np.max(np.abs(v)))[1]
+    w = np.ldexp(v, -scale)
+    return float(np.ldexp(math.sqrt(w.dot(w)), scale))
 
-    numpy's 1-d norm is ``sqrt(x.dot(x))``; this skips the argument checks
-    of :func:`flow_point`.  An overflowed norm is inf, and brackets as such.
-    The caller runs it under ``np.errstate(over="ignore", under="ignore")``,
-    entered once around a whole bisection rather than on every evaluation.
+
+def _time_at_norm(rates: np.ndarray, p: np.ndarray, target: float) -> float:
+    """The time at which ||f(t, p)|| = target, for nonzero p, by Newton's method.
+
+    Over the nonzero p_k, h(t) = log ||f(t, p)||^2 = logsumexp(log p_k^2 + 2 t r_k)
+    is convex and decreasing, so Newton started left of the root climbs to it,
+    until a step no longer moves t forward.  It starts at the latest time at which a
+    single term reaches the goal: h exceeds every term, so that time is left of the
+    root.  Each h is shifted by its largest term; callers run it with underflow ignored.
     """
-    v = np.exp(float(t) * rates) * p
-    return math.sqrt(v.dot(v))
+    logs, slopes = 2.0 * np.log(np.abs(p[p != 0])), 2.0 * rates[p != 0]
+    goal = 2.0 * math.log(target)
+
+    def h(t):  # h(t) - goal and h'(t)
+        terms = logs + t * slopes
+        weights = np.exp(terms - terms.max())
+        return terms.max() + math.log(weights.sum()) - goal, weights.dot(slopes) / weights.sum()
+
+    t = np.max((goal - logs) / slopes)
+    for _ in range(100):
+        excess, slope = h(t)
+        t_next = t - excess / slope
+        if not t_next > t:
+            break
+        t = t_next
+    return float(t)
 
 
 def has_overflow(p: np.ndarray) -> bool:
@@ -172,53 +203,26 @@ def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
 def sphere_crossing(flow: DiagonalFlow, p: np.ndarray, radius: float, tol: float = 1e-12) -> CrossingResult:
     """The unique time at which the trajectory through p crosses the sphere.
 
-    The chart norm along a contracting trajectory is strictly decreasing and
-    spans (0, inf), so a bracket always exists; it is found by doubling and
-    then refined by at most 200 bisections until the norm matches the radius
-    to ``tol`` relative.  A crossing that still misses the sphere by more
-    than that (the norm overflows or underflows binary64 on the way) raises
-    ``ValueError``.
+    The chart norm along a contracting trajectory falls strictly from inf to
+    0, so it meets the sphere once, at the time :func:`_time_at_norm` finds.
+    The residual is ``np.linalg.norm`` of the crossing point less the radius;
+    one that exceeds ``tol`` relative (the squared norm overflows or
+    underflows binary64 there) raises ``ValueError``.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = _chart_point(flow, p)
     if not flow.is_contractive:
         raise ValueError("sphere crossing needs a strictly contractive flow")
-    if np.linalg.norm(p) == 0.0:
+    if not np.any(p):
         raise ValueError("the zero point never crosses a positive sphere")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    p = _chart_point(flow, p)
-    rates = flow.rates
-    lo, hi = 0.0, 0.0  # norm(lo) >= radius >= norm(hi)
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     with np.errstate(over="ignore", under="ignore"):
-        start = _norm_at(rates, p, 0.0)
-        if start >= radius:
-            hi = 1.0
-            while _norm_at(rates, p, hi) > radius:
-                hi *= 2.0
-                if hi > 2.0**60:
-                    raise RuntimeError("failed to bracket the crossing")
-        else:
-            lo = -1.0
-            while _norm_at(rates, p, lo) < radius:
-                lo *= 2.0
-                if lo < -(2.0**60):
-                    raise RuntimeError("failed to bracket the crossing")
-        t_star = lo
-        for _ in range(200):
-            t_star = (lo + hi) / 2.0
-            value = _norm_at(rates, p, t_star)
-            if abs(value - radius) <= tol * radius:
-                break
-            if t_star == lo or t_star == hi:  # every later midpoint is t_star again
-                break
-            if value > radius:
-                lo = t_star
-            else:
-                hi = t_star
-        residual = _norm_at(rates, p, t_star) - radius
+        t_star = _time_at_norm(flow.rates, p, radius)
+        point = flow_point(flow, t_star, p)
+        residual = float(np.linalg.norm(point)) - radius
     if not abs(residual) <= tol * radius:
         raise ValueError(f"the crossing misses the sphere of radius {radius!r} by {residual!r}")
-    return CrossingResult(t_star, flow_point(flow, t_star, p), radius, residual)
+    return CrossingResult(t_star, point, radius, residual)
 
 
 @dataclass(frozen=True)
@@ -233,38 +237,33 @@ class Convergence:
 
 
 def converge(flow: DiagonalFlow, p: np.ndarray, tol: float) -> Convergence:
-    """Smallest sampled time T with ||f(T, p)|| < tol, with its a priori bound.
+    """The least binary64 time T with ``_norm_at(T) < tol``, with its a priori bound.
 
-    The bound is log(||p|| / tol) / logC: past it the contraction inequality
-    alone forces the norm below tol.
+    T walks in ulps from the time :func:`_time_at_norm` finds, up until the norm
+    is below tol and down while it still is, at most 64 each way: the least T
+    unless binary64 rounds the flowed point far off, as where exp underflows.
+    Past the bound, log(||p|| / tol) / logC, contraction alone forces the norm below tol.
     """
     if not flow.is_contractive:
         raise ValueError("convergence needs a strictly contractive flow")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    norm0 = float(np.linalg.norm(p))
-    bound = max(0.0, math.log(max(norm0, 1e-300) / tol)) / flow.log_contraction
-    if norm0 < tol:
-        return Convergence(0.0, norm0, bound)
     p = _chart_point(flow, p)
-    rates = flow.rates
-    hi = 1.0
     with np.errstate(over="ignore", under="ignore"):
-        while _norm_at(rates, p, hi) >= tol:
-            hi *= 2.0
-            if hi > 2.0**60:
-                raise RuntimeError("trajectory failed to enter the target ball")
-        lo = 0.0 if hi == 1.0 else hi / 2.0
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if mid == lo or mid == hi:  # the bracket cannot shrink: norm(hi) < tol <= norm(lo)
+        norm0 = _norm_at(flow.rates, p, 0.0)
+        bound = max(0.0, math.log(max(norm0, 1e-300)) - math.log(tol)) / flow.log_contraction
+        if norm0 < tol:
+            return Convergence(0.0, norm0, bound)
+        t = _time_at_norm(flow.rates, p, tol)
+        for _ in range(64):
+            if _norm_at(flow.rates, p, t) < tol:
                 break
-            if _norm_at(rates, p, mid) < tol:
-                hi = mid
-            else:
-                lo = mid
-        return Convergence(hi, _norm_at(rates, p, hi), bound)
+            t = math.nextafter(t, math.inf)
+        for _ in range(64):
+            if not _norm_at(flow.rates, p, math.nextafter(t, -math.inf)) < tol:
+                break
+            t = math.nextafter(t, -math.inf)
+        return Convergence(t, _norm_at(flow.rates, p, t), bound)
 
 
 def fixed_flag(n: int) -> np.ndarray:

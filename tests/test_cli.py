@@ -204,6 +204,28 @@ def test_flow_crossing_radius_defaults_from_boundary(capsys):
     assert doc["crossing"]["radius_rule"] == "explicit"
 
 
+def test_flow_keeps_extreme_chart_points_finite(tmp_path, capsys):
+    """A zero coordinate stays zero where exp(t * rate) overflows, the norms of
+    points near the ends of binary64 neither overflow nor underflow, and a tiny
+    point is no zero point: each run writes nothing to stderr."""
+    path = tmp_path / "chart.json"
+    path.write_text('{"chart": [1, 0, 0, 0, 0, 0, 0]}')
+    code, out, err = run_cli(capsys, "flow", "--from", str(path), "--t", "-400")
+    flowed = [float(x) for x in json.loads(out)["flowed"]]
+    assert code == 0 and err == "" and math.isfinite(flowed[0]) and flowed[1:] == [0.0] * 6
+    for x, norm in ((1e200, 2.6457513110645905e200), (1e-200, 2.6457513110645903e-200)):
+        path.write_text(json.dumps({"chart": [x] * 7}))
+        code, out, err = run_cli(capsys, "flow", "--from", str(path), "--t", "0")
+        doc = json.loads(out)
+        assert code == 0 and err == ""
+        assert float(doc["norm_start"]) == float(doc["norm_flowed"]) == norm
+    # at 1e-150 the crossing lands; at 1e-190 its squared norm underflows, and it misses
+    code, out, err = run_cli(capsys, "flow", "--from", str(path), "--crossing", "--radius", "1e-150")
+    assert code == 0 and err == "" and float(json.loads(out)["crossing"]["time"]) < 0.0
+    code, out, err = run_cli(capsys, "flow", "--from", str(path), "--crossing", "--radius", "1e-190")
+    assert code == 2 and out == "" and "misses the sphere" in err
+
+
 def test_fold_defaults_to_n4(capsys):
     code, out, _ = run_cli(capsys, "fold", "--count", "6", "--seed", "2")
     assert code == 0

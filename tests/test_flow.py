@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tnnflow import flow as flow_module
@@ -136,8 +136,9 @@ def test_sphere_crossing_refuses_a_miss(chart3, flow3):
 def test_sphere_crossing_rejects_bad_input(flow3):
     with pytest.raises(ValueError):
         sphere_crossing(flow3, np.zeros(flow3.ncoords), radius=1.0)
-    with pytest.raises(ValueError):
-        sphere_crossing(flow3, np.ones(flow3.ncoords), radius=-2.0)
+    for radius in (-2.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sphere_crossing(flow3, np.ones(flow3.ncoords), radius=radius)
     drift = DiagonalFlow(rates=np.array([0.5, -1.0]))  # not contractive
     with pytest.raises(ValueError):
         sphere_crossing(drift, np.ones(2), radius=1.0)
@@ -329,7 +330,7 @@ def test_invariance_check_builds_no_module(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the bisections against the evaluations they replaced
+# the Newton solver against the bisections it replaced
 
 
 def _oracle_sphere_crossing(flow, p, radius, tol=1e-12, max_iter=200):
@@ -394,24 +395,24 @@ def _oracle_converge(flow, p, tol):
     return Convergence(hi, norm_at(hi), bound)
 
 
-def _same_crossing(flow, p, radius):
-    """Both crossings land on the same bits, or both miss with the same message."""
-    try:
-        want = _oracle_sphere_crossing(flow, p, radius)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            sphere_crossing(flow, p, radius)
-        assert str(got.value) == str(exc)
-        return None
+def _near_crossing(flow, p, radius):
+    """Where the oracle crossing lands, the Newton crossing lands too, on the
+    sphere to 1e-12 relative.  The norm falls at least at the rate log C, so
+    each time is within 1e-12 / log C of the exact crossing, and the two are
+    within twice that of each other."""
+    want = _oracle_sphere_crossing(flow, p, radius)
     got = sphere_crossing(flow, p, radius)
-    assert got.time == want.time and got.residual == want.residual and got.radius == want.radius
-    assert np.array_equal(got.point, want.point)
+    assert abs(got.time - want.time) <= 2e-12 / flow.log_contraction
+    assert abs(got.residual) <= 1e-12 * radius and got.radius == radius
     return got
 
 
 def _same_convergence(flow, p, tol):
+    """The oracle's T and final norm, bit for bit, below tol."""
     got, want = converge(flow, p, tol), _oracle_converge(flow, p, tol)
-    assert (got.time, got.final_norm, got.bound) == (want.time, want.final_norm, want.bound)
+    assert type(got.time) is float
+    assert (got.time, got.final_norm) == (want.time, want.final_norm) and got.final_norm < tol
+    assert got.bound == pytest.approx(want.bound, rel=1e-15)
     return got
 
 
@@ -436,12 +437,12 @@ def test_bisections_set_their_own_floating_point_error_state(chart3, flow3, rng)
 
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3))])
-def test_bisections_match_the_flow_point_oracles_bit_for_bit(n, J):
-    """converge and sphere_crossing on the lean norm kernel, with converge
-    stopping once the bracket cannot shrink, give the results of the
-    flow_point evaluations to the bit: on TNN chart points, a start already
-    inside the target ball, the bracket [0, 1], a start inside the sphere
-    (the negative-time bracket), and norms that overflow binary64."""
+def test_newton_matches_the_bisection_oracles(n, J):
+    """On TNN chart points, converge gives the bisection's T bit for bit: for a
+    start already inside the target ball, a crossing within [0, 1], and a start
+    whose squared norm overflows.  sphere_crossing lands within 2e-12 / log C
+    of the bisection's time, also for a start inside the sphere (a crossing in
+    the past), and both refuse a sphere whose squared norm overflows."""
     chart = eigenchart(build_rep(lambda_for(n, J)))
     flow = DiagonalFlow.from_chart(chart)
     rng = np.random.default_rng([n, *J, 13])
@@ -452,13 +453,46 @@ def test_bisections_match_the_flow_point_oracles_bit_for_bit(n, J):
         for tol in (1e-3, 1e-9, 1e-12, 2.0 * norm0):
             _same_convergence(flow, p, tol)
         assert _same_convergence(flow, p, 2.0 * norm0).time == 0.0
-        # norm(1) < tol <= norm(0): the bracket is [0, 1] from the start
+        # norm(1) < tol <= norm(0): the crossing lies in [0, 1]
         assert _same_convergence(flow, p, (norm0 + norm1) / 2.0).time <= 1.0
         for radius in (1e-2 * norm0, 1e-9 * norm0, (norm0 + norm1) / 2.0):
-            assert _same_crossing(flow, p, radius).time > 0.0
+            assert _near_crossing(flow, p, radius).time > 0.0
         for radius in (2.0 * norm0, 1e6):  # inside the sphere: the crossing is in the past
-            assert _same_crossing(flow, p, radius).time < 0.0
-        # the squared norm overflows past 1.3e154, so this sphere cannot be met
-        assert _same_crossing(flow, p, 1e200) is None
-        with np.errstate(over="ignore"):  # a start whose norm overflows
-            assert _same_convergence(flow, p * 1e300, 1e-9).bound == math.inf
+            assert _near_crossing(flow, p, radius).time < 0.0
+        # the squared norm overflows past 1.3e154, so this sphere cannot be met; the bisection
+        # ends where it stops overflowing, and Newton at the exact crossing, so the misses differ
+        for crossing in (_oracle_sphere_crossing, sphere_crossing):
+            with pytest.raises(ValueError, match=r"misses the sphere of radius 1e\+200 by "):
+                crossing(flow, p, 1e200)
+        # a start whose squared norm overflows: its norm is summed at a scale where it does not
+        with np.errstate(over="ignore"):
+            want = _oracle_converge(flow, p * 1e300, 1e-9)
+        got = converge(flow, p * 1e300, 1e-9)
+        assert want.bound == math.inf and math.isfinite(got.bound) and got.within_bound
+        assert (got.time, got.final_norm) == (want.time, want.final_norm)
+
+
+magnitudes = st.floats(-200.0, 200.0).map(lambda e: 10.0**e)
+chart_coordinates = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda x: -x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-50.0, -0.01), min_size=1, max_size=4), st.data(), st.floats(-250.0, 250.0))
+def test_newton_lands_or_refuses_across_binary64(distinct, data, log_target):
+    """Over negative rates (some repeated), points with zeros and magnitudes
+    from 1e-200 to 1e200, and targets from 1e-250 to 1e250, every crossing
+    lands on its sphere or refuses it as a miss, and every convergence time is
+    finite and within its a priori bound; nothing raises a floating-point error."""
+    rates = distinct + data.draw(st.lists(st.sampled_from(distinct), max_size=3))
+    p = np.array(data.draw(st.lists(chart_coordinates, min_size=len(rates), max_size=len(rates))))
+    assume(np.any(p))
+    flow, target = DiagonalFlow(np.array(rates)), 10.0**log_target
+    with np.errstate(all="raise"):
+        try:
+            hit = sphere_crossing(flow, p, target)
+        except ValueError as exc:
+            assert "misses the sphere" in str(exc)
+        else:
+            assert abs(hit.residual) <= 1e-12 * target
+        run = converge(flow, p, target)
+    assert math.isfinite(run.time) and run.within_bound
