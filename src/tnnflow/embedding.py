@@ -17,8 +17,9 @@ space only.  The basis rows stay sparse primitive int vectors: they are the
 module's only exact form, and the chart reads them in float64, one block of
 echelon rows per weight space.  A flag's image is the tensor product of the
 leading compound columns of a matrix; its binary64 coordinates are read off
-at the pivots, one leading minor per factor: int minors of the int product
-of factorization parameters, or stacked dets over a stack of float frames.
+at the pivots, one leading minor per factor: int minors of the int products
+of factorization parameters, a whole stack of them in one call of the minor
+kernel, or stacked dets over a stack of float frames.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue and a closed-form orthonormal eigenbasis: the orthogonal
@@ -277,9 +278,10 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     The result holds homogeneous coordinates in the reduced-echelon basis.
     For exact g each is the correctly rounded value of the exact coordinate:
     the product of int minors of the column-scaled g over the product of
-    their denominators, one per wedge factor, divided once as Python ints.
-    For float g each is a binary64 product of ``np.linalg.det`` minors, by
-    the stacked kernel :func:`_float_lines` on a stack of one.
+    their denominators, one per wedge factor, divided once as Python ints,
+    by the stacked kernel :func:`_scaled_lines` on a stack of one.  For
+    float g each is a binary64 product of ``np.linalg.det`` minors, by the
+    stacked kernel :func:`_float_lines` on a stack of one.
     """
     if isinstance(g, FactorizationParams):
         n, scaled = g.word.n, _scaled_product(g, side)
@@ -289,7 +291,9 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
         raise TypeError("g must be FactorizationParams or GroupElement")
     if n != rep.n:
         raise ValueError(f"a {n} x {n} matrix does not act on a module for n = {rep.n}")
-    return _scaled_line(rep, scaled) if scaled is not None else _float_lines(rep, linalg.to_float(g.entries)[None])[0]
+    if scaled is None:
+        return _float_lines(rep, linalg.to_float(g.entries)[None])[0]
+    return _scaled_lines(rep, [scaled])[0]
 
 
 def _pivot_digits(rep: RepModule) -> tuple:
@@ -297,12 +301,20 @@ def _pivot_digits(rep: RepModule) -> tuple:
     return np.unravel_index(rep.pivot_cols, [math.comb(rep.n, k) for k in rep.factors])
 
 
-def _scaled_line(rep: RepModule, scaled: tuple) -> np.ndarray:
-    """The line of the exact matrix whose column-scaled ints are ``scaled = (columns, scales)``."""
-    levels, dens = linalg.leading_minors(*scaled, max(rep.factors))
-    denom = math.prod(dens[k] for k in rep.factors)
-    vec = [math.prod(levels[k][d] for k, d in zip(rep.factors, ds)) / denom for ds in zip(*_pivot_digits(rep))]
-    return np.array(vec, dtype=np.float64)
+def _scaled_lines(rep: RepModule, scaled) -> np.ndarray:
+    """The lines of a stack of exact matrices, each given by its column-scaled ints
+    ``(columns, scales)``, ``m`` pairs to ``(m, dim)`` in binary64.
+
+    The leading minors of the whole stack come from one call of the minor kernel
+    :func:`~tnnflow.linalg._minor_levels`; each pivot coordinate is the int product
+    of one minor per factor over the product of their denominators, divided once as
+    Python ints, so each row is bit for bit the line of its matrix alone.
+    """
+    minors = linalg._minor_levels(*linalg._scaled_stack(scaled), max(rep.factors), leading=True)
+    levels = {k: level for k, level in enumerate(minors, 1) if k in rep.factors}
+    numer = functools.reduce(np.multiply, (levels[k][0][:, d, 0] for k, d in zip(rep.factors, _pivot_digits(rep))))
+    denom = functools.reduce(np.multiply, (levels[k][1][:, 0] for k in rep.factors))
+    return (numer / denom[:, None]).astype(np.float64)
 
 
 def _float_lines(rep: RepModule, frames: np.ndarray) -> np.ndarray:

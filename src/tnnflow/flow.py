@@ -24,14 +24,13 @@ import numpy as np
 
 from . import linalg
 from .chevalley import FLOAT, generator_sum_spectrum
-from .embedding import EigenChart, _float_lines, _scaled_line, chart_coords, lambda_for
+from .embedding import EigenChart, _float_lines, _scaled_lines, chart_coords, lambda_for
 from .totpos import (
     FactorizationParams,
     Sl3Coords,
     _normalize_sum,
     _scaled_product,
     flag_minors,
-    sample_params,
     standard_word_w0,
 )
 
@@ -174,11 +173,26 @@ class CrossingResult:
 def _boundary_sample(word, rng: np.random.Generator, mask=None) -> np.ndarray:
     """A lower-unipotent boundary flag as a binary64 matrix: the factorization
     along ``word`` with the parameters of ``mask`` zeroed, by default a random
-    nonempty set of them drawn first."""
+    nonempty set of them drawn first.
+
+    The parameters are the draws of :func:`~tnnflow.totpos.sample_params`, one
+    ``rng.uniform`` call in the same stream, each ``math.exp`` of its draw, and
+    the product is multiplied out in binary64: y_i(t) adds t * column i to
+    column i-1.  No term is ever subtracted, so each entry is within
+    2 len(word) ulps, relative, of the exact product rounded.
+    """
     if mask is None:
         size = int(rng.integers(1, len(word) + 1))
         mask = sorted(rng.choice(len(word), size=size, replace=False).tolist())
-    return linalg._float_of_scaled(*_scaled_product(sample_params(word, rng, zero_mask=mask), "lower"))
+    n, zeroed = word.n, set(mask)
+    # the torus draws ride along, as in sample_params, so the stream is the same
+    draws = rng.uniform(-3.0, 3.0, len(word) + n - 1).tolist()
+    cols = [[float(r == c) for r in range(n)] for c in range(n)]
+    for k, (i, x) in enumerate(zip(word.letters, draws)):
+        if k not in zeroed:
+            t = math.exp(x)
+            cols[i - 1] = [a + t * b for a, b in zip(cols[i - 1], cols[i])]
+    return np.array(cols).T
 
 
 def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
@@ -359,7 +373,8 @@ def commutation_check(chart: EigenChart, params, t: float) -> dict:
     Both are returned with their max coordinate difference.  ``params`` is
     one factorization or a sequence of them, flowed and embedded as one
     stack, whose chart points come back as rows.  Each sample is multiplied
-    out once, as int columns, for both paths.  t < 0 raises ``ValueError``.
+    out once, as int columns, for both paths, and the exact lines of the
+    whole batch come from one stacked call.  t < 0 raises ``ValueError``.
     """
     single = isinstance(params, FactorizationParams)
     batch = [params] if single else list(params)
@@ -369,7 +384,7 @@ def commutation_check(chart: EigenChart, params, t: float) -> dict:
     scaled = [_scaled_product(p, "lower") for p in batch]
     frames = _acted_frames(np.array([linalg._float_of_scaled(*s) for s in scaled]), t)
     p_acted = np.array([chart_coords(chart, line) for line in _float_lines(chart.rep, frames)])
-    p_flowed = np.array([flow_point(flow, t, chart_coords(chart, _scaled_line(chart.rep, s))) for s in scaled])
+    p_flowed = np.array([flow_point(flow, t, chart_coords(chart, line)) for line in _scaled_lines(chart.rep, scaled)])
     diff = float(np.max(np.abs(p_acted - p_flowed)))
     if single:
         p_acted, p_flowed = p_acted[0], p_flowed[0]
@@ -395,8 +410,9 @@ def _flag_margin(frames: np.ndarray, levels) -> np.ndarray:
 def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int = 100) -> dict:
     """Flow boundary flags of type (n, J) for time t and certify they land strictly inside.
 
-    Boundary samples come from factorizations with zeroed parameters (the
-    first sample zeroes every parameter: the base flag).  They flow as one
+    Boundary samples come from factorizations with zeroed parameters,
+    multiplied out in binary64 by :func:`_boundary_sample` (the first sample
+    zeroes every parameter: the base flag).  They flow as one
     stack of frames (:func:`flag_frame`), and each flowed frame's
     :func:`_flag_margin` on the recorded dimensions must clear 1e-12; no
     module is built.  On a type with a gap, such as (4, {2}), that is weaker

@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .chevalley import GroupElement, generator_sum_spectrum
 from .flow import _frame_gap, flag_frame
-from .totpos import FactorizationParams, ReducedWord, _rational_positive, sample_positive
+from .totpos import FactorizationParams, ReducedWord, _rational_positive, _reduced, _scaled_product
 
 __all__ = [
     "Folding",
@@ -72,6 +72,22 @@ def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
     out[1::2, ::2] = -out[1::2, ::2]  # negation, not a Fraction product per entry
     out[::2, 1::2] = -out[::2, 1::2]
     return GroupElement._det_one(out)  # det(S g^-T S^T) = det(g)^-1
+
+
+def _sigma_scaled(columns: list, scales: list) -> tuple[list, list]:
+    """sigma(u) as column-scaled ints in lowest terms, for u with column c ``columns[c] / scales[c]``.
+
+    With u^-1 = rows / d (:func:`tnnflow.linalg._scaled_inverse`), column b of
+    X = (u^T)^-1 is row b of u^-1, and S X S^T is X with both indices reversed
+    and entry (a, b) signed (-1)^(a+b): column b of sigma(u) is row n-1-b of
+    the int rows, reversed and signed, over d.  Each column is reduced to
+    lowest terms, the form :func:`~tnnflow.totpos._scaled_product` returns, so
+    sigma(u) == u exactly iff the two pairs are equal.
+    """
+    rows, d = linalg._scaled_inverse(columns, scales)
+    n = len(rows)
+    sigma = [_reduced([-x if (a + b) % 2 else x for a, x in enumerate(rows[n - 1 - b][::-1])], d) for b in range(n)]
+    return [column for column, _ in sigma], [den for _, den in sigma]
 
 
 def build_folding(n: int) -> Folding:
@@ -143,12 +159,18 @@ def symmetric_params(
 
 
 def break_symmetry(params: FactorizationParams) -> FactorizationParams:
-    """Perturb one member of a tied pair: the negative control sample."""
+    """Perturb one member of a tied pair: the negative control sample.
+
+    Raises ``ValueError`` when no tied pair has a positive parameter to untie,
+    as at n = 2, whose one block is the middle letter.
+    """
     word, blocks = symmetric_word(params.word.n)
     if word.letters != params.word.letters:
         raise ValueError("parameters do not come from the symmetric word")
     vals = list(params.t)
-    pair = next(b for b in blocks if len(b) == 2 and vals[b[0]] > 0)
+    pair = next((b for b in blocks if len(b) == 2 and vals[b[0]] > 0), None)
+    if pair is None:
+        raise ValueError("no tied pair has a positive parameter to untie")
     vals[pair[0]] = vals[pair[0]] * 2
     return FactorizationParams(word, tuple(vals))
 
@@ -188,11 +210,12 @@ def fixed_locus_flow_check(
     ``tol``, as the largest sine of a principal angle between the two flags
     (:func:`_frame_gap`), which is scale-invariant.  The image is evaluated
     through exact group identities -- sigma(exp(t tau) u) = S exp(-t tau) S^T
-    sigma(u) with sigma(u) computed on rationals.  Neither side forms the
-    product, whose condition number reaches ~1e12 at t = 5: each is one
-    closed-form row scaling of an orthonormal frame and one QR, with no
-    steps, and the sigma side is (S P) diag(e^{-t d}) (S P)^T applied to
-    sigma(u), its spectrum -d reversed to stay descending
+    sigma(u) with sigma(u) computed exactly, on the column-scaled ints of u
+    (:func:`_sigma_scaled`), where the t = 0 equality is also decided.
+    Neither side forms the product, whose condition number reaches ~1e12
+    at t = 5: each is one closed-form row scaling of an orthonormal frame
+    and one QR, with no steps, and the sigma side is (S P) diag(e^{-t d})
+    (S P)^T applied to sigma(u), its spectrum -d reversed to stay descending
     (:func:`_flowed_frames`).  All samples are drawn first and then flowed
     as one stack per time and side; the witness is the first failing
     (sample, time) in sample order.  A deliberately de-symmetrized sample
@@ -210,8 +233,8 @@ def fixed_locus_flow_check(
 
     def flag_gaps(us, sus) -> dict:
         """For each time, the fold gaps of a stack of elements against their sigma images."""
-        uf = np.array([linalg.to_float(u.entries) for u in us])
-        suf = np.array([linalg.to_float(su.entries) for su in sus])
+        uf = np.array([linalg._float_of_scaled(*u) for u in us])
+        suf = np.array([linalg._float_of_scaled(*su) for su in sus])
         return {t: _frame_gap(*_flowed_frames(s, t, uf, suf)) for t in times}
 
     us, sus = [], []
@@ -220,18 +243,16 @@ def fixed_locus_flow_check(
         if k % 3 == 1:  # mix boundary samples in
             size = int(rng.integers(1, len(blocks)))
             zero_blocks = rng.choice(len(blocks), size=size, replace=False).tolist()
-        params = symmetric_params(n, rng, zero_blocks=zero_blocks)
-        u = sample_positive(params, "lower")
-        su = apply_group(folding, u)
-        if not np.equal(su.entries, u.entries).all():
+        u = _scaled_product(symmetric_params(n, rng, zero_blocks=zero_blocks), "lower")
+        su = _sigma_scaled(*u)
+        if su != u:
             raise AssertionError("symmetric sampler produced a non-fixed element")
         us.append(u)
         sus.append(su)
 
     # negative control, drawn after the samples
-    control = break_symmetry(symmetric_params(n, rng))
-    u_bad = sample_positive(control, "lower")
-    su_bad = apply_group(folding, u_bad)
+    u_bad = _scaled_product(break_symmetry(symmetric_params(n, rng)), "lower")
+    su_bad = _sigma_scaled(*u_bad)
 
     gaps = flag_gaps(us, sus)
     worst = 0.0
@@ -245,8 +266,7 @@ def fixed_locus_flow_check(
                 all_fixed = False
                 witness = witness or {"sample": k, "time": t, "gap": gap}
 
-    control_broken = not np.equal(su_bad.entries, u_bad.entries).all()
-    control_broken = control_broken and all(
+    control_broken = su_bad != u_bad and all(
         g[0] > 1e-6 for g in flag_gaps([u_bad], [su_bad]).values()
     )
 

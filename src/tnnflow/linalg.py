@@ -15,16 +15,22 @@ Python ints, and one ``Fraction`` is built per result entry at the end.
 Every exact kernel scales each column c by the LCM ``e_c`` of its own
 denominators: the pair ``(columns, scales)`` of :func:`_scaled_columns`,
 in which ``tnnflow.totpos`` also multiplies out its products.  Determinants
-and inverses run Bareiss elimination on those ints.  All minors come from
-one integer Laplace pass on the pair, :func:`_scaled_minors`: the k-minor on
-columns C is a plain int over ``prod(e_c for c in C)``.  Callers that only
-compare minors (``tnnflow.totpos``) read it directly, :func:`all_minors` is
-its ``Fraction`` view, and :func:`leading_minors` its restriction to leading
-columns, which the line embedding reads with no ``Fraction`` built.
+and inverses run Bareiss elimination on those ints; :func:`_scaled_inverse`
+is the int core of :func:`inv`.  All minors come from one integer Laplace
+kernel, :func:`_minor_levels`, on a stack of such pairs laid out as object
+arrays (:func:`_scaled_stack`): it computes one whole level of k-minors at a
+time, for every matrix of the stack, as a few numpy object-array gathers,
+multiplies and adds over index tables cached per (n, m, k), and the k-minor
+on columns C is a plain int over ``prod(e_c for c in C)``.  Callers that
+only compare minors (``tnnflow.totpos``) read its ints directly,
+:func:`all_minors` is its ``Fraction`` view, and :func:`leading_minors` its
+restriction to leading columns, which the line embedding reads, a whole
+stack of exact flags at once, with no ``Fraction`` built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -128,62 +134,113 @@ def det(a: np.ndarray) -> Fraction:
     return Fraction(sign * d, math.prod(scales))
 
 
-def inv(a: np.ndarray) -> np.ndarray:
-    """Exact inverse in Fractions; raises ``ZeroDivisionError`` on singular input.
+def _scaled_inverse(columns: list, scales: list) -> tuple[list, int]:
+    """The inverse of the matrix with column c ``columns[c] / scales[c]``, as int rows
+    ``rows`` over one positive int ``d``: the inverse is ``rows / d``.
 
     Fraction-free Gauss-Jordan takes ``[M | I]`` to ``[d I | d M^-1]`` for the
     column-scaled ints ``M = a diag(e)``, and ``a^-1 = diag(e) M^-1``: row i
-    of the inverse is scaled by ``e_i``.
+    of the inverse is scaled by ``e_i``.  Raises ``ZeroDivisionError`` on
+    singular input.
     """
-    n = a.shape[0]
-    columns, scales = _scaled_columns(a)
+    n = len(columns)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*columns))]
     d, _ = _bareiss(aug, jordan=True)
     if d == 0:
         raise ZeroDivisionError("matrix is singular over the rationals")
-    out = [[Fraction(e * y, d) for y in row[n:]] for e, row in zip(scales, aug)]
-    return np.array(out, dtype=object).reshape(n, n)
+    sign = 1 if d > 0 else -1
+    return [[sign * e * y for y in row[n:]] for e, row in zip(scales, aug)], sign * d
 
 
-def _scaled_minors(columns: list, scales: list, leading: bool = False):
-    """Yield ``(rows, cols, s, den)`` over every square minor, smallest first.
+def inv(a: np.ndarray) -> np.ndarray:
+    """Exact inverse in Fractions; raises ``ZeroDivisionError`` on singular input.
 
-    Column c of the matrix ``a`` is ``columns[c] / scales[c]``, and ``s`` is
-    the minor on ``rows`` x ``cols`` of the int columns, so the minor of ``a``
-    is ``s / den`` with ``den = prod(scales[c] for c in cols)``.  All
-    minors on one column set share ``den``: within a column set, ints compare
-    as the minors do.  Minors of size k come in lexicographic order of
-    ``rows``, then of ``cols``.  Each is a Laplace expansion along the last of
-    its columns over the (k-1)-minors on the other columns: sum_k C(n,k)
-    C(m,k) k multiply-adds in all.  Only the levels k-1 and k are alive at
-    once; the largest level of an n x n matrix holds C(n, n//2)**2 ints,
-    63,504 at n = 10.  With ``leading``, the last column of a k-set is bounded
-    by k - 1, so the pass runs over the leading columns 0..k-1 only.
+    The ``Fraction`` view, one per entry, of the int core :func:`_scaled_inverse`.
     """
-    m = len(columns)
-    n = len(columns[0]) if m else 0
-    prev_rows, prev_cols, prev = [()], [((), 1)], [[1]]
-    for k in range(1, min(n, m) + 1):
-        row_index = {r: j for j, r in enumerate(prev_rows)}
-        rows_k = list(itertools.combinations(range(n), k))
-        # each column set, in lexicographic order, as (index of its first k-1
-        # columns in the level below, its last column's ints, the set, den)
-        cols_k = [
-            (j, columns[c], head + (c,), den * scales[c])
-            for j, (head, den) in enumerate(prev_cols)
-            for c in range(head[-1] + 1 if head else 0, k if leading else m)
-        ]
-        level = []
-        for rows in rows_k:
-            # expansion terms of each row set: (sign, row, (k-1)-minors without that row)
-            terms = [((-1) ** (k - 1 - j), r, prev[row_index[rows[:j] + rows[j + 1 :]]]) for j, r in enumerate(rows)]
-            values = []
-            for rest, column, cols, den in cols_k:
-                s = sum(sign * column[r] * below[rest] for sign, r, below in terms)
-                values.append(s)
-                yield rows, cols, s, den
-            level.append(values)
-        prev_rows, prev_cols, prev = rows_k, [(cols, den) for _, _, cols, den in cols_k], level
+    n = a.shape[0]
+    rows, d = _scaled_inverse(*_scaled_columns(a))
+    return np.array([[Fraction(x, d) for x in row] for row in rows], dtype=object).reshape(n, n)
+
+
+def _scaled_stack(scaled) -> tuple[np.ndarray, np.ndarray]:
+    """A sequence of column-scaled pairs ``(columns, scales)`` of one shape as object
+    arrays of Python ints: ``ints`` ``(s, n, m)``, entry ``[i, r, c] = columns[c][r]`` of
+    pair i, and ``scales`` ``(s, m)``."""
+    m = len(scaled[0][0])
+    n = len(scaled[0][0][0]) if m else 0
+    ints = np.array([columns for columns, _ in scaled], dtype=object).reshape(len(scaled), m, n)
+    return ints.swapaxes(1, 2), np.array([scales for _, scales in scaled], dtype=object).reshape(len(scaled), m)
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_tables(n: int, m: int, k: int, leading: bool) -> tuple:
+    """Index tables for level k of :func:`_minor_levels` on n x m matrices.
+
+    ``picked[i, j]`` is row j of the i-th k-subset of rows (lexicographic) and
+    ``dropped[i, j]`` the index of that subset without it among the
+    (k-1)-subsets.  ``heads[c]`` is the index among the (k-1)-subsets of
+    columns of the c-th k-subset without its last column ``lasts[c]``; with
+    ``leading`` the one k-subset is the leading columns 0..k-1.  The cache
+    hands the same arrays to every call, so they are read-only.
+    """
+    below = {rows: i for i, rows in enumerate(itertools.combinations(range(n), k - 1))}
+    subsets = list(itertools.combinations(range(n), k))
+    picked = np.array(subsets).reshape(len(subsets), k)
+    dropped = np.array([[below[rows[:j] + rows[j + 1 :]] for j in range(k)] for rows in subsets])
+    if leading:
+        heads, lasts = np.array([0]), np.array([k - 1])
+    else:
+        index = {cols: i for i, cols in enumerate(itertools.combinations(range(m), k - 1))}
+        cols_k = list(itertools.combinations(range(m), k))
+        heads, lasts = np.array([index[cols[:-1]] for cols in cols_k]), np.array([cols[-1] for cols in cols_k])
+    tables = (picked, dropped, heads, lasts)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+# minors per block of rows of a level: its big-int temporaries stay this small
+_BLOCK = 1024
+
+
+def _minor_levels(ints: np.ndarray, scales: np.ndarray, kmax: int | None = None, leading: bool = False):
+    """Yield ``(values, dens)`` for each minor size k = 1..kmax, for a stack of column-scaled ints.
+
+    Matrix i of the stack has column c equal to ``ints[i, :, c] / scales[i, c]``
+    (as :func:`_scaled_stack` lays them out).  ``values[i, r, c]`` is the
+    k-minor of the ints of matrix i on the r-th k-subset of rows and the c-th
+    k-subset of columns, both lexicographic, and ``dens[i, c]`` the product of
+    the scales of that column set, so the minor of the matrix is
+    ``values[i, r, c] / dens[i, c]``: within one column set, ints compare as
+    the minors do.  Each level is one Laplace expansion along the last column
+    of each set over the level below, as k object-array gathers, multiplies and
+    adds on the whole stack, with index tables cached per (n, m, k).  Only the
+    levels k-1 and k are alive at once, and the largest level of an n x n
+    matrix holds C(n, n//2)**2 ints, 63,504 at n = 10; a level is summed in
+    blocks of rows of about ``_BLOCK`` minors, so its terms and partial sums
+    stay that small beside it.  With ``leading`` the one column set of level
+    k is the leading columns 0..k-1: sum_k C(n,k) k multiply-adds per matrix.
+    ``kmax`` defaults to ``min(n, m)``.
+    """
+    stack, n, m = ints.shape
+    prev = np.ones((stack, 1, 1), dtype=object)
+    dens = np.ones((stack, 1), dtype=object)
+    for k in range(1, (min(n, m) if kmax is None else kmax) + 1):
+        picked, dropped, heads, lasts = _laplace_tables(n, m, k, leading)
+        entries, below = ints[:, :, lasts], prev[:, :, heads]
+        level = np.empty((stack, len(picked), len(lasts)), dtype=object)
+        step = max(1, _BLOCK // (stack * len(lasts)))
+        for start in range(0, len(picked), step):
+            rows = slice(start, start + step)
+            # the term of row j has the sign (-1)**(k-1-j)
+            block = entries[:, picked[rows, k - 1]] * below[:, dropped[rows, k - 1]]
+            for j in range(k - 2, -1, -1):
+                term = entries[:, picked[rows, j]] * below[:, dropped[rows, j]]
+                block = block - term if (k - 1 - j) % 2 else block + term
+            level[:, rows] = block
+        dens = dens[:, heads] * scales[:, lasts]
+        yield level, dens
+        prev = level
 
 
 def all_minors(a: np.ndarray):
@@ -191,31 +248,32 @@ def all_minors(a: np.ndarray):
 
     Minors of size k come in lexicographic order of ``rows``, then of
     ``cols``, and each value is the exact ``Fraction`` of the submatrix's
-    :func:`det`.  This is a view over the integer pass :func:`_scaled_minors`:
-    one ``Fraction(s, den)`` per minor, and no arithmetic of its own.
+    :func:`det`.  This is a view over the integer kernel :func:`_minor_levels`
+    on a stack of one: one ``Fraction(s, den)`` per minor, and no arithmetic
+    of its own.
     """
-    for rows, cols, s, den in _scaled_minors(*_scaled_columns(a)):
-        yield rows, cols, Fraction(s, den)
+    n, m = a.shape
+    for k, (values, dens) in enumerate(_minor_levels(*_scaled_stack([_scaled_columns(a)])), 1):
+        cols_k = list(itertools.combinations(range(m), k))
+        for rows, row in zip(itertools.combinations(range(n), k), values[0].tolist()):
+            for cols, s, den in zip(cols_k, row, dens[0].tolist()):
+                yield rows, cols, Fraction(s, den)
 
 
 def leading_minors(columns: list, scales: list, kmax: int) -> tuple[list, list]:
     """Minors on leading columns, as ints: ``(levels, dens)`` for column-scaled ints.
 
-    Column c of ``a`` is ``columns[c] / scales[c]``, as for :func:`_scaled_minors`.
+    Column c of ``a`` is ``columns[c] / scales[c]``, as for :func:`_scaled_columns`.
     ``levels[k][j]`` is the minor on the j-th k-subset of rows (lexicographic)
     and columns 0..k-1 of the int columns, for k <= kmax, and
     ``dens[k] = prod(scales[c] for c < k)``: the minor of ``a`` is
-    ``levels[k][j] / dens[k]``.  This is the leading-column restriction of
-    the one Laplace pass :func:`_scaled_minors`: sum_k C(n,k) k multiply-adds
-    in all.
+    ``levels[k][j] / dens[k]``.  This is the leading-column view of the
+    kernel :func:`_minor_levels` on a stack of one.
     """
     levels, dens = [[1]], [1]
-    total = sum(math.comb(len(columns[0]), k) for k in range(1, kmax + 1))
-    for rows, _, s, den in itertools.islice(_scaled_minors(columns, scales, leading=True), total):
-        if len(rows) == len(levels):
-            levels.append([])
-            dens.append(den)
-        levels[-1].append(s)
+    for values, den in _minor_levels(*_scaled_stack([(columns, scales)]), kmax, leading=True):
+        levels.append(values[0, :, 0].tolist())
+        dens.append(den[0, 0])
     return levels, dens
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .cells import bruhat_interval_counts, census_verdict, enumerate_cells, face_poset, validate_poset
 from .chevalley import exp_generator_sum, generator_sum_spectrum
-from .embedding import _scaled_line, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
+from .embedding import _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
 from .flow import DiagonalFlow, _frame_gaps, commutation_check, converge, flag_frame, invariance_check, log_contraction
 from .folding import build_folding, fixed_locus_flow_check
 from .totpos import Positivity, _scaled_product, is_tnn_matrix, sample_params, standard_word_w0
@@ -140,17 +140,14 @@ def converged_starts(chart, rng, count: int) -> tuple[np.ndarray, np.ndarray, bo
     """``count`` lower-unipotent TP starts g in binary64, the time T at which
     :func:`~tnnflow.flow.converge` brings each chart point below norm 1e-9,
     and whether every T is within its a priori bound.  Each start is multiplied out
-    once, as column-scaled ints, which give both its binary64 matrix and its line."""
+    once, as column-scaled ints, which give both its binary64 matrix and its line;
+    the lines of all starts come from one stacked call."""
     flow = DiagonalFlow.from_chart(chart)
     word = standard_word_w0(chart.rep.n)
-    starts, times, bounded = [], [], True
-    for _ in range(count):
-        scaled = _scaled_product(sample_params(word, rng), "lower")
-        run = converge(flow, chart_coords(chart, _scaled_line(chart.rep, scaled)), tol=1e-9)
-        bounded = bounded and run.within_bound
-        starts.append(linalg._float_of_scaled(*scaled))
-        times.append(run.time)
-    return np.array(starts), np.array(times), bounded
+    scaled = [_scaled_product(sample_params(word, rng), "lower") for _ in range(count)]
+    runs = [converge(flow, chart_coords(chart, line), tol=1e-9) for line in _scaled_lines(chart.rep, scaled)]
+    starts = np.array([linalg._float_of_scaled(*s) for s in scaled])
+    return starts, np.array([run.time for run in runs]), all(run.within_bound for run in runs)
 
 
 def fixed_point_gap(starts: np.ndarray, times: np.ndarray, J) -> float:

@@ -4,9 +4,11 @@ Positive elements are produced by factorizations along reduced words for the
 longest permutation, multiplied out exactly by one int column operation per
 letter, each column over its own denominator (``sample_positive`` is the
 ``Fraction`` view of that int product); positivity of a given matrix is
-certified by the sign of every minor, all of them exact and taken as ints in
-one Laplace pass (``tnnflow.linalg._scaled_minors``) whose verdict and least
-minor come together.  A flag, exact or float, is carried by any matrix whose
+certified by the sign of every minor, all of them exact and taken as ints,
+one level of minors at a time, from the Laplace kernel
+``tnnflow.linalg._minor_levels``, whose verdict and least minor come
+together; the early exit is the first negative minor of a level, in
+row-major order.  A flag, exact or float, is carried by any matrix whose
 leading columns span it: a group element, or in float work an orthonormal
 frame, whose flag minors :func:`flag_minors` takes for a whole stack at once.
 For the complete SL(3) flag variety we expose the classical six-coordinate
@@ -184,6 +186,19 @@ def _reduced(column: list, den: int) -> tuple[list, int]:
     return ([x // g for x in column], den // g) if g > 1 else (column, den)
 
 
+def _exact_ratio(t) -> tuple[int, int]:
+    """``t.as_integer_ratio()`` for an exact parameter; a float one raises ``TypeError``.
+
+    ``Fraction`` and ``int``, the common case, are read directly; only other
+    types pay for the ``numbers.Rational`` check and a ``Fraction``.
+    """
+    if type(t) in (Fraction, int):
+        return t.as_integer_ratio()
+    if isinstance(t, Rational):
+        return Fraction(t).as_integer_ratio()
+    raise TypeError("exact parameters required; rationalize float parameters first")
+
+
 def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]:
     """The product of :func:`sample_positive` as column-scaled ints ``(columns, scales)``.
 
@@ -191,7 +206,7 @@ def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]
     far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
     y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
     column i-1 by s and column i by 1/s (columns counted from 0).  Every
-    parameter must be exact (float ones raise ``TypeError``).  Column c is
+    parameter must be exact (float ones raise ``TypeError``, by :func:`_exact_ratio`).  Column c is
     held as ``(ints, den)`` for the column ``ints / den``, kept in lowest
     terms, so every step is int arithmetic over a common denominator, and
     ``den`` is the LCM of the column's denominators: ``columns[c]`` and
@@ -214,11 +229,9 @@ def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]
         steps = along("x", params.t[:ell]) + coweights + along("y", params.t[-ell:])
     else:
         raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
-    if not all(isinstance(t, Rational) for _, _, t in steps):
-        raise TypeError("exact parameters required; rationalize float parameters first")
+    ratios = [_exact_ratio(t) for _, _, t in steps]
     cols = [([int(r == c) for r in range(n)], 1) for c in range(n)]
-    for kind, i, t in steps:
-        p, q = Fraction(t).as_integer_ratio()
+    for (kind, i, _), (p, q) in zip(steps, ratios):
         if kind == "coweight":
             (a, da), (b, db) = cols[i - 1], cols[i]
             cols[i - 1] = _reduced([x * p for x in a], da * q)
@@ -233,31 +246,32 @@ def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]
 
 
 def _least_minor(g, *, stop_below_zero: bool) -> Fraction:
-    """The least minor of an exact matrix, walked on the ints of the Laplace pass.
+    """The least minor of an exact matrix, walked level by level on the ints of the minor kernel.
 
     A k-minor on columns C is ``s / den`` for an int ``s`` and the product
     ``den`` of the column scales of C, so within one column set the least
     ``s`` gives the least minor, by plain int comparison.  The per-set
     winners are compared exactly by cross-multiplying, ``s * den' < s' * den``:
     one comparison per column set, and one ``Fraction`` for the answer.  With
-    ``stop_below_zero`` the walk ends at the first negative ``s`` and returns
-    that negative minor instead, which decides the sign rule alone.
+    ``stop_below_zero`` the walk ends at the first level holding a negative
+    ``s`` and returns its first negative minor in row-major order (rows, then
+    columns), which decides the sign rule alone.
     """
     entries = g.entries if isinstance(g, GroupElement) else g
     if not linalg.is_rational_array(entries):
         raise TypeError("exact entries required; rationalize float input first")
-    least: dict[tuple, tuple[int, int]] = {}  # column set -> (least s, den)
-    for _rows, cols, s, den in linalg._scaled_minors(*linalg._scaled_columns(entries)):
-        best = least.get(cols)
-        if best is None or s < best[0]:
-            least[cols] = (s, den)
-            if stop_below_zero and s < 0:
-                return Fraction(s, den)
-    (s, den), *rest = least.values()
-    for t, d in rest:
-        if t * den < s * d:
-            s, den = t, d
-    return Fraction(s, den)
+    least = None  # (s, den) of the least minor so far
+    for values, dens in linalg._minor_levels(*linalg._scaled_stack([linalg._scaled_columns(entries)])):
+        values, dens = values[0], dens[0]
+        if stop_below_zero:
+            negative = np.flatnonzero(values < 0)
+            if negative.size:
+                r, c = divmod(int(negative[0]), values.shape[1])
+                return Fraction(values[r, c], dens[c])
+        for s, den in zip(values.min(axis=0).tolist(), dens.tolist()):
+            if least is None or s * least[1] < least[0] * den:
+                least = (s, den)
+    return Fraction(*least)
 
 
 def _positivity(least_minor) -> Positivity:
@@ -272,11 +286,11 @@ def is_tnn_matrix(g) -> Positivity:
 
     Requires exact rational entries; run floats through
     ``linalg.rationalize`` first so that the verdict is a certificate.  The
-    minors come smallest first, from the integer Laplace pass behind
-    :func:`tnnflow.linalg.all_minors`, each as a scaled int ``s`` over the
-    positive product of its columns' denominators; the sign of ``s`` is the
-    sign of the minor, and the walk stops at the first negative one.  No
-    ``Fraction`` is built on the way.
+    minors come one level at a time, smallest first, from the integer Laplace
+    kernel behind :func:`tnnflow.linalg.all_minors`, each as a scaled int ``s``
+    over the positive product of its columns' denominators; the sign of ``s``
+    is the sign of the minor, and the walk stops at the first level holding a
+    negative one.  No ``Fraction`` is built on the way.
     """
     return _positivity(_least_minor(g, stop_below_zero=True))
 

@@ -32,7 +32,7 @@ from tnnflow.embedding import (
     weyl_dim,
 )
 from tnnflow.suite import CASES, GATES
-from tnnflow.totpos import FactorizationParams, sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import FactorizationParams, _scaled_product, sample_params, sample_positive, standard_word_w0
 
 
 def _generator_moves(rep):
@@ -407,6 +407,37 @@ def test_stacked_float_lines_match_one_frame_at_a_time(n, J):
         assert line.tobytes() == want
         assert embedding._float_lines(rep, frame[None])[0].tobytes() == want
         assert line_of(rep, GroupElement(frame, FLOAT)).tobytes() == want
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, (1, 3)), (5, ())])
+def test_stacked_exact_lines_match_each_sample_alone(n, J, leibniz_det):
+    """One stacked call gives each sample's own exact line, bit for bit: the line
+    of its stack of one, ``line_of`` of its parameters, and its exact
+    coordinates, products of permutation-sum minors, rounded once.  Lower and
+    group samples, one with zeroed parameters and one with magnitudes near e^20
+    and e^-20, share the stack, so the members' column scales differ."""
+    rep = build_rep(lambda_for(n, J))
+    rng = np.random.default_rng([n, len(J), 23])
+    word = standard_word_w0(n)
+    drawn = sample_params(word, rng)
+    extreme = tuple(Fraction(*math.exp(20.0 * s + rng.uniform(-1.0, 1.0)).as_integer_ratio())
+                    for s in rng.choice([-1, 1], len(word)))
+    samples = [(drawn, "lower"), (sample_params(word, rng, group=True), "group"),
+               (sample_params(word, rng, zero_mask=[0, len(word) - 1]), "lower"),
+               (FactorizationParams(word, extreme), "lower")]
+    scaled = [_scaled_product(params, side) for params, side in samples]
+    assert len({tuple(scales) for _, scales in scaled}) == len(samples)
+    lines = embedding._scaled_lines(rep, scaled)
+    assert lines.shape == (len(samples), rep.dim) and lines.dtype == np.float64
+    for (params, side), member, line in zip(samples, scaled, lines):
+        assert line.tobytes() == embedding._scaled_lines(rep, [member])[0].tobytes()
+        assert line.tobytes() == line_of(rep, params, side).tobytes()
+        g = sample_positive(params, side).entries
+        exact = np.ones(1, dtype=object)
+        for k in rep.factors:
+            col = [leibniz_det(g[np.ix_(rows, range(k))]) for rows in itertools.combinations(range(n), k)]
+            exact = np.multiply.outer(exact, np.array(col, dtype=object)).reshape(-1)
+        assert line.tobytes() == np.array(exact[list(rep.pivot_cols)], dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3))])

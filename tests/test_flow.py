@@ -35,7 +35,7 @@ from tnnflow.flow import (
     sphere_crossing,
 )
 from tnnflow.suite import CASES
-from tnnflow.totpos import sample_params, sample_positive, sl3_coords, standard_word_w0
+from tnnflow.totpos import _scaled_product, sample_params, sample_positive, sl3_coords, standard_word_w0
 
 
 def test_flow_rates_from_chart(flow3):
@@ -122,6 +122,28 @@ def test_default_ball_radius(chart3):
         u = sample_positive(sample_params(word, rng, zero_mask=mask), "lower")
         norms.append(np.linalg.norm(chart_coords(chart3, line_of(chart3.rep, u.to_float()))))
     assert abs(r - 1e-2 * min(norms)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_boundary_sample_is_the_exact_route_in_binary64(n):
+    """The binary64 boundary sample draws the stream of the exact route, a mask
+    and then ``sample_params``, so the next draw after each is the same; each
+    entry is within 2 len(word) ulps, relative, of the exact product rounded,
+    and zero exactly where that is; and zeroing every parameter gives the
+    identity exactly."""
+    word = standard_word_w0(n)
+    bound = 2 * len(word) * np.finfo(np.float64).eps
+    for seed in range(6):
+        rng_float, rng_exact = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+        got = flow_module._boundary_sample(word, rng_float)
+        size = int(rng_exact.integers(1, len(word) + 1))
+        mask = sorted(rng_exact.choice(len(word), size=size, replace=False).tolist())
+        want = linalg._float_of_scaled(*_scaled_product(sample_params(word, rng_exact, zero_mask=mask), "lower"))
+        assert rng_float.random() == rng_exact.random()
+        assert got.dtype == np.float64 and np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= bound * np.abs(want))
+    full = list(range(len(word)))
+    assert np.array_equal(flow_module._boundary_sample(word, np.random.default_rng(n), full), np.eye(n))
 
 
 def test_sphere_crossing_refuses_a_miss(chart3, flow3):

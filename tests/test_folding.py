@@ -21,6 +21,7 @@ from tnnflow.flow import flag_frame
 from tnnflow.folding import (
     _flowed_frames,
     _frame_gap,
+    _sigma_scaled,
     apply_group,
     break_symmetry,
     build_folding,
@@ -28,7 +29,7 @@ from tnnflow.folding import (
     symmetric_params,
     symmetric_word,
 )
-from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import _scaled_product, sample_params, sample_positive, standard_word_w0
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,35 @@ def test_lower_unipotent_flags_agree_iff_elements_agree(case, exact_rank):
     # the oracle is not vacuous: u and u b span one flag, though u b != u for b != 1
     for u in samples:
         assert _same_flag(u.entries, u.entries @ b, exact_rank)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_int_sigma_matches_the_apply_group_oracle(n):
+    """sigma(u) on the column-scaled ints of the gate is the ``Fraction``
+    sigma(u) of :func:`apply_group`, in the lowest-terms form of
+    ``linalg._scaled_columns``; it equals u on symmetric samples, boundary ones
+    included, and not on the ``break_symmetry`` control."""
+    fold = build_folding(n)
+    rng = np.random.default_rng([n, 29])
+    blocks = symmetric_word(n)[1]
+    samples = [(symmetric_params(n, rng, zero_blocks=z), True) for z in (None, [len(blocks) - 1], [0])]
+    samples.append((break_symmetry(symmetric_params(n, rng)), False))
+    for params, fixed in samples:
+        u = _scaled_product(params, "lower")
+        sigma = _sigma_scaled(*u)
+        want = apply_group(fold, sample_positive(params, "lower")).entries
+        assert sigma == linalg._scaled_columns(want)
+        got = np.array([[Fraction(x, e) for x, e in zip(row, sigma[1])] for row in zip(*sigma[0])], dtype=object)
+        assert np.equal(got, want).all()
+        assert (sigma == u) is fixed
+
+
+@pytest.mark.parametrize("n, zero_blocks", [(2, None), (4, [0, 2])])
+def test_break_symmetry_refuses_when_no_tied_pair_is_positive(n, zero_blocks):
+    """At n = 2 the one block is the middle letter; at n = 4 blocks 0 and 2 are both pairs."""
+    params = symmetric_params(n, np.random.default_rng(0), zero_blocks=zero_blocks)
+    with pytest.raises(ValueError, match="tied pair"):
+        break_symmetry(params)
 
 
 def test_fixed_locus_flow_check(fold4, rng):

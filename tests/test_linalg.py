@@ -77,6 +77,16 @@ def test_inverse_pivots_past_a_zero_and_returns_fractions():
         linalg.inv(np.array([[0, 1], [0, 2]], dtype=object))
 
 
+def test_scaled_inverse_is_int_rows_over_a_positive_d():
+    """The int core of ``inv``: rows over one d > 0, also where the last Bareiss
+    pivot is negative (one row swap and a -1 pivot)."""
+    for rows in ([[0, 1], [-1, 0]], [[0, 2, 1], [3, 0, 1], [1, 1, 0]], [["1/2", 0], ["1/3", "-5/7"]]):
+        m = linalg.rational_matrix(rows)
+        ints, d = linalg._scaled_inverse(*linalg._scaled_columns(m))
+        assert d > 0 and all(type(x) is int for row in ints for x in row)
+        assert np.equal(np.array([[Fraction(x, d) for x in row] for row in ints], dtype=object), linalg.inv(m)).all()
+
+
 def _minor(a, rows, cols) -> Fraction:
     """One minor, as the determinant of its submatrix."""
     return linalg.det(a[np.ix_(list(rows), list(cols))])
@@ -263,3 +273,82 @@ def test_cross3_orthogonality():
     c = linalg.cross3(a, b)
     assert sum(c[i] * a[i] for i in range(3)) == 0
     assert sum(c[i] * b[i] for i in range(3)) == 0
+
+
+@st.composite
+def scaled_stacks(draw):
+    """One to three matrices of one n x m shape (1..5 each, square or not), of
+    ints and Fractions, so that each member has column scales of its own; a
+    repeated row or a zeroed column gives zero minors."""
+    n, m, size = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-9, 9), fractions)
+    stack = []
+    for _ in range(size):
+        a = np.empty((n, m), dtype=object)
+        for i in range(n):
+            a[i] = draw(st.lists(entry, min_size=m, max_size=m))
+        if n > 1 and draw(st.booleans()):
+            a[draw(st.integers(1, n - 1))] = a[0]
+        for j in draw(st.sets(st.integers(0, m - 1), max_size=1)):
+            a[:, j] = 0
+        stack.append(a)
+    return stack
+
+
+def _check_minor_levels(stack, leibniz_det):
+    """Every level of the kernel on the stack against the permutation sum, and
+    each member's slice against the kernel on that member alone."""
+    n, m = stack[0].shape
+    scaled = [linalg._scaled_columns(a) for a in stack]
+    levels = list(linalg._minor_levels(*linalg._scaled_stack(scaled)))
+    assert len(levels) == min(n, m)
+    for k, (values, dens) in enumerate(levels, 1):
+        rows_k = list(itertools.combinations(range(n), k))
+        cols_k = list(itertools.combinations(range(m), k))
+        assert values.shape == (len(stack), len(rows_k), len(cols_k)) and dens.shape == (len(stack), len(cols_k))
+        for a, (_, scales), ints, den in zip(stack, scaled, values.tolist(), dens.tolist()):
+            assert den == [math.prod(scales[c] for c in cols) for cols in cols_k]
+            assert all(type(s) is int for row in ints for s in row)
+            got = [[Fraction(s, d) for s, d in zip(row, den)] for row in ints]
+            assert got == [[leibniz_det(a[np.ix_(rows, cols)]) for cols in cols_k] for rows in rows_k]
+    for i, member in enumerate(scaled):
+        for (values, dens), (alone, alone_dens) in zip(levels, linalg._minor_levels(*linalg._scaled_stack([member]))):
+            assert values[i].tolist() == alone[0].tolist() and dens[i].tolist() == alone_dens[0].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=scaled_stacks())
+def test_minor_levels_match_leibniz_oracle_on_stacks(stack, leibniz_det):
+    _check_minor_levels(stack, leibniz_det)
+
+
+def test_minor_levels_on_a_rectangular_stack_and_a_stack_of_one(leibniz_det):
+    """Members over different column scales, a 3 x 4 shape with zero minors (a
+    zero column and two rows that agree on the other three), and a 4 x 2 stack of one."""
+    a = linalg.rational_matrix([[1, "1/2", 0, "2/3"], [3, "5/4", 0, "1/6"], [1, "1/2", 0, "-7/5"]])
+    b = linalg.rational_matrix([["1/3", 2, "3/7", 1], [-1, "1/9", 4, 0], [2, 3, "-1/2", "5/8"]])
+    assert linalg._scaled_columns(a)[1] != linalg._scaled_columns(b)[1]
+    _check_minor_levels([a, b], leibniz_det)
+    values, _ = next(itertools.islice(linalg._minor_levels(*linalg._scaled_stack([linalg._scaled_columns(a)])), 1, 2))
+    assert 0 in values[0, 0].tolist()  # rows (0, 1) on the zero column
+    _check_minor_levels([linalg.rational_matrix([[1, 2], ["1/3", 0], [0, 0], ["-5/2", "7/11"]])], leibniz_det)
+
+
+def test_all_minors_come_by_size_then_rows_then_columns():
+    a = linalg.rational_matrix([[1, 2, 0, "1/2"], [3, "1/3", 4, 1], [0, 5, 6, "-2/7"]])
+    keys = [(rows, cols) for rows, cols, _ in linalg.all_minors(a)]
+    assert keys == sorted(keys, key=lambda key: (len(key[0]), key))
+    assert len(keys) == len(set(keys)) == sum(math.comb(3, k) * math.comb(4, k) for k in range(1, 4))
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_minor_levels_summed_in_blocks_of_rows_are_the_same_levels(monkeypatch, block):
+    """A level summed a few rows at a time, as large levels are, equals the
+    level summed at once, on a stack of two 6 x 6 samples."""
+    word = standard_word_w0(6)
+    rng = np.random.default_rng(43)
+    scaled = [linalg._scaled_columns(sample_positive(sample_params(word, rng, group=True), "group").entries)
+              for _ in range(2)]
+    whole = [(v.tolist(), d.tolist()) for v, d in linalg._minor_levels(*linalg._scaled_stack(scaled))]
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    assert [(v.tolist(), d.tolist()) for v, d in linalg._minor_levels(*linalg._scaled_stack(scaled))] == whole

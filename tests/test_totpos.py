@@ -14,6 +14,7 @@ from tnnflow import linalg
 from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, one_param, build_pinning
 from tnnflow.totpos import (
     FactorizationParams,
+    _least_minor,
     _rational_positive,
     _scaled_product,
     Membership,
@@ -499,3 +500,40 @@ def test_factorization_params_validation():
             torus=(Fraction(0), Fraction(1)),
         )
 
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_early_exit_gives_the_full_walks_verdict_on_swapped_columns(n):
+    """On every adjacent column swap of a group and a lower sample, the early
+    exit of :func:`is_tnn_matrix` gives the verdict of :func:`certify_minors`,
+    which walks every minor, and the minor it stops at is the first negative
+    one in the order of ``all_minors``."""
+    rng = np.random.default_rng([n, 37])
+    word = standard_word_w0(n)
+    for side in ("group", "lower"):
+        g = sample_positive(sample_params(word, rng, group=side == "group"), side).entries
+        for j in range(n - 1):
+            swapped = g.copy()
+            swapped[:, [j, j + 1]] = swapped[:, [j + 1, j]]
+            minors = [v for _, _, v in linalg.all_minors(swapped)]
+            verdict, least = certify_minors(swapped)
+            assert is_tnn_matrix(swapped) is verdict is Positivity.NEITHER
+            assert least == min(minors)
+            assert _least_minor(swapped, stop_below_zero=True) == next(v for v in minors if v < 0)
+
+
+def test_scaled_product_reads_exact_parameters_and_refuses_floats():
+    """Fraction, int and numpy int parameters (the torus included) multiply out
+    alike; float and ``np.float64`` ones raise ``TypeError``."""
+    word = standard_word_w0(3)
+    t = (Fraction(1, 2), Fraction(3), Fraction(0), Fraction(5, 7), Fraction(1), Fraction(2, 9))
+    torus = (Fraction(2), Fraction(1, 3))
+    want = _scaled_product(FactorizationParams(word, t, torus), "group")
+    for exact in ((t[0], 3, 0, t[3], 1, t[5]), (t[0], np.int64(3), np.int64(0), t[3], np.int32(1), t[5])):
+        assert _scaled_product(FactorizationParams(word, exact, torus), "group") == want
+    assert _scaled_product(FactorizationParams(word, t, (np.int64(2), torus[1])), "group") == want
+    for bad in (0.5, np.float64(0.5)):
+        with pytest.raises(TypeError):
+            _scaled_product(FactorizationParams(word, (bad,) + t[1:], torus), "group")
+        with pytest.raises(TypeError):
+            _scaled_product(FactorizationParams(word, t, (bad, torus[1])), "group")
