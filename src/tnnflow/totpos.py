@@ -206,12 +206,12 @@ def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]
     far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
     y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
     column i-1 by s and column i by 1/s (columns counted from 0).  Every
-    parameter must be exact (float ones raise ``TypeError``, by :func:`_exact_ratio`).  Column c is
-    held as ``(ints, den)`` for the column ``ints / den``, kept in lowest
-    terms, so every step is int arithmetic over a common denominator, and
-    ``den`` is the LCM of the column's denominators: ``columns[c]`` and
-    ``scales[c]`` are what :func:`tnnflow.linalg._scaled_columns` reads off
-    the ``Fraction`` matrix.
+    parameter must be exact (float ones raise ``TypeError``, by
+    :func:`_exact_ratio`).  Column c is held as ``(ints, den)`` for the
+    column ``ints / den``, kept in lowest terms, so every step is int
+    arithmetic over a common denominator, and ``den`` is the LCM of the
+    column's denominators: ``columns[c]`` and ``scales[c]`` are what
+    :func:`tnnflow.linalg._scaled_columns` reads off the ``Fraction`` matrix.
     """
     n, ell = params.word.n, len(params.word)
 
