@@ -37,6 +37,9 @@ COMMANDS = [
     # the largest module built here, dim 1960, and a crossing in the past
     ["flow", "--crossing", "--n", "6", "--J", "1,5"],
     ["flow", "--t", "2", "--seed", "3", "--crossing", "--radius", "1e6"],
+    # the SL(3) read-off of the flowed frame at t = 0, and backward on the reversed spectrum
+    ["flow", "--t", "0", "--seed", "3"],
+    ["flow", "--t", "-1", "--seed", "3"],
     ["fold", "--count", "30"],
     ["fold", "--n", "6", "--count", "2", "--seed", "0"],
     ["fold", "--n", "8", "--count", "30", "--seed", "1"],

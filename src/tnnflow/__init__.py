@@ -37,7 +37,6 @@ from .embedding import (
     Weight,
     build_rep,
     chart_coords,
-    chart_line,
     eigenchart,
     lambda_for,
     line_of,
@@ -53,7 +52,6 @@ from .flow import (
     flag_frame,
     flow_point,
     invariance_check,
-    line_to_sl3_coords,
     log_contraction,
     sphere_crossing,
 )

@@ -43,24 +43,17 @@ from .cells import (
     validate_poset,
 )
 from .chevalley import FLOAT, GroupElement, build_pinning, generator_sum
-from .embedding import build_rep, chart_coords, chart_line, eigenchart, lambda_for, line_of, weyl_dim
-from .flow import (
-    DiagonalFlow,
-    default_ball_radius,
-    flow_point,
-    has_overflow,
-    line_to_sl3_coords,
-    sphere_crossing,
-)
+from .embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of, weyl_dim
+from .flow import DiagonalFlow, _frames_at, default_ball_radius, flow_point, has_overflow, sphere_crossing
 from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical, encode_tree
 from .suite import run_suite
 from .totpos import (
     Positivity,
-    Sl3ChartError,
     certify_minors,
     sample_params,
     sample_positive,
+    sl3_coords,
     sl3_membership,
     standard_word_w0,
 )
@@ -307,7 +300,8 @@ def cmd_embed(cfg: RunConfig, args) -> int:
 
 
 def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
-    """Starting chart point from a JSON file, or a seeded random TNN flag.
+    """``(p, g, origin)``: the start's chart point and, for a flag start, its binary64
+    matrix g (None for a chart start), from a JSON file or a seeded random TNN flag.
 
     A malformed entry, or a start point that is not finite, raises ``ValueError``.
     """
@@ -315,7 +309,7 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
         rng = np.random.default_rng(cfg.seed)
         params = sample_params(standard_word_w0(cfg.n), rng)
         p = chart_coords(chart, line_of(chart.rep, params, "lower"))
-        return p, "random TNN flag"
+        return p, sample_positive(params, "lower").to_float().entries, "random TNN flag"
     with open(path) as fh:
         doc = json.load(fh)
     try:
@@ -330,21 +324,22 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
     p = np.array(entries)
     if not np.all(np.isfinite(p)):
         raise ValueError(f"{origin} entries must be finite")
-    if origin == "flag matrix":
-        with np.errstate(all="ignore"):
-            line = line_of(chart.rep, GroupElement(p, FLOAT))
-            # an inf entry of the line would read as a point on the chart's equator
-            p = chart_coords(chart, line) if np.all(np.isfinite(line)) else line
-        if not np.all(np.isfinite(p)):
-            raise ValueError("the flag matrix has no finite chart point in binary64")
-    return p, origin
+    if origin == "chart point":
+        return p, None, origin
+    with np.errstate(all="ignore"):
+        line = line_of(chart.rep, GroupElement(p, FLOAT))
+        # an inf entry of the line would read as a point on the chart's equator
+        point = chart_coords(chart, line) if np.all(np.isfinite(line)) else line
+    if not np.all(np.isfinite(point)):
+        raise ValueError("the flag matrix has no finite chart point in binary64")
+    return point, p, origin
 
 
 def cmd_flow(cfg: RunConfig, args) -> int:
     rep = build_rep(lambda_for(cfg.n, cfg.J))
     chart = eigenchart(rep)
     flow = DiagonalFlow.from_chart(chart)
-    p, origin = _load_start_point(cfg, args.from_path, chart)
+    p, g, origin = _load_start_point(cfg, args.from_path, chart)
     if p.shape != (chart.ncoords,):
         raise ValueError(f"chart point has {p.shape[0]} coordinates, expected {chart.ncoords}")
     moved = flow_point(flow, cfg.t, p)
@@ -360,19 +355,20 @@ def cmd_flow(cfg: RunConfig, args) -> int:
         "log_contraction": flow.log_contraction,
     }
     if cfg.n == 3 and not cfg.J:
-        # coordinate readout only exists on decomposable lines (flag images) whose v and w sum to nonzero
-        try:
-            coords = line_to_sl3_coords(chart, chart_line(chart, moved))
-        except Sl3ChartError:
-            payload["sl3"] = "outside the (v, w) chart"
-        except ValueError:
-            payload["sl3"] = "not a flag image"
+        if g is None:
+            payload["sl3"] = "no flag: the start is a chart point"
         else:
-            payload["sl3"] = {
-                "v": list(coords.v),
-                "w": list(coords.w),
-                "membership": sl3_membership(coords, tol=cfg.float_tol),
-            }
+            frame = _frames_at(g, cfg.t)  # the flag of exp(t tau) g
+            try:
+                coords = sl3_coords(frame)
+            except ValueError:  # v or w sums to zero
+                payload["sl3"] = "outside the (v, w) chart"
+            else:
+                payload["sl3"] = {
+                    "v": list(coords.v),
+                    "w": list(coords.w),
+                    "membership": sl3_membership(coords, tol=cfg.float_tol),
+                }
     if args.crossing:
         radius, rule = cfg.radius, "explicit"
         if radius is None:

@@ -29,7 +29,10 @@ weight spaces of one block shape (rows x support columns) share one stacked
 QR, and a 1 x 1 space, one row with one ambient entry, is its own unit
 basis vector in closed form.  The affine chart of projective space centered
 at the top eigenline, expressed in that eigenbasis, is the coordinate system
-in which the induced dynamics become diagonal (see :mod:`tnnflow.flow`).
+in which the induced dynamics become diagonal (see :mod:`tnnflow.flow`).  The
+chart keeps only the map from module coordinates to eigenbasis components, so
+it is read one way, from a line to its point; a flowed flag is read off its
+frame (:func:`tnnflow.flow.flag_frame`), not rebuilt from its point.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "EigenChart",
     "eigenchart",
     "chart_coords",
-    "chart_line",
     "ChartOverflowError",
 ]
 
@@ -195,13 +197,6 @@ class RepModule:
     rows: tuple
     pivot_cols: tuple
 
-    def float_basis(self) -> np.ndarray:
-        """The reduced-echelon basis rows as a dense (dim x ambient) float64 matrix."""
-        out = np.zeros((self.dim, self.ambient_dim))
-        for r, (row, p) in enumerate(zip(self.rows, self.pivot_cols)):
-            out[r, list(row)] = [x / row[p] for x in row.values()]
-        return out
-
 
 def build_rep(weight: Weight) -> RepModule:
     """Construct the irreducible module by lowering closure (exact).
@@ -336,16 +331,15 @@ def _float_lines(rep: RepModule, frames: np.ndarray) -> np.ndarray:
 class EigenChart:
     """Affine chart of P(V) centered at the top eigenline of the generator sum.
 
-    ``eigvecs`` holds orthonormal eigenvectors (columns, eigenvalues ``mu``
-    descending) in module coordinates, their entries at the pivots;
-    ``eigvecs_inv`` maps module coordinates to eigenbasis components.  Chart
-    coordinates of a line are ratios a_k / a_0 of its eigenbasis components,
-    k = 1..dim-1.
+    ``mu`` holds the eigenvalues, descending, and ``eigvecs_inv`` maps module
+    coordinates to components along the matching orthonormal eigenvectors.
+    Chart coordinates of a line are ratios a_k / a_0 of its eigenbasis
+    components, k = 1..dim-1.  The chart is read one way only, from a line to
+    its point: no eigenvector matrix is kept.
     """
 
     rep: RepModule
     mu: np.ndarray
-    eigvecs: np.ndarray
     eigvecs_inv: np.ndarray
 
     @property
@@ -423,7 +417,7 @@ def eigenchart(rep: RepModule) -> EigenChart:
     inv[:, unit_rows] = frame[unit_cols].T  # a unit row is one ambient basis vector
     for rows, cols, blocks in groups:
         inv[:, rows] = (np.swapaxes(frame[cols], 1, 2) @ np.swapaxes(blocks, 1, 2)).swapaxes(0, 1)
-    return EigenChart(rep=rep, mu=mu[order], eigvecs=frame[list(rep.pivot_cols)], eigvecs_inv=inv)
+    return EigenChart(rep=rep, mu=mu[order], eigvecs_inv=inv)
 
 
 def chart_coords(chart: EigenChart, line: np.ndarray) -> np.ndarray:
@@ -442,12 +436,3 @@ def chart_coords(chart: EigenChart, line: np.ndarray) -> np.ndarray:
         raise ChartOverflowError("line lies on the chart's hyperplane at infinity")
     return a[1:] / a[0]
 
-
-def chart_line(chart: EigenChart, p: np.ndarray) -> np.ndarray:
-    """The line with the given chart coordinates, in module coordinates
-    (inverse of chart_coords)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (chart.ncoords,):
-        raise ValueError(f"expected {chart.ncoords} coordinates, got {p.shape}")
-    a = np.concatenate([[1.0], p])
-    return chart.eigvecs @ a

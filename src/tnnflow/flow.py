@@ -13,6 +13,8 @@ form, sphere-crossing and convergence reporters, which share one Newton
 solver for the time at which a trajectory reaches a given norm, and, off the chart,
 :func:`flag_frame`, which flows a flag's frame in closed form, and the
 module-free check, by flag minors, that boundary flags move strictly inside.
+A flowed flag is read off its frame, never off its chart point: the chart
+has no inverse here.
 """
 
 from __future__ import annotations
@@ -23,16 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chevalley import FLOAT, generator_sum_spectrum
+from .chevalley import generator_sum_spectrum
 from .embedding import EigenChart, _float_lines, _scaled_lines, chart_coords, lambda_for
-from .totpos import (
-    FactorizationParams,
-    Sl3Coords,
-    _normalize_sum,
-    _scaled_product,
-    flag_minors,
-    standard_word_w0,
-)
+from .totpos import FactorizationParams, _scaled_product, flag_minors, standard_word_w0
 
 __all__ = [
     "DiagonalFlow",
@@ -46,7 +41,6 @@ __all__ = [
     "converge",
     "fixed_flag",
     "flag_frame",
-    "line_to_sl3_coords",
     "commutation_check",
     "invariance_check",
 ]
@@ -219,9 +213,10 @@ def sphere_crossing(flow: DiagonalFlow, p: np.ndarray, radius: float, tol: float
 
     The chart norm along a contracting trajectory falls strictly from inf to
     0, so it meets the sphere once, at the time :func:`_time_at_norm` finds.
-    The residual is ``np.linalg.norm`` of the crossing point less the radius;
-    one that exceeds ``tol`` relative (the squared norm overflows or
-    underflows binary64 there) raises ``ValueError``.
+    The residual is the scaled norm :func:`_norm_at` there less the radius, so
+    a squared norm past the range of binary64 does not spoil it; one that
+    exceeds ``tol`` relative (as where the flowed point is not finite) raises
+    ``ValueError``.
     """
     p = _chart_point(flow, p)
     if not flow.is_contractive:
@@ -233,7 +228,7 @@ def sphere_crossing(flow: DiagonalFlow, p: np.ndarray, radius: float, tol: float
     with np.errstate(over="ignore", under="ignore"):
         t_star = _time_at_norm(flow.rates, p, radius)
         point = flow_point(flow, t_star, p)
-        residual = float(np.linalg.norm(point)) - radius
+        residual = _norm_at(flow.rates, p, t_star) - radius
     if not abs(residual) <= tol * radius:
         raise ValueError(f"the crossing misses the sphere of radius {radius!r} by {residual!r}")
     return CrossingResult(t_star, point, radius, residual)
@@ -332,36 +327,22 @@ def _frame_gap(qa: np.ndarray, qb: np.ndarray):
 # commutation between the two evaluation paths
 
 
-def line_to_sl3_coords(chart: EigenChart, line: np.ndarray) -> Sl3Coords:
-    """Recover (v, w) coordinates of a complete SL(3) flag from its line.
-
-    The module sits inside (defining) x (wedge^2); the ambient vector of a
-    decomposable line is a rank-one 3x3 matrix v * z^T whose factors are the
-    line of the flag and the Pluecker vector of its plane.  The factors are
-    split off with an SVD, which also certifies decomposability, and
-    normalized to sum 1; a sum of zero raises :class:`~tnnflow.totpos.Sl3ChartError`.
-    """
-    rep = chart.rep
-    if rep.n != 3 or rep.factors != (1, 2):
-        raise ValueError("flag recovery is implemented for the complete SL(3) module")
-    big = rep.float_basis().T @ np.asarray(line, dtype=np.float64)
-    m = big.reshape(3, 3)
-    u, s, vt = np.linalg.svd(m)
-    if s[0] == 0.0 or s[1] > 1e-8 * s[0]:
-        raise ValueError("line is not decomposable: not the image of a flag")
-    v_raw = u[:, 0]
-    z = vt[0]  # Pluecker coordinates (12, 13, 23) of the plane
-    w_raw = np.array([z[2], z[1], z[0]])
-    return Sl3Coords(_normalize_sum(v_raw, FLOAT), _normalize_sum(w_raw, FLOAT), FLOAT)
+def _frames_at(gs: np.ndarray, t: float) -> np.ndarray:
+    """Orthonormal frames, in the standard basis, of the flags of exp(t tau) g for one
+    float g or a stack, at any t: one :func:`flag_frame` call.  Its graded QR needs a
+    time >= 0, so for t < 0 it flows for -t on the reversed spectrum: with S the
+    reversal, exp(t tau) = (P S) diag(e^{-t (-S d)}) (P S)^T, and -S d descends."""
+    d, p = generator_sum_spectrum(gs.shape[-1])
+    if t < 0:
+        t, d, p = -t, -d[::-1], p[:, ::-1]
+    return p @ flag_frame(gs, t, d, p)
 
 
 def _acted_frames(gs: np.ndarray, t: float) -> np.ndarray:
-    """Orthonormal frames, in the standard basis, of the flags of exp(t tau) g for a
-    stack of float g: one :func:`flag_frame` call, whose graded QR needs t >= 0."""
+    """:func:`_frames_at` for the gates, which flow forward only: t < 0 raises ``ValueError``."""
     if not t >= 0:
         raise ValueError(f"flags flow forward only: t must be >= 0, got {t}")
-    d, p = generator_sum_spectrum(gs.shape[-1])
-    return p @ flag_frame(gs, t, d, p)
+    return _frames_at(gs, t)
 
 
 def commutation_check(chart: EigenChart, params, t: float) -> dict:

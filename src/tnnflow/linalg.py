@@ -23,9 +23,9 @@ time, for every matrix of the stack, as a few numpy object-array gathers,
 multiplies and adds over index tables cached per (n, m, k), and the k-minor
 on columns C is a plain int over ``prod(e_c for c in C)``.  Callers that
 only compare minors (``tnnflow.totpos``) read its ints directly,
-:func:`all_minors` is its ``Fraction`` view, and :func:`leading_minors` its
-restriction to leading columns, which the line embedding reads, a whole
-stack of exact flags at once, with no ``Fraction`` built.
+:func:`all_minors` is its ``Fraction`` view, and with ``leading`` it
+restricts each level to the leading columns, which the line embedding
+reads, a whole stack of exact flags at once, with no ``Fraction`` built.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "det",
     "inv",
     "all_minors",
-    "leading_minors",
     "reduce_rows",
     "cross3",
 ]
@@ -258,23 +257,6 @@ def all_minors(a: np.ndarray):
         for rows, row in zip(itertools.combinations(range(n), k), values[0].tolist()):
             for cols, s, den in zip(cols_k, row, dens[0].tolist()):
                 yield rows, cols, Fraction(s, den)
-
-
-def leading_minors(columns: list, scales: list, kmax: int) -> tuple[list, list]:
-    """Minors on leading columns, as ints: ``(levels, dens)`` for column-scaled ints.
-
-    Column c of ``a`` is ``columns[c] / scales[c]``, as for :func:`_scaled_columns`.
-    ``levels[k][j]`` is the minor on the j-th k-subset of rows (lexicographic)
-    and columns 0..k-1 of the int columns, for k <= kmax, and
-    ``dens[k] = prod(scales[c] for c < k)``: the minor of ``a`` is
-    ``levels[k][j] / dens[k]``.  This is the leading-column view of the
-    kernel :func:`_minor_levels` on a stack of one.
-    """
-    levels, dens = [[1]], [1]
-    for values, den in _minor_levels(*_scaled_stack([(columns, scales)]), kmax, leading=True):
-        levels.append(values[0, :, 0].tolist())
-        dens.append(den[0, 0])
-    return levels, dens
 
 
 def _subtract(v: dict, x, b: dict) -> None:

@@ -12,7 +12,8 @@ row-major order.  A flag, exact or float, is carried by any matrix whose
 leading columns span it: a group element, or in float work an orthonormal
 frame, whose flag minors :func:`flag_minors` takes for a whole stack at once.
 For the complete SL(3) flag variety we expose the classical six-coordinate
-chart ``(v, w)`` together with its membership oracle:
+chart ``(v, w)``, read off any such matrix (``tnnflow flow`` reads it off
+a flowed frame), together with its membership oracle:
 
     v1 + v2 + v3 = 1,   w1 + w2 + w3 = 1,   v1*w1 - v2*w2 + v3*w3 = 0,
 
@@ -46,7 +47,6 @@ __all__ = [
     "certify_minors",
     "flag_minors",
     "Sl3Coords",
-    "Sl3ChartError",
     "sl3_coords",
     "sl3_membership",
     "sl3_residuals",
@@ -335,17 +335,15 @@ class Sl3Coords:
         return np.array(list(self.v) + list(self.w), dtype=dtype)
 
 
-class Sl3ChartError(ValueError):
-    """v or w sums to zero: the flag has no point in the (v, w) chart."""
-
-
 def _normalize_sum(vec, field: str):
+    """``vec`` over its sum; a sum of zero (to 1e-14 relative, in floats) raises ``ValueError``:
+    the flag has no point in the (v, w) chart."""
     total = vec[0] + vec[1] + vec[2]
     if field == RATIONAL:
         if total == 0:
-            raise Sl3ChartError("coordinate vector sums to zero; chart undefined here")
+            raise ValueError("coordinate vector sums to zero; chart undefined here")
     elif abs(total) <= 1e-14 * float(np.max(np.abs(np.asarray(vec, dtype=np.float64)))):
-        raise Sl3ChartError("coordinate vector sums to ~zero; chart undefined here")
+        raise ValueError("coordinate vector sums to ~zero; chart undefined here")
     return tuple(x / total for x in vec)
 
 
@@ -356,7 +354,8 @@ def sl3_coords(m) -> Sl3Coords:
     flag: a group element's entries, or an orthonormal frame.  The line
     gives ``v`` directly; the plane spanned by the first two columns has
     normal ``z = col1 x col2``, and ``w = (z1, -z2, z3)``.  Both are
-    normalized to sum 1, so the choice of basis of each subspace cancels.
+    normalized to sum 1, so the choice of basis of each subspace cancels; a v
+    or w that sums to zero raises ``ValueError``.
     """
     m = np.asarray(m)
     if m.shape != (3, 3):

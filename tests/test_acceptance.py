@@ -17,25 +17,20 @@ from tnnflow.chevalley import exp_generator_sum
 from tnnflow.embedding import (
     build_rep,
     chart_coords,
-    chart_line,
     eigenchart,
     lambda_for,
     line_of,
     weyl_dim,
 )
-from tnnflow.flow import (
-    commutation_check,
-    converge,
-    flow_point,
-    invariance_check,
-    line_to_sl3_coords,
-)
+from tnnflow.flow import _frames_at, commutation_check, converge, flow_point, invariance_check
 from tnnflow.folding import build_folding, fixed_locus_flow_check
 from tnnflow.suite import CASES
 from tnnflow.totpos import (
     Positivity,
     is_tnn_matrix,
     sample_params,
+    sample_positive,
+    sl3_coords,
     standard_word_w0,
 )
 
@@ -51,7 +46,8 @@ def report(num: int, label: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_fixed_point_reproduction(chart3, flow3):
-    """20 random TNN flags all converge to the closed-form fixed flag."""
+    """20 random TNN flags all converge to the closed-form fixed flag: (v, w) is read
+    off the flag's frame flowed to the time at which its chart point converges."""
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     word = standard_word_w0(3)
@@ -62,16 +58,13 @@ def test_criterion_01_fixed_point_reproduction(chart3, flow3):
         if k % 2:
             # boundary flags: lower-unipotent with some parameters zeroed
             mask = sorted(rng.choice(3, size=int(rng.integers(1, 3)), replace=False))
-            params = sample_params(word, rng, zero_mask=mask)
-            p = chart_coords(chart3, line_of(chart3.rep, params, "lower"))
+            params, side = sample_params(word, rng, zero_mask=mask), "lower"
         else:
-            params = sample_params(word, rng, group=True)
-            p = chart_coords(chart3, line_of(chart3.rep, params, "group"))
+            params, side = sample_params(word, rng, group=True), "group"
+        p = chart_coords(chart3, line_of(chart3.rep, params, side))
         run = converge(flow3, p, tol=1e-9)
         assert run.within_bound
-        limit = flow_point(flow3, run.time, p)
-        coords = line_to_sl3_coords(chart3, chart_line(chart3, limit))
-        got = np.array(list(coords.v) + list(coords.w), dtype=float)
+        got = sl3_coords(_frames_at(sample_positive(params, side).to_float().entries, run.time)).as_vector()
         worst = max(worst, float(np.max(np.abs(got - target))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 5.0

@@ -11,15 +11,16 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tnnflow
 from tnnflow import linalg
-from tnnflow.chevalley import RATIONAL, GroupElement
+from tnnflow.chevalley import RATIONAL, GroupElement, exp_generator_sum
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
-from tnnflow.totpos import Sl3Coords, sl3_residuals
+from tnnflow.totpos import Sl3Coords, sample_params, sample_positive, sl3_coords, sl3_residuals, standard_word_w0
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +165,46 @@ def test_flow_refuses_an_sl3_read_off_whose_v_sums_to_zero(tmp_path, flag):
     assert code == 0 and json.loads(out)["sl3"] == "outside the (v, w) chart"
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [[[1, 0, 0], [2, 1, 0], [1, 1, 1]], [[1, 0, 0], [1, 1, 0], [1, 3, 1]], [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+     [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[3, -1, 2], [1, 2, -1], [1, 1, 1]]],
+)
+def test_flow_reads_sl3_off_the_frame_of_an_exact_flag(tmp_path, flag):
+    """At t = 0 the read-off off the flowed frame is the exact flag's (v, w) to 1e-14."""
+    code, out, _ = _flow_from_flag(tmp_path / "flag.json", flag, 0)
+    assert code == 0
+    sl3 = json.loads(out)["sl3"]
+    got = [float(x) for x in sl3["v"] + sl3["w"]]
+    want = sl3_coords(linalg.rational_matrix(flag)).as_vector()
+    assert max(abs(x - float(y)) for x, y in zip(got, want)) <= 1e-14
+
+
+def test_flow_reads_sl3_off_the_flowed_flag(capsys):
+    """The seeded start's sl3 is the flag of exp(t tau) g: at t = -1 and 2 that of the QR
+    of the product to 1e-12, and at t = 20 the fixed flag's closed form to 1e-12."""
+    g = sample_positive(sample_params(standard_word_w0(3), np.random.default_rng(3)), "lower").to_float().entries
+    s = 2.0 + math.sqrt(2.0)
+    for t, want in (
+        (-1.0, sl3_coords(np.linalg.qr(exp_generator_sum(3, -1.0).entries @ g)[0]).as_vector()),
+        (2.0, sl3_coords(np.linalg.qr(exp_generator_sum(3, 2.0).entries @ g)[0]).as_vector()),
+        (20.0, np.array([1.0, math.sqrt(2.0), 1.0] * 2) / s),
+    ):
+        code, out, _ = run_cli(capsys, "flow", "--t", str(t), "--seed", "3")
+        sl3 = json.loads(out)["sl3"]
+        assert code == 0
+        assert np.max(np.abs(np.array(sl3["v"] + sl3["w"], dtype=float) - want)) <= 1e-12, t
+
+
+def test_flow_from_a_chart_point_has_no_flag(tmp_path, capsys):
+    """A chart start carries no flag, so at (3, ()) there is no (v, w) to read off."""
+    path = tmp_path / "chart.json"
+    path.write_text('{"chart": [0.1, 0.2, 0, 0, 0, 0, 0.3]}')
+    code, out, err = run_cli(capsys, "flow", "--from", str(path), "--t", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["sl3"] == "no flag: the start is a chart point"
+
+
 nonsingular_flags = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3).filter(
     lambda m: linalg.det(linalg.rational_matrix(m)) != 0
 )
@@ -172,8 +213,9 @@ nonsingular_flags = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3
 @settings(max_examples=60, deadline=None)
 @given(nonsingular_flags, st.sampled_from([0, 1]))
 def test_flow_from_any_small_int_flag_reads_off_sl3_or_refuses(tmp_path_factory, flag, t):
-    """Every nonsingular small-int flag either exits 2 with one line, or reports its
-    SL(3) read-off as a refusal string or as finite (v, w) on the variety to 1e-9."""
+    """Every nonsingular small-int flag either exits 2 with one line, or reports the
+    SL(3) read-off of its flowed frame as finite (v, w) on the variety to 1e-9, or
+    as outside the (v, w) chart."""
     code, out, err = _flow_from_flag(tmp_path_factory.mktemp("flag") / "flag.json", flag, t)
     if code == 2:
         assert out == "" and len(err.splitlines()) == 1
@@ -181,7 +223,7 @@ def test_flow_from_any_small_int_flag_reads_off_sl3_or_refuses(tmp_path_factory,
     assert code == 0
     sl3 = json.loads(out)["sl3"]
     if isinstance(sl3, str):
-        assert sl3 in ("outside the (v, w) chart", "not a flag image")
+        assert sl3 == "outside the (v, w) chart"
         return
     coords = Sl3Coords(tuple(map(float, sl3["v"])), tuple(map(float, sl3["w"])), "float")
     assert all(map(math.isfinite, coords.as_vector()))
@@ -219,11 +261,12 @@ def test_flow_keeps_extreme_chart_points_finite(tmp_path, capsys):
         doc = json.loads(out)
         assert code == 0 and err == ""
         assert float(doc["norm_start"]) == float(doc["norm_flowed"]) == norm
-    # at 1e-150 the crossing lands; at 1e-190 its squared norm underflows, and it misses
-    code, out, err = run_cli(capsys, "flow", "--from", str(path), "--crossing", "--radius", "1e-150")
-    assert code == 0 and err == "" and float(json.loads(out)["crossing"]["time"]) < 0.0
-    code, out, err = run_cli(capsys, "flow", "--from", str(path), "--crossing", "--radius", "1e-190")
-    assert code == 2 and out == "" and "misses the sphere" in err
+    # the crossing lands at 1e-150, and at 1e-190, where its squared norm underflows
+    for radius in ("1e-150", "1e-190"):
+        code, out, err = run_cli(capsys, "flow", "--from", str(path), "--crossing", "--radius", radius)
+        crossing = json.loads(out)["crossing"]
+        assert code == 0 and err == "" and float(crossing["time"]) < 0.0
+        assert abs(float(crossing["residual"])) <= 1e-12 * float(radius)
 
 
 def test_fold_defaults_to_n4(capsys):
@@ -361,12 +404,15 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "finite" in err
     code, out, err = run_cli(capsys, "flow", "--t=-1e4", "--seed", "3")
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "overflows" in err
-    # none of these crossings lies on its sphere: the radius is infinite, or
-    # the norm along the trajectory overflows or underflows before reaching it
-    for argv in (("--radius", "inf"), ("--radius", "1e300"), ("--radius", "1e-300"),
-                 ("--n", "4", "--radius", "1e300")):
+    code, out, err = run_cli(capsys, "flow", "--crossing", "--radius", "inf")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    # these crossings land, although the squared norm along the trajectory
+    # overflows or underflows binary64 before it reaches them
+    for argv in (("--radius", "1e300"), ("--radius", "1e-300"), ("--n", "4", "--radius", "1e300")):
         code, out, err = run_cli(capsys, "flow", "--crossing", *argv)
-        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        crossing = json.loads(out)["crossing"]
+        assert code == 0 and err == "", argv
+        assert abs(float(crossing["residual"])) <= 1e-12 * float(crossing["radius"]), argv
     # repeated J indices, and tolerances that are not finite
     for argv in (
         ("embed", "--n", "4", "--J", "2,2"),

@@ -25,7 +25,6 @@ from tnnflow.embedding import (
     _tensor_moves,
     build_rep,
     chart_coords,
-    chart_line,
     eigenchart,
     lambda_for,
     line_of,
@@ -71,6 +70,21 @@ def _tau_times(rep, x):
         for a, targets in enumerate(moves):
             out[list(targets)] += x[a]
     return out
+
+
+def _float_basis(rep):
+    """The reduced-echelon basis rows as a dense (dim x ambient) float64 matrix."""
+    out = np.zeros((rep.dim, rep.ambient_dim))
+    for r, (row, p) in enumerate(zip(rep.rows, rep.pivot_cols)):
+        out[r, list(row)] = [x / row[p] for x in row.values()]
+    return out
+
+
+def _eigvecs(chart):
+    """The chart's orthonormal eigenvectors in module coordinates, their entries at the
+    pivots, eigenvalues descending, from the per-space oracle, whose map to eigenbasis
+    components is the chart's bit for bit and inverts them (the oracle test checks both)."""
+    return _per_space_chart(chart.rep)[1]
 
 
 def _ambient_tau(rep):
@@ -478,11 +492,12 @@ def test_eigenchart_42(chart42):
 
 
 def test_chart_roundtrip(chart3, rng):
-    """chart_coords inverts chart_line, also where eigenvalues repeat: with
-    multiplicity 2 at (3, ()), up to 8 at (4, ()) and up to 7 at (5, {1,4})."""
+    """chart_coords reads back the point of the line E (1, p), for the
+    eigenvectors E, also where eigenvalues repeat: with multiplicity 2 at
+    (3, ()), up to 8 at (4, ()) and up to 7 at (5, {1,4})."""
     for chart in (chart3, *(eigenchart(build_rep(lambda_for(n, J))) for n, J in ((4, ()), (5, (1, 4))))):
         p = rng.normal(size=chart.ncoords)
-        line = chart_line(chart, p)
+        line = _eigvecs(chart) @ np.concatenate([[1.0], p])
         q = chart_coords(chart, line)
         assert np.max(np.abs(p - q)) < 1e-10
 
@@ -491,7 +506,7 @@ def test_chart_overflow():
     rep = build_rep(lambda_for(3, ()))
     chart = eigenchart(rep)
     # a line orthogonal to the top eigenvector has no chart coordinates
-    vec = chart.eigvecs[:, 3]
+    vec = _eigvecs(chart)[:, 3]
     with pytest.raises(ChartOverflowError):
         chart_coords(chart, vec)
 
@@ -513,8 +528,8 @@ def test_eigenvectors_are_rho_p_on_orthonormal_weight_bases(n, J):
     for k in rep.factors:
         subsets = list(itertools.combinations(range(n), k))
         rho = np.kron(rho, [[np.linalg.det(p[np.ix_(s, t)]) for t in subsets] for s in subsets])
-    basis = rep.float_basis()
-    frame = rho.T @ basis.T @ chart.eigvecs
+    basis = _float_basis(rep)
+    frame = rho.T @ basis.T @ _eigvecs(chart)
     weights = np.array(_ambient_weights(n, rep.factors))
     row_weight = [tuple(weights[c]) for c in rep.pivot_cols]
     col_weight = [tuple(weights[int(np.argmax(np.abs(frame[:, j])))]) for j in range(rep.dim)]
@@ -534,7 +549,7 @@ def _eigh_chart(rep):
     """The numerical route: orthonormalize the module basis by QR, diagonalize
     the generator sum in that frame with ``eigh``.  Returns the eigenvalues,
     descending, and the eigenvectors as ambient columns."""
-    q, _ = np.linalg.qr(rep.float_basis().T)
+    q, _ = np.linalg.qr(_float_basis(rep).T)
     w, v = np.linalg.eigh(q.T @ _tau_times(rep, q))
     return w[::-1], q @ v[:, ::-1]
 
@@ -561,8 +576,8 @@ def test_eigenchart_matches_eigh_oracle(n, J):
     assert np.max(np.abs(chart.mu - mu_oracle)) <= 1e-12
     assert chart.gap > 0.5 and np.all(np.diff(chart.mu) <= 0)
 
-    basis = rep.float_basis()
-    e = basis.T @ chart.eigvecs
+    basis = _float_basis(rep)
+    e = basis.T @ _eigvecs(chart)
     assert np.linalg.norm(_tau_times(rep, e) - e * chart.mu) <= 1e-12
     assert np.linalg.norm(e.T @ e - np.eye(rep.dim)) <= 1e-12
 
@@ -660,8 +675,10 @@ def test_eigenchart_equals_the_per_weight_space_oracle(n, J, monkeypatch):
     oracle = _per_space_chart(rep)
     assert (len(calls) - stacked, stacked) == QR_CALLS[n, J]
     assert all(shape[:-2] for shape in calls[:stacked])  # each call takes a stack
-    for name, want in zip(("mu", "eigvecs", "eigvecs_inv"), oracle):
-        np.testing.assert_array_equal(getattr(chart, name), want, err_msg=name)
+    mu, eigvecs, inv = oracle
+    np.testing.assert_array_equal(chart.mu, mu, err_msg="mu")
+    np.testing.assert_array_equal(chart.eigvecs_inv, inv, err_msg="eigvecs_inv")
+    assert np.max(np.abs(inv @ eigvecs - np.eye(rep.dim))) <= 1e-12  # the oracle's frame, inverted
 
 
 def test_eigenchart_makes_one_qr_per_shape_that_is_not_one_by_one(monkeypatch):

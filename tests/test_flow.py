@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from tnnflow import flow as flow_module
 from tnnflow import linalg
-from tnnflow.chevalley import generator_sum
+from tnnflow.chevalley import generator_sum, generator_sum_spectrum
 from tnnflow.embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of
 from tnnflow.flow import (
     Convergence,
     CrossingResult,
     DiagonalFlow,
     _flag_margin,
+    _frame_gap,
+    _frames_at,
     commutation_check,
     converge,
     default_ball_radius,
@@ -30,7 +32,6 @@ from tnnflow.flow import (
     flow_point,
     has_overflow,
     invariance_check,
-    line_to_sl3_coords,
     log_contraction,
     sphere_crossing,
 )
@@ -146,13 +147,18 @@ def test_boundary_sample_is_the_exact_route_in_binary64(n):
     assert np.array_equal(flow_module._boundary_sample(word, np.random.default_rng(n), full), np.eye(n))
 
 
-def test_sphere_crossing_refuses_a_miss(chart3, flow3):
-    """Below ~1e-300 the chart norm underflows, and the crossing cannot land on the sphere."""
+def test_sphere_crossing_lands_across_binary64(chart3, flow3):
+    """Where the squared chart norm underflows or overflows binary64, the crossing still
+    lands on its sphere: the residual is the norm summed at the scale of its largest
+    coordinate.  A sphere whose flowed point overflows is refused as a miss."""
     params = sample_params(standard_word_w0(3), np.random.default_rng(0))
     p = chart_coords(chart3, line_of(chart3.rep, params, "lower"))
-    assert sphere_crossing(flow3, p, radius=1e-3).residual <= 1e-12 * 1e-3
-    with pytest.raises(ValueError, match="misses the sphere"):
-        sphere_crossing(flow3, p, radius=1e-300)
+    for radius in (1e-3, 1e-300, 1e300):
+        assert abs(sphere_crossing(flow3, p, radius=radius).residual) <= 1e-12 * radius, radius
+    # at the crossing, exp(-1000 t) overflows, so the flowed point holds inf
+    flow = DiagonalFlow(rates=np.array([-1.0, -1000.0]))
+    with pytest.raises(ValueError, match="misses the sphere of radius 10000000000.0 by inf"):
+        sphere_crossing(flow, np.array([1.0, 1e-300]), radius=1e10)
 
 
 def test_sphere_crossing_rejects_bad_input(flow3):
@@ -239,7 +245,7 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
 
 
 def test_checks_refuse_negative_time(chart3, rng):
-    """The graded QR of ``flag_frame`` flows forward only."""
+    """The gates flow forward only, although their frames could go back on the reversed spectrum."""
     with pytest.raises(ValueError, match="t must be >= 0"):
         commutation_check(chart3, sample_params(standard_word_w0(3), rng), -0.1)
     with pytest.raises(ValueError, match="t must be >= 0"):
@@ -281,16 +287,33 @@ def test_flag_margin_reads_the_recorded_levels_only(monkeypatch):
         assert out["control_interior"] is False
 
 
-def test_line_to_sl3_coords_roundtrip(chart3, rng):
-    params = sample_params(standard_word_w0(3), rng)
-    line = line_of(chart3.rep, params, "lower")
-    coords = line_to_sl3_coords(chart3, line)
-    from tnnflow.totpos import sample_positive
+def test_frame_read_off_at_t0_is_the_flags_own(rng):
+    """At t = 0 the flowed frame of a float flag reads the (v, w) of the exact flag to 1e-14."""
+    word = standard_word_w0(3)
+    for mask in ([], [], [0], [2]):
+        g = sample_positive(sample_params(word, rng, zero_mask=mask), "lower")
+        got = sl3_coords(_frames_at(g.to_float().entries, 0.0)).as_vector()
+        want = sl3_coords(g.entries).as_vector().astype(np.float64)
+        assert np.max(np.abs(got - want)) <= 1e-14, mask
 
-    direct = sl3_coords(sample_positive(params, "lower").entries)
-    got = np.array(list(coords.v) + list(coords.w), dtype=float)
-    want = np.array([float(x) for x in list(direct.v) + list(direct.w)])
-    assert np.max(np.abs(got - want)) < 1e-10
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_backward_frames_match_the_product_and_the_stepwise_flow(n, stepwise_frame):
+    """For t < 0 the frame comes from the reversed spectrum, whose rows flag_frame grades
+    large to small.  At |t| <= 2 it matches the QR of the product P diag(e^{t d}) P^T g
+    to 1e-12 on well-conditioned g, and at t = -8 the stepwise flow to 1e-13, also on
+    factorization samples; forward frames are the gates' own, bit for bit."""
+    rng = np.random.default_rng([n, 27])
+    d, p = generator_sum_spectrum(n)
+    gs = rng.standard_normal((6, n, n))
+    for t in (-0.5, -1.0, -2.0):
+        product = np.linalg.qr((p * np.exp(t * d)) @ p.T @ gs)[0]
+        assert np.max(_frame_gap(_frames_at(gs, t), product)) <= 1e-12, t
+    word = standard_word_w0(n)
+    samples = [linalg._float_of_scaled(*_scaled_product(sample_params(word, rng), "lower")) for _ in range(4)]
+    gs = np.concatenate([gs, samples])
+    assert np.max(_frame_gap(_frames_at(gs, -8.0), stepwise_frame(gs, -8.0))) <= 1e-13
+    assert np.array_equal(_frames_at(gs, 2.0), flow_module._acted_frames(gs, 2.0))
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -441,21 +464,19 @@ def _same_convergence(flow, p, tol):
 def test_bisections_set_their_own_floating_point_error_state(chart3, flow3, rng):
     """converge and sphere_crossing run their norm kernel under their own
     error state: under the caller's ``np.errstate(all="raise")`` they give the
-    same bits, or the same refusal, also where exp(t * rates) underflows
-    (tol 1e-300, radius 1e-150) and where the squared norm overflows (1e200)."""
+    same bits, also where exp(t * rates) underflows (tol 1e-300, radius
+    1e-150) and where the squared norm overflows (radius 1e200)."""
     p = chart_coords(chart3, line_of(chart3.rep, sample_params(standard_word_w0(3), rng), "lower"))
     for tol in (1e-9, 1e-300):
         want = converge(flow3, p, tol)
         with np.errstate(all="raise"):
             got = converge(flow3, p, tol)
         assert (got.time, got.final_norm, got.bound) == (want.time, want.final_norm, want.bound)
-    for radius in (1e-9, 1e-150):
+    for radius in (1e-9, 1e-150, 1e200):
         want = sphere_crossing(flow3, p, radius)
         with np.errstate(all="raise"):
             got = sphere_crossing(flow3, p, radius)
         assert (got.time, got.residual) == (want.time, want.residual)
-    with np.errstate(all="raise"), pytest.raises(ValueError, match="misses the sphere"):
-        sphere_crossing(flow3, p, 1e200)
 
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3))])
@@ -464,7 +485,8 @@ def test_newton_matches_the_bisection_oracles(n, J):
     start already inside the target ball, a crossing within [0, 1], and a start
     whose squared norm overflows.  sphere_crossing lands within 2e-12 / log C
     of the bisection's time, also for a start inside the sphere (a crossing in
-    the past), and both refuse a sphere whose squared norm overflows."""
+    the past); where the squared norm overflows, the bisection misses the sphere
+    and sphere_crossing lands on it."""
     chart = eigenchart(build_rep(lambda_for(n, J)))
     flow = DiagonalFlow.from_chart(chart)
     rng = np.random.default_rng([n, *J, 13])
@@ -481,11 +503,11 @@ def test_newton_matches_the_bisection_oracles(n, J):
             assert _near_crossing(flow, p, radius).time > 0.0
         for radius in (2.0 * norm0, 1e6):  # inside the sphere: the crossing is in the past
             assert _near_crossing(flow, p, radius).time < 0.0
-        # the squared norm overflows past 1.3e154, so this sphere cannot be met; the bisection
-        # ends where it stops overflowing, and Newton at the exact crossing, so the misses differ
-        for crossing in (_oracle_sphere_crossing, sphere_crossing):
-            with pytest.raises(ValueError, match=r"misses the sphere of radius 1e\+200 by "):
-                crossing(flow, p, 1e200)
+        # the squared norm overflows past 1.3e154: the bisection ends where it stops
+        # overflowing and misses the sphere; Newton lands on it, its norm taken at scale
+        with pytest.raises(ValueError, match=r"misses the sphere of radius 1e\+200 by "):
+            _oracle_sphere_crossing(flow, p, 1e200)
+        assert abs(sphere_crossing(flow, p, 1e200).residual) <= 1e-12 * 1e200
         # a start whose squared norm overflows: its norm is summed at a scale where it does not
         with np.errstate(over="ignore"):
             want = _oracle_converge(flow, p * 1e300, 1e-9)

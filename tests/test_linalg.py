@@ -141,13 +141,20 @@ def test_det_matches_leibniz_oracle(a, leibniz_det):
     assert got == leibniz_det(a)
 
 
+def _leading_levels(columns: list, scales: list, kmax: int) -> tuple[list, list]:
+    """The minor kernel on leading columns, for a stack of one: per level k = 1..kmax,
+    the ints of the minors on every k-subset of rows, and their one denominator."""
+    levels = list(linalg._minor_levels(*linalg._scaled_stack([(columns, scales)]), kmax, leading=True))
+    return [values[0, :, 0].tolist() for values, _ in levels], [dens[0, 0] for _, dens in levels]
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=square_matrices())
 def test_leading_minors_match_leibniz_oracle(a, leibniz_det):
     n = a.shape[0]
-    levels, dens = linalg.leading_minors(*linalg._scaled_columns(a), n)
-    assert len(levels) == len(dens) == n + 1
-    for k, (level, den) in enumerate(zip(levels, dens)):
+    levels, dens = _leading_levels(*linalg._scaled_columns(a), n)
+    assert len(levels) == len(dens) == n
+    for k, (level, den) in enumerate(zip(levels, dens), 1):
         rows_k = list(itertools.combinations(range(n), k))
         assert len(level) == len(rows_k) and all(type(s) is int for s in level)
         assert [Fraction(s, den) for s in level] == [leibniz_det(a[np.ix_(r, range(k))]) for r in rows_k]
@@ -158,10 +165,10 @@ def test_leading_minors_scale_each_column_by_its_own_denominators():
     k-th power of one LCM D of the whole matrix: on the n = 5 lower sample of
     ``default_rng(1)``, 462 bits at k = 3, where D**3 has 628."""
     u = sample_positive(sample_params(standard_word_w0(5), np.random.default_rng(1)), "lower").entries
-    _, dens = linalg.leading_minors(*linalg._scaled_columns(u), 4)
+    _, dens = _leading_levels(*linalg._scaled_columns(u), 4)
     scales = [math.lcm(*(x.denominator for x in u[:, c])) for c in range(5)]
-    assert dens == [math.prod(scales[:k]) for k in range(5)]
-    assert dens[3].bit_length() == 462
+    assert dens == [math.prod(scales[:k]) for k in range(1, 5)]
+    assert dens[2].bit_length() == 462
     assert (math.lcm(*(x.denominator for x in u.flat)) ** 3).bit_length() == 628
 
 

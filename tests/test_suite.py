@@ -1,14 +1,10 @@
 """The verify suite: its table of gate cases, and the fixed-point gate at any n."""
 
-import json
-import sys
-
 import numpy as np
 import pytest
 
 from tnnflow import flow, linalg, suite
 from tnnflow.chevalley import exp_generator_sum
-from tnnflow.cli import main
 from tnnflow.flow import _frame_gaps, fixed_flag
 from tnnflow.serialize import dumps_canonical, encode_tree
 from tnnflow.suite import CASES, GATES, Case, build_charts, converged_starts, fixed_point_gap
@@ -117,28 +113,6 @@ def test_a_deleted_row_moves_only_its_own_section(monkeypatch):
     for name in GATES:
         if name != "commutation":
             assert dumps_canonical(encode_tree(after[name])) == dumps_canonical(encode_tree(before[name])), name
-
-
-def test_verify_calls_no_sl3_readout(capsys, monkeypatch):
-    """verify reads the limit flag off a frame: the SL(3) chart read-off is never called."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify called an SL(3) read-off")
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("tnnflow")]:
-        for name in ("chart_line", "line_to_sl3_coords"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-    code = main(["verify", "--seed", "7"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0 and doc["passed"] is True
-    assert set(doc["sections"]["fixed_point"]) == {
-        "starts",
-        "worst_frame_gap",
-        "within_a_priori_bound",
-        "tolerance",
-        "passed",
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -447,9 +447,9 @@ def test_flag_minors_are_each_frames_own_dets(n):
             want = [np.linalg.det(frame[np.ix_(rows, range(k))]) for rows in subsets]
             assert row.tobytes() == np.array(want).tobytes()
     for m, scaled in enumerate(products):
-        levels, dens = linalg.leading_minors(*scaled, n)
-        for k in range(1, n + 1):
-            exact = np.array([float(Fraction(x, dens[k])) for x in levels[k]])
+        levels = linalg._minor_levels(*linalg._scaled_stack([scaled]), n, leading=True)
+        for k, (values, dens) in enumerate(levels, 1):
+            exact = np.array([float(Fraction(x, dens[0, 0])) for x in values[0, :, 0].tolist()])
             assert np.allclose(minors[k][m], exact, rtol=1e-12, atol=1e-12 * np.max(np.abs(exact)))
 
 
