@@ -23,6 +23,10 @@ from tnnflow import cli
 COMMANDS = [
     *(["verify", "--seed", s] for s in ("0", "7", "21", "22", "23", "24")),
     ["verify", "--seed", "5", "--count", "300"],
+    # the smallest batches (10 commutation samples a case, 20 invariance, 20 fold),
+    # and 200-sample commutation stacks
+    ["verify", "--seed", "7", "--count", "1"],
+    ["verify", "--seed", "3", "--count", "1000"],
     *(
         ["embed", "--n", n, "--J", J, "--format", "json"]
         for n, J in (("3", ""), ("3", "2"), ("4", "2"), ("4", "1"), ("4", "1,3"), ("5", "2,3"))

@@ -342,15 +342,14 @@ class FacePoset:
 
 
 def face_poset(census: Census) -> FacePoset:
-    cells = census.cells
-    m = len(cells)
-    leq = np.zeros((m, m), dtype=bool)
-    for a, b in itertools.product(range(m), repeat=2):
-        leq[a, b] = cells[a].zeros >= cells[b].zeros
+    zeros = [cell.zeros for cell in census.cells]
+    dims = [cell.dim for cell in census.cells]
+    m = len(zeros)
+    leq = np.array([[za >= zb for zb in zeros] for za in zeros], dtype=bool).reshape(m, m)
     covers = tuple(
         (a, b)
         for a, b in itertools.product(range(m), repeat=2)
-        if a != b and leq[a, b] and cells[b].dim == cells[a].dim + 1
+        if dims[b] == dims[a] + 1 and zeros[a] >= zeros[b]
     )
     return FacePoset(census, leq, covers)
 

@@ -420,19 +420,22 @@ def eigenchart(rep: RepModule) -> EigenChart:
     return EigenChart(rep=rep, mu=mu[order], eigvecs_inv=inv)
 
 
-def chart_coords(chart: EigenChart, line: np.ndarray) -> np.ndarray:
-    """Chart coordinates of a line, given in module coordinates; raises
-    ChartOverflowError at the equator.
+def chart_coords(chart: EigenChart, lines: np.ndarray) -> np.ndarray:
+    """Chart coordinates of a line, given in module coordinates, ``(dim,)`` to
+    ``(dim - 1,)``, or of each row of a stack, ``(m, dim)`` to ``(m, dim - 1)``;
+    raises ChartOverflowError if a line lies at the equator.
 
+    Each row is bit for bit the point of its line alone: the components come
+    from one stacked matmul, which runs the same dot per row as the matvec.
     Lines orthogonal to the top eigenvector have no finite coordinates; the
     totally nonnegative region never meets that hyperplane, so hitting the
-    error on a nominally nonnegative input signals numerical trouble.
+    error on a nominally nonnegative input signals numerical trouble.  A zero
+    row raises ``ValueError``.
     """
-    a = chart.eigvecs_inv @ np.asarray(line, dtype=np.float64)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
+    a = np.matmul(chart.eigvecs_inv, np.asarray(lines, dtype=np.float64)[..., None])[..., 0]
+    scale = np.sqrt((a * a).sum(axis=-1))
+    if (scale == 0.0).any():
         raise ValueError("zero vector does not span a line")
-    if abs(a[0]) <= 1e-13 * scale:
+    if (np.abs(a[..., 0]) <= 1e-13 * scale).any():
         raise ChartOverflowError("line lies on the chart's hyperplane at infinity")
-    return a[1:] / a[0]
-
+    return a[..., 1:] / a[..., :1]

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .chevalley import generator_sum_spectrum
 from .embedding import EigenChart, _float_lines, _scaled_lines, chart_coords, lambda_for
-from .totpos import FactorizationParams, _scaled_product, flag_minors, standard_word_w0
+from .totpos import _lower_products, flag_minors, standard_word_w0
 
 __all__ = [
     "DiagonalFlow",
@@ -193,16 +193,15 @@ def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
     """A chart-adapted target radius: 1e-2 times the smallest boundary norm.
 
     Samples 25 boundary flags (factorizations with at least one zeroed
-    parameter), embeds them in one stack, and returns a hundredth of the
+    parameter), embeds and charts them as one stack, and returns a hundredth of the
     smallest chart norm seen.  The smallest boundary norm sets the scale below
     which the sphere is unambiguously "near the fixed point", so a small
     fraction of it makes a sensible default when the caller has none in mind.
     """
     word = standard_word_w0(chart.rep.n)
     lines = _float_lines(chart.rep, np.array([_boundary_sample(word, rng) for _ in range(25)]))
-    smallest = math.inf
-    for line in lines:
-        smallest = min(smallest, float(np.linalg.norm(chart_coords(chart, line))))
+    # per-row norms: np.linalg.norm(..., axis=1) rounds some differently, and moves the radius
+    smallest = min(float(np.linalg.norm(p)) for p in chart_coords(chart, lines))
     if not math.isfinite(smallest) or smallest <= 0.0:
         raise RuntimeError("boundary sampling never produced a nonzero chart norm")
     return 1e-2 * smallest
@@ -345,31 +344,32 @@ def _acted_frames(gs: np.ndarray, t: float) -> np.ndarray:
     return _frames_at(gs, t)
 
 
-def commutation_check(chart: EigenChart, params, t: float) -> dict:
-    """Compare flowing in the chart against acting on the flag by exp(t tau).
+def commutation_check(chart: EigenChart, t: float, rng: np.random.Generator, count: int) -> dict:
+    """Compare flowing in the chart against acting on the flag by exp(t tau), on ``count``
+    lower-unipotent samples drawn from ``rng``.
 
-    Path one: flow the frame of the lower-unipotent flag matrix
-    (:func:`flag_frame`), embed, read chart coordinates.
-    Path two: embed first, read chart coordinates, flow diagonally.
-    Both are returned with their max coordinate difference.  ``params`` is
-    one factorization or a sequence of them, flowed and embedded as one
-    stack, whose chart points come back as rows.  Each sample is multiplied
-    out once, as int columns, for both paths, and the exact lines of the
-    whole batch come from one stacked call.  t < 0 raises ``ValueError``.
+    Path one: flow the frame of each sample's flag matrix (:func:`flag_frame`),
+    embed, read chart coordinates.  Path two: embed first, read chart
+    coordinates, flow diagonally.  The samples are the draws of ``count``
+    calls of :func:`~tnnflow.totpos.sample_params`, drawn at once as int
+    ratios and multiplied out once each, as int columns, for both paths
+    (:func:`~tnnflow.totpos._lower_products`).  Each path runs on the whole
+    batch as one stack: one flow of the frames, one stacked call for the
+    float lines and one for the exact lines, one :func:`chart_coords` per
+    path and one diagonal flow.  Returns both ``(count, dim - 1)`` stacks of
+    chart points, row k for sample k, with their max coordinate difference.
+    ``count`` below 1 raises ``ValueError``, since an empty sample would
+    certify nothing, and so does t < 0.
     """
-    single = isinstance(params, FactorizationParams)
-    batch = [params] if single else list(params)
-    if not batch:
-        raise ValueError("the commutation check needs at least one sample")
+    if count < 1:
+        raise ValueError(f"the commutation check needs count >= 1, got {count}")
     flow = DiagonalFlow.from_chart(chart)
-    scaled = [_scaled_product(p, "lower") for p in batch]
+    scaled = _lower_products(standard_word_w0(chart.rep.n), rng, count)
     frames = _acted_frames(np.array([linalg._float_of_scaled(*s) for s in scaled]), t)
-    p_acted = np.array([chart_coords(chart, line) for line in _float_lines(chart.rep, frames)])
-    p_flowed = np.array([flow_point(flow, t, chart_coords(chart, line)) for line in _scaled_lines(chart.rep, scaled)])
-    diff = float(np.max(np.abs(p_acted - p_flowed)))
-    if single:
-        p_acted, p_flowed = p_acted[0], p_flowed[0]
-    return {"acted": p_acted, "flowed": p_flowed, "max_diff": diff}
+    p_acted = chart_coords(chart, _float_lines(chart.rep, frames))
+    with np.errstate(over="ignore", under="ignore"):
+        p_flowed = _flowed(flow.rates, chart_coords(chart, _scaled_lines(chart.rep, scaled)), t)
+    return {"acted": p_acted, "flowed": p_flowed, "max_diff": float(np.max(np.abs(p_acted - p_flowed)))}
 
 
 # ---------------------------------------------------------------------------

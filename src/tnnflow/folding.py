@@ -23,7 +23,15 @@ import numpy as np
 from . import linalg
 from .chevalley import GroupElement, generator_sum_spectrum
 from .flow import _frame_gap, flag_frame
-from .totpos import FactorizationParams, ReducedWord, _rational_positive, _reduced, _scaled_product
+from .totpos import (
+    FactorizationParams,
+    ReducedWord,
+    _lower_product,
+    _mask_indices,
+    _positive_ratio,
+    _reduced,
+    _scaled_product,
+)
 
 __all__ = [
     "Folding",
@@ -135,6 +143,25 @@ def symmetric_word(n: int) -> tuple:
     return word, tuple(blocks)
 
 
+def _symmetric_ratios(blocks: tuple, rng: np.random.Generator, zero_blocks=None) -> list:
+    """Flip-symmetric parameters as int ratios ``(p, q)``, one per letter of the word whose
+    orbit ``blocks`` :func:`symmetric_word` gives.
+
+    One :func:`~tnnflow.totpos._positive_ratio` is drawn per folded letter,
+    by one ``rng.uniform()`` call, in block order, and copied across its orbit
+    block; the blocks of ``zero_blocks`` draw nothing and read ``(0, 1)``.  A
+    block index outside the blocks raises ``ValueError``.
+    """
+    zeroed = _mask_indices(() if zero_blocks is None else zero_blocks, len(blocks), "zero_blocks")
+    ratios = [(0, 1)] * sum(map(len, blocks))
+    for b, block in enumerate(blocks):
+        if b not in zeroed:
+            ratio = _positive_ratio(rng.uniform(-3.0, 3.0))
+            for pos in block:
+                ratios[pos] = ratio
+    return ratios
+
+
 def symmetric_params(
     n: int,
     rng: np.random.Generator,
@@ -144,18 +171,12 @@ def symmetric_params(
 
     One positive value is drawn per folded letter and copied across its
     orbit block, so the resulting lower-unipotent product is exactly fixed
-    by sigma.  ``zero_blocks`` pins whole blocks to zero (boundary samples).
+    by sigma.  ``zero_blocks`` pins whole blocks to zero (boundary samples);
+    a block index outside the blocks raises ``ValueError``.  This is the
+    ``Fraction`` view of the ratio draw :func:`_symmetric_ratios`.
     """
     word, blocks = symmetric_word(n)
-    vals = [Fraction(0)] * len(word)
-    zero_blocks = set(zero_blocks or ())
-    for b, block in enumerate(blocks):
-        if b in zero_blocks:
-            continue
-        c = _rational_positive(rng)
-        for pos in block:
-            vals[pos] = c
-    return FactorizationParams(word, tuple(vals))
+    return FactorizationParams(word, tuple(Fraction(p, q) for p, q in _symmetric_ratios(blocks, rng, zero_blocks)))
 
 
 def break_symmetry(params: FactorizationParams) -> FactorizationParams:
@@ -197,7 +218,10 @@ def fixed_locus_flow_check(
 ) -> dict:
     """Flowing a sigma-fixed flag keeps it sigma-fixed, at every sampled time.
 
-    Each sample is an exactly symmetric lower-unipotent factorization u.  At
+    Each sample is an exactly symmetric lower-unipotent factorization u,
+    drawn as int ratios (:func:`_symmetric_ratios`, whose ``Fraction`` view
+    is :func:`symmetric_params`) and multiplied out as column-scaled ints by
+    :func:`~tnnflow.totpos._lower_product`, with no ``Fraction`` built.  At
     t = 0 its flag is sigma-fixed iff sigma(u) == u exactly, by one fact:
 
     - for lower-unipotent u and v, flag(u) = flag(v) iff u^-1 v lies in
@@ -243,7 +267,7 @@ def fixed_locus_flow_check(
         if k % 3 == 1:  # mix boundary samples in
             size = int(rng.integers(1, len(blocks)))
             zero_blocks = rng.choice(len(blocks), size=size, replace=False).tolist()
-        u = _scaled_product(symmetric_params(n, rng, zero_blocks=zero_blocks), "lower")
+        u = _lower_product(word, _symmetric_ratios(blocks, rng, zero_blocks))
         su = _sigma_scaled(*u)
         if su != u:
             raise AssertionError("symmetric sampler produced a non-fixed element")

@@ -22,7 +22,7 @@ from .chevalley import exp_generator_sum, generator_sum_spectrum
 from .embedding import _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
 from .flow import DiagonalFlow, _frame_gaps, commutation_check, converge, flag_frame, invariance_check, log_contraction
 from .folding import build_folding, fixed_locus_flow_check
-from .totpos import Positivity, _scaled_product, is_tnn_matrix, sample_params, standard_word_w0
+from .totpos import Positivity, _lower_products, is_tnn_matrix, standard_word_w0
 
 __all__ = ["Case", "CASES", "GATES", "build_charts", "converged_starts", "fixed_point_gap", "run_suite"]
 
@@ -89,10 +89,8 @@ def _axioms(rows, charts, rng, count) -> dict:
 
 def _commutation(rows, charts, rng, count) -> dict:
     tol, cases = _the(row.tol for row in rows), []
-    words = {n: standard_word_w0(n) for n in dict.fromkeys(row.n for row in rows)}
     for row in rows:
-        batch = [sample_params(words[row.n], rng) for _ in range(count)]
-        worst = commutation_check(charts[row.n, row.J], batch, row.t)["max_diff"]
+        worst = commutation_check(charts[row.n, row.J], row.t, rng, count)["max_diff"]
         cases.append({"n": row.n, "J": list(row.J), "t": row.t, "samples": count, "worst": worst,
                       "passed": worst <= tol})
     return {"cases": cases, "tolerance": tol, "passed": all(case["passed"] for case in cases)}
@@ -139,13 +137,15 @@ def _exp_total_positivity(rows, charts, rng, count) -> dict:
 def converged_starts(chart, rng, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """``count`` lower-unipotent TP starts g in binary64, the time T at which
     :func:`~tnnflow.flow.converge` brings each chart point below norm 1e-9,
-    and whether every T is within its a priori bound.  Each start is multiplied out
-    once, as column-scaled ints, which give both its binary64 matrix and its line;
-    the lines of all starts come from one stacked call."""
+    and whether every T is within its a priori bound.  The starts are drawn at once
+    as int ratios, the stream of ``count`` :func:`~tnnflow.totpos.sample_params`
+    calls, and each is multiplied out once, as column-scaled ints
+    (:func:`~tnnflow.totpos._lower_products`), which give both its binary64 matrix
+    and its line; the lines of all starts come from one stacked call, and their
+    chart points from one :func:`~tnnflow.embedding.chart_coords`."""
     flow = DiagonalFlow.from_chart(chart)
-    word = standard_word_w0(chart.rep.n)
-    scaled = [_scaled_product(sample_params(word, rng), "lower") for _ in range(count)]
-    runs = [converge(flow, chart_coords(chart, line), tol=1e-9) for line in _scaled_lines(chart.rep, scaled)]
+    scaled = _lower_products(standard_word_w0(chart.rep.n), rng, count)
+    runs = [converge(flow, p, tol=1e-9) for p in chart_coords(chart, _scaled_lines(chart.rep, scaled))]
     starts = np.array([linalg._float_of_scaled(*s) for s in scaled])
     return starts, np.array([run.time for run in runs]), all(run.within_bound for run in runs)
 

@@ -2,8 +2,12 @@
 
 Positive elements are produced by factorizations along reduced words for the
 longest permutation, multiplied out exactly by one int column operation per
-letter, each column over its own denominator (``sample_positive`` is the
-``Fraction`` view of that int product); positivity of a given matrix is
+letter, each column over its own denominator, in one kernel that reads each
+parameter as an int ratio ``(p, q)``.  Random parameters are drawn as such
+ratios, the exact values of binary64 draws, and the verification gates feed
+a whole batch of them to the kernel with no ``Fraction`` built
+(``sample_params`` and ``sample_positive`` are the ``Fraction`` views of the
+draw and of the product); positivity of a given matrix is
 certified by the sign of every minor, all of them exact and taken as ints,
 one level of minors at a time, from the Laplace kernel
 ``tnnflow.linalg._minor_levels``, whose verdict and least minor come
@@ -26,6 +30,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -130,13 +135,21 @@ class FactorizationParams:
                 raise ValueError("torus parameters must be positive")
 
 
-def _rational_positive(rng: np.random.Generator) -> Fraction:
-    """A positive parameter, log-uniform over [e^-3, e^3], made exact.
+def _positive_ratio(x: float) -> tuple[int, int]:
+    """The exact ratio ``(p, q)`` of the binary64 e^x: a positive parameter from a draw x
+    uniform over [-3, 3], so log-uniform over [e^-3, e^3], spanning well- and
+    ill-conditioned regimes and exact, so every product of them is certifiable."""
+    return math.exp(x).as_integer_ratio()
 
-    The draw spans well- and ill-conditioned regimes; converting the binary64
-    value to its exact fraction keeps every downstream product certifiable.
-    """
-    return Fraction(*math.exp(rng.uniform(-3.0, 3.0)).as_integer_ratio())
+
+def _mask_indices(mask, size: int, name: str) -> set:
+    """The indices of ``mask`` as a set; one outside ``range(size)`` raises ``ValueError``
+    naming it, and one that is not an integer raises ``TypeError``."""
+    indices = {operator.index(k) for k in mask}
+    bad = sorted(k for k in indices if not 0 <= k < size)
+    if bad:
+        raise ValueError(f"{name} index {bad[0]} is not in range({size})")
+    return indices
 
 
 def sample_params(
@@ -149,20 +162,35 @@ def sample_params(
     """Draw random exact factorization parameters.
 
     ``zero_mask`` pins the chosen positions to zero, which lands the sample
-    on the boundary of the nonnegative part; ``group=True`` draws two
-    parameters per letter and the n-1 torus parameters, for an
-    upper*torus*lower product.  Each parameter is a :func:`_rational_positive`
-    draw; one ``rng.uniform`` call makes them all, in the same stream.
+    on the boundary of the nonnegative part; an index outside the parameters
+    raises ``ValueError``.  ``group=True`` draws two parameters per letter and
+    the n-1 torus parameters, for an upper*torus*lower product.  This is the
+    ``Fraction`` view of the ratio draw: one ``rng.uniform`` call makes every
+    draw, each parameter a :func:`_positive_ratio`, the stream that
+    :func:`_lower_products` reads for a whole batch.
     """
     count = (2 if group else 1) * len(word)
+    zeroed = _mask_indices(() if zero_mask is None else zero_mask, count, "zero_mask")
     # the torus is drawn even when unused, so the draws that follow on rng
     # (and the report bytes) do not depend on which product the caller forms
-    vals = [Fraction(*math.exp(x).as_integer_ratio()) for x in rng.uniform(-3.0, 3.0, count + word.n - 1).tolist()]
+    vals = [Fraction(*_positive_ratio(x)) for x in rng.uniform(-3.0, 3.0, count + word.n - 1).tolist()]
     vals, torus = vals[:count], tuple(vals[count:])
-    if zero_mask is not None:
-        for k in zero_mask:
-            vals[k] = Fraction(0)
+    for k in zeroed:
+        vals[k] = Fraction(0)
     return FactorizationParams(word, tuple(vals), torus if group else None)
+
+
+def _lower_products(word: ReducedWord, rng: np.random.Generator, count: int) -> list:
+    """``count`` lower-unipotent products along ``word`` as column-scaled ints ``(columns, scales)``.
+
+    One ``rng.uniform`` call draws the stream of ``count`` calls of
+    :func:`sample_params`, torus draws included, and leaves ``rng`` where they
+    leave it; each product is ``==`` to ``_scaled_product(sample_params(word,
+    rng), "lower")``, with no ``Fraction`` built on the way.
+    """
+    ell = len(word)
+    draws = rng.uniform(-3.0, 3.0, (count, ell + word.n - 1))[:, :ell].tolist()
+    return [_lower_product(word, map(_positive_ratio, row)) for row in draws]
 
 
 def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
@@ -202,21 +230,14 @@ def _exact_ratio(t) -> tuple[int, int]:
 def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]:
     """The product of :func:`sample_positive` as column-scaled ints ``(columns, scales)``.
 
-    Right multiplication by a factor is a column operation on the product so
-    far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
-    y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
-    column i-1 by s and column i by 1/s (columns counted from 0).  Every
-    parameter must be exact (float ones raise ``TypeError``, by
-    :func:`_exact_ratio`).  Column c is held as ``(ints, den)`` for the
-    column ``ints / den``, kept in lowest terms, so every step is int
-    arithmetic over a common denominator, and ``den`` is the LCM of the
-    column's denominators: ``columns[c]`` and ``scales[c]`` are what
-    :func:`tnnflow.linalg._scaled_columns` reads off the ``Fraction`` matrix.
+    The factors of ``side`` are mapped, each parameter through
+    :func:`_exact_ratio` (float ones raise ``TypeError``), into the one
+    column-operation kernel :func:`_column_product`.
     """
     n, ell = params.word.n, len(params.word)
 
     def along(kind, ts):
-        return [(kind, i, tk) for i, tk in zip(params.word.letters, ts)]
+        return [(kind, i, *_exact_ratio(tk)) for i, tk in zip(params.word.letters, ts)]
 
     # with 2 * ell parameters the lower factor takes the second half
     if side == "upper":
@@ -225,13 +246,35 @@ def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]
         steps = along("y", params.t[-ell:])
     elif side == "group":
         torus_ts = params.torus if params.torus is not None else (1,) * (n - 1)
-        coweights = [("coweight", i, s) for i, s in enumerate(torus_ts, 1)]
+        coweights = [("coweight", i, *_exact_ratio(s)) for i, s in enumerate(torus_ts, 1)]
         steps = along("x", params.t[:ell]) + coweights + along("y", params.t[-ell:])
     else:
         raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
-    ratios = [_exact_ratio(t) for _, _, t in steps]
+    return _column_product(n, steps)
+
+
+def _lower_product(word: ReducedWord, ratios) -> tuple[list, list]:
+    """The lower-unipotent product along ``word`` of the parameters ``p / q`` given as int
+    ratios ``(p, q)``, one per letter, as column-scaled ints (:func:`_column_product`)."""
+    return _column_product(word.n, [("y", i, p, q) for i, (p, q) in zip(word.letters, ratios)])
+
+
+def _column_product(n: int, steps) -> tuple[list, list]:
+    """The n x n product of the factors ``steps``, ``(kind, i, p, q)`` for the parameter
+    ``p / q >= 0`` (``q > 0``), as column-scaled ints ``(columns, scales)``.
+
+    Right multiplication by a factor is a column operation on the product so
+    far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
+    y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
+    column i-1 by s and column i by 1/s (columns counted from 0).  Column c
+    is held as ``(ints, den)`` for the column ``ints / den``, kept in lowest
+    terms, so every step is int arithmetic over a common denominator, and
+    ``den`` is the LCM of the column's denominators: ``columns[c]`` and
+    ``scales[c]`` are what :func:`tnnflow.linalg._scaled_columns` reads off
+    the ``Fraction`` matrix.
+    """
     cols = [([int(r == c) for r in range(n)], 1) for c in range(n)]
-    for (kind, i, _), (p, q) in zip(steps, ratios):
+    for kind, i, p, q in steps:
         if kind == "coweight":
             (a, da), (b, db) = cols[i - 1], cols[i]
             cols[i - 1] = _reduced([x * p for x in a], da * q)

@@ -30,7 +30,7 @@ from tnnflow.embedding import (
     line_of,
     weyl_dim,
 )
-from tnnflow.suite import CASES, GATES
+from tnnflow.suite import CASES, GATES, build_charts
 from tnnflow.totpos import FactorizationParams, _scaled_product, sample_params, sample_positive, standard_word_w0
 
 
@@ -509,6 +509,35 @@ def test_chart_overflow():
     vec = _eigvecs(chart)[:, 3]
     with pytest.raises(ChartOverflowError):
         chart_coords(chart, vec)
+
+
+def test_chart_coords_of_a_stack_are_each_lines_own():
+    """A stack of lines charts row by row, each row bit for bit the point of its
+    line alone and the quotient of its matvec with ``eigvecs_inv``, on every
+    chart the verify gates build and at (5, ()), dim 1024."""
+    rng = np.random.default_rng(28)
+    for chart in (*build_charts(CASES).values(), eigenchart(build_rep(lambda_for(5, ())))):
+        lines = rng.standard_normal((9, chart.rep.dim)) * 10.0 ** rng.uniform(-8, 8, (9, 1))
+        got = chart_coords(chart, lines)
+        assert got.shape == (9, chart.ncoords)
+        for line, row in zip(lines, got):
+            a = chart.eigvecs_inv @ line
+            assert row.tobytes() == chart_coords(chart, line).tobytes() == (a[1:] / a[0]).tobytes()
+
+
+def test_chart_coords_refuses_a_stack_with_one_bad_row(chart3):
+    """One line at the equator, or one zero line, refuses the whole stack, as it does alone."""
+    lines = np.array([_eigvecs(chart3) @ np.concatenate([[1.0], p]) for p in np.eye(chart3.ncoords)[:4]])
+    assert np.all(np.isfinite(chart_coords(chart3, lines)))
+    for k in range(len(lines)):
+        equator = lines.copy()
+        equator[k] = _eigvecs(chart3)[:, 3]
+        with pytest.raises(ChartOverflowError):
+            chart_coords(chart3, equator)
+        zero = lines.copy()
+        zero[k] = 0.0
+        with pytest.raises(ValueError, match="zero vector"):
+            chart_coords(chart3, zero)
 
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, ()), (5, (1, 4))])

@@ -197,10 +197,8 @@ def test_fixed_flag_matches_closed_form(pin3):
 
 
 def test_commutation_paths_agree(chart3, rng):
-    word = standard_word_w0(3)
     for t in (0.1, 1.0):
-        params = sample_params(word, rng)
-        result = commutation_check(chart3, params, t)
+        result = commutation_check(chart3, t, rng, 1)
         assert result["max_diff"] < 1e-9
 
 
@@ -209,10 +207,9 @@ def test_commutation_holds_at_large_t(n, J):
     """Acting on the flowed frame agrees with the chart flow at t = 4 and 8,
     where a product exp(t tau) g loses the small coordinates (up to 5e-2)."""
     chart = eigenchart(build_rep(lambda_for(n, J)))
-    word = standard_word_w0(n)
     rng = np.random.default_rng([n, len(J)])
     for t in (4.0, 8.0):
-        result = commutation_check(chart, [sample_params(word, rng) for _ in range(20)], t)
+        result = commutation_check(chart, t, rng, 20)
         assert result["max_diff"] <= 1e-9 * np.max(np.abs(result["flowed"])), (t, result["max_diff"])
 
 
@@ -236,7 +233,7 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
     monkeypatch.setattr(flow_module, "flag_frame", flowed)
     monkeypatch.setattr(flow_module, "_float_lines", embedded)
     monkeypatch.setattr(flow_module, "flag_minors", minored)
-    commutation_check(chart3, [sample_params(standard_word_w0(3), rng) for _ in range(4)], 1.0)
+    commutation_check(chart3, 1.0, rng, 4)
     assert stacks == [("flow", (4, 3, 3)), ("embed", (4, 3, 3))]
     invariance_check(3, (), 0.1, rng, count=5)
     assert stacks[2:] == [("flow", (5, 3, 3)), ("minors", (6, 3, 3))]
@@ -247,7 +244,7 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
 def test_checks_refuse_negative_time(chart3, rng):
     """The gates flow forward only, although their frames could go back on the reversed spectrum."""
     with pytest.raises(ValueError, match="t must be >= 0"):
-        commutation_check(chart3, sample_params(standard_word_w0(3), rng), -0.1)
+        commutation_check(chart3, -0.1, rng, 1)
     with pytest.raises(ValueError, match="t must be >= 0"):
         invariance_check(3, (), -0.1, rng, count=2)
 
@@ -322,17 +319,29 @@ def test_invariance_check_refuses_an_empty_sample(rng, count):
         invariance_check(3, (), 0.1, rng, count=count)
 
 
-def test_commutation_check_takes_a_batch(chart3):
-    """A batch gives each sample's points as rows, the same as one call per sample."""
-    word = standard_word_w0(3)
-    batch = [sample_params(word, np.random.default_rng(k)) for k in range(3)]
-    result = commutation_check(chart3, batch, 1.0)
-    singles = [commutation_check(chart3, params, 1.0) for params in batch]
-    assert result["max_diff"] == max(r["max_diff"] for r in singles)
-    for key in ("acted", "flowed"):
-        assert np.array_equal(result[key], np.array([r[key] for r in singles]))
-    with pytest.raises(ValueError):
-        commutation_check(chart3, [], 1.0)
+@pytest.mark.parametrize("n, J", [(3, ()), (4, (2,))])
+def test_commutation_check_of_k_samples_is_k_checks_of_one(n, J, chart3, chart42):
+    """One call with count k draws the stream of k calls with count 1 and gives each
+    sample's points as rows, bit for bit, and leaves the generator where they leave it.
+    Each row is the sample's own: the points of its ``sample_params`` draw, embedded
+    exactly, charted and flowed on their own."""
+    chart = {3: chart3, 4: chart42}[n]
+    flow = DiagonalFlow.from_chart(chart)
+    for k, t in ((1, 0.1), (5, 1.0), (12, 4.0)):
+        rng, oracle, drawn = (np.random.default_rng([n, k, 28]) for _ in range(3))
+        result = commutation_check(chart, t, rng, k)
+        singles = [commutation_check(chart, t, oracle, 1) for _ in range(k)]
+        assert result["max_diff"] == max(r["max_diff"] for r in singles)
+        for key in ("acted", "flowed"):
+            assert result[key].shape == (k, chart.ncoords)
+            assert result[key].tobytes() == np.concatenate([r[key] for r in singles]).tobytes(), key
+        for row in result["flowed"]:
+            line = line_of(chart.rep, sample_params(standard_word_w0(n), drawn), "lower")
+            assert row.tobytes() == flow_point(flow, t, chart_coords(chart, line)).tobytes()
+        assert rng.uniform() == oracle.uniform() == drawn.uniform()
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count"):
+            commutation_check(chart, 1.0, np.random.default_rng(0), count)
 
 
 def test_invariance_all_cases(rng):

@@ -1,6 +1,7 @@
 """The diagram flip of SL(n): signs, fixed flags, and flow compatibility."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from tnnflow.folding import (
     _flowed_frames,
     _frame_gap,
     _sigma_scaled,
+    _symmetric_ratios,
     apply_group,
     break_symmetry,
     build_folding,
@@ -29,7 +31,7 @@ from tnnflow.folding import (
     symmetric_params,
     symmetric_word,
 )
-from tnnflow.totpos import _scaled_product, sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import _lower_product, _scaled_product, sample_params, sample_positive, standard_word_w0
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +155,34 @@ def test_symmetric_params_are_tied(rng):
         vals = {params.t[k] for k in block}
         assert len(vals) == 1
         assert all(v > 0 for v in vals)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_symmetric_ratio_draw_is_the_fraction_draw(n):
+    """The int ratios the fold gate multiplies out give the product of
+    ``symmetric_params`` on the same stream, boundary blocks included; both
+    draw one scalar ``rng.uniform`` per block that is not zeroed, in block
+    order, and leave the generator where those draws leave it."""
+    word, blocks = symmetric_word(n)
+    for zero_blocks in (None, [0], [len(blocks) - 1], list(range(1, len(blocks), 2))):
+        rng, fractions, oracle = (np.random.default_rng([n, 28]) for _ in range(3))
+        u = _lower_product(word, _symmetric_ratios(blocks, rng, zero_blocks))
+        params = symmetric_params(n, fractions, zero_blocks=zero_blocks)
+        assert u == _scaled_product(params, "lower")
+        want = [Fraction(0)] * len(word)
+        for b, block in enumerate(blocks):
+            if b not in (zero_blocks or ()):
+                c = Fraction(*math.exp(oracle.uniform(-3.0, 3.0)).as_integer_ratio())
+                want = [c if pos in block else v for pos, v in enumerate(want)]
+        assert params.t == tuple(want)
+        assert rng.uniform() == fractions.uniform() == oracle.uniform()
+
+
+def test_symmetric_params_refuses_a_block_index_outside_the_blocks():
+    """An index past the blocks, or a negative one, raises ``ValueError`` naming it."""
+    for bad in (99, 4, -1):
+        with pytest.raises(ValueError, match=f"zero_blocks index {bad} "):
+            symmetric_params(4, np.random.default_rng(0), zero_blocks=[1, bad])
 
 
 def test_symmetric_samples_are_exactly_fixed(fold4, rng):

@@ -15,7 +15,7 @@ from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, one_param, build_pi
 from tnnflow.totpos import (
     FactorizationParams,
     _least_minor,
-    _rational_positive,
+    _lower_products,
     _scaled_product,
     Membership,
     Positivity,
@@ -366,20 +366,48 @@ def test_scaled_product_is_the_scaled_columns_of_the_fraction_product(n):
 
 @pytest.mark.parametrize("seed", [0, 7, 23])
 def test_sample_params_draws_the_stream_of_scalar_draws(seed):
-    """One vector draw gives the Fractions of one scalar :func:`_rational_positive`
-    draw per parameter, t first and then the torus, and leaves the generator
-    where the scalar draws leave it."""
+    """One vector draw gives the exact value of e^x for one scalar draw x per
+    parameter, t first and then the torus, and leaves the generator where the
+    scalar draws leave it."""
     word = standard_word_w0(4)
     ell = len(word)
+
+    def scalar(oracle):
+        return Fraction(*math.exp(oracle.uniform(-3.0, 3.0)).as_integer_ratio())
+
     for group, mask in ((False, None), (True, None), (False, [0, 3]), (True, [1, ell + 2])):
         rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
         params = sample_params(word, rng, zero_mask=mask, group=group)
-        vals = [_rational_positive(oracle) for _ in range((2 if group else 1) * ell)]
-        torus = tuple(_rational_positive(oracle) for _ in range(word.n - 1))
+        vals = [scalar(oracle) for _ in range((2 if group else 1) * ell)]
+        torus = tuple(scalar(oracle) for _ in range(word.n - 1))
         for k in mask or ():
             vals[k] = Fraction(0)
         assert params.t == tuple(vals) and params.torus == (torus if group else None)
         assert rng.uniform() == oracle.uniform()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_lower_products_are_the_products_of_sequential_draws(n):
+    """One batch draw multiplies out, as int ratios, the products of ``count``
+    sequential ``sample_params`` draws, and leaves the generator where they leave it."""
+    word = standard_word_w0(n)
+    for seed, count in ((n, 1), (n + 10, 6)):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _lower_products(word, rng, count)
+        assert got == [_scaled_product(sample_params(word, oracle), "lower") for _ in range(count)]
+        assert rng.uniform() == oracle.uniform()
+
+
+def test_sample_params_refuses_a_mask_index_outside_the_parameters():
+    """A negative index, or one past the parameters, raises ``ValueError`` naming it,
+    before anything is drawn; the last index of a two-half draw is still in range."""
+    word = standard_word_w0(3)
+    for group, bad in ((False, -1), (False, 3), (True, 6), (True, -4)):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"zero_mask index {bad} "):
+            sample_params(word, rng, zero_mask=[0, bad], group=group)
+        assert rng.uniform() == np.random.default_rng(0).uniform()
+    assert sample_params(word, np.random.default_rng(0), zero_mask=[5], group=True).t[5] == 0
 
 
 def test_sample_positive_rejects_unknown_side():
