@@ -53,8 +53,10 @@ COMMANDS = [
     ["sample", "--n", "3", "--count", "3"],
     ["sample", "--n", "6", "--side", "group", "--count", "3", "--seed", "0"],
     ["sample", "--n", "6", "--side", "lower", "--count", "3", "--seed", "0"],
-    # past n = 6, where the big ints of the all-minors pass dominate
+    # past n = 6, certified from their solid minors; the upper side by its interval minors
     ["sample", "--n", "8", "--side", "group", "--count", "1", "--seed", "3"],
+    ["sample", "--n", "10", "--side", "group", "--count", "1", "--seed", "3"],
+    ["sample", "--n", "4", "--side", "upper", "--count", "2", "--seed", "1"],
     ["flow", "--t=-1e4", "--seed", "3"],
     ["cells", "--format", "json"],
     # cells reads no seed: the parser refuses the flag

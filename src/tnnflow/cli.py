@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .cells import (
     census_payload,
     census_verdict,
@@ -50,7 +51,8 @@ from .serialize import dumps_canonical, encode_tree
 from .suite import run_suite
 from .totpos import (
     Positivity,
-    certify_minors,
+    _certificate,
+    _scaled_product,
     sample_params,
     sample_positive,
     sl3_coords,
@@ -238,6 +240,11 @@ def cmd_pinning(cfg: RunConfig, args) -> int:
     return 0
 
 
+# the record key of a sample's margin, by the minors it is the least of: a group
+# sample certified by its solid minors alone carries the least solid minor
+_MARGIN_KEYS = {"solid": "min_solid_minor", "all": "min_minor"}
+
+
 def cmd_sample(cfg: RunConfig, args) -> int:
     side = args.side
     rng = np.random.default_rng(cfg.seed)
@@ -246,16 +253,16 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     all_certified = True
     for k in range(cfg.count):
         params = sample_params(word, rng, group=(side == "group"))
-        g = sample_positive(params, side)
-        verdict, least = certify_minors(g)
+        scaled = _scaled_product(params, side)
+        verdict, margin, minors = _certificate(*scaled)
         record = {
             "index": k,
             "side": side,
             "word": list(word.letters),
             "params": list(params.t),
-            "matrix": g.entries,
+            "matrix": linalg._fraction_of_scaled(*scaled),
             "positivity": verdict,
-            "min_minor": least,
+            _MARGIN_KEYS[minors]: margin,
         }
         if params.torus is not None:
             record["torus"] = list(params.torus)

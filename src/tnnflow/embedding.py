@@ -433,9 +433,12 @@ def chart_coords(chart: EigenChart, lines: np.ndarray) -> np.ndarray:
     row raises ``ValueError``.
     """
     a = np.matmul(chart.eigvecs_inv, np.asarray(lines, dtype=np.float64)[..., None])[..., 0]
-    scale = np.sqrt((a * a).sum(axis=-1))
-    if (scale == 0.0).any():
+    # the equator test on each row over its largest |component|, whose squares
+    # neither overflow nor underflow
+    largest = np.abs(a).max(axis=-1, keepdims=True)
+    if (largest == 0.0).any():
         raise ValueError("zero vector does not span a line")
-    if (np.abs(a[..., 0]) <= 1e-13 * scale).any():
+    r = a / largest
+    if (np.abs(r[..., 0]) <= 1e-13 * np.sqrt((r * r).sum(axis=-1))).any():
         raise ChartOverflowError("line lies on the chart's hyperplane at infinity")
     return a[..., 1:] / a[..., :1]

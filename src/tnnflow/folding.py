@@ -90,12 +90,33 @@ def _sigma_scaled(columns: list, scales: list) -> tuple[list, list]:
     and entry (a, b) signed (-1)^(a+b): column b of sigma(u) is row n-1-b of
     the int rows, reversed and signed, over d.  Each column is reduced to
     lowest terms, the form :func:`~tnnflow.totpos._scaled_product` returns, so
-    sigma(u) == u exactly iff the two pairs are equal.
+    sigma(u) == u exactly iff the two pairs are equal.  The fold gate takes it
+    for its de-symmetrized control only; its samples are decided by
+    :func:`_preserves_form`, with no inverse.
     """
     rows, d = linalg._scaled_inverse(columns, scales)
     n = len(rows)
     sigma = [_reduced([-x if (a + b) % 2 else x for a, x in enumerate(rows[n - 1 - b][::-1])], d) for b in range(n)]
     return [column for column, _ in sigma], [den for _, den in sigma]
+
+
+def _preserves_form(columns: list, scales: list) -> bool:
+    """sigma(u) == u, for u with column c ``columns[c] / scales[c]``, decided as u^T S u == S.
+
+    sigma(u) = S u^-T S^T equals u iff u^T S^T u S = 1, that is (S being a
+    signed permutation, S^T = S^-1) iff u preserves the bilinear form of S.
+    With u = M diag(e)^-1 for the int matrix M, that is M^T S M = diag(e) S
+    diag(e), an identity of ints: S M is M with its rows reversed and row r
+    signed (-1)^r, and entry (a, n-1-a) of the right side is (-1)^a e_a
+    e_{n-1-a}.  No inverse is taken.
+    """
+    n = len(columns)
+    m = np.array(columns, dtype=object).reshape(n, n).T
+    signs = np.array([(-1) ** r for r in range(n)], dtype=object)
+    e = np.array(scales, dtype=object)
+    form = np.zeros((n, n), dtype=object)
+    form[np.arange(n), np.arange(n)[::-1]] = signs * e * e[::-1]
+    return bool((m.T @ (signs[:, None] * m[::-1]) == form).all())
 
 
 def build_folding(n: int) -> Folding:
@@ -229,17 +250,20 @@ def fixed_locus_flow_check(
       {1}; that is, iff u = v;
     - sigma maps U- to U-, since sigma(y_i(t)) = y_{n-i}(t).
 
-    So the t = 0 check is the exact element equality the loop makes.  For
-    t > 0 the flag of exp(t tau) u is compared against its sigma image within
-    ``tol``, as the largest sine of a principal angle between the two flags
+    So the t = 0 check is the exact element equality the loop makes, decided
+    on the column-scaled ints of u as the identity u^T S u = S
+    (:func:`_preserves_form`), with no inverse taken.  For t > 0 the flag of
+    exp(t tau) u is compared against its sigma image within ``tol``, as the
+    largest sine of a principal angle between the two flags
     (:func:`_frame_gap`), which is scale-invariant.  The image is evaluated
     through exact group identities -- sigma(exp(t tau) u) = S exp(-t tau) S^T
-    sigma(u) with sigma(u) computed exactly, on the column-scaled ints of u
-    (:func:`_sigma_scaled`), where the t = 0 equality is also decided.
-    Neither side forms the product, whose condition number reaches ~1e12
-    at t = 5: each is one closed-form row scaling of an orthonormal frame
-    and one QR, with no steps, and the sigma side is (S P) diag(e^{-t d})
-    (S P)^T applied to sigma(u), its spectrum -d reversed to stay descending
+    sigma(u), where sigma(u) = u for a fixed sample, so its sigma side flows
+    u's own floats; only the control, which is not fixed, takes sigma(u)
+    exactly (:func:`_sigma_scaled`).  Neither side forms the product, whose
+    condition number reaches ~1e12 at t = 5: each is one closed-form row
+    scaling of an orthonormal frame and one QR, with no steps, and the sigma
+    side is (S P) diag(e^{-t d}) (S P)^T applied to sigma(u), its spectrum -d
+    reversed to stay descending
     (:func:`_flowed_frames`).  All samples are drawn first and then flowed
     as one stack per time and side; the witness is the first failing
     (sample, time) in sample order.  A deliberately de-symmetrized sample
@@ -255,30 +279,27 @@ def fixed_locus_flow_check(
     word, blocks = symmetric_word(n)
     s = linalg.to_float(folding.s_matrix)
 
-    def flag_gaps(us, sus) -> dict:
-        """For each time, the fold gaps of a stack of elements against their sigma images."""
-        uf = np.array([linalg._float_of_scaled(*u) for u in us])
-        suf = np.array([linalg._float_of_scaled(*su) for su in sus])
+    def flag_gaps(uf, suf) -> dict:
+        """For each time, the fold gaps of a stack of float elements against their sigma images."""
         return {t: _frame_gap(*_flowed_frames(s, t, uf, suf)) for t in times}
 
-    us, sus = [], []
+    us = []
     for k in range(count):
         zero_blocks = None
         if k % 3 == 1:  # mix boundary samples in
             size = int(rng.integers(1, len(blocks)))
             zero_blocks = rng.choice(len(blocks), size=size, replace=False).tolist()
         u = _lower_product(word, _symmetric_ratios(blocks, rng, zero_blocks))
-        su = _sigma_scaled(*u)
-        if su != u:
+        if not _preserves_form(*u):
             raise AssertionError("symmetric sampler produced a non-fixed element")
         us.append(u)
-        sus.append(su)
 
     # negative control, drawn after the samples
     u_bad = _scaled_product(break_symmetry(symmetric_params(n, rng)), "lower")
     su_bad = _sigma_scaled(*u_bad)
 
-    gaps = flag_gaps(us, sus)
+    uf = np.array([linalg._float_of_scaled(*u) for u in us])
+    gaps = flag_gaps(uf, uf)
     worst = 0.0
     all_fixed = True
     witness = None
@@ -290,9 +311,8 @@ def fixed_locus_flow_check(
                 all_fixed = False
                 witness = witness or {"sample": k, "time": t, "gap": gap}
 
-    control_broken = su_bad != u_bad and all(
-        g[0] > 1e-6 for g in flag_gaps([u_bad], [su_bad]).values()
-    )
+    bad = [np.array([linalg._float_of_scaled(*x)]) for x in (u_bad, su_bad)]
+    control_broken = su_bad != u_bad and all(g[0] > 1e-6 for g in flag_gaps(*bad).values())
 
     return {
         "n": n,

@@ -26,6 +26,9 @@ only compare minors (``tnnflow.totpos``) read its ints directly,
 :func:`all_minors` is its ``Fraction`` view, and with ``leading`` it
 restricts each level to the leading columns, which the line embedding
 reads, a whole stack of exact flags at once, with no ``Fraction`` built.
+The solid minors alone (contiguous rows and columns), which decide total
+positivity, come a level at a time from the condensation kernel
+:func:`_solid_levels` on the same ints.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ def _scaled_columns(a) -> tuple[list, list]:
 def _float_of_scaled(columns: list, scales: list) -> np.ndarray:
     """The binary64 matrix ``columns[c][r] / scales[c]``: int true division rounds as ``to_float`` does."""
     return np.array([[x / e for x, e in zip(row, scales)] for row in zip(*columns)])
+
+
+def _fraction_of_scaled(columns: list, scales: list) -> np.ndarray:
+    """The exact matrix ``columns[c][r] / scales[c]``: one ``Fraction`` per entry, in an object array."""
+    return np.array([[Fraction(x, e) for x, e in zip(row, scales)] for row in zip(*columns)], dtype=object)
 
 
 def _bareiss(m: list, jordan: bool) -> tuple[int, int]:
@@ -240,6 +248,36 @@ def _minor_levels(ints: np.ndarray, scales: np.ndarray, kmax: int | None = None,
         dens = dens[:, heads] * scales[:, lasts]
         yield level, dens
         prev = level
+
+
+def _solid_levels(ints: np.ndarray, lower: bool = False):
+    """Yield the solid minors of an (n, m) object array of Python ints, one level at a time.
+
+    Level k = 1..min(n, m) is the (n-k+1, m-k+1) object array whose entry
+    [i, j] is the k-minor on the rows i..i+k-1 and the columns j..j+k-1.
+    Level k+1 comes from levels k and k-1 (level 0 is all ones) by
+    Desnanot-Jacobi condensation (Dodgson),
+
+        (L[:-1, :-1] * L[1:, 1:] - L[:-1, 1:] * L[1:, :-1]) // P[1:-1, 1:-1],
+
+    four object-array multiplies and one exact division.  The walk goes on only
+    while every minor it would divide by is positive, so it never divides by
+    zero: a caller that stops at the first level holding a minor <= 0 sees
+    every level up to it.  With ``lower`` the matrix must be lower triangular:
+    its solid minors with i < j are then 0, and only those with i >= j are
+    divided and must be positive for the walk to go on.
+    """
+    n, m = ints.shape
+    below, level = np.ones((n + 1, m + 1), dtype=object), ints
+    for k in range(1, min(n, m) + 1):
+        if k > 1:
+            divisor = below[1:-1, 1:-1]
+            if lower:
+                divisor = np.where(np.tri(*divisor.shape, dtype=bool), divisor, 1)
+            if not (divisor > 0).all():
+                return
+            level, below = (level[:-1, :-1] * level[1:, 1:] - level[:-1, 1:] * level[1:, :-1]) // divisor, level
+        yield level
 
 
 def all_minors(a: np.ndarray):

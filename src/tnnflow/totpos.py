@@ -7,12 +7,15 @@ parameter as an int ratio ``(p, q)``.  Random parameters are drawn as such
 ratios, the exact values of binary64 draws, and the verification gates feed
 a whole batch of them to the kernel with no ``Fraction`` built
 (``sample_params`` and ``sample_positive`` are the ``Fraction`` views of the
-draw and of the product); positivity of a given matrix is
-certified by the sign of every minor, all of them exact and taken as ints,
-one level of minors at a time, from the Laplace kernel
-``tnnflow.linalg._minor_levels``, whose verdict and least minor come
-together; the early exit is the first negative minor of a level, in
-row-major order.  A flag, exact or float, is carried by any matrix whose
+draw and of the product).  Positivity of a given matrix is
+certified exactly on its column-scaled ints, first by its solid minors alone,
+a level at a time from the condensation kernel
+``tnnflow.linalg._solid_levels``: all positive is total positivity (Fekete),
+a negative one rules out nonnegativity, and a triangular matrix is decided
+by the interval minors of Fomin and Zelevinsky.  Any other matrix goes to
+the sign of every minor, one level at a time from the Laplace kernel
+``tnnflow.linalg._minor_levels``, which :func:`certify_minors` always walks
+and keeps as the oracle.  A flag, exact or float, is carried by any matrix whose
 leading columns span it: a group element, or in float work an orthonormal
 frame, whose flag minors :func:`flag_minors` takes for a whole stack at once.
 For the complete SL(3) flag variety we expose the classical six-coordinate
@@ -203,10 +206,8 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
     reads the first half and ``'lower'`` the second.  This is the
     ``Fraction`` view, one per entry, of the int product :func:`_scaled_product`.
     """
-    columns, scales = _scaled_product(params, side)
-    rows = [[Fraction(x, e) for x, e in zip(row, scales)] for row in zip(*columns)]
     # unipotent and coweight factors all have determinant 1
-    return GroupElement._det_one(np.array(rows, dtype=object))
+    return GroupElement._det_one(linalg._fraction_of_scaled(*_scaled_product(params, side)))
 
 
 def _reduced(column: list, den: int) -> tuple[list, int]:
@@ -288,33 +289,106 @@ def _column_product(n: int, steps) -> tuple[list, list]:
     return [a for a, _ in cols], [da for _, da in cols]
 
 
-def _least_minor(g, *, stop_below_zero: bool) -> Fraction:
-    """The least minor of an exact matrix, walked level by level on the ints of the minor kernel.
-
-    A k-minor on columns C is ``s / den`` for an int ``s`` and the product
-    ``den`` of the column scales of C, so within one column set the least
-    ``s`` gives the least minor, by plain int comparison.  The per-set
-    winners are compared exactly by cross-multiplying, ``s * den' < s' * den``:
-    one comparison per column set, and one ``Fraction`` for the answer.  With
-    ``stop_below_zero`` the walk ends at the first level holding a negative
-    ``s`` and returns its first negative minor in row-major order (rows, then
-    columns), which decides the sign rule alone.
-    """
+def _exact_columns(g) -> tuple[list, list]:
+    """The column-scaled ints ``(columns, scales)`` of an exact matrix or group element;
+    float entries raise ``TypeError``."""
     entries = g.entries if isinstance(g, GroupElement) else g
     if not linalg.is_rational_array(entries):
         raise TypeError("exact entries required; rationalize float input first")
+    return linalg._scaled_columns(entries)
+
+
+def _least_ratio(least, pairs) -> tuple | None:
+    """The least of ``least`` and the ratios ``s / den`` of ``pairs`` (each ``den > 0``), as
+    ``(s, den)``, compared exactly by cross-multiplying, ``s * den' < s' * den``;
+    ``least`` is None before the first pair."""
+    for s, den in pairs:
+        if least is None or s * least[1] < least[0] * den:
+            least = (s, den)
+    return least
+
+
+def _least_minor(columns: list, scales: list, *, stop_below_zero: bool) -> Fraction:
+    """The least minor of the matrix with column c ``columns[c] / scales[c]``, walked level by
+    level on the ints of the minor kernel.
+
+    A k-minor on columns C is ``s / den`` for an int ``s`` and the product
+    ``den`` of the column scales of C, so within one column set the least
+    ``s`` gives the least minor, by plain int comparison; the per-set winners
+    are compared by :func:`_least_ratio`, one comparison per column set, and
+    one ``Fraction`` is built for the answer.  With ``stop_below_zero`` the
+    walk ends at the first level holding a negative ``s`` and returns its
+    first negative minor in row-major order (rows, then columns), which
+    decides the sign rule alone.
+    """
     least = None  # (s, den) of the least minor so far
-    for values, dens in linalg._minor_levels(*linalg._scaled_stack([linalg._scaled_columns(entries)])):
+    for values, dens in linalg._minor_levels(*linalg._scaled_stack([(columns, scales)])):
         values, dens = values[0], dens[0]
         if stop_below_zero:
             negative = np.flatnonzero(values < 0)
             if negative.size:
                 r, c = divmod(int(negative[0]), values.shape[1])
                 return Fraction(values[r, c], dens[c])
-        for s, den in zip(values.min(axis=0).tolist(), dens.tolist()):
-            if least is None or s * least[1] < least[0] * den:
-                least = (s, den)
+        least = _least_ratio(least, zip(values.min(axis=0).tolist(), dens.tolist()))
     return Fraction(*least)
+
+
+def _solid_verdict(columns: list, scales: list) -> tuple[Positivity | None, Fraction | None]:
+    """The verdict and margin that solid minors decide alone, for the matrix with column c
+    ``columns[c] / scales[c]``; ``(None, None)`` where they do not.
+
+    The solid minors of the column-scaled ints come a level at a time from
+    :func:`linalg._solid_levels`, and the walk stops at the first level
+    holding a minor <= 0:
+
+    - A square triangular matrix, n >= 2, is TNN with least minor exactly 0 iff
+      its solid minors on or below the diagonal (above, if upper triangular)
+      are positive: for a lower one that is ``u diag(e)`` with u lower
+      unitriangular, those minors hold the n(n-1)/2 interval minors
+      Delta_{[j+1, j+k], [1, k]} of u, which put u in U-_{>0}
+      (Fomin-Zelevinsky, Math. Intelligencer 2000).  An upper triangular
+      matrix is walked through its transpose.
+    - Otherwise every solid minor positive gives TOTALLY_POSITIVE (Fekete).
+      The margin is the least solid minor: the least int per column start,
+      where the minors share the denominator, the product of the scales of
+      their columns, then the winners compared by :func:`_least_ratio`.
+    - A negative minor on either walk gives ``(NEITHER, None)``; a zero one
+      leaves the verdict to the walk over all minors.
+    """
+    m = len(columns)
+    n = len(columns[0]) if m else 0
+    ints, lower = np.array(columns, dtype=object).reshape(m, n).T, False
+    if n == m >= 2:
+        if not any(x for c, column in enumerate(columns) for x in column[:c]):
+            lower = True
+        elif not any(x for c, column in enumerate(columns) for x in column[c + 1 :]):
+            ints, lower = ints.T, True
+    least, dens = None, [1] * (m + 1)
+    for k, level in enumerate(linalg._solid_levels(ints, lower), 1):
+        rows = level.tolist()
+        low = min(x for i, row in enumerate(rows) for x in (row[: i + 1] if lower else row))
+        if low <= 0:
+            return (Positivity.NEITHER if low < 0 else None), None
+        if not lower:
+            dens = [d * e for d, e in zip(dens, scales[k - 1 :])]
+            least = _least_ratio(least, zip(map(min, zip(*rows)), dens))
+    return (Positivity.TOTALLY_NONNEGATIVE, Fraction(0)) if lower else (Positivity.TOTALLY_POSITIVE, Fraction(*least))
+
+
+def _certificate(columns: list, scales: list) -> tuple[Positivity, Fraction, str]:
+    """``(verdict, margin, minors)`` for the matrix with column c ``columns[c] / scales[c]``.
+
+    The verdict is :func:`certify_minors`'.  ``minors`` says which minors the
+    margin is the least of: ``"solid"`` when every solid minor is positive
+    (TOTALLY_POSITIVE, from :func:`_solid_verdict`), else ``"all"``: 0 for a
+    triangular matrix the solid minors certify TNN, and otherwise the least
+    minor of the walk over all minors (:func:`_least_minor`).
+    """
+    verdict, margin = _solid_verdict(columns, scales)
+    if margin is None:
+        margin = _least_minor(columns, scales, stop_below_zero=False)
+        return _positivity(margin), margin, "all"
+    return verdict, margin, "solid" if verdict is Positivity.TOTALLY_POSITIVE else "all"
 
 
 def _positivity(least_minor) -> Positivity:
@@ -329,23 +403,32 @@ def is_tnn_matrix(g) -> Positivity:
 
     Requires exact rational entries; run floats through
     ``linalg.rationalize`` first so that the verdict is a certificate.  The
-    minors come one level at a time, smallest first, from the integer Laplace
-    kernel behind :func:`tnnflow.linalg.all_minors`, each as a scaled int ``s``
-    over the positive product of its columns' denominators; the sign of ``s``
-    is the sign of the minor, and the walk stops at the first level holding a
-    negative one.  No ``Fraction`` is built on the way.
+    solid minors decide it first, a level at a time on the column-scaled ints,
+    by condensation (:func:`_solid_verdict`): all positive is
+    TOTALLY_POSITIVE, a negative one is NEITHER, and a triangular matrix whose
+    solid minors on its side of the diagonal are positive is
+    TOTALLY_NONNEGATIVE.  Otherwise the minors of every size come one level at
+    a time from the integer Laplace kernel behind
+    :func:`tnnflow.linalg.all_minors`, and that walk stops at the first level
+    holding a negative one.  No ``Fraction`` is built on the way.
     """
-    return _positivity(_least_minor(g, stop_below_zero=True))
+    columns, scales = _exact_columns(g)
+    verdict, _ = _solid_verdict(columns, scales)
+    if verdict is None:
+        verdict = _positivity(_least_minor(columns, scales, stop_below_zero=True))
+    return verdict
 
 
 def certify_minors(g) -> tuple[Positivity, Fraction]:
     """``(verdict, least minor)`` of an exact matrix, from one pass over all minors.
 
     The verdict is the one :func:`is_tnn_matrix` gives; the least minor is
-    taken over every minor, so this walk has no early exit.  It keeps the
-    least scaled int of each column set and builds one ``Fraction``.
+    taken over every minor, so this walk has no early exit and reads no solid
+    minor first: it is the oracle the condensation certificate is tested
+    against.  It keeps the least scaled int of each column set and builds one
+    ``Fraction``.
     """
-    least = _least_minor(g, stop_below_zero=False)
+    least = _least_minor(*_exact_columns(g), stop_below_zero=False)
     return _positivity(least), least
 
 

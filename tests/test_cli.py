@@ -82,11 +82,39 @@ def test_sample_emits_certificates(capsys):
     assert len(doc["samples"]) == 3
     for rec in doc["samples"]:
         assert rec["positivity"] == "TotallyPositive"
-        assert "/" in rec["min_minor"] or rec["min_minor"].isdigit()
+        # certified by its solid minors alone, a group record carries their least, and
+        # no min_minor, which would need every minor
+        assert "min_minor" not in rec
+        assert "/" in rec["min_solid_minor"] or rec["min_solid_minor"].isdigit()
     # --side is the one spelling of the sampled side
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--n", "3", "--side", "lower", "--positive"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("side", ["group", "lower", "upper"])
+def test_sample_margins_name_the_minors_they_cover(capsys, side):
+    """A group record, certified by its solid minors alone, carries their least
+    as ``min_solid_minor`` (checked against ``linalg.det`` of every solid
+    submatrix); a unipotent record, certified TNN by its interval minors,
+    carries ``min_minor`` = 0, the least over all its minors."""
+    code, out, _ = run_cli(capsys, "sample", "--n", "4", "--side", side, "--count", "2", "--seed", "1")
+    assert code == 0
+    for rec in json.loads(out)["samples"]:
+        margins = {key: rec[key] for key in ("min_minor", "min_solid_minor") if key in rec}
+        if side != "group":
+            assert margins == {"min_minor": "0/1"}
+            continue
+        g = linalg.rational_matrix(rec["matrix"])
+        solid = [linalg.det(g[i : i + k, j : j + k]) for k in range(1, 5) for i in range(5 - k) for j in range(5 - k)]
+        assert margins == {"min_solid_minor": str(min(solid))}
+
+
+def test_sample_certifies_n10_from_its_solid_minors(capsys):
+    """n = 10, where the walk over all 184,755 minors took seconds."""
+    code, out, _ = run_cli(capsys, "sample", "--n", "10", "--side", "group", "--count", "1", "--seed", "3")
+    rec = json.loads(out)["samples"][0]
+    assert code == 0 and rec["positivity"] == "TotallyPositive" and "min_solid_minor" in rec
 
 
 @pytest.mark.parametrize(
@@ -94,11 +122,11 @@ def test_sample_emits_certificates(capsys):
     [
         (
             ("--n", "3", "--count", "3"),
-            "291a3d732272b1267ce48757b2f283f21c3e85331ee95a7c269654c76dce642c",
+            "f076b8b7fdde871fb4e7d91471d1fda33966a1da94f8515be6e6deb194087ec8",
         ),
         (
             ("--n", "6", "--side", "group", "--count", "3", "--seed", "0"),
-            "748855875ce5c0739a19963bfea43aa61f6ec8c44c5cfb1daba5f1bf321c48a4",
+            "6573d7f89f6551dcde87b2e8362a24abdd879ac6ac7e0a2422a37fa88cc73432",
         ),
         (
             ("--n", "6", "--side", "lower", "--count", "3", "--seed", "0"),
@@ -106,7 +134,7 @@ def test_sample_emits_certificates(capsys):
         ),
         (
             ("--n", "8", "--side", "group", "--count", "1", "--seed", "0"),
-            "92624db370eaff2261666e324541e73cc2f4ecb4019fe4d586a677c78aa80481",
+            "21bb42b72c9ae81d6f59883c40e16a61567f6bee72ed5ae2e6dfe1d91f1ef693",
         ),
     ],
     ids=["n3", "n6-group", "n6-lower", "n8-group"],

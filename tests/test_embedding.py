@@ -525,6 +525,19 @@ def test_chart_coords_of_a_stack_are_each_lines_own():
             assert row.tobytes() == chart_coords(chart, line).tobytes() == (a[1:] / a[0]).tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_chart_coords_of_a_line_scaled_far_from_one_are_its_own(chart3, rng):
+    """A TNN line scaled by 1e-170, 1e-300 or 1e160 charts to the point of the
+    line itself, alone and in a stack: the equator test is taken over each
+    row's largest component, so no square underflows to a "zero" line or
+    overflows to the equator, and no ``RuntimeWarning`` is raised."""
+    line = line_of(chart3.rep, sample_params(standard_word_w0(3), rng), "lower")
+    want = chart_coords(chart3, line)
+    scaled = np.array([line * scale for scale in (1e-170, 1e-300, 1e160)])
+    for got in (*(chart_coords(chart3, x) for x in scaled), *chart_coords(chart3, scaled)):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_chart_coords_refuses_a_stack_with_one_bad_row(chart3):
     """One line at the equator, or one zero line, refuses the whole stack, as it does alone."""
     lines = np.array([_eigvecs(chart3) @ np.concatenate([[1.0], p]) for p in np.eye(chart3.ncoords)[:4]])

@@ -22,6 +22,7 @@ from tnnflow.flow import flag_frame
 from tnnflow.folding import (
     _flowed_frames,
     _frame_gap,
+    _preserves_form,
     _sigma_scaled,
     _symmetric_ratios,
     apply_group,
@@ -259,6 +260,25 @@ def test_int_sigma_matches_the_apply_group_oracle(n):
         got = np.array([[Fraction(x, e) for x, e in zip(row, sigma[1])] for row in zip(*sigma[0])], dtype=object)
         assert np.equal(got, want).all()
         assert (sigma == u) is fixed
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_form_identity_decides_sigma_fixed_as_the_inverse_does(n):
+    """u^T S u == S on the column-scaled ints holds exactly where sigma(u) == u,
+    the inverse-based test, on symmetric samples (boundary ones included), on
+    ``break_symmetry`` controls, and on unipotent samples of the staircase word,
+    whose parameters are not tied."""
+    rng = np.random.default_rng([n, 53])
+    blocks = symmetric_word(n)[1]
+    samples = [symmetric_params(n, rng, zero_blocks=z) for z in (None, None, [len(blocks) - 1], [0, 1])]
+    samples += [break_symmetry(symmetric_params(n, rng)) for _ in range(3)]
+    samples += [sample_params(standard_word_w0(n), rng) for _ in range(2)]
+    verdicts = []
+    for params in samples:
+        u = _scaled_product(params, "lower")
+        verdicts.append(_preserves_form(*u))
+        assert verdicts[-1] is (_sigma_scaled(*u) == u)
+    assert verdicts == [True] * 4 + [False] * 5
 
 
 @pytest.mark.parametrize("n, zero_blocks", [(2, None), (4, [0, 2])])

@@ -359,3 +359,46 @@ def test_minor_levels_summed_in_blocks_of_rows_are_the_same_levels(monkeypatch, 
     whole = [(v.tolist(), d.tolist()) for v, d in linalg._minor_levels(*linalg._scaled_stack(scaled))]
     monkeypatch.setattr(linalg, "_BLOCK", block)
     assert [(v.tolist(), d.tolist()) for v, d in linalg._minor_levels(*linalg._scaled_stack(scaled))] == whole
+
+
+def _int_det(ints) -> int:
+    """The determinant of an int submatrix, by ``linalg.det`` on its ``Fraction`` image."""
+    d = linalg.det(linalg.rational_matrix(ints.tolist())) if ints.size else Fraction(1)
+    assert d.denominator == 1
+    return d.numerator
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 4), (7, 7)])
+def test_solid_levels_are_the_dets_of_solid_submatrices(shape):
+    """Level k of the condensation kernel holds the det of every k x k block of
+    contiguous rows and columns, on the column-scaled ints of a TP sample cut
+    to ``shape``, whose minors are all positive, so every level comes."""
+    n, m = shape
+    rng = np.random.default_rng([n, m, 47])
+    g = sample_positive(sample_params(standard_word_w0(7), rng, group=True), "group").entries[:n, 7 - m :]
+    columns, _ = linalg._scaled_columns(g)
+    ints = np.array(columns, dtype=object).reshape(m, n).T
+    levels = list(linalg._solid_levels(ints))
+    assert len(levels) == min(n, m)
+    for k, level in enumerate(levels, 1):
+        assert level.shape == (n - k + 1, m - k + 1)
+        assert all(
+            level[i, j] == _int_det(ints[i : i + k, j : j + k]) for i in range(n - k + 1) for j in range(m - k + 1)
+        )
+
+
+def test_solid_levels_end_before_dividing_by_a_zero_minor():
+    """On the 5 x 5 all-ones matrix, level 2 is all zeros: level 3 still comes
+    (it divides by level 1), and the walk ends before level 4, which would
+    divide by level 2.  The lower mode divides only on and below the diagonal
+    of a lower triangular matrix, whose solid minors above it are 0, and ends
+    before a zero there is divided by."""
+    levels = list(linalg._solid_levels(np.ones((5, 5), dtype=object)))
+    assert [level.tolist() for level in levels] == [[[1] * 5] * 5, [[0] * 4] * 4, [[0] * 3] * 3]
+    # ones on and below the diagonal: the 2-minor on rows 2, 3 and columns 1, 2 is 0,
+    # and level 4 would divide by it
+    lower = np.tri(5, dtype=int).astype(object)
+    levels = list(linalg._solid_levels(lower, lower=True))
+    assert len(levels) == 3 and levels[1][2, 1] == 0
+    for k, level in enumerate(levels, 1):
+        assert all(level[i, j] == _int_det(lower[i : i + k, j : j + k]) for i in range(6 - k) for j in range(6 - k))

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tnnflow import linalg
+from tnnflow import linalg, totpos
 from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, one_param, build_pinning
 from tnnflow.totpos import (
     FactorizationParams,
+    _certificate,
     _least_minor,
     _lower_products,
     _scaled_product,
@@ -547,7 +548,7 @@ def test_early_exit_gives_the_full_walks_verdict_on_swapped_columns(n):
             verdict, least = certify_minors(swapped)
             assert is_tnn_matrix(swapped) is verdict is Positivity.NEITHER
             assert least == min(minors)
-            assert _least_minor(swapped, stop_below_zero=True) == next(v for v in minors if v < 0)
+            assert _least_minor(*linalg._scaled_columns(swapped), stop_below_zero=True) == next(v for v in minors if v < 0)
 
 
 def test_scaled_product_reads_exact_parameters_and_refuses_floats():
@@ -565,3 +566,142 @@ def test_scaled_product_reads_exact_parameters_and_refuses_floats():
             _scaled_product(FactorizationParams(word, (bad,) + t[1:], torus), "group")
         with pytest.raises(TypeError):
             _scaled_product(FactorizationParams(word, t, (bad, torus[1])), "group")
+
+
+# -- the condensation certificate -------------------------------------------
+
+
+def _solid_minors(a):
+    """Every solid minor of ``a`` (contiguous rows and columns), each the ``linalg.det``
+    of its submatrix: an oracle that shares no arithmetic with condensation."""
+    n, m = a.shape
+    return [
+        linalg.det(a[i : i + k, j : j + k])
+        for k in range(1, min(n, m) + 1)
+        for i in range(n - k + 1)
+        for j in range(m - k + 1)
+    ]
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The calls of the all-minors walk, recorded while the test runs."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    real = totpos._least_minor
+    monkeypatch.setattr(totpos, "_least_minor", spy)
+    return calls
+
+
+_SIDES = ("group", "lower", "upper")
+
+
+@pytest.mark.parametrize("side", _SIDES)
+@pytest.mark.parametrize("n", range(2, 8))
+def test_solid_certificate_gives_the_all_minors_verdict(n, side, walks):
+    """The certificate's verdict is ``certify_minors``' on interior, boundary
+    (``zero_mask``), extreme (e^±20), column-swapped and rectangular samples.
+
+    Its margin is the least solid minor (by ``linalg.det`` of each solid
+    submatrix) where it says "solid", and ``certify_minors``' least minor over
+    all minors where it says "all", as on every lower and upper sample.  Group
+    interiors and unitriangular interiors never reach the all-minors walk.
+    """
+    rng = np.random.default_rng([n, 41, _SIDES.index(side)])
+    word = standard_word_w0(n)
+    drawn = sample_params(word, rng, group=True)
+    interior = sample_positive(drawn, side).entries
+    mask = rng.choice(len(drawn.t), size=n, replace=False)
+    boundary = sample_positive(sample_params(word, rng, group=True, zero_mask=mask), side).entries
+    extreme = sample_positive(_extreme_params(word, rng, True), side).entries
+    j = int(rng.integers(0, n - 1))
+    swapped = interior.copy()
+    swapped[:, [j, j + 1]] = swapped[:, [j + 1, j]]
+    inside = Positivity.TOTALLY_POSITIVE if side == "group" else Positivity.TOTALLY_NONNEGATIVE
+    # (matrix, its verdict where the test knows it, whether the solid minors decide it alone)
+    cases = [
+        (interior, inside, True),
+        (extreme, inside, True),
+        (boundary, Positivity.TOTALLY_NONNEGATIVE, False),
+        (swapped, Positivity.NEITHER, False),
+        (interior[:, 1:], None, False),
+        (interior[:-1, :], None, False),
+        (swapped[: n // 2 + 1, :], None, False),
+    ]
+    for a, expected, decided in cases:
+        verdict, least = certify_minors(a)
+        assert expected in (None, verdict)
+        walked = len(walks)
+        got, margin, minors = _certificate(*linalg._scaled_columns(a))
+        assert got is verdict and is_tnn_matrix(a) is verdict
+        if minors == "solid":
+            assert verdict is Positivity.TOTALLY_POSITIVE and margin == min(_solid_minors(a))
+        else:
+            assert minors == "all" and margin == least
+        if decided:
+            assert len(walks) == walked, "an interior sample reached the all-minors walk"
+    if side != "group":
+        assert _certificate(*linalg._scaled_columns(interior)) == (inside, 0, "all")
+
+
+def test_a_unitriangular_matrix_with_one_zero_interval_minor_goes_to_the_full_walk(walks):
+    """u = [[1, 0, 0], [a, 1, 0], [b, c, 1]] with b = a c: of the three interval
+    minors a, b and a c - b, only the last is 0, so u is TNN but not in
+    U-_{>0}; the certificate, on u and on its transpose, hands it to the walk.
+    With b below a c every interval minor is positive, and no walk is made."""
+    for b, walked in ((6, True), (5, False)):
+        u = linalg.rational_matrix([[1, 0, 0], [2, 1, 0], [b, 3, 1]])
+        for a in (u, u.T.copy()):
+            assert certify_minors(a) == (Positivity.TOTALLY_NONNEGATIVE, 0)
+            before = len(walks)
+            assert is_tnn_matrix(a) is Positivity.TOTALLY_NONNEGATIVE
+            assert _certificate(*linalg._scaled_columns(a)) == (Positivity.TOTALLY_NONNEGATIVE, 0, "all")
+            assert len(walks) - before == (2 if walked else 0)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_a_zero_parameter_sends_a_unitriangular_sample_to_the_full_walk(n, walks):
+    """One zero parameter puts a unipotent sample on the boundary of U-_{>0}
+    (or U+_{>0}): an interval minor vanishes, and the walk decides TNN."""
+    rng = np.random.default_rng([n, 43])
+    word = standard_word_w0(n)
+    for side in ("lower", "upper"):
+        for k in range(len(word)):
+            a = sample_positive(sample_params(word, rng, zero_mask=[k]), side).entries
+            before = len(walks)
+            assert is_tnn_matrix(a) is Positivity.TOTALLY_NONNEGATIVE
+            assert len(walks) == before + 1
+
+
+_small_ints = st.integers(min_value=-1, max_value=3)
+
+
+@st.composite
+def _small_matrices(draw):
+    """Small int matrices, many with zero solid minors; some lower or upper triangular."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_small_ints, min_size=m, max_size=m), min_size=n, max_size=n))
+    a = linalg.rational_matrix(rows)
+    shape = draw(st.sampled_from(["full", "lower", "upper"]))
+    if shape != "full" and n == m:
+        keep = np.tri(n, dtype=bool) if shape == "lower" else np.tri(n, dtype=bool).T
+        a[~keep] = Fraction(0)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_matrices())
+@example(linalg.rational_matrix([[1] * 4] * 4))
+@example(linalg.rational_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]]))
+@example(linalg.rational_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+def test_zero_solid_minors_never_divide_by_zero(a):
+    """Condensation divides by the level two below; a zero there must end the
+    walk, never raise ``ZeroDivisionError``, and the verdict stays the oracle's."""
+    verdict, least = certify_minors(a)
+    got, margin, minors = _certificate(*linalg._scaled_columns(a))
+    assert got is verdict and is_tnn_matrix(a) is verdict
+    assert margin == (min(_solid_minors(a)) if minors == "solid" else least)
