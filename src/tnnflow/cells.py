@@ -67,23 +67,28 @@ def _spread(supp, values) -> tuple:
     return tuple(full)
 
 
-def _support_candidates(supp, hint) -> list:
-    """Deterministic positive fillings of a support, hint first if usable."""
-    out = []
+# the default positive fillings of a support, by its size
+_DEFAULT_FILLS = {
+    1: [(Fraction(1),)],
+    2: [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))],
+    3: [
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+        (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+    ],
+}
+
+
+def _support_candidates(supp, hint):
+    """Yield deterministic positive fillings of a support, hint first if usable.
+
+    They come one at a time, so a caller that stops at the first one that
+    solves builds no other.
+    """
     if hint is not None and all(hint.get(i, 0) > 0 for i in supp):
-        out.append(_spread(supp, [hint[i] for i in supp]))
-    k = len(supp)
-    defaults = {
-        1: [(Fraction(1),)],
-        2: [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))],
-        3: [
-            (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
-        ],
-    }
-    out.extend(_spread(supp, vals) for vals in defaults[k])
-    return out
+        yield _spread(supp, [hint[i] for i in supp])
+    for vals in _DEFAULT_FILLS[len(supp)]:
+        yield _spread(supp, vals)
 
 
 def _solve_on_support(u, supp, hint) -> tuple | None:
@@ -111,8 +116,7 @@ def _solve_on_support(u, supp, hint) -> tuple | None:
         return _spread(supp, (1 - s, s))
     # full support
     if all(x == 0 for x in us):
-        fills = _support_candidates(supp, hint)
-        return fills[0]
+        return next(_support_candidates(supp, hint))
     pos = [i for i in supp if u[i - 1] > 0]
     neg = [i for i in supp if u[i - 1] < 0]
     if not pos or not neg:

@@ -241,7 +241,8 @@ def cmd_pinning(cfg: RunConfig, args) -> int:
 
 
 # the record key of a sample's margin, by the minors it is the least of: a group
-# sample certified by its solid minors alone carries the least solid minor
+# sample certified by its solid minors alone carries the least solid minor, and
+# one with a negative solid minor, which no factorization has, carries none
 _MARGIN_KEYS = {"solid": "min_solid_minor", "all": "min_minor"}
 
 
@@ -262,8 +263,9 @@ def cmd_sample(cfg: RunConfig, args) -> int:
             "params": list(params.t),
             "matrix": linalg._fraction_of_scaled(*scaled),
             "positivity": verdict,
-            _MARGIN_KEYS[minors]: margin,
         }
+        if minors is not None:
+            record[_MARGIN_KEYS[minors]] = margin
         if params.torus is not None:
             record["torus"] = list(params.torus)
         want = Positivity.TOTALLY_POSITIVE if side == "group" else Positivity.TOTALLY_NONNEGATIVE

@@ -10,7 +10,10 @@ maps each one-parameter subgroup x_i(t), y_i(t) to its mirror x_{n-i}(t),
 y_{n-i}(t) with the *same* parameter -- no sign leaks -- so sigma preserves
 total nonnegativity, commutes with exp(t * generator_sum), and its fixed
 locus is swept out by factorizations whose mirrored parameters are tied.
-The flow check flows each flag in closed form, with no steps.
+The flow check flows each flag in closed form, with no steps, and takes no
+inverse: a sample is decided sigma-fixed by the form identity u^T S u = S on
+its ints, and the flag of sigma(u) is read off the QR frame of u.
+:func:`apply_group` is the exact sigma, which the tests hold as the oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .totpos import (
     _lower_product,
     _mask_indices,
     _positive_ratio,
-    _reduced,
     _scaled_product,
 )
 
@@ -80,24 +82,6 @@ def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
     out[1::2, ::2] = -out[1::2, ::2]  # negation, not a Fraction product per entry
     out[::2, 1::2] = -out[::2, 1::2]
     return GroupElement._det_one(out)  # det(S g^-T S^T) = det(g)^-1
-
-
-def _sigma_scaled(columns: list, scales: list) -> tuple[list, list]:
-    """sigma(u) as column-scaled ints in lowest terms, for u with column c ``columns[c] / scales[c]``.
-
-    With u^-1 = rows / d (:func:`tnnflow.linalg._scaled_inverse`), column b of
-    X = (u^T)^-1 is row b of u^-1, and S X S^T is X with both indices reversed
-    and entry (a, b) signed (-1)^(a+b): column b of sigma(u) is row n-1-b of
-    the int rows, reversed and signed, over d.  Each column is reduced to
-    lowest terms, the form :func:`~tnnflow.totpos._scaled_product` returns, so
-    sigma(u) == u exactly iff the two pairs are equal.  The fold gate takes it
-    for its de-symmetrized control only; its samples are decided by
-    :func:`_preserves_form`, with no inverse.
-    """
-    rows, d = linalg._scaled_inverse(columns, scales)
-    n = len(rows)
-    sigma = [_reduced([-x if (a + b) % 2 else x for a, x in enumerate(rows[n - 1 - b][::-1])], d) for b in range(n)]
-    return [column for column, _ in sigma], [den for _, den in sigma]
 
 
 def _preserves_form(columns: list, scales: list) -> bool:
@@ -258,8 +242,11 @@ def fixed_locus_flow_check(
     (:func:`_frame_gap`), which is scale-invariant.  The image is evaluated
     through exact group identities -- sigma(exp(t tau) u) = S exp(-t tau) S^T
     sigma(u), where sigma(u) = u for a fixed sample, so its sigma side flows
-    u's own floats; only the control, which is not fixed, takes sigma(u)
-    exactly (:func:`_sigma_scaled`).  Neither side forms the product, whose
+    u's own floats.  The control, which is not fixed, flows the frame S Q J of
+    the flag of sigma(u), for the QR frame Q of u and the column reversal J
+    (the leading k columns of u^-T S^T span the orthogonal complement of the
+    leading n-k columns of u), so no inverse is taken, and its asymmetry at
+    t = 0 is the failing form identity.  Neither side forms the product, whose
     condition number reaches ~1e12 at t = 5: each is one closed-form row
     scaling of an orthonormal frame and one QR, with no steps, and the sigma
     side is (S P) diag(e^{-t d}) (S P)^T applied to sigma(u), its spectrum -d
@@ -296,7 +283,6 @@ def fixed_locus_flow_check(
 
     # negative control, drawn after the samples
     u_bad = _scaled_product(break_symmetry(symmetric_params(n, rng)), "lower")
-    su_bad = _sigma_scaled(*u_bad)
 
     uf = np.array([linalg._float_of_scaled(*u) for u in us])
     gaps = flag_gaps(uf, uf)
@@ -311,8 +297,9 @@ def fixed_locus_flow_check(
                 all_fixed = False
                 witness = witness or {"sample": k, "time": t, "gap": gap}
 
-    bad = [np.array([linalg._float_of_scaled(*x)]) for x in (u_bad, su_bad)]
-    control_broken = su_bad != u_bad and all(g[0] > 1e-6 for g in flag_gaps(*bad).values())
+    bad = np.array([linalg._float_of_scaled(*u_bad)])
+    sigma_bad = s @ np.linalg.qr(bad)[0][..., ::-1]
+    control_broken = not _preserves_form(*u_bad) and all(g[0] > 1e-6 for g in flag_gaps(bad, sigma_bad).values())
 
     return {
         "n": n,

@@ -15,8 +15,9 @@ Python ints, and one ``Fraction`` is built per result entry at the end.
 Every exact kernel scales each column c by the LCM ``e_c`` of its own
 denominators: the pair ``(columns, scales)`` of :func:`_scaled_columns`,
 in which ``tnnflow.totpos`` also multiplies out its products.  Determinants
-and inverses run Bareiss elimination on those ints; :func:`_scaled_inverse`
-is the int core of :func:`inv`.  All minors come from one integer Laplace
+and inverses run Bareiss elimination on those ints; :func:`inv` is the
+inverse behind the exact sigma ``tnnflow.folding.apply_group``, which no
+gate takes.  All minors come from one integer Laplace
 kernel, :func:`_minor_levels`, on a stack of such pairs laid out as object
 arrays (:func:`_scaled_stack`): it computes one whole level of k-minors at a
 time, for every matrix of the stack, as a few numpy object-array gathers,
@@ -141,32 +142,21 @@ def det(a: np.ndarray) -> Fraction:
     return Fraction(sign * d, math.prod(scales))
 
 
-def _scaled_inverse(columns: list, scales: list) -> tuple[list, int]:
-    """The inverse of the matrix with column c ``columns[c] / scales[c]``, as int rows
-    ``rows`` over one positive int ``d``: the inverse is ``rows / d``.
+def inv(a: np.ndarray) -> np.ndarray:
+    """Exact inverse in Fractions; raises ``ZeroDivisionError`` on singular input.
 
     Fraction-free Gauss-Jordan takes ``[M | I]`` to ``[d I | d M^-1]`` for the
     column-scaled ints ``M = a diag(e)``, and ``a^-1 = diag(e) M^-1``: row i
-    of the inverse is scaled by ``e_i``.  Raises ``ZeroDivisionError`` on
-    singular input.
+    of the inverse is the int row i of ``d M^-1`` scaled by ``e_i``, over ``d``,
+    and one ``Fraction`` is built per entry.
     """
-    n = len(columns)
+    n = a.shape[0]
+    columns, scales = _scaled_columns(a)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*columns))]
     d, _ = _bareiss(aug, jordan=True)
     if d == 0:
         raise ZeroDivisionError("matrix is singular over the rationals")
-    sign = 1 if d > 0 else -1
-    return [[sign * e * y for y in row[n:]] for e, row in zip(scales, aug)], sign * d
-
-
-def inv(a: np.ndarray) -> np.ndarray:
-    """Exact inverse in Fractions; raises ``ZeroDivisionError`` on singular input.
-
-    The ``Fraction`` view, one per entry, of the int core :func:`_scaled_inverse`.
-    """
-    n = a.shape[0]
-    rows, d = _scaled_inverse(*_scaled_columns(a))
-    return np.array([[Fraction(x, d) for x in row] for row in rows], dtype=object).reshape(n, n)
+    return np.array([[Fraction(e * y, d) for y in row[n:]] for e, row in zip(scales, aug)], dtype=object).reshape(n, n)
 
 
 def _scaled_stack(scaled) -> tuple[np.ndarray, np.ndarray]:

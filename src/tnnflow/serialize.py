@@ -28,7 +28,10 @@ def fnum(x) -> str:
 
 
 def frac(q) -> str:
-    q = Fraction(q)
+    """``"p/q"`` in lowest terms; ``Fraction`` and ``int`` are read directly, since
+    ``Fraction(q)`` takes the slow ``numbers.Rational`` path."""
+    if type(q) not in (Fraction, int):
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

@@ -8,16 +8,18 @@ ratios, the exact values of binary64 draws, and the verification gates feed
 a whole batch of them to the kernel with no ``Fraction`` built
 (``sample_params`` and ``sample_positive`` are the ``Fraction`` views of the
 draw and of the product).  Positivity of a given matrix is
-certified exactly on its column-scaled ints, first by its solid minors alone,
-a level at a time from the condensation kernel
+certified exactly on its column-scaled ints by one certificate, which
+:func:`is_tnn_matrix` and the ``sample`` command share: first by its solid
+minors alone, a level at a time from the condensation kernel
 ``tnnflow.linalg._solid_levels``: all positive is total positivity (Fekete),
 a negative one rules out nonnegativity, and a triangular matrix is decided
 by the interval minors of Fomin and Zelevinsky.  Any other matrix goes to
 the sign of every minor, one level at a time from the Laplace kernel
-``tnnflow.linalg._minor_levels``, which :func:`certify_minors` always walks
-and keeps as the oracle.  A flag, exact or float, is carried by any matrix whose
-leading columns span it: a group element, or in float work an orthonormal
-frame, whose flag minors :func:`flag_minors` takes for a whole stack at once.
+``tnnflow.linalg._minor_levels``, with no early exit; :func:`certify_minors`
+walks every minor of every matrix and is kept as the oracle.  A flag, exact
+or float, is carried by any matrix whose leading columns span it: a group
+element, or in float work an orthonormal frame, whose flag minors
+:func:`flag_minors` takes for a whole stack at once.
 For the complete SL(3) flag variety we expose the classical six-coordinate
 chart ``(v, w)``, read off any such matrix (``tnnflow flow`` reads it off
 a flowed frame), together with its membership oracle:
@@ -290,11 +292,17 @@ def _column_product(n: int, steps) -> tuple[list, list]:
 
 
 def _exact_columns(g) -> tuple[list, list]:
-    """The column-scaled ints ``(columns, scales)`` of an exact matrix or group element;
-    float entries raise ``TypeError``."""
+    """The column-scaled ints ``(columns, scales)`` of an exact matrix or group element.
+
+    ``Fraction``, ``int`` and integer dtype entries are exact; float entries
+    raise ``TypeError``, and a matrix with no rows or no columns, which has no
+    minor to certify, raises ``ValueError``.
+    """
     entries = g.entries if isinstance(g, GroupElement) else g
-    if not linalg.is_rational_array(entries):
+    if not (linalg.is_rational_array(entries) or np.issubdtype(entries.dtype, np.integer)):
         raise TypeError("exact entries required; rationalize float input first")
+    if 0 in entries.shape:
+        raise ValueError(f"a {entries.shape[0]} x {entries.shape[1]} matrix has no minors to certify")
     return linalg._scaled_columns(entries)
 
 
@@ -308,7 +316,7 @@ def _least_ratio(least, pairs) -> tuple | None:
     return least
 
 
-def _least_minor(columns: list, scales: list, *, stop_below_zero: bool) -> Fraction:
+def _least_minor(columns: list, scales: list) -> Fraction:
     """The least minor of the matrix with column c ``columns[c] / scales[c]``, walked level by
     level on the ints of the minor kernel.
 
@@ -316,47 +324,39 @@ def _least_minor(columns: list, scales: list, *, stop_below_zero: bool) -> Fract
     ``den`` of the column scales of C, so within one column set the least
     ``s`` gives the least minor, by plain int comparison; the per-set winners
     are compared by :func:`_least_ratio`, one comparison per column set, and
-    one ``Fraction`` is built for the answer.  With ``stop_below_zero`` the
-    walk ends at the first level holding a negative ``s`` and returns its
-    first negative minor in row-major order (rows, then columns), which
-    decides the sign rule alone.
+    one ``Fraction`` is built for the answer.
     """
     least = None  # (s, den) of the least minor so far
     for values, dens in linalg._minor_levels(*linalg._scaled_stack([(columns, scales)])):
-        values, dens = values[0], dens[0]
-        if stop_below_zero:
-            negative = np.flatnonzero(values < 0)
-            if negative.size:
-                r, c = divmod(int(negative[0]), values.shape[1])
-                return Fraction(values[r, c], dens[c])
-        least = _least_ratio(least, zip(values.min(axis=0).tolist(), dens.tolist()))
+        least = _least_ratio(least, zip(values[0].min(axis=0).tolist(), dens[0].tolist()))
     return Fraction(*least)
 
 
-def _solid_verdict(columns: list, scales: list) -> tuple[Positivity | None, Fraction | None]:
-    """The verdict and margin that solid minors decide alone, for the matrix with column c
-    ``columns[c] / scales[c]``; ``(None, None)`` where they do not.
+def _certificate(columns: list, scales: list) -> tuple[Positivity, Fraction | None, str | None]:
+    """``(verdict, margin, minors)`` for the matrix with column c ``columns[c] / scales[c]``.
 
-    The solid minors of the column-scaled ints come a level at a time from
-    :func:`linalg._solid_levels`, and the walk stops at the first level
-    holding a minor <= 0:
+    The verdict is :func:`certify_minors`'.  ``minors`` says which minors the
+    margin is the least of.  The solid minors of the column-scaled ints come a
+    level at a time from :func:`linalg._solid_levels`, and the walk stops at
+    the first level holding a minor <= 0:
 
-    - A square triangular matrix, n >= 2, is TNN with least minor exactly 0 iff
-      its solid minors on or below the diagonal (above, if upper triangular)
-      are positive: for a lower one that is ``u diag(e)`` with u lower
-      unitriangular, those minors hold the n(n-1)/2 interval minors
-      Delta_{[j+1, j+k], [1, k]} of u, which put u in U-_{>0}
+    - A square triangular matrix, n >= 2, is TNN with least minor exactly 0
+      (``"all"``) iff its solid minors on or below the diagonal (above, if
+      upper triangular) are positive: for a lower one that is ``u diag(e)``
+      with u lower unitriangular, those minors hold the n(n-1)/2 interval
+      minors Delta_{[j+1, j+k], [1, k]} of u, which put u in U-_{>0}
       (Fomin-Zelevinsky, Math. Intelligencer 2000).  An upper triangular
       matrix is walked through its transpose.
-    - Otherwise every solid minor positive gives TOTALLY_POSITIVE (Fekete).
-      The margin is the least solid minor: the least int per column start,
-      where the minors share the denominator, the product of the scales of
-      their columns, then the winners compared by :func:`_least_ratio`.
-    - A negative minor on either walk gives ``(NEITHER, None)``; a zero one
-      leaves the verdict to the walk over all minors.
+    - Otherwise every solid minor positive gives TOTALLY_POSITIVE (Fekete),
+      and the margin is the least solid minor (``"solid"``): the least int per
+      column start, where the minors share the denominator, the product of the
+      scales of their columns, then the winners compared by :func:`_least_ratio`.
+    - A negative minor on either walk gives ``(NEITHER, None, None)``: the
+      least minor would take every minor, and the verdict needs none of them.
+    - A zero one leaves the verdict to the walk over all minors
+      (:func:`_least_minor`), and the margin is its least minor (``"all"``).
     """
-    m = len(columns)
-    n = len(columns[0]) if m else 0
+    m, n = len(columns), len(columns[0])
     ints, lower = np.array(columns, dtype=object).reshape(m, n).T, False
     if n == m >= 2:
         if not any(x for c, column in enumerate(columns) for x in column[:c]):
@@ -367,28 +367,17 @@ def _solid_verdict(columns: list, scales: list) -> tuple[Positivity | None, Frac
     for k, level in enumerate(linalg._solid_levels(ints, lower), 1):
         rows = level.tolist()
         low = min(x for i, row in enumerate(rows) for x in (row[: i + 1] if lower else row))
-        if low <= 0:
-            return (Positivity.NEITHER if low < 0 else None), None
+        if low < 0:
+            return Positivity.NEITHER, None, None
+        if low == 0:
+            margin = _least_minor(columns, scales)
+            return _positivity(margin), margin, "all"
         if not lower:
             dens = [d * e for d, e in zip(dens, scales[k - 1 :])]
             least = _least_ratio(least, zip(map(min, zip(*rows)), dens))
-    return (Positivity.TOTALLY_NONNEGATIVE, Fraction(0)) if lower else (Positivity.TOTALLY_POSITIVE, Fraction(*least))
-
-
-def _certificate(columns: list, scales: list) -> tuple[Positivity, Fraction, str]:
-    """``(verdict, margin, minors)`` for the matrix with column c ``columns[c] / scales[c]``.
-
-    The verdict is :func:`certify_minors`'.  ``minors`` says which minors the
-    margin is the least of: ``"solid"`` when every solid minor is positive
-    (TOTALLY_POSITIVE, from :func:`_solid_verdict`), else ``"all"``: 0 for a
-    triangular matrix the solid minors certify TNN, and otherwise the least
-    minor of the walk over all minors (:func:`_least_minor`).
-    """
-    verdict, margin = _solid_verdict(columns, scales)
-    if margin is None:
-        margin = _least_minor(columns, scales, stop_below_zero=False)
-        return _positivity(margin), margin, "all"
-    return verdict, margin, "solid" if verdict is Positivity.TOTALLY_POSITIVE else "all"
+    if lower:
+        return Positivity.TOTALLY_NONNEGATIVE, Fraction(0), "all"
+    return Positivity.TOTALLY_POSITIVE, Fraction(*least), "solid"
 
 
 def _positivity(least_minor) -> Positivity:
@@ -401,34 +390,25 @@ def _positivity(least_minor) -> Positivity:
 def is_tnn_matrix(g) -> Positivity:
     """Classify a matrix by the signs of all its minors (exact arithmetic).
 
-    Requires exact rational entries; run floats through
-    ``linalg.rationalize`` first so that the verdict is a certificate.  The
-    solid minors decide it first, a level at a time on the column-scaled ints,
-    by condensation (:func:`_solid_verdict`): all positive is
-    TOTALLY_POSITIVE, a negative one is NEITHER, and a triangular matrix whose
-    solid minors on its side of the diagonal are positive is
-    TOTALLY_NONNEGATIVE.  Otherwise the minors of every size come one level at
-    a time from the integer Laplace kernel behind
-    :func:`tnnflow.linalg.all_minors`, and that walk stops at the first level
-    holding a negative one.  No ``Fraction`` is built on the way.
+    Requires exact entries (``Fraction``, ``int`` or an integer dtype); run
+    floats through ``linalg.rationalize`` first so that the verdict is a
+    certificate.  This is the verdict of :func:`_certificate` on the
+    column-scaled ints: the solid minors decide it first, a level at a time,
+    by condensation, and any other matrix goes to the walk over all minors.
+    No ``Fraction`` is built on the way.
     """
-    columns, scales = _exact_columns(g)
-    verdict, _ = _solid_verdict(columns, scales)
-    if verdict is None:
-        verdict = _positivity(_least_minor(columns, scales, stop_below_zero=True))
-    return verdict
+    return _certificate(*_exact_columns(g))[0]
 
 
 def certify_minors(g) -> tuple[Positivity, Fraction]:
     """``(verdict, least minor)`` of an exact matrix, from one pass over all minors.
 
     The verdict is the one :func:`is_tnn_matrix` gives; the least minor is
-    taken over every minor, so this walk has no early exit and reads no solid
-    minor first: it is the oracle the condensation certificate is tested
-    against.  It keeps the least scaled int of each column set and builds one
-    ``Fraction``.
+    taken over every minor, so this walk reads no solid minor first: it is the
+    oracle the condensation certificate is tested against.  It keeps the least
+    scaled int of each column set and builds one ``Fraction``.
     """
-    least = _least_minor(*_exact_columns(g), stop_below_zero=False)
+    least = _least_minor(*_exact_columns(g))
     return _positivity(least), least
 
 

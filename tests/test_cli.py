@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tnnflow
-from tnnflow import linalg
+from tnnflow import cli, linalg
 from tnnflow.chevalley import RATIONAL, GroupElement, exp_generator_sum
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
 from tnnflow.totpos import Sl3Coords, sample_params, sample_positive, sl3_coords, sl3_residuals, standard_word_w0
@@ -108,6 +108,22 @@ def test_sample_margins_name_the_minors_they_cover(capsys, side):
         g = linalg.rational_matrix(rec["matrix"])
         solid = [linalg.det(g[i : i + k, j : j + k]) for k in range(1, 5) for i in range(5 - k) for j in range(5 - k)]
         assert margins == {"min_solid_minor": str(min(solid))}
+
+
+def test_a_sample_found_neither_carries_no_margin(capsys, monkeypatch):
+    """No factorization has a negative solid minor; certified with its first two
+    columns swapped, a group product is NEITHER by one, its record carries no
+    margin, and the run exits 1."""
+    real = cli._certificate
+
+    def swapped(columns, scales):
+        return real([columns[1], columns[0], *columns[2:]], [scales[1], scales[0], *scales[2:]])
+
+    monkeypatch.setattr(cli, "_certificate", swapped)
+    code, out, _ = run_cli(capsys, "sample", "--n", "4", "--side", "group", "--count", "1", "--seed", "1")
+    rec = json.loads(out)["samples"][0]
+    assert code == 1 and rec["positivity"] == "Neither" and rec["certified"] is False
+    assert not {"min_minor", "min_solid_minor"} & set(rec)
 
 
 def test_sample_certifies_n10_from_its_solid_minors(capsys):

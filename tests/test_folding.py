@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnnflow import linalg
+from tnnflow import folding, linalg
 from tnnflow.chevalley import (
     RATIONAL,
     GroupElement,
@@ -23,7 +23,6 @@ from tnnflow.folding import (
     _flowed_frames,
     _frame_gap,
     _preserves_form,
-    _sigma_scaled,
     _symmetric_ratios,
     apply_group,
     break_symmetry,
@@ -241,33 +240,70 @@ def test_lower_unipotent_flags_agree_iff_elements_agree(case, exact_rank):
         assert _same_flag(u.entries, u.entries @ b, exact_rank)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
-def test_int_sigma_matches_the_apply_group_oracle(n):
-    """sigma(u) on the column-scaled ints of the gate is the ``Fraction``
-    sigma(u) of :func:`apply_group`, in the lowest-terms form of
-    ``linalg._scaled_columns``; it equals u on symmetric samples, boundary ones
-    included, and not on the ``break_symmetry`` control."""
+def _identity_samples(n, rng):
+    """Group, lower and upper samples of the staircase word, and for even n >= 4
+    symmetric samples (boundary ones included) and a ``break_symmetry`` control."""
+    word = standard_word_w0(n)
+    samples = [sample_positive(sample_params(word, rng, group=True), side) for side in ("group", "lower", "upper")]
+    if n % 2 == 0 and n >= 4:
+        blocks = symmetric_word(n)[1]
+        params = [symmetric_params(n, rng, zero_blocks=z) for z in (None, [len(blocks) - 1], [0])]
+        params.append(break_symmetry(symmetric_params(n, rng)))
+        samples += [sample_positive(p, "lower") for p in params]
+    return samples
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sigma_flag_is_the_orthogonal_complement_reversed(n):
+    """The identity behind the control's sigma frame S Q J: the leading k columns
+    of S^T sigma(g) = g^-T S^T are orthogonal to the leading n-k columns of g, so
+    they span the complement of that span, and sigma(g) has the flag of S Q J.
+    Exact, in ``Fraction``s, with :func:`apply_group` as sigma."""
     fold = build_folding(n)
-    rng = np.random.default_rng([n, 29])
-    blocks = symmetric_word(n)[1]
-    samples = [(symmetric_params(n, rng, zero_blocks=z), True) for z in (None, [len(blocks) - 1], [0])]
-    samples.append((break_symmetry(symmetric_params(n, rng)), False))
-    for params, fixed in samples:
-        u = _scaled_product(params, "lower")
-        sigma = _sigma_scaled(*u)
-        want = apply_group(fold, sample_positive(params, "lower")).entries
-        assert sigma == linalg._scaled_columns(want)
-        got = np.array([[Fraction(x, e) for x, e in zip(row, sigma[1])] for row in zip(*sigma[0])], dtype=object)
-        assert np.equal(got, want).all()
-        assert (sigma == u) is fixed
+    for g in _identity_samples(n, np.random.default_rng([n, 29])):
+        reversed_inverse = fold.s_matrix.T @ apply_group(fold, g).entries
+        for k in range(1, n):
+            assert not (reversed_inverse[:, :k].T @ g.entries[:, : n - k]).any(), k
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_control_sigma_frame_spans_the_flag_of_apply_group(n, monkeypatch):
+    """The sigma side the gate flows for its control has the flag of the exact
+    sigma of its float control: the frame S Q J, read off the QR frame Q of u."""
+    flowed = []
+
+    def spy(s, t, uf, suf):
+        flowed.append((uf, suf))
+        return real(s, t, uf, suf)
+
+    real = folding._flowed_frames
+    monkeypatch.setattr(folding, "_flowed_frames", spy)
+    fold = build_folding(n)
+    for seed in range(5):
+        fixed_locus_flow_check(fold, np.random.default_rng([n, seed]), count=1)
+        (uf, suf) = flowed[-1]  # the control is flowed last
+        u = GroupElement(linalg.rationalize(uf[0]), RATIONAL)
+        want = np.linalg.qr(linalg.to_float(apply_group(fold, u).entries))[0]
+        assert _frame_gap(np.linalg.qr(suf[0])[0], want) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_de_symmetrized_control_fails_at_every_time(n):
+    """Over 20 seeds, the control of the gate is broken at every time, so a gate
+    whose samples agreed with their sigma images only vacuously would fail."""
+    fold = build_folding(n)
+    for seed in range(20):
+        report = fixed_locus_flow_check(fold, np.random.default_rng([n, seed]), count=1)
+        assert report["control_broken"] is True and report["passed"] is True, seed
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_form_identity_decides_sigma_fixed_as_the_inverse_does(n):
-    """u^T S u == S on the column-scaled ints holds exactly where sigma(u) == u,
-    the inverse-based test, on symmetric samples (boundary ones included), on
-    ``break_symmetry`` controls, and on unipotent samples of the staircase word,
-    whose parameters are not tied."""
+    """u^T S u == S on the column-scaled ints holds exactly where the exact sigma
+    of :func:`apply_group` fixes u, on symmetric samples (boundary ones included),
+    on ``break_symmetry`` controls, and on unipotent samples of the staircase
+    word, whose parameters are not tied."""
+    fold = build_folding(n)
     rng = np.random.default_rng([n, 53])
     blocks = symmetric_word(n)[1]
     samples = [symmetric_params(n, rng, zero_blocks=z) for z in (None, None, [len(blocks) - 1], [0, 1])]
@@ -275,9 +311,9 @@ def test_form_identity_decides_sigma_fixed_as_the_inverse_does(n):
     samples += [sample_params(standard_word_w0(n), rng) for _ in range(2)]
     verdicts = []
     for params in samples:
-        u = _scaled_product(params, "lower")
-        verdicts.append(_preserves_form(*u))
-        assert verdicts[-1] is (_sigma_scaled(*u) == u)
+        verdicts.append(_preserves_form(*_scaled_product(params, "lower")))
+        u = sample_positive(params, "lower")
+        assert verdicts[-1] is bool(np.equal(apply_group(fold, u).entries, u.entries).all())
     assert verdicts == [True] * 4 + [False] * 5
 
 

@@ -77,14 +77,16 @@ def test_inverse_pivots_past_a_zero_and_returns_fractions():
         linalg.inv(np.array([[0, 1], [0, 2]], dtype=object))
 
 
-def test_scaled_inverse_is_int_rows_over_a_positive_d():
-    """The int core of ``inv``: rows over one d > 0, also where the last Bareiss
-    pivot is negative (one row swap and a -1 pivot)."""
+def test_inverse_holds_fractions_where_the_last_pivot_is_negative():
+    """``inv`` is exact also where the last Bareiss pivot is negative (one row
+    swap and a -1 pivot) and where the columns have denominators: every entry
+    is a ``Fraction`` and the product with the matrix is the identity."""
     for rows in ([[0, 1], [-1, 0]], [[0, 2, 1], [3, 0, 1], [1, 1, 0]], [["1/2", 0], ["1/3", "-5/7"]]):
         m = linalg.rational_matrix(rows)
-        ints, d = linalg._scaled_inverse(*linalg._scaled_columns(m))
-        assert d > 0 and all(type(x) is int for row in ints for x in row)
-        assert np.equal(np.array([[Fraction(x, d) for x in row] for row in ints], dtype=object), linalg.inv(m)).all()
+        inverse = linalg.inv(m)
+        assert all(type(x) is Fraction for x in inverse.flat)
+        assert np.equal(m @ inverse, linalg.rational_identity(len(rows))).all()
+        assert np.equal(inverse @ m, linalg.rational_identity(len(rows))).all()
 
 
 def _minor(a, rows, cols) -> Fraction:

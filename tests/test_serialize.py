@@ -14,6 +14,9 @@ def test_float_encoding_roundtrips():
 def test_fraction_encoding():
     assert frac(Fraction(3, 7)) == "3/7"
     assert frac(2) == "2/1"
+    assert frac(Fraction(-6, 4)) == frac(-1.5) == frac(np.int64(-3) / 2) == "-3/2"
+    assert frac(np.int64(-4)) == frac(True * -4) == "-4/1"
+    assert frac(0) == frac(Fraction(0)) == "0/1"
 
 
 def test_encode_value_types():

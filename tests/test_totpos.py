@@ -15,7 +15,6 @@ from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, one_param, build_pi
 from tnnflow.totpos import (
     FactorizationParams,
     _certificate,
-    _least_minor,
     _lower_products,
     _scaled_product,
     Membership,
@@ -65,8 +64,30 @@ def test_positivity_oracle_small_cases():
 
 
 def test_positivity_oracle_requires_exact_entries():
-    with pytest.raises(TypeError):
-        is_tnn_matrix(np.eye(2))
+    for floats in (np.eye(2), np.eye(2, dtype=np.float32)):
+        with pytest.raises(TypeError):
+            is_tnn_matrix(floats)
+        with pytest.raises(TypeError):
+            certify_minors(floats)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_positivity_oracle_reads_integer_arrays(dtype):
+    """An integer array is exact: it is certified as its ``Fraction`` copy is."""
+    for rows, verdict in (([[2, 1], [1, 2]], Positivity.TOTALLY_POSITIVE), ([[1, 1], [0, 1]], Positivity.TOTALLY_NONNEGATIVE)):
+        a = np.array(rows, dtype=dtype)
+        assert is_tnn_matrix(a) is verdict
+        assert certify_minors(a) == certify_minors(linalg.rational_matrix(rows))
+    assert is_tnn_matrix(np.array([[0, 1], [1, 0]])) is Positivity.NEITHER
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_a_matrix_with_no_rows_or_columns_is_refused(shape):
+    """No minor to certify: a one-line ``ValueError``, for object and int arrays."""
+    for a in (np.empty(shape, dtype=object), np.zeros(shape, dtype=int)):
+        for certify in (is_tnn_matrix, certify_minors):
+            with pytest.raises(ValueError, match="no minors to certify"):
+                certify(a)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -533,10 +554,9 @@ def test_factorization_params_validation():
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_early_exit_gives_the_full_walks_verdict_on_swapped_columns(n):
-    """On every adjacent column swap of a group and a lower sample, the early
-    exit of :func:`is_tnn_matrix` gives the verdict of :func:`certify_minors`,
-    which walks every minor, and the minor it stops at is the first negative
-    one in the order of ``all_minors``."""
+    """On every adjacent column swap of a group and a lower sample,
+    :func:`is_tnn_matrix` gives the verdict of :func:`certify_minors`, which
+    walks every minor, and its least minor is the least of ``all_minors``."""
     rng = np.random.default_rng([n, 37])
     word = standard_word_w0(n)
     for side in ("group", "lower"):
@@ -548,7 +568,6 @@ def test_early_exit_gives_the_full_walks_verdict_on_swapped_columns(n):
             verdict, least = certify_minors(swapped)
             assert is_tnn_matrix(swapped) is verdict is Positivity.NEITHER
             assert least == min(minors)
-            assert _least_minor(*linalg._scaled_columns(swapped), stop_below_zero=True) == next(v for v in minors if v < 0)
 
 
 def test_scaled_product_reads_exact_parameters_and_refuses_floats():
@@ -600,6 +619,18 @@ def walks(monkeypatch):
 _SIDES = ("group", "lower", "upper")
 
 
+def _assert_margin(a, verdict, least, margin, minors):
+    """The certificate's margin is the least of the minors it names: the solid
+    ones (TP only), all of them, or none, where a negative solid minor decides."""
+    if minors == "solid":
+        assert verdict is Positivity.TOTALLY_POSITIVE and margin == min(_solid_minors(a))
+    elif minors == "all":
+        assert margin == least
+    else:
+        assert minors is None and margin is None and verdict is Positivity.NEITHER
+        assert min(_solid_minors(a)) < 0
+
+
 @pytest.mark.parametrize("side", _SIDES)
 @pytest.mark.parametrize("n", range(2, 8))
 def test_solid_certificate_gives_the_all_minors_verdict(n, side, walks):
@@ -607,9 +638,11 @@ def test_solid_certificate_gives_the_all_minors_verdict(n, side, walks):
     (``zero_mask``), extreme (e^±20), column-swapped and rectangular samples.
 
     Its margin is the least solid minor (by ``linalg.det`` of each solid
-    submatrix) where it says "solid", and ``certify_minors``' least minor over
-    all minors where it says "all", as on every lower and upper sample.  Group
-    interiors and unitriangular interiors never reach the all-minors walk.
+    submatrix) where it says "solid", ``certify_minors``' least minor over
+    all minors where it says "all", as on every lower and upper sample, and
+    none where a negative solid minor decides NEITHER.  Group interiors,
+    unitriangular interiors and column-swapped group samples, whose swapped
+    columns hold a negative solid 2-minor, never reach the all-minors walk.
     """
     rng = np.random.default_rng([n, 41, _SIDES.index(side)])
     word = standard_word_w0(n)
@@ -627,7 +660,7 @@ def test_solid_certificate_gives_the_all_minors_verdict(n, side, walks):
         (interior, inside, True),
         (extreme, inside, True),
         (boundary, Positivity.TOTALLY_NONNEGATIVE, False),
-        (swapped, Positivity.NEITHER, False),
+        (swapped, Positivity.NEITHER, side == "group"),
         (interior[:, 1:], None, False),
         (interior[:-1, :], None, False),
         (swapped[: n // 2 + 1, :], None, False),
@@ -638,10 +671,7 @@ def test_solid_certificate_gives_the_all_minors_verdict(n, side, walks):
         walked = len(walks)
         got, margin, minors = _certificate(*linalg._scaled_columns(a))
         assert got is verdict and is_tnn_matrix(a) is verdict
-        if minors == "solid":
-            assert verdict is Positivity.TOTALLY_POSITIVE and margin == min(_solid_minors(a))
-        else:
-            assert minors == "all" and margin == least
+        _assert_margin(a, verdict, least, margin, minors)
         if decided:
             assert len(walks) == walked, "an interior sample reached the all-minors walk"
     if side != "group":
@@ -677,6 +707,33 @@ def test_a_zero_parameter_sends_a_unitriangular_sample_to_the_full_walk(n, walks
             assert len(walks) == before + 1
 
 
+def test_matrices_that_reach_the_full_walk_get_its_verdict(walks):
+    """Where condensation meets a zero solid minor before a negative one, the
+    verdict is the walk's: a NEITHER matrix whose only negative minor,
+    Delta_{01, 02} = -1, is not solid; a group sample on the boundary, TNN and
+    not triangular; and a column-swapped lower sample, whose zeros above the
+    diagonal are no longer triangular."""
+    rng = np.random.default_rng(47)
+    word = standard_word_w0(4)
+    lower = sample_positive(sample_params(word, rng), "lower").entries
+    swapped = lower.copy()
+    swapped[:, [1, 2]] = swapped[:, [2, 1]]
+    cases = [
+        (linalg.rational_matrix([[1, 0, 1], [1, 0, 0], [1, 1, 1]]), Positivity.NEITHER),
+        (sample_positive(sample_params(word, rng, group=True, zero_mask=[0, 7]), "group").entries,
+         Positivity.TOTALLY_NONNEGATIVE),
+        (swapped, Positivity.NEITHER),
+    ]
+    assert min(_solid_minors(cases[0][0])) == 0
+    for a, expected in cases:
+        before = len(walks)
+        assert is_tnn_matrix(a) is expected
+        assert len(walks) == before + 1
+        verdict, least = certify_minors(a)
+        assert verdict is expected
+        assert _certificate(*linalg._scaled_columns(a)) == (expected, least, "all")
+
+
 _small_ints = st.integers(min_value=-1, max_value=3)
 
 
@@ -704,4 +761,4 @@ def test_zero_solid_minors_never_divide_by_zero(a):
     verdict, least = certify_minors(a)
     got, margin, minors = _certificate(*linalg._scaled_columns(a))
     assert got is verdict and is_tnn_matrix(a) is verdict
-    assert margin == (min(_solid_minors(a)) if minors == "solid" else least)
+    _assert_margin(a, verdict, least, margin, minors)
