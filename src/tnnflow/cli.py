@@ -13,7 +13,8 @@ figure    emit the schematic cell-decomposition drawing (SVG or JSON)
 
 Each command takes, as flags and as config-file keys, only the settings it
 reads (``_COMMANDS``), and echoes exactly those into the report's "meta"
-block.  Precedence is flags > config file (--config, JSON) > the environment
+block, ``out`` as null, so a report's bytes do not depend on where it is
+written.  Precedence is flags > config file (--config, JSON) > the environment
 variable TNNFLOW_SEED (seed only, where the command reads it) > built-in
 defaults.  All JSON output goes through the canonical encoder, so identical
 configuration produces byte-identical bytes -- there are no timestamps and no
@@ -99,10 +100,11 @@ class RunConfig:
             raise ValueError("t must be finite")
 
     def meta(self, command: str) -> dict:
-        """The command name and the value of each setting the command reads."""
+        """The command name and the value of each setting the command reads, but for ``out``,
+        which always reads null: where a report is written is no part of its bytes."""
         out = {"command": command}
         for name in _COMMANDS[command].settings:
-            out[name] = sorted(self.J) if name == "J" else getattr(self, name)
+            out[name] = sorted(self.J) if name == "J" else None if name == "out" else getattr(self, name)
         return out
 
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .chevalley import generator_sum_spectrum
-from .embedding import EigenChart, _float_lines, _scaled_lines, chart_coords, lambda_for
-from .totpos import _lower_products, flag_minors, standard_word_w0
+from .embedding import EigenChart, _float_lines, chart_coords, lambda_for
+from .totpos import _float_lower_products, _float_lower_samples, flag_minors, standard_word_w0
 
 __all__ = [
     "DiagonalFlow",
@@ -164,42 +163,37 @@ class CrossingResult:
     residual: float
 
 
-def _boundary_sample(word, rng: np.random.Generator, mask=None) -> np.ndarray:
-    """A lower-unipotent boundary flag as a binary64 matrix: the factorization
-    along ``word`` with the parameters of ``mask`` zeroed, by default a random
-    nonempty set of them drawn first.
+def _boundary_sample(word, rng: np.random.Generator, mask=None) -> list:
+    """The binary64 parameters of a lower-unipotent boundary flag along ``word``, one per
+    letter, with those of ``mask`` zeroed (0.0), by default a random nonempty set of
+    them drawn first.
 
     The parameters are the draws of :func:`~tnnflow.totpos.sample_params`, one
-    ``rng.uniform`` call in the same stream, each ``math.exp`` of its draw, and
-    the product is multiplied out in binary64: y_i(t) adds t * column i to
-    column i-1.  No term is ever subtracted, so each entry is within
-    2 len(word) ulps, relative, of the exact product rounded.
+    ``rng.uniform`` call in the same stream, each ``math.exp`` of its draw.
+    Callers multiply a stack of samples out in one call of
+    :func:`~tnnflow.totpos._float_lower_products`.
     """
     if mask is None:
         size = int(rng.integers(1, len(word) + 1))
         mask = sorted(rng.choice(len(word), size=size, replace=False).tolist())
-    n, zeroed = word.n, set(mask)
+    zeroed = set(mask)
     # the torus draws ride along, as in sample_params, so the stream is the same
-    draws = rng.uniform(-3.0, 3.0, len(word) + n - 1).tolist()
-    cols = [[float(r == c) for r in range(n)] for c in range(n)]
-    for k, (i, x) in enumerate(zip(word.letters, draws)):
-        if k not in zeroed:
-            t = math.exp(x)
-            cols[i - 1] = [a + t * b for a, b in zip(cols[i - 1], cols[i])]
-    return np.array(cols).T
+    draws = rng.uniform(-3.0, 3.0, len(word) + word.n - 1).tolist()
+    return [0.0 if k in zeroed else math.exp(x) for k, x in enumerate(draws[: len(word)])]
 
 
 def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
     """A chart-adapted target radius: 1e-2 times the smallest boundary norm.
 
     Samples 25 boundary flags (factorizations with at least one zeroed
-    parameter), embeds and charts them as one stack, and returns a hundredth of the
+    parameter), multiplies them out in binary64, embeds and charts them as one
+    stack, and returns a hundredth of the
     smallest chart norm seen.  The smallest boundary norm sets the scale below
     which the sphere is unambiguously "near the fixed point", so a small
     fraction of it makes a sensible default when the caller has none in mind.
     """
     word = standard_word_w0(chart.rep.n)
-    lines = _float_lines(chart.rep, np.array([_boundary_sample(word, rng) for _ in range(25)]))
+    lines = _float_lines(chart.rep, _float_lower_products(word, [_boundary_sample(word, rng) for _ in range(25)]))
     # per-row norms: np.linalg.norm(..., axis=1) rounds some differently, and moves the radius
     smallest = min(float(np.linalg.norm(p)) for p in chart_coords(chart, lines))
     if not math.isfinite(smallest) or smallest <= 0.0:
@@ -290,13 +284,20 @@ def flag_frame(g: np.ndarray, t, d: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     ``g`` is one matrix or a stack, ``t >= 0`` a scalar or one time per
     matrix, ``p`` orthogonal and ``d`` descending, as from
-    :func:`~tnnflow.chevalley.generator_sum_spectrum`.  The rows of p^T Q_g,
-    for the QR frame Q_g of g, are scaled by e^{t (d - d_0)}, graded large to
-    small: the case in which Householder QR stays accurate, so one stacked QR
-    gives what flowing step by step and re-orthonormalizing gives.
+    :func:`~tnnflow.chevalley.generator_sum_spectrum`.  This is the graded
+    step :func:`_graded_frame` on the QR frame Q_g of g; a caller that flows
+    one stack to several times takes Q_g once and calls that step itself.
     """
+    return _graded_frame(np.linalg.qr(g)[0], t, d, p)
+
+
+def _graded_frame(qg: np.ndarray, t, d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """:func:`flag_frame` from the QR frame ``qg`` of g: the rows of p^T Q_g are scaled by
+    e^{t (d - d_0)}, graded large to small, the case in which Householder QR stays
+    accurate, so one stacked QR gives what flowing step by step and
+    re-orthonormalizing gives."""
     scale = np.exp(np.multiply.outer(t, d - d[0]))[..., :, None]
-    return np.linalg.qr(scale * (p.T @ np.linalg.qr(g)[0]))[0]
+    return np.linalg.qr(scale * (p.T @ qg))[0]
 
 
 def _frame_gaps(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
@@ -351,12 +352,13 @@ def commutation_check(chart: EigenChart, t: float, rng: np.random.Generator, cou
     Path one: flow the frame of each sample's flag matrix (:func:`flag_frame`),
     embed, read chart coordinates.  Path two: embed first, read chart
     coordinates, flow diagonally.  The samples are the draws of ``count``
-    calls of :func:`~tnnflow.totpos.sample_params`, drawn at once as int
-    ratios and multiplied out once each, as int columns, for both paths
-    (:func:`~tnnflow.totpos._lower_products`).  Each path runs on the whole
-    batch as one stack: one flow of the frames, one stacked call for the
-    float lines and one for the exact lines, one :func:`chart_coords` per
-    path and one diagonal flow.  Returns both ``(count, dim - 1)`` stacks of
+    calls of :func:`~tnnflow.totpos.sample_params`, drawn at once and
+    multiplied out once, in binary64, for both paths
+    (:func:`~tnnflow.totpos._float_lower_samples`): the check is a binary64
+    gate and certifies no exact object.  The batch runs as one stack: one
+    flow of the frames, then one stacked call of the float line kernel and
+    one :func:`chart_coords` for the acted frames and the samples together,
+    and one diagonal flow.  Returns both ``(count, dim - 1)`` stacks of
     chart points, row k for sample k, with their max coordinate difference.
     ``count`` below 1 raises ``ValueError``, since an empty sample would
     certify nothing, and so does t < 0.
@@ -364,11 +366,11 @@ def commutation_check(chart: EigenChart, t: float, rng: np.random.Generator, cou
     if count < 1:
         raise ValueError(f"the commutation check needs count >= 1, got {count}")
     flow = DiagonalFlow.from_chart(chart)
-    scaled = _lower_products(standard_word_w0(chart.rep.n), rng, count)
-    frames = _acted_frames(np.array([linalg._float_of_scaled(*s) for s in scaled]), t)
-    p_acted = chart_coords(chart, _float_lines(chart.rep, frames))
+    gs = _float_lower_samples(standard_word_w0(chart.rep.n), rng, count)
+    points = chart_coords(chart, _float_lines(chart.rep, np.concatenate([_acted_frames(gs, t), gs])))
+    p_acted = points[:count]
     with np.errstate(over="ignore", under="ignore"):
-        p_flowed = _flowed(flow.rates, chart_coords(chart, _scaled_lines(chart.rep, scaled)), t)
+        p_flowed = _flowed(flow.rates, points[count:], t)
     return {"acted": p_acted, "flowed": p_flowed, "max_diff": float(np.max(np.abs(p_acted - p_flowed)))}
 
 
@@ -391,10 +393,11 @@ def _flag_margin(frames: np.ndarray, levels) -> np.ndarray:
 def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int = 100) -> dict:
     """Flow boundary flags of type (n, J) for time t and certify they land strictly inside.
 
-    Boundary samples come from factorizations with zeroed parameters,
-    multiplied out in binary64 by :func:`_boundary_sample` (the first sample
-    zeroes every parameter: the base flag).  They flow as one
-    stack of frames (:func:`flag_frame`), and each flowed frame's
+    Boundary samples come from factorizations with zeroed parameters, drawn by
+    :func:`_boundary_sample` (the first sample zeroes every parameter: the
+    base flag), and all of them, control included, are multiplied out in
+    binary64 by one :func:`~tnnflow.totpos._float_lower_products` call.  The
+    samples flow as one stack of frames (:func:`flag_frame`), and each flowed frame's
     :func:`_flag_margin` on the recorded dimensions must clear 1e-12; no
     module is built.  On a type with a gap, such as (4, {2}), that is weaker
     than membership in Y_{>=0} (Bloch-Karp, arXiv:2206.05806).  The negative
@@ -407,9 +410,10 @@ def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int =
     levels = sorted(lambda_for(n, J).support)
     word = standard_word_w0(n)
     full = list(range(len(word)))
-    us = [_boundary_sample(word, rng, full if k == 0 else None) for k in range(count)]
-    # negative control: with t = 0 the base-flag sample stays on the boundary
-    frames = np.array([*_acted_frames(np.array(us), t), _boundary_sample(word, rng, full)])
+    # the negative control, drawn last: with t = 0 the base-flag sample stays on the boundary
+    ts = [_boundary_sample(word, rng, full if k in (0, count) else None) for k in range(count + 1)]
+    us = _float_lower_products(word, ts)
+    frames = np.concatenate([_acted_frames(us[:count], t), us[count:]])
     *margins, control = _flag_margin(frames, levels).tolist()
     worst = min(margins)
     return {

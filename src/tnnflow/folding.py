@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .chevalley import GroupElement, generator_sum_spectrum
-from .flow import _frame_gap, flag_frame
+from .flow import _frame_gap, _graded_frame
 from .totpos import (
     FactorizationParams,
     ReducedWord,
@@ -201,17 +201,26 @@ def break_symmetry(params: FactorizationParams) -> FactorizationParams:
     return FactorizationParams(word, tuple(vals))
 
 
-def _flowed_frames(s: np.ndarray, t: float, uf: np.ndarray, suf: np.ndarray) -> tuple:
-    """The frames of the flags of exp(t tau) u and S exp(-t tau) S^T sigma(u), for stacks uf and suf.
+def _spectra(s: np.ndarray) -> tuple:
+    """``(d, P, S P)`` for :func:`_flowed_frames`: tau = P diag(d) P^T in closed form and
+    S P with its columns reversed, taken once per gate."""
+    d, p = generator_sum_spectrum(len(s))
+    return d, p, (s @ p)[:, ::-1]
+
+
+def _flowed_frames(spectra: tuple, t: float, qu: np.ndarray, qsu: np.ndarray) -> tuple:
+    """The frames of the flags of exp(t tau) u and S exp(-t tau) S^T sigma(u), for the stacks
+    ``qu`` and ``qsu`` of QR frames of u and of sigma(u), and ``spectra`` from :func:`_spectra`.
 
     S exp(-t tau) S^T = (S P) diag(e^{-t d}) (S P)^T, so sigma(u) is flowed
     with -d and S P, both reversed to keep the spectrum descending (ascending,
     the gaps reach 1 by t = 20).  Flowing S^T sigma(u) back and multiplying by
     S would repeat the QR on a row-permuted u, exact only to eps cond(u).
+    Each side is the graded step of :func:`~tnnflow.flow.flag_frame`, so the
+    QR frames are taken once per stack, not once per time.
     """
-    d, p = generator_sum_spectrum(len(s))
-    sp = (s @ p)[:, ::-1]
-    return p @ flag_frame(uf, t, d, p), sp @ flag_frame(suf, t, -d[::-1], sp)
+    d, p, sp = spectra
+    return p @ _graded_frame(qu, t, d, p), sp @ _graded_frame(qsu, t, -d[::-1], sp)
 
 
 def fixed_locus_flow_check(
@@ -265,10 +274,12 @@ def fixed_locus_flow_check(
         raise ValueError(f"the fixed-locus check needs count >= 1, got {count}")
     word, blocks = symmetric_word(n)
     s = linalg.to_float(folding.s_matrix)
+    spectra = _spectra(s)
 
-    def flag_gaps(uf, suf) -> dict:
-        """For each time, the fold gaps of a stack of float elements against their sigma images."""
-        return {t: _frame_gap(*_flowed_frames(s, t, uf, suf)) for t in times}
+    def flag_gaps(qu, qsu) -> dict:
+        """For each time, the fold gaps of a stack of QR frames of float elements against those
+        of their sigma images."""
+        return {t: _frame_gap(*_flowed_frames(spectra, t, qu, qsu)) for t in times}
 
     us = []
     for k in range(count):
@@ -284,8 +295,8 @@ def fixed_locus_flow_check(
     # negative control, drawn after the samples
     u_bad = _scaled_product(break_symmetry(symmetric_params(n, rng)), "lower")
 
-    uf = np.array([linalg._float_of_scaled(*u) for u in us])
-    gaps = flag_gaps(uf, uf)
+    qu = np.linalg.qr(np.array([linalg._float_of_scaled(*u) for u in us]))[0]
+    gaps = flag_gaps(qu, qu)
     worst = 0.0
     all_fixed = True
     witness = None
@@ -297,9 +308,9 @@ def fixed_locus_flow_check(
                 all_fixed = False
                 witness = witness or {"sample": k, "time": t, "gap": gap}
 
-    bad = np.array([linalg._float_of_scaled(*u_bad)])
-    sigma_bad = s @ np.linalg.qr(bad)[0][..., ::-1]
-    control_broken = not _preserves_form(*u_bad) and all(g[0] > 1e-6 for g in flag_gaps(bad, sigma_bad).values())
+    q_bad = np.linalg.qr(np.array([linalg._float_of_scaled(*u_bad)]))[0]
+    q_sigma_bad = np.linalg.qr(s @ q_bad[..., ::-1])[0]
+    control_broken = not _preserves_form(*u_bad) and all(g[0] > 1e-6 for g in flag_gaps(q_bad, q_sigma_bad).values())
 
     return {
         "n": n,

@@ -19,10 +19,10 @@ import numpy as np
 from . import linalg
 from .cells import bruhat_interval_counts, census_verdict, enumerate_cells, face_poset, validate_poset
 from .chevalley import exp_generator_sum, generator_sum_spectrum
-from .embedding import _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
+from .embedding import _float_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
 from .flow import DiagonalFlow, _frame_gaps, commutation_check, converge, flag_frame, invariance_check, log_contraction
 from .folding import build_folding, fixed_locus_flow_check
-from .totpos import Positivity, _lower_products, is_tnn_matrix, standard_word_w0
+from .totpos import Positivity, _float_lower_samples, is_tnn_matrix, standard_word_w0
 
 __all__ = ["Case", "CASES", "GATES", "build_charts", "converged_starts", "fixed_point_gap", "run_suite"]
 
@@ -97,9 +97,9 @@ def _commutation(rows, charts, rng, count) -> dict:
 
 
 def _invariance(rows, charts, rng, count) -> dict:
-    t = _the(row.t for row in rows)
-    cases = [{"n": row.n, "J": list(row.J)} | invariance_check(row.n, row.J, t, rng, count=count) for row in rows]
-    return {"cases": cases, "t": t, "passed": all(case["passed"] for case in cases),
+    cases = [{"n": row.n, "J": list(row.J), "t": row.t} | invariance_check(row.n, row.J, row.t, rng, count=count)
+             for row in rows]
+    return {"cases": cases, "passed": all(case["passed"] for case in cases),
             "certifies": "every flag minor of each recorded level, over the level's minor of largest magnitude, above"
                          " 1e-12; weaker than membership in Y>=0 for a type with a gap, such as (4, {2})"}
 
@@ -137,16 +137,15 @@ def _exp_total_positivity(rows, charts, rng, count) -> dict:
 def converged_starts(chart, rng, count: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """``count`` lower-unipotent TP starts g in binary64, the time T at which
     :func:`~tnnflow.flow.converge` brings each chart point below norm 1e-9,
-    and whether every T is within its a priori bound.  The starts are drawn at once
-    as int ratios, the stream of ``count`` :func:`~tnnflow.totpos.sample_params`
-    calls, and each is multiplied out once, as column-scaled ints
-    (:func:`~tnnflow.totpos._lower_products`), which give both its binary64 matrix
-    and its line; the lines of all starts come from one stacked call, and their
-    chart points from one :func:`~tnnflow.embedding.chart_coords`."""
+    and whether every T is within its a priori bound.  The starts are drawn at once,
+    the stream of ``count`` :func:`~tnnflow.totpos.sample_params` calls, and
+    multiplied out in binary64 (:func:`~tnnflow.totpos._float_lower_samples`): the
+    gate is a binary64 one and certifies no exact object.  The lines of all starts
+    come from one stacked call of the float line kernel, and their chart points
+    from one :func:`~tnnflow.embedding.chart_coords`."""
     flow = DiagonalFlow.from_chart(chart)
-    scaled = _lower_products(standard_word_w0(chart.rep.n), rng, count)
-    runs = [converge(flow, p, tol=1e-9) for p in chart_coords(chart, _scaled_lines(chart.rep, scaled))]
-    starts = np.array([linalg._float_of_scaled(*s) for s in scaled])
+    starts = _float_lower_samples(standard_word_w0(chart.rep.n), rng, count)
+    runs = [converge(flow, p, tol=1e-9) for p in chart_coords(chart, _float_lines(chart.rep, starts))]
     return starts, np.array([run.time for run in runs]), all(run.within_bound for run in runs)
 
 

@@ -4,10 +4,11 @@ Positive elements are produced by factorizations along reduced words for the
 longest permutation, multiplied out exactly by one int column operation per
 letter, each column over its own denominator, in one kernel that reads each
 parameter as an int ratio ``(p, q)``.  Random parameters are drawn as such
-ratios, the exact values of binary64 draws, and the verification gates feed
-a whole batch of them to the kernel with no ``Fraction`` built
-(``sample_params`` and ``sample_positive`` are the ``Fraction`` views of the
-draw and of the product).  Positivity of a given matrix is
+ratios, the exact values of binary64 draws (``sample_params`` and
+``sample_positive`` are the ``Fraction`` views of the draw and of the
+product).  The verification gates' float checks certify no exact object, so
+they draw the same binary64 parameters and multiply a whole batch out in
+binary64, one stacked column operation per letter.  Positivity of a given matrix is
 certified exactly on its column-scaled ints by one certificate, which
 :func:`is_tnn_matrix` and the ``sample`` command share: first by its solid
 minors alone, a level at a time from the condensation kernel
@@ -172,7 +173,7 @@ def sample_params(
     the n-1 torus parameters, for an upper*torus*lower product.  This is the
     ``Fraction`` view of the ratio draw: one ``rng.uniform`` call makes every
     draw, each parameter a :func:`_positive_ratio`, the stream that
-    :func:`_lower_products` reads for a whole batch.
+    :func:`_float_lower_samples` reads for a whole batch in binary64.
     """
     count = (2 if group else 1) * len(word)
     zeroed = _mask_indices(() if zero_mask is None else zero_mask, count, "zero_mask")
@@ -185,17 +186,35 @@ def sample_params(
     return FactorizationParams(word, tuple(vals), torus if group else None)
 
 
-def _lower_products(word: ReducedWord, rng: np.random.Generator, count: int) -> list:
-    """``count`` lower-unipotent products along ``word`` as column-scaled ints ``(columns, scales)``.
+def _float_lower_products(word: ReducedWord, ts: np.ndarray) -> np.ndarray:
+    """The lower-unipotent products along ``word`` of a stack of binary64 parameters, ``(m,
+    len(word))`` to ``(m, n, n)``, a zeroed parameter read as 0.0.
+
+    One column operation per letter runs on the whole stack: y_i(t) adds
+    t * column i to column i-1.  No term is ever subtracted, so each entry is
+    within 2 len(word) ulps, relative, of the exact product rounded, and zero
+    exactly where that is; each matrix is bit for bit its parameters' alone.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    cols = np.broadcast_to(np.eye(word.n), (ts.shape[0], word.n, word.n)).copy()  # (m, column, row)
+    for k, i in enumerate(word.letters):
+        cols[:, i - 1] += ts[:, k, None] * cols[:, i]
+    return cols.transpose(0, 2, 1)
+
+
+def _float_lower_samples(word: ReducedWord, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` lower-unipotent products along ``word`` in binary64, ``(count, n, n)``.
 
     One ``rng.uniform`` call draws the stream of ``count`` calls of
     :func:`sample_params`, torus draws included, and leaves ``rng`` where they
-    leave it; each product is ``==`` to ``_scaled_product(sample_params(word,
-    rng), "lower")``, with no ``Fraction`` built on the way.
+    leave it; each parameter is ``math.exp`` of its draw, the float whose exact
+    ratio :func:`_positive_ratio` gives, and :func:`_float_lower_products`
+    multiplies the batch out.  The float gates sample this way: they certify
+    no exact object, so no int product is formed.
     """
     ell = len(word)
     draws = rng.uniform(-3.0, 3.0, (count, ell + word.n - 1))[:, :ell].tolist()
-    return [_lower_product(word, map(_positive_ratio, row)) for row in draws]
+    return _float_lower_products(word, [[math.exp(x) for x in row] for row in draws])
 
 
 def sample_positive(params: FactorizationParams, side: str) -> GroupElement:

@@ -8,8 +8,10 @@ import io
 import json
 import math
 import pkgutil
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -682,3 +684,38 @@ def test_meta_echoes_exactly_the_settings_read(capsys, argv):
     extra = {"counts"} if command == "verify" else set()
     assert set(meta) == {"command", *READS[command]} | extra
     assert meta["command"] == command and meta["out"] is None
+
+
+@pytest.mark.parametrize("argv", [("verify", "--count", "1"), ("embed", "--format", "json"), ("fold", "--count", "1")],
+                         ids=lambda argv: argv[0])
+def test_report_bytes_do_not_depend_on_where_they_are_written(tmp_path, capsys, argv):
+    """Two --out paths, and stdout, give identical bytes: meta reads out as null."""
+    written = []
+    for name in ("a.json", "deeper/b.json"):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        assert run_cli(capsys, *argv, "--out", str(path))[:2] == (0, "")
+        written.append(path.read_bytes())
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and written == [out.encode()] * 2
+    assert json.loads(out)["meta"]["out"] is None
+
+
+def test_report_diff_prints_each_leaf_that_moved(tmp_path, capsys):
+    """scripts/report_diff.py prints the path, old and new value of each differing leaf,
+    a missing one as (absent), an int against an equal float as moved, and nothing
+    for equal reports; it exits 0 either way."""
+    script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "report_diff.py"))
+    old = {"meta": {"seed": 7}, "s": {"cases": [{"t": 0.1, "worst": "1e-13"}, {"w": 1}], "t": 0.1}}
+    new = {"meta": {"seed": 7}, "s": {"cases": [{"t": 0.1, "worst": "8e-14"}, {"w": 1.0}, {"w": 2}]}}
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, doc in zip(paths, (old, new)):
+        path.write_text(json.dumps(doc))
+    assert script["main"]([str(p) for p in paths]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        '$.s.cases[0].worst  "1e-13"  ->  "8e-14"',
+        "$.s.cases[1].w  1  ->  1.0",
+        '$.s.cases[2]  (absent)  ->  {"w": 2}',
+        "$.s.t  0.1  ->  (absent)",
+    ]
+    assert script["main"]([str(paths[0])] * 2) == 0 and capsys.readouterr().out == ""

@@ -31,7 +31,14 @@ from tnnflow.embedding import (
     weyl_dim,
 )
 from tnnflow.suite import CASES, GATES, build_charts
-from tnnflow.totpos import FactorizationParams, _scaled_product, sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import (
+    FactorizationParams,
+    _float_lower_samples,
+    _scaled_product,
+    sample_params,
+    sample_positive,
+    standard_word_w0,
+)
 
 
 def _generator_moves(rep):
@@ -421,6 +428,21 @@ def test_stacked_float_lines_match_one_frame_at_a_time(n, J):
         assert line.tobytes() == want
         assert embedding._float_lines(rep, frame[None])[0].tobytes() == want
         assert line_of(rep, GroupElement(frame, FLOAT)).tobytes() == want
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (3, (2,)), (4, (2,)), (5, (2, 3))])
+def test_binary64_lines_of_the_gate_samples_round_the_exact_lines(n, J):
+    """On the float gates' draws, the line of each binary64 product, by the float
+    kernel, agrees with the exact line of its ``sample_params`` draw, by the int
+    kernel, to 1e-12 relative to the line's largest coordinate."""
+    rep = build_rep(lambda_for(n, J))
+    word = standard_word_w0(n)
+    for seed in range(4):
+        rng, oracle = np.random.default_rng([n, len(J), seed]), np.random.default_rng([n, len(J), seed])
+        got = embedding._float_lines(rep, _float_lower_samples(word, rng, 25))
+        want = embedding._scaled_lines(rep, [_scaled_product(sample_params(word, oracle), "lower") for _ in range(25)])
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-12, seed
 
 
 @pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (4, (1, 3)), (5, ())])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tnnflow import flow as flow_module
 from tnnflow import linalg
-from tnnflow.chevalley import generator_sum, generator_sum_spectrum
+from tnnflow.chevalley import FLOAT, GroupElement, generator_sum, generator_sum_spectrum
 from tnnflow.embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of
 from tnnflow.flow import (
     Convergence,
@@ -36,7 +36,14 @@ from tnnflow.flow import (
     sphere_crossing,
 )
 from tnnflow.suite import CASES
-from tnnflow.totpos import _scaled_product, sample_params, sample_positive, sl3_coords, standard_word_w0
+from tnnflow.totpos import (
+    _float_lower_products,
+    _scaled_product,
+    sample_params,
+    sample_positive,
+    sl3_coords,
+    standard_word_w0,
+)
 
 
 def test_flow_rates_from_chart(flow3):
@@ -129,22 +136,27 @@ def test_default_ball_radius(chart3):
 def test_boundary_sample_is_the_exact_route_in_binary64(n):
     """The binary64 boundary sample draws the stream of the exact route, a mask
     and then ``sample_params``, so the next draw after each is the same; each
-    entry is within 2 len(word) ulps, relative, of the exact product rounded,
-    and zero exactly where that is; and zeroing every parameter gives the
-    identity exactly."""
+    parameter is the float of its exact ratio, bit for bit, and 0.0 where zeroed;
+    multiplied out, each entry is within 2 len(word) ulps, relative, of the exact
+    product rounded, and zero exactly where that is; and zeroing every parameter
+    gives the identity exactly."""
     word = standard_word_w0(n)
     bound = 2 * len(word) * np.finfo(np.float64).eps
     for seed in range(6):
         rng_float, rng_exact = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
-        got = flow_module._boundary_sample(word, rng_float)
+        ts = flow_module._boundary_sample(word, rng_float)
         size = int(rng_exact.integers(1, len(word) + 1))
         mask = sorted(rng_exact.choice(len(word), size=size, replace=False).tolist())
-        want = linalg._float_of_scaled(*_scaled_product(sample_params(word, rng_exact, zero_mask=mask), "lower"))
+        params = sample_params(word, rng_exact, zero_mask=mask)
         assert rng_float.random() == rng_exact.random()
+        assert ts == [float(t) for t in params.t] and all(t == 0.0 for k, t in enumerate(ts) if k in mask)
+        got = _float_lower_products(word, [ts])[0]
+        want = linalg._float_of_scaled(*_scaled_product(params, "lower"))
         assert got.dtype == np.float64 and np.array_equal(got == 0.0, want == 0.0)
         assert np.all(np.abs(got - want) <= bound * np.abs(want))
     full = list(range(len(word)))
-    assert np.array_equal(flow_module._boundary_sample(word, np.random.default_rng(n), full), np.eye(n))
+    ts = flow_module._boundary_sample(word, np.random.default_rng(n), full)
+    assert np.array_equal(_float_lower_products(word, [ts])[0], np.eye(n))
 
 
 def test_sphere_crossing_lands_across_binary64(chart3, flow3):
@@ -214,9 +226,20 @@ def test_commutation_holds_at_large_t(n, J):
 
 
 def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
-    """Each check makes one stacked flow call and one stacked embedding or minors
-    call; the invariance check takes its negative control's minors in the same stack."""
+    """Each check multiplies its samples out in one binary64 kernel call, and makes one
+    stacked flow call and one stacked embedding or minors call: the commutation check
+    embeds its acted frames and its samples in one stack, and the invariance check
+    multiplies out and takes the minors of its negative control in the same stacks."""
     stacks, float_lines, minors = [], flow_module._float_lines, flow_module.flag_minors
+    drawn, multiplied = flow_module._float_lower_samples, flow_module._float_lower_products
+
+    def draw(word, rng, count):
+        stacks.append(("draw", count))
+        return drawn(word, rng, count)
+
+    def multiply(word, ts):
+        stacks.append(("multiply", len(ts)))
+        return multiplied(word, ts)
 
     def flowed(g, *args):
         stacks.append(("flow", g.shape))
@@ -233,12 +256,14 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
     monkeypatch.setattr(flow_module, "flag_frame", flowed)
     monkeypatch.setattr(flow_module, "_float_lines", embedded)
     monkeypatch.setattr(flow_module, "flag_minors", minored)
+    monkeypatch.setattr(flow_module, "_float_lower_samples", draw)
+    monkeypatch.setattr(flow_module, "_float_lower_products", multiply)
     commutation_check(chart3, 1.0, rng, 4)
-    assert stacks == [("flow", (4, 3, 3)), ("embed", (4, 3, 3))]
+    assert stacks == [("draw", 4), ("flow", (4, 3, 3)), ("embed", (8, 3, 3))]
     invariance_check(3, (), 0.1, rng, count=5)
-    assert stacks[2:] == [("flow", (5, 3, 3)), ("minors", (6, 3, 3))]
+    assert stacks[3:] == [("multiply", 6), ("flow", (5, 3, 3)), ("minors", (6, 3, 3))]
     default_ball_radius(chart3, rng)
-    assert stacks[4:] == [("embed", (25, 3, 3))]
+    assert stacks[6:] == [("multiply", 25), ("embed", (25, 3, 3))]
 
 
 def test_checks_refuse_negative_time(chart3, rng):
@@ -323,8 +348,9 @@ def test_invariance_check_refuses_an_empty_sample(rng, count):
 def test_commutation_check_of_k_samples_is_k_checks_of_one(n, J, chart3, chart42):
     """One call with count k draws the stream of k calls with count 1 and gives each
     sample's points as rows, bit for bit, and leaves the generator where they leave it.
-    Each row is the sample's own: the points of its ``sample_params`` draw, embedded
-    exactly, charted and flowed on their own."""
+    Each row is the sample's own: the points of the binary64 product of its
+    ``sample_params`` draw, embedded, charted and flowed on their own, and of that
+    product's frame flowed, embedded and charted on its own."""
     chart = {3: chart3, 4: chart42}[n]
     flow = DiagonalFlow.from_chart(chart)
     for k, t in ((1, 0.1), (5, 1.0), (12, 4.0)):
@@ -335,9 +361,13 @@ def test_commutation_check_of_k_samples_is_k_checks_of_one(n, J, chart3, chart42
         for key in ("acted", "flowed"):
             assert result[key].shape == (k, chart.ncoords)
             assert result[key].tobytes() == np.concatenate([r[key] for r in singles]).tobytes(), key
-        for row in result["flowed"]:
-            line = line_of(chart.rep, sample_params(standard_word_w0(n), drawn), "lower")
-            assert row.tobytes() == flow_point(flow, t, chart_coords(chart, line)).tobytes()
+        word = standard_word_w0(n)
+        for acted, flowed in zip(result["acted"], result["flowed"]):
+            g = _float_lower_products(word, [[float(x) for x in sample_params(word, drawn).t]])[0]
+            line = line_of(chart.rep, GroupElement(g.copy(), FLOAT))
+            assert flowed.tobytes() == flow_point(flow, t, chart_coords(chart, line)).tobytes()
+            frame = GroupElement(_frames_at(g[None], t)[0], FLOAT)
+            assert acted.tobytes() == chart_coords(chart, line_of(chart.rep, frame)).tobytes()
         assert rng.uniform() == oracle.uniform() == drawn.uniform()
     for count in (0, -1):
         with pytest.raises(ValueError, match="count"):

@@ -23,6 +23,7 @@ from tnnflow.folding import (
     _flowed_frames,
     _frame_gap,
     _preserves_form,
+    _spectra,
     _symmetric_ratios,
     apply_group,
     break_symmetry,
@@ -269,22 +270,26 @@ def test_sigma_flag_is_the_orthogonal_complement_reversed(n):
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_control_sigma_frame_spans_the_flag_of_apply_group(n, monkeypatch):
     """The sigma side the gate flows for its control has the flag of the exact
-    sigma of its float control: the frame S Q J, read off the QR frame Q of u."""
+    sigma of its control: the frame S Q J, read off the QR frame Q of u.  The
+    control is redrawn exactly, after the one sample, from the same seed."""
     flowed = []
 
-    def spy(s, t, uf, suf):
-        flowed.append((uf, suf))
-        return real(s, t, uf, suf)
+    def spy(spectra, t, qu, qsu):
+        flowed.append((qu, qsu))
+        return real(spectra, t, qu, qsu)
 
     real = folding._flowed_frames
     monkeypatch.setattr(folding, "_flowed_frames", spy)
     fold = build_folding(n)
     for seed in range(5):
         fixed_locus_flow_check(fold, np.random.default_rng([n, seed]), count=1)
-        (uf, suf) = flowed[-1]  # the control is flowed last
-        u = GroupElement(linalg.rationalize(uf[0]), RATIONAL)
+        (qu, qsu) = flowed[-1]  # the control is flowed last
+        rng = np.random.default_rng([n, seed])
+        symmetric_params(n, rng)  # the one sample
+        u = sample_positive(break_symmetry(symmetric_params(n, rng)), "lower")
+        assert qu.tobytes() == np.linalg.qr(linalg.to_float(u.entries)[None])[0].tobytes()
         want = np.linalg.qr(linalg.to_float(apply_group(fold, u).entries))[0]
-        assert _frame_gap(np.linalg.qr(suf[0])[0], want) <= 1e-10
+        assert _frame_gap(qsu[0], want) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -424,7 +429,7 @@ def test_flowed_frames_match_the_stepwise_flow(n, stepwise_frame):
     uf, suf = np.array(us), np.array(sus)
     s = linalg.to_float(fold.s_matrix)
     for t in (0.1, 1.0, 5.0, 20.0):
-        forward, backward = _flowed_frames(s, t, uf, suf)
+        forward, backward = _flowed_frames(_spectra(s), t, np.linalg.qr(uf)[0], np.linalg.qr(suf)[0])
         assert np.max(_frame_gap(forward, stepwise_frame(uf, t))) <= 1e-13, t
         assert np.max(_frame_gap(backward, stepwise_frame(suf, t, s))) <= 1e-13, t
 

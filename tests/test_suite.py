@@ -170,3 +170,15 @@ def test_invariance_gate_reads_no_chart_and_says_what_it_certifies():
         "every flag minor of each recorded level, over the level's minor of largest magnitude, above 1e-12;"
         " weaker than membership in Y>=0 for a type with a gap, such as (4, {2})"
     )
+
+
+def test_invariance_rows_each_flow_for_their_own_t():
+    """Rows of one invariance section may differ in t: each row flows for its own t,
+    and its case reports that t; the section reports none of its own."""
+    rows = [Case("invariance", 3, (), 0.1, None), Case("invariance", 3, (2,), 1.0, None)]
+    section = GATES["invariance"].section(rows, {}, np.random.default_rng(2), 20)
+    assert section["passed"] is True and "t" not in section
+    assert [case["t"] for case in section["cases"]] == [0.1, 1.0]
+    rng = np.random.default_rng(2)
+    for row, case in zip(rows, section["cases"]):
+        assert case == {"n": row.n, "J": list(row.J), "t": row.t} | flow.invariance_check(row.n, row.J, row.t, rng, 20)

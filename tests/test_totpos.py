@@ -15,7 +15,8 @@ from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, one_param, build_pi
 from tnnflow.totpos import (
     FactorizationParams,
     _certificate,
-    _lower_products,
+    _float_lower_products,
+    _float_lower_samples,
     _scaled_product,
     Membership,
     Positivity,
@@ -408,15 +409,73 @@ def test_sample_params_draws_the_stream_of_scalar_draws(seed):
         assert rng.uniform() == oracle.uniform()
 
 
+def _looped_lower_product(word, ts):
+    """The lower product of one row of binary64 parameters, a column operation at a time in
+    Python floats, a zero parameter skipped: the oracle of the stacked kernel."""
+    n = word.n
+    cols = [[float(r == c) for r in range(n)] for c in range(n)]
+    for i, t in zip(word.letters, ts):
+        if t:
+            cols[i - 1] = [a + t * b for a, b in zip(cols[i - 1], cols[i])]
+    return np.array(cols).T
+
+
+def _rounds_the_exact_product(got, params, word):
+    """``got`` is within 2 len(word) ulps, relative, of the exact lower product of
+    ``params`` rounded, and zero exactly where that is."""
+    want = linalg._float_of_scaled(*_scaled_product(params, "lower"))
+    bound = 2 * len(word) * np.finfo(np.float64).eps
+    return np.array_equal(got == 0.0, want == 0.0) and bool(np.all(np.abs(got - want) <= bound * np.abs(want)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_float_lower_products_are_the_per_sample_loop(n):
+    """The stacked kernel gives each matrix bit for bit as the column operations on its
+    parameters alone, in a Python loop that skips a zeroed letter, zeroed letters
+    included: none, one, some, and all, which gives the identity."""
+    word = standard_word_w0(n)
+    ell = len(word)
+    rng = np.random.default_rng([n, 31])
+    ts = np.exp(rng.uniform(-3.0, 3.0, (8, ell)))
+    for k, size in enumerate((0, 1, 2, ell // 2, ell - 1, ell, 0, 3)):
+        ts[k, rng.choice(ell, size=min(size, ell), replace=False)] = 0.0
+    got = _float_lower_products(word, ts)
+    assert got.shape == (8, n, n) and got.dtype == np.float64
+    for g, row in zip(got, ts.tolist()):
+        assert g.tobytes() == _looped_lower_product(word, row).tobytes()
+    assert np.array_equal(got[5], np.eye(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_float_lower_products_round_the_exact_products(n):
+    """Each entry of the kernel's product of the floats of ``sample_params`` lies within
+    2 len(word) ulps, relative, of the exact product rounded, and is zero exactly where
+    that is, on interior and boundary draws: no term is ever subtracted."""
+    word = standard_word_w0(n)
+    ell = len(word)
+    rng = np.random.default_rng([n, 32])
+    drawn = [sample_params(word, rng, zero_mask=rng.choice(ell, size=size, replace=False))
+             for size in (0, 0, 1, ell // 2, ell - 1)]
+    got = _float_lower_products(word, [[float(t) for t in params.t] for params in drawn])
+    for g, params in zip(got, drawn):
+        assert _rounds_the_exact_product(g, params, word)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_lower_products_are_the_products_of_sequential_draws(n):
-    """One batch draw multiplies out, as int ratios, the products of ``count``
-    sequential ``sample_params`` draws, and leaves the generator where they leave it."""
+    """One batch draw multiplies out, in binary64, the products of ``count`` sequential
+    ``sample_params`` draws: each parameter is bit for bit the float of its exact ratio,
+    each product rounds the exact one as the kernel does, and the generator ends where
+    the sequential draws leave it."""
     word = standard_word_w0(n)
     for seed, count in ((n, 1), (n + 10, 6)):
         rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _lower_products(word, rng, count)
-        assert got == [_scaled_product(sample_params(word, oracle), "lower") for _ in range(count)]
+        got = _float_lower_samples(word, rng, count)
+        assert got.shape == (count, n, n)
+        drawn = [sample_params(word, oracle) for _ in range(count)]
+        want = _float_lower_products(word, [[float(t) for t in params.t] for params in drawn])
+        assert got.tobytes() == want.tobytes()
+        assert all(_rounds_the_exact_product(g, params, word) for g, params in zip(got, drawn))
         assert rng.uniform() == oracle.uniform()
 
 
