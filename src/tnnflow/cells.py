@@ -230,18 +230,38 @@ class Census:
         return frozenset(c.vertex_label for c in self.cells if c.dim == 0)
 
 
+def _sign_rule(vzeros, wzeros) -> bool:
+    """Whether the pattern has a point with both supports nonempty and strictly positive there.
+
+    On the supports V and W, the sums are met by scaling, and
+    v1 w1 - v2 w2 + v3 w3 = 0 sums the positive products v_i w_i over V & W
+    with the signs (+, -, +): it can vanish iff V & W is empty or holds both
+    signs.
+    """
+    vsupp = {i for i in _INDICES if i not in vzeros}
+    wsupp = {i for i in _INDICES if i not in wzeros}
+    common = vsupp & wsupp
+    return bool(vsupp and wsupp) and (not common or (2 in common and len(common) > 1))
+
+
 def enumerate_cells() -> Census:
     """Decide realizability of all 49 vanishing patterns and collect the cells.
 
-    Realizability is decided by the deterministic closed-form solver, and
-    each cell's dimension is the Jacobian rank count at its witness.
+    Realizability is decided by the sign rule :func:`_sign_rule`; the
+    deterministic closed-form solver then builds the witness of each
+    realizable pattern only, and one it cannot solve raises
+    ``AssertionError``.  Each cell's dimension is the Jacobian rank count at
+    its witness.
     """
     cells = []
     subsets = [frozenset(s) for k in range(3) for s in itertools.combinations(_INDICES, k)]
     for vz, wz in itertools.product(subsets, repeat=2):
+        if not _sign_rule(vz, wz):
+            continue
         witness = _pattern_witness(vz, wz)
-        if witness is not None:
-            cells.append(Cell(vz, wz, _pattern_dim(witness), witness))
+        if witness is None:
+            raise AssertionError(f"the sign rule admits v{sorted(vz)}|w{sorted(wz)}, but the solver finds no point")
+        cells.append(Cell(vz, wz, _pattern_dim(witness), witness))
     cells.sort(key=lambda c: (c.dim, c.key))
     return Census(tuple(cells))
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .chevalley import generator_sum_spectrum
 from .embedding import EigenChart, _float_lines, chart_coords, lambda_for
-from .totpos import _float_lower_products, _float_lower_samples, flag_minors, standard_word_w0
+from .totpos import _float_lower_products, _float_lower_samples, _zero_masks, flag_minors, standard_word_w0
 
 __all__ = [
     "DiagonalFlow",
@@ -163,37 +163,37 @@ class CrossingResult:
     residual: float
 
 
-def _boundary_sample(word, rng: np.random.Generator, mask=None) -> list:
-    """The binary64 parameters of a lower-unipotent boundary flag along ``word``, one per
-    letter, with those of ``mask`` zeroed (0.0), by default a random nonempty set of
-    them drawn first.
+def _boundary_params(word, rng: np.random.Generator, count: int, full=()) -> np.ndarray:
+    """The binary64 parameters of ``count`` lower-unipotent boundary flags along ``word``, ``(count,
+    len(word))``, with 0.0 for a zeroed letter: row k zeroes a random nonempty set of letters,
+    its size uniform on 1..len(word) and then a uniform subset of that size
+    (:func:`~tnnflow.totpos._zero_masks`), and the rows of ``full`` zero every letter.
 
-    The parameters are the draws of :func:`~tnnflow.totpos.sample_params`, one
-    ``rng.uniform`` call in the same stream, each ``math.exp`` of its draw.
-    Callers multiply a stack of samples out in one call of
+    Each array is one draw: the mask sizes, a row of uniforms whose ranks pick the
+    zeroed letters, and ``rng.uniform(-3, 3, (count, len(word)))``, each kept draw
+    ``math.exp`` of itself, as in :func:`~tnnflow.totpos._float_lower_samples`.
+    Callers multiply the stack out in one call of
     :func:`~tnnflow.totpos._float_lower_products`.
     """
-    if mask is None:
-        size = int(rng.integers(1, len(word) + 1))
-        mask = sorted(rng.choice(len(word), size=size, replace=False).tolist())
-    zeroed = set(mask)
-    # the torus draws ride along, as in sample_params, so the stream is the same
-    draws = rng.uniform(-3.0, 3.0, len(word) + word.n - 1).tolist()
-    return [0.0 if k in zeroed else math.exp(x) for k, x in enumerate(draws[: len(word)])]
+    ell = len(word)
+    zeroed = _zero_masks(rng, count, ell, ell)
+    zeroed[list(full)] = True
+    draws = rng.uniform(-3.0, 3.0, (count, ell)).tolist()
+    return np.where(zeroed, 0.0, [[math.exp(x) for x in row] for row in draws])
 
 
 def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
     """A chart-adapted target radius: 1e-2 times the smallest boundary norm.
 
-    Samples 25 boundary flags (factorizations with at least one zeroed
-    parameter), multiplies them out in binary64, embeds and charts them as one
-    stack, and returns a hundredth of the
+    Draws 25 boundary flags (factorizations with at least one zeroed
+    parameter) as one batch (:func:`_boundary_params`), multiplies them out in
+    binary64, embeds and charts them as one stack, and returns a hundredth of the
     smallest chart norm seen.  The smallest boundary norm sets the scale below
     which the sphere is unambiguously "near the fixed point", so a small
     fraction of it makes a sensible default when the caller has none in mind.
     """
     word = standard_word_w0(chart.rep.n)
-    lines = _float_lines(chart.rep, _float_lower_products(word, [_boundary_sample(word, rng) for _ in range(25)]))
+    lines = _float_lines(chart.rep, _float_lower_products(word, _boundary_params(word, rng, 25)))
     # per-row norms: np.linalg.norm(..., axis=1) rounds some differently, and moves the radius
     smallest = min(float(np.linalg.norm(p)) for p in chart_coords(chart, lines))
     if not math.isfinite(smallest) or smallest <= 0.0:
@@ -393,10 +393,11 @@ def _flag_margin(frames: np.ndarray, levels) -> np.ndarray:
 def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int = 100) -> dict:
     """Flow boundary flags of type (n, J) for time t and certify they land strictly inside.
 
-    Boundary samples come from factorizations with zeroed parameters, drawn by
-    :func:`_boundary_sample` (the first sample zeroes every parameter: the
-    base flag), and all of them, control included, are multiplied out in
-    binary64 by one :func:`~tnnflow.totpos._float_lower_products` call.  The
+    Boundary samples come from factorizations with zeroed parameters, drawn as
+    one batch by :func:`_boundary_params` (the first sample zeroes every
+    parameter: the base flag), and all of them, control included, are
+    multiplied out in binary64 by one
+    :func:`~tnnflow.totpos._float_lower_products` call.  The
     samples flow as one stack of frames (:func:`flag_frame`), and each flowed frame's
     :func:`_flag_margin` on the recorded dimensions must clear 1e-12; no
     module is built.  On a type with a gap, such as (4, {2}), that is weaker
@@ -409,10 +410,8 @@ def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int =
         raise ValueError(f"the invariance check needs count >= 1, got {count}")
     levels = sorted(lambda_for(n, J).support)
     word = standard_word_w0(n)
-    full = list(range(len(word)))
     # the negative control, drawn last: with t = 0 the base-flag sample stays on the boundary
-    ts = [_boundary_sample(word, rng, full if k in (0, count) else None) for k in range(count + 1)]
-    us = _float_lower_products(word, ts)
+    us = _float_lower_products(word, _boundary_params(word, rng, count + 1, full=(0, count)))
     frames = np.concatenate([_acted_frames(us[:count], t), us[count:]])
     *margins, control = _flag_margin(frames, levels).tolist()
     worst = min(margins)

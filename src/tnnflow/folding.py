@@ -10,9 +10,10 @@ maps each one-parameter subgroup x_i(t), y_i(t) to its mirror x_{n-i}(t),
 y_{n-i}(t) with the *same* parameter -- no sign leaks -- so sigma preserves
 total nonnegativity, commutes with exp(t * generator_sum), and its fixed
 locus is swept out by factorizations whose mirrored parameters are tied.
-The flow check flows each flag in closed form, with no steps, and takes no
-inverse: a sample is decided sigma-fixed by the form identity u^T S u = S on
-its ints, and the flag of sigma(u) is read off the QR frame of u.
+The flow check draws and multiplies out its samples as one int stack, flows
+each flag in closed form, with no steps, and takes no inverse: the stack is
+decided sigma-fixed by the form identity u^T S u = S on its ints, and the
+flag of sigma(u) is read off the QR frame of u.
 :func:`apply_group` is the exact sigma, which the tests hold as the oracle.
 """
 
@@ -29,10 +30,10 @@ from .flow import _frame_gap, _graded_frame
 from .totpos import (
     FactorizationParams,
     ReducedWord,
-    _lower_product,
     _mask_indices,
     _positive_ratio,
-    _scaled_product,
+    _scaled_lower_products,
+    _zero_masks,
 )
 
 __all__ = [
@@ -84,23 +85,23 @@ def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
     return GroupElement._det_one(out)  # det(S g^-T S^T) = det(g)^-1
 
 
-def _preserves_form(columns: list, scales: list) -> bool:
-    """sigma(u) == u, for u with column c ``columns[c] / scales[c]``, decided as u^T S u == S.
+def _preserves_form(ints: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """sigma(u) == u, per matrix of a stack of column-scaled ints, u = ``ints[k] / scales[k]``
+    column by column (:func:`~tnnflow.totpos._scaled_lower_products`), decided as
+    u^T S u == S: one bool per matrix.
 
     sigma(u) = S u^-T S^T equals u iff u^T S^T u S = 1, that is (S being a
     signed permutation, S^T = S^-1) iff u preserves the bilinear form of S.
     With u = M diag(e)^-1 for the int matrix M, that is M^T S M = diag(e) S
-    diag(e), an identity of ints: S M is M with its rows reversed and row r
-    signed (-1)^r, and entry (a, n-1-a) of the right side is (-1)^a e_a
-    e_{n-1-a}.  No inverse is taken.
+    diag(e), an identity of ints, taken for the whole stack as one object-array
+    product: S M is M with its rows reversed and row r signed (-1)^r, and entry
+    (a, n-1-a) of the right side is (-1)^a e_a e_{n-1-a}.  No inverse is taken.
     """
-    n = len(columns)
-    m = np.array(columns, dtype=object).reshape(n, n).T
+    n = ints.shape[-1]
     signs = np.array([(-1) ** r for r in range(n)], dtype=object)
-    e = np.array(scales, dtype=object)
-    form = np.zeros((n, n), dtype=object)
-    form[np.arange(n), np.arange(n)[::-1]] = signs * e * e[::-1]
-    return bool((m.T @ (signs[:, None] * m[::-1]) == form).all())
+    form = np.zeros(ints.shape, dtype=object)
+    form[:, np.arange(n), np.arange(n)[::-1]] = signs * scales * scales[:, ::-1]
+    return (np.swapaxes(ints, 1, 2) @ (signs[:, None] * ints[:, ::-1]) == form).all(axis=(1, 2))
 
 
 def build_folding(n: int) -> Folding:
@@ -148,23 +149,23 @@ def symmetric_word(n: int) -> tuple:
     return word, tuple(blocks)
 
 
-def _symmetric_ratios(blocks: tuple, rng: np.random.Generator, zero_blocks=None) -> list:
-    """Flip-symmetric parameters as int ratios ``(p, q)``, one per letter of the word whose
-    orbit ``blocks`` :func:`symmetric_word` gives.
+def _symmetric_batch(blocks: tuple, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The fold gate's ``count`` flip-symmetric samples as int ratios, ``(count, letters, 2)``
+    object ints ``(p, q)``, for :func:`~tnnflow.totpos._scaled_lower_products`.
 
-    One :func:`~tnnflow.totpos._positive_ratio` is drawn per folded letter,
-    by one ``rng.uniform()`` call, in block order, and copied across its orbit
-    block; the blocks of ``zero_blocks`` draw nothing and read ``(0, 1)``.  A
-    block index outside the blocks raises ``ValueError``.
+    Every third row from the second on is a boundary sample: it zeroes a
+    random subset of the blocks, its size uniform on 1..len(blocks)-1
+    (:func:`~tnnflow.totpos._zero_masks`, as the invariance gate draws its
+    masks).  One ``rng.uniform(-3, 3, (count, len(blocks)))`` call then draws
+    a value per block, each kept one a :func:`~tnnflow.totpos._positive_ratio`
+    copied across its orbit block, and each zeroed one ``(0, 1)``.
     """
-    zeroed = _mask_indices(() if zero_blocks is None else zero_blocks, len(blocks), "zero_blocks")
-    ratios = [(0, 1)] * sum(map(len, blocks))
-    for b, block in enumerate(blocks):
-        if b not in zeroed:
-            ratio = _positive_ratio(rng.uniform(-3.0, 3.0))
-            for pos in block:
-                ratios[pos] = ratio
-    return ratios
+    zeroed = np.zeros((count, len(blocks)), dtype=bool)
+    boundary = np.arange(1, count, 3)
+    zeroed[boundary] = _zero_masks(rng, len(boundary), len(blocks), len(blocks) - 1)
+    draws = rng.uniform(-3.0, 3.0, zeroed.shape).tolist()
+    ratios = [[(0, 1) if z else _positive_ratio(x) for x, z in zip(row, zs)] for row, zs in zip(draws, zeroed.tolist())]
+    return np.array(ratios, dtype=object)[:, np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])]
 
 
 def symmetric_params(
@@ -177,11 +178,17 @@ def symmetric_params(
     One positive value is drawn per folded letter and copied across its
     orbit block, so the resulting lower-unipotent product is exactly fixed
     by sigma.  ``zero_blocks`` pins whole blocks to zero (boundary samples);
-    a block index outside the blocks raises ``ValueError``.  This is the
-    ``Fraction`` view of the ratio draw :func:`_symmetric_ratios`.
+    a block index outside the blocks raises ``ValueError``.  One
+    ``rng.uniform`` call draws the blocks that are not zeroed, in block order,
+    each value the ``Fraction`` of its :func:`~tnnflow.totpos._positive_ratio`:
+    with no block zeroed, the stream and the values of a row of
+    :func:`_symmetric_batch`.
     """
     word, blocks = symmetric_word(n)
-    return FactorizationParams(word, tuple(Fraction(p, q) for p, q in _symmetric_ratios(blocks, rng, zero_blocks)))
+    zeroed = _mask_indices(() if zero_blocks is None else zero_blocks, len(blocks), "zero_blocks")
+    kept = [b for b in range(len(blocks)) if b not in zeroed]
+    values = {b: Fraction(*_positive_ratio(x)) for b, x in zip(kept, rng.uniform(-3.0, 3.0, len(kept)).tolist())}
+    return FactorizationParams(word, tuple(values.get(b, Fraction(0)) for b, block in enumerate(blocks) for _ in block))
 
 
 def break_symmetry(params: FactorizationParams) -> FactorizationParams:
@@ -232,20 +239,24 @@ def fixed_locus_flow_check(
 ) -> dict:
     """Flowing a sigma-fixed flag keeps it sigma-fixed, at every sampled time.
 
-    Each sample is an exactly symmetric lower-unipotent factorization u,
-    drawn as int ratios (:func:`_symmetric_ratios`, whose ``Fraction`` view
-    is :func:`symmetric_params`) and multiplied out as column-scaled ints by
-    :func:`~tnnflow.totpos._lower_product`, with no ``Fraction`` built.  At
-    t = 0 its flag is sigma-fixed iff sigma(u) == u exactly, by one fact:
+    Each sample is an exactly symmetric lower-unipotent factorization u.  The
+    batch is drawn at once as int ratios (:func:`_symmetric_batch`: one array
+    draw each for the boundary masks and the values) and multiplied out as one
+    stack of column-scaled ints by
+    :func:`~tnnflow.totpos._scaled_lower_products`, with no ``Fraction`` built;
+    its floats are the int true quotients, each the rounding of the exact
+    entry.  At t = 0 its flag is sigma-fixed iff sigma(u) == u exactly, by one
+    fact:
 
     - for lower-unipotent u and v, flag(u) = flag(v) iff u^-1 v lies in
       B+ (the stabilizer of the base flag) and U-, whose intersection is
       {1}; that is, iff u = v;
     - sigma maps U- to U-, since sigma(y_i(t)) = y_{n-i}(t).
 
-    So the t = 0 check is the exact element equality the loop makes, decided
-    on the column-scaled ints of u as the identity u^T S u = S
-    (:func:`_preserves_form`), with no inverse taken.  For t > 0 the flag of
+    So the t = 0 check is exact element equality, decided for the whole stack
+    on its column-scaled ints as the identity u^T S u = S
+    (:func:`_preserves_form`), with no inverse taken; a sample that fails it
+    raises ``AssertionError``.  For t > 0 the flag of
     exp(t tau) u is compared against its sigma image within ``tol``, as the
     largest sine of a principal angle between the two flags
     (:func:`_frame_gap`), which is scale-invariant.  The image is evaluated
@@ -261,10 +272,12 @@ def fixed_locus_flow_check(
     side is (S P) diag(e^{-t d}) (S P)^T applied to sigma(u), its spectrum -d
     reversed to stay descending
     (:func:`_flowed_frames`).  All samples are drawn first and then flowed
-    as one stack per time and side; the witness is the first failing
-    (sample, time) in sample order.  A deliberately de-symmetrized sample
-    must fail, exactly at t = 0 and beyond ``1e-6`` at every t > 0, which
-    guards against a vacuously symmetric pipeline.  ``count`` below 1 raises
+    as one stack per time and side; ``worst_gap`` and the witness, the first
+    failing (sample, time) in sample order, are read off one (sample, time)
+    array of gaps.  A deliberately de-symmetrized sample, drawn after the
+    batch and run through the same kernels as a stack of one, must fail,
+    exactly at t = 0 and beyond ``1e-6`` at every t > 0, which guards against
+    a vacuously symmetric pipeline.  ``count`` below 1 raises
     ``ValueError``: an empty sample would certify nothing.
     """
     n = folding.n
@@ -276,41 +289,34 @@ def fixed_locus_flow_check(
     s = linalg.to_float(folding.s_matrix)
     spectra = _spectra(s)
 
-    def flag_gaps(qu, qsu) -> dict:
-        """For each time, the fold gaps of a stack of QR frames of float elements against those
-        of their sigma images."""
-        return {t: _frame_gap(*_flowed_frames(spectra, t, qu, qsu)) for t in times}
+    def flag_gaps(qu, qsu) -> np.ndarray:
+        """The fold gaps, ``(count, times)``, of a stack of QR frames of float elements
+        against those of their sigma images."""
+        return np.stack([_frame_gap(*_flowed_frames(spectra, t, qu, qsu)) for t in times], axis=1)
 
-    us = []
-    for k in range(count):
-        zero_blocks = None
-        if k % 3 == 1:  # mix boundary samples in
-            size = int(rng.integers(1, len(blocks)))
-            zero_blocks = rng.choice(len(blocks), size=size, replace=False).tolist()
-        u = _lower_product(word, _symmetric_ratios(blocks, rng, zero_blocks))
-        if not _preserves_form(*u):
-            raise AssertionError("symmetric sampler produced a non-fixed element")
-        us.append(u)
+    def qr_of(ints, scales) -> np.ndarray:
+        """The QR frames of a stack of column-scaled ints, read in binary64 by int true
+        division: each entry the rounding of the exact one."""
+        return np.linalg.qr((ints / scales[:, None, :]).astype(np.float64))[0]
 
-    # negative control, drawn after the samples
-    u_bad = _scaled_product(break_symmetry(symmetric_params(n, rng)), "lower")
-
-    qu = np.linalg.qr(np.array([linalg._float_of_scaled(*u) for u in us]))[0]
+    ints, scales = _scaled_lower_products(word, _symmetric_batch(blocks, rng, count))
+    if not _preserves_form(ints, scales).all():
+        raise AssertionError("symmetric sampler produced a non-fixed element")
+    qu = qr_of(ints, scales)
     gaps = flag_gaps(qu, qu)
-    worst = 0.0
-    all_fixed = True
-    witness = None
-    for k in range(count):
-        for t in times:
-            gap = float(gaps[t][k])
-            worst = max(worst, gap)
-            if gap > tol:
-                all_fixed = False
-                witness = witness or {"sample": k, "time": t, "gap": gap}
+    worst = float(np.fmax.reduce(gaps, axis=None, initial=0.0))
+    failing = np.argwhere(gaps > tol)  # row-major: the first is the first in sample order
+    all_fixed, witness = not len(failing), None
+    if not all_fixed:
+        k, j = failing[0].tolist()
+        witness = {"sample": k, "time": times[j], "gap": float(gaps[k, j])}
 
-    q_bad = np.linalg.qr(np.array([linalg._float_of_scaled(*u_bad)]))[0]
+    # negative control, drawn after the samples, as a stack of one
+    bad = break_symmetry(symmetric_params(n, rng))
+    ints_bad, scales_bad = _scaled_lower_products(word, np.array([[t.as_integer_ratio() for t in bad.t]], dtype=object))
+    q_bad = qr_of(ints_bad, scales_bad)
     q_sigma_bad = np.linalg.qr(s @ q_bad[..., ::-1])[0]
-    control_broken = not _preserves_form(*u_bad) and all(g[0] > 1e-6 for g in flag_gaps(q_bad, q_sigma_bad).values())
+    control_broken = not _preserves_form(ints_bad, scales_bad)[0] and bool((flag_gaps(q_bad, q_sigma_bad) > 1e-6).all())
 
     return {
         "n": n,

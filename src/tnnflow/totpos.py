@@ -3,7 +3,8 @@
 Positive elements are produced by factorizations along reduced words for the
 longest permutation, multiplied out exactly by one int column operation per
 letter, each column over its own denominator, in one kernel that reads each
-parameter as an int ratio ``(p, q)``.  Random parameters are drawn as such
+parameter as an int ratio ``(p, q)``; the fold gate runs the same column
+operations on a whole stack of ratios at once.  Random parameters are drawn as such
 ratios, the exact values of binary64 draws (``sample_params`` and
 ``sample_positive`` are the ``Fraction`` views of the draw and of the
 product).  The verification gates' float checks certify no exact object, so
@@ -158,6 +159,16 @@ def _mask_indices(mask, size: int, name: str) -> set:
     return indices
 
 
+def _zero_masks(rng: np.random.Generator, count: int, size: int, most: int) -> np.ndarray:
+    """``(count, size)`` bools, row k marking a uniform random subset of ``range(size)`` whose
+    size is uniform on 1..``most``: one ``rng.integers`` call draws the sizes and one
+    ``rng.random`` call draws a row of uniforms per mask, whose smallest ``sizes[k]``
+    (by per-row rank) mark the subset."""
+    sizes = rng.integers(1, most + 1, count)
+    ranks = rng.random((count, size)).argsort(axis=1).argsort(axis=1)
+    return ranks < sizes[:, None]
+
+
 def sample_params(
     word: ReducedWord,
     rng: np.random.Generator,
@@ -249,6 +260,33 @@ def _exact_ratio(t) -> tuple[int, int]:
     raise TypeError("exact parameters required; rationalize float parameters first")
 
 
+def _scaled_lower_products(word: ReducedWord, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower-unipotent products along ``word`` of a stack of int ratios, ``(m, len(word), 2)``
+    object ints ``(p, q)``, ``(0, 1)`` for a zeroed parameter, as a stack of column-scaled
+    ints ``(ints, scales)``: ``(m, n, n)`` and ``(m, n)`` object arrays, matrix k being
+    ``ints[k] / scales[k]`` column by column.
+
+    This is :func:`_column_product` on the whole stack: one column operation per
+    letter, y_i(p / q) adding p / q times column i to column i-1, as object-array
+    int arithmetic across the stack.  Column i-1's new scale is the LCM of its
+    scale and q times column i's (kept where p = 0), as in
+    :func:`_column_product`, which also divides out the gcd of each column: the
+    two agree as rationals, and int true division of either rounds to the same
+    binary64 matrix.
+    """
+    m, n = ratios.shape[0], word.n
+    cols = np.zeros((m, n, n), dtype=object)  # (m, column, row)
+    cols[:, np.arange(n), np.arange(n)] = 1
+    scales = np.ones((m, n), dtype=object)
+    for k, i in enumerate(word.letters):
+        p, q = ratios[:, k, 0], ratios[:, k, 1]
+        da, qdb = scales[:, i - 1], q * scales[:, i]
+        den = np.where(p != 0, np.lcm(da, qdb), da)
+        cols[:, i - 1] = (den // da)[:, None] * cols[:, i - 1] + (p * (den // qdb))[:, None] * cols[:, i]
+        scales[:, i - 1] = den
+    return cols.transpose(0, 2, 1), scales
+
+
 def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]:
     """The product of :func:`sample_positive` as column-scaled ints ``(columns, scales)``.
 
@@ -273,12 +311,6 @@ def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]
     else:
         raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
     return _column_product(n, steps)
-
-
-def _lower_product(word: ReducedWord, ratios) -> tuple[list, list]:
-    """The lower-unipotent product along ``word`` of the parameters ``p / q`` given as int
-    ratios ``(p, q)``, one per letter, as column-scaled ints (:func:`_column_product`)."""
-    return _column_product(word.n, [("y", i, p, q) for i, (p, q) in zip(word.letters, ratios)])
 
 
 def _column_product(n: int, steps) -> tuple[list, list]:

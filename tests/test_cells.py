@@ -1,5 +1,6 @@
 """SL(3) cell census, face poset, limits toward boundary cells, and the figure."""
 
+import itertools
 import math
 import runpy
 import sys
@@ -13,6 +14,7 @@ from tnnflow import cells
 from tnnflow.cells import (
     _pattern_dim,
     _pattern_witness,
+    _sign_rule,
     bruhat_interval_counts,
     census_payload,
     enumerate_cells,
@@ -32,6 +34,28 @@ EXPECTED_VERTEX_LABELS = {"12,13", "23,13", "13,12", "13,23", "12,23", "23,12"}
 def test_census_counts(census3):
     assert len(census3.cells) == 19
     assert census3.f_vector == (6, 8, 4, 1)
+
+
+def test_sign_rule_is_the_solver_verdict():
+    """Over all 49 patterns (and the 15 with an empty support), a pattern is realizable
+    by the sign rule exactly where the closed-form solver finds a point; the census
+    keeps the 19 of them, each with the solver's witness."""
+    subsets = [frozenset(s) for k in range(4) for s in itertools.combinations((1, 2, 3), k)]
+    verdicts = {(vz, wz): _sign_rule(vz, wz) for vz in subsets for wz in subsets}
+    assert verdicts == {key: _pattern_witness(*key) is not None for key in verdicts}
+    realizable = [key for key, ok in verdicts.items() if ok]
+    assert len(realizable) == 19
+    census = enumerate_cells()
+    assert {(c.vzeros, c.wzeros) for c in census.cells} == set(realizable)
+    assert all(c.witness == _pattern_witness(c.vzeros, c.wzeros) for c in census.cells)
+
+
+def test_census_raises_where_the_rule_and_the_solver_disagree(monkeypatch):
+    """A pattern the sign rule admits but the solver cannot realize is an error, not a
+    missing cell."""
+    monkeypatch.setattr(cells, "_pattern_witness", lambda vz, wz: None if vz == {1} and not wz else _pattern_witness(vz, wz))
+    with pytest.raises(AssertionError, match="sign rule admits"):
+        enumerate_cells()
 
 
 def test_census_matches_bruhat_oracle(census3):

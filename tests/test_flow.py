@@ -6,6 +6,7 @@ import math
 import runpy
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,9 @@ from tnnflow.flow import (
 )
 from tnnflow.suite import CASES
 from tnnflow.totpos import (
+    FactorizationParams,
     _float_lower_products,
+    _positive_ratio,
     _scaled_product,
     sample_params,
     sample_positive,
@@ -120,43 +123,67 @@ def test_default_ball_radius(chart3):
     r = default_ball_radius(chart3, np.random.default_rng(5))
     assert 0.0 < r < 0.1  # a hundredth of a boundary norm stays well below 1
     assert r == default_ball_radius(chart3, np.random.default_rng(5))
-    # the factor is exactly 1e-2 of the smallest sampled boundary norm
+    # the factor is exactly 1e-2 of the smallest sampled boundary norm, each sample
+    # multiplied out exactly from the rows the batched draw produced
     word = standard_word_w0(3)
-    rng = np.random.default_rng(5)
     norms = []
-    for _ in range(25):
-        size = int(rng.integers(1, len(word) + 1))
-        mask = sorted(rng.choice(len(word), size=size, replace=False).tolist())
-        u = sample_positive(sample_params(word, rng, zero_mask=mask), "lower")
+    for row in flow_module._boundary_params(word, np.random.default_rng(5), 25):
+        u = sample_positive(FactorizationParams(word, tuple(Fraction(t) for t in row.tolist())), "lower")
         norms.append(np.linalg.norm(chart_coords(chart3, line_of(chart3.rep, u.to_float()))))
     assert abs(r - 1e-2 * min(norms)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_boundary_sample_is_the_exact_route_in_binary64(n):
-    """The binary64 boundary sample draws the stream of the exact route, a mask
-    and then ``sample_params``, so the next draw after each is the same; each
-    parameter is the float of its exact ratio, bit for bit, and 0.0 where zeroed;
-    multiplied out, each entry is within 2 len(word) ulps, relative, of the exact
-    product rounded, and zero exactly where that is; and zeroing every parameter
-    gives the identity exactly."""
+    """The boundary batch is three array draws: the mask sizes, a row of uniforms
+    per sample whose smallest ``size`` pick the zeroed letters, and the values, so
+    the next draw after it is the next after those three; each kept parameter is
+    the float of the exact ratio of its draw, bit for bit, and 0.0 where zeroed.
+    Multiplied out, each entry is within 2 len(word) ulps, relative, of the exact
+    product of the same parameters rationalized, and zero exactly where that is;
+    and a row of ``full`` gives the identity exactly."""
     word = standard_word_w0(n)
-    bound = 2 * len(word) * np.finfo(np.float64).eps
-    for seed in range(6):
-        rng_float, rng_exact = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
-        ts = flow_module._boundary_sample(word, rng_float)
-        size = int(rng_exact.integers(1, len(word) + 1))
-        mask = sorted(rng_exact.choice(len(word), size=size, replace=False).tolist())
-        params = sample_params(word, rng_exact, zero_mask=mask)
-        assert rng_float.random() == rng_exact.random()
-        assert ts == [float(t) for t in params.t] and all(t == 0.0 for k, t in enumerate(ts) if k in mask)
-        got = _float_lower_products(word, [ts])[0]
-        want = linalg._float_of_scaled(*_scaled_product(params, "lower"))
-        assert got.dtype == np.float64 and np.array_equal(got == 0.0, want == 0.0)
-        assert np.all(np.abs(got - want) <= bound * np.abs(want))
-    full = list(range(len(word)))
-    ts = flow_module._boundary_sample(word, np.random.default_rng(n), full)
-    assert np.array_equal(_float_lower_products(word, [ts])[0], np.eye(n))
+    ell = len(word)
+    bound = 2 * ell * np.finfo(np.float64).eps
+    for seed in range(3):
+        rng, oracle = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+        ts = flow_module._boundary_params(word, rng, 6, full=(2,))
+        sizes, ranks = oracle.integers(1, ell + 1, 6), oracle.random((6, ell)).argsort(axis=1).argsort(axis=1)
+        draws = oracle.uniform(-3.0, 3.0, (6, ell))
+        assert rng.random() == oracle.random()
+        assert ts.shape == (6, ell) and ts.dtype == np.float64
+        for k, row in enumerate(ts.tolist()):
+            zeroed = set(range(ell)) if k == 2 else {j for j in range(ell) if ranks[k, j] < sizes[k]}
+            ratios = [(0, 1) if j in zeroed else _positive_ratio(x) for j, x in enumerate(draws[k].tolist())]
+            assert [t.as_integer_ratio() for t in row] == ratios
+            params = FactorizationParams(word, tuple(Fraction(*pq) for pq in ratios))
+            want = linalg._float_of_scaled(*_scaled_product(params, "lower"))
+            got = _float_lower_products(word, ts[k : k + 1])[0]
+            assert got.dtype == np.float64 and np.array_equal(got == 0.0, want == 0.0)
+            assert np.all(np.abs(got - want) <= bound * np.abs(want))
+        assert np.array_equal(_float_lower_products(word, ts[2:3])[0], np.eye(n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_boundary_masks_follow_their_law(n):
+    """Every row zeroes 1..len(word) letters and each ``full`` row zeroes all; over
+    20,000 rows each nonempty subset of letters is zeroed with frequency within 5
+    sigma of its probability: a size uniform on 1..len(word), then a uniform subset
+    of that size."""
+    word = standard_word_w0(n)
+    ell = len(word)
+    rows = 20_000
+    zeroed = flow_module._boundary_params(word, np.random.default_rng([n, 32]), rows, full=(0, 7)) == 0.0
+    sizes = zeroed.sum(axis=1)
+    assert sizes.min() >= 1 and sizes.max() <= ell and zeroed[[0, 7]].all()
+    keys = (zeroed[8:] * (1 << np.arange(ell))).sum(axis=1)
+    counts = np.bincount(keys, minlength=1 << ell)
+    assert counts[0] == 0
+    for key in range(1, 1 << ell):
+        size = bin(key).count("1")
+        prob = 1.0 / (ell * math.comb(ell, size))
+        expected = (rows - 8) * prob
+        assert abs(counts[key] - expected) <= 5.0 * math.sqrt(expected * (1.0 - prob)), (key, counts[key], expected)
 
 
 def test_sphere_crossing_lands_across_binary64(chart3, flow3):

@@ -24,7 +24,7 @@ from tnnflow.folding import (
     _frame_gap,
     _preserves_form,
     _spectra,
-    _symmetric_ratios,
+    _symmetric_batch,
     apply_group,
     break_symmetry,
     build_folding,
@@ -32,7 +32,32 @@ from tnnflow.folding import (
     symmetric_params,
     symmetric_word,
 )
-from tnnflow.totpos import _lower_product, _scaled_product, sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import (
+    FactorizationParams,
+    _column_product,
+    _scaled_lower_products,
+    _scaled_product,
+    sample_params,
+    sample_positive,
+    standard_word_w0,
+)
+
+
+def _ratio_stack(params_list) -> np.ndarray:
+    """Exact parameters as the ``(m, letters, 2)`` int ratios the stacked kernel reads."""
+    return np.array([[t.as_integer_ratio() for t in params.t] for params in params_list], dtype=object)
+
+
+def _stack_of(columns, scales) -> tuple:
+    """Column-scaled ints ``(columns, scales)`` of one matrix as a stack of one."""
+    return np.array([columns], dtype=object).transpose(0, 2, 1), np.array([scales], dtype=object)
+
+
+def _same_rationals(ints, scales, columns, col_scales) -> bool:
+    """``ints / scales`` equals ``columns / col_scales`` entry by entry, compared as rationals
+    by cross-multiplying the ints."""
+    n = len(columns)
+    return all(ints[r, c] * col_scales[c] == columns[c][r] * scales[c] for r in range(n) for c in range(n))
 
 
 @pytest.fixture(scope="module")
@@ -160,23 +185,26 @@ def test_symmetric_params_are_tied(rng):
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_symmetric_ratio_draw_is_the_fraction_draw(n):
-    """The int ratios the fold gate multiplies out give the product of
-    ``symmetric_params`` on the same stream, boundary blocks included; both
-    draw one scalar ``rng.uniform`` per block that is not zeroed, in block
-    order, and leave the generator where those draws leave it."""
+    """A row of the gate's batch with no boundary row (``count`` 1) is the draw of
+    ``symmetric_params`` on the same stream, and its int product is theirs as
+    rationals; ``symmetric_params`` draws one scalar's worth of ``rng.uniform`` per
+    block that is not zeroed, in block order, boundary blocks included, and leaves
+    the generator where those draws leave it."""
     word, blocks = symmetric_word(n)
+    rng, fractions = np.random.default_rng([n, 28]), np.random.default_rng([n, 28])
+    ints, scales = _scaled_lower_products(word, _symmetric_batch(blocks, rng, 1))
+    assert _same_rationals(ints[0], scales[0], *_scaled_product(symmetric_params(n, fractions), "lower"))
+    assert rng.uniform() == fractions.uniform()
     for zero_blocks in (None, [0], [len(blocks) - 1], list(range(1, len(blocks), 2))):
-        rng, fractions, oracle = (np.random.default_rng([n, 28]) for _ in range(3))
-        u = _lower_product(word, _symmetric_ratios(blocks, rng, zero_blocks))
+        fractions, oracle = (np.random.default_rng([n, 28]) for _ in range(2))
         params = symmetric_params(n, fractions, zero_blocks=zero_blocks)
-        assert u == _scaled_product(params, "lower")
         want = [Fraction(0)] * len(word)
         for b, block in enumerate(blocks):
             if b not in (zero_blocks or ()):
                 c = Fraction(*math.exp(oracle.uniform(-3.0, 3.0)).as_integer_ratio())
                 want = [c if pos in block else v for pos, v in enumerate(want)]
         assert params.t == tuple(want)
-        assert rng.uniform() == fractions.uniform() == oracle.uniform()
+        assert fractions.uniform() == oracle.uniform()
 
 
 def test_symmetric_params_refuses_a_block_index_outside_the_blocks():
@@ -316,10 +344,80 @@ def test_form_identity_decides_sigma_fixed_as_the_inverse_does(n):
     samples += [sample_params(standard_word_w0(n), rng) for _ in range(2)]
     verdicts = []
     for params in samples:
-        verdicts.append(_preserves_form(*_scaled_product(params, "lower")))
+        verdicts.append(bool(_preserves_form(*_stack_of(*_scaled_product(params, "lower")))[0]))
         u = sample_positive(params, "lower")
         assert verdicts[-1] is bool(np.equal(apply_group(fold, u).entries, u.entries).all())
     assert verdicts == [True] * 4 + [False] * 5
+    # the same verdicts, row by row, from one stack of the symmetric word's samples
+    word = symmetric_word(n)[0]
+    stacked = _preserves_form(*_scaled_lower_products(word, _ratio_stack(samples[:7])))
+    assert stacked.tolist() == verdicts[:7]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_stacked_lower_products_are_the_column_products(n):
+    """Row by row, the stacked int kernel is :func:`_column_product` of the same ratios,
+    as rationals, on the gate's batch (boundary blocks included) and on staircase
+    samples with zeroed letters; its binary64 quotients are ``_float_of_scaled``'s,
+    bit for bit."""
+    word, blocks = symmetric_word(n)
+    rng = np.random.default_rng([n, 32])
+    batches = [(word, _symmetric_batch(blocks, rng, 10))]
+    staircase = standard_word_w0(n)
+    masks = ([], [0], [len(staircase) - 1], list(range(0, len(staircase), 2)), list(range(len(staircase))))
+    batches.append((staircase, _ratio_stack(sample_params(staircase, rng, zero_mask=mask) for mask in masks)))
+    for w, ratios in batches:
+        ints, scales = _scaled_lower_products(w, ratios)
+        assert ints.shape == (len(ratios), n, n) and scales.shape == (len(ratios), n)
+        floats = (ints / scales[:, None, :]).astype(np.float64)
+        for k, row in enumerate(ratios.tolist()):
+            columns, col_scales = _column_product(n, [("y", i, p, q) for i, (p, q) in zip(w.letters, row)])
+            assert _same_rationals(ints[k], scales[k], columns, col_scales)
+            assert floats[k].tobytes() == linalg._float_of_scaled(columns, col_scales).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_stacked_form_identity_holds_for_symmetric_stacks(n, monkeypatch):
+    """Every row of a symmetric stack, boundary rows included, passes the stacked form
+    identity; a stack with one ``break_symmetry`` row fails there only, and the gate
+    fed that stack raises ``AssertionError``."""
+    word, blocks = symmetric_word(n)
+    rng = np.random.default_rng([n, 33])
+    ratios = _symmetric_batch(blocks, rng, 12)
+    assert _preserves_form(*_scaled_lower_products(word, ratios)).all()
+    params = [FactorizationParams(word, tuple(Fraction(p, q) for p, q in row)) for row in ratios.tolist()]
+    params[5] = break_symmetry(params[5])
+    assert _preserves_form(*_scaled_lower_products(word, _ratio_stack(params))).tolist() == [k != 5 for k in range(12)]
+    monkeypatch.setattr(folding, "_symmetric_batch", lambda blocks, rng, count: _ratio_stack(params[:count]))
+    with pytest.raises(AssertionError, match="non-fixed element"):
+        fixed_locus_flow_check(build_folding(n), rng, count=12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_symmetric_batch_draws_one_array_each(n):
+    """The gate's batch is three array draws: the sizes of the boundary rows' masks
+    (every third row from the second), a row of uniforms per such row whose smallest
+    ``size`` pick the zeroed blocks, and one value per block of every row; each kept
+    block is the exact ratio of its draw, tied across its orbit, and each zeroed one
+    ``(0, 1)``.  The next draw after it is the next after those three."""
+    word, blocks = symmetric_word(n)
+    count, nb = 11, len(blocks)
+    rng, oracle = np.random.default_rng([n, 34]), np.random.default_rng([n, 34])
+    ratios = _symmetric_batch(blocks, rng, count).tolist()
+    boundary = list(range(1, count, 3))
+    sizes = oracle.integers(1, nb, len(boundary))
+    ranks = oracle.random((len(boundary), nb)).argsort(axis=1).argsort(axis=1)
+    draws = oracle.uniform(-3.0, 3.0, (count, nb)).tolist()
+    assert rng.random() == oracle.random()
+    for k in range(count):
+        zeroed = set()
+        if k in boundary:
+            b = boundary.index(k)
+            zeroed = {j for j in range(nb) if ranks[b, j] < sizes[b]}
+            assert 1 <= len(zeroed) <= nb - 1
+        for j, block in enumerate(blocks):
+            want = (0, 1) if j in zeroed else math.exp(draws[k][j]).as_integer_ratio()
+            assert all(tuple(ratios[k][pos]) == want for pos in block)
 
 
 @pytest.mark.parametrize("n, zero_blocks", [(2, None), (4, [0, 2])])
@@ -340,7 +438,9 @@ def test_fixed_locus_flow_check(fold4, rng):
 def _per_sample_fold_check(folding, rng, times, count, tol):
     """The fold gate flowed one sample at a time, as an oracle for the stacked gate.
 
-    Same draws, same order; each sample and the control go through
+    Same draws, same order: the rows of the gate's batched draw, each
+    multiplied out exactly, and sigma taken by the exact inverse; each sample
+    and the control go through
     :func:`~tnnflow.flow.flag_frame` and :func:`_frame_gap` as a single pair.
     """
     n = folding.n
@@ -354,12 +454,9 @@ def _per_sample_fold_check(folding, rng, times, count, tol):
         return {t: _frame_gap(p @ flag_frame(uf, t, d, p), sp @ flag_frame(suf, t, -d[::-1], sp)) for t in times}
 
     worst, all_fixed, witness = 0.0, True, None
-    for k in range(count):
-        zero_blocks = None
-        if k % 3 == 1:
-            size = int(rng.integers(1, len(blocks)))
-            zero_blocks = rng.choice(len(blocks), size=size, replace=False).tolist()
-        u = sample_positive(symmetric_params(n, rng, zero_blocks=zero_blocks), "lower")
+    word = symmetric_word(n)[0]
+    for k, row in enumerate(_symmetric_batch(blocks, rng, count).tolist()):
+        u = sample_positive(FactorizationParams(word, tuple(Fraction(p, q) for p, q in row)), "lower")
         for t, gap in flag_gap(u, apply_group(folding, u)).items():
             assert isinstance(gap, float)
             worst = max(worst, gap)
