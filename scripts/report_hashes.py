@@ -64,6 +64,9 @@ COMMANDS = [
     ["cells", "--tol-vanish", "1e-6", "--format", "json"],
     ["figure"],
     ["figure", "--format", "json"],
+    # the generator matrices, built from their index pairs
+    ["pinning", "--n", "4"],
+    ["pinning", "--n", "4", "--format", "json"],
 ]
 
 

@@ -15,7 +15,6 @@ from .chevalley import (
     exp_generator_sum,
     generator_sum,
     generator_sum_spectrum,
-    one_param,
 )
 from .totpos import (
     FactorizationParams,
@@ -66,7 +65,6 @@ from .cells import (
 )
 from .folding import (
     Folding,
-    apply_group,
     build_folding,
     fixed_locus_flow_check,
     symmetric_params,

@@ -9,8 +9,8 @@ coordinates vanish: a *pattern* is a pair of subsets of {1,2,3}, and a
 pattern is a cell exactly when the constraints admit a strictly positive
 solution on the complementary supports.  Everything here is decided in
 exact rational arithmetic: witnesses are constructed by solving the
-constraints in closed form, dimensions come from exact Jacobian ranks, and
-the resulting census (19 cells, f-vector (6, 8, 4, 1)) is cross-checkable
+constraints in closed form, dimensions come in closed form from the
+supports, and the resulting census (19 cells, f-vector (6, 8, 4, 1)) is cross-checkable
 against an independent Bruhat-interval count.
 """
 
@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .chevalley import FLOAT, RATIONAL
 from .flow import fixed_flag
 from .serialize import frac
@@ -159,17 +158,18 @@ def _pattern_witness(vzeros, wzeros, v_hint=None, w_hint=None) -> Sl3Coords | No
 
 
 def _pattern_dim(coords: Sl3Coords) -> int:
-    """Cell dimension at an exact point: free coordinates minus Jacobian rank."""
-    flat = list(coords.v) + list(coords.w)
-    free = [k for k in range(6) if flat[k] != 0]
-    v, w = coords.v, coords.w
-    grads = [
-        [1, 1, 1, 0, 0, 0],
-        [0, 0, 0, 1, 1, 1],
-        [w[0], -w[1], w[2], v[0], -v[1], v[2]],
-    ]
-    jac = [{j: g[k] for j, k in enumerate(free) if g[k] != 0} for g in grads]
-    return len(free) - len(linalg.reduce_rows(jac))
+    """Cell dimension at a point, from its supports V and W alone.
+
+    The free coordinates are the |V| + |W| nonzero ones, and the two sums are
+    independent constraints on them.  The gradient of v1 w1 - v2 w2 + v3 w3
+    on the free coordinates is nonzero iff V & W is nonempty, and on a pattern
+    of :func:`_sign_rule` it is then independent of the sums' gradients.  So
+    the dimension is |V| + |W| - 2 - [V & W nonempty]; the tests hold the
+    exact Jacobian rank count as its oracle.
+    """
+    vsupp = {i for i, x in enumerate(coords.v) if x != 0}
+    wsupp = {i for i, x in enumerate(coords.w) if x != 0}
+    return len(vsupp) + len(wsupp) - 2 - bool(vsupp & wsupp)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +250,8 @@ def enumerate_cells() -> Census:
     Realizability is decided by the sign rule :func:`_sign_rule`; the
     deterministic closed-form solver then builds the witness of each
     realizable pattern only, and one it cannot solve raises
-    ``AssertionError``.  Each cell's dimension is the Jacobian rank count at
-    its witness.
+    ``AssertionError``.  Each cell's dimension is the closed-form count
+    :func:`_pattern_dim` at its witness.
     """
     cells = []
     subsets = [frozenset(s) for k in range(3) for s in itertools.combinations(_INDICES, k)]

@@ -1,17 +1,16 @@
-"""Standard pinning of SL(n): Chevalley generators and one-parameter subgroups.
+"""Standard pinning of SL(n): Chevalley generators and the generator sum.
 
 The simple root data of SL(n) in its defining representation: raising
 generators ``e_i = E_{i,i+1}``, lowering generators ``f_i = E_{i+1,i}``,
 coroots ``h_i = E_{i,i} - E_{i+1,i+1}``, indexed by ``i = 1, ..., n-1``.
-The element ``tau = sum_i (e_i + f_i)`` is the symmetric tridiagonal
-0/1 matrix whose exponential drives the contraction dynamics downstream.
+Each is an int matrix.  The element ``tau = sum_i (e_i + f_i)`` is the
+symmetric tridiagonal 0/1 matrix whose exponential drives the contraction
+dynamics downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "GroupElement",
     "Pinning",
     "build_pinning",
-    "one_param",
     "generator_sum",
     "generator_sum_spectrum",
     "exp_generator_sum",
@@ -35,12 +33,14 @@ FLOAT = "float"
 class GroupElement:
     """An element of SL(n), stored as a matrix over Q or over binary64.
 
-    ``field`` records which arithmetic the entries live in; exact elements
+    ``field`` records which arithmetic the entries live in, and must agree
+    with their dtype: object or integer entries for ``RATIONAL`` (integer
+    ones are kept as an object array of Python ints), float entries for
+    ``FLOAT``; a mismatch raises ``TypeError``.  Exact elements
     compose exactly, and mixing an exact element with a float one demotes
     the product to floats.  Calling the constructor checks an exact
     determinant; elements whose determinant is 1 by construction (factor
-    products, one-parameter subgroups, sigma images) are built through
-    :meth:`_det_one` instead.
+    products) are built through :meth:`_det_one` instead.
     """
 
     entries: np.ndarray
@@ -52,6 +52,11 @@ class GroupElement:
             raise ValueError("group elements are square matrices")
         if self.field not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown field tag {self.field!r}")
+        kinds = "Oiu" if self.field == RATIONAL else "f"
+        if self.entries.dtype.kind not in kinds:
+            raise TypeError(f"a {self.field} group element cannot hold {self.entries.dtype} entries")
+        if self.entries.dtype.kind in "iu":  # Python ints, so that products do not wrap around
+            object.__setattr__(self, "entries", self.entries.astype(object))
         if self.field == RATIONAL and linalg.det(self.entries) != 1:
             raise ValueError("exact group element must have determinant 1")
         self.entries.setflags(write=False)
@@ -84,12 +89,14 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class Pinning:
-    """Chevalley generators of sl(n) in the defining representation."""
+    """Chevalley generators of sl(n) in the defining representation, as int matrices.
+
+    Only ``n`` is kept: each generator is built from its index pair
+    ``(i-1, i)`` when it is asked for.  An index outside 1..n-1 raises
+    ``ValueError``.
+    """
 
     n: int
-    e: tuple
-    f: tuple
-    h: tuple
 
     @property
     def indices(self) -> range:
@@ -97,69 +104,33 @@ class Pinning:
         return range(1, self.n)
 
     def raising(self, i: int) -> np.ndarray:
-        return self.e[i - 1]
+        """e_i = E_{i,i+1}."""
+        if i not in self.indices:
+            raise ValueError(f"simple root index {i} out of range for n={self.n}")
+        e = np.zeros((self.n, self.n), dtype=int)
+        e[i - 1, i] = 1
+        return e
 
     def lowering(self, i: int) -> np.ndarray:
-        return self.f[i - 1]
+        """f_i = E_{i+1,i}, the transpose of e_i."""
+        return self.raising(i).T
 
     def coroot(self, i: int) -> np.ndarray:
-        return self.h[i - 1]
+        """h_i = [e_i, f_i] = E_{i,i} - E_{i+1,i+1}."""
+        e = self.raising(i)
+        return e @ e.T - e.T @ e
 
 
 def build_pinning(n: int) -> Pinning:
     if n < 2:
         raise ValueError("the special linear group needs n >= 2")
-    e, f, h = [], [], []
-    for i in range(1, n):
-        ei = linalg.rational_zeros(n, n)
-        ei[i - 1, i] = Fraction(1)
-        fi = linalg.rational_zeros(n, n)
-        fi[i, i - 1] = Fraction(1)
-        hi = linalg.rational_zeros(n, n)
-        hi[i - 1, i - 1] = Fraction(1)
-        hi[i, i] = Fraction(-1)
-        for m in (ei, fi, hi):
-            m.setflags(write=False)
-        e.append(ei)
-        f.append(fi)
-        h.append(hi)
-    return Pinning(n, tuple(e), tuple(f), tuple(h))
-
-
-def one_param(pinning: Pinning, kind: str, i: int, t) -> GroupElement:
-    """One-parameter subgroup element: x_i(t), y_i(t), or the coweight h_i(t).
-
-    ``x_i(t) = I + t e_i`` and ``y_i(t) = I + t f_i`` (the nilpotent series
-    stops after one term); the coweight puts ``t`` at slot ``i`` and ``1/t``
-    at slot ``i+1`` and requires ``t != 0``.  The parameter must be exact
-    (a float raises ``TypeError``), and so is the element.
-    """
-    if i not in pinning.indices:
-        raise ValueError(f"simple root index {i} out of range for n={pinning.n}")
-    if not isinstance(t, Rational):
-        raise TypeError("exact parameter required; rationalize a float parameter first")
-    t = Fraction(t)
-    m = linalg.rational_identity(pinning.n)
-    if kind == "x":
-        m[i - 1, i] = t
-    elif kind == "y":
-        m[i, i - 1] = t
-    elif kind == "coweight":
-        if t == 0:
-            raise ValueError("coweight parameter must be nonzero")
-        m[i - 1, i - 1] = t
-        m[i, i] = 1 / t
-    else:
-        raise ValueError(f"kind must be 'x', 'y' or 'coweight', got {kind!r}")
-    return GroupElement._det_one(m)
+    return Pinning(n)
 
 
 def generator_sum(pinning: Pinning) -> np.ndarray:
-    """The symmetric tridiagonal matrix ``sum_i e_i + f_i`` (exact entries)."""
-    tau = linalg.rational_zeros(pinning.n, pinning.n)
-    for i in pinning.indices:
-        tau[i - 1, i] = tau[i, i - 1] = Fraction(1)
-    return tau
+    """The symmetric tridiagonal int matrix ``sum_i e_i + f_i``."""
+    n = pinning.n
+    return np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
 
 
 def generator_sum_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:

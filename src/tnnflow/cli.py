@@ -45,7 +45,7 @@ from .cells import (
     validate_poset,
 )
 from .chevalley import FLOAT, GroupElement, build_pinning, generator_sum
-from .embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of, weyl_dim
+from .embedding import _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, line_of, weyl_dim
 from .flow import DiagonalFlow, _frames_at, default_ball_radius, flow_point, has_overflow, sphere_crossing
 from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical, encode_tree
@@ -55,7 +55,6 @@ from .totpos import (
     _certificate,
     _scaled_product,
     sample_params,
-    sample_positive,
     sl3_coords,
     sl3_membership,
     standard_word_w0,
@@ -318,9 +317,9 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
     """
     if path is None:
         rng = np.random.default_rng(cfg.seed)
-        params = sample_params(standard_word_w0(cfg.n), rng)
-        p = chart_coords(chart, line_of(chart.rep, params, "lower"))
-        return p, sample_positive(params, "lower").to_float().entries, "random TNN flag"
+        scaled = _scaled_product(sample_params(standard_word_w0(cfg.n), rng), "lower")
+        p = chart_coords(chart, _scaled_lines(chart.rep, [scaled])[0])
+        return p, linalg._float_of_scaled(*scaled), "random TNN flag"
     with open(path) as fh:
         doc = json.load(fh)
     try:

@@ -204,8 +204,8 @@ def build_rep(weight: Weight) -> RepModule:
     Inside the tensor product of fundamental factors, apply the lowering
     operators to the highest vector, one depth at a time: the weight space
     V_mu is spanned by the F_i-images of the weight spaces V_{mu + alpha_i}
-    one level up, and the integer echelon pass behind
-    :func:`linalg.reduce_rows` gives each its own reduced-echelon basis.
+    one level up, and the integer echelon pass
+    :func:`linalg._scaled_echelon` gives each its own reduced-echelon basis.
     Vectors are sparse maps ``flat index -> int``: each basis row is held as
     a primitive int vector over its pivot entry, and F_i moves entries with
     constant +1, so lowering stays on integers, and so do the rows kept.

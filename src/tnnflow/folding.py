@@ -13,8 +13,8 @@ locus is swept out by factorizations whose mirrored parameters are tied.
 The flow check draws and multiplies out its samples as one int stack, flows
 each flag in closed form, with no steps, and takes no inverse: the stack is
 decided sigma-fixed by the form identity u^T S u = S on its ints, and the
-flag of sigma(u) is read off the QR frame of u.
-:func:`apply_group` is the exact sigma, which the tests hold as the oracle.
+flag of sigma(u) is read off the QR frame of u.  S is an int matrix; no
+``Fraction`` matrix is built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chevalley import GroupElement, generator_sum_spectrum
+from .chevalley import generator_sum_spectrum
 from .flow import _frame_gap, _graded_frame
 from .totpos import (
     FactorizationParams,
@@ -39,7 +39,6 @@ from .totpos import (
 __all__ = [
     "Folding",
     "build_folding",
-    "apply_group",
     "symmetric_word",
     "symmetric_params",
     "break_symmetry",
@@ -65,24 +64,10 @@ class Folding:
 
 
 def _signed_antidiagonal(n: int) -> np.ndarray:
-    s = linalg.rational_zeros(n, n)
-    for k in range(1, n + 1):
-        s[k - 1, n - k] = Fraction((-1) ** (k + 1))
+    """The int matrix S, S[k, n-1-k] = (-1)^k (0-based)."""
+    s = np.zeros((n, n), dtype=int)
+    s[np.arange(n), np.arange(n)[::-1]] = [(-1) ** k for k in range(n)]
     return s
-
-
-def apply_group(folding: Folding, g: GroupElement) -> GroupElement:
-    """sigma(g) = S (g^T)^{-1} S^T, for an exact g (float entries raise ``TypeError``).
-
-    S X S^T for X = (g^T)^-1 is X with both indices reversed and entry
-    (a, b) signed (-1)^(a+b).
-    """
-    if not linalg.is_rational_array(g.entries):
-        raise TypeError("exact entries required; rationalize float input first")
-    out = linalg.inv(g.entries.T)[::-1, ::-1]
-    out[1::2, ::2] = -out[1::2, ::2]  # negation, not a Fraction product per entry
-    out[::2, 1::2] = -out[::2, 1::2]
-    return GroupElement._det_one(out)  # det(S g^-T S^T) = det(g)^-1
 
 
 def _preserves_form(ints: np.ndarray, scales: np.ndarray) -> np.ndarray:

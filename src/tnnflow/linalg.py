@@ -1,35 +1,33 @@
-"""Linear algebra over exact rationals.
+"""Exact linear algebra on column-scaled ints.
 
-Matrices are numpy arrays with ``dtype=object`` holding ``fractions.Fraction``
-entries, so ``@`` composes exactly and every routine here is free of rounding.
-The one echelon routine is a fraction-free pass on sparse int rows
-``{column: int}``, :func:`_scaled_echelon`: the highest-weight modules of
-:mod:`tnnflow.embedding` run it one weight space at a time and keep the
-primitive int rows it returns.  :func:`reduce_rows` is its ``Fraction``
-view on sparse rows ``{column: Fraction}``, which the cell census uses for
-the exact Jacobian rank at a witness.
-Float work is delegated to numpy proper; these helpers exist for the places
-where the answer must be a certificate (minor signs, echelon bases) rather
-than an approximation.  Determinants, inverses and minors run on
-Python ints, and one ``Fraction`` is built per result entry at the end.
-Every exact kernel scales each column c by the LCM ``e_c`` of its own
-denominators: the pair ``(columns, scales)`` of :func:`_scaled_columns`,
-in which ``tnnflow.totpos`` also multiplies out its products.  Determinants
-and inverses run Bareiss elimination on those ints; :func:`inv` is the
-inverse behind the exact sigma ``tnnflow.folding.apply_group``, which no
-gate takes.  All minors come from one integer Laplace
-kernel, :func:`_minor_levels`, on a stack of such pairs laid out as object
-arrays (:func:`_scaled_stack`): it computes one whole level of k-minors at a
-time, for every matrix of the stack, as a few numpy object-array gathers,
-multiplies and adds over index tables cached per (n, m, k), and the k-minor
-on columns C is a plain int over ``prod(e_c for c in C)``.  Callers that
-only compare minors (``tnnflow.totpos``) read its ints directly,
-:func:`all_minors` is its ``Fraction`` view, and with ``leading`` it
-restricts each level to the leading columns, which the line embedding
-reads, a whole stack of exact flags at once, with no ``Fraction`` built.
-The solid minors alone (contiguous rows and columns), which decide total
-positivity, come a level at a time from the condensation kernel
-:func:`_solid_levels` on the same ints.
+An exact matrix is carried as the pair ``(columns, scales)`` of
+:func:`_scaled_columns`: column c times the LCM ``e_c`` of its own
+denominators, as Python ints, and the ``e_c``.  ``tnnflow.totpos``
+multiplies its products out in that form, and every exact kernel here runs
+on it: a ``Fraction`` is built only for a result that leaves the kernels
+(:func:`det`, :func:`_fraction_of_scaled`).  Matrices with ``Fraction`` or ``int``
+entries in object arrays go in through :func:`_scaled_columns`, and so do
+float ones, each float read as its exact ratio.  Float work is delegated to
+numpy proper; these helpers exist for the places where the answer must be a
+certificate (minor signs, echelon bases) rather than an approximation.
+
+- :func:`det` runs Bareiss elimination on the ints, over ``prod(e_c)``.
+- All minors come from one integer Laplace kernel, :func:`_minor_levels`,
+  on a stack of pairs laid out as object arrays (:func:`_scaled_stack`): it
+  computes one whole level of k-minors at a time, for every matrix of the
+  stack, as a few numpy object-array gathers, multiplies and adds over index
+  tables cached per (n, m, k), and the k-minor on columns C is a plain int
+  over ``prod(e_c for c in C)``.  ``tnnflow.totpos`` compares its ints
+  directly, and with ``leading`` it restricts each level to the leading
+  columns, which the line embedding reads, a whole stack of exact flags at
+  once.
+- The solid minors alone (contiguous rows and columns), which decide total
+  positivity, come a level at a time from the condensation kernel
+  :func:`_solid_levels` on the same ints.
+- The one echelon routine is a fraction-free pass on sparse int rows
+  ``{column: int}``, :func:`_scaled_echelon`: the highest-weight modules of
+  :mod:`tnnflow.embedding` run it one weight space at a time and keep the
+  primitive int rows it returns.
 """
 
 from __future__ import annotations
@@ -41,49 +39,11 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "rational_matrix",
-    "rational_identity",
-    "rational_zeros",
-    "to_float",
-    "rationalize",
-    "is_rational_array",
-    "det",
-    "inv",
-    "all_minors",
-    "reduce_rows",
-    "cross3",
-]
-
-
-def rational_matrix(rows) -> np.ndarray:
-    """Build an object array of Fractions from any nested int/Fraction data."""
-    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-
-
-def rational_identity(n: int) -> np.ndarray:
-    a = rational_zeros(n, n)
-    np.fill_diagonal(a, Fraction(1))
-    return a
-
-
-def rational_zeros(n: int, m: int) -> np.ndarray:
-    a = np.empty((n, m), dtype=object)
-    a[:] = Fraction(0)
-    return a
+__all__ = ["to_float", "is_rational_array", "det", "cross3"]
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=np.float64)
-
-
-def rationalize(a: np.ndarray) -> np.ndarray:
-    """Exact Fraction image of a float array (binary64 values are rational)."""
-    out = np.empty(a.shape, dtype=object)
-    flat_in, flat_out = a.reshape(-1), out.reshape(-1)
-    for k, x in enumerate(flat_in):
-        flat_out[k] = Fraction(*float(x).as_integer_ratio())
-    return out
 
 
 def is_rational_array(a: np.ndarray) -> bool:
@@ -112,8 +72,8 @@ def _fraction_of_scaled(columns: list, scales: list) -> np.ndarray:
     return np.array([[Fraction(x, e) for x, e in zip(row, scales)] for row in zip(*columns)], dtype=object)
 
 
-def _bareiss(m: list, jordan: bool) -> tuple[int, int]:
-    """Bareiss elimination of int rows in place, also above each pivot if ``jordan``.
+def _bareiss(m: list) -> tuple[int, int]:
+    """Bareiss elimination of int rows in place, below each pivot.
 
     Entries stay integer minors, so each division is exact.  Returns the last pivot
     ``d`` (0 if singular) and the sign of the row swaps; the determinant is ``sign * d``.
@@ -125,9 +85,8 @@ def _bareiss(m: list, jordan: bool) -> tuple[int, int]:
             return 0, sign
         if pivot_row != k:
             m[k], m[pivot_row], sign = m[pivot_row], m[k], -sign
-        for i in range(0 if jordan else k + 1, n):
-            if i != k:
-                m[i] = [(m[k][k] * y - m[i][k] * t) // prev for y, t in zip(m[i], m[k])]
+        for i in range(k + 1, n):
+            m[i] = [(m[k][k] * y - m[i][k] * t) // prev for y, t in zip(m[i], m[k])]
         prev = m[k][k]
     return prev, sign
 
@@ -138,25 +97,8 @@ def det(a: np.ndarray) -> Fraction:
     if a.shape != (n, n):
         raise ValueError("determinant needs a square matrix")
     columns, scales = _scaled_columns(a)
-    d, sign = _bareiss([list(row) for row in zip(*columns)], jordan=False)
+    d, sign = _bareiss([list(row) for row in zip(*columns)])
     return Fraction(sign * d, math.prod(scales))
-
-
-def inv(a: np.ndarray) -> np.ndarray:
-    """Exact inverse in Fractions; raises ``ZeroDivisionError`` on singular input.
-
-    Fraction-free Gauss-Jordan takes ``[M | I]`` to ``[d I | d M^-1]`` for the
-    column-scaled ints ``M = a diag(e)``, and ``a^-1 = diag(e) M^-1``: row i
-    of the inverse is the int row i of ``d M^-1`` scaled by ``e_i``, over ``d``,
-    and one ``Fraction`` is built per entry.
-    """
-    n = a.shape[0]
-    columns, scales = _scaled_columns(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*columns))]
-    d, _ = _bareiss(aug, jordan=True)
-    if d == 0:
-        raise ZeroDivisionError("matrix is singular over the rationals")
-    return np.array([[Fraction(e * y, d) for y in row[n:]] for e, row in zip(scales, aug)], dtype=object).reshape(n, n)
 
 
 def _scaled_stack(scaled) -> tuple[np.ndarray, np.ndarray]:
@@ -270,23 +212,6 @@ def _solid_levels(ints: np.ndarray, lower: bool = False):
         yield level
 
 
-def all_minors(a: np.ndarray):
-    """Yield ``(rows, cols, value)`` over every square minor, smallest first.
-
-    Minors of size k come in lexicographic order of ``rows``, then of
-    ``cols``, and each value is the exact ``Fraction`` of the submatrix's
-    :func:`det`.  This is a view over the integer kernel :func:`_minor_levels`
-    on a stack of one: one ``Fraction(s, den)`` per minor, and no arithmetic
-    of its own.
-    """
-    n, m = a.shape
-    for k, (values, dens) in enumerate(_minor_levels(*_scaled_stack([_scaled_columns(a)])), 1):
-        cols_k = list(itertools.combinations(range(m), k))
-        for rows, row in zip(itertools.combinations(range(n), k), values[0].tolist()):
-            for cols, s, den in zip(cols_k, row, dens[0].tolist()):
-                yield rows, cols, Fraction(s, den)
-
-
 def _subtract(v: dict, x, b: dict) -> None:
     """``v -= x * b`` on sparse rows, in place; entries that cancel are dropped."""
     for c, y in b.items():
@@ -344,31 +269,6 @@ def _scaled_echelon(rows) -> dict:
                 basis[p] = _primitive(b, p)
         basis[pivot] = v
     return basis
-
-
-def _fraction_row(row: dict, pivot) -> dict:
-    """A row of :func:`_scaled_echelon` as the Fractions of its reduced echelon row."""
-    d = row[pivot]
-    return {c: Fraction(x, d) for c, x in row.items()}
-
-
-def reduce_rows(rows) -> list:
-    """Reduced row echelon basis of the span of sparse rows ``{column: Fraction}``.
-
-    Returns ``[(pivot, row)]`` sorted by pivot column, each row sparse with
-    its pivot entry 1, and every pivot column cleared from every other row.
-    The reduced echelon basis of a span is unique, so the Fractions do not
-    depend on the order of ``rows``.  Int entries are promoted to Fractions.
-    This is a view over the integer pass :func:`_scaled_echelon`: each input
-    row is scaled by the LCM of its denominators, and one ``Fraction`` is
-    built per entry of the result.
-    """
-    scaled = []
-    for row in rows:
-        scale = math.lcm(1, *(x.denominator for x in row.values()))
-        scaled.append({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
-    basis = _scaled_echelon(scaled)
-    return [(p, _fraction_row(basis[p], p)) for p in sorted(basis)]
 
 
 def cross3(u, v) -> np.ndarray:

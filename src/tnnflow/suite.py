@@ -22,7 +22,7 @@ from .chevalley import exp_generator_sum, generator_sum_spectrum
 from .embedding import _float_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
 from .flow import DiagonalFlow, _frame_gaps, commutation_check, converge, flag_frame, invariance_check, log_contraction
 from .folding import build_folding, fixed_locus_flow_check
-from .totpos import Positivity, _float_lower_samples, is_tnn_matrix, standard_word_w0
+from .totpos import Positivity, _certificate, _float_lower_samples, standard_word_w0
 
 __all__ = ["Case", "CASES", "GATES", "build_charts", "converged_starts", "fixed_point_gap", "run_suite"]
 
@@ -128,8 +128,8 @@ def _census(rows, charts, rng, count) -> dict:
 
 def _exp_total_positivity(rows, charts, rng, count) -> dict:
     (row,) = rows
-    g = exp_generator_sum(row.n, row.t)
-    verdict = is_tnn_matrix(linalg.rationalize(g.entries))
+    # each binary64 entry is read as its exact ratio, so the certificate is of the rounding
+    verdict = _certificate(*linalg._scaled_columns(exp_generator_sum(row.n, row.t).entries))[0]
     return {"t": row.t, "certifies": "binary64 rounding of exp(t tau)", "verdict": verdict,
             "passed": verdict is Positivity.TOTALLY_POSITIVE}
 

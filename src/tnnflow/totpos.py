@@ -257,7 +257,7 @@ def _exact_ratio(t) -> tuple[int, int]:
         return t.as_integer_ratio()
     if isinstance(t, Rational):
         return Fraction(t).as_integer_ratio()
-    raise TypeError("exact parameters required; rationalize float parameters first")
+    raise TypeError("exact parameters required; a float parameter carries no certificate")
 
 
 def _scaled_lower_products(word: ReducedWord, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +351,7 @@ def _exact_columns(g) -> tuple[list, list]:
     """
     entries = g.entries if isinstance(g, GroupElement) else g
     if not (linalg.is_rational_array(entries) or np.issubdtype(entries.dtype, np.integer)):
-        raise TypeError("exact entries required; rationalize float input first")
+        raise TypeError("exact entries required; a float entry carries no certificate")
     if 0 in entries.shape:
         raise ValueError(f"a {entries.shape[0]} x {entries.shape[1]} matrix has no minors to certify")
     return linalg._scaled_columns(entries)
@@ -441,9 +441,10 @@ def _positivity(least_minor) -> Positivity:
 def is_tnn_matrix(g) -> Positivity:
     """Classify a matrix by the signs of all its minors (exact arithmetic).
 
-    Requires exact entries (``Fraction``, ``int`` or an integer dtype); run
-    floats through ``linalg.rationalize`` first so that the verdict is a
-    certificate.  This is the verdict of :func:`_certificate` on the
+    Requires exact entries (``Fraction``, ``int`` or an integer dtype); the
+    binary64 rounding of a float matrix is certified by
+    ``_certificate(*linalg._scaled_columns(entries))``, which reads each
+    float as its exact ratio.  This is the verdict of :func:`_certificate` on the
     column-scaled ints: the solid minors decide it first, a level at a time,
     by condensation, and any other matrix goes to the walk over all minors.
     No ``Fraction`` is built on the way.

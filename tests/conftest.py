@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tnnflow import linalg
+import oracles
 from tnnflow.cells import enumerate_cells, face_poset
 from tnnflow.chevalley import build_pinning, exp_generator_sum
 from tnnflow.embedding import build_rep, eigenchart, lambda_for
@@ -69,13 +69,13 @@ def _fraction_reduce_rows(rows) -> list:
 
 @pytest.fixture(scope="session")
 def fraction_reduce_rows():
-    """Echelon oracle for ``linalg.reduce_rows``, in ``Fraction`` arithmetic."""
+    """Echelon oracle for ``oracles.reduce_rows``, in ``Fraction`` arithmetic."""
     return _fraction_reduce_rows
 
 
 def _exact_rank(a) -> int:
     """Rank of an exact matrix: the size of the reduced echelon basis of its rows."""
-    return len(linalg.reduce_rows({j: x for j, x in enumerate(row) if x != 0} for row in a))
+    return len(oracles.reduce_rows({j: x for j, x in enumerate(row) if x != 0} for row in a))
 
 
 @pytest.fixture(scope="session")

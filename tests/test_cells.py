@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import jacobian_pattern_dim
 from tnnflow import cells
 from tnnflow.cells import (
     _pattern_dim,
@@ -181,11 +182,22 @@ def test_census_deterministic():
     assert a == b
 
 
+def test_closed_form_dimension_is_the_jacobian_rank(census3):
+    """On the witness of each of the 19 cells, |V| + |W| - 2 - [V & W nonempty]
+    is the free coordinates minus the exact Jacobian rank, and the census's
+    dimension; the f-vector (6, 8, 4, 1) counts them."""
+    dims = []
+    for cell in census3.cells:
+        assert _pattern_dim(cell.witness) == jacobian_pattern_dim(cell.witness) == cell.dim, cell.key
+        dims.append(cell.dim)
+    assert [dims.count(d) for d in range(4)] == [6, 8, 4, 1]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_hinted_witnesses_have_their_cell_dimension(census3, seed):
-    """Witnesses steered by random positive hints realize each cell's pattern
-    and give the Jacobian rank count the same dimension as the census's own
-    witness: the dimension belongs to the cell, not to the point."""
+    """Witnesses steered by random positive hints realize each cell's pattern,
+    and the closed form and the Jacobian rank count give each the census's
+    dimension: the dimension belongs to the cell, not to the point."""
     rng = np.random.default_rng(seed)
 
     def hint():
@@ -196,4 +208,4 @@ def test_hinted_witnesses_have_their_cell_dimension(census3, seed):
             witness = _pattern_witness(cell.vzeros, cell.wzeros, v_hint=hint(), w_hint=hint())
             assert witness is not None, cell.key
             assert label_of(witness, census=census3) is cell
-            assert _pattern_dim(witness) == cell.dim, cell.key
+            assert _pattern_dim(witness) == jacobian_pattern_dim(witness) == cell.dim, cell.key

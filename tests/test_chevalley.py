@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
+from oracles import one_param
 from tnnflow import linalg
 from tnnflow.chevalley import (
     FLOAT,
@@ -16,7 +18,6 @@ from tnnflow.chevalley import (
     exp_generator_sum,
     generator_sum,
     generator_sum_spectrum,
-    one_param,
 )
 
 
@@ -58,6 +59,22 @@ def test_generators_sl3(pin3):
     ]
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_pinning_refuses_an_index_outside_the_simple_roots(n):
+    """Each accessor builds its int matrix for i = 1..n-1 and raises ``ValueError``
+    for any other i: 0 and negative ones do not wrap around, and n does not run off."""
+    pin = build_pinning(n)
+    for i in pin.indices:
+        e, f, h = pin.raising(i), pin.lowering(i), pin.coroot(i)
+        assert e.dtype.kind == f.dtype.kind == h.dtype.kind == "i"
+        assert np.array_equal(f, e.T) and np.abs(e).sum() == e[i - 1, i] == 1
+        assert np.abs(h).sum() == 2 and h[i - 1, i - 1] == -h[i, i] == 1
+    for i in (0, -1, n, n + 1):
+        for accessor in (pin.raising, pin.lowering, pin.coroot):
+            with pytest.raises(ValueError, match=f"index {i} out of range"):
+                accessor(i)
+
+
 def test_generator_sum_is_jacobi(pin3, pin4):
     tau3 = linalg.to_float(generator_sum(pin3))
     assert tau3.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
@@ -81,7 +98,7 @@ def test_serre_style_relations(pin3):
         assert np.equal(got, pin3.coroot(i)).all()
     # off-diagonal e/f commute
     assert np.equal(
-        bracket(pin3.raising(1), pin3.lowering(2)), linalg.rational_zeros(3, 3)
+        bracket(pin3.raising(1), pin3.lowering(2)), oracles.rational_zeros(3, 3)
     ).all()
 
 
@@ -114,9 +131,26 @@ def test_one_param_product_pinned(pin3):
 
 
 def test_group_element_rejects_wrong_determinant():
-    bad = linalg.rational_matrix([[2, 0], [0, 2]])
+    bad = oracles.rational_matrix([[2, 0], [0, 2]])
     with pytest.raises(ValueError):
         GroupElement(bad, RATIONAL)
+
+
+def test_group_element_tag_must_agree_with_its_dtype():
+    """An exact tag needs object or integer entries and a float tag float entries:
+    float entries tagged exact, and exact ones tagged float, raise ``TypeError``."""
+    for entries in (np.eye(3), np.eye(3, dtype=np.float32)):
+        with pytest.raises(TypeError, match="rational group element"):
+            GroupElement(entries, RATIONAL)
+    for entries in (oracles.rational_identity(3), np.eye(3, dtype=int), np.eye(3, dtype=np.uint8)):
+        with pytest.raises(TypeError, match="float group element"):
+            GroupElement(entries, FLOAT)
+    assert GroupElement(np.eye(3, dtype=int), RATIONAL).field == RATIONAL
+    # integer entries are held as Python ints: a product past 2**63 does not wrap around
+    g = GroupElement(np.array([[1, 2**62], [0, 1]]), RATIONAL)
+    assert g.entries.dtype == object and (g @ g).entries[0, 1] == 2**63
+    assert GroupElement(oracles.rational_identity(3), RATIONAL).to_float().entries.dtype == np.float64
+    assert GroupElement(linalg.to_float(oracles.rational_identity(3)), FLOAT).field == FLOAT
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -124,7 +158,7 @@ def test_closed_constructions_have_determinant_one(n):
     """one_param and exact products skip the det check; the exact det is still 1."""
     pin = build_pinning(n)
     ts = (Fraction(3, 7), Fraction(-5, 2), Fraction(11))
-    product = GroupElement(linalg.rational_identity(n), RATIONAL)
+    product = GroupElement(oracles.rational_identity(n), RATIONAL)
     for kind in ("x", "y", "coweight"):
         for i in pin.indices:
             for t in ts:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tnnflow
+import oracles
 from tnnflow import cli, linalg
 from tnnflow.chevalley import RATIONAL, GroupElement, exp_generator_sum
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
@@ -107,7 +108,7 @@ def test_sample_margins_name_the_minors_they_cover(capsys, side):
         if side != "group":
             assert margins == {"min_minor": "0/1"}
             continue
-        g = linalg.rational_matrix(rec["matrix"])
+        g = oracles.rational_matrix(rec["matrix"])
         solid = [linalg.det(g[i : i + k, j : j + k]) for k in range(1, 5) for i in range(5 - k) for j in range(5 - k)]
         assert margins == {"min_solid_minor": str(min(solid))}
 
@@ -222,7 +223,7 @@ def test_flow_reads_sl3_off_the_frame_of_an_exact_flag(tmp_path, flag):
     assert code == 0
     sl3 = json.loads(out)["sl3"]
     got = [float(x) for x in sl3["v"] + sl3["w"]]
-    want = sl3_coords(linalg.rational_matrix(flag)).as_vector()
+    want = sl3_coords(oracles.rational_matrix(flag)).as_vector()
     assert max(abs(x - float(y)) for x, y in zip(got, want)) <= 1e-14
 
 
@@ -251,8 +252,31 @@ def test_flow_from_a_chart_point_has_no_flag(tmp_path, capsys):
     assert json.loads(out)["sl3"] == "no flag: the start is a chart point"
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_default_start_is_the_fraction_route_bit_for_bit(n, monkeypatch):
+    """The seeded start of ``flow`` multiplies its product out once, as column-scaled ints:
+    its binary64 matrix is bit for bit ``sample_positive(...).to_float()``, and the line it
+    charts bit for bit ``line_of`` on the parameters, over 20 seeds; no ``Fraction``
+    matrix is built on the way.  The chart is of the defining module, dim n."""
+    J = tuple(range(2, n))
+    chart = cli.eigenchart(cli.build_rep(cli.lambda_for(n, J)))
+    real_coords, lines, built = cli.chart_coords, [], []
+    monkeypatch.setattr(cli, "chart_coords", lambda chart, line: lines.append(line) or real_coords(chart, line))
+    monkeypatch.setattr(linalg, "_fraction_of_scaled", lambda *scaled: built.append(scaled))
+    starts = [cli._load_start_point(RunConfig(n=n, J=J, seed=seed), None, chart) for seed in range(20)]
+    monkeypatch.undo()
+    assert built == [] and len(lines) == 20
+    for seed, (p, g, origin), line in zip(range(20), starts, lines):
+        params = sample_params(standard_word_w0(n), np.random.default_rng(seed))
+        want_line = cli.line_of(chart.rep, params, "lower")
+        assert origin == "random TNN flag"
+        assert g.tobytes() == sample_positive(params, "lower").to_float().entries.tobytes()
+        assert line.tobytes() == want_line.tobytes()
+        assert p.tobytes() == real_coords(chart, want_line).tobytes()
+
+
 nonsingular_flags = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3).filter(
-    lambda m: linalg.det(linalg.rational_matrix(m)) != 0
+    lambda m: linalg.det(oracles.rational_matrix(m)) != 0
 )
 
 
@@ -501,7 +525,7 @@ def test_verify_makes_no_exact_det_call(capsys, monkeypatch):
     assert code == 0
     assert calls == []
     # the counter sees the checked constructor
-    GroupElement(linalg.rational_identity(3), RATIONAL)
+    GroupElement(oracles.rational_identity(3), RATIONAL)
     assert calls == [(3, 3)]
 
 

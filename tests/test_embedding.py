@@ -10,14 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tnnflow import linalg
+import oracles
+from oracles import one_param
 from tnnflow.chevalley import (
     FLOAT,
     RATIONAL,
     GroupElement,
     exp_generator_sum,
     generator_sum_spectrum,
-    one_param,
 )
 from tnnflow import embedding
 from tnnflow.embedding import (
@@ -248,7 +248,7 @@ def test_sl3_complete_module_shape(rep3):
 
 def test_highest_vector_coordinates(rep3, pin3):
     """psi of the identity flag is the highest vector itself, exactly e_0."""
-    e = GroupElement(linalg.rational_identity(3), RATIONAL)
+    e = GroupElement(oracles.rational_identity(3), RATIONAL)
     line = line_of(rep3, e)
     assert rep3.pivot_cols[0] == 0  # the highest vector is the first pivot
     want = np.array([Fraction(1)] + [Fraction(0)] * (rep3.dim - 1), dtype=np.float64)

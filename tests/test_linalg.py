@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tnnflow import linalg
 from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
 
@@ -24,7 +25,7 @@ def rational_matrices(n):
 
 
 def test_rational_matrix_roundtrip():
-    m = linalg.rational_matrix([[1, 2], [3, "1/2"]])
+    m = oracles.rational_matrix([[1, 2], [3, "1/2"]])
     assert m[1, 1] == Fraction(1, 2)
     assert linalg.is_rational_array(m)
     f = linalg.to_float(m)
@@ -32,11 +33,11 @@ def test_rational_matrix_roundtrip():
 
 
 def test_det_known_values():
-    m = linalg.rational_matrix([[1, 2], [3, 4]])
+    m = oracles.rational_matrix([[1, 2], [3, 4]])
     assert linalg.det(m) == Fraction(-2)
-    assert linalg.det(linalg.rational_identity(5)) == 1
+    assert linalg.det(oracles.rational_identity(5)) == 1
     # Vandermonde on 1, 2, 3: product of differences = 2
-    v = linalg.rational_matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
+    v = oracles.rational_matrix([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
     assert linalg.det(v) == 2
     # plain ints stay exact: the pivot 3 would otherwise divide into floats
     ints = np.array([[3, 1, 2], [1, 7, 1], [2, 5, 11]], dtype=object)
@@ -55,26 +56,26 @@ def test_inverse_exact(m):
     n = m.shape[0]
     if linalg.det(m) == 0:
         with pytest.raises(ZeroDivisionError):
-            linalg.inv(m)
+            oracles.inv(m)
     else:
-        inverse = linalg.inv(m)
+        inverse = oracles.inv(m)
         assert inverse.shape == (n, n) and all(type(x) is Fraction for x in inverse.flat)
-        assert np.equal(m @ inverse, linalg.rational_identity(n)).all()
+        assert np.equal(m @ inverse, oracles.rational_identity(n)).all()
     singular = m.copy()
     singular[-1] = 0 if n == 1 else 3 * singular[0]
     with pytest.raises(ZeroDivisionError):
-        linalg.inv(singular)
+        oracles.inv(singular)
 
 
 def test_inverse_pivots_past_a_zero_and_returns_fractions():
     # nonsingular, yet the first pivot is 0: a row swap is needed, not an error
     for rows in ([[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 1], [1, 1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]):
         m = np.array(rows, dtype=object)
-        inverse = linalg.inv(m)
+        inverse = oracles.inv(m)
         assert all(type(x) is Fraction for x in inverse.flat)
-        assert np.equal(m @ inverse, linalg.rational_identity(len(rows))).all()
+        assert np.equal(m @ inverse, oracles.rational_identity(len(rows))).all()
     with pytest.raises(ZeroDivisionError):
-        linalg.inv(np.array([[0, 1], [0, 2]], dtype=object))
+        oracles.inv(np.array([[0, 1], [0, 2]], dtype=object))
 
 
 def test_inverse_holds_fractions_where_the_last_pivot_is_negative():
@@ -82,11 +83,11 @@ def test_inverse_holds_fractions_where_the_last_pivot_is_negative():
     swap and a -1 pivot) and where the columns have denominators: every entry
     is a ``Fraction`` and the product with the matrix is the identity."""
     for rows in ([[0, 1], [-1, 0]], [[0, 2, 1], [3, 0, 1], [1, 1, 0]], [["1/2", 0], ["1/3", "-5/7"]]):
-        m = linalg.rational_matrix(rows)
-        inverse = linalg.inv(m)
+        m = oracles.rational_matrix(rows)
+        inverse = oracles.inv(m)
         assert all(type(x) is Fraction for x in inverse.flat)
-        assert np.equal(m @ inverse, linalg.rational_identity(len(rows))).all()
-        assert np.equal(inverse @ m, linalg.rational_identity(len(rows))).all()
+        assert np.equal(m @ inverse, oracles.rational_identity(len(rows))).all()
+        assert np.equal(inverse @ m, oracles.rational_identity(len(rows))).all()
 
 
 def _minor(a, rows, cols) -> Fraction:
@@ -95,9 +96,9 @@ def _minor(a, rows, cols) -> Fraction:
 
 
 def test_minor_and_all_minors():
-    m = linalg.rational_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    m = oracles.rational_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert _minor(m, (0, 1), (0, 1)) == Fraction(-3)
-    minors = list(linalg.all_minors(m))
+    minors = list(oracles.all_minors(m))
     # sum over k of C(3,k)^2 minors
     assert len(minors) == 9 + 9 + 1
     assert all(isinstance(v, Fraction) for _, _, v in minors)
@@ -185,17 +186,17 @@ def test_all_minors_matches_elimination_oracle(a, leibniz_det):
         for rows in itertools.combinations(range(n), k)
         for cols in itertools.combinations(range(m), k)
     ]
-    got = list(linalg.all_minors(a))
+    got = list(oracles.all_minors(a))
     assert got == expected
     assert all(type(v) is Fraction for _, _, v in got)
     assert [_minor(a, rows, cols) for rows, cols, _ in got] == [v for _, _, v in got]
 
 
 def test_rank(exact_rank):
-    assert exact_rank(linalg.rational_identity(4)) == 4
-    m = linalg.rational_matrix([[1, 2], [2, 4]])
+    assert exact_rank(oracles.rational_identity(4)) == 4
+    m = oracles.rational_matrix([[1, 2], [2, 4]])
     assert exact_rank(m) == 1
-    assert exact_rank(linalg.rational_zeros(3, 3)) == 0
+    assert exact_rank(oracles.rational_zeros(3, 3)) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -206,9 +207,9 @@ def test_rank_matches_float_rank(m, exact_rank):
 
 def test_reduce_rows_gives_echelon_basis():
     rows = [{0: 2, 1: 4}, {0: 1, 1: 2, 2: 1}, {0: 3, 1: 6, 2: Fraction(1)}]
-    assert linalg.reduce_rows(rows) == [(0, {0: 1, 1: 2}), (2, {2: 1})]
-    assert linalg.reduce_rows([{0: Fraction(0)}, {}]) == []
-    basis = linalg.reduce_rows([{1: 3, 2: 1}, {0: 1, 1: 1}])
+    assert oracles.reduce_rows(rows) == [(0, {0: 1, 1: 2}), (2, {2: 1})]
+    assert oracles.reduce_rows([{0: Fraction(0)}, {}]) == []
+    basis = oracles.reduce_rows([{1: 3, 2: 1}, {0: 1, 1: 1}])
     assert basis == [(0, {0: 1, 2: Fraction(-1, 3)}), (1, {1: 1, 2: Fraction(1, 3)})]
     assert all(type(x) is Fraction for _, row in basis for x in row.values())
 
@@ -216,7 +217,7 @@ def test_reduce_rows_gives_echelon_basis():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.dictionaries(st.integers(0, 7), fractions, max_size=5), max_size=6))
 def test_reduce_rows_is_reduced_echelon_and_spans_its_input(rows):
-    basis = linalg.reduce_rows(rows)
+    basis = oracles.reduce_rows(rows)
     pivots = [p for p, _ in basis]
     assert pivots == sorted(set(pivots))
     for p, row in basis:
@@ -235,7 +236,7 @@ def test_reduce_rows_is_reduced_echelon_and_spans_its_input(rows):
     # and the reduced echelon basis does not depend on the order of the rows
     dense = np.array([[float(row.get(c, 0)) for c in range(8)] for row in rows]).reshape(-1, 8)
     assert len(basis) == np.linalg.matrix_rank(dense, tol=1e-9)
-    assert linalg.reduce_rows(rows[::-1]) == basis
+    assert oracles.reduce_rows(rows[::-1]) == basis
 
 
 # sparse rows over columns 0..9: the same few rows recur, entries may be
@@ -252,7 +253,7 @@ _sparse_rows = st.lists(
 def test_reduce_rows_matches_the_fraction_oracle(rows, fraction_reduce_rows):
     """The integer echelon gives the Fraction elimination's basis, entry for entry."""
     want = fraction_reduce_rows(rows)
-    got = linalg.reduce_rows(rows)
+    got = oracles.reduce_rows(rows)
     assert got == want
     assert all(type(x) is Fraction for _, row in got for x in row.values())
     # the integer pass itself: primitive int rows with a positive pivot entry
@@ -269,7 +270,7 @@ def test_reduce_rows_matches_the_fraction_oracle(rows, fraction_reduce_rows):
 
 def test_rationalize_is_exact():
     x = np.array([0.5, 0.1, -2.25])
-    r = linalg.rationalize(x)
+    r = oracles.rationalize(x)
     assert r[0] == Fraction(1, 2)
     # 0.1 is not 1/10 in binary64, and rationalize must not pretend it is
     assert r[1] == Fraction(*(0.1).as_integer_ratio())
@@ -277,8 +278,8 @@ def test_rationalize_is_exact():
 
 
 def test_cross3_orthogonality():
-    a = linalg.rational_matrix([[1, 2, 3]])[0]
-    b = linalg.rational_matrix([[4, 5, 6]])[0]
+    a = oracles.rational_matrix([[1, 2, 3]])[0]
+    b = oracles.rational_matrix([[4, 5, 6]])[0]
     c = linalg.cross3(a, b)
     assert sum(c[i] * a[i] for i in range(3)) == 0
     assert sum(c[i] * b[i] for i in range(3)) == 0
@@ -334,18 +335,18 @@ def test_minor_levels_match_leibniz_oracle_on_stacks(stack, leibniz_det):
 def test_minor_levels_on_a_rectangular_stack_and_a_stack_of_one(leibniz_det):
     """Members over different column scales, a 3 x 4 shape with zero minors (a
     zero column and two rows that agree on the other three), and a 4 x 2 stack of one."""
-    a = linalg.rational_matrix([[1, "1/2", 0, "2/3"], [3, "5/4", 0, "1/6"], [1, "1/2", 0, "-7/5"]])
-    b = linalg.rational_matrix([["1/3", 2, "3/7", 1], [-1, "1/9", 4, 0], [2, 3, "-1/2", "5/8"]])
+    a = oracles.rational_matrix([[1, "1/2", 0, "2/3"], [3, "5/4", 0, "1/6"], [1, "1/2", 0, "-7/5"]])
+    b = oracles.rational_matrix([["1/3", 2, "3/7", 1], [-1, "1/9", 4, 0], [2, 3, "-1/2", "5/8"]])
     assert linalg._scaled_columns(a)[1] != linalg._scaled_columns(b)[1]
     _check_minor_levels([a, b], leibniz_det)
     values, _ = next(itertools.islice(linalg._minor_levels(*linalg._scaled_stack([linalg._scaled_columns(a)])), 1, 2))
     assert 0 in values[0, 0].tolist()  # rows (0, 1) on the zero column
-    _check_minor_levels([linalg.rational_matrix([[1, 2], ["1/3", 0], [0, 0], ["-5/2", "7/11"]])], leibniz_det)
+    _check_minor_levels([oracles.rational_matrix([[1, 2], ["1/3", 0], [0, 0], ["-5/2", "7/11"]])], leibniz_det)
 
 
 def test_all_minors_come_by_size_then_rows_then_columns():
-    a = linalg.rational_matrix([[1, 2, 0, "1/2"], [3, "1/3", 4, 1], [0, 5, 6, "-2/7"]])
-    keys = [(rows, cols) for rows, cols, _ in linalg.all_minors(a)]
+    a = oracles.rational_matrix([[1, 2, 0, "1/2"], [3, "1/3", 4, 1], [0, 5, 6, "-2/7"]])
+    keys = [(rows, cols) for rows, cols, _ in oracles.all_minors(a)]
     assert keys == sorted(keys, key=lambda key: (len(key[0]), key))
     assert len(keys) == len(set(keys)) == sum(math.comb(3, k) * math.comb(4, k) for k in range(1, 4))
 
@@ -365,7 +366,7 @@ def test_minor_levels_summed_in_blocks_of_rows_are_the_same_levels(monkeypatch, 
 
 def _int_det(ints) -> int:
     """The determinant of an int submatrix, by ``linalg.det`` on its ``Fraction`` image."""
-    d = linalg.det(linalg.rational_matrix(ints.tolist())) if ints.size else Fraction(1)
+    d = linalg.det(oracles.rational_matrix(ints.tolist())) if ints.size else Fraction(1)
     assert d.denominator == 1
     return d.numerator
 

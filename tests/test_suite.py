@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from tnnflow import flow, linalg, suite
 from tnnflow.chevalley import exp_generator_sum
 from tnnflow.flow import _frame_gaps, fixed_flag
@@ -156,7 +157,17 @@ def test_exp_total_positivity_says_what_it_certifies():
         "verdict": Positivity.TOTALLY_POSITIVE,
         "passed": True,
     }
-    assert is_tnn_matrix(linalg.rationalize(exp_generator_sum(row.n, row.t).entries)) is section["verdict"]
+    assert is_tnn_matrix(oracles.rationalize(exp_generator_sum(row.n, row.t).entries)) is section["verdict"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
+def test_exp_total_positivity_reads_each_float_as_its_exact_ratio(n, t):
+    """The section's verdict on other rows is the verdict on the ``Fraction`` image of the
+    binary64 exp(t tau): the column-scaled ints read each float's exact ratio."""
+    section = GATES["exp_total_positivity"].section([Case("exp_total_positivity", n, (), t, None)], {}, None, None)
+    assert section["verdict"] is is_tnn_matrix(oracles.rationalize(exp_generator_sum(n, t).entries))
+    assert section["verdict"] is Positivity.TOTALLY_POSITIVE
 
 
 def test_invariance_gate_reads_no_chart_and_says_what_it_certifies():

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import one_param
 from tnnflow import linalg, totpos
-from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, one_param, build_pinning
+from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, build_pinning
 from tnnflow.totpos import (
     FactorizationParams,
     _certificate,
@@ -56,9 +58,9 @@ def test_reduced_word_validation():
 
 
 def test_positivity_oracle_small_cases():
-    tp = linalg.rational_matrix([[2, 1], [1, 1]])
-    tnn = linalg.rational_matrix([[1, 1], [0, 1]])
-    neither = linalg.rational_matrix([[0, 1], [1, 0]])
+    tp = oracles.rational_matrix([[2, 1], [1, 1]])
+    tnn = oracles.rational_matrix([[1, 1], [0, 1]])
+    neither = oracles.rational_matrix([[0, 1], [1, 0]])
     assert is_tnn_matrix(tp) is Positivity.TOTALLY_POSITIVE
     assert is_tnn_matrix(tnn) is Positivity.TOTALLY_NONNEGATIVE
     assert is_tnn_matrix(neither) is Positivity.NEITHER
@@ -78,7 +80,7 @@ def test_positivity_oracle_reads_integer_arrays(dtype):
     for rows, verdict in (([[2, 1], [1, 2]], Positivity.TOTALLY_POSITIVE), ([[1, 1], [0, 1]], Positivity.TOTALLY_NONNEGATIVE)):
         a = np.array(rows, dtype=dtype)
         assert is_tnn_matrix(a) is verdict
-        assert certify_minors(a) == certify_minors(linalg.rational_matrix(rows))
+        assert certify_minors(a) == certify_minors(oracles.rational_matrix(rows))
     assert is_tnn_matrix(np.array([[0, 1], [1, 0]])) is Positivity.NEITHER
 
 
@@ -137,7 +139,7 @@ def test_zero_mask_lands_on_boundary():
     word = standard_word_w0(3)
     params = sample_params(word, rng, zero_mask=[0, 1, 2])
     g = sample_positive(params, "lower")
-    assert np.equal(g.entries, linalg.rational_identity(3)).all()
+    assert np.equal(g.entries, oracles.rational_identity(3)).all()
 
 
 def _oracle_minors(a, det):
@@ -512,7 +514,7 @@ rational_params = st.lists(
 def test_flag_invariant_under_stabilizer(tvals, svals):
     """Right multiplication by upper-triangular matrices fixes the flag."""
     pin = build_pinning(3)
-    g = GroupElement(linalg.rational_identity(3), RATIONAL)
+    g = GroupElement(oracles.rational_identity(3), RATIONAL)
     for i, t in zip((1, 2, 1), tvals):
         g = g @ one_param(pin, "y", i, t)
     stab = one_param(pin, "x", 1, svals[0]) @ one_param(pin, "x", 2, svals[1])
@@ -527,7 +529,7 @@ def test_flag_invariant_under_stabilizer(tvals, svals):
 def test_sl3_coords_of_float_frame_track_exact_flag(tvals):
     """(v, w) read off a float matrix, or off its orthonormal frame, match the exact flag."""
     pin = build_pinning(3)
-    g = GroupElement(linalg.rational_identity(3), RATIONAL)
+    g = GroupElement(oracles.rational_identity(3), RATIONAL)
     for i, t in zip((1, 2, 1), tvals):
         g = g @ one_param(pin, "y", i, t)
     exact = sl3_coords(g.entries).as_vector().astype(np.float64)
@@ -586,7 +588,7 @@ def test_sl3_residuals_vanish_on_flags(pin3, rng):
 
 
 def test_sl3_membership_cases():
-    inside = sl3_coords(linalg.rational_matrix([[1, 1, 1], [2, 1, 0], [1, 0, 0]]))
+    inside = sl3_coords(oracles.rational_matrix([[1, 1, 1], [2, 1, 0], [1, 0, 0]]))
     assert sl3_membership(inside) is Membership.POSITIVE_PART
     from tnnflow.totpos import Sl3Coords
 
@@ -623,7 +625,7 @@ def test_early_exit_gives_the_full_walks_verdict_on_swapped_columns(n):
         for j in range(n - 1):
             swapped = g.copy()
             swapped[:, [j, j + 1]] = swapped[:, [j + 1, j]]
-            minors = [v for _, _, v in linalg.all_minors(swapped)]
+            minors = [v for _, _, v in oracles.all_minors(swapped)]
             verdict, least = certify_minors(swapped)
             assert is_tnn_matrix(swapped) is verdict is Positivity.NEITHER
             assert least == min(minors)
@@ -743,7 +745,7 @@ def test_a_unitriangular_matrix_with_one_zero_interval_minor_goes_to_the_full_wa
     U-_{>0}; the certificate, on u and on its transpose, hands it to the walk.
     With b below a c every interval minor is positive, and no walk is made."""
     for b, walked in ((6, True), (5, False)):
-        u = linalg.rational_matrix([[1, 0, 0], [2, 1, 0], [b, 3, 1]])
+        u = oracles.rational_matrix([[1, 0, 0], [2, 1, 0], [b, 3, 1]])
         for a in (u, u.T.copy()):
             assert certify_minors(a) == (Positivity.TOTALLY_NONNEGATIVE, 0)
             before = len(walks)
@@ -778,7 +780,7 @@ def test_matrices_that_reach_the_full_walk_get_its_verdict(walks):
     swapped = lower.copy()
     swapped[:, [1, 2]] = swapped[:, [2, 1]]
     cases = [
-        (linalg.rational_matrix([[1, 0, 1], [1, 0, 0], [1, 1, 1]]), Positivity.NEITHER),
+        (oracles.rational_matrix([[1, 0, 1], [1, 0, 0], [1, 1, 1]]), Positivity.NEITHER),
         (sample_positive(sample_params(word, rng, group=True, zero_mask=[0, 7]), "group").entries,
          Positivity.TOTALLY_NONNEGATIVE),
         (swapped, Positivity.NEITHER),
@@ -801,7 +803,7 @@ def _small_matrices(draw):
     """Small int matrices, many with zero solid minors; some lower or upper triangular."""
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rows = draw(st.lists(st.lists(_small_ints, min_size=m, max_size=m), min_size=n, max_size=n))
-    a = linalg.rational_matrix(rows)
+    a = oracles.rational_matrix(rows)
     shape = draw(st.sampled_from(["full", "lower", "upper"]))
     if shape != "full" and n == m:
         keep = np.tri(n, dtype=bool) if shape == "lower" else np.tri(n, dtype=bool).T
@@ -811,9 +813,9 @@ def _small_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_small_matrices())
-@example(linalg.rational_matrix([[1] * 4] * 4))
-@example(linalg.rational_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]]))
-@example(linalg.rational_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+@example(oracles.rational_matrix([[1] * 4] * 4))
+@example(oracles.rational_matrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]]))
+@example(oracles.rational_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
 def test_zero_solid_minors_never_divide_by_zero(a):
     """Condensation divides by the level two below; a zero there must end the
     walk, never raise ``ZeroDivisionError``, and the verdict stays the oracle's."""
