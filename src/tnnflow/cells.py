@@ -7,10 +7,12 @@ In the six-coordinate chart (v, w) the nonnegative part is cut out by
 with all coordinates >= 0.  Its boundary strata are indexed by which
 coordinates vanish: a *pattern* is a pair of subsets of {1,2,3}, and a
 pattern is a cell exactly when the constraints admit a strictly positive
-solution on the complementary supports.  Everything here is decided in
-exact rational arithmetic: witnesses are constructed by solving the
-constraints in closed form, dimensions come in closed form from the
-supports, and the resulting census (19 cells, f-vector (6, 8, 4, 1)) is cross-checkable
+solution on the complementary supports V and W, which the sign rule decides
+from V & W alone.  Everything here is in closed form and exact: each cell's
+witness fills its supports uniformly (one w is fixed on the top cell), its
+dimension comes from the supports, and each covering pair is shown a limit
+along the bilinear path from the face's witness toward the coface's, carried
+on ints.  The census (19 cells, f-vector (6, 8, 4, 1)) is cross-checkable
 against an independent Bruhat-interval count.
 """
 
@@ -38,123 +40,54 @@ __all__ = [
     "face_poset",
     "validate_poset",
     "census_verdict",
-    "witness_toward",
     "limit_report",
     "census_payload",
     "figure_svg",
 ]
 
-_ONE = Fraction(1)
 _INDICES = (1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
-# witness construction
+# witnesses
 
 
-def _twist(x) -> tuple:
-    """The bilinear pairing vector: (x1, -x2, x3)."""
-    return (x[0], -x[1], x[2])
+def _zeros(vec, tol=0) -> frozenset:
+    """The indices 1..3 of the entries of ``vec`` within ``tol`` of zero."""
+    return frozenset(i for i, x in zip(_INDICES, vec) if abs(x) <= tol)
 
 
-def _spread(supp, values) -> tuple:
-    """Place positive values on the support, zeros elsewhere, normalized."""
-    total = sum(values)
-    full = [Fraction(0)] * 3
-    for i, val in zip(supp, values):
-        full[i - 1] = Fraction(val, 1) / total
-    return tuple(full)
+# the top cell's w: against v = (1/3, 1/3, 1/3) the pairing is (w1 - w2 + w3) / 3,
+# which vanishes with the sum w1 + w2 + w3 = 1 iff w2 = 1/2
+_TOP_W = (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
 
 
-# the default positive fillings of a support, by its size
-_DEFAULT_FILLS = {
-    1: [(Fraction(1),)],
-    2: [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))],
-    3: [
-        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-        (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
-    ],
-}
+def _uniform_witness(vzeros, wzeros) -> Sl3Coords:
+    """The pattern's point with v = 1/|V| on its support V and w = 1/|W| on W.
 
-
-def _support_candidates(supp, hint):
-    """Yield deterministic positive fillings of a support, hint first if usable.
-
-    They come one at a time, so a caller that stops at the first one that
-    solves builds no other.
+    The pairing v1 w1 - v2 w2 + v3 w3 is then the sum of (+, -, +) over V & W
+    divided by |V| |W|, which vanishes on every pattern of :func:`_sign_rule`
+    but the top one, V = W = {1, 2, 3}; there w is ``_TOP_W``.
     """
-    if hint is not None and all(hint.get(i, 0) > 0 for i in supp):
-        yield _spread(supp, [hint[i] for i in supp])
-    for vals in _DEFAULT_FILLS[len(supp)]:
-        yield _spread(supp, vals)
+    v, w = (tuple(Fraction(int(i not in zeros), 3 - len(zeros)) for i in _INDICES) for zeros in (vzeros, wzeros))
+    return Sl3Coords(v, _TOP_W if not vzeros and not wzeros else w, RATIONAL)
 
 
-def _solve_on_support(u, supp, hint) -> tuple | None:
-    """A strictly positive x on ``supp`` with sum 1 and u . x = 0, or None.
-
-    ``u`` is the full length-3 pairing vector; only its support entries
-    matter.  With two free coordinates the solution is forced; with three,
-    one coordinate is chosen (guided by the hint) and the rest solved.
-    """
-    us = [u[i - 1] for i in supp]
-    if len(supp) == 1:
-        return _spread(supp, (_ONE,)) if us[0] == 0 else None
-    if len(supp) == 2:
-        # x = (1-s, s) on the support; us[0] (1-s) + us[1] s = 0
-        if us[0] == us[1]:
-            if us[0] != 0:
-                return None
-            s = Fraction(1, 2)
-            if hint is not None and hint.get(supp[0], 0) > 0 and hint.get(supp[1], 0) > 0:
-                s = hint[supp[1]] / (hint[supp[0]] + hint[supp[1]])
-        else:
-            s = us[0] / (us[0] - us[1])
-            if not 0 < s < 1:
-                return None
-        return _spread(supp, (1 - s, s))
-    # full support
-    if all(x == 0 for x in us):
-        return next(_support_candidates(supp, hint))
-    pos = [i for i in supp if u[i - 1] > 0]
-    neg = [i for i in supp if u[i - 1] < 0]
-    if not pos or not neg:
-        return None
-    a, b = pos[0], neg[0]
-    c = next(i for i in supp if i not in (a, b))
-    gammas = []
-    if hint is not None and all(hint.get(i, 0) > 0 for i in supp):
-        gammas.append(hint[c] / sum(hint[i] for i in supp))
-    gammas.extend([Fraction(1, 3), Fraction(1, 4), Fraction(1, 7), Fraction(2, 3)])
-    ua, ub, uc = u[a - 1], u[b - 1], u[c - 1]
-    for gamma in gammas:
-        if not 0 < gamma < 1:
-            continue
-        # solve xa + xb = 1 - gamma, ua xa + ub xb = -uc gamma
-        xa = (-uc * gamma - ub * (1 - gamma)) / (ua - ub)
-        xb = (1 - gamma) - xa
-        if xa > 0 and xb > 0:
-            full = [Fraction(0)] * 3
-            full[a - 1], full[b - 1], full[c - 1] = xa, xb, gamma
-            return tuple(full)
-    return None
+def _scaled(coords: Sl3Coords) -> tuple:
+    """An exact point as ``(d, v, w)``: its common denominator d, and d v and d w as ints."""
+    d = math.lcm(*(x.denominator for x in coords.v + coords.w))
+    v, w = ([x.numerator * (d // x.denominator) for x in vec] for vec in (coords.v, coords.w))
+    return d, v, w
 
 
-def _pattern_witness(vzeros, wzeros, v_hint=None, w_hint=None) -> Sl3Coords | None:
-    """An exact point with exactly the given vanishing pattern, if one exists."""
-    vsupp = tuple(i for i in _INDICES if i not in vzeros)
-    wsupp = tuple(i for i in _INDICES if i not in wzeros)
-    if not vsupp or not wsupp:
-        return None
-    for v_try in _support_candidates(vsupp, v_hint):
-        w = _solve_on_support(_twist(v_try), wsupp, w_hint)
-        if w is not None:
-            return Sl3Coords(v_try, w, RATIONAL)
-    for w_try in _support_candidates(wsupp, w_hint):
-        v = _solve_on_support(_twist(w_try), vsupp, v_hint)
-        if v is not None:
-            return Sl3Coords(v, w_try, RATIONAL)
-    return None
+def _pairing(v, w):
+    return v[0] * w[0] - v[1] * w[1] + v[2] * w[2]
+
+
+def _on_cell(v, w, pattern) -> bool:
+    """Whether int vectors v and w, each up to a positive scale, are a point of the
+    variety whose vanishing pattern is ``pattern``, a pair (vzeros, wzeros)."""
+    return min(v + w) >= 0 and _pairing(v, w) == 0 and (_zeros(v), _zeros(w)) == pattern
 
 
 def _pattern_dim(coords: Sl3Coords) -> int:
@@ -247,10 +180,10 @@ def _sign_rule(vzeros, wzeros) -> bool:
 def enumerate_cells() -> Census:
     """Decide realizability of all 49 vanishing patterns and collect the cells.
 
-    Realizability is decided by the sign rule :func:`_sign_rule`; the
-    deterministic closed-form solver then builds the witness of each
-    realizable pattern only, and one it cannot solve raises
-    ``AssertionError``.  Each cell's dimension is the closed-form count
+    Realizability is decided by the sign rule :func:`_sign_rule` alone; each
+    realizable pattern's witness is :func:`_uniform_witness`, checked exactly
+    to lie on the variety with that pattern and no other (``AssertionError``
+    otherwise).  Each cell's dimension is the closed-form count
     :func:`_pattern_dim` at its witness.
     """
     cells = []
@@ -258,9 +191,10 @@ def enumerate_cells() -> Census:
     for vz, wz in itertools.product(subsets, repeat=2):
         if not _sign_rule(vz, wz):
             continue
-        witness = _pattern_witness(vz, wz)
-        if witness is None:
-            raise AssertionError(f"the sign rule admits v{sorted(vz)}|w{sorted(wz)}, but the solver finds no point")
+        witness = _uniform_witness(vz, wz)
+        d, v, w = _scaled(witness)
+        if not (sum(v) == sum(w) == d and _on_cell(v, w, (vz, wz))):
+            raise AssertionError(f"the witness of v{sorted(vz)}|w{sorted(wz)} is not a point of its pattern")
         cells.append(Cell(vz, wz, _pattern_dim(witness), witness))
     cells.sort(key=lambda c: (c.dim, c.key))
     return Census(tuple(cells))
@@ -273,15 +207,10 @@ def label_of(coords: Sl3Coords, census: Census, tol: float = 1e-9) -> Cell:
     ``tol`` of zero as vanishing.  Points outside the nonnegative variety,
     or exhibiting a pattern that is not a cell, are rejected.
     """
-    membership_tol = tol if coords.field == FLOAT else 1e-10
-    if sl3_membership(coords, tol=membership_tol) is Membership.OUTSIDE:
+    if sl3_membership(coords, tol=tol) is Membership.OUTSIDE:
         raise ValueError("point is outside the nonnegative variety")
-    if coords.field == RATIONAL:
-        vz = frozenset(i for i in _INDICES if coords.v[i - 1] == 0)
-        wz = frozenset(i for i in _INDICES if coords.w[i - 1] == 0)
-    else:
-        vz = frozenset(i for i in _INDICES if abs(coords.v[i - 1]) <= tol)
-        wz = frozenset(i for i in _INDICES if abs(coords.w[i - 1]) <= tol)
+    tol = tol if coords.field == FLOAT else 0
+    vz, wz = _zeros(coords.v, tol), _zeros(coords.w, tol)
     cell = census.by_pattern(vz, wz)
     if cell is None:
         raise ValueError(f"vanishing pattern v:{sorted(vz)} w:{sorted(wz)} is not a cell")
@@ -443,70 +372,61 @@ def census_verdict(census: Census, poset_checks: dict) -> dict:
 # limits toward smaller cells
 
 
-def witness_toward(cell: Cell, target: Sl3Coords, eps: Fraction) -> Sl3Coords | None:
-    """A point of ``cell`` at parameter ``eps`` from a point of a smaller cell.
+def _limit_path(face: Sl3Coords, coface: Sl3Coords) -> list | None:
+    """Points (v_a + eps v_b, w_a + eps r w_b) at eps = 1/10, 1/100 and 1/1000, from
+    the face's witness (v_a, w_a) toward the coface's (v_b, w_b), as int vectors up
+    to scale; None where no r > 0 puts them on the variety.
 
-    The coordinates that vanish at the target but not on ``cell`` are set to
-    ``eps`` and the constraints re-solved near the target, so letting eps -> 0
-    exhibits the target as a limit of interior points of ``cell``.
+    Both witnesses lie on the variety, so by bilinearity the pairing along the
+    path is eps (r <v_a, w_b> + <v_b, w_a>): some r > 0 zeroes it iff the two
+    pairings have opposite signs, and r = 1 does when both vanish.  Scaling each
+    witness to ints by its common denominator leaves r as it is.
     """
-    eps = Fraction(eps)
-
-    def hint_for(target_vals, zeros):
-        hint = {}
-        for i in _INDICES:
-            if i in zeros:
-                continue
-            ti = target_vals[i - 1]
-            hint[i] = ti if ti > 0 else eps
-        return hint
-
-    v_hint = hint_for(target.v, cell.vzeros)
-    w_hint = hint_for(target.w, cell.wzeros)
-    got = _pattern_witness(cell.vzeros, cell.wzeros, v_hint=v_hint, w_hint=w_hint)
-    return got
+    da, va, wa = _scaled(face)
+    db, vb, wb = _scaled(coface)
+    p, q = _pairing(va, wb), _pairing(vb, wa)
+    if p == q == 0:
+        num, den = 1, 1
+    elif p * q < 0:
+        num, den = abs(q), abs(p)  # r = -q / p
+    else:
+        return None
+    # each vector times 10^k da db, and w times den too
+    return [
+        ([10**k * db * x + da * y for x, y in zip(va, vb)], [10**k * db * den * x + da * num * y for x, y in zip(wa, wb)])
+        for k in (1, 2, 3)
+    ]
 
 
 def limit_report(census: Census, poset: FacePoset) -> dict:
-    """Check every covering pair: the small cell is a limit of the big one,
-    through points of the big cell at eps = 1/10, 1/100 and 1/1000."""
+    """Check every covering pair: the small cell is a limit of the big one.
+
+    Each point of :func:`_limit_path` must lie exactly on the variety with the
+    big cell's pattern, and its distance to the small cell's witness must fall
+    with eps and end below 0.02.
+    """
     cells = census.cells
-    pairs = 0
     worst_final = 0.0
-    all_ok = True
     failures = []
     for a, b in poset.covers:
-        target = cells[a].witness
+        face, coface = cells[a], cells[b]
+        path = _limit_path(face.witness, coface.witness)
+        if path is None or not all(_on_cell(v, w, (coface.vzeros, coface.wzeros)) for v, w in path):
+            failures.append((face.key, coface.key))
+            continue
+        target = [float(x) for x in face.witness.as_vector()]
         distances = []
-        ok = True
-        for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
-            approx = witness_toward(cells[b], target, eps)
-            if approx is None:
-                ok = False
-                break
-            vz = frozenset(i for i in _INDICES if approx.v[i - 1] == 0)
-            wz = frozenset(i for i in _INDICES if approx.w[i - 1] == 0)
-            if vz != cells[b].vzeros or wz != cells[b].wzeros:
-                ok = False
-                break
-            gap = max(
-                abs(float(x) - float(y))
-                for x, y in zip(approx.as_vector(), target.as_vector())
-            )
-            distances.append(gap)
-        ok = ok and all(d2 < d1 for d1, d2 in zip(distances, distances[1:]))
-        ok = ok and distances and distances[-1] < 0.02
-        pairs += 1
-        if distances:
-            worst_final = max(worst_final, distances[-1])
-        if not ok:
-            all_ok = False
-            failures.append((cells[a].key, cells[b].key))
+        for v, w in path:
+            point = [x / sum(v) for x in v] + [x / sum(w) for x in w]
+            distances.append(max(abs(x - y) for x, y in zip(point, target)))
+        worst_final = max(worst_final, distances[-1])
+        if not (all(d2 < d1 for d1, d2 in zip(distances, distances[1:])) and distances[-1] < 0.02):
+            failures.append((face.key, coface.key))
     return {
-        "covering_pairs": pairs,
+        "covering_pairs": len(poset.covers),
         "worst_final_distance": worst_final,
         "failures": failures,
-        "passed": all_ok and not failures,
+        "passed": not failures,
     }
 
 

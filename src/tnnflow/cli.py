@@ -112,7 +112,8 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    """A float, or an int that binary64 holds: every real setting is used as a binary64 number."""
+    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _parse_J(text) -> tuple:
@@ -401,13 +402,22 @@ def _require_complete_sl3(cfg: RunConfig) -> None:
         raise ValueError("the cell census is implemented for the complete SL(3) flag variety")
 
 
+def _census_payload(cfg: RunConfig, census, poset) -> dict:
+    """:func:`census_payload` at ``--tol-vanish``, whose only refusal, of the fixed point's
+    label, comes from that tolerance and names it."""
+    try:
+        return census_payload(census, poset, tol=cfg.vanish_tol)
+    except ValueError as exc:
+        raise ValueError(f"--tol-vanish {cfg.vanish_tol!r} puts the fixed point in no cell: {exc}") from None
+
+
 def cmd_cells(cfg: RunConfig, args) -> int:
     _require_complete_sl3(cfg)
     census = enumerate_cells()
     poset = face_poset(census)
     checks = validate_poset(poset)
     limits = limit_report(census, poset)
-    payload = census_payload(census, poset, tol=cfg.vanish_tol)
+    payload = _census_payload(cfg, census, poset)
     payload["poset_checks"] = checks
     payload["limits_pass"] = limits["passed"]
     verdict = census_verdict(census, checks)
@@ -440,7 +450,7 @@ def cmd_figure(cfg: RunConfig, args) -> int:
     census = enumerate_cells()
     poset = face_poset(census)
     if cfg.fmt == "json":
-        payload = census_payload(census, poset, tol=cfg.vanish_tol)
+        payload = _census_payload(cfg, census, poset)
         payload["meta"] = cfg.meta("figure")
         _emit_report(payload, cfg)
     else:

@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# exp(x) is a finite normal binary64 number wherever |x| < 708 (the range ends near -708.40 and 709.78)
+_EXP_NORMAL, _TINY = 708.0, np.finfo(np.float64).tiny
+
+
 @dataclass(frozen=True, eq=False)
 class DiagonalFlow:
     """The diagonal contraction with the given eigenvalue-drop rates.
@@ -59,6 +63,7 @@ class DiagonalFlow:
     def __post_init__(self):
         object.__setattr__(self, "rates", np.asarray(self.rates, dtype=np.float64))
         self.rates.setflags(write=False)
+        object.__setattr__(self, "_fastest", float(np.max(np.abs(self.rates), initial=0.0)))  # for _flowed
 
     @classmethod
     def from_chart(cls, chart: EigenChart) -> "DiagonalFlow":
@@ -86,23 +91,37 @@ def _chart_point(flow: DiagonalFlow, p) -> np.ndarray:
     return p
 
 
-def _flowed(rates: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-    """exp(t * rates) * p, each zero coordinate kept zero where exp overflows."""
-    return np.exp(float(t) * rates, out=np.zeros_like(p), where=p != 0) * p
+def _flowed(flow: DiagonalFlow, p: np.ndarray, t: float) -> np.ndarray:
+    """exp(t * rates) * p, each zero coordinate kept zero where exp overflows.
+
+    Where exp(t * r_k) alone is not a finite normal number, coordinate k is
+    sign(p_k) exp(log|p_k| + t r_k) instead, so that it is not lost to inf or
+    rounded through a subnormal when the product itself is in range.  One test
+    of |t| times the largest |r_k| takes the plain product everywhere else.
+    """
+    t = float(t)
+    if abs(t) * flow._fastest < _EXP_NORMAL:
+        return np.exp(t * flow.rates) * p
+    factor = np.exp(t * flow.rates, out=np.zeros_like(p), where=p != 0)
+    out = factor * p
+    odd = (p != 0) & ((factor < _TINY) | (factor == math.inf))
+    logs = np.log(np.abs(p[odd])) + np.broadcast_to(t * flow.rates, p.shape)[odd]
+    out[odd] = np.copysign(np.exp(logs), p[odd])
+    return out
 
 
 def flow_point(flow: DiagonalFlow, t: float, p: np.ndarray) -> np.ndarray:
     """Evaluate f(t, p).  Very negative t may overflow to inf (not an error); zeros stay zero."""
     p = _chart_point(flow, p)
     with np.errstate(over="ignore", under="ignore"):
-        return _flowed(flow.rates, p, t)
+        return _flowed(flow, p, t)
 
 
-def _norm_at(rates: np.ndarray, p: np.ndarray, t: float) -> float:
+def _norm_at(flow: DiagonalFlow, p: np.ndarray, t: float) -> float:
     """||f(t, p)|| summed at the power-of-two scale of its largest coordinate: exactly
     ``np.linalg.norm(flow_point(...))`` where that squared norm is a normal number, and
     free of overflow and underflow elsewhere.  Callers run it with over- and underflow ignored."""
-    v = _flowed(rates, p, t)
+    v = _flowed(flow, p, t)
     scale = math.frexp(np.max(np.abs(v)))[1]
     w = np.ldexp(v, -scale)
     return float(np.ldexp(math.sqrt(w.dot(w)), scale))
@@ -221,7 +240,7 @@ def sphere_crossing(flow: DiagonalFlow, p: np.ndarray, radius: float, tol: float
     with np.errstate(over="ignore", under="ignore"):
         t_star = _time_at_norm(flow.rates, p, radius)
         point = flow_point(flow, t_star, p)
-        residual = _norm_at(flow.rates, p, t_star) - radius
+        residual = _norm_at(flow, p, t_star) - radius
     if not abs(residual) <= tol * radius:
         raise ValueError(f"the crossing misses the sphere of radius {radius!r} by {residual!r}")
     return CrossingResult(t_star, point, radius, residual)
@@ -252,20 +271,20 @@ def converge(flow: DiagonalFlow, p: np.ndarray, tol: float) -> Convergence:
         raise ValueError("tolerance must be positive")
     p = _chart_point(flow, p)
     with np.errstate(over="ignore", under="ignore"):
-        norm0 = _norm_at(flow.rates, p, 0.0)
+        norm0 = _norm_at(flow, p, 0.0)
         bound = max(0.0, math.log(max(norm0, 1e-300)) - math.log(tol)) / flow.log_contraction
         if norm0 < tol:
             return Convergence(0.0, norm0, bound)
         t = _time_at_norm(flow.rates, p, tol)
         for _ in range(64):
-            if _norm_at(flow.rates, p, t) < tol:
+            if _norm_at(flow, p, t) < tol:
                 break
             t = math.nextafter(t, math.inf)
         for _ in range(64):
-            if not _norm_at(flow.rates, p, math.nextafter(t, -math.inf)) < tol:
+            if not _norm_at(flow, p, math.nextafter(t, -math.inf)) < tol:
                 break
             t = math.nextafter(t, -math.inf)
-        return Convergence(t, _norm_at(flow.rates, p, t), bound)
+        return Convergence(t, _norm_at(flow, p, t), bound)
 
 
 def fixed_flag(n: int) -> np.ndarray:
@@ -370,7 +389,7 @@ def commutation_check(chart: EigenChart, t: float, rng: np.random.Generator, cou
     points = chart_coords(chart, _float_lines(chart.rep, np.concatenate([_acted_frames(gs, t), gs])))
     p_acted = points[:count]
     with np.errstate(over="ignore", under="ignore"):
-        p_flowed = _flowed(flow.rates, points[count:], t)
+        p_flowed = _flowed(flow, points[count:], t)
     return {"acted": p_acted, "flowed": p_flowed, "max_diff": float(np.max(np.abs(p_acted - p_flowed)))}
 
 

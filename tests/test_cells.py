@@ -7,14 +7,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from oracles import jacobian_pattern_dim
 from tnnflow import cells
 from tnnflow.cells import (
+    _limit_path,
     _pattern_dim,
-    _pattern_witness,
     _sign_rule,
     bruhat_interval_counts,
     census_payload,
@@ -24,9 +23,9 @@ from tnnflow.cells import (
     label_of,
     limit_report,
     validate_poset,
-    witness_toward,
 )
-from tnnflow.totpos import Membership, sl3_membership
+from tnnflow.chevalley import RATIONAL
+from tnnflow.totpos import Membership, Sl3Coords, sl3_membership
 
 
 EXPECTED_VERTEX_LABELS = {"12,13", "23,13", "13,12", "13,23", "12,23", "23,12"}
@@ -37,26 +36,58 @@ def test_census_counts(census3):
     assert census3.f_vector == (6, 8, 4, 1)
 
 
-def test_sign_rule_is_the_solver_verdict():
+def grid_points(m: int) -> list:
+    """Every point of the variety whose coordinates are multiples of 1/m, exact."""
+    simplex = [(i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)]
+    return [
+        Sl3Coords(tuple(Fraction(x, m) for x in v), tuple(Fraction(x, m) for x in w), RATIONAL)
+        for v in simplex
+        for w in simplex
+        if v[0] * w[0] - v[1] * w[1] + v[2] * w[2] == 0
+    ]
+
+
+def zero_pattern(point: Sl3Coords) -> tuple:
+    return tuple(frozenset(i + 1 for i, x in enumerate(vec) if x == 0) for vec in (point.v, point.w))
+
+
+def normalized(v, w) -> Sl3Coords:
+    """The chart point of int vectors v and w, each up to scale, exact."""
+    return Sl3Coords(tuple(Fraction(x, sum(v)) for x in v), tuple(Fraction(x, sum(w)) for x in w), RATIONAL)
+
+
+def test_sign_rule_is_the_grid_verdict():
     """Over all 49 patterns (and the 15 with an empty support), a pattern is realizable
-    by the sign rule exactly where the closed-form solver finds a point; the census
-    keeps the 19 of them, each with the solver's witness."""
+    by the sign rule exactly where a point of the 1/6 grid on both simplices lies on
+    the variety with that pattern; the census keeps the 19 of them, each witness one
+    of those grid points, uniform on its supports but for the top cell's w."""
+    grid = grid_points(6)
+    on_grid = {zero_pattern(point) for point in grid}
     subsets = [frozenset(s) for k in range(4) for s in itertools.combinations((1, 2, 3), k)]
     verdicts = {(vz, wz): _sign_rule(vz, wz) for vz in subsets for wz in subsets}
-    assert verdicts == {key: _pattern_witness(*key) is not None for key in verdicts}
+    assert verdicts == {key: key in on_grid for key in verdicts}
     realizable = [key for key, ok in verdicts.items() if ok]
     assert len(realizable) == 19
     census = enumerate_cells()
     assert {(c.vzeros, c.wzeros) for c in census.cells} == set(realizable)
-    assert all(c.witness == _pattern_witness(c.vzeros, c.wzeros) for c in census.cells)
+    assert all(c.witness in grid and zero_pattern(c.witness) == (c.vzeros, c.wzeros) for c in census.cells)
+    top = census.by_pattern((), ())
+    assert top.witness.w == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+    uniform = [c.witness.v for c in census.cells] + [c.witness.w for c in census.cells if c is not top]
+    assert all(len(set(vec) - {0}) == 1 for vec in uniform)
 
 
-def test_census_raises_where_the_rule_and_the_solver_disagree(monkeypatch):
-    """A pattern the sign rule admits but the solver cannot realize is an error, not a
-    missing cell."""
-    monkeypatch.setattr(cells, "_pattern_witness", lambda vz, wz: None if vz == {1} and not wz else _pattern_witness(vz, wz))
-    with pytest.raises(AssertionError, match="sign rule admits"):
-        enumerate_cells()
+def test_census_raises_where_a_witness_leaves_its_pattern(monkeypatch):
+    """A pattern the sign rule admits but whose witness is off the variety, or on it
+    with another pattern, is an error, not a missing cell."""
+    uniform = (Fraction(1, 3),) * 3
+    real = cells._uniform_witness
+    off_variety = lambda vz, wz: Sl3Coords(uniform, uniform, RATIONAL) if not vz and not wz else real(vz, wz)
+    other_pattern = lambda vz, wz: real(vz, frozenset()) if vz == {1} and wz == {1} else real(vz, wz)
+    for fake in (off_variety, other_pattern):
+        monkeypatch.setattr(cells, "_uniform_witness", fake)
+        with pytest.raises(AssertionError, match="is not a point of its pattern"):
+            enumerate_cells()
 
 
 def test_census_matches_bruhat_oracle(census3):
@@ -135,12 +166,39 @@ def test_make_census_script_exits_on_the_cells_verdict(monkeypatch, capsys, limi
     assert f"census passed: {limits_pass}" in capsys.readouterr().err
 
 
-def test_witness_toward_interpolates(census3):
+def test_limit_path_interpolates(census3):
     top = census3.by_pattern((), ())
     vertex = next(c for c in census3.cells if c.dim == 0)
-    w = witness_toward(top, vertex.witness, Fraction(1, 100))
-    assert w is not None
-    assert sl3_membership(w) is Membership.POSITIVE_PART
+    v, w = _limit_path(vertex.witness, top.witness)[1]  # eps = 1/100
+    assert sl3_membership(normalized(v, w)) is Membership.POSITIVE_PART
+
+
+def test_limit_path_of_every_cover(census3, poset3):
+    """On each of the 36 covers, exactly: every path point lies on the variety with the
+    coface's pattern, and lies strictly nearer the face's witness as eps falls."""
+    assert len(poset3.covers) == 36
+    for a, b in poset3.covers:
+        face, coface = census3.cells[a], census3.cells[b]
+        path = _limit_path(face.witness, coface.witness)
+        assert path is not None and len(path) == 3, (face.key, coface.key)
+        distances = []
+        for v, w in path:
+            point = normalized(v, w)
+            assert sl3_membership(point) is not Membership.OUTSIDE, (face.key, coface.key)
+            assert zero_pattern(point) == (coface.vzeros, coface.wzeros), (face.key, coface.key)
+            distances.append(max(abs(x - y) for x, y in zip(point.as_vector(), face.witness.as_vector())))
+        assert distances[0] > distances[1] > distances[2] > 0, (face.key, coface.key)
+
+
+def test_limit_report_fails_a_spurious_cover(census3, poset3):
+    """A cover between cells that are not comparable lands in ``failures``: the path's
+    supports are then not the coface's."""
+    vertex = next(i for i, c in enumerate(census3.cells) if c.dim == 0)
+    edge = next(i for i, c in enumerate(census3.cells) if c.dim == 1 and not poset3.leq[vertex, i])
+    spurious = cells.FacePoset(census3, poset3.leq, poset3.covers + ((vertex, edge),))
+    report = limit_report(census3, spurious)
+    assert report["failures"] == [(census3.cells[vertex].key, census3.cells[edge].key)]
+    assert report["covering_pairs"] == 37 and not report["passed"]
 
 
 def test_census_payload_schema(census3, poset3):
@@ -193,19 +251,14 @@ def test_closed_form_dimension_is_the_jacobian_rank(census3):
     assert [dims.count(d) for d in range(4)] == [6, 8, 4, 1]
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_hinted_witnesses_have_their_cell_dimension(census3, seed):
-    """Witnesses steered by random positive hints realize each cell's pattern,
-    and the closed form and the Jacobian rank count give each the census's
-    dimension: the dimension belongs to the cell, not to the point."""
-    rng = np.random.default_rng(seed)
-
-    def hint():
-        return {i: Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 30))) for i in (1, 2, 3)}
-
-    for cell in census3.cells:
-        for _ in range(2):
-            witness = _pattern_witness(cell.vzeros, cell.wzeros, v_hint=hint(), w_hint=hint())
-            assert witness is not None, cell.key
-            assert label_of(witness, census=census3) is cell
-            assert _pattern_dim(witness) == jacobian_pattern_dim(witness) == cell.dim, cell.key
+@pytest.mark.parametrize("shard", range(5))
+def test_hinted_witnesses_have_their_cell_dimension(census3, shard):
+    """Every point of the variety on the 1/12 grid, a fifth of them per shard, lies in
+    the cell of its pattern, and the closed form and the Jacobian rank count give it
+    the census's dimension: the dimension belongs to the cell, not to the point."""
+    points = grid_points(12)[shard::5]
+    assert len(points) >= 40
+    for point in points:
+        cell = label_of(point, census=census3)
+        assert zero_pattern(point) == (cell.vzeros, cell.wzeros)
+        assert _pattern_dim(point) == jacobian_pattern_dim(point) == cell.dim, cell.key

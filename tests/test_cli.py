@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tnnflow
@@ -185,6 +185,75 @@ def test_cells_json_document(capsys):
     assert doc["bruhat_match"] is True and doc["vertex_labels_match"] is True
 
 
+def _run_quietly(argv) -> tuple[int, str, str]:
+    """``main(argv)`` with stdout and stderr captured; the parser's refusals exit by ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+# each key's flag text and config-file value; the census runs at n = 3, J empty and a
+# tolerance below the fixed point's least coordinate, so those are drawn often
+census_tols = st.one_of(st.floats(1e-15, 0.3), st.floats(), st.integers(-2, 2))
+census_settings = {
+    "n": (st.one_of(st.just(3), st.integers(-3, 6)), st.one_of(st.just(3), st.integers(-3, 6), st.floats(), st.text(max_size=3))),
+    "J": (
+        st.one_of(st.just(""), st.text("0123456789, -", max_size=5)),
+        st.one_of(st.lists(st.integers(-2, 4), max_size=3), st.text(max_size=3), st.integers()),
+    ),
+    "vanish_tol": (
+        census_tols.map(repr),
+        st.one_of(census_tols, st.integers(10**300, 10**310), st.text(max_size=3), st.none()),
+    ),
+    "fmt": (st.sampled_from(["text", "json", "svg", "xml", ""]), st.sampled_from(["text", "json", "svg", "xml", None, 1])),
+}
+_CENSUS_FLAGS = {"n": "--n", "J": "--J", "vanish_tol": "--tol-vanish", "fmt": "--format"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["cells", "figure"]),
+    st.fixed_dictionaries({}, optional={key: flag for key, (flag, _) in census_settings.items()}),
+    st.one_of(st.none(), st.fixed_dictionaries({}, optional={key: value for key, (_, value) in census_settings.items()})),
+)
+@example("cells", {}, {"vanish_tol": 10**309})  # past binary64: once an OverflowError traceback
+def test_census_commands_exit_0_or_refuse_in_one_line(tmp_path_factory, command, flags, config):
+    """``cells`` and ``figure`` over ``--n``, ``--J``, ``--tol-vanish`` and ``--format``,
+    as flags and as the same keys of a ``--config`` file: each run exits 0, or exits 2
+    with one line on stderr and nothing on stdout, and never raises; a JSON report
+    holds no NaN or inf."""
+    argv = [command]
+    for key, value in flags.items():
+        argv += [f"{_CENSUS_FLAGS[key]}={value}"]
+    if config is not None:
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = _run_quietly(argv)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1, (argv, config, err)
+        return
+    assert code == 0 and err == "", (argv, config, err)
+    if out.startswith("{"):
+        json.loads(out, parse_constant=_refuse_constant)
+
+
+def test_census_refusal_names_the_vanishing_tolerance(capsys):
+    """A tolerance that swallows every coordinate of the fixed point (each about 0.29 or
+    more) is refused by the flag's name."""
+    for argv in (("cells", "--tol-vanish", "0.5"), ("figure", "--format", "json", "--tol-vanish", "0.5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: --tol-vanish 0.5 ") and len(err.splitlines()) == 1
+
+
 def test_flow_from_flag_file(tmp_path, capsys):
     pt = tmp_path / "point.json"
     pt.write_text('{"flag": [[1,0,0],[2,1,0],[1,1,1]]}')
@@ -198,10 +267,7 @@ def test_flow_from_flag_file(tmp_path, capsys):
 def _flow_from_flag(path, flag, t) -> tuple[int, str, str]:
     """``flow --from`` on a flag matrix written to ``path``: exit code, stdout, stderr."""
     path.write_text(json.dumps({"flag": flag}))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["flow", "--from", str(path), "--t", str(t)])
-    return code, out.getvalue(), err.getvalue()
+    return _run_quietly(["flow", "--from", str(path), "--t", str(t)])
 
 
 @pytest.mark.parametrize("flag", [[[1, 0, 0], [-1, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [-2, 0, 1]]])
@@ -337,6 +403,15 @@ def test_flow_keeps_extreme_chart_points_finite(tmp_path, capsys):
         crossing = json.loads(out)["crossing"]
         assert code == 0 and err == "" and float(crossing["time"]) < 0.0
         assert abs(float(crossing["residual"])) <= 1e-12 * float(radius)
+    # exp(130 r_k) overflows on the fastest rates, yet 1e-300 exp(130 r_k) is at most about
+    # 2.4e19; at t = -600 the flowed 1e-200 reaches 1e537 and beyond, and is refused
+    path.write_text(json.dumps({"chart": [1e-300] * 7}))
+    code, out, err = run_cli(capsys, "flow", "--from", str(path), "--t", "-130")
+    flowed = [float(x) for x in json.loads(out)["flowed"]]
+    assert code == 0 and err == "" and 1e19 < max(flowed) < 1e20
+    path.write_text(json.dumps({"chart": [1e-200] * 7}))
+    code, out, err = run_cli(capsys, "flow", "--from", str(path), "--t", "-600")
+    assert code == 2 and out == "" and "overflows binary64" in err
 
 
 def test_fold_defaults_to_n4(capsys):

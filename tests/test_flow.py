@@ -189,15 +189,17 @@ def test_boundary_masks_follow_their_law(n):
 def test_sphere_crossing_lands_across_binary64(chart3, flow3):
     """Where the squared chart norm underflows or overflows binary64, the crossing still
     lands on its sphere: the residual is the norm summed at the scale of its largest
-    coordinate.  A sphere whose flowed point overflows is refused as a miss."""
+    coordinate.  It lands too where exp(t r_k) alone overflows but the flowed point
+    does not."""
     params = sample_params(standard_word_w0(3), np.random.default_rng(0))
     p = chart_coords(chart3, line_of(chart3.rep, params, "lower"))
     for radius in (1e-3, 1e-300, 1e300):
         assert abs(sphere_crossing(flow3, p, radius=radius).residual) <= 1e-12 * radius, radius
-    # at the crossing, exp(-1000 t) overflows, so the flowed point holds inf
+    # at the crossing, exp(-1000 t) overflows, yet 1e-300 exp(-1000 t) is about 1e10
     flow = DiagonalFlow(rates=np.array([-1.0, -1000.0]))
-    with pytest.raises(ValueError, match="misses the sphere of radius 10000000000.0 by inf"):
-        sphere_crossing(flow, np.array([1.0, 1e-300]), radius=1e10)
+    hit = sphere_crossing(flow, np.array([1.0, 1e-300]), radius=1e10)
+    assert -1000.0 * hit.time > math.log(np.finfo(np.float64).max)
+    assert abs(hit.residual) <= 1e-12 * 1e10 and np.all(np.isfinite(hit.point))
 
 
 def test_sphere_crossing_rejects_bad_input(flow3):
@@ -209,6 +211,37 @@ def test_sphere_crossing_rejects_bad_input(flow3):
     drift = DiagonalFlow(rates=np.array([0.5, -1.0]))  # not contractive
     with pytest.raises(ValueError):
         sphere_crossing(drift, np.ones(2), radius=1.0)
+
+
+def test_flow_point_keeps_products_that_binary64_holds():
+    """Where exp(t r_k) alone overflows, is subnormal or underflows to 0, but the flowed
+    coordinate is a normal number, that coordinate is kept to 1e-12 relative: the
+    reference takes exp(t r_k / 2) twice, each factor normal.  Zeros stay zero, and a
+    coordinate whose own exp(t r_k) is normal keeps its bits."""
+    flow = DiagonalFlow(rates=np.array([-1.0, -1000.0, -1.035]))
+    for t, p in ((-0.75, [1.0, 1e-300, 0.0]), (716.44, [1e300, 0.0, 3.68e79]), (750.0, [1e300, 0.0, -1e300])):
+        p = np.array(p)
+        with np.errstate(all="raise"):
+            got = flow_point(flow, t, p)
+        half = np.exp(t * flow.rates / 2)
+        want = p * half * half
+        with np.errstate(all="ignore"):
+            factor = np.exp(t * flow.rates)
+        for k, (x, y) in enumerate(zip(got, want)):
+            if p[k] == 0:
+                assert x == 0
+            elif np.finfo(np.float64).tiny <= factor[k] < math.inf:
+                assert x == p[k] * factor[k]
+            else:
+                assert math.isfinite(x) and abs(x) > 0 and abs(x - y) <= 1e-12 * abs(y), (t, k, x, y)
+
+
+def test_converge_lands_where_exp_is_subnormal():
+    """exp(-1.035 t) is subnormal at the time 3.68e79 takes to fall below 3.4e-243: the
+    norm is read through the logarithm there, so the walk ends below tol."""
+    run = converge(DiagonalFlow(rates=np.array([-1.035])), np.array([3.68e79]), 3.4e-243)
+    assert 0 < math.exp(-1.035 * run.time) < np.finfo(np.float64).tiny
+    assert run.final_norm < 3.4e-243 and run.within_bound
 
 
 def test_converge_single_rate():
