@@ -63,7 +63,9 @@ COMMANDS = [
     ["cells", "--seed", "5", "--format", "json"],
     ["cells", "--tol-vanish", "1e-6", "--format", "json"],
     ["figure"],
+    # the figure is SVG only and reads no tolerance: the parser refuses both flags
     ["figure", "--format", "json"],
+    ["figure", "--tol-vanish", "0.5"],
     # the generator matrices, built from their index pairs
     ["pinning", "--n", "4"],
     ["pinning", "--n", "4", "--format", "json"],

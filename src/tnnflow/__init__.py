@@ -12,7 +12,6 @@ from .chevalley import (
     GroupElement,
     Pinning,
     build_pinning,
-    exp_generator_sum,
     generator_sum,
     generator_sum_spectrum,
 )

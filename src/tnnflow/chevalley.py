@@ -22,7 +22,6 @@ __all__ = [
     "build_pinning",
     "generator_sum",
     "generator_sum_spectrum",
-    "exp_generator_sum",
 ]
 
 RATIONAL = "rational"
@@ -146,14 +145,3 @@ def generator_sum_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n + 1)
     d = 2.0 * np.cos(np.pi * k / (n + 1))
     return d, np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
-
-
-def exp_generator_sum(n: int, t: float) -> GroupElement:
-    """exp(t * generator_sum) in SL(n), computed spectrally from the closed-form eigenbasis.
-
-    The trace of the generator sum is zero, hence the result has
-    determinant 1 up to roundoff.
-    """
-    d, p = generator_sum_spectrum(n)
-    m = (p * np.exp(float(t) * d)) @ p.T
-    return GroupElement((m + m.T) / 2.0, FLOAT)

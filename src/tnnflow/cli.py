@@ -9,7 +9,7 @@ flow      flow a chart point / flag, optionally locating a sphere crossing
 verify    run the property suite of tnnflow.suite; exit nonzero on any failure
 cells     SL(3) cell census + face poset (summary line and JSON document)
 fold      check the diagram-flip fixed locus is preserved by the flow
-figure    emit the schematic cell-decomposition drawing (SVG or JSON)
+figure    emit the schematic cell-decomposition drawing (SVG)
 
 Each command takes, as flags and as config-file keys, only the settings it
 reads (``_COMMANDS``), and echoes exactly those into the report's "meta"
@@ -44,8 +44,8 @@ from .cells import (
     limit_report,
     validate_poset,
 )
-from .chevalley import FLOAT, GroupElement, build_pinning, generator_sum
-from .embedding import _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, line_of, weyl_dim
+from .chevalley import build_pinning, generator_sum
+from .embedding import _float_lines, _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
 from .flow import DiagonalFlow, _frames_at, default_ball_radius, flow_point, has_overflow, sphere_crossing
 from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical, encode_tree
@@ -81,9 +81,12 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need n >= 2")
-        for name in ("float_tol", "bisect_tol", "vanish_tol"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails this too
-                raise ValueError(f"{name} must be positive and finite")
+        for name in ("t", "radius", "float_tol", "bisect_tol", "vanish_tol"):
+            value = getattr(self, name)  # radius None picks the default radius
+            if not (_is_real(value) and math.isfinite(value) or name == "radius" and value is None):
+                raise ValueError(f"{name} must be a finite binary64 number, got {value!r}")
+            if name != "t" and value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         bad = [j for j in self.J if not 1 <= j <= self.n - 1]
         if bad:
             raise ValueError(f"J indices {bad} out of range for n = {self.n}")
@@ -93,10 +96,6 @@ class RunConfig:
             raise ValueError("count must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.radius is not None and not 0 < self.radius < math.inf:
-            raise ValueError("radius must be positive and finite")
-        if not math.isfinite(self.t):
-            raise ValueError("t must be finite")
 
     def meta(self, command: str) -> dict:
         """The command name and the value of each setting the command reads, but for ``out``,
@@ -158,8 +157,8 @@ def _resolve_config(args) -> RunConfig:
     """Merge flags over config file over env/default into a RunConfig.
 
     Only the settings the command reads are taken.  The command's built-in
-    defaults (``_DEFAULTS``) sit below the config file, e.g. the fold check
-    defaulting to n = 4 and the figure to SVG.  A config-file key the command
+    defaults (``_DEFAULTS``) sit below the config file: the fold check
+    defaults to n = 4.  A config-file key the command
     does not read, or a value without its setting's type (``_SETTINGS``, and
     for ``fmt`` the command's ``--format`` choices), raises ``ValueError``,
     which ``main`` turns into exit 2.  ``TNNFLOW_SEED`` is read only by
@@ -314,7 +313,7 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
     """``(p, g, origin)``: the start's chart point and, for a flag start, its binary64
     matrix g (None for a chart start), from a JSON file or a seeded random TNN flag.
 
-    A malformed entry, or a start point that is not finite, raises ``ValueError``.
+    A malformed entry, a flag matrix that is not n x n, or a start that is not finite raises ``ValueError``.
     """
     if path is None:
         rng = np.random.default_rng(cfg.seed)
@@ -337,8 +336,10 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
         raise ValueError(f"{origin} entries must be finite")
     if origin == "chart point":
         return p, None, origin
+    if p.shape != (cfg.n, cfg.n):
+        raise ValueError(f"the flag matrix is {' x '.join(map(str, p.shape))}, expected {cfg.n} x {cfg.n}")
     with np.errstate(all="ignore"):
-        line = line_of(chart.rep, GroupElement(p, FLOAT))
+        line = _float_lines(chart.rep, p[None])[0]
         # an inf entry of the line would read as a point on the chart's equator
         point = chart_coords(chart, line) if np.all(np.isfinite(line)) else line
     if not np.all(np.isfinite(point)):
@@ -402,22 +403,16 @@ def _require_complete_sl3(cfg: RunConfig) -> None:
         raise ValueError("the cell census is implemented for the complete SL(3) flag variety")
 
 
-def _census_payload(cfg: RunConfig, census, poset) -> dict:
-    """:func:`census_payload` at ``--tol-vanish``, whose only refusal, of the fixed point's
-    label, comes from that tolerance and names it."""
-    try:
-        return census_payload(census, poset, tol=cfg.vanish_tol)
-    except ValueError as exc:
-        raise ValueError(f"--tol-vanish {cfg.vanish_tol!r} puts the fixed point in no cell: {exc}") from None
-
-
 def cmd_cells(cfg: RunConfig, args) -> int:
     _require_complete_sl3(cfg)
     census = enumerate_cells()
     poset = face_poset(census)
     checks = validate_poset(poset)
     limits = limit_report(census, poset)
-    payload = _census_payload(cfg, census, poset)
+    try:  # the payload's only refusal, of the fixed point's label, comes from --tol-vanish
+        payload = census_payload(census, poset, tol=cfg.vanish_tol)
+    except ValueError as exc:
+        raise ValueError(f"--tol-vanish {cfg.vanish_tol!r} puts the fixed point in no cell: {exc}") from None
     payload["poset_checks"] = checks
     payload["limits_pass"] = limits["passed"]
     verdict = census_verdict(census, checks)
@@ -448,13 +443,7 @@ def cmd_fold(cfg: RunConfig, args) -> int:
 def cmd_figure(cfg: RunConfig, args) -> int:
     _require_complete_sl3(cfg)
     census = enumerate_cells()
-    poset = face_poset(census)
-    if cfg.fmt == "json":
-        payload = _census_payload(cfg, census, poset)
-        payload["meta"] = cfg.meta("figure")
-        _emit_report(payload, cfg)
-    else:
-        _emit(figure_svg(census, poset), cfg.out)
+    _emit(figure_svg(census, face_poset(census)), cfg.out)
     return 0
 
 
@@ -490,13 +479,11 @@ _COMMANDS = {
     "cells": _Command("SL(3) cell census and face poset", cmd_cells,
                       ("n", "J", "vanish_tol", "fmt", "out"), ("text", "json")),
     "fold": _Command("diagram-flip fixed-locus flow check", cmd_fold, ("n", "seed", "count", "out")),
-    "figure": _Command("schematic drawing of the SL(3) decomposition", cmd_figure,
-                       ("n", "J", "vanish_tol", "fmt", "out"), ("svg", "json")),
+    "figure": _Command("schematic drawing of the SL(3) decomposition", cmd_figure, ("n", "J", "out")),
 }
 
-# built-in defaults of one command, below the config file: the fold check
-# needs n >= 4, and the figure is drawn as SVG
-_DEFAULTS = {"fold": {"n": 4}, "figure": {"fmt": "svg"}}
+# built-in defaults of one command, below the config file: the fold check needs n >= 4
+_DEFAULTS = {"fold": {"n": 4}}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["to_float", "is_rational_array", "det", "cross3"]
+__all__ = ["to_float", "is_rational_array", "det"]
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
@@ -269,15 +269,3 @@ def _scaled_echelon(rows) -> dict:
                 basis[p] = _primitive(b, p)
         basis[pivot] = v
     return basis
-
-
-def cross3(u, v) -> np.ndarray:
-    """Cross product of two length-3 vectors, exact for Fraction input."""
-    return np.array(
-        [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ],
-        dtype=object,
-    )

@@ -520,7 +520,7 @@ def sl3_coords(m) -> Sl3Coords:
         raise ValueError("the (v, w) chart lives on the complete SL(3) flag variety")
     field = RATIONAL if linalg.is_rational_array(m) else FLOAT
     c0, c1 = m[:, 0], m[:, 1]
-    z = linalg.cross3(c0, c1) if field == RATIONAL else np.cross(c0, c1)
+    z = np.cross(c0, c1)  # exact on a Fraction or int object array
     v = _normalize_sum(tuple(c0), field)
     w = _normalize_sum((z[0], -z[1], z[2]), field)
     return Sl3Coords(v, w, field)

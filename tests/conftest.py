@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from tnnflow.cells import enumerate_cells, face_poset
-from tnnflow.chevalley import build_pinning, exp_generator_sum
+from tnnflow.chevalley import build_pinning
 from tnnflow.embedding import build_rep, eigenchart, lambda_for
 from tnnflow.flow import DiagonalFlow
 
@@ -95,9 +95,9 @@ def _stepwise_frame(m, t: float, s=None) -> np.ndarray:
     """
     n = np.shape(m)[-1]
     k = max(1, int(np.ceil(abs(t) / 0.5)))
-    step = exp_generator_sum(n, t / k).entries
+    step = oracles.exp_generator_sum(n, t / k).entries
     if s is not None:
-        step = s @ exp_generator_sum(n, -t / k).entries @ s.T
+        step = s @ oracles.exp_generator_sum(n, -t / k).entries @ s.T
     q, _ = np.linalg.qr(np.asarray(m, dtype=np.float64))
     for _ in range(k):
         q, _ = np.linalg.qr(step @ q)

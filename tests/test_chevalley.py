@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import one_param
+from oracles import exp_generator_sum, one_param
 from tnnflow import linalg
 from tnnflow.chevalley import (
     FLOAT,
     RATIONAL,
     GroupElement,
     build_pinning,
-    exp_generator_sum,
     generator_sum,
     generator_sum_spectrum,
 )

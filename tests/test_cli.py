@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 import tnnflow
 import oracles
 from tnnflow import cli, linalg
-from tnnflow.chevalley import RATIONAL, GroupElement, exp_generator_sum
+from tnnflow.chevalley import RATIONAL, GroupElement
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
+from tnnflow.embedding import line_of
 from tnnflow.totpos import Sl3Coords, sample_params, sample_positive, sl3_coords, sl3_residuals, standard_word_w0
 
 
@@ -54,6 +55,15 @@ def test_run_config_validation():
         RunConfig(t=float("nan"))
     with pytest.raises(ValueError):
         RunConfig(seed=-1)
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["big", "minus_big"])
+@pytest.mark.parametrize("name", ["t", "radius", "float_tol", "bisect_tol", "vanish_tol"])
+def test_run_config_refuses_a_real_past_binary64(name, value):
+    """Each real setting is used as a binary64 number, so an int past binary64 is refused
+    by the setting's name: no ``OverflowError``, and no such int taken as a tolerance."""
+    with pytest.raises(ValueError, match=f"^{name} must be a finite binary64 number"):
+        RunConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(tnnflow.__path__) if m.name != "__main__"])
@@ -216,20 +226,29 @@ census_settings = {
     "fmt": (st.sampled_from(["text", "json", "svg", "xml", ""]), st.sampled_from(["text", "json", "svg", "xml", None, 1])),
 }
 _CENSUS_FLAGS = {"n": "--n", "J": "--J", "vanish_tol": "--tol-vanish", "fmt": "--format"}
+# the keys of census_settings each census command reads
+_CENSUS_READS = {"cells": ("n", "J", "vanish_tol", "fmt"), "figure": ("n", "J")}
+
+
+def _census_run(command):
+    """``(command, flags, config)``: flags and config keys drawn from those the command reads."""
+    keys = _CENSUS_READS[command]
+    return st.tuples(
+        st.just(command),
+        st.fixed_dictionaries({}, optional={key: census_settings[key][0] for key in keys}),
+        st.one_of(st.none(), st.fixed_dictionaries({}, optional={key: census_settings[key][1] for key in keys})),
+    )
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(["cells", "figure"]),
-    st.fixed_dictionaries({}, optional={key: flag for key, (flag, _) in census_settings.items()}),
-    st.one_of(st.none(), st.fixed_dictionaries({}, optional={key: value for key, (_, value) in census_settings.items()})),
-)
-@example("cells", {}, {"vanish_tol": 10**309})  # past binary64: once an OverflowError traceback
-def test_census_commands_exit_0_or_refuse_in_one_line(tmp_path_factory, command, flags, config):
-    """``cells`` and ``figure`` over ``--n``, ``--J``, ``--tol-vanish`` and ``--format``,
-    as flags and as the same keys of a ``--config`` file: each run exits 0, or exits 2
-    with one line on stderr and nothing on stdout, and never raises; a JSON report
-    holds no NaN or inf."""
+@given(st.sampled_from(list(_CENSUS_READS)).flatmap(_census_run))
+@example(("cells", {}, {"vanish_tol": 10**309}))  # past binary64: once an OverflowError traceback
+def test_census_commands_exit_0_or_refuse_in_one_line(tmp_path_factory, run):
+    """``cells`` over ``--n``, ``--J``, ``--tol-vanish`` and ``--format``, and ``figure``
+    over ``--n`` and ``--J``, as flags and as the same keys of a ``--config`` file: each
+    run exits 0, or exits 2 with one line on stderr and nothing on stdout, and never
+    raises; a JSON report holds no NaN or inf."""
+    command, flags, config = run
     argv = [command]
     for key, value in flags.items():
         argv += [f"{_CENSUS_FLAGS[key]}={value}"]
@@ -248,10 +267,14 @@ def test_census_commands_exit_0_or_refuse_in_one_line(tmp_path_factory, command,
 
 def test_census_refusal_names_the_vanishing_tolerance(capsys):
     """A tolerance that swallows every coordinate of the fixed point (each about 0.29 or
-    more) is refused by the flag's name."""
-    for argv in (("cells", "--tol-vanish", "0.5"), ("figure", "--format", "json", "--tol-vanish", "0.5")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and err.startswith("error: --tol-vanish 0.5 ") and len(err.splitlines()) == 1
+    more) is refused by the flag's name.  The figure reads no tolerance and writes no
+    census payload, so the parser refuses both flags there."""
+    code, out, err = run_cli(capsys, "cells", "--tol-vanish", "0.5")
+    assert code == 2 and out == "" and err.startswith("error: --tol-vanish 0.5 ") and len(err.splitlines()) == 1
+    for argv in (("figure", "--tol-vanish", "0.5"), ("figure", "--format", "json")):
+        code, out, err = _run_quietly(list(argv))
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: unrecognized arguments")
 
 
 def test_flow_from_flag_file(tmp_path, capsys):
@@ -299,8 +322,8 @@ def test_flow_reads_sl3_off_the_flowed_flag(capsys):
     g = sample_positive(sample_params(standard_word_w0(3), np.random.default_rng(3)), "lower").to_float().entries
     s = 2.0 + math.sqrt(2.0)
     for t, want in (
-        (-1.0, sl3_coords(np.linalg.qr(exp_generator_sum(3, -1.0).entries @ g)[0]).as_vector()),
-        (2.0, sl3_coords(np.linalg.qr(exp_generator_sum(3, 2.0).entries @ g)[0]).as_vector()),
+        (-1.0, sl3_coords(np.linalg.qr(oracles.exp_generator_sum(3, -1.0).entries @ g)[0]).as_vector()),
+        (2.0, sl3_coords(np.linalg.qr(oracles.exp_generator_sum(3, 2.0).entries @ g)[0]).as_vector()),
         (20.0, np.array([1.0, math.sqrt(2.0), 1.0] * 2) / s),
     ):
         code, out, _ = run_cli(capsys, "flow", "--t", str(t), "--seed", "3")
@@ -334,7 +357,7 @@ def test_default_start_is_the_fraction_route_bit_for_bit(n, monkeypatch):
     assert built == [] and len(lines) == 20
     for seed, (p, g, origin), line in zip(range(20), starts, lines):
         params = sample_params(standard_word_w0(n), np.random.default_rng(seed))
-        want_line = cli.line_of(chart.rep, params, "lower")
+        want_line = line_of(chart.rep, params, "lower")
         assert origin == "random TNN flag"
         assert g.tobytes() == sample_positive(params, "lower").to_float().entries.tobytes()
         assert line.tobytes() == want_line.tobytes()
@@ -437,22 +460,6 @@ def test_figure_svg(capsys):
     assert out.startswith("<svg") and out.count("data-vertex=") == 6
 
 
-def test_figure_json(capsys):
-    code, out, _ = run_cli(capsys, "figure", "--format", "json")
-    assert json.loads(out)["cell_count"] == 19
-
-
-def test_figure_honours_config_format(capsys, tmp_path):
-    _, flag_out, _ = run_cli(capsys, "figure", "--format", "json")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"fmt": "json"}')
-    code, out, _ = run_cli(capsys, "figure", "--config", str(cfg))
-    assert code == 0 and out == flag_out
-    # the flag still beats the config file
-    code, out, _ = run_cli(capsys, "figure", "--config", str(cfg), "--format", "svg")
-    assert code == 0 and out.startswith("<svg")
-
-
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"seed": 9, "count": 2}')
@@ -529,9 +536,10 @@ def test_error_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(capsys, command, "--config", str(bad))
         assert code == 2 and out == "" and len(err.splitlines()) == 1, (command, text)
     small = tmp_path / "small_flag.json"
-    small.write_text('{"flag": [[1,0],[0,1]]}')
-    code, out, err = run_cli(capsys, "flow", "--from", str(small))
-    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    for text in ('{"flag": [[1,0],[0,1]]}', '{"flag": [[1,0,0],[0,1,0]]}', '{"flag": []}'):
+        small.write_text(text)
+        code, out, err = run_cli(capsys, "flow", "--from", str(small))
+        assert code == 2 and out == "" and len(err.splitlines()) == 1 and "expected 3 x 3" in err, text
     nan = tmp_path / "nan_chart.json"
     nan.write_text('{"chart": ["nan",0,0,0,0,0,0]}')
     code, out, err = run_cli(capsys, "flow", "--from", str(nan), "--crossing", "--radius", "0.5")
@@ -582,7 +590,6 @@ def test_verify_quick_run_passes(capsys):
         "census",
         "exp_total_positivity",
         "fixed_point",
-        "representation_dims",
     }
 
 
@@ -621,7 +628,7 @@ READS = {
     "flow": ("n", "J", "seed", "t", "radius", "float_tol", "bisect_tol", "out"),
     "verify": ("seed", "count", "out"),
     "cells": ("n", "J", "vanish_tol", "fmt", "out"),
-    "figure": ("n", "J", "vanish_tol", "fmt", "out"),
+    "figure": ("n", "J", "out"),
     "fold": ("n", "seed", "count", "out"),
 }
 _VALUES = {
@@ -688,10 +695,7 @@ PARSER_TABLE = {
     "verify": ("run the full property suite", _flags("verify")),
     "cells": ("SL(3) cell census and face poset", _flags("cells", _TEXT_JSON)),
     "fold": ("diagram-flip fixed-locus flow check", _flags("fold")),
-    "figure": (
-        "schematic drawing of the SL(3) decomposition",
-        _flags("figure", (("--format",), "fmt", None, ("svg", "json"), None, None)),
-    ),
+    "figure": ("schematic drawing of the SL(3) decomposition", _flags("figure")),
 }
 
 
@@ -740,10 +744,10 @@ def test_reused_parser_leaks_nothing_between_calls(capsys):
     assert sides == [{"lower"}, {"group"}]
 
 
-def test_parser_takes_47_flags():
+def test_parser_takes_45_flags():
     """--config and each read setting's flag, per command, plus --side, --from and --crossing."""
-    assert sum(len(table) - 1 for _, table in PARSER_TABLE.values()) == 47
-    assert sum(map(len, READS.values())) == 36  # the config keys
+    assert sum(len(table) - 1 for _, table in PARSER_TABLE.values()) == 45
+    assert sum(map(len, READS.values())) == 34  # the config keys
 
 
 @pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
@@ -770,7 +774,6 @@ def test_settings_a_command_does_not_read_are_refused(capsys, tmp_path, command,
         ("flow", "--seed", "3"),
         ("verify", "--count", "1"),
         ("cells", "--format", "json"),
-        ("figure", "--format", "json"),
         ("fold", "--count", "1"),
     ],
     ids=lambda argv: argv[0],

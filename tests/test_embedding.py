@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import one_param
+from oracles import exp_generator_sum, one_param
 from tnnflow.chevalley import (
     FLOAT,
     RATIONAL,
     GroupElement,
-    exp_generator_sum,
     generator_sum_spectrum,
 )
 from tnnflow import embedding
@@ -391,7 +390,9 @@ def test_exact_line_of_is_correctly_rounded_at_extreme_parameters(n, J, leibniz_
 
 
 # every module that verify charts, plus a partial and the complete flag at n = 5
-LINE_MODULES = sorted({(row.n, row.J) for row in CASES if GATES[row.gate].charted}) + [(5, (2, 3)), (5, ())]
+# the modules the verify gates chart, (4, {1, 3}), whose flag skips two dimensions, and two at n = 5
+LINE_MODULES = [*sorted({(row.n, row.J) for row in CASES if GATES[row.gate].charted} | {(4, (1, 3))}),
+                (5, (2, 3)), (5, ())]
 
 
 def _line_one_det_at_a_time(rep, m):
@@ -536,9 +537,10 @@ def test_chart_overflow():
 def test_chart_coords_of_a_stack_are_each_lines_own():
     """A stack of lines charts row by row, each row bit for bit the point of its
     line alone and the quotient of its matvec with ``eigvecs_inv``, on every
-    chart the verify gates build and at (5, ()), dim 1024."""
+    chart the verify gates build, at (4, {1, 3}) and at (5, ()), dim 1024."""
     rng = np.random.default_rng(28)
-    for chart in (*build_charts(CASES).values(), eigenchart(build_rep(lambda_for(5, ())))):
+    extra = (eigenchart(build_rep(lambda_for(n, J))) for n, J in ((4, (1, 3)), (5, ())))
+    for chart in (*build_charts(CASES).values(), *extra):
         lines = rng.standard_normal((9, chart.rep.dim)) * 10.0 ** rng.uniform(-8, 8, (9, 1))
         got = chart_coords(chart, lines)
         assert got.shape == (9, chart.ncoords)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tnnflow import linalg
-from tnnflow.totpos import sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import sample_params, sample_positive, sl3_coords, standard_word_w0
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -278,9 +278,13 @@ def test_rationalize_is_exact():
 
 
 def test_cross3_orthogonality():
+    """The exact path of ``sl3_coords`` takes the plane's normal by ``np.cross`` on
+    ``Fraction`` columns: w = (z1, -z2, z3) over its sum, so z is orthogonal to both columns."""
     a = oracles.rational_matrix([[1, 2, 3]])[0]
-    b = oracles.rational_matrix([[4, 5, 6]])[0]
-    c = linalg.cross3(a, b)
+    b = oracles.rational_matrix([[Fraction(4, 7), 5, 6]])[0]
+    w = sl3_coords(np.array([a, b, [Fraction(0)] * 3], dtype=object).T).w
+    assert all(type(x) is Fraction for x in w)
+    c = (w[0], -w[1], w[2])
     assert sum(c[i] * a[i] for i in range(3)) == 0
     assert sum(c[i] * b[i] for i in range(3)) == 0
 

@@ -5,11 +5,11 @@ import pytest
 
 import oracles
 from tnnflow import flow, linalg, suite
-from tnnflow.chevalley import exp_generator_sum
+from tnnflow.chevalley import Pinning, generator_sum
 from tnnflow.flow import _frame_gaps, fixed_flag
 from tnnflow.serialize import dumps_canonical, encode_tree
 from tnnflow.suite import CASES, GATES, Case, build_charts, converged_starts, fixed_point_gap
-from tnnflow.totpos import Positivity, is_tnn_matrix, sample_params, sample_positive, standard_word_w0
+from tnnflow.totpos import Positivity, certify_minors, is_tnn_matrix, sample_params, sample_positive, standard_word_w0
 
 TOL = 1e-8  # the fixed-point row's tolerance in verify
 
@@ -76,7 +76,7 @@ def test_closed_form_gap_matches_the_stepwise_flowed_frame(n, stepwise_frame):
 
 def test_every_section_has_a_row():
     gates = [row.gate for row in CASES]
-    assert set(gates) == set(GATES) and len(GATES) == 8
+    assert set(gates) == set(GATES) and len(GATES) == 7
     # a gate's rows are contiguous, in the order of GATES
     assert list(dict.fromkeys(gates)) == list(GATES)
 
@@ -99,7 +99,7 @@ def test_the_modules_built_are_the_ones_the_rows_name(monkeypatch):
     _, sections = suite.run_suite(seed=3, count=10)
     named = {(row.n, row.J) for row in CASES if GATES[row.gate].charted}
     assert len(built) == len(set(built))
-    assert set(built) == named == read == {(3, ()), (3, (2,)), (4, (2,)), (4, (1, 3))}
+    assert set(built) == named == read == {(3, ()), (3, (2,)), (4, (2,))}
     assert all(section["passed"] for section in sections.values())
 
 
@@ -126,14 +126,16 @@ def _axioms(charts):
 
 def test_axioms_gate_draws_nothing_and_matches_every_chart():
     """With no generator at all the section passes: log C is closed form, and equals
-    mu_0 - mu_1 on each module another gate charts, with no module built for n = 8 or 30."""
+    mu_0 - mu_1 on each module another gate charts, with no module built for (4, {1, 3}),
+    n = 8 or 30.  The (4, {1, 3}) gap is checked by ``test_log_contraction_matches_the_chart``."""
     section = _axioms(build_charts(CASES))
     assert section["passed"] is True and section["tolerance"] == 1e-12
     assert not GATES["axioms"].charted and GATES["axioms"].count is None
     charted = {(case["n"], tuple(case["J"])): case for case in section["cases"] if "chart_gap" in case}
-    assert set(charted) == {(3, ()), (3, (2,)), (4, (2,)), (4, (1, 3))}
+    assert set(charted) == {(3, ()), (3, (2,)), (4, (2,))}
     assert all(case["chart_gap"] <= 1e-12 for case in charted.values())
-    assert {case["n"] for case in section["cases"] if "chart_gap" not in case} == {8, 30}
+    assert {(case["n"], tuple(case["J"])) for case in section["cases"] if "chart_gap" not in case} == {
+        (4, (1, 3)), (8, ()), (30, ())}
     assert all(case["log_contraction"] > 0 for case in section["cases"])
 
 
@@ -147,27 +149,78 @@ def test_axioms_gate_fails_on_the_reversed_spectrum(monkeypatch):
     assert not any(case["passed"] for case in section["cases"])
 
 
+def _exp_section():
+    return GATES["exp_total_positivity"].section(
+        [row for row in CASES if row.gate == "exp_total_positivity"], {}, None, None)
+
+
 def test_exp_total_positivity_says_what_it_certifies():
-    """The certificate is issued on the binary64 exp(t tau), rationalized, and the section says so."""
-    (row,) = [row for row in CASES if row.gate == "exp_total_positivity"]
-    section = GATES[row.gate].section([row], {}, None, None)
-    assert section == {
-        "t": 1.0,
-        "certifies": "binary64 rounding of exp(t tau)",
-        "verdict": Positivity.TOTALLY_POSITIVE,
-        "passed": True,
-    }
-    assert is_tnn_matrix(oracles.rationalize(exp_generator_sum(row.n, row.t).entries)) is section["verdict"]
+    """The certificate is of exp(t tau) for every t > 0, from int work on 2I + tau alone:
+    the least consecutive principal minor at n = 3, 4, 8 and 30, and up to n = 8 the TP
+    witness (2I + tau)^(n-1) and the control (2I + tau)^(n-2), whose corner is 0."""
+    section = _exp_section()
+    assert section["passed"] is True
+    assert section["certifies"].startswith("exp(t tau) totally positive for every t > 0: ")
+    assert "Gantmacher-Krein; Pinkus" in section["certifies"]
+    tp = Positivity.TOTALLY_POSITIVE
+    assert section["cases"] == [
+        {"n": 3, "least_minor": 2, "witness": tp, "control_corner": 0, "passed": True},
+        {"n": 4, "least_minor": 2, "witness": tp, "control_corner": 0, "passed": True},
+        {"n": 8, "least_minor": 2, "witness": tp, "control_corner": 0, "passed": True},
+        {"n": 30, "least_minor": 2, "passed": True},
+    ]
+    assert all(type(case["least_minor"]) is int for case in section["cases"])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_consecutive_minors_match_the_all_minors_walk(n):
+    """Each D_k of the recurrence is, by the all-minors oracle, every consecutive principal
+    k-minor of 2I + tau, which is Toeplitz; and each consecutive principal block is TNN, by
+    ``certify_minors``, as a tridiagonal matrix with nonnegative entries and these minors is."""
+    step = suite._step(n)
+    minors = suite._consecutive_minors(step)
+    assert minors == list(range(2, n + 2))  # D_k = k + 1
+    principal = [(rows, value) for rows, cols, value in oracles.all_minors(step)
+                 if rows == cols and rows == tuple(range(rows[0], rows[-1] + 1))]
+    assert len(principal) == n * (n + 1) // 2
+    assert all(value == minors[len(rows) - 1] for rows, value in principal)
+    for k in range(1, n + 1):
+        for i in range(n - k + 1):
+            assert certify_minors(step[i:i + k, i:i + k])[0] is not Positivity.NEITHER
+    # a tridiagonal matrix with other entries, against the exact determinant
+    m = np.diag([3, -1, 4, 1, 5, 9][:n]) + np.diag([2, 7, 1, 8, 2][:n - 1], 1) + np.diag([-6, 2, 0, 3, 1][:n - 1], -1)
+    assert suite._consecutive_minors(m) == [linalg.det(m[:k, :k]) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_the_witness_is_tp_and_its_control_tnn_but_not_tp(n):
+    """By the all-minors oracle: (2I + tau)^(n-1) is TP, and (2I + tau)^(n-2) is TNN with a
+    least minor of exactly 0, the corner entry the section reports."""
+    step = suite._step(n)
+    assert certify_minors(np.linalg.matrix_power(step, n - 1))[0] is Positivity.TOTALLY_POSITIVE
+    verdict, least = certify_minors(np.linalg.matrix_power(step, n - 2))
+    assert verdict is Positivity.TOTALLY_NONNEGATIVE and least == 0
+
+
+def test_exp_total_positivity_fails_on_i_plus_tau(monkeypatch):
+    """Mutation: with I + tau in place of I + tau/2 (ints 2I + tau), D_2 = 0 and D_3 < 0,
+    so no row passes, the n = 30 row that has no witness included."""
+    monkeypatch.setattr(suite, "_step", lambda n: np.eye(n, dtype=int) + generator_sum(Pinning(n)))
+    section = _exp_section()
+    assert section["passed"] is False
+    assert not any(case["passed"] for case in section["cases"])
+    assert all(case["least_minor"] == -1 for case in section["cases"])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
 def test_exp_total_positivity_reads_each_float_as_its_exact_ratio(n, t):
-    """The section's verdict on other rows is the verdict on the ``Fraction`` image of the
-    binary64 exp(t tau): the column-scaled ints read each float's exact ratio."""
-    section = GATES["exp_total_positivity"].section([Case("exp_total_positivity", n, (), t, None)], {}, None, None)
-    assert section["verdict"] is is_tnn_matrix(oracles.rationalize(exp_generator_sum(n, t).entries))
-    assert section["verdict"] is Positivity.TOTALLY_POSITIVE
+    """Oracle of the closed-form certificate: the binary64 exp(t tau), each float read as its
+    exact ratio, is TP, by the column-scaled ints and by the ``Fraction`` image alike."""
+    entries = oracles.exp_generator_sum(n, t).entries
+    verdict = is_tnn_matrix(oracles.rationalize(entries))
+    assert verdict is Positivity.TOTALLY_POSITIVE
+    assert suite._certificate(*linalg._scaled_columns(entries))[0] is verdict
 
 
 def test_invariance_gate_reads_no_chart_and_says_what_it_certifies():
