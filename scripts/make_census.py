@@ -17,7 +17,7 @@ from tnnflow.cells import (
     limit_report,
     validate_poset,
 )
-from tnnflow.serialize import dumps_canonical, encode_tree
+from tnnflow.serialize import dumps_canonical
 
 
 def main() -> int:
@@ -36,7 +36,7 @@ def main() -> int:
     ok = all(census_verdict(census, doc["poset_checks"]).values()) and doc["limits"]["passed"]
     print(f"{len(census.cells)} cells: f = {f}, census passed: {ok}", file=sys.stderr)
 
-    text = dumps_canonical(encode_tree(doc))
+    text = dumps_canonical(doc)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

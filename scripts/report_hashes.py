@@ -69,6 +69,10 @@ COMMANDS = [
     # the generator matrices, built from their index pairs
     ["pinning", "--n", "4"],
     ["pinning", "--n", "4", "--format", "json"],
+    # n = 2: an empty J list, a one-letter word and a one-coordinate chart
+    ["embed", "--n", "2", "--format", "json"],
+    ["flow", "--n", "2", "--crossing"],
+    ["sample", "--n", "2", "--count", "2", "--seed", "4"],
 ]
 
 

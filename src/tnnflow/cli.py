@@ -48,7 +48,7 @@ from .chevalley import build_pinning, generator_sum
 from .embedding import _float_lines, _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
 from .flow import DiagonalFlow, _frames_at, default_ball_radius, flow_point, has_overflow, sphere_crossing
 from .folding import build_folding, fixed_locus_flow_check
-from .serialize import dumps_canonical, encode_tree
+from .serialize import dumps_canonical
 from .suite import run_suite
 from .totpos import (
     Positivity,
@@ -204,11 +204,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_report(payload: dict, cfg: RunConfig) -> None:
-    _emit(dumps_canonical(encode_tree(payload)), cfg.out)
+    _emit(dumps_canonical(payload), cfg.out)
 
 
 def _int_matrix(a) -> list:
     return [[int(x) for x in row] for row in np.asarray(a)]
+
+
+def _ratio_rows(columns: list, scales: list) -> list:
+    """The exact matrix ``columns[c][r] / scales[c]`` as rows of ``"p/q"`` strings in lowest
+    terms, the text ``frac`` gives each entry's ``Fraction``: one gcd per entry, no ``Fraction``."""
+    return [[f"{x // g}/{e // g}" for x, e in zip(row, scales) for g in (math.gcd(x, e),)] for row in zip(*columns)]
 
 
 def _compact(rows) -> str:
@@ -262,7 +268,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
             "side": side,
             "word": list(word.letters),
             "params": list(params.t),
-            "matrix": linalg._fraction_of_scaled(*scaled),
+            "matrix": _ratio_rows(*scaled),
             "positivity": verdict,
         }
         if minors is not None:
@@ -357,13 +363,19 @@ def cmd_flow(cfg: RunConfig, args) -> int:
     moved = flow_point(flow, cfg.t, p)
     if has_overflow(moved):
         raise ValueError(f"the flow to t = {cfg.t!r} overflows binary64 in the chart")
+    # finite coordinates can still have a norm past binary64
+    norm_start, norm_flowed = math.hypot(*p), math.hypot(*moved)
+    if not math.isfinite(norm_start):
+        raise ValueError("the chart norm of the start overflows binary64")
+    if not math.isfinite(norm_flowed):
+        raise ValueError(f"the chart norm of the flow to t = {cfg.t!r} overflows binary64")
     payload = {
         "meta": cfg.meta("flow"),
         "origin": origin,
         "start": p,
         "flowed": moved,
-        "norm_start": math.hypot(*p),
-        "norm_flowed": math.hypot(*moved),
+        "norm_start": norm_start,
+        "norm_flowed": norm_flowed,
         "log_contraction": flow.log_contraction,
     }
     if cfg.n == 3 and not cfg.J:
@@ -423,11 +435,11 @@ def cmd_cells(cfg: RunConfig, args) -> int:
     f = census.f_vector
     summary = f"{len(census.cells)} cells: f = ({f[0]}, {f[1]}, {f[2]}, {f[3]})\n"
     if cfg.fmt == "json" and cfg.out is None:
-        _emit(dumps_canonical(encode_tree(payload)), None)
+        _emit(dumps_canonical(payload), None)
     else:
         sys.stdout.write(summary)
         if cfg.out:
-            _emit(dumps_canonical(encode_tree(payload)), cfg.out)
+            _emit(dumps_canonical(payload), cfg.out)
     return 0 if ok else 1
 
 

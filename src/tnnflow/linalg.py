@@ -5,9 +5,11 @@ An exact matrix is carried as the pair ``(columns, scales)`` of
 denominators, as Python ints, and the ``e_c``.  ``tnnflow.totpos``
 multiplies its products out in that form, and every exact kernel here runs
 on it: a ``Fraction`` is built only for a result that leaves the kernels
-(:func:`det`, :func:`_fraction_of_scaled`).  Matrices with ``Fraction`` or ``int``
-entries in object arrays go in through :func:`_scaled_columns`, and so do
-float ones, each float read as its exact ratio.  Float work is delegated to
+(:func:`det`, and :func:`_fraction_of_scaled` for ``totpos.sample_positive``'s
+``Fraction`` view; the ``sample`` report writes its matrices from the ints).
+Matrices with ``Fraction`` or ``int`` entries in object arrays go in through
+:func:`_scaled_columns`, and so do float ones, each entry read by its own
+``as_integer_ratio()``, exact for a float.  Float work is delegated to
 numpy proper; these helpers exist for the places where the answer must be a
 certificate (minor signs, echelon bases) rather than an approximation.
 
@@ -50,16 +52,25 @@ def is_rational_array(a: np.ndarray) -> bool:
     return a.dtype == object
 
 
+# the entry types whose own as_integer_ratio() is read, with no Fraction built
+_RATIO_TYPES = (Fraction, int, float)
+
+
 def _scaled_columns(a) -> tuple[list, list]:
     """The columns of ``a``, column c times the LCM ``e_c`` of its denominators, as ints, and the ``e_c``.
 
-    ``Fraction`` and ``int`` entries are used as they are; only other types
-    (floats, numpy scalars) are converted, because ``Fraction(Fraction)``
-    costs more than the scaling that follows.
+    Each entry is read as its ratio ``(p, q)``: a ``Fraction``, ``int`` or
+    float by its own ``as_integer_ratio()``, exact for a float; only other
+    types (numpy scalars, bools) go through ``Fraction(x)``, and its parts
+    are made Python ints, since ``Fraction(np.int64(3))`` keeps an ``int64``
+    numerator that wraps once it is scaled.  A NaN raises ``ValueError`` and
+    an infinity ``OverflowError``.
     """
-    entries = [[x if type(x) in (Fraction, int) else Fraction(x) for x in row] for row in a.tolist()]
-    scales = [math.lcm(1, *(row[c].denominator for row in entries)) for c in range(a.shape[1])]
-    return [[row[c].numerator * (e // row[c].denominator) for row in entries] for c, e in enumerate(scales)], scales
+    ratios = [[x.as_integer_ratio() if type(x) in _RATIO_TYPES else tuple(map(int, Fraction(x).as_integer_ratio()))
+               for x in row]
+              for row in a.tolist()]
+    scales = [math.lcm(1, *(row[c][1] for row in ratios)) for c in range(a.shape[1])]
+    return [[row[c][0] * (e // row[c][1]) for row in ratios] for c, e in enumerate(scales)], scales
 
 
 def _float_of_scaled(columns: list, scales: list) -> np.ndarray:

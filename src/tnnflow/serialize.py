@@ -1,15 +1,23 @@
-"""Canonical JSON encoding: deterministic bytes for identical inputs.
+"""Canonical JSON encoding: deterministic bytes for identical inputs, with no
+timestamps and no machine identifiers.
 
-Floats are rendered as shortest round-trip decimal strings ('%.17g'),
-rationals as "p/q" strings, sets as sorted lists; ``dumps_canonical`` sorts
-keys so a report serializes to the same bytes on every run with the same
-seed.  No timestamps, no machine identifiers.
+:func:`dumps_canonical` is the one writer.  It walks a report once,
+dispatching on ``type()`` first, and appends the text to a list of parts:
+strings through ``json``'s ASCII escaper, ints by ``int.__repr__``, floats
+as shortest round-trip decimal strings (:func:`fnum`) and rationals as
+``"p/q"`` strings (:func:`frac`), dict keys as ``str(k)``, sorted, with a
+2-space indent.  Any other value is read as the plain one it stands for: a
+tuple or array as a list, a set as a sorted list, an enum as its value, a
+numpy scalar by :func:`encode_value`.  The text is that of
+``json.dumps(..., sort_keys=True, indent=2)`` on the report with every
+scalar encoded, which ``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
-import json
+import enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -17,7 +25,6 @@ __all__ = [
     "fnum",
     "frac",
     "encode_value",
-    "encode_tree",
     "dumps_canonical",
 ]
 
@@ -48,27 +55,84 @@ def encode_value(x):
     return x
 
 
-def encode_tree(obj):
-    """Recursively encode a report structure for :func:`dumps_canonical`.
+def _sort_key(x):
+    """What the set element ``x`` is written as, for ordering a set the way its written elements compare."""
+    if isinstance(x, tuple):
+        return [_sort_key(v) for v in x]
+    if isinstance(x, frozenset):
+        return sorted(map(_sort_key, x))
+    if isinstance(x, enum.Enum):
+        return x.value
+    return encode_value(x)
 
-    Dicts keep their keys, tuples/lists/arrays become lists, sets become
-    sorted lists, enums their values, and scalars go through
-    :func:`encode_value` -- so no raw float ever reaches ``json.dumps``.
-    """
-    import enum
 
-    if isinstance(obj, dict):
-        return {str(k): encode_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [encode_tree(v) for v in obj]
+def _plain(obj):
+    """``obj`` as a value of a type :func:`_write` dispatches on: a dict, a list, or a scalar."""
+    if isinstance(obj, dict):  # a subclass
+        return dict(obj)
+    if isinstance(obj, (list, tuple)):  # a subclass
+        return list(obj)
     if isinstance(obj, (set, frozenset)):
-        return sorted(encode_tree(v) for v in obj)
+        return sorted(obj, key=_sort_key)
     if isinstance(obj, np.ndarray):
-        return encode_tree(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, enum.Enum):
         return obj.value
-    return encode_value(obj)
+    value = encode_value(obj)
+    if isinstance(value, str):
+        return str(value)
+    if value is obj:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return value
+
+
+def _write(obj, parts: list, indent: str) -> None:
+    """Append the canonical text of ``obj`` to ``parts``; ``indent`` is a newline and the
+    spaces of the line ``obj`` starts on."""
+    kind = type(obj)
+    if kind is str:
+        parts.append(_quote(obj))
+    elif kind is int:
+        parts.append(int.__repr__(obj))
+    elif kind is Fraction:
+        parts.append(f'"{frac(obj)}"')
+    elif kind is float or kind is np.float64:
+        parts.append(f'"{fnum(obj)}"')
+    elif kind is dict:
+        if not obj:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        # a key is written as str(k): of two keys that read alike, the later one's value is kept
+        items = {str(k): v for k, v in obj.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            parts.append(f"{sep}{_quote(key)}: ")
+            _write(items[key], parts, inner)
+            sep = "," + inner
+        parts.append(indent + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _write(value, parts, inner)
+            sep = "," + inner
+        parts.append(indent + "]")
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
+    else:
+        _write(_plain(obj), parts, indent)
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The canonical JSON text of a report, with a final newline."""
+    parts: list = []
+    _write(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)

@@ -16,7 +16,11 @@ independent routes the int kernels are checked against:
   minus an exact Jacobian rank, the oracle of the census's closed form;
 - ``exp_generator_sum`` is exp(t tau) in binary64 from the closed-form
   spectrum of tau, the float route the flows and the exact certificate of
-  exp(t tau)'s total positivity are checked against.
+  exp(t tau)'s total positivity are checked against;
+- ``encode_tree`` is the first pass of the old two-pass report encoder: it
+  copies a report into a tree of JSON scalars, and ``json.dumps(...,
+  sort_keys=True, indent=2)`` of that copy is the text the one-pass writer
+  ``serialize.dumps_canonical`` must produce.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from tnnflow import linalg
 from tnnflow.chevalley import FLOAT, GroupElement, Pinning, generator_sum_spectrum
 from tnnflow.folding import Folding
+from tnnflow.serialize import encode_value
 from tnnflow.totpos import Sl3Coords
 
 
@@ -204,3 +209,25 @@ def exp_generator_sum(n: int, t: float) -> GroupElement:
     d, p = generator_sum_spectrum(n)
     m = (p * np.exp(float(t) * d)) @ p.T
     return GroupElement((m + m.T) / 2.0, FLOAT)
+
+
+def encode_tree(obj):
+    """Recursively encode a report structure for :func:`dumps_canonical`.
+
+    Dicts keep their keys, tuples/lists/arrays become lists, sets become
+    sorted lists, enums their values, and scalars go through
+    :func:`encode_value` -- so no raw float ever reaches ``json.dumps``.
+    """
+    import enum
+
+    if isinstance(obj, dict):
+        return {str(k): encode_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode_tree(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(encode_tree(v) for v in obj)
+    if isinstance(obj, np.ndarray):
+        return encode_tree(obj.tolist())
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    return encode_value(obj)

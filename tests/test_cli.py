@@ -24,6 +24,7 @@ from tnnflow import cli, linalg
 from tnnflow.chevalley import RATIONAL, GroupElement
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
 from tnnflow.embedding import line_of
+from tnnflow.serialize import frac
 from tnnflow.totpos import Sl3Coords, sample_params, sample_positive, sl3_coords, sl3_residuals, standard_word_w0
 
 
@@ -173,6 +174,37 @@ def test_sample_report_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "sample", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("side", ["group", "lower", "upper"])
+def test_sample_matrix_is_the_fraction_view_entry_for_entry(capsys, side):
+    """Each ``matrix`` string, written from the column-scaled ints with one gcd per
+    entry, is ``frac`` of the entry of ``sample_positive``'s ``Fraction`` matrix, for
+    n = 2..10 and seeds 0-4, two records a seed."""
+    for n in range(2, 11):
+        word = standard_word_w0(n)
+        for seed in range(5):
+            code, out, _ = run_cli(capsys, "sample", "--n", str(n), "--side", side, "--count", "2", "--seed", str(seed))
+            assert code == 0
+            rng = np.random.default_rng(seed)
+            for rec in json.loads(out)["samples"]:
+                entries = sample_positive(sample_params(word, rng, group=side == "group"), side).entries
+                assert rec["matrix"] == [[frac(x) for x in row] for row in entries.tolist()], (n, seed)
+
+
+def test_sample_builds_no_fraction_matrix(capsys, monkeypatch):
+    """``sample`` writes its matrices from the ints: ``_fraction_of_scaled`` is never called,
+    and every matrix entry reaches the writer as a ``"p/q"`` string."""
+    built, payloads = [], []
+    monkeypatch.setattr(linalg, "_fraction_of_scaled", lambda *scaled: built.append(scaled))
+    monkeypatch.setattr(cli, "dumps_canonical", lambda payload: payloads.append(payload) or "")
+    for side in ("group", "lower", "upper"):
+        assert main(["sample", "--n", "5", "--side", side, "--count", "3", "--seed", "2"]) == 0
+    assert built == [] and len(payloads) == 3
+    for payload in payloads:
+        for rec in payload["samples"]:
+            assert len(rec["matrix"]) == 5
+            assert all(type(row) is list and all(type(x) is str for x in row) for row in rec["matrix"])
 
 
 def test_embed_summary(capsys):
@@ -435,6 +467,21 @@ def test_flow_keeps_extreme_chart_points_finite(tmp_path, capsys):
     path.write_text(json.dumps({"chart": [1e-200] * 7}))
     code, out, err = run_cli(capsys, "flow", "--from", str(path), "--t", "-600")
     assert code == 2 and out == "" and "overflows binary64" in err
+
+
+def test_flow_refuses_a_chart_norm_past_binary64(tmp_path, capsys):
+    """Finite coordinates whose norm overflows binary64 are refused in one line, not
+    written as a report with ``"inf"`` norms: seven coordinates of 1e308 at the start,
+    and seven of 5e307 (norm 1.32e308) that the flow back to t = -0.1 takes past it."""
+    path = tmp_path / "chart.json"
+    for chart, t, what in (([1e308] * 7, "0", "start"), ([5e307] * 7, "-0.1", "flow to t = -0.1")):
+        path.write_text(json.dumps({"chart": chart}))
+        for extra in ((), ("--crossing",)):
+            code, out, err = run_cli(capsys, "flow", "--from", str(path), f"--t={t}", *extra)
+            assert code == 2 and out == "" and len(err.splitlines()) == 1, (chart[0], t, extra)
+            assert f"chart norm of the {what} overflows binary64" in err
+    code, out, _ = run_cli(capsys, "flow", "--from", str(path), "--t", "0")
+    assert code == 0 and float(json.loads(out)["norm_start"]) == 1.3228756555322954e308
 
 
 def test_fold_defaults_to_n4(capsys):

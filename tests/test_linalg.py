@@ -277,6 +277,56 @@ def test_rationalize_is_exact():
     assert linalg.to_float(r).tolist() == x.tolist()
 
 
+def _fraction_route(a) -> tuple[list, list]:
+    """``(columns, scales)`` with one ``Fraction`` built per entry, the reference for the ratio reads;
+    a numpy integer is read as the Python int it holds."""
+    entries = [[Fraction(int(x) if isinstance(x, np.integer) else x) for x in row] for row in a.tolist()]
+    scales = [math.lcm(1, *(row[c].denominator for row in entries)) for c in range(a.shape[1])]
+    return [[row[c].numerator * (e // row[c].denominator) for row in entries] for c, e in enumerate(scales)], scales
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308, 1e308,
+               1.7976931348623157e308, -0.1, 1e-300, 2.0**-1074 * 3]
+binary64 = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+exact_entries = st.one_of(
+    binary64,
+    binary64.map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_scaled_columns_reads_each_entry_as_its_fraction(n, m, data):
+    """Each entry read by its own ratio gives the ``(columns, scales)`` of one
+    ``Fraction`` per entry: on object arrays of floats, ``np.float64``, ints,
+    ``np.int64``, bools and ``Fraction`` s, and on float arrays."""
+    obj = np.empty((n, m), dtype=object)
+    obj[...] = [[data.draw(exact_entries) for _ in range(m)] for _ in range(n)]
+    assert linalg._scaled_columns(obj) == _fraction_route(obj)
+    floats = np.array(data.draw(st.lists(st.lists(binary64, min_size=m, max_size=m), min_size=n, max_size=n)))
+    assert linalg._scaled_columns(floats) == _fraction_route(floats)
+    assert linalg._scaled_columns(floats.astype(object)) == _fraction_route(floats)
+
+
+def test_scaled_columns_keeps_numpy_ints_exact():
+    """An ``np.int64`` entry is scaled as a Python int: in an int64 it would wrap past 2**63."""
+    a = np.array([[np.int64(3), 0], [Fraction(1, 2**62), np.int64(1)]], dtype=object)
+    assert linalg._scaled_columns(a) == ([[3 * 2**62, 1], [0, 1]], [2**62, 1])
+    assert linalg.det(a) == 3
+
+
+@pytest.mark.parametrize("x, error", [(math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)])
+def test_scaled_columns_refuses_what_has_no_ratio(x, error):
+    for a in (np.array([[1.0, x]]), np.array([[Fraction(1, 3)], [np.float64(x)]], dtype=object)):
+        with pytest.raises(error):
+            linalg._scaled_columns(a)
+
+
 def test_cross3_orthogonality():
     """The exact path of ``sl3_coords`` takes the plane's normal by ``np.cross`` on
     ``Fraction`` columns: w = (z1, -z2, z3) over its sum, so z is orthogonal to both columns."""

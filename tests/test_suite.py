@@ -7,7 +7,7 @@ import oracles
 from tnnflow import flow, linalg, suite
 from tnnflow.chevalley import Pinning, generator_sum
 from tnnflow.flow import _frame_gaps, fixed_flag
-from tnnflow.serialize import dumps_canonical, encode_tree
+from tnnflow.serialize import dumps_canonical
 from tnnflow.suite import CASES, GATES, Case, build_charts, converged_starts, fixed_point_gap
 from tnnflow.totpos import Positivity, certify_minors, is_tnn_matrix, sample_params, sample_positive, standard_word_w0
 
@@ -113,7 +113,7 @@ def test_a_deleted_row_moves_only_its_own_section(monkeypatch):
     assert len(after["commutation"]["cases"]) == len(before["commutation"]["cases"]) - 1
     for name in GATES:
         if name != "commutation":
-            assert dumps_canonical(encode_tree(after[name])) == dumps_canonical(encode_tree(before[name])), name
+            assert dumps_canonical(after[name]) == dumps_canonical(before[name]), name
 
 
 # ---------------------------------------------------------------------------
