@@ -10,6 +10,7 @@ dynamics downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,9 +140,21 @@ def generator_sum_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``d_k = 2 cos(k pi / (n+1))`` and ``P[j, k] = sqrt(2/(n+1)) sin(j k pi / (n+1))``
     for j, k = 1..n, so P is orthogonal and its first column is positive.  The
     integer jk is reduced mod 2(n+1) before the sine, so every angle is below 2 pi.
+    Each n is computed once: every call hands back the same two arrays, so they
+    are read-only.
     """
     if n < 2:
         raise ValueError("the special linear group needs n >= 2")
+    return _spectrum(n)
+
+
+# the cache sits on a private function so that generator_sum_spectrum stays a plain
+# function, which perfbench/tracing.py wraps like every name in __all__
+@functools.cache
+def _spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n + 1)
     d = 2.0 * np.cos(np.pi * k / (n + 1))
-    return d, np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+    p = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * n + 2)) / (n + 1))
+    for a in (d, p):
+        a.setflags(write=False)
+    return d, p

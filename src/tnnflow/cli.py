@@ -45,7 +45,7 @@ from .cells import (
     validate_poset,
 )
 from .chevalley import build_pinning, generator_sum
-from .embedding import _float_lines, _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
+from .embedding import _chart_bytes, _float_lines, _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
 from .flow import DiagonalFlow, _frames_at, default_ball_radius, flow_point, has_overflow, sphere_crossing
 from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical
@@ -284,10 +284,24 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     return 0 if all_certified else 1
 
 
-def cmd_embed(cfg: RunConfig, args) -> int:
+def _module_chart(cfg: RunConfig) -> tuple:
+    """``(weight, rep, chart)`` of the (n, J) module.  Before anything is built, a module
+    whose chart's dense arrays (:func:`~tnnflow.embedding._chart_bytes`) cannot fit in
+    the machine's physical memory is refused with ``ValueError``."""
     weight = lambda_for(cfg.n, cfg.J)
+    need, have = _chart_bytes(weight), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        size = f"{need / 2**30:.3g} GiB" if need < 2**1000 else f"2^{need.bit_length() - 1} bytes"
+        raise ValueError(
+            f"the module for n = {cfg.n}, J = {sorted(cfg.J)} is too big for a dense chart: "
+            f"it needs at least {size}, past the {have / 2**30:.3g} GiB of physical memory"
+        )
     rep = build_rep(weight)
-    chart = eigenchart(rep)
+    return weight, rep, eigenchart(rep)
+
+
+def cmd_embed(cfg: RunConfig, args) -> int:
+    weight, rep, chart = _module_chart(cfg)
     flow = DiagonalFlow.from_chart(chart)
     if cfg.fmt == "json":
         payload = {
@@ -354,8 +368,7 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
 
 
 def cmd_flow(cfg: RunConfig, args) -> int:
-    rep = build_rep(lambda_for(cfg.n, cfg.J))
-    chart = eigenchart(rep)
+    _, rep, chart = _module_chart(cfg)
     flow = DiagonalFlow.from_chart(chart)
     p, g, origin = _load_start_point(cfg, args.from_path, chart)
     if p.shape != (chart.ncoords,):

@@ -10,12 +10,15 @@ exact reduced-echelon basis so that coordinates can be read off pivot
 positions without solving anything.
 
 Each lowering generator F_i moves one factor's basis index at a time with
-structure constant +1, so it is stored as an index map on the tensor product
-and applied to sparse ``{flat index: int}`` vectors.  Every vector of
-the closure is a weight vector, so each echelon step touches one weight
-space only.  The basis rows stay sparse primitive int vectors: they are the
-module's only exact form, and the chart reads them in float64, one block of
-echelon rows per weight space.  A flag's image is the tensor product of the
+structure constant +1, so it is stored as index tables on the tensor product,
+one target list per wedge factor, built by index arithmetic on the digits of
+the flat index, and applied to sparse ``{flat index: int}`` vectors.  Every
+vector of the closure is a weight vector, so each echelon step touches one
+weight space only; the module is built with its weight spaces, and keeps each
+pivot's weight as the occupancy of the indices 1..n in its factor subsets.
+The basis rows stay sparse primitive int vectors: they are the module's only
+exact form, and the chart reads them in float64, one block of echelon rows
+per weight space of the module.  A flag's image is the tensor product of the
 leading compound columns of a matrix; its binary64 coordinates are read off
 at the pivots, one leading minor per factor: int minors of the int products
 of factorization parameters, a whole stack of them in one call of the minor
@@ -116,62 +119,51 @@ def weyl_dim(weight: Weight) -> int:
 # module construction
 
 
-def _wedge_maps(n: int, k: int):
-    """F_i on the k-th wedge power of the defining module.
-
-    Basis vectors are indexed by sorted k-subsets in lexicographic order.
-    F_i replaces i by i+1, which does not reorder a sorted subset, so it is
-    a partial map ``subset index -> subset index`` with every structure
-    constant +1.
-    """
-    subsets = list(itertools.combinations(range(1, n + 1), k))
-    index = {s: a for a, s in enumerate(subsets)}
-    f_maps = {
-        i: {
-            a: index[tuple(sorted(set(s) - {i} | {i + 1}))]
-            for a, s in enumerate(subsets)
-            if i in s and i + 1 not in s
-        }
-        for i in range(1, n)
-    }
-    return subsets, f_maps
-
-
 def _tensor_moves(n: int, factors):
-    """F_i on the tensor product of wedge factors, as index moves, and the weights.
+    """F_i on the tensor product of wedge factors, as index tables, and the occupancies.
 
-    Ambient basis vectors are tuples of factor subsets, flattened in
-    row-major order (the first factor varies slowest).  ``f[i][a]`` lists the
-    flat indices that F_i sends basis vector ``a`` to, one per factor it acts
-    on; every coefficient is +1.  ``weights[a]`` holds the eigenvalues of
-    H_1 .. H_{n-1} on basis vector ``a``.
+    Ambient basis vectors are tuples of sorted factor subsets, flattened in
+    row-major order (the first factor varies slowest); the digits of a flat
+    index are its subsets' indices among the lexicographic k-subsets.  F_i
+    replaces i by i+1 in one factor's subset, which keeps the subset sorted,
+    with structure constant +1.  ``f[i]`` holds one target list per wedge
+    factor: entry ``a`` is the flat index that F_i, acting on that factor,
+    sends basis vector ``a`` to, or -1 where it kills the factor's subset.
+    ``occupancy[a, i]`` counts the factor subsets of basis vector ``a`` that
+    hold index i + 1, so its H_i-eigenvalue is ``occupancy[a, i - 1] -
+    occupancy[a, i]``.
     """
-    subsets, f_maps = zip(*(_wedge_maps(n, k) for k in factors))
-    dims = [len(subs) for subs in subsets]
-    strides = [int(np.prod(dims[j + 1 :])) for j in range(len(dims))]
-    combos = list(itertools.product(*(range(d) for d in dims)))
+    dims = [math.comb(n, k) for k in factors]
+    digits = np.indices(dims).reshape(len(dims), -1)
+    flat = np.arange(digits.shape[1])
+    f: dict = {i: [] for i in range(1, n)}
+    occupancy = np.zeros((len(flat), n), dtype=np.int64)
+    for j, (k, dim, digit) in enumerate(zip(factors, dims, digits)):
+        stride = math.prod(dims[j + 1 :])
+        subsets = list(itertools.combinations(range(n), k))
+        index = {s: a for a, s in enumerate(subsets)}
+        members = np.zeros((dim, n), dtype=np.int64)  # members[a, i]: is i + 1 in the a-th k-subset
+        members[np.arange(dim)[:, None], subsets] = 1
+        occupancy += members[digit]
+        target = np.full((n, dim), -1)  # target[i, a]: F_i's image of the a-th k-subset, -1 if it kills it
+        for a, s in enumerate(subsets):
+            for m, x in enumerate(s):  # x + 1 moves to x + 2 under F_{x+1}
+                if x + 1 < n and s[m + 1 : m + 2] != (x + 1,):
+                    target[x + 1, a] = index[s[:m] + (x + 1,) + s[m + 1 :]]
+        for i in range(1, n):
+            moved = target[i][digit]
+            f[i].append(np.where(moved >= 0, flat + (moved - digit) * stride, -1).tolist())
+    return f, occupancy
 
-    def moves(i):
-        maps = [fm[i] for fm in f_maps]
-        return tuple(
-            tuple(a + (m[d] - d) * s for d, m, s in zip(digits, maps, strides) if d in m)
-            for a, digits in enumerate(combos)
-        )
 
-    f = {i: moves(i) for i in range(1, n)}
-    weights = [
-        tuple(sum((i in s) - (i + 1 in s) for s in sets) for i in range(1, n))
-        for sets in itertools.product(*subsets)
-    ]
-    return f, weights
-
-
-def _apply(moves, vec: dict) -> dict:
-    """A generator given by its index moves, applied to a sparse vector."""
+def _apply(targets, vec: dict) -> dict:
+    """A generator given by its target lists, applied to a sparse vector."""
     out: dict = {}
     for a, x in vec.items():
-        for b in moves[a]:
-            out[b] = out.get(b, 0) + x
+        for moved in targets:
+            b = moved[a]
+            if b >= 0:
+                out[b] = out.get(b, 0) + x
     return {b: x for b, x in out.items() if x != 0}
 
 
@@ -187,6 +179,13 @@ class RepModule:
     it: the reduced-echelon basis row is ``row / row[pivot]``.  Module
     coordinates of an ambient vector known to lie in the module, in the
     reduced-echelon basis, are simply its entries at ``pivot_cols``.
+
+    The weight spaces come with the module.  ``occupancy`` is the read-only
+    dim x n int array whose row r counts, for each index 1..n, the factor
+    subsets of pivot r that hold it: the weight of row r, whose H_i-eigenvalue
+    is ``occupancy[r, i - 1] - occupancy[r, i]``.  ``spaces`` lists the row
+    indices of each weight space, in pivot order, the spaces in the order of
+    their first rows.
     """
 
     n: int
@@ -196,6 +195,8 @@ class RepModule:
     ambient_dim: int
     rows: tuple
     pivot_cols: tuple
+    occupancy: np.ndarray
+    spaces: tuple
 
 
 def build_rep(weight: Weight) -> RepModule:
@@ -221,7 +222,10 @@ def build_rep(weight: Weight) -> RepModule:
     )
     if not factors:
         raise ValueError("the zero weight has no projective geometry attached")
-    f_moves, weights = _tensor_moves(n, factors)
+    f_moves, occupancy = _tensor_moves(n, factors)
+    # each count is at most len(factors), so as base len(factors) + 1 digits an
+    # occupancy row is one int: equal codes, equal weights
+    codes = (occupancy @ (len(factors) + 1) ** np.arange(n)).tolist()
 
     # the top subset of each factor is lexicographically first
     rows = {0: {0: 1}}  # pivot column -> primitive int basis vector
@@ -232,7 +236,7 @@ def build_rep(weight: Weight) -> RepModule:
             for i in range(1, n):
                 lowered = _apply(f_moves[i], vec)
                 if lowered:
-                    spanning.setdefault(weights[next(iter(lowered))], []).append(lowered)
+                    spanning.setdefault(codes[next(iter(lowered))], []).append(lowered)
         level = []
         for vectors in spanning.values():
             basis = linalg._scaled_echelon(vectors)
@@ -244,14 +248,21 @@ def build_rep(weight: Weight) -> RepModule:
         raise AssertionError(
             f"closure dimension {len(pivots)} != Weyl dimension {weyl_dim(weight)}; construction bug"
         )
+    spaces: dict = {}
+    for r, p in enumerate(pivots):
+        spaces.setdefault(codes[p], []).append(r)
+    occupancy = occupancy[pivots]
+    occupancy.setflags(write=False)
     return RepModule(
         n=n,
         weight=weight,
         factors=factors,
         dim=len(pivots),
-        ambient_dim=len(weights),
+        ambient_dim=len(codes),
         rows=tuple(rows[p] for p in pivots),
         pivot_cols=tuple(pivots),
+        occupancy=occupancy,
+        spaces=tuple(map(tuple, spaces.values())),
     )
 
 
@@ -351,10 +362,33 @@ class EigenChart:
         return float(self.mu[0] - self.mu[1])
 
 
-def _compound(p: np.ndarray, k: int) -> np.ndarray:
-    """The k-th compound of p: its k x k minors on lexicographic k-subsets."""
-    s = np.array(list(itertools.combinations(range(p.shape[0]), k)))
-    return np.linalg.det(p[s[:, None, :, None], s[None, :, None, :]])
+def _chart_bytes(weight: Weight) -> int:
+    """A floor on the bytes of the dense float64 arrays :func:`eigenchart` holds at once
+    for the module of ``weight``, with no module built: two ambient x dim frames while
+    rho(P) is applied (the input of a factor's step and its output) and the dim x dim
+    ``eigvecs_inv``.  The ambient dim is the product of C(n, k) over the wedge factors.
+    Where the floor passes 2^64 bytes with the dim taken as its own floor, the largest
+    C(n, k) of a factor (each ratio of the Weyl product grows with the weight), that
+    floor is returned and the Weyl product, which takes minutes at n = 1000, is skipped.
+    """
+    n = weight.n
+    ambient = math.prod(math.comb(n, k) ** c for k, c in enumerate(weight.coeffs, 1))
+    dim = max(math.comb(n, k) for k in weight.support)
+    if 16 * ambient * dim <= 2**64:
+        dim = weyl_dim(weight)
+    return 8 * (2 * ambient * dim + dim * dim)
+
+
+@functools.cache
+def _compound(n: int, k: int) -> np.ndarray:
+    """The k-th compound of the eigenbasis P of the generator sum on C^n: its k x k
+    minors on lexicographic k-subsets.  The cache hands the same array to every call,
+    so it is read-only."""
+    p = generator_sum_spectrum(n)[1]
+    s = np.array(list(itertools.combinations(range(n), k)))
+    compound = np.linalg.det(p[s[:, None, :, None], s[None, :, None, :]])
+    compound.setflags(write=False)
+    return compound
 
 
 def eigenchart(rep: RepModule) -> EigenChart:
@@ -364,34 +398,27 @@ def eigenchart(rep: RepModule) -> EigenChart:
     On the ambient tensor product of wedge powers it is therefore
     ``rho(P) D rho(P)^T``: rho(P) is the tensor product of the compounds of the
     orthogonal P, one per wedge factor, and D multiplies each weight space by
-    <mu, d>.  The weight spaces of the module are orthogonal in the ambient
-    basis, so an orthonormal basis of each, mapped by rho(P), is an orthonormal
-    eigenbasis; each weight space's echelon rows are orthonormalized in pivot
-    order with a positive diagonal.  The spaces are grouped by block shape
-    (rows x support columns) and each group takes one stacked QR; a 1 x 1
-    space, one row with one ambient entry, has q = 1 and takes none, and its
-    column of ``eigvecs_inv`` is its frame row.  Each group is scattered into
-    the frame and its columns of ``eigvecs_inv`` are assembled in one step;
-    every entry keeps the bits of the same steps taken one space at a time
-    (the tests hold that route as the oracle).  Eigenvalues are sorted
-    descending by a stable sort.
+    <mu, d>.  The weight spaces of the module (``rep.spaces``, with their
+    weights ``rep.occupancy``) are orthogonal in the ambient basis, so an
+    orthonormal basis of each, mapped by rho(P), is an orthonormal eigenbasis;
+    each weight space's echelon rows are orthonormalized in pivot order with a
+    positive diagonal.  The spaces are grouped by block shape (rows x support
+    columns) and each group takes one stacked QR; a 1 x 1 space, one row with
+    one ambient entry, has q = 1 and takes none, and its column of
+    ``eigvecs_inv`` is its frame row.  Each group is scattered into the frame;
+    only the frame rows that are read, the support columns of the spaces, are
+    gathered after rho(P), and each group's columns of ``eigvecs_inv`` are
+    assembled in one step; every entry keeps the bits of the same steps taken
+    one space at a time (the tests hold that route as the oracle).
+    Eigenvalues are sorted descending by a stable sort.
     The top one, <lambda, d>, is simple: every other weight is lambda minus a
     sum of positive roots e_i - e_j (i < j), and d is strictly decreasing.
     """
-    n = rep.n
-    d, p = generator_sum_spectrum(n)
-    dims = [math.comb(n, k) for k in rep.factors]
-    # occupancy[r, i]: how often index i lies in the factor subsets of pivot r
-    occupancy = sum(
-        np.array([[i in s for i in range(n)] for s in itertools.combinations(range(n), k)])[digits]
-        for k, digits in zip(rep.factors, _pivot_digits(rep))
-    )
-    spaces: dict = {}
-    for r, weight in enumerate(map(tuple, occupancy)):
-        spaces.setdefault(weight, []).append(r)
+    d = generator_sum_spectrum(rep.n)[0]
+    dims = [math.comb(rep.n, k) for k in rep.factors]
     # a 1 x 1 space (one row, one ambient entry; the top space is one) has q = 1
     units, shapes = [], {}
-    for rows in spaces.values():
+    for rows in rep.spaces:
         cols = sorted(set().union(*(rep.rows[r] for r in rows)))
         if len(cols) == 1:
             units.append((rows[0], cols[0]))
@@ -406,17 +433,20 @@ def eigenchart(rep: RepModule) -> EigenChart:
     for rows, cols, blocks in groups:  # one QR per shape, each q with a positive diagonal
         q, tri = np.linalg.qr(np.swapaxes(blocks, 1, 2))
         frame[cols[:, :, None], rows[:, None, :]] = q * np.sign(np.diagonal(tri, axis1=1, axis2=2))[:, None, :]
+    frame = frame.reshape(*dims, rep.dim)
     for axis, k in enumerate(rep.factors):  # frame <- rho(P) frame, one factor at a time
-        shaped = frame.reshape(*dims, rep.dim)
-        frame = np.moveaxis(np.tensordot(_compound(p, k), shaped, axes=(1, axis)), 0, axis)
-    mu = occupancy @ d
+        frame = np.moveaxis(np.tensordot(_compound(rep.n, k), frame, axes=(1, axis)), 0, axis)
+    mu = rep.occupancy @ d
     order = np.argsort(-mu, kind="stable")
-    frame = frame.reshape(rep.ambient_dim, rep.dim)[:, order]
+
+    def read(cols):  # the frame rows at these ambient indices, columns in eigenvalue order
+        return frame[np.unravel_index(cols, dims)][..., order]
+
     # the components frame^T x of the ambient vector x = sum_r c_r row_r
     inv = np.empty((rep.dim, rep.dim))
-    inv[:, unit_rows] = frame[unit_cols].T  # a unit row is one ambient basis vector
+    inv[:, unit_rows] = read(unit_cols).T  # a unit row is one ambient basis vector
     for rows, cols, blocks in groups:
-        inv[:, rows] = (np.swapaxes(frame[cols], 1, 2) @ np.swapaxes(blocks, 1, 2)).swapaxes(0, 1)
+        inv[:, rows] = (np.swapaxes(read(cols), 1, 2) @ np.swapaxes(blocks, 1, 2)).swapaxes(0, 1)
     return EigenChart(rep=rep, mu=mu[order], eigvecs_inv=inv)
 
 

@@ -122,7 +122,7 @@ def _norm_at(flow: DiagonalFlow, p: np.ndarray, t: float) -> float:
     ``np.linalg.norm(flow_point(...))`` where that squared norm is a normal number, and
     free of overflow and underflow elsewhere.  Callers run it with over- and underflow ignored."""
     v = _flowed(flow, p, t)
-    scale = math.frexp(np.max(np.abs(v)))[1]
+    scale = math.frexp(np.abs(v).max())[1]
     w = np.ldexp(v, -scale)
     return float(np.ldexp(math.sqrt(w.dot(w)), scale))
 
@@ -141,8 +141,10 @@ def _time_at_norm(rates: np.ndarray, p: np.ndarray, target: float) -> float:
 
     def h(t):  # h(t) - goal and h'(t)
         terms = logs + t * slopes
-        weights = np.exp(terms - terms.max())
-        return terms.max() + math.log(weights.sum()) - goal, weights.dot(slopes) / weights.sum()
+        top = terms.max()
+        weights = np.exp(terms - top)
+        total = weights.sum()
+        return top + math.log(total) - goal, weights.dot(slopes) / total
 
     t = np.max((goal - logs) / slopes)
     for _ in range(100):
@@ -264,6 +266,8 @@ def converge(flow: DiagonalFlow, p: np.ndarray, tol: float) -> Convergence:
     is below tol and down while it still is, at most 64 each way: the least T
     unless binary64 rounds the flowed point far off, as where exp underflows.
     Past the bound, log(||p|| / tol) / logC, contraction alone forces the norm below tol.
+    The final norm is the one the walk took at T; only an upward walk that runs
+    out of steps, and so never took the norm at its last T, takes it once more.
     """
     if not flow.is_contractive:
         raise ValueError("convergence needs a strictly contractive flow")
@@ -277,14 +281,18 @@ def converge(flow: DiagonalFlow, p: np.ndarray, tol: float) -> Convergence:
             return Convergence(0.0, norm0, bound)
         t = _time_at_norm(flow.rates, p, tol)
         for _ in range(64):
-            if _norm_at(flow, p, t) < tol:
+            norm = _norm_at(flow, p, t)
+            if norm < tol:
                 break
             t = math.nextafter(t, math.inf)
+        else:
+            norm = _norm_at(flow, p, t)
         for _ in range(64):
-            if not _norm_at(flow, p, math.nextafter(t, -math.inf)) < tol:
+            below = _norm_at(flow, p, math.nextafter(t, -math.inf))
+            if not below < tol:
                 break
-            t = math.nextafter(t, -math.inf)
-        return Convergence(t, _norm_at(flow, p, t), bound)
+            t, norm = math.nextafter(t, -math.inf), below
+        return Convergence(t, norm, bound)
 
 
 def fixed_flag(n: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import exp_generator_sum, one_param
-from tnnflow import linalg
+from tnnflow import chevalley, linalg
 from tnnflow.chevalley import (
     FLOAT,
     RATIONAL,
@@ -217,6 +217,22 @@ def test_closed_form_spectrum_matches_eigh(n):
     assert np.linalg.norm(tau @ p - p * d) < 1e-14
     assert np.linalg.norm(p.T @ p - np.eye(n)) < 1e-14
     assert np.all(p[:, 0] > 0)  # the top eigenvector is positive (Perron)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_spectrum_is_computed_once_read_only(n):
+    """Every call for one n hands back the same two arrays; a write to either raises
+    ``ValueError``, and their bits are those of a fresh computation."""
+    d, p = generator_sum_spectrum(n)
+    again = generator_sum_spectrum(n)
+    assert again[0] is d and again[1] is p
+    for a in (d, p):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+    fresh = chevalley._spectrum.__wrapped__(n)
+    assert [a.tobytes() for a in fresh] == [d.tobytes(), p.tobytes()]
 
 
 def test_exp_group_law():

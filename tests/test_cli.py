@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 import tnnflow
 import oracles
-from tnnflow import cli, linalg
+from tnnflow import cli, embedding, linalg
 from tnnflow.chevalley import RATIONAL, GroupElement
 from tnnflow.cli import RunConfig, _parse_J, build_parser, main
-from tnnflow.embedding import line_of
+from tnnflow.embedding import build_rep, lambda_for, line_of
 from tnnflow.serialize import frac
 from tnnflow.totpos import Sl3Coords, sample_params, sample_positive, sl3_coords, sl3_residuals, standard_word_w0
 
@@ -212,6 +212,57 @@ def test_embed_summary(capsys):
     assert code == 0
     assert "dim = 8" in out
     assert "Weyl formula: 8" in out
+
+
+def _forbid_build(monkeypatch):
+    """Make any module build in the CLI fail the test."""
+    def build_rep(weight):
+        raise AssertionError(f"build_rep was called for {weight}")
+
+    monkeypatch.setattr(cli, "build_rep", build_rep)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embed", "--n", "7"),
+        ("embed", "--n", "6", "--format", "json"),
+        ("flow", "--n", "7"),
+        ("flow", "--n", "7", "--crossing"),
+        ("embed", "--n", "100"),
+        ("flow", "--n", "1000", "--t", "2"),
+    ],
+)
+def test_a_module_too_big_for_a_dense_chart_is_refused_before_it_is_built(capsys, monkeypatch, argv):
+    """(6, ()) needs at least 87 GiB for its chart and (7, ()) 8.6e5 GiB, so both exit 2
+    with one line before any module is built; past n = 100 the need is only bounded."""
+    _forbid_build(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: the module for n = ")
+    assert "too big for a dense chart" in err and "physical memory" in err
+
+
+@pytest.mark.parametrize("n,J", [(2, ()), (3, ()), (4, (2,)), (5, (1, 4)), (6, (1, 5))])
+def test_chart_bytes_counts_the_built_module(n, J):
+    """The floor is two ambient x dim float64 frames and the dim x dim inverse, of the
+    dims the built module has."""
+    rep = build_rep(lambda_for(n, J))
+    assert embedding._chart_bytes(rep.weight) == 8 * (2 * rep.ambient_dim * rep.dim + rep.dim**2)
+
+
+def test_the_chart_refusal_reads_physical_memory(capsys, monkeypatch):
+    """(3, ()) is built on this machine and refused on one of 1 KiB, which its chart's
+    1,664 bytes (ambient dim 9, dim 8) pass."""
+    code, _, _ = run_cli(capsys, "embed", "--n", "3")
+    assert code == 0
+    pages = {"SC_PAGE_SIZE": 1024, "SC_PHYS_PAGES": 1}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    _forbid_build(monkeypatch)
+    code, out, err = run_cli(capsys, "embed", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: the module for n = 3, J = [] is too big for a dense chart: it needs at least " \
+        "1.55e-06 GiB, past the 9.54e-07 GiB of physical memory\n"
 
 
 def test_cells_summary_line(capsys):

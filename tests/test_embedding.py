@@ -131,9 +131,18 @@ def test_tensor_moves_match_the_definition(n, J):
     """The F moves and weights that ``build_rep`` lowers with are the ones built
     in the tests from their definition."""
     rep = build_rep(lambda_for(n, J))
-    f, weights = _tensor_moves(n, rep.factors)
-    assert f == _generator_moves(rep)[1]
-    assert [list(w) for w in weights] == _ambient_weights(n, rep.factors)
+    f, occupancy = _tensor_moves(n, rep.factors)
+    assert set(f) == set(range(1, n))
+    assert all(len(targets) == len(rep.factors) for targets in f.values())
+    # the targets of each basis vector, in factor order, with the kills (-1) left out
+    moves = {i: tuple(tuple(t[a] for t in targets if t[a] >= 0) for a in range(rep.ambient_dim))
+             for i, targets in f.items()}
+    assert moves == _generator_moves(rep)[1]
+    assert all(t[a] == -1 for targets in f.values() for t in targets for a in range(rep.ambient_dim)
+               if t[a] < 0)
+    assert occupancy.shape == (rep.ambient_dim, n)
+    assert (-np.diff(occupancy, axis=1)).tolist() == _ambient_weights(n, rep.factors)
+    assert (occupancy.sum(axis=1) == sum(rep.factors)).all()
 
 
 @pytest.mark.parametrize(
@@ -147,6 +156,19 @@ def test_module_dims_match_weyl_oracle(n, J):
     weight = lambda_for(n, J)
     rep = build_rep(weight)
     assert rep.dim == weyl_dim(weight)
+    # the weight spaces that come with the module are the ones read off the pivot digits
+    dims = [math.comb(n, k) for k in rep.factors]
+    subsets = {k: list(itertools.combinations(range(n), k)) for k in set(rep.factors)}
+    occupancy = [
+        [sum(i in subsets[k][d] for k, d in zip(rep.factors, digits)) for i in range(n)]
+        for digits in zip(*np.unravel_index(rep.pivot_cols, dims))
+    ]
+    assert rep.occupancy.dtype == np.int64 and rep.occupancy.tolist() == occupancy
+    assert not rep.occupancy.flags.writeable
+    spaces = {}
+    for r, row in enumerate(occupancy):
+        spaces.setdefault(tuple(row), []).append(r)
+    assert rep.spaces == tuple(map(tuple, spaces.values()))
 
 
 @pytest.mark.slow
@@ -611,6 +633,18 @@ def test_eigenvectors_are_rho_p_on_orthonormal_weight_bases(n, J):
     assert np.allclose(frame.T @ frame, np.eye(rep.dim), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_compounds_are_computed_once_read_only(n):
+    """Every call for one (n, k) hands back the same compound of P; a write raises
+    ``ValueError``, and its bits are those of a fresh computation."""
+    for k in range(1, n):
+        compound = embedding._compound(n, k)
+        assert embedding._compound(n, k) is compound
+        with pytest.raises(ValueError, match="read-only"):
+            compound[0, 0] = 0.0
+        assert compound.tobytes() == embedding._compound.__wrapped__(n, k).tobytes()
+
+
 def _eigh_chart(rep):
     """The numerical route: orthonormalize the module basis by QR, diagonalize
     the generator sum in that frame with ``eigh``.  Returns the eigenvalues,
@@ -673,7 +707,7 @@ def _per_space_chart(rep):
     eigvecs_inv)``.
     """
     n = rep.n
-    d, p = generator_sum_spectrum(n)
+    d = generator_sum_spectrum(n)[0]
     dims = [math.comb(n, k) for k in rep.factors]
     occupancy = sum(
         np.array([[i in s for i in range(n)] for s in itertools.combinations(range(n), k)])[digits]
@@ -692,7 +726,7 @@ def _per_space_chart(rep):
         blocks.append((rows, cols, block))
     for axis, k in enumerate(rep.factors):
         shaped = frame.reshape(*dims, rep.dim)
-        frame = np.moveaxis(np.tensordot(embedding._compound(p, k), shaped, axes=(1, axis)), 0, axis)
+        frame = np.moveaxis(np.tensordot(embedding._compound(n, k), shaped, axes=(1, axis)), 0, axis)
     mu = occupancy @ d
     order = np.argsort(-mu, kind="stable")
     frame = frame.reshape(rep.ambient_dim, rep.dim)[:, order]

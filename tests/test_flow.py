@@ -615,6 +615,43 @@ def test_newton_matches_the_bisection_oracles(n, J):
         assert (got.time, got.final_norm) == (want.time, want.final_norm)
 
 
+def _norm_there(flow, p, t):
+    with np.errstate(over="ignore", under="ignore"):
+        return flow_module._norm_at(flow, p, t)
+
+
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3))])
+def test_converge_keeps_the_norm_it_took_at_its_time(n, J):
+    """Over seeds 0-20 the final norm is the norm at T, bit for bit, whichever way the
+    ulp walk went from the Newton time: at (3, ()) seed 1, tol 1e-9, it moves down."""
+    chart = eigenchart(build_rep(lambda_for(n, J)))
+    flow = DiagonalFlow.from_chart(chart)
+    for seed in range(21):
+        line = line_of(chart.rep, sample_params(standard_word_w0(n), np.random.default_rng(seed)), "lower")
+        p = chart_coords(chart, line)
+        for tol in (1e-3, 1e-9, 1e-12):
+            run = converge(flow, p, tol)
+            assert run.final_norm == _norm_there(flow, p, run.time) and run.final_norm < tol
+            if (n, J, seed, tol) == (3, (), 1, 1e-9):
+                with np.errstate(under="ignore"):
+                    assert run.time < flow_module._time_at_norm(flow.rates, p, tol)
+
+
+def test_converge_takes_the_norm_at_the_end_of_a_full_upward_walk(monkeypatch):
+    """An upward walk that uses all 64 ulps never took the norm at its last T, so the
+    final norm is taken there: from a Newton time far short of the goal, T is 64 ulps
+    up and its norm, still above tol, is the norm at T.  An ulp of 2^40 moves the norm
+    by about 2.4e-14 relative here, so the norm one ulp short of T differs from it."""
+    flow, p = DiagonalFlow(np.array([-1e-10, -2e-10])), np.array([0.5, 2.0])
+    monkeypatch.setattr(flow_module, "_time_at_norm", lambda rates, p, target: 2.0**40)
+    run = converge(flow, p, 1e-60)
+    t = 2.0**40
+    for _ in range(64):
+        t = math.nextafter(t, math.inf)
+    assert run.time == t and run.final_norm == _norm_there(flow, p, t) > 1e-60
+    assert run.final_norm != _norm_there(flow, p, math.nextafter(t, -math.inf))
+
+
 magnitudes = st.floats(-200.0, 200.0).map(lambda e: 10.0**e)
 chart_coordinates = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda x: -x))
 
