@@ -4,7 +4,8 @@
 For each start the script prints the chart norm along the trajectory and the
 (v, w) coordinates of the flowed flag at the convergence time T next to the
 closed-form limit 1/(2+sqrt 2) = 0.29289..., sqrt2/(2+sqrt 2) = 0.41421....
-The coordinates are read off the flowed frame P Q, Q = flag_frame(g, T, d, P).
+The coordinates are read off the flowed frame flag_frame(g, T), the orthonormal
+frame of the flag of exp(T tau) g in the standard basis.
 It exits 1 if any of them misses the limit by more than 1e-8.
 
 Usage: python scripts/fixed_point_demo.py [--seed N] [--starts K]
@@ -15,7 +16,6 @@ import math
 
 import numpy as np
 
-from tnnflow.chevalley import generator_sum_spectrum
 from tnnflow.embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of
 from tnnflow.flow import DiagonalFlow, converge, flag_frame, flow_point
 from tnnflow.totpos import sample_params, sample_positive, sl3_coords, standard_word_w0
@@ -33,7 +33,6 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     word = standard_word_w0(3)
 
-    d, frame = generator_sum_spectrum(3)
     s = 2.0 + math.sqrt(2.0)
     target = np.array([1.0, math.sqrt(2.0), 1.0]) / s
     print(f"target: v = w = ({target[0]:.11f}, {target[1]:.11f}, {target[2]:.11f})")
@@ -46,7 +45,7 @@ def main() -> int:
         run = converge(flow, p, tol=1e-9)
         norms = [np.linalg.norm(flow_point(flow, t, p)) for t in np.linspace(0.0, run.time, 6)]
         print(f"start {k}: ||p|| along t = {', '.join(f'{x:.3g}' for x in norms)}")
-        coords = sl3_coords(frame @ flag_frame(g.to_float().entries, run.time, d, frame))
+        coords = sl3_coords(flag_frame(g.to_float().entries, run.time))
         miss = float(np.max(np.abs(np.array([coords.v, coords.w], dtype=np.float64) - target)))
         worst = max(worst, miss)
         v = ", ".join(f"{float(x):.11f}" for x in coords.v)

@@ -46,7 +46,7 @@ from .cells import (
 )
 from .chevalley import build_pinning, generator_sum
 from .embedding import _chart_bytes, _float_lines, _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
-from .flow import DiagonalFlow, _frames_at, default_ball_radius, flow_point, has_overflow, sphere_crossing
+from .flow import DiagonalFlow, default_ball_radius, flag_frame, flow_point, has_overflow, sphere_crossing
 from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical
 from .suite import run_suite
@@ -395,7 +395,7 @@ def cmd_flow(cfg: RunConfig, args) -> int:
         if g is None:
             payload["sl3"] = "no flag: the start is a chart point"
         else:
-            frame = _frames_at(g, cfg.t)  # the flag of exp(t tau) g
+            frame = flag_frame(g, cfg.t)  # the flag of exp(t tau) g
             try:
                 coords = sl3_coords(frame)
             except ValueError:  # v or w sums to zero

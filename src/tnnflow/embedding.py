@@ -35,7 +35,8 @@ at the top eigenline, expressed in that eigenbasis, is the coordinate system
 in which the induced dynamics become diagonal (see :mod:`tnnflow.flow`).  The
 chart keeps only the map from module coordinates to eigenbasis components, so
 it is read one way, from a line to its point; a flowed flag is read off its
-frame (:func:`tnnflow.flow.flag_frame`), not rebuilt from its point.
+standard-basis frame, ``flag_frame(g, t)`` (:func:`tnnflow.flow.flag_frame`),
+not rebuilt from its point.
 """
 
 from __future__ import annotations
@@ -104,13 +105,20 @@ def lambda_for(n: int, J) -> Weight:
 
 
 def weyl_dim(weight: Weight) -> int:
-    """Dimension of the irreducible module, by the Weyl product formula."""
+    """Dimension of the irreducible module, by the Weyl product formula.
+
+    The positive root of the interval i..j (1 <= i <= j <= n-1) gives the factor
+    (c_i + ... + c_j + j - i + 1) / (j - i + 1), which is 1 unless the interval
+    holds a nonzero coefficient, so only those factors are taken, their sums
+    read off prefix sums: n - 1 factors at lambda = omega_1.
+    """
     n, c = weight.n, weight.coeffs
-    pairs = [(i, j) for i in range(1, n) for j in range(i, n)]
-    dim, rest = divmod(
-        math.prod(sum(c[i - 1 : j]) + (j - i + 1) for i, j in pairs),
-        math.prod(j - i + 1 for i, j in pairs),
-    )
+    prefix, num, den, first = [0, *itertools.accumulate(c)], 1, 1, n  # first: the least k >= i with c_k > 0
+    for i in range(n - 1, 0, -1):
+        first = i if c[i - 1] else first
+        for j in range(first, n):
+            num, den = num * (prefix[j] - prefix[i - 1] + j - i + 1), den * (j - i + 1)
+    dim, rest = divmod(num, den)
     assert rest == 0
     return dim
 

@@ -11,10 +11,11 @@ stationary flag -- at exponential speed governed by the spectral gap.
 This module houses the diagonal flow itself, its slowest rate log C in closed
 form, sphere-crossing and convergence reporters, which share one Newton
 solver for the time at which a trajectory reaches a given norm, and, off the chart,
-:func:`flag_frame`, which flows a flag's frame in closed form, and the
-module-free check, by flag minors, that boundary flags move strictly inside.
-A flowed flag is read off its frame, never off its chart point: the chart
-has no inverse here.
+:func:`flag_frame`, the one flow of a flag's frame, in closed form and at
+either sign of t, the distance between two flags read off one product of
+their frames, and the module-free check, by flag minors, that boundary flags
+move strictly inside.  A flowed flag is read off its frame, never off its
+chart point: the chart has no inverse here.
 """
 
 from __future__ import annotations
@@ -306,41 +307,48 @@ def fixed_flag(n: int) -> np.ndarray:
     return generator_sum_spectrum(n)[1]
 
 
-def flag_frame(g: np.ndarray, t, d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The orthonormal frame Q, in p's coordinates, of the flag of p diag(e^{t d}) p^T g.
+def flag_frame(g: np.ndarray, t) -> np.ndarray:
+    """The orthonormal frame, in the standard basis, of the flag of exp(t tau) g.
 
-    ``g`` is one matrix or a stack, ``t >= 0`` a scalar or one time per
-    matrix, ``p`` orthogonal and ``d`` descending, as from
-    :func:`~tnnflow.chevalley.generator_sum_spectrum`.  This is the graded
+    ``g`` is one matrix or a stack, and ``t`` a scalar of either sign or one
+    time >= 0 per matrix (a per-matrix time below 0 raises ``ValueError``).
+    With tau = P diag(d) P^T in closed form
+    (:func:`~tnnflow.chevalley.generator_sum_spectrum`), this is the graded
     step :func:`_graded_frame` on the QR frame Q_g of g; a caller that flows
     one stack to several times takes Q_g once and calls that step itself.
     """
-    return _graded_frame(np.linalg.qr(g)[0], t, d, p)
+    return _graded_frame(np.linalg.qr(g)[0], t, *generator_sum_spectrum(np.shape(g)[-1]))
 
 
 def _graded_frame(qg: np.ndarray, t, d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """:func:`flag_frame` from the QR frame ``qg`` of g: the rows of p^T Q_g are scaled by
+    """The frame p Q of the flag of p diag(e^{t d}) p^T Q_g, from the QR frame ``qg`` of g,
+    for ``p`` orthogonal and ``d`` descending: the rows of p^T Q_g are scaled by
     e^{t (d - d_0)}, graded large to small, the case in which Householder QR stays
     accurate, so one stacked QR gives what flowing step by step and
-    re-orthonormalizing gives."""
+    re-orthonormalizing gives.  A scalar t < 0 flows for -t on the reversed spectrum:
+    with S the reversal, p diag(e^{t d}) p^T = (p S) diag(e^{-t (-S d)}) (p S)^T, and
+    -S d descends.  A per-matrix time below 0 raises ``ValueError``."""
+    if np.ndim(t):
+        if not np.all(np.asarray(t) >= 0):
+            raise ValueError("one time per matrix must be >= 0; flow a stack backward at one scalar time")
+    elif t < 0:
+        t, d, p = -t, -d[::-1], p[:, ::-1]
     scale = np.exp(np.multiply.outer(t, d - d[0]))[..., :, None]
-    return np.linalg.qr(scale * (p.T @ qg))[0]
+    return p @ np.linalg.qr(scale * (p.T @ qg))[0]
 
 
 def _frame_gaps(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """Largest sine of the principal angles between the nested spans of two frames, per k.
 
-    For orthonormal frames, ``||Qb_k - Qa_k Qa_k^T Qb_k||_2`` is the sine of
-    the largest principal angle between the spans of the leading k columns
-    (Bjorck-Golub 1973), whatever basis each frame picks within its
-    subspaces.  The last axis holds it for k = 1..n-1 (n >= 2); stacks of
-    frames keep their leading axes.
+    For square orthonormal frames and C = Qa^T Qb, ``||C[k:, :k]||_2`` is the
+    sine of the largest principal angle between the spans of the leading k
+    columns (Bjorck-Golub 1973), whatever basis each frame picks within its
+    subspaces: it is the norm of the part of Qb_k outside the span of Qa_k.
+    One product serves every k.  The last axis holds it for k = 1..n-1
+    (n >= 2); stacks of frames keep their leading axes.
     """
-    def gap(k):
-        a, b = qa[..., :k], qb[..., :k]
-        return np.linalg.norm(b - a @ (np.swapaxes(a, -1, -2) @ b), 2, axis=(-2, -1))
-
-    return np.stack([gap(k) for k in range(1, qa.shape[-2])], axis=-1)
+    c = np.swapaxes(qa, -1, -2) @ qb
+    return np.stack([np.linalg.norm(c[..., k:, :k], 2, axis=(-2, -1)) for k in range(1, c.shape[-1])], axis=-1)
 
 
 def _frame_gap(qa: np.ndarray, qb: np.ndarray):
@@ -352,24 +360,6 @@ def _frame_gap(qa: np.ndarray, qb: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # commutation between the two evaluation paths
-
-
-def _frames_at(gs: np.ndarray, t: float) -> np.ndarray:
-    """Orthonormal frames, in the standard basis, of the flags of exp(t tau) g for one
-    float g or a stack, at any t: one :func:`flag_frame` call.  Its graded QR needs a
-    time >= 0, so for t < 0 it flows for -t on the reversed spectrum: with S the
-    reversal, exp(t tau) = (P S) diag(e^{-t (-S d)}) (P S)^T, and -S d descends."""
-    d, p = generator_sum_spectrum(gs.shape[-1])
-    if t < 0:
-        t, d, p = -t, -d[::-1], p[:, ::-1]
-    return p @ flag_frame(gs, t, d, p)
-
-
-def _acted_frames(gs: np.ndarray, t: float) -> np.ndarray:
-    """:func:`_frames_at` for the gates, which flow forward only: t < 0 raises ``ValueError``."""
-    if not t >= 0:
-        raise ValueError(f"flags flow forward only: t must be >= 0, got {t}")
-    return _frames_at(gs, t)
 
 
 def commutation_check(chart: EigenChart, t: float, rng: np.random.Generator, count: int) -> dict:
@@ -392,9 +382,11 @@ def commutation_check(chart: EigenChart, t: float, rng: np.random.Generator, cou
     """
     if count < 1:
         raise ValueError(f"the commutation check needs count >= 1, got {count}")
+    if not t >= 0:
+        raise ValueError(f"flags flow forward only: t must be >= 0, got {t}")
     flow = DiagonalFlow.from_chart(chart)
     gs = _float_lower_samples(standard_word_w0(chart.rep.n), rng, count)
-    points = chart_coords(chart, _float_lines(chart.rep, np.concatenate([_acted_frames(gs, t), gs])))
+    points = chart_coords(chart, _float_lines(chart.rep, np.concatenate([flag_frame(gs, t), gs])))
     p_acted = points[:count]
     with np.errstate(over="ignore", under="ignore"):
         p_flowed = _flowed(flow, points[count:], t)
@@ -435,11 +427,13 @@ def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int =
     """
     if count < 1:
         raise ValueError(f"the invariance check needs count >= 1, got {count}")
+    if not t >= 0:
+        raise ValueError(f"flags flow forward only: t must be >= 0, got {t}")
     levels = sorted(lambda_for(n, J).support)
     word = standard_word_w0(n)
     # the negative control, drawn last: with t = 0 the base-flag sample stays on the boundary
     us = _float_lower_products(word, _boundary_params(word, rng, count + 1, full=(0, count)))
-    frames = np.concatenate([_acted_frames(us[:count], t), us[count:]])
+    frames = np.concatenate([flag_frame(us[:count], t), us[count:]])
     *margins, control = _flag_margin(frames, levels).tolist()
     worst = min(margins)
     return {

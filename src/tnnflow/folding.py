@@ -11,10 +11,12 @@ y_{n-i}(t) with the *same* parameter -- no sign leaks -- so sigma preserves
 total nonnegativity, commutes with exp(t * generator_sum), and its fixed
 locus is swept out by factorizations whose mirrored parameters are tied.
 The flow check draws and multiplies out its samples as one int stack, flows
-each flag in closed form, with no steps, and takes no inverse: the stack is
-decided sigma-fixed by the form identity u^T S u = S on its ints, and the
-flag of sigma(u) is read off the QR frame of u.  S is an int matrix; no
-``Fraction`` matrix is built.
+each flag in closed form, with no steps, by the graded step of
+:func:`tnnflow.flow.flag_frame` (sigma(u) at time -t, with S P for P), and
+takes no inverse: the stack is decided sigma-fixed by the form identity
+u^T S u = S on its ints, and the flag of sigma(u) is read off the QR frame of
+u.  Two flowed flags are compared by one frame product per stack.  S is an
+int matrix; no ``Fraction`` matrix is built.
 """
 
 from __future__ import annotations
@@ -193,28 +195,6 @@ def break_symmetry(params: FactorizationParams) -> FactorizationParams:
     return FactorizationParams(word, tuple(vals))
 
 
-def _spectra(s: np.ndarray) -> tuple:
-    """``(d, P, S P)`` for :func:`_flowed_frames`: tau = P diag(d) P^T in closed form and
-    S P with its columns reversed, taken once per gate."""
-    d, p = generator_sum_spectrum(len(s))
-    return d, p, (s @ p)[:, ::-1]
-
-
-def _flowed_frames(spectra: tuple, t: float, qu: np.ndarray, qsu: np.ndarray) -> tuple:
-    """The frames of the flags of exp(t tau) u and S exp(-t tau) S^T sigma(u), for the stacks
-    ``qu`` and ``qsu`` of QR frames of u and of sigma(u), and ``spectra`` from :func:`_spectra`.
-
-    S exp(-t tau) S^T = (S P) diag(e^{-t d}) (S P)^T, so sigma(u) is flowed
-    with -d and S P, both reversed to keep the spectrum descending (ascending,
-    the gaps reach 1 by t = 20).  Flowing S^T sigma(u) back and multiplying by
-    S would repeat the QR on a row-permuted u, exact only to eps cond(u).
-    Each side is the graded step of :func:`~tnnflow.flow.flag_frame`, so the
-    QR frames are taken once per stack, not once per time.
-    """
-    d, p, sp = spectra
-    return p @ _graded_frame(qu, t, d, p), sp @ _graded_frame(qsu, t, -d[::-1], sp)
-
-
 def fixed_locus_flow_check(
     folding: Folding,
     rng: np.random.Generator,
@@ -253,10 +233,13 @@ def fixed_locus_flow_check(
     leading n-k columns of u), so no inverse is taken, and its asymmetry at
     t = 0 is the failing form identity.  Neither side forms the product, whose
     condition number reaches ~1e12 at t = 5: each is one closed-form row
-    scaling of an orthonormal frame and one QR, with no steps, and the sigma
-    side is (S P) diag(e^{-t d}) (S P)^T applied to sigma(u), its spectrum -d
-    reversed to stay descending
-    (:func:`_flowed_frames`).  All samples are drawn first and then flowed
+    scaling of an orthonormal frame and one QR, with no steps: the graded
+    step :func:`~tnnflow.flow._graded_frame` on QR frames taken once per
+    stack, not once per time.  The sigma side is (S P) diag(e^{-t d}) (S P)^T
+    applied to sigma(u), the graded step at time -t with S P, which flows on
+    the reversed spectrum to keep it descending; flowing S^T sigma(u) back and
+    multiplying by S would repeat the QR on a row-permuted u, exact only to
+    eps cond(u).  All samples are drawn first and then flowed
     as one stack per time and side; ``worst_gap`` and the witness, the first
     failing (sample, time) in sample order, are read off one (sample, time)
     array of gaps.  A deliberately de-symmetrized sample, drawn after the
@@ -272,12 +255,14 @@ def fixed_locus_flow_check(
         raise ValueError(f"the fixed-locus check needs count >= 1, got {count}")
     word, blocks = symmetric_word(n)
     s = linalg.to_float(folding.s_matrix)
-    spectra = _spectra(s)
+    d, p = generator_sum_spectrum(n)
+    sp = s @ p
 
     def flag_gaps(qu, qsu) -> np.ndarray:
         """The fold gaps, ``(count, times)``, of a stack of QR frames of float elements
-        against those of their sigma images."""
-        return np.stack([_frame_gap(*_flowed_frames(spectra, t, qu, qsu)) for t in times], axis=1)
+        against those of their sigma images: u flows by exp(t tau), and sigma(u) by
+        S exp(-t tau) S^T = (S P) diag(e^{-t d}) (S P)^T."""
+        return np.stack([_frame_gap(_graded_frame(qu, t, d, p), _graded_frame(qsu, -t, d, sp)) for t in times], axis=1)
 
     def qr_of(ints, scales) -> np.ndarray:
         """The QR frames of a stack of column-scaled ints, read in binary64 by int true

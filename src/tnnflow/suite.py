@@ -17,9 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .cells import bruhat_interval_counts, census_verdict, enumerate_cells, face_poset, validate_poset
-from .chevalley import Pinning, generator_sum, generator_sum_spectrum
+from .chevalley import Pinning, generator_sum
 from .embedding import _float_lines, build_rep, chart_coords, eigenchart, lambda_for
-from .flow import DiagonalFlow, _frame_gaps, commutation_check, converge, flag_frame, invariance_check, log_contraction
+from .flow import (
+    DiagonalFlow, _frame_gaps, commutation_check, converge, fixed_flag, flag_frame, invariance_check, log_contraction,
+)
 from .folding import build_folding, fixed_locus_flow_check
 from .totpos import Positivity, _certificate, _float_lower_samples, standard_word_w0
 
@@ -181,17 +183,15 @@ def converged_starts(chart, rng, count: int) -> tuple[np.ndarray, np.ndarray, bo
 def fixed_point_gap(starts: np.ndarray, times: np.ndarray, J) -> float:
     """The largest distance from a flowed start exp(T tau) g to the fixed flag, over the starts.
 
-    With tau = P diag(d) P^T in closed form, :func:`~tnnflow.flow.flag_frame`
-    gives the frame Q of exp(T tau) g in P's coordinates, one stacked QR for
-    all starts.  The fixed flag is the frame P
-    (:func:`~tnnflow.flow.fixed_flag`), the identity in P's coordinates, so
-    the largest sine of the principal angles at dimension k is
-    ``||Q[k:, :k]||_2``.  The maximum runs over the recorded dimensions, k
-    not in J, only: an unrecorded one is no part of the flag, and lags.
+    :func:`~tnnflow.flow.flag_frame` flows all starts as one stack, each to its
+    own T, and the distance at dimension k is the largest sine of the principal
+    angles between the leading k columns of that frame and of the fixed flag
+    (:func:`~tnnflow.flow.fixed_flag`).  The maximum runs over the recorded
+    dimensions, k not in J, only: an unrecorded one is no part of the flag, and lags.
     """
     n = starts.shape[-1]
-    q = flag_frame(starts, times, *generator_sum_spectrum(n))
-    return float(np.max(_frame_gaps(np.eye(n), q)[:, [k - 1 for k in range(1, n) if k not in J]]))
+    gaps = _frame_gaps(fixed_flag(n), flag_frame(starts, times))
+    return float(np.max(gaps[:, [k - 1 for k in range(1, n) if k not in J]]))
 
 
 def _fixed_point(rows, charts, rng, count) -> dict:

@@ -17,6 +17,12 @@ independent routes the int kernels are checked against:
 - ``exp_generator_sum`` is exp(t tau) in binary64 from the closed-form
   spectrum of tau, the float route the flows and the exact certificate of
   exp(t tau)'s total positivity are checked against;
+- ``weyl_dim`` is the Weyl product over all n(n-1)/2 positive roots, the
+  route ``embedding.weyl_dim``, which takes only the factors that are not 1,
+  is checked against;
+- ``frame_gaps`` is the distance between two flags level by level, one
+  projection of the leading k columns per k, the route the one-product gaps
+  of ``flow._frame_gaps`` are checked against;
 - ``encode_tree`` is the first pass of the old two-pass report encoder: it
   copies a report into a tree of JSON scalars, and ``json.dumps(...,
   sort_keys=True, indent=2)`` of that copy is the text the one-pass writer
@@ -209,6 +215,31 @@ def exp_generator_sum(n: int, t: float) -> GroupElement:
     d, p = generator_sum_spectrum(n)
     m = (p * np.exp(float(t) * d)) @ p.T
     return GroupElement((m + m.T) / 2.0, FLOAT)
+
+
+def weyl_dim(weight) -> int:
+    """The Weyl dimension of the module of ``weight``: prod over 1 <= i <= j <= n-1 of
+    (c_i + ... + c_j + j - i + 1) / (j - i + 1), every factor taken."""
+    n, c = weight.n, weight.coeffs
+    pairs = [(i, j) for i in range(1, n) for j in range(i, n)]
+    dim, rest = divmod(
+        math.prod(sum(c[i - 1 : j]) + (j - i + 1) for i, j in pairs),
+        math.prod(j - i + 1 for i, j in pairs),
+    )
+    assert rest == 0
+    return dim
+
+
+def frame_gaps(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """``||Qb_k - Qa_k Qa_k^T Qb_k||_2`` for k = 1..n-1 on the last axis: for orthonormal
+    frames, the sine of the largest principal angle between the spans of their leading k
+    columns (Bjorck-Golub 1973); stacks of frames keep their leading axes."""
+
+    def gap(k):
+        a, b = qa[..., :k], qb[..., :k]
+        return np.linalg.norm(b - a @ (np.swapaxes(a, -1, -2) @ b), 2, axis=(-2, -1))
+
+    return np.stack([gap(k) for k in range(1, qa.shape[-2])], axis=-1)
 
 
 def encode_tree(obj):

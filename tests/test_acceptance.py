@@ -21,7 +21,7 @@ from tnnflow.embedding import (
     line_of,
     weyl_dim,
 )
-from tnnflow.flow import _frames_at, commutation_check, converge, flow_point, invariance_check
+from tnnflow.flow import commutation_check, converge, flag_frame, flow_point, invariance_check
 from tnnflow.folding import build_folding, fixed_locus_flow_check
 from tnnflow.suite import CASES
 from tnnflow.totpos import (
@@ -63,7 +63,7 @@ def test_criterion_01_fixed_point_reproduction(chart3, flow3):
         p = chart_coords(chart3, line_of(chart3.rep, params, side))
         run = converge(flow3, p, tol=1e-9)
         assert run.within_bound
-        got = sl3_coords(_frames_at(sample_positive(params, side).to_float().entries, run.time)).as_vector()
+        got = sl3_coords(flag_frame(sample_positive(params, side).to_float().entries, run.time)).as_vector()
         worst = max(worst, float(np.max(np.abs(got - target))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 5.0

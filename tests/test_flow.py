@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tnnflow import flow as flow_module
 from tnnflow import linalg
 from tnnflow.chevalley import FLOAT, GroupElement, generator_sum, generator_sum_spectrum
@@ -24,7 +25,8 @@ from tnnflow.flow import (
     DiagonalFlow,
     _flag_margin,
     _frame_gap,
-    _frames_at,
+    _frame_gaps,
+    _graded_frame,
     commutation_check,
     converge,
     default_ball_radius,
@@ -362,7 +364,7 @@ def test_flag_margin_reads_the_recorded_levels_only(monkeypatch):
     assert _flag_margin(frame[None], [1]) == 1.0
     assert _flag_margin(frame[None], [2]) == _flag_margin(frame[None], [1, 2]) == -0.5
     # every flowed sample of the check replaced by this frame
-    monkeypatch.setattr(flow_module, "_acted_frames", lambda gs, t: np.array([frame] * len(gs)))
+    monkeypatch.setattr(flow_module, "flag_frame", lambda gs, t: np.array([frame] * len(gs)))
     for J, passed in (((2,), True), ((), False), ((1,), False)):
         out = invariance_check(3, J, 0.1, np.random.default_rng(0), count=3)
         assert out["passed"] is out["all_interior"] is passed, J
@@ -374,28 +376,69 @@ def test_frame_read_off_at_t0_is_the_flags_own(rng):
     word = standard_word_w0(3)
     for mask in ([], [], [0], [2]):
         g = sample_positive(sample_params(word, rng, zero_mask=mask), "lower")
-        got = sl3_coords(_frames_at(g.to_float().entries, 0.0)).as_vector()
+        got = sl3_coords(flag_frame(g.to_float().entries, 0.0)).as_vector()
         want = sl3_coords(g.entries).as_vector().astype(np.float64)
         assert np.max(np.abs(got - want)) <= 1e-14, mask
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_backward_frames_match_the_product_and_the_stepwise_flow(n, stepwise_frame):
-    """For t < 0 the frame comes from the reversed spectrum, whose rows flag_frame grades
-    large to small.  At |t| <= 2 it matches the QR of the product P diag(e^{t d}) P^T g
+    """For t < 0 the frame comes from the reversed spectrum, whose rows the graded step
+    grades large to small.  At |t| <= 2 it matches the QR of the product P diag(e^{t d}) P^T g
     to 1e-12 on well-conditioned g, and at t = -8 the stepwise flow to 1e-13, also on
-    factorization samples; forward frames are the gates' own, bit for bit."""
+    factorization samples; it is the graded step at -t on the reversed spectrum, bit for
+    bit, and a scalar t >= 0 is that time for each matrix, bit for bit."""
     rng = np.random.default_rng([n, 27])
     d, p = generator_sum_spectrum(n)
     gs = rng.standard_normal((6, n, n))
     for t in (-0.5, -1.0, -2.0):
         product = np.linalg.qr((p * np.exp(t * d)) @ p.T @ gs)[0]
-        assert np.max(_frame_gap(_frames_at(gs, t), product)) <= 1e-12, t
+        assert np.max(_frame_gap(flag_frame(gs, t), product)) <= 1e-12, t
     word = standard_word_w0(n)
     samples = [linalg._float_of_scaled(*_scaled_product(sample_params(word, rng), "lower")) for _ in range(4)]
     gs = np.concatenate([gs, samples])
-    assert np.max(_frame_gap(_frames_at(gs, -8.0), stepwise_frame(gs, -8.0))) <= 1e-13
-    assert np.array_equal(_frames_at(gs, 2.0), flow_module._acted_frames(gs, 2.0))
+    assert np.max(_frame_gap(flag_frame(gs, -8.0), stepwise_frame(gs, -8.0))) <= 1e-13
+    reversed_spectrum = _graded_frame(np.linalg.qr(gs)[0], 8.0, -d[::-1], p[:, ::-1])
+    assert np.array_equal(flag_frame(gs, -8.0), reversed_spectrum)
+    assert np.array_equal(flag_frame(gs, 2.0), flag_frame(gs, np.full(len(gs), 2.0)))
+
+
+def test_flag_frame_refuses_a_negative_time_per_matrix(rng):
+    """One time per matrix flows forward only; a stack flows backward at one scalar time."""
+    gs = rng.standard_normal((3, 4, 4))
+    for times in ([0.5, -0.1, 1.0], [-1.0, -1.0, -1.0], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="one time per matrix must be >= 0"):
+            flag_frame(gs, np.array(times))
+    assert flag_frame(gs, np.array([0.0, 0.5, 1.0])).shape == (3, 4, 4)
+
+
+def test_frame_gaps_match_the_per_level_projection(rng):
+    """One product Qa^T Qb gives each level's gap as the per-level projection of the
+    leading k columns does, to 1e-15, on random orthonormal stacks at n = 2..8, for
+    one pair and for stacks; a frame against itself reads round-off, below 1e-15."""
+    for n in range(2, 9):
+        qa, qb = np.linalg.qr(rng.standard_normal((2, 30, n, n)))[0]
+        # flags from unrelated down to 1e-12 apart
+        near = np.linalg.qr(qa @ (np.eye(n) + np.logspace(1, -12, 30)[:, None, None] * qb))[0]
+        for a, b in ((qa, qb), (qa, near), (qa[0], qb[0])):
+            got, want = _frame_gaps(a, b), oracles.frame_gaps(a, b)
+            assert got.shape == want.shape == (*a.shape[:-2], n - 1)
+            assert np.max(np.abs(got - want)) <= 1e-15, n
+        assert np.max(_frame_gaps(qa, qa)) <= 1e-15, n
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_frame_gap_of_a_givens_turn_is_its_sine_at_its_level_only(n, rng):
+    """Turning columns k and k+1 of a frame by theta moves only the k-plane of its flag,
+    by the angle theta: the gap reads |sin theta| at level k and round-off elsewhere."""
+    qa = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    for k in range(1, n):
+        for theta in (1e-9, 1e-4, 0.3, -1.2, np.pi / 2, 2.5):
+            givens = np.eye(n)
+            givens[k - 1 : k + 1, k - 1 : k + 1] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+            gaps = _frame_gaps(qa, qa @ givens)
+            assert gaps[k - 1] == pytest.approx(abs(np.sin(theta)), rel=1e-12, abs=1e-15), (k, theta)
+            assert np.max(np.delete(gaps, k - 1), initial=0.0) <= 1e-15, (k, theta)
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -426,7 +469,7 @@ def test_commutation_check_of_k_samples_is_k_checks_of_one(n, J, chart3, chart42
             g = _float_lower_products(word, [[float(x) for x in sample_params(word, drawn).t]])[0]
             line = line_of(chart.rep, GroupElement(g.copy(), FLOAT))
             assert flowed.tobytes() == flow_point(flow, t, chart_coords(chart, line)).tobytes()
-            frame = GroupElement(_frames_at(g[None], t)[0], FLOAT)
+            frame = GroupElement(flag_frame(g[None], t)[0], FLOAT)
             assert acted.tobytes() == chart_coords(chart, line_of(chart.rep, frame)).tobytes()
         assert rng.uniform() == oracle.uniform() == drawn.uniform()
     for count in (0, -1):

@@ -19,12 +19,10 @@ from tnnflow.chevalley import (
     generator_sum,
     generator_sum_spectrum,
 )
-from tnnflow.flow import flag_frame
+from tnnflow.flow import _graded_frame, flag_frame
 from tnnflow.folding import (
-    _flowed_frames,
     _frame_gap,
     _preserves_form,
-    _spectra,
     _symmetric_batch,
     break_symmetry,
     build_folding,
@@ -302,16 +300,15 @@ def test_control_sigma_frame_spans_the_flag_of_apply_group(n, monkeypatch):
     control is redrawn exactly, after the one sample, from the same seed."""
     flowed = []
 
-    def spy(spectra, t, qu, qsu):
-        flowed.append((qu, qsu))
-        return real(spectra, t, qu, qsu)
+    def spy(qg, t, d, p):
+        flowed.append(qg)
+        return _graded_frame(qg, t, d, p)
 
-    real = folding._flowed_frames
-    monkeypatch.setattr(folding, "_flowed_frames", spy)
+    monkeypatch.setattr(folding, "_graded_frame", spy)
     fold = build_folding(n)
     for seed in range(5):
         fixed_locus_flow_check(fold, np.random.default_rng([n, seed]), count=1)
-        (qu, qsu) = flowed[-1]  # the control is flowed last
+        qu, qsu = flowed[-2:]  # the control is flowed last, u side first
         rng = np.random.default_rng([n, seed])
         symmetric_params(n, rng)  # the one sample
         u = sample_positive(break_symmetry(symmetric_params(n, rng)), "lower")
@@ -441,17 +438,17 @@ def _per_sample_fold_check(folding, rng, times, count, tol):
     Same draws, same order: the rows of the gate's batched draw, each
     multiplied out exactly, and sigma taken by the exact inverse; each sample
     and the control go through
-    :func:`~tnnflow.flow.flag_frame` and :func:`_frame_gap` as a single pair.
+    :func:`~tnnflow.flow.flag_frame` (sigma(u) through its graded step at -t with
+    S P) and :func:`_frame_gap` as a single pair.
     """
     n = folding.n
     blocks = symmetric_word(n)[1]
-    s = linalg.to_float(folding.s_matrix)
     d, p = generator_sum_spectrum(n)
-    sp = (s @ p)[:, ::-1]
+    sp = linalg.to_float(folding.s_matrix) @ p
 
     def flag_gap(u, su):
-        uf, suf = linalg.to_float(u.entries), linalg.to_float(su.entries)
-        return {t: _frame_gap(p @ flag_frame(uf, t, d, p), sp @ flag_frame(suf, t, -d[::-1], sp)) for t in times}
+        qsu = np.linalg.qr(linalg.to_float(su.entries))[0]
+        return {t: _frame_gap(flag_frame(linalg.to_float(u.entries), t), _graded_frame(qsu, -t, d, sp)) for t in times}
 
     worst, all_fixed, witness = 0.0, True, None
     word = symmetric_word(n)[0]
@@ -497,12 +494,11 @@ def test_frame_gap_of_stacks_is_the_gap_of_each_pair(rng):
     stacked = _frame_gap(qa, qb)
     assert stacked.shape == (5,)
     assert stacked.tolist() == [_frame_gap(a, b) for a, b in zip(qa, qb)]
-    d, p = generator_sum_spectrum(4)
     times = np.array([0.0, 0.1, 1.0, 5.0, 20.0])
-    flowed = flag_frame(qb, times, d, p)
-    assert all(np.array_equal(f, flag_frame(b, t, d, p)) for f, b, t in zip(flowed, qb, times))
+    flowed = flag_frame(qb, times)
+    assert all(np.array_equal(f, flag_frame(b, t)) for f, b, t in zip(flowed, qb, times))
     # one time for the whole stack is that time for each matrix
-    assert np.array_equal(flag_frame(qb, 5.0, d, p), flag_frame(qb, np.full(5, 5.0), d, p))
+    assert np.array_equal(flag_frame(qb, 5.0), flag_frame(qb, np.full(5, 5.0)))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -525,8 +521,9 @@ def test_flowed_frames_match_the_stepwise_flow(n, stepwise_frame):
         sus.append(linalg.to_float(apply_group(fold, u).entries))
     uf, suf = np.array(us), np.array(sus)
     s = linalg.to_float(fold.s_matrix)
+    d, p = generator_sum_spectrum(n)
     for t in (0.1, 1.0, 5.0, 20.0):
-        forward, backward = _flowed_frames(_spectra(s), t, np.linalg.qr(uf)[0], np.linalg.qr(suf)[0])
+        forward, backward = flag_frame(uf, t), _graded_frame(np.linalg.qr(suf)[0], -t, d, s @ p)
         assert np.max(_frame_gap(forward, stepwise_frame(uf, t))) <= 1e-13, t
         assert np.max(_frame_gap(backward, stepwise_frame(suf, t, s))) <= 1e-13, t
 
