@@ -45,7 +45,7 @@ from .cells import (
     validate_poset,
 )
 from .chevalley import build_pinning, generator_sum
-from .embedding import _chart_bytes, _float_lines, _scaled_lines, build_rep, chart_coords, eigenchart, lambda_for, weyl_dim
+from .embedding import _chart_bytes, _float_lines, build_rep, chart_coords, eigenchart, lambda_for, line_of, weyl_dim
 from .flow import DiagonalFlow, default_ball_radius, flag_frame, flow_point, has_overflow, sphere_crossing
 from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical
@@ -333,13 +333,17 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
     """``(p, g, origin)``: the start's chart point and, for a flag start, its binary64
     matrix g (None for a chart start), from a JSON file or a seeded random TNN flag.
 
-    A malformed entry, a flag matrix that is not n x n, or a start that is not finite raises ``ValueError``.
+    A random flag's point is the exact line of its parameters (``line_of``), and
+    only its binary64 matrix is multiplied out.  A flag matrix from a file has
+    each column scaled by a power of two, so that its largest |entry| lies in
+    [1/2, 1): the flag is the same, and its minors neither overflow nor
+    underflow on account of a column's scale.  A malformed entry, a flag matrix
+    that is not n x n, or a start that is not finite raises ``ValueError``.
     """
     if path is None:
-        rng = np.random.default_rng(cfg.seed)
-        scaled = _scaled_product(sample_params(standard_word_w0(cfg.n), rng), "lower")
-        p = chart_coords(chart, _scaled_lines(chart.rep, [scaled])[0])
-        return p, linalg._float_of_scaled(*scaled), "random TNN flag"
+        params = sample_params(standard_word_w0(cfg.n), np.random.default_rng(cfg.seed))
+        p = chart_coords(chart, line_of(chart.rep, params, "lower"))
+        return p, linalg._float_of_scaled(*_scaled_product(params, "lower")), "random TNN flag"
     with open(path) as fh:
         doc = json.load(fh)
     try:
@@ -358,6 +362,7 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
         return p, None, origin
     if p.shape != (cfg.n, cfg.n):
         raise ValueError(f"the flag matrix is {' x '.join(map(str, p.shape))}, expected {cfg.n} x {cfg.n}")
+    p = np.ldexp(p, -np.frexp(np.abs(p).max(axis=0))[1])
     with np.errstate(all="ignore"):
         line = _float_lines(chart.rep, p[None])[0]
         # an inf entry of the line would read as a point on the chart's equator

@@ -10,9 +10,11 @@ exact reduced-echelon basis so that coordinates can be read off pivot
 positions without solving anything.
 
 Each lowering generator F_i moves one factor's basis index at a time with
-structure constant +1, so it is stored as index tables on the tensor product,
-one target list per wedge factor, built by index arithmetic on the digits of
-the flat index, and applied to sparse ``{flat index: int}`` vectors.  Every
+structure constant +1.  Its action on the k-subsets, the basis of one wedge
+power, is one cached read-only table per (n, k), ``_wedge_table``; on the
+tensor product it is stored as index tables, one target list per wedge
+factor, built by index arithmetic on the digits of the flat index, and
+applied to sparse ``{flat index: int}`` vectors.  Every
 vector of the closure is a weight vector, so each echelon step touches one
 weight space only; the module is built with its weight spaces, and keeps each
 pivot's weight as the occupancy of the indices 1..n in its factor subsets.
@@ -20,9 +22,11 @@ The basis rows stay sparse primitive int vectors: they are the module's only
 exact form, and the chart reads them in float64, one block of echelon rows
 per weight space of the module.  A flag's image is the tensor product of the
 leading compound columns of a matrix; its binary64 coordinates are read off
-at the pivots, one leading minor per factor: int minors of the int products
-of factorization parameters, a whole stack of them in one call of the minor
-kernel, or stacked dets over a stack of float frames.
+at the pivots, one column entry per factor.  From factorization parameters
+no matrix is formed: the word's factors run on e_1 ^ ... ^ e_k, each letter
+I + t F_i or I + t E_i a few int adds over the same wedge table, and no
+term is subtracted.  An exact matrix takes the leading minors of the minor
+kernel, and a stack of float frames stacked dets.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue and a closed-form orthonormal eigenbasis: the orthogonal
@@ -45,12 +49,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .chevalley import RATIONAL, GroupElement, generator_sum_spectrum
-from .totpos import FactorizationParams, _scaled_product, flag_minors
+from .totpos import FactorizationParams, _steps, flag_minors
 
 __all__ = [
     "Weight",
@@ -127,37 +132,61 @@ def weyl_dim(weight: Weight) -> int:
 # module construction
 
 
+class _Wedge(NamedTuple):
+    """F_i on the lexicographic k-subsets of {1..n}, the basis of the wedge power.
+
+    ``members[a, i]`` is 1 if i + 1 is in the a-th subset.  ``target[i, a]`` is
+    the subset F_i sends the a-th one to, -1 where it kills it, and ``moves[i]``
+    lists the pairs ``(a, target[i, a])`` that F_i does not kill.
+    """
+
+    members: np.ndarray
+    target: np.ndarray
+    moves: tuple
+
+
+@functools.cache
+def _wedge_table(n: int, k: int) -> _Wedge:
+    """F_i on the k-th wedge power of C^n: it replaces i by i+1 in a subset, which keeps
+    the subset sorted, with structure constant +1.  The cache hands the same table to
+    every call, so its arrays are read-only."""
+    subsets = list(itertools.combinations(range(n), k))
+    index = {s: a for a, s in enumerate(subsets)}
+    members = np.zeros((len(subsets), n), dtype=np.int64)
+    members[np.arange(len(subsets))[:, None], subsets] = 1
+    target = np.full((n, len(subsets)), -1)
+    for a, s in enumerate(subsets):
+        for m, x in enumerate(s):  # x + 1 moves to x + 2 under F_{x+1}
+            if x + 1 < n and s[m + 1 : m + 2] != (x + 1,):
+                target[x + 1, a] = index[s[:m] + (x + 1,) + s[m + 1 :]]
+    members.setflags(write=False)
+    target.setflags(write=False)
+    moves = tuple(tuple((a, b) for a, b in enumerate(row) if b >= 0) for row in target.tolist())
+    return _Wedge(members, target, moves)
+
+
 def _tensor_moves(n: int, factors):
     """F_i on the tensor product of wedge factors, as index tables, and the occupancies.
 
     Ambient basis vectors are tuples of sorted factor subsets, flattened in
     row-major order (the first factor varies slowest); the digits of a flat
-    index are its subsets' indices among the lexicographic k-subsets.  F_i
-    replaces i by i+1 in one factor's subset, which keeps the subset sorted,
-    with structure constant +1.  ``f[i]`` holds one target list per wedge
-    factor: entry ``a`` is the flat index that F_i, acting on that factor,
-    sends basis vector ``a`` to, or -1 where it kills the factor's subset.
-    ``occupancy[a, i]`` counts the factor subsets of basis vector ``a`` that
-    hold index i + 1, so its H_i-eigenvalue is ``occupancy[a, i - 1] -
-    occupancy[a, i]``.
+    index are its subsets' indices among the lexicographic k-subsets.  Each
+    factor's members and F_i targets are read from its :func:`_wedge_table`.
+    ``f[i]`` holds one target list per wedge factor: entry ``a`` is the flat
+    index that F_i, acting on that factor, sends basis vector ``a`` to, or -1
+    where it kills the factor's subset.  ``occupancy[a, i]`` counts the factor
+    subsets of basis vector ``a`` that hold index i + 1, so its H_i-eigenvalue
+    is ``occupancy[a, i - 1] - occupancy[a, i]``.
     """
     dims = [math.comb(n, k) for k in factors]
     digits = np.indices(dims).reshape(len(dims), -1)
     flat = np.arange(digits.shape[1])
     f: dict = {i: [] for i in range(1, n)}
     occupancy = np.zeros((len(flat), n), dtype=np.int64)
-    for j, (k, dim, digit) in enumerate(zip(factors, dims, digits)):
+    for j, (k, digit) in enumerate(zip(factors, digits)):
         stride = math.prod(dims[j + 1 :])
-        subsets = list(itertools.combinations(range(n), k))
-        index = {s: a for a, s in enumerate(subsets)}
-        members = np.zeros((dim, n), dtype=np.int64)  # members[a, i]: is i + 1 in the a-th k-subset
-        members[np.arange(dim)[:, None], subsets] = 1
+        members, target, _ = _wedge_table(n, k)
         occupancy += members[digit]
-        target = np.full((n, dim), -1)  # target[i, a]: F_i's image of the a-th k-subset, -1 if it kills it
-        for a, s in enumerate(subsets):
-            for m, x in enumerate(s):  # x + 1 moves to x + 2 under F_{x+1}
-                if x + 1 < n and s[m + 1 : m + 2] != (x + 1,):
-                    target[x + 1, a] = index[s[:m] + (x + 1,) + s[m + 1 :]]
         for i in range(1, n):
             moved = target[i][digit]
             f[i].append(np.where(moved >= 0, flat + (moved - digit) * stride, -1).tolist())
@@ -281,37 +310,79 @@ def build_rep(weight: Weight) -> RepModule:
 def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     """Image of the highest-weight line under a group element, in binary64.
 
-    ``g`` is a :class:`~tnnflow.chevalley.GroupElement` (exact for rational
-    entries, floating otherwise) or factorization parameters, multiplied out
-    on ``side`` as int columns (:func:`~tnnflow.totpos._scaled_product`).
-    The highest vector of the k-th wedge factor is e_1 ^ ... ^ e_k, so its
-    image is the leading compound column of g, and the line is spanned by the
-    tensor product of those columns.  Only the module's pivot coordinates are
-    multiplied out: the digits of a pivot's ambient index pick one leading
-    minor per factor, and the product runs left to right over the factors.
-    The result holds homogeneous coordinates in the reduced-echelon basis.
-    For exact g each is the correctly rounded value of the exact coordinate:
-    the product of int minors of the column-scaled g over the product of
-    their denominators, one per wedge factor, divided once as Python ints,
-    by the stacked kernel :func:`_scaled_lines` on a stack of one.  For
-    float g each is a binary64 product of ``np.linalg.det`` minors, by the
-    stacked kernel :func:`_float_lines` on a stack of one.
+    ``g`` is factorization parameters, whose product on ``side`` is never
+    formed, or a :class:`~tnnflow.chevalley.GroupElement` (exact for rational
+    entries, floating otherwise).  The highest vector of the k-th wedge factor
+    is e_1 ^ ... ^ e_k, so its image is the leading compound column of g, and
+    the line is spanned by the tensor product of those columns.  Only the
+    module's pivot coordinates are multiplied out: the digits of a pivot's
+    ambient index pick one entry of each factor's column, and the product
+    runs over the factors as Python ints.  The result holds homogeneous
+    coordinates in the reduced-echelon basis.
+
+    From parameters, each distinct factor's column is the word run on e_[k]
+    (:func:`_wedge_column`), as ints over one denominator; from an exact
+    matrix, it is the leading minors of :func:`_scaled_lines` on a stack of
+    one.  Either way each coordinate is the correctly rounded value of the
+    exact one: a product of ints over the product of the factors'
+    denominators, divided once as Python ints.  For float g each is a
+    binary64 product of ``np.linalg.det`` minors, by the stacked kernel
+    :func:`_float_lines` on a stack of one.
     """
     if isinstance(g, FactorizationParams):
-        n, scaled = g.word.n, _scaled_product(g, side)
-    elif isinstance(g, GroupElement):
-        n, scaled = g.n, linalg._scaled_columns(g.entries) if g.field == RATIONAL else None
-    else:
+        steps = _steps(g, side)
+        if g.word.n != rep.n:
+            raise ValueError(f"a {g.word.n} x {g.word.n} matrix does not act on a module for n = {rep.n}")
+        columns = {k: _wedge_column(rep.n, k, steps) for k in set(rep.factors)}
+        numer = functools.reduce(np.multiply, (np.array(columns[k][0], dtype=object)[d]
+                                               for k, d in zip(rep.factors, _pivot_digits(rep))))
+        return (numer / math.prod(columns[k][1] for k in rep.factors)).astype(np.float64)
+    if not isinstance(g, GroupElement):
         raise TypeError("g must be FactorizationParams or GroupElement")
-    if n != rep.n:
-        raise ValueError(f"a {n} x {n} matrix does not act on a module for n = {rep.n}")
-    if scaled is None:
-        return _float_lines(rep, linalg.to_float(g.entries)[None])[0]
-    return _scaled_lines(rep, [scaled])[0]
+    if g.n != rep.n:
+        raise ValueError(f"a {g.n} x {g.n} matrix does not act on a module for n = {rep.n}")
+    if g.field == RATIONAL:
+        return _scaled_lines(rep, [linalg._scaled_columns(g.entries)])[0]
+    return _float_lines(rep, linalg.to_float(g.entries)[None])[0]
+
+
+def _wedge_column(n: int, k: int, steps) -> tuple[list, int]:
+    """The leading compound column of the product of ``steps`` on the k-th wedge power,
+    as ints ``w`` over one denominator ``den``: entry a is ``w[a] / den`` on the a-th
+    k-subset.
+
+    The factors ``(kind, i, p, q)`` of :func:`~tnnflow.totpos._steps` act right to left
+    on e_[k], index 0, by the moves of :func:`_wedge_table`.  y_i(p / q) is I + (p / q)
+    F_i and x_i(p / q) is I + (p / q) E_i: w is scaled by q and den by q, then each
+    source entry, nonzero, adds p times itself to its target.  F_i^2 = 0, so no source
+    is a target, and no term is ever subtracted.  A letter with p = 0 or with no nonzero
+    source is skipped.  The coweight h_i(p / q) scales subset S by (p / q)^e with
+    e = [i - 1 in S] - [i in S], as p^(1 + e) q^(1 - e) over den * p * q.
+    """
+    members, _, moves = _wedge_table(n, k)
+    w, den = [1] + [0] * (len(members) - 1), 1
+    for kind, i, p, q in reversed(steps):
+        if kind == "coweight":
+            if p != q:
+                ups = (members[:, i - 1] - members[:, i]).tolist()
+                w = [x * p ** (1 + e) * q ** (1 - e) for x, e in zip(w, ups)]
+                den *= p * q
+            continue
+        if not p:
+            continue
+        pairs = [(a, b) for a, b in moves[i] if w[a]] if kind == "y" else [(b, a) for a, b in moves[i] if w[b]]
+        if not pairs:
+            continue
+        old = w
+        if q != 1:
+            w, den = [x * q for x in w], den * q
+        for a, b in pairs:
+            w[b] += p * old[a]
+    return w, den
 
 
 def _pivot_digits(rep: RepModule) -> tuple:
-    """Per wedge factor, the index of each pivot's subset: the leading minor it reads."""
+    """Per wedge factor, the index of each pivot's subset: the entry of its column it reads."""
     return np.unravel_index(rep.pivot_cols, [math.comb(rep.n, k) for k in rep.factors])
 
 
@@ -319,12 +390,13 @@ def _scaled_lines(rep: RepModule, scaled) -> np.ndarray:
     """The lines of a stack of exact matrices, each given by its column-scaled ints
     ``(columns, scales)``, ``m`` pairs to ``(m, dim)`` in binary64.
 
-    The leading minors of the whole stack come from one call of the minor kernel
-    :func:`~tnnflow.linalg._minor_levels`; each pivot coordinate is the int product
-    of one minor per factor over the product of their denominators, divided once as
+    The minors of the whole stack come from one call of the minor kernel
+    :func:`~tnnflow.linalg._minor_levels`, and each level's column set 0, the
+    leading columns, is read; each pivot coordinate is the int product of one
+    minor per factor over the product of their denominators, divided once as
     Python ints, so each row is bit for bit the line of its matrix alone.
     """
-    minors = linalg._minor_levels(*linalg._scaled_stack(scaled), max(rep.factors), leading=True)
+    minors = linalg._minor_levels(*linalg._scaled_stack(scaled), max(rep.factors))
     levels = {k: level for k, level in enumerate(minors, 1) if k in rep.factors}
     numer = functools.reduce(np.multiply, (levels[k][0][:, d, 0] for k, d in zip(rep.factors, _pivot_digits(rep))))
     denom = functools.reduce(np.multiply, (levels[k][1][:, 0] for k in rep.factors))

@@ -20,9 +20,10 @@ certificate (minor signs, echelon bases) rather than an approximation.
   stack, as a few numpy object-array gathers, multiplies and adds over index
   tables cached per (n, m, k), and the k-minor on columns C is a plain int
   over ``prod(e_c for c in C)``.  ``tnnflow.totpos`` compares its ints
-  directly, and with ``leading`` it restricts each level to the leading
-  columns, which the line embedding reads, a whole stack of exact flags at
-  once.
+  directly, and the line embedding of an exact matrix reads each level's
+  column set 0, the leading columns.  A flag given by factorization
+  parameters takes no minor at all: :mod:`tnnflow.embedding` runs its word
+  on the wedge columns.
 - The solid minors alone (contiguous rows and columns), which decide total
   positivity, come a level at a time from the condensation kernel
   :func:`_solid_levels` on the same ints.
@@ -123,26 +124,22 @@ def _scaled_stack(scaled) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _laplace_tables(n: int, m: int, k: int, leading: bool) -> tuple:
+def _laplace_tables(n: int, m: int, k: int) -> tuple:
     """Index tables for level k of :func:`_minor_levels` on n x m matrices.
 
     ``picked[i, j]`` is row j of the i-th k-subset of rows (lexicographic) and
     ``dropped[i, j]`` the index of that subset without it among the
     (k-1)-subsets.  ``heads[c]`` is the index among the (k-1)-subsets of
-    columns of the c-th k-subset without its last column ``lasts[c]``; with
-    ``leading`` the one k-subset is the leading columns 0..k-1.  The cache
-    hands the same arrays to every call, so they are read-only.
+    columns of the c-th k-subset without its last column ``lasts[c]``.  The
+    cache hands the same arrays to every call, so they are read-only.
     """
     below = {rows: i for i, rows in enumerate(itertools.combinations(range(n), k - 1))}
     subsets = list(itertools.combinations(range(n), k))
     picked = np.array(subsets).reshape(len(subsets), k)
     dropped = np.array([[below[rows[:j] + rows[j + 1 :]] for j in range(k)] for rows in subsets])
-    if leading:
-        heads, lasts = np.array([0]), np.array([k - 1])
-    else:
-        index = {cols: i for i, cols in enumerate(itertools.combinations(range(m), k - 1))}
-        cols_k = list(itertools.combinations(range(m), k))
-        heads, lasts = np.array([index[cols[:-1]] for cols in cols_k]), np.array([cols[-1] for cols in cols_k])
+    index = {cols: i for i, cols in enumerate(itertools.combinations(range(m), k - 1))}
+    cols_k = list(itertools.combinations(range(m), k))
+    heads, lasts = np.array([index[cols[:-1]] for cols in cols_k]), np.array([cols[-1] for cols in cols_k])
     tables = (picked, dropped, heads, lasts)
     for table in tables:
         table.setflags(write=False)
@@ -153,7 +150,7 @@ def _laplace_tables(n: int, m: int, k: int, leading: bool) -> tuple:
 _BLOCK = 1024
 
 
-def _minor_levels(ints: np.ndarray, scales: np.ndarray, kmax: int | None = None, leading: bool = False):
+def _minor_levels(ints: np.ndarray, scales: np.ndarray, kmax: int | None = None):
     """Yield ``(values, dens)`` for each minor size k = 1..kmax, for a stack of column-scaled ints.
 
     Matrix i of the stack has column c equal to ``ints[i, :, c] / scales[i, c]``
@@ -168,15 +165,14 @@ def _minor_levels(ints: np.ndarray, scales: np.ndarray, kmax: int | None = None,
     levels k-1 and k are alive at once, and the largest level of an n x n
     matrix holds C(n, n//2)**2 ints, 63,504 at n = 10; a level is summed in
     blocks of rows of about ``_BLOCK`` minors, so its terms and partial sums
-    stay that small beside it.  With ``leading`` the one column set of level
-    k is the leading columns 0..k-1: sum_k C(n,k) k multiply-adds per matrix.
-    ``kmax`` defaults to ``min(n, m)``.
+    stay that small beside it.  Column set 0 of level k is the leading columns
+    0..k-1.  ``kmax`` defaults to ``min(n, m)``.
     """
     stack, n, m = ints.shape
     prev = np.ones((stack, 1, 1), dtype=object)
     dens = np.ones((stack, 1), dtype=object)
     for k in range(1, (min(n, m) if kmax is None else kmax) + 1):
-        picked, dropped, heads, lasts = _laplace_tables(n, m, k, leading)
+        picked, dropped, heads, lasts = _laplace_tables(n, m, k)
         entries, below = ints[:, :, lasts], prev[:, :, heads]
         level = np.empty((stack, len(picked), len(lasts)), dtype=object)
         step = max(1, _BLOCK // (stack * len(lasts)))

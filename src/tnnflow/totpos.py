@@ -288,11 +288,17 @@ def _scaled_lower_products(word: ReducedWord, ratios: np.ndarray) -> tuple[np.nd
 
 
 def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]:
-    """The product of :func:`sample_positive` as column-scaled ints ``(columns, scales)``.
+    """The product of :func:`sample_positive` as column-scaled ints ``(columns, scales)``:
+    the factors :func:`_steps` of ``side`` in the one column-operation kernel
+    :func:`_column_product`.
+    """
+    return _column_product(params.word.n, _steps(params, side))
 
-    The factors of ``side`` are mapped, each parameter through
-    :func:`_exact_ratio` (float ones raise ``TypeError``), into the one
-    column-operation kernel :func:`_column_product`.
+
+def _steps(params: FactorizationParams, side: str) -> list:
+    """The factors of the product on ``side``, left to right, as ``(kind, i, p, q)`` for
+    the factor x_i, y_i or the coweight h_i of the parameter ``p / q``: each parameter
+    through :func:`_exact_ratio`, so float ones raise ``TypeError``.
     """
     n, ell = params.word.n, len(params.word)
 
@@ -310,7 +316,7 @@ def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]
         steps = along("x", params.t[:ell]) + coweights + along("y", params.t[-ell:])
     else:
         raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
-    return _column_product(n, steps)
+    return steps
 
 
 def _column_product(n: int, steps) -> tuple[list, list]:

@@ -415,6 +415,28 @@ def test_flow_reads_sl3_off_the_flowed_flag(capsys):
         assert np.max(np.abs(np.array(sl3["v"] + sl3["w"], dtype=float) - want)) <= 1e-12, t
 
 
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, ())])
+def test_flow_from_a_flag_scaled_far_from_one_starts_at_its_flag(tmp_path, capsys, n, J):
+    """Scaling a column does not change the flag, so a flag scaled by 1e308 in one column,
+    or by 1e150 or 1e-120 in all, starts at the chart point of the flag unscaled, to 1e-15
+    relative to its norm: the identity's, and the all-ones lower triangular flag's."""
+    args = ["flow", "--n", str(n), "--J", ",".join(map(str, J))] if J else ["flow", "--n", str(n)]
+    path = tmp_path / "flag.json"
+
+    def start(flag):
+        path.write_text(json.dumps({"flag": flag}))
+        code, out, err = run_cli(capsys, *args, "--from", str(path))
+        assert code == 0 and err == "", flag
+        return np.array(json.loads(out)["start"], dtype=float)
+
+    ones = np.tril(np.ones((n, n)))
+    big = np.eye(n)
+    big[0, 0] = 1e308
+    for flag, unscaled in ((big, np.eye(n)), (1e150 * ones, ones), (1e-120 * ones, ones)):
+        want = start(unscaled.tolist())
+        assert np.max(np.abs(start(flag.tolist()) - want)) <= 1e-15 * np.linalg.norm(want), flag[0, 0]
+
+
 def test_flow_from_a_chart_point_has_no_flag(tmp_path, capsys):
     """A chart start carries no flag, so at (3, ()) there is no (v, w) to read off."""
     path = tmp_path / "chart.json"
@@ -645,14 +667,14 @@ def test_error_exit_codes(capsys, tmp_path):
     nan.write_text('{"flag": [[1,0,0],[0,"nan",0],[0,0,1]]}')
     code, out, err = run_cli(capsys, "flow", "--from", str(nan))
     assert code == 2 and out == "" and "finite" in err
-    # entries that are not numbers, and a flag whose chart point overflows
+    # entries that are not numbers, and a flag on the chart's equator
     for text in ('{"chart": [1, null]}', '{"chart": 5}', '{"flag": [[1,0,0],[0,null,0],[0,0,1]]}'):
         nan.write_text(text)
         code, out, err = run_cli(capsys, "flow", "--from", str(nan))
         assert code == 2 and out == "" and len(err.splitlines()) == 1, text
-    nan.write_text('{"flag": [[1e308,0,0],[0,1,0],[0,0,1]]}')
+    nan.write_text('{"flag": [[1,0,0],[0,1,0],[-1,0,1]]}')
     code, out, err = run_cli(capsys, "flow", "--from", str(nan))
-    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "finite" in err
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "hyperplane at infinity" in err
     code, out, err = run_cli(capsys, "flow", "--t=-1e4", "--seed", "3")
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "overflows" in err
     code, out, err = run_cli(capsys, "flow", "--crossing", "--radius", "inf")

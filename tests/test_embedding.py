@@ -35,6 +35,7 @@ from tnnflow.totpos import (
     FactorizationParams,
     _float_lower_samples,
     _scaled_product,
+    _steps,
     sample_params,
     sample_positive,
     standard_word_w0,
@@ -518,12 +519,12 @@ def test_stacked_exact_lines_match_each_sample_alone(n, J, leibniz_det):
         assert line.tobytes() == np.array(exact[list(rep.pivot_cols)], dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3))])
+@pytest.mark.parametrize("n,J", [(3, ()), (4, (2,)), (5, (2, 3)), (5, ()), (6, (1, 5))])
 def test_line_of_params_equals_line_of_their_product(n, J):
-    """From parameters, line_of takes the column-scaled ints of the product and
-    builds no Fraction; its line is bit for bit that of the exact product, on
-    every side, with zeroed parameters and magnitudes near e^20 and e^-20.
-    Float parameters are refused, as sample_positive refuses them."""
+    """From parameters, line_of runs the word on the wedge columns and builds no
+    Fraction; its line is bit for bit that of the exact product, on every side,
+    with zeroed parameters and magnitudes near e^20 and e^-20.  Float
+    parameters are refused, as sample_positive refuses them."""
     rep = build_rep(lambda_for(n, J))
     rng = np.random.default_rng([n, len(J), 19])
     word = standard_word_w0(n)
@@ -537,6 +538,48 @@ def test_line_of_params_equals_line_of_their_product(n, J):
             assert line_of(rep, params, side).tobytes() == want.tobytes(), side
         with pytest.raises(TypeError):
             line_of(rep, dataclasses.replace(drawn, t=tuple(float(t) for t in drawn.t)), side)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_wedge_columns_of_a_word_are_the_leading_minors_of_its_product(n, leibniz_det):
+    """Run right to left on e_[k], the factors of a word give, for every k = 1..n, the
+    leading k-minors of the product, as permutation sums of ``sample_positive``'s
+    ``Fraction`` matrix: on the upper, lower and group sides, with zeroed parameters,
+    and with magnitudes near e^20 and e^-20.  The sums run on each column times the
+    LCM of its denominators, an int, and divide by the product of those LCMs."""
+    rng = np.random.default_rng([n, 29])
+    word = standard_word_w0(n)
+    for side in ("upper", "lower", "group"):
+        drawn = sample_params(word, rng, group=(side == "group"))
+        extreme = tuple(Fraction(*math.exp(20.0 * s + rng.uniform(-1.0, 1.0)).as_integer_ratio())
+                        for s in rng.choice([-1, 1], len(drawn.t)))
+        zeroed = dataclasses.replace(drawn, t=tuple(Fraction(0) if j % 3 == 0 else t for j, t in enumerate(drawn.t)))
+        for params in (drawn, zeroed, dataclasses.replace(drawn, t=extreme)):
+            g = sample_positive(params, side).entries
+            lcms = [math.lcm(*(x.denominator for x in g[:, c])) for c in range(n)]
+            ints = np.array([[int(x * e) for x, e in zip(row, lcms)] for row in g], dtype=object)
+            steps = _steps(params, side)
+            for k in range(1, n + 1):
+                column, den = embedding._wedge_column(n, k, steps)
+                want = [leibniz_det(ints[np.ix_(rows, range(k))]) / math.prod(lcms[:k])
+                        for rows in itertools.combinations(range(n), k)]
+                assert [Fraction(x, den) for x in column] == want, (side, k)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_wedge_tables_are_computed_once_read_only(n):
+    """Every call for one (n, k) hands back the same table; a write to either array
+    raises ``ValueError``, and its contents are those of a fresh computation."""
+    for k in range(1, n + 1):
+        table = embedding._wedge_table(n, k)
+        assert embedding._wedge_table(n, k) is table
+        for array in (table.members, table.target):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+        fresh = embedding._wedge_table.__wrapped__(n, k)
+        assert table.members.tobytes() == fresh.members.tobytes()
+        assert table.target.tobytes() == fresh.target.tobytes()
+        assert table.moves == fresh.moves
 
 
 def test_eigenchart_spectrum(chart3):

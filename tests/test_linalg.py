@@ -145,9 +145,9 @@ def test_det_matches_leibniz_oracle(a, leibniz_det):
 
 
 def _leading_levels(columns: list, scales: list, kmax: int) -> tuple[list, list]:
-    """The minor kernel on leading columns, for a stack of one: per level k = 1..kmax,
-    the ints of the minors on every k-subset of rows, and their one denominator."""
-    levels = list(linalg._minor_levels(*linalg._scaled_stack([(columns, scales)]), kmax, leading=True))
+    """The minor kernel's column set 0, the leading columns, for a stack of one: per level
+    k = 1..kmax, the ints of the minors on every k-subset of rows, and their one denominator."""
+    levels = list(linalg._minor_levels(*linalg._scaled_stack([(columns, scales)]), kmax))
     return [values[0, :, 0].tolist() for values, _ in levels], [dens[0, 0] for _, dens in levels]
 
 

@@ -558,7 +558,7 @@ def test_flag_minors_are_each_frames_own_dets(n):
             want = [np.linalg.det(frame[np.ix_(rows, range(k))]) for rows in subsets]
             assert row.tobytes() == np.array(want).tobytes()
     for m, scaled in enumerate(products):
-        levels = linalg._minor_levels(*linalg._scaled_stack([scaled]), n, leading=True)
+        levels = linalg._minor_levels(*linalg._scaled_stack([scaled]), n)
         for k, (values, dens) in enumerate(levels, 1):
             exact = np.array([float(Fraction(x, dens[0, 0])) for x in values[0, :, 0].tolist()])
             assert np.allclose(minors[k][m], exact, rtol=1e-12, atol=1e-12 * np.max(np.abs(exact)))
