@@ -33,7 +33,7 @@ def main() -> int:
 
     f = census.f_vector
     # the verdict of ``tnnflow cells``: f-vector, vertex labels, poset checks and limits
-    ok = all(census_verdict(census, doc["poset_checks"]).values()) and doc["limits"]["passed"]
+    ok = all(census_verdict(census, doc["poset_checks"], doc["bruhat_counts"]).values()) and doc["limits"]["passed"]
     print(f"{len(census.cells)} cells: f = {f}, census passed: {ok}", file=sys.stderr)
 
     text = dumps_canonical(doc)

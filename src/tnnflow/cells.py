@@ -353,16 +353,16 @@ def validate_poset(poset: FacePoset) -> dict:
     return checks
 
 
-def census_verdict(census: Census, poset_checks: dict) -> dict:
+def census_verdict(census: Census, poset_checks: dict, bruhat_counts) -> dict:
     """The census gate shared by the ``cells`` and ``verify`` commands.
 
-    The f-vector must match the Bruhat interval counts, the 0-cells must
-    carry the six vertex labels of the figure, and every check of
-    :func:`validate_poset` must hold (a 2-sphere boundary among them).  The
-    census passes when every entry is true.
+    The f-vector must match ``bruhat_counts`` (:func:`bruhat_interval_counts`,
+    taken once by the caller), the 0-cells must carry the six vertex labels of
+    the figure, and every check of :func:`validate_poset` must hold (a 2-sphere
+    boundary among them).  The census passes when every entry is true.
     """
     return {
-        "bruhat_match": list(census.f_vector) == list(bruhat_interval_counts(3)),
+        "bruhat_match": list(census.f_vector) == list(bruhat_counts),
         "vertex_labels_match": census.vertex_labels() == frozenset(_VERTEX_POS),
         "poset_valid": all(poset_checks.values()),
     }

@@ -445,7 +445,7 @@ def cmd_cells(cfg: RunConfig, args) -> int:
         raise ValueError(f"--tol-vanish {cfg.vanish_tol!r} puts the fixed point in no cell: {exc}") from None
     payload["poset_checks"] = checks
     payload["limits_pass"] = limits["passed"]
-    verdict = census_verdict(census, checks)
+    verdict = census_verdict(census, checks, payload["bruhat_counts"])
     payload["bruhat_match"] = verdict["bruhat_match"]
     payload["vertex_labels_match"] = verdict["vertex_labels_match"]
     payload["meta"] = cfg.meta("cells")

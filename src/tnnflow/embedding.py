@@ -390,13 +390,14 @@ def _scaled_lines(rep: RepModule, scaled) -> np.ndarray:
     """The lines of a stack of exact matrices, each given by its column-scaled ints
     ``(columns, scales)``, ``m`` pairs to ``(m, dim)`` in binary64.
 
-    The minors of the whole stack come from one call of the minor kernel
-    :func:`~tnnflow.linalg._minor_levels`, and each level's column set 0, the
-    leading columns, is read; each pivot coordinate is the int product of one
-    minor per factor over the product of their denominators, divided once as
-    Python ints, so each row is bit for bit the line of its matrix alone.
+    The minors come from one call of the minor kernel on the leading max(factors)
+    columns of the stack (:func:`~tnnflow.linalg._minor_levels`), and each level's
+    column set 0, the leading columns, is read; each pivot coordinate is the int
+    product of one minor per factor over the product of their denominators,
+    divided once as Python ints, so each row is bit for bit its matrix's line.
     """
-    minors = linalg._minor_levels(*linalg._scaled_stack(scaled), max(rep.factors))
+    (ints, scales), kmax = linalg._scaled_stack(scaled), max(rep.factors)
+    minors = linalg._minor_levels(ints[:, :, :kmax], scales[:, :kmax])
     levels = {k: level for k, level in enumerate(minors, 1) if k in rep.factors}
     numer = functools.reduce(np.multiply, (levels[k][0][:, d, 0] for k, d in zip(rep.factors, _pivot_digits(rep))))
     denom = functools.reduce(np.multiply, (levels[k][1][:, 0] for k in rep.factors))

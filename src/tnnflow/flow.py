@@ -362,35 +362,37 @@ def _frame_gap(qa: np.ndarray, qb: np.ndarray):
 # commutation between the two evaluation paths
 
 
-def commutation_check(chart: EigenChart, t: float, rng: np.random.Generator, count: int) -> dict:
-    """Compare flowing in the chart against acting on the flag by exp(t tau), on ``count``
-    lower-unipotent samples drawn from ``rng``.
+def commutation_check(chart: EigenChart, times, rng: np.random.Generator, count: int) -> dict:
+    """Compare flowing in the chart against acting on the flag by exp(t tau), at each of
+    ``times``, on ``count`` lower-unipotent samples per time drawn from ``rng``.
 
     Path one: flow the frame of each sample's flag matrix (:func:`flag_frame`),
     embed, read chart coordinates.  Path two: embed first, read chart
-    coordinates, flow diagonally.  The samples are the draws of ``count``
-    calls of :func:`~tnnflow.totpos.sample_params`, drawn at once and
-    multiplied out once, in binary64, for both paths
+    coordinates, flow diagonally.  The samples, ``count`` per time in order of
+    ``times``, are the draws of as many :func:`~tnnflow.totpos.sample_params`
+    calls, drawn at once and multiplied out once in binary64 for both paths
     (:func:`~tnnflow.totpos._float_lower_samples`): the check is a binary64
-    gate and certifies no exact object.  The batch runs as one stack: one
-    flow of the frames, then one stacked call of the float line kernel and
-    one :func:`chart_coords` for the acted frames and the samples together,
-    and one diagonal flow.  Returns both ``(count, dim - 1)`` stacks of
-    chart points, row k for sample k, with their max coordinate difference.
-    ``count`` below 1 raises ``ValueError``, since an empty sample would
-    certify nothing, and so does t < 0.
+    gate and certifies no exact object.  Every time runs in one stack: one flow
+    of the frames, each to its own time, one stacked call of the float line
+    kernel and one :func:`chart_coords` for the acted frames and the samples
+    together, and one diagonal flow per time.  Returns both
+    ``(len(times), count, dim - 1)`` stacks of chart points, slice j for time j,
+    and ``max_diff``, the max coordinate difference per time.  ``count`` below
+    1 raises ``ValueError``, as an empty sample would certify nothing, and so
+    do no times and t < 0.
     """
     if count < 1:
         raise ValueError(f"the commutation check needs count >= 1, got {count}")
-    if not t >= 0:
-        raise ValueError(f"flags flow forward only: t must be >= 0, got {t}")
-    flow = DiagonalFlow.from_chart(chart)
-    gs = _float_lower_samples(standard_word_w0(chart.rep.n), rng, count)
-    points = chart_coords(chart, _float_lines(chart.rep, np.concatenate([flag_frame(gs, t), gs])))
-    p_acted = points[:count]
+    times = [float(t) for t in times]
+    if not times or not all(t >= 0 for t in times):
+        raise ValueError(f"flags flow forward only: t must be >= 0, at one time at least, got {times}")
+    flow, m = DiagonalFlow.from_chart(chart), count * len(times)
+    gs = _float_lower_samples(standard_word_w0(chart.rep.n), rng, m)
+    points = chart_coords(chart, _float_lines(chart.rep, np.concatenate([flag_frame(gs, np.repeat(times, count)), gs])))
+    p_acted = points[:m].reshape(len(times), count, -1)
     with np.errstate(over="ignore", under="ignore"):
-        p_flowed = _flowed(flow, points[count:], t)
-    return {"acted": p_acted, "flowed": p_flowed, "max_diff": float(np.max(np.abs(p_acted - p_flowed)))}
+        p_flowed = np.stack([_flowed(flow, p, t) for p, t in zip(points[m:].reshape(p_acted.shape), times)])
+    return {"acted": p_acted, "flowed": p_flowed, "max_diff": np.max(np.abs(p_acted - p_flowed), axis=(1, 2)).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ maps each one-parameter subgroup x_i(t), y_i(t) to its mirror x_{n-i}(t),
 y_{n-i}(t) with the *same* parameter -- no sign leaks -- so sigma preserves
 total nonnegativity, commutes with exp(t * generator_sum), and its fixed
 locus is swept out by factorizations whose mirrored parameters are tied.
-The flow check draws and multiplies out its samples as one int stack, flows
-each flag in closed form, with no steps, by the graded step of
-:func:`tnnflow.flow.flag_frame` (sigma(u) at time -t, with S P for P), and
-takes no inverse: the stack is decided sigma-fixed by the form identity
-u^T S u = S on its ints, and the flag of sigma(u) is read off the QR frame of
-u.  Two flowed flags are compared by one frame product per stack.  S is an
-int matrix; no ``Fraction`` matrix is built.
+The flow check draws and multiplies out its samples and its control as one
+int stack, flows each flag in closed form, with no steps, by the graded step
+of :func:`tnnflow.flow.flag_frame` (sigma(u) on the reversed spectrum, with
+S P for P), one stack per side for every time, and takes no inverse: the
+stack is decided sigma-fixed by the form identity u^T S u = S on its ints,
+and the flag of sigma(u) is read off the QR frame of u.  One frame product
+compares the two sides.  S is an int matrix; no ``Fraction`` matrix is built.
 """
 
 from __future__ import annotations
@@ -206,12 +206,12 @@ def fixed_locus_flow_check(
 
     Each sample is an exactly symmetric lower-unipotent factorization u.  The
     batch is drawn at once as int ratios (:func:`_symmetric_batch`: one array
-    draw each for the boundary masks and the values) and multiplied out as one
-    stack of column-scaled ints by
-    :func:`~tnnflow.totpos._scaled_lower_products`, with no ``Fraction`` built;
-    its floats are the int true quotients, each the rounding of the exact
-    entry.  At t = 0 its flag is sigma-fixed iff sigma(u) == u exactly, by one
-    fact:
+    draw each for the boundary masks and the values), then a deliberately
+    de-symmetrized control, and all are multiplied out as one stack of
+    column-scaled ints by :func:`~tnnflow.totpos._scaled_lower_products`, with
+    no ``Fraction`` built; its floats are the int true quotients, each the
+    rounding of the exact entry.  At t = 0 a flag is sigma-fixed iff
+    sigma(u) == u exactly, by one fact:
 
     - for lower-unipotent u and v, flag(u) = flag(v) iff u^-1 v lies in
       B+ (the stabilizer of the base flag) and U-, whose intersection is
@@ -219,34 +219,30 @@ def fixed_locus_flow_check(
     - sigma maps U- to U-, since sigma(y_i(t)) = y_{n-i}(t).
 
     So the t = 0 check is exact element equality, decided for the whole stack
-    on its column-scaled ints as the identity u^T S u = S
-    (:func:`_preserves_form`), with no inverse taken; a sample that fails it
-    raises ``AssertionError``.  For t > 0 the flag of
-    exp(t tau) u is compared against its sigma image within ``tol``, as the
-    largest sine of a principal angle between the two flags
+    on its ints as the identity u^T S u = S (:func:`_preserves_form`), with no
+    inverse taken; a sample that fails it raises ``AssertionError``.  For t > 0
+    the flag of exp(t tau) u is compared against its sigma image within
+    ``tol``, as the largest sine of a principal angle between the two flags
     (:func:`_frame_gap`), which is scale-invariant.  The image is evaluated
     through exact group identities -- sigma(exp(t tau) u) = S exp(-t tau) S^T
     sigma(u), where sigma(u) = u for a fixed sample, so its sigma side flows
-    u's own floats.  The control, which is not fixed, flows the frame S Q J of
-    the flag of sigma(u), for the QR frame Q of u and the column reversal J
-    (the leading k columns of u^-T S^T span the orthogonal complement of the
-    leading n-k columns of u), so no inverse is taken, and its asymmetry at
-    t = 0 is the failing form identity.  Neither side forms the product, whose
-    condition number reaches ~1e12 at t = 5: each is one closed-form row
-    scaling of an orthonormal frame and one QR, with no steps: the graded
-    step :func:`~tnnflow.flow._graded_frame` on QR frames taken once per
-    stack, not once per time.  The sigma side is (S P) diag(e^{-t d}) (S P)^T
-    applied to sigma(u), the graded step at time -t with S P, which flows on
-    the reversed spectrum to keep it descending; flowing S^T sigma(u) back and
+    u's own floats.  The control's sigma side flows the frame S Q J of the
+    flag of sigma(u), for the QR frame Q of u and the column reversal J (the
+    leading k columns of u^-T S^T span the orthogonal complement of the
+    leading n-k columns of u), so no inverse is taken.  Neither side forms the
+    product, whose condition number reaches ~1e12 at t = 5: the stack takes
+    one QR, and each side flows all its (time, sample) frames, the control's
+    included, in one graded step :func:`~tnnflow.flow._graded_frame`, one time
+    per frame.  The sigma side is (S P) diag(e^{-t d}) (S P)^T applied to
+    sigma(u), the step on the reversed spectrum, -d reversed and S P's columns
+    reversed, which keeps it descending; flowing S^T sigma(u) back and
     multiplying by S would repeat the QR on a row-permuted u, exact only to
-    eps cond(u).  All samples are drawn first and then flowed
-    as one stack per time and side; ``worst_gap`` and the witness, the first
-    failing (sample, time) in sample order, are read off one (sample, time)
-    array of gaps.  A deliberately de-symmetrized sample, drawn after the
-    batch and run through the same kernels as a stack of one, must fail,
+    eps cond(u).  One :func:`_frame_gap` call reads every gap; ``worst_gap``
+    and the witness, the first failing (sample, time) in sample order, are
+    read off the samples' (sample, time) array.  The control must fail,
     exactly at t = 0 and beyond ``1e-6`` at every t > 0, which guards against
-    a vacuously symmetric pipeline.  ``count`` below 1 raises
-    ``ValueError``: an empty sample would certify nothing.
+    a vacuously symmetric pipeline.  ``count`` below 1 raises ``ValueError``:
+    an empty sample would certify nothing.
     """
     n = folding.n
     if n < 4:
@@ -258,35 +254,26 @@ def fixed_locus_flow_check(
     d, p = generator_sum_spectrum(n)
     sp = s @ p
 
-    def flag_gaps(qu, qsu) -> np.ndarray:
-        """The fold gaps, ``(count, times)``, of a stack of QR frames of float elements
-        against those of their sigma images: u flows by exp(t tau), and sigma(u) by
-        S exp(-t tau) S^T = (S P) diag(e^{-t d}) (S P)^T."""
-        return np.stack([_frame_gap(_graded_frame(qu, t, d, p), _graded_frame(qsu, -t, d, sp)) for t in times], axis=1)
-
-    def qr_of(ints, scales) -> np.ndarray:
-        """The QR frames of a stack of column-scaled ints, read in binary64 by int true
-        division: each entry the rounding of the exact one."""
-        return np.linalg.qr((ints / scales[:, None, :]).astype(np.float64))[0]
-
-    ints, scales = _scaled_lower_products(word, _symmetric_batch(blocks, rng, count))
-    if not _preserves_form(ints, scales).all():
+    batch = _symmetric_batch(blocks, rng, count)
+    bad = break_symmetry(symmetric_params(n, rng))  # the control, drawn last: row `count` of the stack
+    ints, scales = _scaled_lower_products(word, np.concatenate([batch, [[t.as_integer_ratio() for t in bad.t]]]))
+    fixed = _preserves_form(ints, scales)
+    if not fixed[:count].all():
         raise AssertionError("symmetric sampler produced a non-fixed element")
-    qu = qr_of(ints, scales)
-    gaps = flag_gaps(qu, qu)
-    worst = float(np.fmax.reduce(gaps, axis=None, initial=0.0))
-    failing = np.argwhere(gaps > tol)  # row-major: the first is the first in sample order
+    q = np.linalg.qr((ints / scales[:, None, :]).astype(np.float64))[0]
+    q_sigma = np.concatenate([q[:count], np.linalg.qr(s @ q[count:, :, ::-1])[0]])
+    # time-major: slice j holds every frame at times[j]
+    ts = np.repeat(times, count + 1)
+    flowed = _graded_frame(np.tile(q, (len(times), 1, 1)), ts, d, p)
+    mirrored = _graded_frame(np.tile(q_sigma, (len(times), 1, 1)), ts, -d[::-1], sp[:, ::-1])
+    gaps = _frame_gap(flowed, mirrored).reshape(len(times), count + 1).T  # (sample, time)
+    worst = float(np.fmax.reduce(gaps[:count], axis=None, initial=0.0))
+    failing = np.argwhere(gaps[:count] > tol)  # row-major: the first is the first in sample order
     all_fixed, witness = not len(failing), None
     if not all_fixed:
         k, j = failing[0].tolist()
         witness = {"sample": k, "time": times[j], "gap": float(gaps[k, j])}
-
-    # negative control, drawn after the samples, as a stack of one
-    bad = break_symmetry(symmetric_params(n, rng))
-    ints_bad, scales_bad = _scaled_lower_products(word, np.array([[t.as_integer_ratio() for t in bad.t]], dtype=object))
-    q_bad = qr_of(ints_bad, scales_bad)
-    q_sigma_bad = np.linalg.qr(s @ q_bad[..., ::-1])[0]
-    control_broken = not _preserves_form(ints_bad, scales_bad)[0] and bool((flag_gaps(q_bad, q_sigma_bad) > 1e-6).all())
+    control_broken = not fixed[count] and bool((gaps[count] > 1e-6).all())
 
     return {
         "n": n,

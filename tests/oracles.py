@@ -23,6 +23,9 @@ independent routes the int kernels are checked against:
 - ``frame_gaps`` is the distance between two flags level by level, one
   projection of the leading k columns per k, the route the one-product gaps
   of ``flow._frame_gaps`` are checked against;
+- ``fold_gaps`` is the fold gate's gaps taken one time and one side at a
+  time, with the control as its own stack of one, the loop whose bits the
+  gate's one stack per side must keep;
 - ``encode_tree`` is the first pass of the old two-pass report encoder: it
   copies a report into a tree of JSON scalars, and ``json.dumps(...,
   sort_keys=True, indent=2)`` of that copy is the text the one-pass writer
@@ -40,9 +43,10 @@ import numpy as np
 
 from tnnflow import linalg
 from tnnflow.chevalley import FLOAT, GroupElement, Pinning, generator_sum_spectrum
-from tnnflow.folding import Folding
+from tnnflow.flow import _frame_gap, _graded_frame
+from tnnflow.folding import Folding, _preserves_form, _symmetric_batch, break_symmetry, symmetric_params, symmetric_word
 from tnnflow.serialize import encode_value
-from tnnflow.totpos import Sl3Coords
+from tnnflow.totpos import Sl3Coords, _scaled_lower_products
 
 
 def rational_matrix(rows) -> np.ndarray:
@@ -240,6 +244,31 @@ def frame_gaps(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         return np.linalg.norm(b - a @ (np.swapaxes(a, -1, -2) @ b), 2, axis=(-2, -1))
 
     return np.stack([gap(k) for k in range(1, qa.shape[-2])], axis=-1)
+
+
+def fold_gaps(folding: Folding, rng, times, count: int) -> tuple:
+    """The fold gate's ``(count, times)`` gaps, its control's ``(1, times)`` gaps and whether
+    the control's column-scaled ints preserve the form of S, drawn from ``rng`` as the gate
+    draws them: the samples' batch, then the control.  Samples and control each take their
+    own QR, and each time and each side its own graded step and gap."""
+    n = folding.n
+    word, blocks = symmetric_word(n)
+    s = linalg.to_float(folding.s_matrix)
+    d, p = generator_sum_spectrum(n)
+    sp = s @ p
+
+    def flag_gaps(qu, qsu):
+        return np.stack([_frame_gap(_graded_frame(qu, t, d, p), _graded_frame(qsu, -t, d, sp)) for t in times], axis=1)
+
+    def qr_of(ints, scales):
+        return np.linalg.qr((ints / scales[:, None, :]).astype(np.float64))[0]
+
+    qu = qr_of(*_scaled_lower_products(word, _symmetric_batch(blocks, rng, count)))
+    bad = break_symmetry(symmetric_params(n, rng))
+    ints_bad, scales_bad = _scaled_lower_products(word, np.array([[t.as_integer_ratio() for t in bad.t]], dtype=object))
+    q_bad = qr_of(ints_bad, scales_bad)
+    q_sigma_bad = np.linalg.qr(s @ q_bad[..., ::-1])[0]
+    return flag_gaps(qu, qu), flag_gaps(q_bad, q_sigma_bad), bool(_preserves_form(ints_bad, scales_bad)[0])
 
 
 def encode_tree(obj):

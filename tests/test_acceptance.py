@@ -109,8 +109,7 @@ def test_criterion_04_commutation_identity(chart3, chart42):
     rng = np.random.default_rng(9)
     worst = 0.0
     for (n, J), chart in charts.items():
-        for t in (0.1, 1.0):
-            worst = max(worst, commutation_check(chart, t, rng, 100)["max_diff"])
+        worst = max(worst, *commutation_check(chart, (0.1, 1.0), rng, 100)["max_diff"])
     report(4, "commutation", worst <= 1e-8, f"worst diff {worst:.2e}")
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import jacobian_pattern_dim
-from tnnflow import cells
+from tnnflow import cells, cli, suite
 from tnnflow.cells import (
     _limit_path,
     _pattern_dim,
@@ -164,6 +164,32 @@ def test_make_census_script_exits_on_the_cells_verdict(monkeypatch, capsys, limi
         runpy.run_path(str(script), run_name="__main__")
     assert exit_.value.code == (0 if limits_pass else 1)
     assert f"census passed: {limits_pass}" in capsys.readouterr().err
+
+
+def test_each_census_run_walks_the_bruhat_intervals_once(monkeypatch, capsys):
+    """``verify``'s census section, ``tnnflow cells`` and the census script each take the
+    Bruhat interval counts once, and their verdicts pass: the counts are passed to
+    ``census_verdict``, which walks no tableau of its own."""
+    walks = []
+    real = cells.bruhat_interval_counts
+
+    def counted(n=3):
+        walks.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cells, "bruhat_interval_counts", counted)
+    monkeypatch.setattr(suite, "bruhat_interval_counts", counted)
+    rows = [row for row in suite.CASES if row.gate == "census"]
+    assert suite.GATES["census"].section(rows, {}, None, None)["passed"] is True
+    assert walks == [3]
+    assert cli.main(["cells", "--format", "json"]) == 0
+    assert walks == [3, 3]
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_census.py"
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_.value.code == 0 and walks == [3, 3, 3]
+    capsys.readouterr()
 
 
 def test_limit_path_interpolates(census3):

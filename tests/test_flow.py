@@ -272,8 +272,8 @@ def test_fixed_flag_matches_closed_form(pin3):
 
 def test_commutation_paths_agree(chart3, rng):
     for t in (0.1, 1.0):
-        result = commutation_check(chart3, t, rng, 1)
-        assert result["max_diff"] < 1e-9
+        result = commutation_check(chart3, (t,), rng, 1)
+        assert result["max_diff"][0] < 1e-9
 
 
 @pytest.mark.parametrize("n, J", [(3, ()), (4, (2,)), (4, ()), (5, (2, 3))])
@@ -282,9 +282,9 @@ def test_commutation_holds_at_large_t(n, J):
     where a product exp(t tau) g loses the small coordinates (up to 5e-2)."""
     chart = eigenchart(build_rep(lambda_for(n, J)))
     rng = np.random.default_rng([n, len(J)])
-    for t in (4.0, 8.0):
-        result = commutation_check(chart, t, rng, 20)
-        assert result["max_diff"] <= 1e-9 * np.max(np.abs(result["flowed"])), (t, result["max_diff"])
+    result = commutation_check(chart, (4.0, 8.0), rng, 20)
+    for t, worst, flowed in zip((4.0, 8.0), result["max_diff"], result["flowed"]):
+        assert worst <= 1e-9 * np.max(np.abs(flowed)), (t, worst)
 
 
 def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
@@ -320,8 +320,8 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
     monkeypatch.setattr(flow_module, "flag_minors", minored)
     monkeypatch.setattr(flow_module, "_float_lower_samples", draw)
     monkeypatch.setattr(flow_module, "_float_lower_products", multiply)
-    commutation_check(chart3, 1.0, rng, 4)
-    assert stacks == [("draw", 4), ("flow", (4, 3, 3)), ("embed", (8, 3, 3))]
+    commutation_check(chart3, (0.1, 1.0), rng, 4)
+    assert stacks == [("draw", 8), ("flow", (8, 3, 3)), ("embed", (16, 3, 3))]
     invariance_check(3, (), 0.1, rng, count=5)
     assert stacks[3:] == [("multiply", 6), ("flow", (5, 3, 3)), ("minors", (6, 3, 3))]
     default_ball_radius(chart3, rng)
@@ -331,7 +331,9 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
 def test_checks_refuse_negative_time(chart3, rng):
     """The gates flow forward only, although their frames could go back on the reversed spectrum."""
     with pytest.raises(ValueError, match="t must be >= 0"):
-        commutation_check(chart3, -0.1, rng, 1)
+        commutation_check(chart3, (0.1, -0.1), rng, 1)
+    with pytest.raises(ValueError, match="at one time at least"):
+        commutation_check(chart3, (), rng, 1)
     with pytest.raises(ValueError, match="t must be >= 0"):
         invariance_check(3, (), -0.1, rng, count=2)
 
@@ -458,14 +460,14 @@ def test_commutation_check_of_k_samples_is_k_checks_of_one(n, J, chart3, chart42
     flow = DiagonalFlow.from_chart(chart)
     for k, t in ((1, 0.1), (5, 1.0), (12, 4.0)):
         rng, oracle, drawn = (np.random.default_rng([n, k, 28]) for _ in range(3))
-        result = commutation_check(chart, t, rng, k)
-        singles = [commutation_check(chart, t, oracle, 1) for _ in range(k)]
-        assert result["max_diff"] == max(r["max_diff"] for r in singles)
+        result = commutation_check(chart, (t,), rng, k)
+        singles = [commutation_check(chart, (t,), oracle, 1) for _ in range(k)]
+        assert result["max_diff"] == [max(r["max_diff"][0] for r in singles)]
         for key in ("acted", "flowed"):
-            assert result[key].shape == (k, chart.ncoords)
-            assert result[key].tobytes() == np.concatenate([r[key] for r in singles]).tobytes(), key
+            assert result[key].shape == (1, k, chart.ncoords)
+            assert result[key].tobytes() == np.concatenate([r[key] for r in singles], axis=1).tobytes(), key
         word = standard_word_w0(n)
-        for acted, flowed in zip(result["acted"], result["flowed"]):
+        for acted, flowed in zip(result["acted"][0], result["flowed"][0]):
             g = _float_lower_products(word, [[float(x) for x in sample_params(word, drawn).t]])[0]
             line = line_of(chart.rep, GroupElement(g.copy(), FLOAT))
             assert flowed.tobytes() == flow_point(flow, t, chart_coords(chart, line)).tobytes()
@@ -474,7 +476,24 @@ def test_commutation_check_of_k_samples_is_k_checks_of_one(n, J, chart3, chart42
         assert rng.uniform() == oracle.uniform() == drawn.uniform()
     for count in (0, -1):
         with pytest.raises(ValueError, match="count"):
-            commutation_check(chart, 1.0, np.random.default_rng(0), count)
+            commutation_check(chart, (1.0,), np.random.default_rng(0), count)
+
+
+@pytest.mark.parametrize("n, J", [(3, ()), (4, (2,))])
+@pytest.mark.parametrize("times", [(0.1, 1.0), (0.1, 1.0, 8.0)])
+def test_commutation_check_over_times_is_one_check_per_time(n, J, times, chart3, chart42):
+    """One call over several times draws the stream of one call per time, in order, and
+    gives each time's slice of points and its max difference as that call does, bit for
+    bit, and leaves the generator where those calls leave it."""
+    chart = {3: chart3, 4: chart42}[n]
+    rng, oracle = np.random.default_rng([n, 41]), np.random.default_rng([n, 41])
+    result = commutation_check(chart, times, rng, 6)
+    singles = [commutation_check(chart, (t,), oracle, 6) for t in times]
+    assert result["max_diff"] == [r["max_diff"][0] for r in singles]
+    for key in ("acted", "flowed"):
+        assert result[key].shape == (len(times), 6, chart.ncoords)
+        assert result[key].tobytes() == np.concatenate([r[key] for r in singles]).tobytes(), key
+    assert rng.uniform() == oracle.uniform()
 
 
 def test_invariance_all_cases(rng):

@@ -297,7 +297,8 @@ def test_sigma_flag_is_the_orthogonal_complement_reversed(n):
 def test_control_sigma_frame_spans_the_flag_of_apply_group(n, monkeypatch):
     """The sigma side the gate flows for its control has the flag of the exact
     sigma of its control: the frame S Q J, read off the QR frame Q of u.  The
-    control is redrawn exactly, after the one sample, from the same seed."""
+    control is redrawn exactly, after the one sample, from the same seed; each
+    side flows one stack, the control row 1 of each time's slice of two."""
     flowed = []
 
     def spy(qg, t, d, p):
@@ -308,7 +309,7 @@ def test_control_sigma_frame_spans_the_flag_of_apply_group(n, monkeypatch):
     fold = build_folding(n)
     for seed in range(5):
         fixed_locus_flow_check(fold, np.random.default_rng([n, seed]), count=1)
-        qu, qsu = flowed[-2:]  # the control is flowed last, u side first
+        qu, qsu = (q[1:2] for q in flowed[-2:])  # u side first
         rng = np.random.default_rng([n, seed])
         symmetric_params(n, rng)  # the one sample
         u = sample_positive(break_symmetry(symmetric_params(n, rng)), "lower")
@@ -486,6 +487,41 @@ def test_stacked_fold_gate_matches_per_sample_flow(n, count):
         assert {key: got[key] for key in want} == want, tol
         assert want["control_broken"]
         assert (want["witness"] is None) == (tol == 1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_fold_gate_flows_one_stack_per_side_with_the_bits_of_one_per_time(n, monkeypatch):
+    """Each side flows every (time, sample) frame, the control's included, in one graded
+    step, and one gap call reads them all: the gaps and the control's verdict are those
+    of one graded step per time and side with the control apart (``oracles.fold_gaps``),
+    bit for bit, and so are the report's worst gap and witness.  The times are > 0: at
+    t = 0 the loop's sigma side, flowed at -0.0, kept the forward spectrum.  At t = 20 the
+    control has contracted below 1e-6 at n = 4 and 6, so both verdicts are compared."""
+    calls = []
+
+    def spy(name, kernel):
+        def recorded(*args):
+            out = kernel(*args)
+            calls.append((name, out))
+            return out
+        return recorded
+
+    monkeypatch.setattr(folding, "_graded_frame", spy("flow", _graded_frame))
+    monkeypatch.setattr(folding, "_frame_gap", spy("gap", _frame_gap))
+    fold = build_folding(n)
+    for times, count in (((0.1, 1.0, 5.0), 7), ((0.1,), 1), ((0.05, 0.5, 2.0, 20.0), 4)):
+        gaps, control_gaps, control_fixed = oracles.fold_gaps(fold, np.random.default_rng([n, 41]), times, count)
+        tol = 0.5 * float(np.max(gaps))  # some gaps fail, so the witness is compared too
+        calls.clear()
+        report = fixed_locus_flow_check(fold, np.random.default_rng([n, 41]), times=times, count=count, tol=tol)
+        assert [name for name, _ in calls] == ["flow", "flow", "gap"]
+        got = calls[-1][1].reshape(len(times), count + 1).T
+        assert got[:count].tobytes() == gaps.tobytes()
+        assert got[count:].tobytes() == control_gaps.tobytes()
+        assert report["control_broken"] is (not control_fixed and bool((control_gaps > 1e-6).all()))
+        assert report["worst_gap"] == float(np.max(gaps))
+        k, j = np.argwhere(gaps > tol)[0].tolist()
+        assert report["witness"] == {"sample": k, "time": times[j], "gap": float(gaps[k, j])}
 
 
 def test_frame_gap_of_stacks_is_the_gap_of_each_pair(rng):

@@ -116,6 +116,25 @@ def test_a_deleted_row_moves_only_its_own_section(monkeypatch):
             assert dumps_canonical(after[name]) == dumps_canonical(before[name]), name
 
 
+def test_commutation_gate_makes_one_check_per_chart(monkeypatch):
+    """The commutation section runs one check per (n, J), over the times of the rows that
+    share its chart, and reports each row as one check per row on the same stream does."""
+    rows = [row for row in CASES if row.gate == "commutation"]
+    charts, calls = build_charts(rows), []
+
+    def recording(chart, times, rng, count):
+        calls.append((next(key for key, c in charts.items() if c is chart), list(times)))
+        return flow.commutation_check(chart, times, rng, count)
+
+    monkeypatch.setattr(suite, "commutation_check", recording)
+    section = GATES["commutation"].section(rows, charts, np.random.default_rng(4), 10)
+    assert calls == [((3, ()), [0.1, 1.0]), ((3, (2,)), [0.1, 1.0]), ((4, (2,)), [0.1, 1.0])]
+    rng = np.random.default_rng(4)
+    for row, case in zip(rows, section["cases"], strict=True):
+        worst = flow.commutation_check(charts[row.n, row.J], (row.t,), rng, 10)["max_diff"][0]
+        assert case == {"n": row.n, "J": list(row.J), "t": row.t, "samples": 10, "worst": worst, "passed": True}
+
+
 # ---------------------------------------------------------------------------
 # the axioms gate, in closed form
 
