@@ -116,10 +116,10 @@ def _is_real(x) -> bool:
 
 
 def _parse_J(text) -> tuple:
-    if text is None:
-        return None
-    items = [part.strip() for part in str(text).split(",")]
-    return tuple(sorted(int(p) for p in items if p))
+    try:
+        return tuple(sorted(int(p) for p in str(text).split(",") if p.strip()))
+    except ValueError:  # argparse names the flag before this message
+        raise argparse.ArgumentTypeError(f"expected a comma list of ints, got {text!r}") from None
 
 
 class _Setting(NamedTuple):
@@ -191,7 +191,10 @@ def _resolve_config(args) -> RunConfig:
     if "seed" in command.settings and "seed" not in values:
         env = os.environ.get("TNNFLOW_SEED")
         if env is not None:
-            values["seed"] = int(env)
+            try:
+                values["seed"] = int(env)
+            except ValueError:
+                raise ValueError(f"TNNFLOW_SEED must be an int, got {env!r}") from None
     return RunConfig(**values)
 
 

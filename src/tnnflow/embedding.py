@@ -11,8 +11,8 @@ positions without solving anything.
 
 Each lowering generator F_i moves one factor's basis index at a time with
 structure constant +1.  Its action on the k-subsets, the basis of one wedge
-power, is one cached read-only table per (n, k), ``_wedge_table``; on the
-tensor product it is stored as index tables, one target list per wedge
+power, is the letter loop's cached table per (n, k), ``totpos._wedge_table``;
+on the tensor product it is stored as index tables, one target list per wedge
 factor, built by index arithmetic on the digits of the flat index, and
 applied to sparse ``{flat index: int}`` vectors.  Every
 vector of the closure is a weight vector, so each echelon step touches one
@@ -23,9 +23,9 @@ exact form, and the chart reads them in float64, one block of echelon rows
 per weight space of the module.  A flag's image is the tensor product of the
 leading compound columns of a matrix; its binary64 coordinates are read off
 at the pivots, one column entry per factor.  From factorization parameters
-no matrix is formed: the word's factors run on e_1 ^ ... ^ e_k, each letter
-I + t F_i or I + t E_i a few int adds over the same wedge table, and no
-term is subtracted.  An exact matrix takes the leading minors of the minor
+no matrix is formed: the letter loop ``totpos._run_word`` runs the transposed
+word on e_1 ^ ... ^ e_k, a few int adds per letter, and no term is
+subtracted.  An exact matrix takes the leading minors of the minor
 kernel, and a stack of float frames stacked dets.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
@@ -49,13 +49,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .chevalley import RATIONAL, GroupElement, generator_sum_spectrum
-from .totpos import FactorizationParams, _steps, flag_minors
+from .totpos import FactorizationParams, _int_add, _int_scale, _run_word, _steps, _wedge_table, flag_minors
 
 __all__ = [
     "Weight",
@@ -130,39 +129,6 @@ def weyl_dim(weight: Weight) -> int:
 
 # ---------------------------------------------------------------------------
 # module construction
-
-
-class _Wedge(NamedTuple):
-    """F_i on the lexicographic k-subsets of {1..n}, the basis of the wedge power.
-
-    ``members[a, i]`` is 1 if i + 1 is in the a-th subset.  ``target[i, a]`` is
-    the subset F_i sends the a-th one to, -1 where it kills it, and ``moves[i]``
-    lists the pairs ``(a, target[i, a])`` that F_i does not kill.
-    """
-
-    members: np.ndarray
-    target: np.ndarray
-    moves: tuple
-
-
-@functools.cache
-def _wedge_table(n: int, k: int) -> _Wedge:
-    """F_i on the k-th wedge power of C^n: it replaces i by i+1 in a subset, which keeps
-    the subset sorted, with structure constant +1.  The cache hands the same table to
-    every call, so its arrays are read-only."""
-    subsets = list(itertools.combinations(range(n), k))
-    index = {s: a for a, s in enumerate(subsets)}
-    members = np.zeros((len(subsets), n), dtype=np.int64)
-    members[np.arange(len(subsets))[:, None], subsets] = 1
-    target = np.full((n, len(subsets)), -1)
-    for a, s in enumerate(subsets):
-        for m, x in enumerate(s):  # x + 1 moves to x + 2 under F_{x+1}
-            if x + 1 < n and s[m + 1 : m + 2] != (x + 1,):
-                target[x + 1, a] = index[s[:m] + (x + 1,) + s[m + 1 :]]
-    members.setflags(write=False)
-    target.setflags(write=False)
-    moves = tuple(tuple((a, b) for a, b in enumerate(row) if b >= 0) for row in target.tolist())
-    return _Wedge(members, target, moves)
 
 
 def _tensor_moves(n: int, factors):
@@ -320,23 +286,26 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     runs over the factors as Python ints.  The result holds homogeneous
     coordinates in the reduced-echelon basis.
 
-    From parameters, each distinct factor's column is the word run on e_[k]
-    (:func:`_wedge_column`), as ints over one denominator; from an exact
-    matrix, it is the leading minors of :func:`_scaled_lines` on a stack of
-    one.  Either way each coordinate is the correctly rounded value of the
-    exact one: a product of ints over the product of the factors'
-    denominators, divided once as Python ints.  For float g each is a
-    binary64 product of ``np.linalg.det`` minors, by the stacked kernel
-    :func:`_float_lines` on a stack of one.
+    From parameters, each distinct factor's column is the leading row of the
+    k-th compound of g^T, whose word the letter loop
+    :func:`~tnnflow.totpos._run_word` runs on e_1 ^ ... ^ e_k in Python ints;
+    from an exact matrix, it is the leading minors of :func:`_scaled_lines` on
+    a stack of one.  Either way each coordinate is the correctly rounded value
+    of the exact one: a product of ints over the product of the factors'
+    denominators, divided once.  For float g each is a binary64 product of
+    ``np.linalg.det`` minors, by the stacked kernel :func:`_float_lines` on a
+    stack of one.
     """
     if isinstance(g, FactorizationParams):
-        steps = _steps(g, side)
+        # g^T's word: g's letters right to left, x_i(t)^T = y_i(t)
+        steps = [({"x": "y", "y": "x"}.get(kind, kind), i, p, q) for kind, i, p, q in reversed(_steps(g, side))]
         if g.word.n != rep.n:
             raise ValueError(f"a {g.word.n} x {g.word.n} matrix does not act on a module for n = {rep.n}")
-        columns = {k: _wedge_column(rep.n, k, steps) for k in set(rep.factors)}
-        numer = functools.reduce(np.multiply, (np.array(columns[k][0], dtype=object)[d]
+        columns = {k: _run_word(rep.n, k, steps, [([int(a == 0)], 1) for a in range(math.comb(rep.n, k))],
+                                _int_add, _int_scale) for k in set(rep.factors)}
+        ratio = functools.reduce(np.multiply, (np.array([(w[0], den) for w, den in columns[k]], dtype=object)[d]
                                                for k, d in zip(rep.factors, _pivot_digits(rep))))
-        return (numer / math.prod(columns[k][1] for k in rep.factors)).astype(np.float64)
+        return (ratio[:, 0] / ratio[:, 1]).astype(np.float64)
     if not isinstance(g, GroupElement):
         raise TypeError("g must be FactorizationParams or GroupElement")
     if g.n != rep.n:
@@ -344,41 +313,6 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     if g.field == RATIONAL:
         return _scaled_lines(rep, [linalg._scaled_columns(g.entries)])[0]
     return _float_lines(rep, linalg.to_float(g.entries)[None])[0]
-
-
-def _wedge_column(n: int, k: int, steps) -> tuple[list, int]:
-    """The leading compound column of the product of ``steps`` on the k-th wedge power,
-    as ints ``w`` over one denominator ``den``: entry a is ``w[a] / den`` on the a-th
-    k-subset.
-
-    The factors ``(kind, i, p, q)`` of :func:`~tnnflow.totpos._steps` act right to left
-    on e_[k], index 0, by the moves of :func:`_wedge_table`.  y_i(p / q) is I + (p / q)
-    F_i and x_i(p / q) is I + (p / q) E_i: w is scaled by q and den by q, then each
-    source entry, nonzero, adds p times itself to its target.  F_i^2 = 0, so no source
-    is a target, and no term is ever subtracted.  A letter with p = 0 or with no nonzero
-    source is skipped.  The coweight h_i(p / q) scales subset S by (p / q)^e with
-    e = [i - 1 in S] - [i in S], as p^(1 + e) q^(1 - e) over den * p * q.
-    """
-    members, _, moves = _wedge_table(n, k)
-    w, den = [1] + [0] * (len(members) - 1), 1
-    for kind, i, p, q in reversed(steps):
-        if kind == "coweight":
-            if p != q:
-                ups = (members[:, i - 1] - members[:, i]).tolist()
-                w = [x * p ** (1 + e) * q ** (1 - e) for x, e in zip(w, ups)]
-                den *= p * q
-            continue
-        if not p:
-            continue
-        pairs = [(a, b) for a, b in moves[i] if w[a]] if kind == "y" else [(b, a) for a, b in moves[i] if w[b]]
-        if not pairs:
-            continue
-        old = w
-        if q != 1:
-            w, den = [x * q for x in w], den * q
-        for a, b in pairs:
-            w[b] += p * old[a]
-    return w, den
 
 
 def _pivot_digits(rep: RepModule) -> tuple:

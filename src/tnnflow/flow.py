@@ -27,7 +27,7 @@ import numpy as np
 
 from .chevalley import generator_sum_spectrum
 from .embedding import EigenChart, _float_lines, chart_coords, lambda_for
-from .totpos import _float_lower_products, _float_lower_samples, _zero_masks, flag_minors, standard_word_w0
+from .totpos import _float_add, _float_lower_samples, _run_word, _zero_masks, flag_minors, standard_word_w0
 
 __all__ = [
     "DiagonalFlow",
@@ -194,8 +194,7 @@ def _boundary_params(word, rng: np.random.Generator, count: int, full=()) -> np.
     Each array is one draw: the mask sizes, a row of uniforms whose ranks pick the
     zeroed letters, and ``rng.uniform(-3, 3, (count, len(word)))``, each kept draw
     ``math.exp`` of itself, as in :func:`~tnnflow.totpos._float_lower_samples`.
-    Callers multiply the stack out in one call of
-    :func:`~tnnflow.totpos._float_lower_products`.
+    Callers multiply the stack out in one binary64 run of :func:`~tnnflow.totpos._run_word`.
     """
     ell = len(word)
     zeroed = _zero_masks(rng, count, ell, ell)
@@ -209,13 +208,15 @@ def default_ball_radius(chart: EigenChart, rng: np.random.Generator) -> float:
 
     Draws 25 boundary flags (factorizations with at least one zeroed
     parameter) as one batch (:func:`_boundary_params`), multiplies them out in
-    binary64, embeds and charts them as one stack, and returns a hundredth of the
+    one binary64 run of :func:`~tnnflow.totpos._run_word`, embeds and charts
+    them as one stack, and returns a hundredth of the
     smallest chart norm seen.  The smallest boundary norm sets the scale below
     which the sphere is unambiguously "near the fixed point", so a small
     fraction of it makes a sensible default when the caller has none in mind.
     """
-    word = standard_word_w0(chart.rep.n)
-    lines = _float_lines(chart.rep, _float_lower_products(word, _boundary_params(word, rng, 25)))
+    n, word = chart.rep.n, standard_word_w0(chart.rep.n)
+    steps = [("y", i, t) for i, t in zip(word.letters, _boundary_params(word, rng, 25).T)]
+    lines = _float_lines(chart.rep, _run_word(n, 1, steps, np.tile(np.eye(n), (25, 1, 1)), _float_add))
     # per-row norms: np.linalg.norm(..., axis=1) rounds some differently, and moves the radius
     smallest = min(float(np.linalg.norm(p)) for p in chart_coords(chart, lines))
     if not math.isfinite(smallest) or smallest <= 0.0:
@@ -417,8 +418,7 @@ def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int =
     Boundary samples come from factorizations with zeroed parameters, drawn as
     one batch by :func:`_boundary_params` (the first sample zeroes every
     parameter: the base flag), and all of them, control included, are
-    multiplied out in binary64 by one
-    :func:`~tnnflow.totpos._float_lower_products` call.  The
+    multiplied out in one binary64 run of :func:`~tnnflow.totpos._run_word`.  The
     samples flow as one stack of frames (:func:`flag_frame`), and each flowed frame's
     :func:`_flag_margin` on the recorded dimensions must clear 1e-12; no
     module is built.  On a type with a gap, such as (4, {2}), that is weaker
@@ -434,7 +434,8 @@ def invariance_check(n: int, J, t: float, rng: np.random.Generator, count: int =
     levels = sorted(lambda_for(n, J).support)
     word = standard_word_w0(n)
     # the negative control, drawn last: with t = 0 the base-flag sample stays on the boundary
-    us = _float_lower_products(word, _boundary_params(word, rng, count + 1, full=(0, count)))
+    steps = [("y", i, t) for i, t in zip(word.letters, _boundary_params(word, rng, count + 1, full=(0, count)).T)]
+    us = _run_word(n, 1, steps, np.tile(np.eye(n), (count + 1, 1, 1)), _float_add)
     frames = np.concatenate([flag_frame(us[:count], t), us[count:]])
     *margins, control = _flag_margin(frames, levels).tolist()
     worst = min(margins)

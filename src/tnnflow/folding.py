@@ -11,7 +11,8 @@ y_{n-i}(t) with the *same* parameter -- no sign leaks -- so sigma preserves
 total nonnegativity, commutes with exp(t * generator_sum), and its fixed
 locus is swept out by factorizations whose mirrored parameters are tied.
 The flow check draws and multiplies out its samples and its control as one
-int stack, flows each flag in closed form, with no steps, by the graded step
+int stack, in the letter loop of :mod:`tnnflow.totpos`, flows each flag in
+closed form, with no steps, by the graded step
 of :func:`tnnflow.flow.flag_frame` (sigma(u) on the reversed spectrum, with
 S P for P), one stack per side for every time, and takes no inverse: the
 stack is decided sigma-fixed by the form identity u^T S u = S on its ints,
@@ -34,7 +35,8 @@ from .totpos import (
     ReducedWord,
     _mask_indices,
     _positive_ratio,
-    _scaled_lower_products,
+    _run_word,
+    _stack_add,
     _zero_masks,
 )
 
@@ -74,8 +76,8 @@ def _signed_antidiagonal(n: int) -> np.ndarray:
 
 def _preserves_form(ints: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """sigma(u) == u, per matrix of a stack of column-scaled ints, u = ``ints[k] / scales[k]``
-    column by column (:func:`~tnnflow.totpos._scaled_lower_products`), decided as
-    u^T S u == S: one bool per matrix.
+    column by column (as the letter loop :func:`~tnnflow.totpos._run_word` gives them
+    on object ints), decided as u^T S u == S: one bool per matrix.
 
     sigma(u) = S u^-T S^T equals u iff u^T S^T u S = 1, that is (S being a
     signed permutation, S^T = S^-1) iff u preserves the bilinear form of S.
@@ -138,7 +140,7 @@ def symmetric_word(n: int) -> tuple:
 
 def _symmetric_batch(blocks: tuple, rng: np.random.Generator, count: int) -> np.ndarray:
     """The fold gate's ``count`` flip-symmetric samples as int ratios, ``(count, letters, 2)``
-    object ints ``(p, q)``, for :func:`~tnnflow.totpos._scaled_lower_products`.
+    object ints ``(p, q)``, for the letter loop :func:`~tnnflow.totpos._run_word`.
 
     Every third row from the second on is a boundary sample: it zeroes a
     random subset of the blocks, its size uniform on 1..len(blocks)-1
@@ -208,8 +210,8 @@ def fixed_locus_flow_check(
     batch is drawn at once as int ratios (:func:`_symmetric_batch`: one array
     draw each for the boundary masks and the values), then a deliberately
     de-symmetrized control, and all are multiplied out as one stack of
-    column-scaled ints by :func:`~tnnflow.totpos._scaled_lower_products`, with
-    no ``Fraction`` built; its floats are the int true quotients, each the
+    column-scaled ints by :func:`~tnnflow.totpos._run_word`, with no
+    ``Fraction`` built; its floats are the int true quotients, each the
     rounding of the exact entry.  At t = 0 a flag is sigma-fixed iff
     sigma(u) == u exactly, by one fact:
 
@@ -256,7 +258,9 @@ def fixed_locus_flow_check(
 
     batch = _symmetric_batch(blocks, rng, count)
     bad = break_symmetry(symmetric_params(n, rng))  # the control, drawn last: row `count` of the stack
-    ints, scales = _scaled_lower_products(word, np.concatenate([batch, [[t.as_integer_ratio() for t in bad.t]]]))
+    ratios = np.concatenate([batch, [[t.as_integer_ratio() for t in bad.t]]]).transpose(1, 2, 0)
+    start = (np.tile(np.eye(n, dtype=object), (count + 1, 1, 1)), np.ones((count + 1, n), dtype=object))
+    ints, scales = _run_word(n, 1, [("y", i, p, q) for i, (p, q) in zip(word.letters, ratios)], start, _stack_add)
     fixed = _preserves_form(ints, scales)
     if not fixed[:count].all():
         raise AssertionError("symmetric sampler produced a non-fixed element")

@@ -1,15 +1,13 @@
 """Total positivity in SL(n) and its flag varieties.
 
 Positive elements are produced by factorizations along reduced words for the
-longest permutation, multiplied out exactly by one int column operation per
-letter, each column over its own denominator, in one kernel that reads each
-parameter as an int ratio ``(p, q)``; the fold gate runs the same column
-operations on a whole stack of ratios at once.  Random parameters are drawn as such
-ratios, the exact values of binary64 draws (``sample_params`` and
-``sample_positive`` are the ``Fraction`` views of the draw and of the
-product).  The verification gates' float checks certify no exact object, so
-they draw the same binary64 parameters and multiply a whole batch out in
-binary64, one stacked column operation per letter.  Positivity of a given matrix is
+longest permutation.  Every word of positive letters runs in one letter loop,
+:func:`_run_word`, on vectors of a wedge power of C^n, adding only; only the
+number type varies: Python ints for one exact product, object ints for the
+fold gate's stack, binary64 for the float gates' stacks.  Exact parameters
+are int ratios ``(p, q)``, random ones those of binary64 draws
+(``sample_params`` and ``sample_positive`` are the ``Fraction`` views of the
+draw and of the product).  Positivity of a given matrix is
 certified exactly on its column-scaled ints by one certificate, which
 :func:`is_tnn_matrix` and the ``sample`` command share: first by its solid
 minors alone, a level at a time from the condensation kernel
@@ -35,6 +33,7 @@ part.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -197,35 +196,20 @@ def sample_params(
     return FactorizationParams(word, tuple(vals), torus if group else None)
 
 
-def _float_lower_products(word: ReducedWord, ts: np.ndarray) -> np.ndarray:
-    """The lower-unipotent products along ``word`` of a stack of binary64 parameters, ``(m,
-    len(word))`` to ``(m, n, n)``, a zeroed parameter read as 0.0.
-
-    One column operation per letter runs on the whole stack: y_i(t) adds
-    t * column i to column i-1.  No term is ever subtracted, so each entry is
-    within 2 len(word) ulps, relative, of the exact product rounded, and zero
-    exactly where that is; each matrix is bit for bit its parameters' alone.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    cols = np.broadcast_to(np.eye(word.n), (ts.shape[0], word.n, word.n)).copy()  # (m, column, row)
-    for k, i in enumerate(word.letters):
-        cols[:, i - 1] += ts[:, k, None] * cols[:, i]
-    return cols.transpose(0, 2, 1)
-
-
 def _float_lower_samples(word: ReducedWord, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` lower-unipotent products along ``word`` in binary64, ``(count, n, n)``.
 
     One ``rng.uniform`` call draws the stream of ``count`` calls of
     :func:`sample_params`, torus draws included, and leaves ``rng`` where they
     leave it; each parameter is ``math.exp`` of its draw, the float whose exact
-    ratio :func:`_positive_ratio` gives, and :func:`_float_lower_products`
-    multiplies the batch out.  The float gates sample this way: they certify
-    no exact object, so no int product is formed.
+    ratio :func:`_positive_ratio` gives, and the letter loop :func:`_run_word`
+    multiplies the batch out in binary64 (:func:`_float_add`).  The float gates
+    sample this way: they certify no exact object, so no int product is formed.
     """
-    ell = len(word)
-    draws = rng.uniform(-3.0, 3.0, (count, ell + word.n - 1))[:, :ell].tolist()
-    return _float_lower_products(word, [[math.exp(x) for x in row] for row in draws])
+    ell, n = len(word), word.n
+    draws = rng.uniform(-3.0, 3.0, (count, ell + n - 1))[:, :ell].tolist()
+    steps = [("y", i, t) for i, t in zip(word.letters, np.array([[math.exp(x) for x in row] for row in draws]).T)]
+    return _run_word(n, 1, steps, np.tile(np.eye(n), (count, 1, 1)), _float_add)
 
 
 def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
@@ -242,11 +226,6 @@ def sample_positive(params: FactorizationParams, side: str) -> GroupElement:
     return GroupElement._det_one(linalg._fraction_of_scaled(*_scaled_product(params, side)))
 
 
-def _reduced(column: list, den: int) -> tuple[list, int]:
-    g = math.gcd(den, *column)
-    return ([x // g for x in column], den // g) if g > 1 else (column, den)
-
-
 def _exact_ratio(t) -> tuple[int, int]:
     """``t.as_integer_ratio()`` for an exact parameter; a float one raises ``TypeError``.
 
@@ -260,92 +239,121 @@ def _exact_ratio(t) -> tuple[int, int]:
     raise TypeError("exact parameters required; a float parameter carries no certificate")
 
 
-def _scaled_lower_products(word: ReducedWord, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lower-unipotent products along ``word`` of a stack of int ratios, ``(m, len(word), 2)``
-    object ints ``(p, q)``, ``(0, 1)`` for a zeroed parameter, as a stack of column-scaled
-    ints ``(ints, scales)``: ``(m, n, n)`` and ``(m, n)`` object arrays, matrix k being
-    ``ints[k] / scales[k]`` column by column.
-
-    This is :func:`_column_product` on the whole stack: one column operation per
-    letter, y_i(p / q) adding p / q times column i to column i-1, as object-array
-    int arithmetic across the stack.  Column i-1's new scale is the LCM of its
-    scale and q times column i's (kept where p = 0), as in
-    :func:`_column_product`, which also divides out the gcd of each column: the
-    two agree as rationals, and int true division of either rounds to the same
-    binary64 matrix.
-    """
-    m, n = ratios.shape[0], word.n
-    cols = np.zeros((m, n, n), dtype=object)  # (m, column, row)
-    cols[:, np.arange(n), np.arange(n)] = 1
-    scales = np.ones((m, n), dtype=object)
-    for k, i in enumerate(word.letters):
-        p, q = ratios[:, k, 0], ratios[:, k, 1]
-        da, qdb = scales[:, i - 1], q * scales[:, i]
-        den = np.where(p != 0, np.lcm(da, qdb), da)
-        cols[:, i - 1] = (den // da)[:, None] * cols[:, i - 1] + (p * (den // qdb))[:, None] * cols[:, i]
-        scales[:, i - 1] = den
-    return cols.transpose(0, 2, 1), scales
-
-
 def _scaled_product(params: FactorizationParams, side: str) -> tuple[list, list]:
-    """The product of :func:`sample_positive` as column-scaled ints ``(columns, scales)``:
-    the factors :func:`_steps` of ``side`` in the one column-operation kernel
-    :func:`_column_product`.
+    """The product of :func:`sample_positive` as column-scaled ints ``(columns, scales)``, each
+    column in lowest terms: the letter loop :func:`_run_word` on the identity's rows in Python
+    ints gives the columns, each over its own denominator, and each is divided by its gcd once.
     """
-    return _column_product(params.word.n, _steps(params, side))
+    n = params.word.n
+    start = [([int(r == c) for r in range(n)], 1) for c in range(n)]
+    columns = _run_word(n, 1, _steps(params, side), start, _int_add, _int_scale)
+    gcds = [math.gcd(den, *ints) for ints, den in columns]
+    return [[x // g for x in c] for (c, _), g in zip(columns, gcds)], [d // g for (_, d), g in zip(columns, gcds)]
 
 
 def _steps(params: FactorizationParams, side: str) -> list:
     """The factors of the product on ``side``, left to right, as ``(kind, i, p, q)`` for
-    the factor x_i, y_i or the coweight h_i of the parameter ``p / q``: each parameter
-    through :func:`_exact_ratio`, so float ones raise ``TypeError``.
+    the factor x_i, y_i or the coweight h_i of the parameter ``p / q`` (a group product
+    with no torus has none): each parameter through :func:`_exact_ratio`, so float ones
+    raise ``TypeError``.
     """
-    n, ell = params.word.n, len(params.word)
+    ell = len(params.word)
 
     def along(kind, ts):
         return [(kind, i, *_exact_ratio(tk)) for i, tk in zip(params.word.letters, ts)]
 
     # with 2 * ell parameters the lower factor takes the second half
     if side == "upper":
-        steps = along("x", params.t[:ell])
-    elif side == "lower":
-        steps = along("y", params.t[-ell:])
-    elif side == "group":
-        torus_ts = params.torus if params.torus is not None else (1,) * (n - 1)
-        coweights = [("coweight", i, *_exact_ratio(s)) for i, s in enumerate(torus_ts, 1)]
-        steps = along("x", params.t[:ell]) + coweights + along("y", params.t[-ell:])
-    else:
+        return along("x", params.t[:ell])
+    if side == "lower":
+        return along("y", params.t[-ell:])
+    if side != "group":
         raise ValueError(f"side must be 'upper', 'lower' or 'group', got {side!r}")
-    return steps
+    coweights = [("coweight", i, *_exact_ratio(s)) for i, s in enumerate(params.torus or (), 1)]
+    return along("x", params.t[:ell]) + coweights + along("y", params.t[-ell:])
 
 
-def _column_product(n: int, steps) -> tuple[list, list]:
-    """The n x n product of the factors ``steps``, ``(kind, i, p, q)`` for the parameter
-    ``p / q >= 0`` (``q > 0``), as column-scaled ints ``(columns, scales)``.
+# ---------------------------------------------------------------------------
+# the letter loop
 
-    Right multiplication by a factor is a column operation on the product so
-    far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
-    y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
-    column i-1 by s and column i by 1/s (columns counted from 0).  Column c
-    is held as ``(ints, den)`` for the column ``ints / den``, kept in lowest
-    terms, so every step is int arithmetic over a common denominator, and
-    ``den`` is the LCM of the column's denominators: ``columns[c]`` and
-    ``scales[c]`` are what :func:`tnnflow.linalg._scaled_columns` reads off
-    the ``Fraction`` matrix.
+
+@functools.cache
+def _wedge_table(n: int, k: int) -> tuple:
+    """``(members, target, moves)``: F_i on the k-th wedge power of C^n, whose basis is the
+    lexicographic k-subsets of {1..n}, where F_i replaces i by i+1 (structure constant +1).
+    ``members[a, i]`` is 1 if i + 1 is in subset a; ``target[i, a]`` is F_i's image of
+    subset a, -1 where F_i kills it; ``moves[i]`` is ``(sources, targets)``, the subsets F_i
+    keeps and their images.  The cache hands the same table to every call: it is read-only."""
+    subsets = list(itertools.combinations(range(n), k))
+    index = {s: a for a, s in enumerate(subsets)}
+    members = np.zeros((len(subsets), n), dtype=np.int64)
+    members[np.arange(len(subsets))[:, None], subsets] = 1
+    target = np.full((n, len(subsets)), -1)
+    for a, s in enumerate(subsets):
+        for m, x in enumerate(s):  # x + 1 moves to x + 2 under F_{x+1}
+            if x + 1 < n and s[m + 1 : m + 2] != (x + 1,):
+                target[x + 1, a] = index[s[:m] + (x + 1,) + s[m + 1 :]]
+    members.setflags(write=False)
+    target.setflags(write=False)
+    moves = tuple((tuple(np.flatnonzero(row >= 0).tolist()), tuple(row[row >= 0].tolist())) for row in target)
+    return members, target, moves
+
+
+def _run_word(n: int, k: int, steps, state, add, scale=None):
+    """Right-multiply a stack of row vectors on the k-th wedge power of C^n, in place, by
+    the letters ``steps`` in order, and return it: the one loop of every word of letters.
+
+    A letter ``(kind, i, *value)`` is x_i = I + t E_i, y_i = I + t F_i or the coweight
+    h_i(t).  Along each move a -> b of F_i, x_i adds t v[a] to v[b] and y_i adds t v[b]
+    to v[a]; no source is a target, and nothing is subtracted (Fomin-Zelevinsky 2000).
+    h_i(t) scales v[S] by t^([i - 1 in S] - [i in S]).  From the rows of the identity at
+    k = 1 the stack is the product.  Number types: Python ints, entries ``(ints over the
+    starts, den)`` (:func:`_int_add`, :func:`_int_scale`); object ints for m words, ``(u,
+    dens)``, (m, starts, entries) and (m, entries) (:func:`_stack_add`); binary64 (:func:`_float_add`).
     """
-    cols = [([int(r == c) for r in range(n)], 1) for c in range(n)]
-    for kind, i, p, q in steps:
+    members, _, moves = _wedge_table(n, k)
+    for kind, i, *value in steps:
         if kind == "coweight":
-            (a, da), (b, db) = cols[i - 1], cols[i]
-            cols[i - 1] = _reduced([x * p for x in a], da * q)
-            cols[i] = _reduced([x * q for x in b], db * p)
-        elif p:
-            dst, src = (i, i - 1) if kind == "x" else (i - 1, i)
-            (a, da), (b, db) = cols[dst], cols[src]
+            scale(state, (members[:, i - 1] - members[:, i]).tolist(), *value)
+        else:
+            add(state, *(moves[i] if kind == "x" else moves[i][::-1]), *value)
+    return state
+
+
+def _int_add(entries: list, sources, targets, p: int, q: int) -> None:
+    """A letter of parameter p / q on Python int entries, each target over the LCM of its
+    denominator and q times its source's; a zero p or an all-zero source changes nothing."""
+    for s, d in zip(sources, targets):
+        (a, da), (b, db) = entries[d], entries[s]
+        if p and any(b):
             den = math.lcm(da, q * db)
             fa, fb = den // da, p * (den // (q * db))
-            cols[dst] = _reduced([fa * x + fb * y for x, y in zip(a, b)], den)
-    return [a for a, _ in cols], [da for _, da in cols]
+            entries[d] = ([fa * x + fb * y for x, y in zip(a, b)], den)
+
+
+def _int_scale(entries: list, exponents, p: int, q: int) -> None:
+    """The coweight of parameter p / q on Python int entries: entry a times (p / q)^e, e in {-1, 0, 1}."""
+    for a, e in enumerate(exponents):
+        if e:
+            ints, den = entries[a]
+            entries[a] = ([x * p for x in ints], den * q) if e > 0 else ([x * q for x in ints], den * p)
+
+
+def _stack_add(stack: tuple, sources, targets, p: np.ndarray, q: np.ndarray) -> None:
+    """:func:`_int_add` on m words of object ints at once, word r's parameter ``p[r] / q[r]``."""
+    u, dens = stack
+    for s, d in zip(sources, targets):
+        da, qdb = dens[:, d], q * dens[:, s]
+        den = np.where(p != 0, np.lcm(da, qdb), da)
+        u[..., d] = (den // da)[:, None] * u[..., d] + (p * (den // qdb))[:, None] * u[..., s]
+        dens[:, d] = den
+
+
+def _float_add(u: np.ndarray, sources, targets, t: np.ndarray) -> None:
+    """A letter on m words in binary64, word r's parameter ``t[r]``: each entry of a product is
+    within 2 (letters) ulps, relative, of the exact one rounded, and zero where that is."""
+    for s, d in zip(sources, targets):
+        u[..., d] += t[:, None] * u[..., s]
 
 
 def _exact_columns(g) -> tuple[list, list]:

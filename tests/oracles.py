@@ -26,6 +26,13 @@ independent routes the int kernels are checked against:
 - ``fold_gaps`` is the fold gate's gaps taken one time and one side at a
   time, with the control as its own stack of one, the loop whose bits the
   gate's one stack per side must keep;
+- ``column_product`` (with its helper ``_reduced``), ``scaled_lower_products``,
+  ``float_lower_products`` and ``wedge_column`` are the four loops that ran a word
+  of positive letters before ``totpos._run_word`` took their place: an n x n
+  product as Python ints, reduced after every letter; a stack of lower products
+  as object ints; the same stack in binary64; and the leading column of a wedge
+  power over one denominator.  The letter loop must give their rationals, and
+  their bits in binary64;
 - ``encode_tree`` is the first pass of the old two-pass report encoder: it
   copies a report into a tree of JSON scalars, and ``json.dumps(...,
   sort_keys=True, indent=2)`` of that copy is the text the one-pass writer
@@ -46,7 +53,7 @@ from tnnflow.chevalley import FLOAT, GroupElement, Pinning, generator_sum_spectr
 from tnnflow.flow import _frame_gap, _graded_frame
 from tnnflow.folding import Folding, _preserves_form, _symmetric_batch, break_symmetry, symmetric_params, symmetric_word
 from tnnflow.serialize import encode_value
-from tnnflow.totpos import Sl3Coords, _scaled_lower_products
+from tnnflow.totpos import ReducedWord, Sl3Coords, _wedge_table
 
 
 def rational_matrix(rows) -> np.ndarray:
@@ -263,12 +270,125 @@ def fold_gaps(folding: Folding, rng, times, count: int) -> tuple:
     def qr_of(ints, scales):
         return np.linalg.qr((ints / scales[:, None, :]).astype(np.float64))[0]
 
-    qu = qr_of(*_scaled_lower_products(word, _symmetric_batch(blocks, rng, count)))
+    qu = qr_of(*scaled_lower_products(word, _symmetric_batch(blocks, rng, count)))
     bad = break_symmetry(symmetric_params(n, rng))
-    ints_bad, scales_bad = _scaled_lower_products(word, np.array([[t.as_integer_ratio() for t in bad.t]], dtype=object))
+    ints_bad, scales_bad = scaled_lower_products(word, np.array([[t.as_integer_ratio() for t in bad.t]], dtype=object))
     q_bad = qr_of(ints_bad, scales_bad)
     q_sigma_bad = np.linalg.qr(s @ q_bad[..., ::-1])[0]
     return flag_gaps(qu, qu), flag_gaps(q_bad, q_sigma_bad), bool(_preserves_form(ints_bad, scales_bad)[0])
+
+
+def float_lower_products(word: ReducedWord, ts: np.ndarray) -> np.ndarray:
+    """The lower-unipotent products along ``word`` of a stack of binary64 parameters, ``(m,
+    len(word))`` to ``(m, n, n)``, a zeroed parameter read as 0.0.
+
+    One column operation per letter runs on the whole stack: y_i(t) adds
+    t * column i to column i-1.  No term is ever subtracted, so each entry is
+    within 2 len(word) ulps, relative, of the exact product rounded, and zero
+    exactly where that is; each matrix is bit for bit its parameters' alone.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    cols = np.broadcast_to(np.eye(word.n), (ts.shape[0], word.n, word.n)).copy()  # (m, column, row)
+    for k, i in enumerate(word.letters):
+        cols[:, i - 1] += ts[:, k, None] * cols[:, i]
+    return cols.transpose(0, 2, 1)
+
+
+def scaled_lower_products(word: ReducedWord, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower-unipotent products along ``word`` of a stack of int ratios, ``(m, len(word), 2)``
+    object ints ``(p, q)``, ``(0, 1)`` for a zeroed parameter, as a stack of column-scaled
+    ints ``(ints, scales)``: ``(m, n, n)`` and ``(m, n)`` object arrays, matrix k being
+    ``ints[k] / scales[k]`` column by column.
+
+    This is :func:`column_product` on the whole stack: one column operation per
+    letter, y_i(p / q) adding p / q times column i to column i-1, as object-array
+    int arithmetic across the stack.  Column i-1's new scale is the LCM of its
+    scale and q times column i's (kept where p = 0), as in
+    :func:`column_product`, which also divides out the gcd of each column: the
+    two agree as rationals, and int true division of either rounds to the same
+    binary64 matrix.
+    """
+    m, n = ratios.shape[0], word.n
+    cols = np.zeros((m, n, n), dtype=object)  # (m, column, row)
+    cols[:, np.arange(n), np.arange(n)] = 1
+    scales = np.ones((m, n), dtype=object)
+    for k, i in enumerate(word.letters):
+        p, q = ratios[:, k, 0], ratios[:, k, 1]
+        da, qdb = scales[:, i - 1], q * scales[:, i]
+        den = np.where(p != 0, np.lcm(da, qdb), da)
+        cols[:, i - 1] = (den // da)[:, None] * cols[:, i - 1] + (p * (den // qdb))[:, None] * cols[:, i]
+        scales[:, i - 1] = den
+    return cols.transpose(0, 2, 1), scales
+
+
+def _reduced(column: list, den: int) -> tuple[list, int]:
+    g = math.gcd(den, *column)
+    return ([x // g for x in column], den // g) if g > 1 else (column, den)
+
+
+def column_product(n: int, steps) -> tuple[list, list]:
+    """The n x n product of the factors ``steps``, ``(kind, i, p, q)`` for the parameter
+    ``p / q >= 0`` (``q > 0``), as column-scaled ints ``(columns, scales)``.
+
+    Right multiplication by a factor is a column operation on the product so
+    far, so each letter costs O(n): x_i(t) adds t * column i-1 to column i,
+    y_i(t) adds t * column i to column i-1, and the coweight h_i(s) scales
+    column i-1 by s and column i by 1/s (columns counted from 0).  Column c
+    is held as ``(ints, den)`` for the column ``ints / den``, kept in lowest
+    terms, so every step is int arithmetic over a common denominator, and
+    ``den`` is the LCM of the column's denominators: ``columns[c]`` and
+    ``scales[c]`` are what :func:`tnnflow.linalg._scaled_columns` reads off
+    the ``Fraction`` matrix.
+    """
+    cols = [([int(r == c) for r in range(n)], 1) for c in range(n)]
+    for kind, i, p, q in steps:
+        if kind == "coweight":
+            (a, da), (b, db) = cols[i - 1], cols[i]
+            cols[i - 1] = _reduced([x * p for x in a], da * q)
+            cols[i] = _reduced([x * q for x in b], db * p)
+        elif p:
+            dst, src = (i, i - 1) if kind == "x" else (i - 1, i)
+            (a, da), (b, db) = cols[dst], cols[src]
+            den = math.lcm(da, q * db)
+            fa, fb = den // da, p * (den // (q * db))
+            cols[dst] = _reduced([fa * x + fb * y for x, y in zip(a, b)], den)
+    return [a for a, _ in cols], [da for _, da in cols]
+
+
+def wedge_column(n: int, k: int, steps) -> tuple[list, int]:
+    """The leading compound column of the product of ``steps`` on the k-th wedge power,
+    as ints ``w`` over one denominator ``den``: entry a is ``w[a] / den`` on the a-th
+    k-subset.
+
+    The factors ``(kind, i, p, q)`` of :func:`~tnnflow.totpos._steps` act right to left
+    on e_[k], index 0, by the moves of :func:`_wedge_table`.  y_i(p / q) is I + (p / q)
+    F_i and x_i(p / q) is I + (p / q) E_i: w is scaled by q and den by q, then each
+    source entry, nonzero, adds p times itself to its target.  F_i^2 = 0, so no source
+    is a target, and no term is ever subtracted.  A letter with p = 0 or with no nonzero
+    source is skipped.  The coweight h_i(p / q) scales subset S by (p / q)^e with
+    e = [i - 1 in S] - [i in S], as p^(1 + e) q^(1 - e) over den * p * q.
+    """
+    members, _, moves = _wedge_table(n, k)
+    w, den = [1] + [0] * (len(members) - 1), 1
+    for kind, i, p, q in reversed(steps):
+        if kind == "coweight":
+            if p != q:
+                ups = (members[:, i - 1] - members[:, i]).tolist()
+                w = [x * p ** (1 + e) * q ** (1 - e) for x, e in zip(w, ups)]
+                den *= p * q
+            continue
+        if not p:
+            continue
+        pairs = ([(a, b) for a, b in zip(*moves[i]) if w[a]] if kind == "y"
+                 else [(b, a) for a, b in zip(*moves[i]) if w[b]])
+        if not pairs:
+            continue
+        old = w
+        if q != 1:
+            w, den = [x * q for x in w], den * q
+        for a, b in pairs:
+            w[b] += p * old[a]
+    return w, den
 
 
 def encode_tree(obj):

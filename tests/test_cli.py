@@ -602,8 +602,19 @@ def test_env_seed_fallback(monkeypatch, capsys):
     monkeypatch.setenv("TNNFLOW_SEED", "not a seed")
     code, out, err = run_cli(capsys, "sample", "--count", "1")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
+    # the refusal names the setting, not the parse that failed
+    assert "TNNFLOW_SEED" in err and "int()" not in err, err
     code, out, _ = run_cli(capsys, "pinning", "--n", "3")
     assert code == 0 and out.startswith("pinning for SL(3)")
+
+
+def test_a_bad_J_is_refused_by_name():
+    """A ``--J`` that is no comma list of ints exits 2 with one line that names the
+    flag and no private function."""
+    for text in ("a", "1,x", "2.5", "1;3"):
+        code, out, err = _run_quietly(["embed", "--n", "4", "--J", text])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, (text, err)
+        assert "--J" in err and "_parse_J" not in err, (text, err)
 
 
 def test_negative_seed_is_refused_by_name(monkeypatch, capsys, tmp_path):

@@ -19,7 +19,7 @@ from tnnflow.chevalley import (
     GroupElement,
     generator_sum_spectrum,
 )
-from tnnflow import embedding
+from tnnflow import embedding, totpos
 from tnnflow.embedding import (
     ChartOverflowError,
     _tensor_moves,
@@ -560,7 +560,7 @@ def test_wedge_columns_of_a_word_are_the_leading_minors_of_its_product(n, leibni
             ints = np.array([[int(x * e) for x, e in zip(row, lcms)] for row in g], dtype=object)
             steps = _steps(params, side)
             for k in range(1, n + 1):
-                column, den = embedding._wedge_column(n, k, steps)
+                column, den = oracles.wedge_column(n, k, steps)
                 want = [leibniz_det(ints[np.ix_(rows, range(k))]) / math.prod(lcms[:k])
                         for rows in itertools.combinations(range(n), k)]
                 assert [Fraction(x, den) for x in column] == want, (side, k)
@@ -571,15 +571,16 @@ def test_wedge_tables_are_computed_once_read_only(n):
     """Every call for one (n, k) hands back the same table; a write to either array
     raises ``ValueError``, and its contents are those of a fresh computation."""
     for k in range(1, n + 1):
-        table = embedding._wedge_table(n, k)
-        assert embedding._wedge_table(n, k) is table
-        for array in (table.members, table.target):
+        table = totpos._wedge_table(n, k)
+        assert totpos._wedge_table(n, k) is table
+        members, target, moves = table
+        for array in (members, target):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0
-        fresh = embedding._wedge_table.__wrapped__(n, k)
-        assert table.members.tobytes() == fresh.members.tobytes()
-        assert table.target.tobytes() == fresh.target.tobytes()
-        assert table.moves == fresh.moves
+        fresh = totpos._wedge_table.__wrapped__(n, k)
+        assert members.tobytes() == fresh[0].tobytes()
+        assert target.tobytes() == fresh[1].tobytes()
+        assert moves == fresh[2]
 
 
 def test_eigenchart_spectrum(chart3):

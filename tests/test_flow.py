@@ -41,7 +41,6 @@ from tnnflow.flow import (
 from tnnflow.suite import CASES
 from tnnflow.totpos import (
     FactorizationParams,
-    _float_lower_products,
     _positive_ratio,
     _scaled_product,
     sample_params,
@@ -160,10 +159,10 @@ def test_boundary_sample_is_the_exact_route_in_binary64(n):
             assert [t.as_integer_ratio() for t in row] == ratios
             params = FactorizationParams(word, tuple(Fraction(*pq) for pq in ratios))
             want = linalg._float_of_scaled(*_scaled_product(params, "lower"))
-            got = _float_lower_products(word, ts[k : k + 1])[0]
+            got = oracles.float_lower_products(word, ts[k : k + 1])[0]
             assert got.dtype == np.float64 and np.array_equal(got == 0.0, want == 0.0)
             assert np.all(np.abs(got - want) <= bound * np.abs(want))
-        assert np.array_equal(_float_lower_products(word, ts[2:3])[0], np.eye(n))
+        assert np.array_equal(oracles.float_lower_products(word, ts[2:3])[0], np.eye(n))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -293,15 +292,15 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
     embeds its acted frames and its samples in one stack, and the invariance check
     multiplies out and takes the minors of its negative control in the same stacks."""
     stacks, float_lines, minors = [], flow_module._float_lines, flow_module.flag_minors
-    drawn, multiplied = flow_module._float_lower_samples, flow_module._float_lower_products
+    drawn, multiplied = flow_module._float_lower_samples, flow_module._run_word
 
     def draw(word, rng, count):
         stacks.append(("draw", count))
         return drawn(word, rng, count)
 
-    def multiply(word, ts):
-        stacks.append(("multiply", len(ts)))
-        return multiplied(word, ts)
+    def multiply(n, k, steps, state, add):
+        stacks.append(("multiply", len(state)))
+        return multiplied(n, k, steps, state, add)
 
     def flowed(g, *args):
         stacks.append(("flow", g.shape))
@@ -319,7 +318,7 @@ def test_checks_flow_their_samples_as_one_stack(chart3, rng, monkeypatch):
     monkeypatch.setattr(flow_module, "_float_lines", embedded)
     monkeypatch.setattr(flow_module, "flag_minors", minored)
     monkeypatch.setattr(flow_module, "_float_lower_samples", draw)
-    monkeypatch.setattr(flow_module, "_float_lower_products", multiply)
+    monkeypatch.setattr(flow_module, "_run_word", multiply)
     commutation_check(chart3, (0.1, 1.0), rng, 4)
     assert stacks == [("draw", 8), ("flow", (8, 3, 3)), ("embed", (16, 3, 3))]
     invariance_check(3, (), 0.1, rng, count=5)
@@ -468,7 +467,7 @@ def test_commutation_check_of_k_samples_is_k_checks_of_one(n, J, chart3, chart42
             assert result[key].tobytes() == np.concatenate([r[key] for r in singles], axis=1).tobytes(), key
         word = standard_word_w0(n)
         for acted, flowed in zip(result["acted"][0], result["flowed"][0]):
-            g = _float_lower_products(word, [[float(x) for x in sample_params(word, drawn).t]])[0]
+            g = oracles.float_lower_products(word, [[float(x) for x in sample_params(word, drawn).t]])[0]
             line = line_of(chart.rep, GroupElement(g.copy(), FLOAT))
             assert flowed.tobytes() == flow_point(flow, t, chart_coords(chart, line)).tobytes()
             frame = GroupElement(flag_frame(g[None], t)[0], FLOAT)

@@ -32,8 +32,6 @@ from tnnflow.folding import (
 )
 from tnnflow.totpos import (
     FactorizationParams,
-    _column_product,
-    _scaled_lower_products,
     _scaled_product,
     sample_params,
     sample_positive,
@@ -190,7 +188,7 @@ def test_symmetric_ratio_draw_is_the_fraction_draw(n):
     the generator where those draws leave it."""
     word, blocks = symmetric_word(n)
     rng, fractions = np.random.default_rng([n, 28]), np.random.default_rng([n, 28])
-    ints, scales = _scaled_lower_products(word, _symmetric_batch(blocks, rng, 1))
+    ints, scales = oracles.scaled_lower_products(word, _symmetric_batch(blocks, rng, 1))
     assert _same_rationals(ints[0], scales[0], *_scaled_product(symmetric_params(n, fractions), "lower"))
     assert rng.uniform() == fractions.uniform()
     for zero_blocks in (None, [0], [len(blocks) - 1], list(range(1, len(blocks), 2))):
@@ -348,13 +346,13 @@ def test_form_identity_decides_sigma_fixed_as_the_inverse_does(n):
     assert verdicts == [True] * 4 + [False] * 5
     # the same verdicts, row by row, from one stack of the symmetric word's samples
     word = symmetric_word(n)[0]
-    stacked = _preserves_form(*_scaled_lower_products(word, _ratio_stack(samples[:7])))
+    stacked = _preserves_form(*oracles.scaled_lower_products(word, _ratio_stack(samples[:7])))
     assert stacked.tolist() == verdicts[:7]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_stacked_lower_products_are_the_column_products(n):
-    """Row by row, the stacked int kernel is :func:`_column_product` of the same ratios,
+    """Row by row, the stacked int kernel is :func:`oracles.column_product` of the same ratios,
     as rationals, on the gate's batch (boundary blocks included) and on staircase
     samples with zeroed letters; its binary64 quotients are ``_float_of_scaled``'s,
     bit for bit."""
@@ -365,11 +363,11 @@ def test_stacked_lower_products_are_the_column_products(n):
     masks = ([], [0], [len(staircase) - 1], list(range(0, len(staircase), 2)), list(range(len(staircase))))
     batches.append((staircase, _ratio_stack(sample_params(staircase, rng, zero_mask=mask) for mask in masks)))
     for w, ratios in batches:
-        ints, scales = _scaled_lower_products(w, ratios)
+        ints, scales = oracles.scaled_lower_products(w, ratios)
         assert ints.shape == (len(ratios), n, n) and scales.shape == (len(ratios), n)
         floats = (ints / scales[:, None, :]).astype(np.float64)
         for k, row in enumerate(ratios.tolist()):
-            columns, col_scales = _column_product(n, [("y", i, p, q) for i, (p, q) in zip(w.letters, row)])
+            columns, col_scales = oracles.column_product(n, [("y", i, p, q) for i, (p, q) in zip(w.letters, row)])
             assert _same_rationals(ints[k], scales[k], columns, col_scales)
             assert floats[k].tobytes() == linalg._float_of_scaled(columns, col_scales).tobytes()
 
@@ -382,10 +380,11 @@ def test_stacked_form_identity_holds_for_symmetric_stacks(n, monkeypatch):
     word, blocks = symmetric_word(n)
     rng = np.random.default_rng([n, 33])
     ratios = _symmetric_batch(blocks, rng, 12)
-    assert _preserves_form(*_scaled_lower_products(word, ratios)).all()
+    assert _preserves_form(*oracles.scaled_lower_products(word, ratios)).all()
     params = [FactorizationParams(word, tuple(Fraction(p, q) for p, q in row)) for row in ratios.tolist()]
     params[5] = break_symmetry(params[5])
-    assert _preserves_form(*_scaled_lower_products(word, _ratio_stack(params))).tolist() == [k != 5 for k in range(12)]
+    stacked = _preserves_form(*oracles.scaled_lower_products(word, _ratio_stack(params)))
+    assert stacked.tolist() == [k != 5 for k in range(12)]
     monkeypatch.setattr(folding, "_symmetric_batch", lambda blocks, rng, count: _ratio_stack(params[:count]))
     with pytest.raises(AssertionError, match="non-fixed element"):
         fixed_locus_flow_check(build_folding(n), rng, count=12)

@@ -17,7 +17,6 @@ from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, build_pinning
 from tnnflow.totpos import (
     FactorizationParams,
     _certificate,
-    _float_lower_products,
     _float_lower_samples,
     _scaled_product,
     Membership,
@@ -441,7 +440,7 @@ def test_float_lower_products_are_the_per_sample_loop(n):
     ts = np.exp(rng.uniform(-3.0, 3.0, (8, ell)))
     for k, size in enumerate((0, 1, 2, ell // 2, ell - 1, ell, 0, 3)):
         ts[k, rng.choice(ell, size=min(size, ell), replace=False)] = 0.0
-    got = _float_lower_products(word, ts)
+    got = oracles.float_lower_products(word, ts)
     assert got.shape == (8, n, n) and got.dtype == np.float64
     for g, row in zip(got, ts.tolist()):
         assert g.tobytes() == _looped_lower_product(word, row).tobytes()
@@ -458,7 +457,7 @@ def test_float_lower_products_round_the_exact_products(n):
     rng = np.random.default_rng([n, 32])
     drawn = [sample_params(word, rng, zero_mask=rng.choice(ell, size=size, replace=False))
              for size in (0, 0, 1, ell // 2, ell - 1)]
-    got = _float_lower_products(word, [[float(t) for t in params.t] for params in drawn])
+    got = oracles.float_lower_products(word, [[float(t) for t in params.t] for params in drawn])
     for g, params in zip(got, drawn):
         assert _rounds_the_exact_product(g, params, word)
 
@@ -475,10 +474,51 @@ def test_lower_products_are_the_products_of_sequential_draws(n):
         got = _float_lower_samples(word, rng, count)
         assert got.shape == (count, n, n)
         drawn = [sample_params(word, oracle) for _ in range(count)]
-        want = _float_lower_products(word, [[float(t) for t in params.t] for params in drawn])
+        want = oracles.float_lower_products(word, [[float(t) for t in params.t] for params in drawn])
         assert got.tobytes() == want.tobytes()
         assert all(_rounds_the_exact_product(g, params, word) for g, params in zip(got, drawn))
         assert rng.uniform() == oracle.uniform()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_letter_loop_gives_what_each_old_loop_gives(n):
+    """The one letter loop equals each of the four loops it replaced (``tests/oracles.py``):
+    the n x n product on every side as the same lowest-terms ``(columns, scales)`` as
+    ``column_product``; the leading column of every wedge power, run on g^T's word, as
+    the same rationals as ``wedge_column``'s ``(w, den)``; a stack of lower products in
+    object ints as the same rationals as ``scaled_lower_products``; and the same stack
+    in binary64, bit for bit, as ``float_lower_products``.  On drawn parameters, on
+    zeroed ones (some and all) and on magnitudes near e^20 and e^-20."""
+    rng = np.random.default_rng([n, 42])
+    word = standard_word_w0(n)
+    rows = []
+    for side in ("upper", "lower", "group"):
+        drawn = sample_params(word, rng, group=side == "group")
+        extreme = tuple(Fraction(*math.exp(20.0 * s + rng.uniform(-1.0, 1.0)).as_integer_ratio())
+                        for s in rng.choice([-1, 1], len(drawn.t)))
+        some = tuple(Fraction(0) if j % 3 == 0 else t for j, t in enumerate(drawn.t))
+        for t in (drawn.t, some, (Fraction(0),) * len(drawn.t), extreme):
+            params = FactorizationParams(word, t, drawn.torus)
+            rows.append(params.t[-len(word):])
+            steps = totpos._steps(params, side)
+            assert _scaled_product(params, side) == oracles.column_product(n, steps), side
+            transposed = [({"x": "y", "y": "x"}.get(kind, kind), i, p, q) for kind, i, p, q in reversed(steps)]
+            for k in range(1, n + 1):
+                start = [([int(a == 0)], 1) for a in range(math.comb(n, k))]
+                got = totpos._run_word(n, k, transposed, start, totpos._int_add, totpos._int_scale)
+                w, den = oracles.wedge_column(n, k, steps)
+                assert [Fraction(ints[0], d) for ints, d in got] == [Fraction(x, den) for x in w], (side, k)
+    m = len(rows)
+    ratios = np.array([[t.as_integer_ratio() for t in row] for row in rows], dtype=object)
+    letters = [("y", i, p, q) for i, (p, q) in zip(word.letters, ratios.transpose(1, 2, 0))]
+    start = (np.tile(np.eye(n, dtype=object), (m, 1, 1)), np.ones((m, n), dtype=object))
+    ints, scales = totpos._run_word(n, 1, letters, start, totpos._stack_add)
+    want_ints, want_scales = oracles.scaled_lower_products(word, ratios)
+    assert (ints * want_scales[:, None, :] == want_ints * scales[:, None, :]).all()
+    ts = np.array([[float(t) for t in row] for row in rows])
+    letters = [("y", i, t) for i, t in zip(word.letters, ts.T)]
+    got = totpos._run_word(n, 1, letters, np.tile(np.eye(n), (m, 1, 1)), totpos._float_add)
+    assert got.dtype == np.float64 and np.array_equal(got, oracles.float_lower_products(word, ts))
 
 
 def test_sample_params_refuses_a_mask_index_outside_the_parameters():
