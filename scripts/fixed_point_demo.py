@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from tnnflow import linalg
 from tnnflow.embedding import build_rep, chart_coords, eigenchart, lambda_for, line_of
 from tnnflow.flow import DiagonalFlow, converge, flag_frame, flow_point
 from tnnflow.totpos import sample_params, sample_positive, sl3_coords, standard_word_w0
@@ -40,12 +41,13 @@ def main() -> int:
 
     worst = 0.0
     for k in range(args.starts):
-        g = sample_positive(sample_params(word, rng, group=True), "group")
-        p = chart_coords(chart, line_of(rep, g))
+        params = sample_params(word, rng, group=True)
+        g = sample_positive(params, "group")
+        p = chart_coords(chart, line_of(rep, params, "group"))
         run = converge(flow, p, tol=1e-9)
         norms = [np.linalg.norm(flow_point(flow, t, p)) for t in np.linspace(0.0, run.time, 6)]
         print(f"start {k}: ||p|| along t = {', '.join(f'{x:.3g}' for x in norms)}")
-        coords = sl3_coords(flag_frame(g.to_float().entries, run.time))
+        coords = sl3_coords(flag_frame(linalg.to_float(g.entries), run.time))
         miss = float(np.max(np.abs(np.array([coords.v, coords.w], dtype=np.float64) - target)))
         worst = max(worst, miss)
         v = ", ".join(f"{float(x):.11f}" for x in coords.v)

@@ -66,7 +66,6 @@ from .folding import (
     Folding,
     build_folding,
     fixed_locus_flow_check,
-    symmetric_params,
     symmetric_word,
 )
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-
 __all__ = [
     "GroupElement",
     "Pinning",
@@ -31,34 +29,29 @@ FLOAT = "float"
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of SL(n), stored as a matrix over Q or over binary64.
+    """An element of SL(n), stored as a matrix over binary64 or, built only by
+    ``totpos.sample_positive``, over Q.
 
-    ``field`` records which arithmetic the entries live in, and must agree
-    with their dtype: object or integer entries for ``RATIONAL`` (integer
-    ones are kept as an object array of Python ints), float entries for
-    ``FLOAT``; a mismatch raises ``TypeError``.  Exact elements
-    compose exactly, and mixing an exact element with a float one demotes
-    the product to floats.  Calling the constructor checks an exact
-    determinant; elements whose determinant is 1 by construction (factor
-    products) are built through :meth:`_det_one` instead.
+    The constructor takes float entries tagged ``FLOAT``; other entries raise
+    ``TypeError``, and the tag ``RATIONAL`` raises ``ValueError``.  An exact
+    element is only ever a factor product, whose determinant is 1 by
+    construction: :meth:`_det_one` builds it with its ``Fraction`` entries and
+    proves nothing.
     """
 
     entries: np.ndarray
     field: str
 
     def __post_init__(self):
+        if self.field == RATIONAL:
+            raise ValueError("an exact group element is a factor product: build it with totpos.sample_positive")
+        if self.field != FLOAT:
+            raise ValueError(f"unknown field tag {self.field!r}")
         n = self.entries.shape[0]
         if self.entries.shape != (n, n):
             raise ValueError("group elements are square matrices")
-        if self.field not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown field tag {self.field!r}")
-        kinds = "Oiu" if self.field == RATIONAL else "f"
-        if self.entries.dtype.kind not in kinds:
+        if self.entries.dtype.kind != "f":
             raise TypeError(f"a {self.field} group element cannot hold {self.entries.dtype} entries")
-        if self.entries.dtype.kind in "iu":  # Python ints, so that products do not wrap around
-            object.__setattr__(self, "entries", self.entries.astype(object))
-        if self.field == RATIONAL and linalg.det(self.entries) != 1:
-            raise ValueError("exact group element must have determinant 1")
         self.entries.setflags(write=False)
 
     @classmethod
@@ -73,18 +66,6 @@ class GroupElement:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        if self.field == RATIONAL and other.field == RATIONAL:
-            return GroupElement._det_one(self.entries @ other.entries)  # det is multiplicative
-        return GroupElement(
-            linalg.to_float(self.entries) @ linalg.to_float(other.entries), FLOAT
-        )
-
-    def to_float(self) -> "GroupElement":
-        if self.field == FLOAT:
-            return self
-        return GroupElement(linalg.to_float(self.entries), FLOAT)
 
 
 @dataclass(frozen=True)

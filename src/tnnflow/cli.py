@@ -49,7 +49,7 @@ from .embedding import _chart_bytes, _float_lines, build_rep, chart_coords, eige
 from .flow import DiagonalFlow, default_ball_radius, flag_frame, flow_point, has_overflow, sphere_crossing
 from .folding import build_folding, fixed_locus_flow_check
 from .serialize import dumps_canonical
-from .suite import run_suite
+from .suite import CASES, GATES, run_suite
 from .totpos import (
     Positivity,
     _certificate,
@@ -287,18 +287,29 @@ def cmd_sample(cfg: RunConfig, args) -> int:
     return 0 if all_certified else 1
 
 
+def _refuse_past_memory(need: int, what: str) -> None:
+    """Raise ``ValueError`` if ``need``, a floor on the bytes ``what`` takes, passes the
+    machine's physical memory: callers decide it before anything is built or drawn."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        size = f"{need / 2**30:.3g} GiB" if need < 2**1000 else f"2^{need.bit_length() - 1} bytes"
+        raise ValueError(f"{what} needs at least {size}, past the {have / 2**30:.3g} GiB of physical memory")
+
+
+def _refuse_count_past_memory(count: int, n: int, samples: int) -> None:
+    """Refuse a ``--count`` whose fold gate, of ``samples`` samples at n, cannot fit in
+    physical memory: the gate holds one binary64 n x n QR frame per sample and one for
+    its control at once, ``8 n^2 (samples + 1)`` bytes, before it flows them."""
+    _refuse_past_memory(8 * n * n * (samples + 1), f"--count {count} is too big: the fold gate")
+
+
 def _module_chart(cfg: RunConfig) -> tuple:
     """``(weight, rep, chart)`` of the (n, J) module.  Before anything is built, a module
     whose chart's dense arrays (:func:`~tnnflow.embedding._chart_bytes`) cannot fit in
     the machine's physical memory is refused with ``ValueError``."""
     weight = lambda_for(cfg.n, cfg.J)
-    need, have = _chart_bytes(weight), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        size = f"{need / 2**30:.3g} GiB" if need < 2**1000 else f"2^{need.bit_length() - 1} bytes"
-        raise ValueError(
-            f"the module for n = {cfg.n}, J = {sorted(cfg.J)} is too big for a dense chart: "
-            f"it needs at least {size}, past the {have / 2**30:.3g} GiB of physical memory"
-        )
+    _refuse_past_memory(_chart_bytes(weight), f"the module for n = {cfg.n}, J = {sorted(cfg.J)} is too big "
+                                              "for a dense chart: it")
     rep = build_rep(weight)
     return weight, rep, eigenchart(rep)
 
@@ -340,8 +351,10 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
     only its binary64 matrix is multiplied out.  A flag matrix from a file has
     each column scaled by a power of two, so that its largest |entry| lies in
     [1/2, 1): the flag is the same, and its minors neither overflow nor
-    underflow on account of a column's scale.  A malformed entry, a flag matrix
-    that is not n x n, or a start that is not finite raises ``ValueError``.
+    underflow on account of a column's scale.  An entry that breaks the config
+    file's rule for a real (:func:`_is_real`: a string, a bool, null, or an int
+    past binary64) raises ``ValueError`` naming the file's key, and so do a flag
+    matrix that is not n x n and a start that is not finite.
     """
     if path is None:
         params = sample_params(standard_word_w0(cfg.n), np.random.default_rng(cfg.seed))
@@ -349,16 +362,19 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
         return p, linalg._float_of_scaled(*_scaled_product(params, "lower")), "random TNN flag"
     with open(path) as fh:
         doc = json.load(fh)
-    try:
-        if "chart" in doc:
-            entries, origin = [float(x) for x in doc["chart"]], "chart point"
-        elif "flag" in doc:
-            entries, origin = [[float(x) for x in row] for row in doc["flag"]], "flag matrix"
-        else:
-            raise ValueError("point file needs a 'chart' or 'flag' entry")
-    except TypeError as exc:
-        raise ValueError(f"malformed point file ({exc})") from None
-    p = np.array(entries)
+    key = next((key for key in ("chart", "flag") if isinstance(doc, dict) and key in doc), None)
+    if key is None:
+        raise ValueError("point file needs a 'chart' or 'flag' entry")
+    origin, want = ("chart point", "a list") if key == "chart" else ("flag matrix", "a list of equally long rows")
+    rows = [doc[key]] if key == "chart" else doc[key]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows) and len(set(map(len, rows))) < 2):
+        raise ValueError(f"point file key {key!r} must be {want} of finite numbers, got {doc[key]!r}")
+    bad = [x for row in rows for x in row if not _is_real(x)]
+    if bad:
+        raise ValueError(f"point file key {key!r} must be {want} of finite numbers, got the entry {bad[0]!r}")
+    p = np.array([[float(x) for x in row] for row in rows])
+    if key == "chart":
+        p = p[0]
     if not np.all(np.isfinite(p)):
         raise ValueError(f"{origin} entries must be finite")
     if origin == "chart point":
@@ -465,6 +481,7 @@ def cmd_cells(cfg: RunConfig, args) -> int:
 
 
 def cmd_fold(cfg: RunConfig, args) -> int:
+    _refuse_count_past_memory(cfg.count, cfg.n, cfg.count)
     folding = build_folding(cfg.n)
     rng = np.random.default_rng(cfg.seed)
     report = fixed_locus_flow_check(folding, rng, count=cfg.count)
@@ -481,6 +498,8 @@ def cmd_figure(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    fold_n = next(row.n for row in CASES if row.gate == "folding")
+    _refuse_count_past_memory(cfg.count, fold_n, GATES["folding"].count(cfg.count))
     counts, sections = run_suite(cfg.seed, cfg.count)
     passed = all(section["passed"] for section in sections.values())
     payload = {"meta": cfg.meta("verify") | {"counts": counts}, "sections": sections, "passed": passed}

@@ -25,8 +25,8 @@ leading compound columns of a matrix; its binary64 coordinates are read off
 at the pivots, one column entry per factor.  From factorization parameters
 no matrix is formed: the letter loop ``totpos._run_word`` runs the transposed
 word on e_1 ^ ... ^ e_k, a few int adds per letter, and no term is
-subtracted.  An exact matrix takes the leading minors of the minor
-kernel, and a stack of float frames stacked dets.
+subtracted.  A binary64 matrix, or a stack of float frames, takes stacked
+dets.
 
 The symmetric operator ``sum_i E_i + F_i`` acting on the module has a simple
 top eigenvalue and a closed-form orthonormal eigenbasis: the orthogonal
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chevalley import RATIONAL, GroupElement, generator_sum_spectrum
+from .chevalley import FLOAT, GroupElement, generator_sum_spectrum
 from .totpos import FactorizationParams, _int_add, _int_scale, _run_word, _steps, _wedge_table, flag_minors
 
 __all__ = [
@@ -277,24 +277,22 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
     """Image of the highest-weight line under a group element, in binary64.
 
     ``g`` is factorization parameters, whose product on ``side`` is never
-    formed, or a :class:`~tnnflow.chevalley.GroupElement` (exact for rational
-    entries, floating otherwise).  The highest vector of the k-th wedge factor
+    formed, or a binary64 :class:`~tnnflow.chevalley.GroupElement`; anything
+    else, an exact element included, raises ``TypeError``: an exact flag is
+    embedded from its parameters.  The highest vector of the k-th wedge factor
     is e_1 ^ ... ^ e_k, so its image is the leading compound column of g, and
     the line is spanned by the tensor product of those columns.  Only the
     module's pivot coordinates are multiplied out: the digits of a pivot's
-    ambient index pick one entry of each factor's column, and the product
-    runs over the factors as Python ints.  The result holds homogeneous
-    coordinates in the reduced-echelon basis.
+    ambient index pick one entry of each factor's column.  The result holds
+    homogeneous coordinates in the reduced-echelon basis.
 
     From parameters, each distinct factor's column is the leading row of the
     k-th compound of g^T, whose word the letter loop
-    :func:`~tnnflow.totpos._run_word` runs on e_1 ^ ... ^ e_k in Python ints;
-    from an exact matrix, it is the leading minors of :func:`_scaled_lines` on
-    a stack of one.  Either way each coordinate is the correctly rounded value
-    of the exact one: a product of ints over the product of the factors'
-    denominators, divided once.  For float g each is a binary64 product of
-    ``np.linalg.det`` minors, by the stacked kernel :func:`_float_lines` on a
-    stack of one.
+    :func:`~tnnflow.totpos._run_word` runs on e_1 ^ ... ^ e_k in Python ints,
+    and each coordinate is the correctly rounded value of the exact one: a
+    product of ints over the product of the factors' denominators, divided
+    once.  For float g each is a binary64 product of ``np.linalg.det``
+    minors, by the stacked kernel :func:`_float_lines` on a stack of one.
     """
     if isinstance(g, FactorizationParams):
         # g^T's word: g's letters right to left, x_i(t)^T = y_i(t)
@@ -306,36 +304,16 @@ def line_of(rep: RepModule, g, side: str = "lower") -> np.ndarray:
         ratio = functools.reduce(np.multiply, (np.array([(w[0], den) for w, den in columns[k]], dtype=object)[d]
                                                for k, d in zip(rep.factors, _pivot_digits(rep))))
         return (ratio[:, 0] / ratio[:, 1]).astype(np.float64)
-    if not isinstance(g, GroupElement):
-        raise TypeError("g must be FactorizationParams or GroupElement")
+    if not (isinstance(g, GroupElement) and g.field == FLOAT):
+        raise TypeError("g must be FactorizationParams or a binary64 GroupElement: embed an exact flag by its parameters")
     if g.n != rep.n:
         raise ValueError(f"a {g.n} x {g.n} matrix does not act on a module for n = {rep.n}")
-    if g.field == RATIONAL:
-        return _scaled_lines(rep, [linalg._scaled_columns(g.entries)])[0]
     return _float_lines(rep, linalg.to_float(g.entries)[None])[0]
 
 
 def _pivot_digits(rep: RepModule) -> tuple:
     """Per wedge factor, the index of each pivot's subset: the entry of its column it reads."""
     return np.unravel_index(rep.pivot_cols, [math.comb(rep.n, k) for k in rep.factors])
-
-
-def _scaled_lines(rep: RepModule, scaled) -> np.ndarray:
-    """The lines of a stack of exact matrices, each given by its column-scaled ints
-    ``(columns, scales)``, ``m`` pairs to ``(m, dim)`` in binary64.
-
-    The minors come from one call of the minor kernel on the leading max(factors)
-    columns of the stack (:func:`~tnnflow.linalg._minor_levels`), and each level's
-    column set 0, the leading columns, is read; each pivot coordinate is the int
-    product of one minor per factor over the product of their denominators,
-    divided once as Python ints, so each row is bit for bit its matrix's line.
-    """
-    (ints, scales), kmax = linalg._scaled_stack(scaled), max(rep.factors)
-    minors = linalg._minor_levels(ints[:, :, :kmax], scales[:, :kmax])
-    levels = {k: level for k, level in enumerate(minors, 1) if k in rep.factors}
-    numer = functools.reduce(np.multiply, (levels[k][0][:, d, 0] for k, d in zip(rep.factors, _pivot_digits(rep))))
-    denom = functools.reduce(np.multiply, (levels[k][1][:, 0] for k in rep.factors))
-    return (numer / denom[:, None]).astype(np.float64)
 
 
 def _float_lines(rep: RepModule, frames: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ compares the two sides.  S is an int matrix; no ``Fraction`` matrix is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,9 +30,7 @@ from . import linalg
 from .chevalley import generator_sum_spectrum
 from .flow import _frame_gap, _graded_frame
 from .totpos import (
-    FactorizationParams,
     ReducedWord,
-    _mask_indices,
     _positive_ratio,
     _run_word,
     _stack_add,
@@ -44,8 +41,6 @@ __all__ = [
     "Folding",
     "build_folding",
     "symmetric_word",
-    "symmetric_params",
-    "break_symmetry",
     "fixed_locus_flow_check",
 ]
 
@@ -157,44 +152,17 @@ def _symmetric_batch(blocks: tuple, rng: np.random.Generator, count: int) -> np.
     return np.array(ratios, dtype=object)[:, np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])]
 
 
-def symmetric_params(
-    n: int,
-    rng: np.random.Generator,
-    zero_blocks=None,
-) -> FactorizationParams:
-    """Random flip-symmetric factorization parameters (exact rationals).
-
-    One positive value is drawn per folded letter and copied across its
-    orbit block, so the resulting lower-unipotent product is exactly fixed
-    by sigma.  ``zero_blocks`` pins whole blocks to zero (boundary samples);
-    a block index outside the blocks raises ``ValueError``.  One
-    ``rng.uniform`` call draws the blocks that are not zeroed, in block order,
-    each value the ``Fraction`` of its :func:`~tnnflow.totpos._positive_ratio`:
-    with no block zeroed, the stream and the values of a row of
-    :func:`_symmetric_batch`.
-    """
-    word, blocks = symmetric_word(n)
-    zeroed = _mask_indices(() if zero_blocks is None else zero_blocks, len(blocks), "zero_blocks")
-    kept = [b for b in range(len(blocks)) if b not in zeroed]
-    values = {b: Fraction(*_positive_ratio(x)) for b, x in zip(kept, rng.uniform(-3.0, 3.0, len(kept)).tolist())}
-    return FactorizationParams(word, tuple(values.get(b, Fraction(0)) for b, block in enumerate(blocks) for _ in block))
-
-
-def break_symmetry(params: FactorizationParams) -> FactorizationParams:
-    """Perturb one member of a tied pair: the negative control sample.
-
-    Raises ``ValueError`` when no tied pair has a positive parameter to untie,
-    as at n = 2, whose one block is the middle letter.
-    """
-    word, blocks = symmetric_word(params.word.n)
-    if word.letters != params.word.letters:
-        raise ValueError("parameters do not come from the symmetric word")
-    vals = list(params.t)
-    pair = next((b for b in blocks if len(b) == 2 and vals[b[0]] > 0), None)
-    if pair is None:
-        raise ValueError("no tied pair has a positive parameter to untie")
-    vals[pair[0]] = vals[pair[0]] * 2
-    return FactorizationParams(word, tuple(vals))
+def _control_ratios(blocks: tuple, rng: np.random.Generator) -> list:
+    """The fold gate's negative control as int ratios ``(p, q)``, one per letter: one
+    ``rng.uniform(-3, 3, len(blocks))`` call, each value a
+    :func:`~tnnflow.totpos._positive_ratio` copied across its orbit block, and then
+    the first member of the first tied pair doubled, in lowest terms, which unties it."""
+    values = [_positive_ratio(x) for x in rng.uniform(-3.0, 3.0, len(blocks)).tolist()]
+    ratios = [values[b] for b, block in enumerate(blocks) for _ in block]
+    first = next(block[0] for block in blocks if len(block) == 2)
+    p, q = ratios[first]
+    ratios[first] = (p, q // 2) if q % 2 == 0 else (2 * p, q)
+    return ratios
 
 
 def fixed_locus_flow_check(
@@ -209,8 +177,10 @@ def fixed_locus_flow_check(
     Each sample is an exactly symmetric lower-unipotent factorization u.  The
     batch is drawn at once as int ratios (:func:`_symmetric_batch`: one array
     draw each for the boundary masks and the values), then a deliberately
-    de-symmetrized control, and all are multiplied out as one stack of
-    column-scaled ints by :func:`~tnnflow.totpos._run_word`, with no
+    de-symmetrized control, also as int ratios (:func:`_control_ratios`: one
+    more value draw, and one member of a tied pair doubled), and all are
+    multiplied out as one stack of column-scaled ints by
+    :func:`~tnnflow.totpos._run_word`, with no
     ``Fraction`` built; its floats are the int true quotients, each the
     rounding of the exact entry.  At t = 0 a flag is sigma-fixed iff
     sigma(u) == u exactly, by one fact:
@@ -257,8 +227,8 @@ def fixed_locus_flow_check(
     sp = s @ p
 
     batch = _symmetric_batch(blocks, rng, count)
-    bad = break_symmetry(symmetric_params(n, rng))  # the control, drawn last: row `count` of the stack
-    ratios = np.concatenate([batch, [[t.as_integer_ratio() for t in bad.t]]]).transpose(1, 2, 0)
+    control = np.array([_control_ratios(blocks, rng)], dtype=object)  # drawn last: row `count` of the stack
+    ratios = np.concatenate([batch, control]).transpose(1, 2, 0)
     start = (np.tile(np.eye(n, dtype=object), (count + 1, 1, 1)), np.ones((count + 1, n), dtype=object))
     ints, scales = _run_word(n, 1, [("y", i, p, q) for i, (p, q) in zip(word.letters, ratios)], start, _stack_add)
     fixed = _preserves_form(ints, scales)

@@ -4,26 +4,23 @@ An exact matrix is carried as the pair ``(columns, scales)`` of
 :func:`_scaled_columns`: column c times the LCM ``e_c`` of its own
 denominators, as Python ints, and the ``e_c``.  ``tnnflow.totpos``
 multiplies its products out in that form, and every exact kernel here runs
-on it: a ``Fraction`` is built only for a result that leaves the kernels
-(:func:`det`, and :func:`_fraction_of_scaled` for ``totpos.sample_positive``'s
-``Fraction`` view; the ``sample`` report writes its matrices from the ints).
-Matrices with ``Fraction`` or ``int`` entries in object arrays go in through
+on it, one matrix at a time: a ``Fraction`` is built only for
+:func:`_fraction_of_scaled`, ``totpos.sample_positive``'s ``Fraction`` view
+(the ``sample`` report writes its matrices from the ints).  Matrices with
+``Fraction`` or ``int`` entries in object arrays go in through
 :func:`_scaled_columns`, and so do float ones, each entry read by its own
 ``as_integer_ratio()``, exact for a float.  Float work is delegated to
 numpy proper; these helpers exist for the places where the answer must be a
 certificate (minor signs, echelon bases) rather than an approximation.
 
-- :func:`det` runs Bareiss elimination on the ints, over ``prod(e_c)``.
-- All minors come from one integer Laplace kernel, :func:`_minor_levels`,
-  on a stack of pairs laid out as object arrays (:func:`_scaled_stack`): it
-  computes one whole level of k-minors at a time, for every matrix of the
-  stack, as a few numpy object-array gathers, multiplies and adds over index
-  tables cached per (n, m, k), and the k-minor on columns C is a plain int
-  over ``prod(e_c for c in C)``.  ``tnnflow.totpos`` compares its ints
-  directly, and the line embedding of an exact matrix reads each level's
-  column set 0, the leading columns.  A flag given by factorization
-  parameters takes no minor at all: :mod:`tnnflow.embedding` runs its word
-  on the wedge columns.
+- All minors of one matrix come from one integer Laplace kernel,
+  :func:`_minor_levels`: it computes one whole level of k-minors at a time,
+  as a few numpy object-array gathers, multiplies and adds over index tables
+  cached per (n, m, k), and the k-minor on columns C is a plain int over
+  ``prod(e_c for c in C)``.  ``tnnflow.totpos`` compares its ints directly,
+  for the least minor of a matrix that its solid minors leave undecided.
+  A flag takes no exact minor at all: :mod:`tnnflow.embedding` runs its
+  word on the wedge columns.
 - The solid minors alone (contiguous rows and columns), which decide total
   positivity, come a level at a time from the condensation kernel
   :func:`_solid_levels` on the same ints.
@@ -42,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["to_float", "is_rational_array", "det"]
+__all__ = ["to_float", "is_rational_array"]
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
@@ -84,45 +81,6 @@ def _fraction_of_scaled(columns: list, scales: list) -> np.ndarray:
     return np.array([[Fraction(x, e) for x, e in zip(row, scales)] for row in zip(*columns)], dtype=object)
 
 
-def _bareiss(m: list) -> tuple[int, int]:
-    """Bareiss elimination of int rows in place, below each pivot.
-
-    Entries stay integer minors, so each division is exact.  Returns the last pivot
-    ``d`` (0 if singular) and the sign of the row swaps; the determinant is ``sign * d``.
-    """
-    n, sign, prev = len(m), 1, 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot_row is None:
-            return 0, sign
-        if pivot_row != k:
-            m[k], m[pivot_row], sign = m[pivot_row], m[k], -sign
-        for i in range(k + 1, n):
-            m[i] = [(m[k][k] * y - m[i][k] * t) // prev for y, t in zip(m[i], m[k])]
-        prev = m[k][k]
-    return prev, sign
-
-
-def det(a: np.ndarray) -> Fraction:
-    """Exact determinant, always a ``Fraction``: Bareiss on the column-scaled ints, over ``prod(e_c)``."""
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("determinant needs a square matrix")
-    columns, scales = _scaled_columns(a)
-    d, sign = _bareiss([list(row) for row in zip(*columns)])
-    return Fraction(sign * d, math.prod(scales))
-
-
-def _scaled_stack(scaled) -> tuple[np.ndarray, np.ndarray]:
-    """A sequence of column-scaled pairs ``(columns, scales)`` of one shape as object
-    arrays of Python ints: ``ints`` ``(s, n, m)``, entry ``[i, r, c] = columns[c][r]`` of
-    pair i, and ``scales`` ``(s, m)``."""
-    m = len(scaled[0][0])
-    n = len(scaled[0][0][0]) if m else 0
-    ints = np.array([columns for columns, _ in scaled], dtype=object).reshape(len(scaled), m, n)
-    return ints.swapaxes(1, 2), np.array([scales for _, scales in scaled], dtype=object).reshape(len(scaled), m)
-
-
 @functools.lru_cache(maxsize=None)
 def _laplace_tables(n: int, m: int, k: int) -> tuple:
     """Index tables for level k of :func:`_minor_levels` on n x m matrices.
@@ -150,41 +108,40 @@ def _laplace_tables(n: int, m: int, k: int) -> tuple:
 _BLOCK = 1024
 
 
-def _minor_levels(ints: np.ndarray, scales: np.ndarray, kmax: int | None = None):
-    """Yield ``(values, dens)`` for each minor size k = 1..kmax, for a stack of column-scaled ints.
+def _minor_levels(columns: list, scales: list, kmax: int | None = None):
+    """Yield ``(values, dens)`` for each minor size k = 1..kmax of one matrix, given by its
+    column-scaled ints: column c is ``columns[c] / scales[c]``.
 
-    Matrix i of the stack has column c equal to ``ints[i, :, c] / scales[i, c]``
-    (as :func:`_scaled_stack` lays them out).  ``values[i, r, c]`` is the
-    k-minor of the ints of matrix i on the r-th k-subset of rows and the c-th
-    k-subset of columns, both lexicographic, and ``dens[i, c]`` the product of
-    the scales of that column set, so the minor of the matrix is
-    ``values[i, r, c] / dens[i, c]``: within one column set, ints compare as
-    the minors do.  Each level is one Laplace expansion along the last column
-    of each set over the level below, as k object-array gathers, multiplies and
-    adds on the whole stack, with index tables cached per (n, m, k).  Only the
-    levels k-1 and k are alive at once, and the largest level of an n x n
-    matrix holds C(n, n//2)**2 ints, 63,504 at n = 10; a level is summed in
-    blocks of rows of about ``_BLOCK`` minors, so its terms and partial sums
-    stay that small beside it.  Column set 0 of level k is the leading columns
-    0..k-1.  ``kmax`` defaults to ``min(n, m)``.
+    ``values[r, c]`` is the k-minor of the ints on the r-th k-subset of rows
+    and the c-th k-subset of columns, both lexicographic, and ``dens[c]`` the
+    product of the scales of that column set, so the minor of the matrix is
+    ``values[r, c] / dens[c]``: within one column set, ints compare as the
+    minors do.  Each level is one Laplace expansion along the last column of
+    each set over the level below, as k object-array gathers, multiplies and
+    adds, with index tables cached per (n, m, k).  Only the levels k-1 and k
+    are alive at once, and the largest level of an n x n matrix holds
+    C(n, n//2)**2 ints, 63,504 at n = 10; a level is summed in blocks of rows
+    of about ``_BLOCK`` minors, so its terms and partial sums stay that small
+    beside it.  ``kmax`` defaults to ``min(n, m)``.
     """
-    stack, n, m = ints.shape
-    prev = np.ones((stack, 1, 1), dtype=object)
-    dens = np.ones((stack, 1), dtype=object)
+    m = len(columns)
+    n = len(columns[0]) if m else 0
+    ints, scales = np.array(columns, dtype=object).reshape(m, n).T, np.array(scales, dtype=object).reshape(m)
+    prev, dens = np.ones((1, 1), dtype=object), np.ones(1, dtype=object)
     for k in range(1, (min(n, m) if kmax is None else kmax) + 1):
         picked, dropped, heads, lasts = _laplace_tables(n, m, k)
-        entries, below = ints[:, :, lasts], prev[:, :, heads]
-        level = np.empty((stack, len(picked), len(lasts)), dtype=object)
-        step = max(1, _BLOCK // (stack * len(lasts)))
+        entries, below = ints[:, lasts], prev[:, heads]
+        level = np.empty((len(picked), len(lasts)), dtype=object)
+        step = max(1, _BLOCK // len(lasts))
         for start in range(0, len(picked), step):
             rows = slice(start, start + step)
             # the term of row j has the sign (-1)**(k-1-j)
-            block = entries[:, picked[rows, k - 1]] * below[:, dropped[rows, k - 1]]
+            block = entries[picked[rows, k - 1]] * below[dropped[rows, k - 1]]
             for j in range(k - 2, -1, -1):
-                term = entries[:, picked[rows, j]] * below[:, dropped[rows, j]]
+                term = entries[picked[rows, j]] * below[dropped[rows, j]]
                 block = block - term if (k - 1 - j) % 2 else block + term
-            level[:, rows] = block
-        dens = dens[:, heads] * scales[:, lasts]
+            level[rows] = block
+        dens = dens[heads] * scales[lasts]
         yield level, dens
         prev = level
 

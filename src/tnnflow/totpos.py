@@ -383,7 +383,8 @@ def _least_ratio(least, pairs) -> tuple | None:
 
 def _least_minor(columns: list, scales: list) -> Fraction:
     """The least minor of the matrix with column c ``columns[c] / scales[c]``, walked level by
-    level on the ints of the minor kernel.
+    level on the ints of the Laplace kernel :func:`linalg._minor_levels`, which takes
+    this one matrix as its ``(columns, scales)`` pair.
 
     A k-minor on columns C is ``s / den`` for an int ``s`` and the product
     ``den`` of the column scales of C, so within one column set the least
@@ -392,8 +393,8 @@ def _least_minor(columns: list, scales: list) -> Fraction:
     one ``Fraction`` is built for the answer.
     """
     least = None  # (s, den) of the least minor so far
-    for values, dens in linalg._minor_levels(*linalg._scaled_stack([(columns, scales)])):
-        least = _least_ratio(least, zip(values[0].min(axis=0).tolist(), dens[0].tolist()))
+    for values, dens in linalg._minor_levels(columns, scales):
+        least = _least_ratio(least, zip(values.min(axis=0).tolist(), dens.tolist()))
     return Fraction(*least)
 
 

@@ -33,6 +33,18 @@ independent routes the int kernels are checked against:
   as object ints; the same stack in binary64; and the leading column of a wedge
   power over one denominator.  The letter loop must give their rationals, and
   their bits in binary64;
+- ``det`` (Bareiss elimination on the column-scaled ints, with its helper
+  ``_bareiss``), ``exact_element`` (an exact element whose determinant 1 is
+  checked), ``matmul`` and ``to_float`` are the exact group-element arithmetic
+  that left ``linalg`` and ``chevalley.GroupElement``: the package builds an
+  exact element only as a factor product, ``totpos.sample_positive``;
+- ``scaled_stack`` and ``minor_levels_stacked`` are the Laplace kernel on a
+  stack of matrices, and ``scaled_lines`` and ``exact_line`` the line of an
+  exact matrix by its leading minors, the route ``line_of`` took on an exact
+  element before it embedded an exact flag by its parameters only;
+- ``symmetric_params`` and ``break_symmetry`` are the fold gate's
+  ``Fraction`` parameters for a symmetric sample and its control, whose
+  values and stream the gate's int ratios must keep;
 - ``encode_tree`` is the first pass of the old two-pass report encoder: it
   copies a report into a tree of JSON scalars, and ``json.dumps(...,
   sort_keys=True, indent=2)`` of that copy is the text the one-pass writer
@@ -41,6 +53,7 @@ independent routes the int kernels are checked against:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -49,11 +62,12 @@ from numbers import Rational
 import numpy as np
 
 from tnnflow import linalg
-from tnnflow.chevalley import FLOAT, GroupElement, Pinning, generator_sum_spectrum
+from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, Pinning, generator_sum_spectrum
+from tnnflow.embedding import _pivot_digits
 from tnnflow.flow import _frame_gap, _graded_frame
-from tnnflow.folding import Folding, _preserves_form, _symmetric_batch, break_symmetry, symmetric_params, symmetric_word
+from tnnflow.folding import Folding, _preserves_form, _symmetric_batch, symmetric_word
 from tnnflow.serialize import encode_value
-from tnnflow.totpos import ReducedWord, Sl3Coords, _wedge_table
+from tnnflow.totpos import FactorizationParams, ReducedWord, Sl3Coords, _mask_indices, _positive_ratio, _wedge_table
 
 
 def rational_matrix(rows) -> np.ndarray:
@@ -129,11 +143,132 @@ def all_minors(a: np.ndarray):
     minor, and no arithmetic of its own.
     """
     n, m = a.shape
-    for k, (values, dens) in enumerate(linalg._minor_levels(*linalg._scaled_stack([linalg._scaled_columns(a)])), 1):
+    for k, (values, dens) in enumerate(linalg._minor_levels(*linalg._scaled_columns(a)), 1):
         cols_k = list(itertools.combinations(range(m), k))
-        for rows, row in zip(itertools.combinations(range(n), k), values[0].tolist()):
-            for cols, s, den in zip(cols_k, row, dens[0].tolist()):
+        for rows, row in zip(itertools.combinations(range(n), k), values.tolist()):
+            for cols, s, den in zip(cols_k, row, dens.tolist()):
                 yield rows, cols, Fraction(s, den)
+
+
+def _bareiss(m: list) -> tuple[int, int]:
+    """Bareiss elimination of int rows in place, below each pivot.
+
+    Entries stay integer minors, so each division is exact.  Returns the last pivot
+    ``d`` (0 if singular) and the sign of the row swaps; the determinant is ``sign * d``.
+    """
+    n, sign, prev = len(m), 1, 1
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot_row is None:
+            return 0, sign
+        if pivot_row != k:
+            m[k], m[pivot_row], sign = m[pivot_row], m[k], -sign
+        for i in range(k + 1, n):
+            m[i] = [(m[k][k] * y - m[i][k] * t) // prev for y, t in zip(m[i], m[k])]
+        prev = m[k][k]
+    return prev, sign
+
+
+def det(a: np.ndarray) -> Fraction:
+    """Exact determinant, always a ``Fraction``: Bareiss on the column-scaled ints, over ``prod(e_c)``."""
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("determinant needs a square matrix")
+    columns, scales = linalg._scaled_columns(a)
+    d, sign = _bareiss([list(row) for row in zip(*columns)])
+    return Fraction(sign * d, math.prod(scales))
+
+
+def exact_element(entries: np.ndarray) -> GroupElement:
+    """An exact group element from object or integer entries (integer ones are kept as an
+    object array of Python ints, so that products do not wrap around), its determinant
+    checked to be 1: other entries raise ``TypeError``, another determinant ``ValueError``."""
+    if entries.dtype.kind not in "Oiu":
+        raise TypeError(f"a rational group element cannot hold {entries.dtype} entries")
+    if entries.dtype.kind in "iu":
+        entries = entries.astype(object)
+    if det(entries) != 1:
+        raise ValueError("exact group element must have determinant 1")
+    return GroupElement._det_one(entries)
+
+
+def matmul(g: GroupElement, *rest: GroupElement) -> GroupElement:
+    """``g h ...``, left to right: exact elements compose exactly, and mixing an exact
+    element with a float one demotes the product to floats."""
+    for h in rest:
+        if g.field == RATIONAL and h.field == RATIONAL:
+            g = GroupElement._det_one(g.entries @ h.entries)  # det is multiplicative
+        else:
+            g = GroupElement(linalg.to_float(g.entries) @ linalg.to_float(h.entries), FLOAT)
+    return g
+
+
+def to_float(g: GroupElement) -> GroupElement:
+    """The binary64 element of ``g``: each entry rounded once."""
+    if g.field == FLOAT:
+        return g
+    return GroupElement(linalg.to_float(g.entries), FLOAT)
+
+
+def scaled_stack(scaled) -> tuple[np.ndarray, np.ndarray]:
+    """A sequence of column-scaled pairs ``(columns, scales)`` of one shape as object
+    arrays of Python ints: ``ints`` ``(s, n, m)``, entry ``[i, r, c] = columns[c][r]`` of
+    pair i, and ``scales`` ``(s, m)``."""
+    m = len(scaled[0][0])
+    n = len(scaled[0][0][0]) if m else 0
+    ints = np.array([columns for columns, _ in scaled], dtype=object).reshape(len(scaled), m, n)
+    return ints.swapaxes(1, 2), np.array([scales for _, scales in scaled], dtype=object).reshape(len(scaled), m)
+
+
+def minor_levels_stacked(ints: np.ndarray, scales: np.ndarray, kmax: int | None = None):
+    """Yield ``(values, dens)`` for each minor size k = 1..kmax, for a stack of column-scaled ints
+    laid out by :func:`scaled_stack`: ``linalg._minor_levels`` with a leading stack axis,
+    ``values[i]`` and ``dens[i]`` those of matrix i.  Each level is summed in blocks of
+    rows of about ``linalg._BLOCK`` minors over the whole stack."""
+    stack, n, m = ints.shape
+    prev = np.ones((stack, 1, 1), dtype=object)
+    dens = np.ones((stack, 1), dtype=object)
+    for k in range(1, (min(n, m) if kmax is None else kmax) + 1):
+        picked, dropped, heads, lasts = linalg._laplace_tables(n, m, k)
+        entries, below = ints[:, :, lasts], prev[:, :, heads]
+        level = np.empty((stack, len(picked), len(lasts)), dtype=object)
+        step = max(1, linalg._BLOCK // (stack * len(lasts)))
+        for start in range(0, len(picked), step):
+            rows = slice(start, start + step)
+            # the term of row j has the sign (-1)**(k-1-j)
+            block = entries[:, picked[rows, k - 1]] * below[:, dropped[rows, k - 1]]
+            for j in range(k - 2, -1, -1):
+                term = entries[:, picked[rows, j]] * below[:, dropped[rows, j]]
+                block = block - term if (k - 1 - j) % 2 else block + term
+            level[:, rows] = block
+        dens = dens[:, heads] * scales[:, lasts]
+        yield level, dens
+        prev = level
+
+
+def scaled_lines(rep, scaled) -> np.ndarray:
+    """The lines of a stack of exact matrices, each given by its column-scaled ints
+    ``(columns, scales)``, ``m`` pairs to ``(m, dim)`` in binary64.
+
+    The minors come from one call of the stacked minor kernel on the leading
+    max(factors) columns of the stack, and each level's column set 0, the
+    leading columns, is read; each pivot coordinate is the int product of one
+    minor per factor over the product of their denominators, divided once as
+    Python ints, so each row is bit for bit its matrix's line.
+    """
+    (ints, scales), kmax = scaled_stack(scaled), max(rep.factors)
+    minors = minor_levels_stacked(ints[:, :, :kmax], scales[:, :kmax])
+    levels = {k: level for k, level in enumerate(minors, 1) if k in rep.factors}
+    numer = functools.reduce(np.multiply, (levels[k][0][:, d, 0] for k, d in zip(rep.factors, _pivot_digits(rep))))
+    denom = functools.reduce(np.multiply, (levels[k][1][:, 0] for k in rep.factors))
+    return (numer / denom[:, None]).astype(np.float64)
+
+
+def exact_line(rep, g: GroupElement) -> np.ndarray:
+    """The line of an exact element by its leading minors: :func:`scaled_lines` on a stack of one."""
+    if g.n != rep.n:
+        raise ValueError(f"a {g.n} x {g.n} matrix does not act on a module for n = {rep.n}")
+    return scaled_lines(rep, [linalg._scaled_columns(g.entries)])[0]
 
 
 def _fraction_row(row: dict, pivot) -> dict:
@@ -276,6 +411,46 @@ def fold_gaps(folding: Folding, rng, times, count: int) -> tuple:
     q_bad = qr_of(ints_bad, scales_bad)
     q_sigma_bad = np.linalg.qr(s @ q_bad[..., ::-1])[0]
     return flag_gaps(qu, qu), flag_gaps(q_bad, q_sigma_bad), bool(_preserves_form(ints_bad, scales_bad)[0])
+
+
+def symmetric_params(
+    n: int,
+    rng: np.random.Generator,
+    zero_blocks=None,
+) -> FactorizationParams:
+    """Random flip-symmetric factorization parameters (exact rationals).
+
+    One positive value is drawn per folded letter and copied across its
+    orbit block, so the resulting lower-unipotent product is exactly fixed
+    by sigma.  ``zero_blocks`` pins whole blocks to zero (boundary samples);
+    a block index outside the blocks raises ``ValueError``.  One
+    ``rng.uniform`` call draws the blocks that are not zeroed, in block order,
+    each value the ``Fraction`` of its :func:`~tnnflow.totpos._positive_ratio`:
+    with no block zeroed, the stream and the values of a row of
+    :func:`~tnnflow.folding._symmetric_batch`.
+    """
+    word, blocks = symmetric_word(n)
+    zeroed = _mask_indices(() if zero_blocks is None else zero_blocks, len(blocks), "zero_blocks")
+    kept = [b for b in range(len(blocks)) if b not in zeroed]
+    values = {b: Fraction(*_positive_ratio(x)) for b, x in zip(kept, rng.uniform(-3.0, 3.0, len(kept)).tolist())}
+    return FactorizationParams(word, tuple(values.get(b, Fraction(0)) for b, block in enumerate(blocks) for _ in block))
+
+
+def break_symmetry(params: FactorizationParams) -> FactorizationParams:
+    """Perturb one member of a tied pair: the negative control sample.
+
+    Raises ``ValueError`` when no tied pair has a positive parameter to untie,
+    as at n = 2, whose one block is the middle letter.
+    """
+    word, blocks = symmetric_word(params.word.n)
+    if word.letters != params.word.letters:
+        raise ValueError("parameters do not come from the symmetric word")
+    vals = list(params.t)
+    pair = next((b for b in blocks if len(b) == 2 and vals[b[0]] > 0), None)
+    if pair is None:
+        raise ValueError("no tied pair has a positive parameter to untie")
+    vals[pair[0]] = vals[pair[0]] * 2
+    return FactorizationParams(word, tuple(vals))
 
 
 def float_lower_products(word: ReducedWord, ts: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 import oracles
+from tnnflow import linalg
 from tnnflow.cells import bruhat_interval_counts, enumerate_cells
 from tnnflow.embedding import (
     build_rep,
@@ -63,7 +64,7 @@ def test_criterion_01_fixed_point_reproduction(chart3, flow3):
         p = chart_coords(chart3, line_of(chart3.rep, params, side))
         run = converge(flow3, p, tol=1e-9)
         assert run.within_bound
-        got = sl3_coords(flag_frame(sample_positive(params, side).to_float().entries, run.time)).as_vector()
+        got = sl3_coords(flag_frame(linalg.to_float(sample_positive(params, side).entries), run.time)).as_vector()
         worst = max(worst, float(np.max(np.abs(got - target))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 5.0

@@ -121,10 +121,10 @@ def test_one_param_refuses_float_parameter(pin3):
 
 
 def test_one_param_product_pinned(pin3):
-    g = (
-        one_param(pin3, "y", 1, Fraction(1))
-        @ one_param(pin3, "y", 2, Fraction(1))
-        @ one_param(pin3, "y", 1, Fraction(1))
+    g = oracles.matmul(
+        one_param(pin3, "y", 1, Fraction(1)),
+        one_param(pin3, "y", 2, Fraction(1)),
+        one_param(pin3, "y", 1, Fraction(1)),
     )
     assert linalg.to_float(g.entries).tolist() == [[1, 0, 0], [2, 1, 0], [1, 1, 1]]
 
@@ -133,22 +133,32 @@ def test_group_element_rejects_wrong_determinant():
     bad = oracles.rational_matrix([[2, 0], [0, 2]])
     with pytest.raises(ValueError):
         GroupElement(bad, RATIONAL)
+    with pytest.raises(ValueError, match="determinant 1"):
+        oracles.exact_element(bad)
+
+
+def test_group_element_refuses_exact_entries_and_names_sample_positive():
+    """The constructor builds binary64 elements only: the exact tag is refused with one
+    line that names ``sample_positive``, the one way an exact element is made."""
+    for entries in (oracles.rational_identity(3), np.eye(3, dtype=int), np.eye(3)):
+        with pytest.raises(ValueError, match=r"^an exact group element .*sample_positive$"):
+            GroupElement(entries, RATIONAL)
 
 
 def test_group_element_tag_must_agree_with_its_dtype():
-    """An exact tag needs object or integer entries and a float tag float entries:
-    float entries tagged exact, and exact ones tagged float, raise ``TypeError``."""
+    """An exact element needs object or integer entries and a float one float entries:
+    float entries made exact, and exact ones tagged float, raise ``TypeError``."""
     for entries in (np.eye(3), np.eye(3, dtype=np.float32)):
         with pytest.raises(TypeError, match="rational group element"):
-            GroupElement(entries, RATIONAL)
+            oracles.exact_element(entries)
     for entries in (oracles.rational_identity(3), np.eye(3, dtype=int), np.eye(3, dtype=np.uint8)):
         with pytest.raises(TypeError, match="float group element"):
             GroupElement(entries, FLOAT)
-    assert GroupElement(np.eye(3, dtype=int), RATIONAL).field == RATIONAL
+    assert oracles.exact_element(np.eye(3, dtype=int)).field == RATIONAL
     # integer entries are held as Python ints: a product past 2**63 does not wrap around
-    g = GroupElement(np.array([[1, 2**62], [0, 1]]), RATIONAL)
-    assert g.entries.dtype == object and (g @ g).entries[0, 1] == 2**63
-    assert GroupElement(oracles.rational_identity(3), RATIONAL).to_float().entries.dtype == np.float64
+    g = oracles.exact_element(np.array([[1, 2**62], [0, 1]]))
+    assert g.entries.dtype == object and oracles.matmul(g, g).entries[0, 1] == 2**63
+    assert oracles.to_float(oracles.exact_element(oracles.rational_identity(3))).entries.dtype == np.float64
     assert GroupElement(linalg.to_float(oracles.rational_identity(3)), FLOAT).field == FLOAT
 
 
@@ -157,14 +167,14 @@ def test_closed_constructions_have_determinant_one(n):
     """one_param and exact products skip the det check; the exact det is still 1."""
     pin = build_pinning(n)
     ts = (Fraction(3, 7), Fraction(-5, 2), Fraction(11))
-    product = GroupElement(oracles.rational_identity(n), RATIONAL)
+    product = oracles.exact_element(oracles.rational_identity(n))
     for kind in ("x", "y", "coweight"):
         for i in pin.indices:
             for t in ts:
                 g = one_param(pin, kind, i, t)
-                assert g.field == RATIONAL and linalg.det(g.entries) == 1
-                product = product @ g
-                assert product.field == RATIONAL and linalg.det(product.entries) == 1
+                assert g.field == RATIONAL and oracles.det(g.entries) == 1
+                product = oracles.matmul(product, g)
+                assert product.field == RATIONAL and oracles.det(product.entries) == 1
     assert not product.entries.flags.writeable
 
 
@@ -238,12 +248,12 @@ def test_spectrum_is_computed_once_read_only(n):
 def test_exp_group_law():
     a = exp_generator_sum(3, 0.7)
     b = exp_generator_sum(3, 1.4)
-    ab = linalg.to_float((a @ a).entries)
+    ab = linalg.to_float(oracles.matmul(a, a).entries)
     assert np.max(np.abs(ab - linalg.to_float(b.entries))) < 1e-13
 
 
 def test_matmul_promotes_field(pin3):
     g = one_param(pin3, "x", 1, Fraction(1))
     h = GroupElement(np.eye(3), FLOAT)
-    assert (g @ h).field == FLOAT
-    assert (g @ g).field == RATIONAL
+    assert oracles.matmul(g, h).field == FLOAT
+    assert oracles.matmul(g, g).field == RATIONAL

@@ -109,7 +109,7 @@ def test_sample_emits_certificates(capsys):
 @pytest.mark.parametrize("side", ["group", "lower", "upper"])
 def test_sample_margins_name_the_minors_they_cover(capsys, side):
     """A group record, certified by its solid minors alone, carries their least
-    as ``min_solid_minor`` (checked against ``linalg.det`` of every solid
+    as ``min_solid_minor`` (checked against ``oracles.det`` of every solid
     submatrix); a unipotent record, certified TNN by its interval minors,
     carries ``min_minor`` = 0, the least over all its minors."""
     code, out, _ = run_cli(capsys, "sample", "--n", "4", "--side", side, "--count", "2", "--seed", "1")
@@ -120,7 +120,7 @@ def test_sample_margins_name_the_minors_they_cover(capsys, side):
             assert margins == {"min_minor": "0/1"}
             continue
         g = oracles.rational_matrix(rec["matrix"])
-        solid = [linalg.det(g[i : i + k, j : j + k]) for k in range(1, 5) for i in range(5 - k) for j in range(5 - k)]
+        solid = [oracles.det(g[i : i + k, j : j + k]) for k in range(1, 5) for i in range(5 - k) for j in range(5 - k)]
         assert margins == {"min_solid_minor": str(min(solid))}
 
 
@@ -265,6 +265,49 @@ def test_the_chart_refusal_reads_physical_memory(capsys, monkeypatch):
         "1.55e-06 GiB, past the 9.54e-07 GiB of physical memory\n"
 
 
+def _forbid_draws(monkeypatch):
+    """Make any run of the verify suite or the fold gate in the CLI fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a gate was run")
+
+    monkeypatch.setattr(cli, "run_suite", forbidden)
+    monkeypatch.setattr(cli, "fixed_locus_flow_check", forbidden)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--count", "1000000000000"), ("fold", "--count", "1000000000000"),
+     ("verify", "--count", "3000000000000000000")],
+)
+def test_a_count_past_memory_is_refused_before_any_draw(capsys, monkeypatch, argv):
+    """The fold gate's QR frames at these counts take terabytes, or more than numpy can
+    address, so each exits 2 with one line naming ``--count`` before any gate runs."""
+    _forbid_draws(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: --count {argv[-1]} is too big: ")
+    assert "physical memory" in err
+
+
+def test_the_count_refusal_reads_physical_memory(capsys, monkeypatch):
+    """``fold --count 10`` runs on this machine and is refused on one of 1 KiB: its gate holds
+    11 QR frames of 4 x 4 binary64 entries, 1,408 bytes; ``verify --count 3`` draws 20 fold
+    samples, 2,688 bytes."""
+    code, _, _ = run_cli(capsys, "fold", "--count", "10")
+    assert code == 0
+    pages = {"SC_PAGE_SIZE": 1024, "SC_PHYS_PAGES": 1}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    _forbid_draws(monkeypatch)
+    code, out, err = run_cli(capsys, "fold", "--count", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: --count 10 is too big: the fold gate needs at least 1.31e-06 GiB, " \
+        "past the 9.54e-07 GiB of physical memory\n"
+    code, out, err = run_cli(capsys, "verify", "--count", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --count 3 is too big: the fold gate needs at least 2.5e-06 GiB, " \
+        "past the 9.54e-07 GiB of physical memory\n"
+
+
 def test_cells_summary_line(capsys):
     code, out, _ = run_cli(capsys, "cells", "--n", "3")
     assert code == 0
@@ -402,7 +445,7 @@ def test_flow_reads_sl3_off_the_frame_of_an_exact_flag(tmp_path, flag):
 def test_flow_reads_sl3_off_the_flowed_flag(capsys):
     """The seeded start's sl3 is the flag of exp(t tau) g: at t = -1 and 2 that of the QR
     of the product to 1e-12, and at t = 20 the fixed flag's closed form to 1e-12."""
-    g = sample_positive(sample_params(standard_word_w0(3), np.random.default_rng(3)), "lower").to_float().entries
+    g = linalg.to_float(sample_positive(sample_params(standard_word_w0(3), np.random.default_rng(3)), "lower").entries)
     s = 2.0 + math.sqrt(2.0)
     for t, want in (
         (-1.0, sl3_coords(np.linalg.qr(oracles.exp_generator_sum(3, -1.0).entries @ g)[0]).as_vector()),
@@ -449,7 +492,7 @@ def test_flow_from_a_chart_point_has_no_flag(tmp_path, capsys):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_default_start_is_the_fraction_route_bit_for_bit(n, monkeypatch):
     """The seeded start of ``flow`` multiplies its product out once, as column-scaled ints:
-    its binary64 matrix is bit for bit ``sample_positive(...).to_float()``, and the line it
+    its binary64 matrix is bit for bit ``linalg.to_float(sample_positive(...).entries)``, and the line it
     charts bit for bit ``line_of`` on the parameters, over 20 seeds; no ``Fraction``
     matrix is built on the way.  The chart is of the defining module, dim n."""
     J = tuple(range(2, n))
@@ -464,13 +507,13 @@ def test_default_start_is_the_fraction_route_bit_for_bit(n, monkeypatch):
         params = sample_params(standard_word_w0(n), np.random.default_rng(seed))
         want_line = line_of(chart.rep, params, "lower")
         assert origin == "random TNN flag"
-        assert g.tobytes() == sample_positive(params, "lower").to_float().entries.tobytes()
+        assert g.tobytes() == linalg.to_float(sample_positive(params, "lower").entries).tobytes()
         assert line.tobytes() == want_line.tobytes()
         assert p.tobytes() == real_coords(chart, want_line).tobytes()
 
 
 nonsingular_flags = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3, max_size=3).filter(
-    lambda m: linalg.det(oracles.rational_matrix(m)) != 0
+    lambda m: oracles.det(oracles.rational_matrix(m)) != 0
 )
 
 
@@ -724,22 +767,37 @@ def test_verify_quick_run_passes(capsys):
     }
 
 
-def test_verify_makes_no_exact_det_call(capsys, monkeypatch):
-    """Every exact element verify builds has det 1 by construction, so none is re-proved."""
-    calls = []
-    det = linalg.det
+def test_flow_from_refuses_entries_that_are_not_reals(capsys, tmp_path):
+    """A start file's entries follow the config file's rule for a real: a string, a bool,
+    null or an int past binary64 exits 2 with one line naming the file's key, as do a
+    chart that is not a list and a flag whose rows differ in length; a NaN literal, a
+    float, is refused as not finite."""
+    path = tmp_path / "start.json"
+    big = "1" + "0" * 400
+    for text, key in [('{"flag": [["1",0,0],[0,"1e0",0],[0,0,1]]}', "flag"),
+                      ('{"chart": [true,false,0,0,0,0,0]}', "chart"),
+                      ('{"chart": ["x",0,0,0,0,0,0]}', "chart"),
+                      ('{"flag": [[1,0,0],[0,1,0],[0,0,%s]]}' % big, "flag"),
+                      ('{"chart": [%s,0,0,0,0,0,0]}' % big, "chart"),
+                      ('{"chart": {"a": 1}}', "chart"),
+                      ('{"flag": [[1,0,0],[0,1],[0,0,1]]}', "flag")]:
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "flow", "--from", str(path))
+        assert (code, out) == (2, ""), text
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: point file key '{key}' must be a list"), text
+    path.write_text('{"chart": [NaN,0,0,0,0,0,0]}')
+    code, out, err = run_cli(capsys, "flow", "--from", str(path))
+    assert (code, out, err) == (2, "", "error: chart point entries must be finite\n")
 
-    def counted(a):
-        calls.append(a.shape)
-        return det(a)
 
-    monkeypatch.setattr(linalg, "det", counted)
+def test_verify_makes_no_exact_det_call(capsys):
+    """Every exact element verify builds has det 1 by construction, so none is re-proved:
+    the package holds no exact determinant, and its constructor refuses the exact tag."""
+    assert not any(hasattr(linalg, name) for name in ("det", "_bareiss"))
     code, _, _ = run_cli(capsys, "verify", "--seed", "7", "--count", "10")
     assert code == 0
-    assert calls == []
-    # the counter sees the checked constructor
-    GroupElement(oracles.rational_identity(3), RATIONAL)
-    assert calls == [(3, 3)]
+    with pytest.raises(ValueError, match="sample_positive"):
+        GroupElement(oracles.rational_identity(3), RATIONAL)
 
 
 def test_verify_is_deterministic(capsys):

@@ -15,11 +15,10 @@ import oracles
 from oracles import exp_generator_sum, one_param
 from tnnflow.chevalley import (
     FLOAT,
-    RATIONAL,
     GroupElement,
     generator_sum_spectrum,
 )
-from tnnflow import embedding, totpos
+from tnnflow import embedding, linalg, totpos
 from tnnflow.embedding import (
     ChartOverflowError,
     _tensor_moves,
@@ -288,13 +287,16 @@ def test_sl3_complete_module_shape(rep3):
 
 
 def test_highest_vector_coordinates(rep3, pin3):
-    """psi of the identity flag is the highest vector itself, exactly e_0."""
-    e = GroupElement(oracles.rational_identity(3), RATIONAL)
-    line = line_of(rep3, e)
+    """psi of the identity flag is the highest vector itself, exactly e_0: by the
+    exact element's leading minors, and by ``line_of`` on all-zero parameters."""
+    e = oracles.exact_element(oracles.rational_identity(3))
+    word = standard_word_w0(3)
+    identity = FactorizationParams(word, (Fraction(0),) * len(word))
     assert rep3.pivot_cols[0] == 0  # the highest vector is the first pivot
     want = np.array([Fraction(1)] + [Fraction(0)] * (rep3.dim - 1), dtype=np.float64)
-    assert line.dtype == np.float64
-    assert np.equal(line, want).all()
+    for line in (oracles.exact_line(rep3, e), line_of(rep3, identity, "lower")):
+        assert line.dtype == np.float64
+        assert np.equal(line, want).all()
 
 
 def _exp_nilpotent(moves, t, vec):
@@ -385,10 +387,10 @@ def test_exact_line_of_matches_full_outer_product(n, J, leibniz_det):
         g = sample_positive(params, side)
         exact = outer_at_pivots(lambda rows, k: leibniz_det(g.entries[np.ix_(rows, range(k))]), object)
         want = np.array(exact, dtype=np.float64)
-        for got in (line_of(rep, params, side), line_of(rep, g)):
+        for got in (line_of(rep, params, side), oracles.exact_line(rep, g)):
             assert got.dtype == np.float64
             assert np.equal(got, want).all(), (n, J, side)
-        for h in (g.to_float(), GroupElement(exp_tau @ g.to_float().entries, FLOAT)):
+        for h in (oracles.to_float(g), GroupElement(exp_tau @ oracles.to_float(g).entries, FLOAT)):
             want = outer_at_pivots(lambda rows, k: np.linalg.det(h.entries[np.ix_(rows, range(k))]), np.float64)
             got = line_of(rep, h)
             assert got.dtype == np.float64
@@ -399,9 +401,9 @@ def test_line_of_projective_invariance(rep3, pin3):
     """g x_1(5) is another representative of the flag of g: adding a multiple
     of the first column to the second leaves every leading minor as it is, so
     the two lines are equal, not just proportional."""
-    g = one_param(pin3, "y", 1, Fraction(2)) @ one_param(pin3, "y", 2, Fraction(3))
-    h = g @ one_param(pin3, "x", 1, Fraction(5))
-    a, b = line_of(rep3, g), line_of(rep3, h)
+    g = oracles.matmul(one_param(pin3, "y", 1, Fraction(2)), one_param(pin3, "y", 2, Fraction(3)))
+    h = oracles.matmul(g, one_param(pin3, "x", 1, Fraction(5)))
+    a, b = oracles.exact_line(rep3, g), oracles.exact_line(rep3, h)
     assert np.any(a != 0)
     assert np.equal(a, b).all()
 
@@ -459,7 +461,7 @@ def test_stacked_float_lines_match_one_frame_at_a_time(n, J):
     flip = np.diag([-1.0] + [1.0] * (n - 1))
     frames = [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2)]
     frames += [frames[0] @ flip, rng.standard_normal((n, n))]
-    frames += [sample_positive(sample_params(word, rng, zero_mask=mask), "lower").to_float().entries
+    frames += [oracles.to_float(sample_positive(sample_params(word, rng, zero_mask=mask), "lower")).entries
                for mask in ([0], range(len(word)), range(0, len(word), 2))]
     frames = np.array(frames)
     assert {-1.0, 1.0} <= set(np.sign(np.linalg.det(frames)))
@@ -473,6 +475,15 @@ def test_stacked_float_lines_match_one_frame_at_a_time(n, J):
         assert line_of(rep, GroupElement(frame, FLOAT)).tobytes() == want
 
 
+def test_line_of_refuses_an_exact_element(rep3, rng):
+    """An exact flag is embedded by its parameters: ``line_of`` on an exact element, or on
+    a bare matrix, raises ``TypeError`` with one line that says so."""
+    g = sample_positive(sample_params(standard_word_w0(3), rng), "lower")
+    for bad in (g, g.entries, linalg.to_float(g.entries)):
+        with pytest.raises(TypeError, match=r"^g must be FactorizationParams or a binary64 GroupElement: .*parameters$"):
+            line_of(rep3, bad)
+
+
 @pytest.mark.parametrize("n,J", [(3, ()), (3, (2,)), (4, (2,)), (5, (2, 3))])
 def test_binary64_lines_of_the_gate_samples_round_the_exact_lines(n, J):
     """On the float gates' draws, the line of each binary64 product, by the float
@@ -483,7 +494,7 @@ def test_binary64_lines_of_the_gate_samples_round_the_exact_lines(n, J):
     for seed in range(4):
         rng, oracle = np.random.default_rng([n, len(J), seed]), np.random.default_rng([n, len(J), seed])
         got = embedding._float_lines(rep, _float_lower_samples(word, rng, 25))
-        want = embedding._scaled_lines(rep, [_scaled_product(sample_params(word, oracle), "lower") for _ in range(25)])
+        want = oracles.scaled_lines(rep, [_scaled_product(sample_params(word, oracle), "lower") for _ in range(25)])
         scale = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.max(np.abs(got - want) / scale) <= 1e-12, seed
 
@@ -506,10 +517,10 @@ def test_stacked_exact_lines_match_each_sample_alone(n, J, leibniz_det):
                (FactorizationParams(word, extreme), "lower")]
     scaled = [_scaled_product(params, side) for params, side in samples]
     assert len({tuple(scales) for _, scales in scaled}) == len(samples)
-    lines = embedding._scaled_lines(rep, scaled)
+    lines = oracles.scaled_lines(rep, scaled)
     assert lines.shape == (len(samples), rep.dim) and lines.dtype == np.float64
     for (params, side), member, line in zip(samples, scaled, lines):
-        assert line.tobytes() == embedding._scaled_lines(rep, [member])[0].tobytes()
+        assert line.tobytes() == oracles.scaled_lines(rep, [member])[0].tobytes()
         assert line.tobytes() == line_of(rep, params, side).tobytes()
         g = sample_positive(params, side).entries
         exact = np.ones(1, dtype=object)
@@ -534,7 +545,7 @@ def test_line_of_params_equals_line_of_their_product(n, J):
                         for s in rng.choice([-1, 1], len(drawn.t)))
         for params in (drawn, dataclasses.replace(drawn, t=(Fraction(0),) + drawn.t[1:]),
                        dataclasses.replace(drawn, t=extreme)):
-            want = line_of(rep, sample_positive(params, side))
+            want = oracles.exact_line(rep, sample_positive(params, side))
             assert line_of(rep, params, side).tobytes() == want.tobytes(), side
         with pytest.raises(TypeError):
             line_of(rep, dataclasses.replace(drawn, t=tuple(float(t) for t in drawn.t)), side)

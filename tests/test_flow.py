@@ -130,7 +130,7 @@ def test_default_ball_radius(chart3):
     norms = []
     for row in flow_module._boundary_params(word, np.random.default_rng(5), 25):
         u = sample_positive(FactorizationParams(word, tuple(Fraction(t) for t in row.tolist())), "lower")
-        norms.append(np.linalg.norm(chart_coords(chart3, line_of(chart3.rep, u.to_float()))))
+        norms.append(np.linalg.norm(chart_coords(chart3, line_of(chart3.rep, oracles.to_float(u)))))
     assert abs(r - 1e-2 * min(norms)) < 1e-15
 
 
@@ -343,7 +343,7 @@ def test_flag_margin_ignores_the_sign_of_a_frame(rng):
     boundary flags, as matrices and as orthonormal frames."""
     for n in (3, 4, 5):
         word = standard_word_w0(n)
-        frames = np.array([sample_positive(sample_params(word, rng, zero_mask=mask), "lower").to_float().entries
+        frames = np.array([oracles.to_float(sample_positive(sample_params(word, rng, zero_mask=mask), "lower")).entries
                            for mask in ([], [], [0], [len(word) - 1], range(len(word)))])
         frames = np.concatenate([frames, np.linalg.qr(frames)[0]])
         for k in range(1, n):
@@ -377,7 +377,7 @@ def test_frame_read_off_at_t0_is_the_flags_own(rng):
     word = standard_word_w0(3)
     for mask in ([], [], [0], [2]):
         g = sample_positive(sample_params(word, rng, zero_mask=mask), "lower")
-        got = sl3_coords(flag_frame(g.to_float().entries, 0.0)).as_vector()
+        got = sl3_coords(flag_frame(oracles.to_float(g).entries, 0.0)).as_vector()
         want = sl3_coords(g.entries).as_vector().astype(np.float64)
         assert np.max(np.abs(got - want)) <= 1e-14, mask
 

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import apply_group, one_param
+from oracles import apply_group, break_symmetry, one_param, symmetric_params
 from tnnflow import folding, linalg
 from tnnflow.chevalley import (
     RATIONAL,
-    GroupElement,
     build_pinning,
     generator_sum,
     generator_sum_spectrum,
@@ -24,10 +23,8 @@ from tnnflow.folding import (
     _frame_gap,
     _preserves_form,
     _symmetric_batch,
-    break_symmetry,
     build_folding,
     fixed_locus_flow_check,
-    symmetric_params,
     symmetric_word,
 )
 from tnnflow.totpos import (
@@ -103,7 +100,7 @@ def test_apply_group_matches_literal_product(n):
     for i in range(n):
         shift[(i + 1) % n, i] = Fraction(1)
     shift[0, n - 1] = Fraction(-1 if n % 2 == 0 else 1)
-    for g in (positive, lower @ GroupElement(shift, RATIONAL)):
+    for g in (positive, oracles.matmul(lower, oracles.exact_element(shift))):
         assert g is positive or g.entries[0, 0] == 0
         got = apply_group(fold, g).entries
         assert np.equal(got, s @ oracles.inv(g.entries.T) @ s.T).all()
@@ -120,17 +117,17 @@ def test_apply_group_keeps_determinant_one(n):
     for side, group in (("group", True), ("lower", False), ("upper", False)):
         g = sample_positive(sample_params(word, rng, zero_mask=[0], group=group), side)
         image = apply_group(fold, g)
-        assert image.field == RATIONAL and linalg.det(image.entries) == 1
+        assert image.field == RATIONAL and oracles.det(image.entries) == 1
 
 
 def test_apply_group_refuses_float_entries(fold4, pin4):
-    g = one_param(pin4, "y", 2, Fraction(7, 2)) @ one_param(pin4, "x", 3, Fraction(2))
+    g = oracles.matmul(one_param(pin4, "y", 2, Fraction(7, 2)), one_param(pin4, "x", 3, Fraction(2)))
     with pytest.raises(TypeError):
-        apply_group(fold4, g.to_float())
+        apply_group(fold4, oracles.to_float(g))
 
 
 def test_sigma_is_involution_and_fixes_tau(fold4, pin4):
-    g = one_param(pin4, "y", 2, Fraction(7, 2)) @ one_param(pin4, "x", 3, Fraction(2))
+    g = oracles.matmul(one_param(pin4, "y", 2, Fraction(7, 2)), one_param(pin4, "x", 3, Fraction(2)))
     assert np.equal(apply_group(fold4, apply_group(fold4, g)).entries, g.entries).all()
     tau = generator_sum(pin4)
     s = fold4.s_matrix
@@ -153,7 +150,7 @@ def test_folding_identities_hold_exactly(n):
                 assert np.equal(got.entries, want.entries).all(), (kind, i, t)
     probe = one_param(pin, "x", 1, Fraction(3, 7))
     for i in pin.indices:
-        probe = probe @ one_param(pin, "y", i, Fraction(2, 3)) @ one_param(pin, "x", i, Fraction(1, 5))
+        probe = oracles.matmul(probe, one_param(pin, "y", i, Fraction(2, 3)), one_param(pin, "x", i, Fraction(1, 5)))
     assert np.equal(apply_group(fold, apply_group(fold, probe)).entries, probe.entries).all()
     tau = generator_sum(pin)
     s = fold.s_matrix
@@ -201,6 +198,22 @@ def test_symmetric_ratio_draw_is_the_fraction_draw(n):
                 want = [c if pos in block else v for pos, v in enumerate(want)]
         assert params.t == tuple(want)
         assert fractions.uniform() == oracle.uniform()
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_control_ratios_are_the_broken_fraction_control(n):
+    """The gate's control row, int ratios from one value draw per block with the first
+    tied pair's first member doubled in lowest terms, is ``break_symmetry`` of
+    ``symmetric_params`` on the same stream, as ratios, and leaves the generator
+    where those leave it."""
+    word, blocks = symmetric_word(n)
+    for seed in range(6):
+        rng, fractions = np.random.default_rng([n, seed, 31]), np.random.default_rng([n, seed, 31])
+        got = folding._control_ratios(blocks, rng)
+        want = break_symmetry(symmetric_params(n, fractions))
+        assert got == [t.as_integer_ratio() for t in want.t]
+        assert all(type(x) is int for ratio in got for x in ratio)
+        assert rng.uniform() == fractions.uniform()
 
 
 def test_symmetric_params_refuses_a_block_index_outside_the_blocks():

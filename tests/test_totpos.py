@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import one_param
 from tnnflow import linalg, totpos
-from tnnflow.chevalley import FLOAT, RATIONAL, GroupElement, build_pinning
+from tnnflow.chevalley import FLOAT, RATIONAL, build_pinning
 from tnnflow.totpos import (
     FactorizationParams,
     _certificate,
@@ -124,12 +124,12 @@ def test_samples_have_determinant_one(n):
     for mask in (None, [0], list(range(0, ell, 2))):
         for side in ("upper", "lower"):
             g = sample_positive(sample_params(word, rng, zero_mask=mask), side)
-            assert linalg.det(g.entries) == 1
+            assert oracles.det(g.entries) == 1
         with_torus = sample_params(word, rng, zero_mask=mask, group=True)
         without_torus = FactorizationParams(word, with_torus.t)
         for params in (with_torus, without_torus):
             g = sample_positive(params, "group")
-            assert g.field == RATIONAL and linalg.det(g.entries) == 1
+            assert g.field == RATIONAL and oracles.det(g.entries) == 1
             assert not g.entries.flags.writeable
 
 
@@ -199,7 +199,7 @@ def _extreme_params(word, rng, group):
     + [pytest.param(7, "group", marks=pytest.mark.slow)],
 )
 def test_certificate_matches_the_bareiss_oracle(n, side):
-    """Verdict and least minor against ``linalg.det`` of every square submatrix.
+    """Verdict and least minor against ``oracles.det`` of every square submatrix.
 
     Interior, boundary (``zero_mask``), near-singular (the masked parameters
     at 2**-80 instead of 0, so some minors nearly vanish), extreme (e^±20) and
@@ -226,7 +226,7 @@ def test_certificate_matches_the_bareiss_oracle(n, side):
         (swapped, Positivity.NEITHER),
     ]
     for a, expected in cases:
-        values = _oracle_minors(a, linalg.det)
+        values = _oracle_minors(a, oracles.det)
         assert _sign_rule(values) is expected
         assert is_tnn_matrix(a) is expected
         assert certify_minors(a) == (expected, min(values))
@@ -247,10 +247,7 @@ def _dense_product(params, side):
     lower = params.t[-ell:]
     if side in ("lower", "group"):
         factors += [("y", i, t) for i, t in zip(word.letters, lower)]
-    g = one_param(pin, *factors[0])
-    for f in factors[1:]:
-        g = g @ one_param(pin, *f)
-    return g
+    return oracles.matmul(*(one_param(pin, *f) for f in factors))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -554,12 +551,11 @@ rational_params = st.lists(
 def test_flag_invariant_under_stabilizer(tvals, svals):
     """Right multiplication by upper-triangular matrices fixes the flag."""
     pin = build_pinning(3)
-    g = GroupElement(oracles.rational_identity(3), RATIONAL)
-    for i, t in zip((1, 2, 1), tvals):
-        g = g @ one_param(pin, "y", i, t)
-    stab = one_param(pin, "x", 1, svals[0]) @ one_param(pin, "x", 2, svals[1])
-    stab = stab @ one_param(pin, "coweight", 1, svals[2])
-    got, want = sl3_coords((g @ stab).entries), sl3_coords(g.entries)
+    g = oracles.matmul(oracles.exact_element(oracles.rational_identity(3)),
+                       *(one_param(pin, "y", i, t) for i, t in zip((1, 2, 1), tvals)))
+    stab = oracles.matmul(one_param(pin, "x", 1, svals[0]), one_param(pin, "x", 2, svals[1]),
+                          one_param(pin, "coweight", 1, svals[2]))
+    got, want = sl3_coords(oracles.matmul(g, stab).entries), sl3_coords(g.entries)
     assert got.field == want.field == RATIONAL
     assert got == want
 
@@ -569,11 +565,10 @@ def test_flag_invariant_under_stabilizer(tvals, svals):
 def test_sl3_coords_of_float_frame_track_exact_flag(tvals):
     """(v, w) read off a float matrix, or off its orthonormal frame, match the exact flag."""
     pin = build_pinning(3)
-    g = GroupElement(oracles.rational_identity(3), RATIONAL)
-    for i, t in zip((1, 2, 1), tvals):
-        g = g @ one_param(pin, "y", i, t)
+    g = oracles.matmul(oracles.exact_element(oracles.rational_identity(3)),
+                       *(one_param(pin, "y", i, t) for i, t in zip((1, 2, 1), tvals)))
     exact = sl3_coords(g.entries).as_vector().astype(np.float64)
-    floated = g.to_float().entries
+    floated = oracles.to_float(g).entries
     frame, _ = np.linalg.qr(floated)
     for m in (floated, frame):
         got = sl3_coords(m)
@@ -598,9 +593,9 @@ def test_flag_minors_are_each_frames_own_dets(n):
             want = [np.linalg.det(frame[np.ix_(rows, range(k))]) for rows in subsets]
             assert row.tobytes() == np.array(want).tobytes()
     for m, scaled in enumerate(products):
-        levels = linalg._minor_levels(*linalg._scaled_stack([scaled]), n)
+        levels = linalg._minor_levels(*scaled, n)
         for k, (values, dens) in enumerate(levels, 1):
-            exact = np.array([float(Fraction(x, dens[0, 0])) for x in values[0, :, 0].tolist()])
+            exact = np.array([float(Fraction(x, dens[0])) for x in values[:, 0].tolist()])
             assert np.allclose(minors[k][m], exact, rtol=1e-12, atol=1e-12 * np.max(np.abs(exact)))
 
 
@@ -608,10 +603,10 @@ def test_flag_minors_are_each_frames_own_dets(n):
 
 
 def test_sl3_coords_of_base_flags(pin3):
-    g = (
-        one_param(pin3, "y", 1, Fraction(1))
-        @ one_param(pin3, "y", 2, Fraction(1))
-        @ one_param(pin3, "y", 1, Fraction(1))
+    g = oracles.matmul(
+        one_param(pin3, "y", 1, Fraction(1)),
+        one_param(pin3, "y", 2, Fraction(1)),
+        one_param(pin3, "y", 1, Fraction(1)),
     )
     c = sl3_coords(g.entries)
     assert c.v == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
@@ -692,11 +687,11 @@ def test_scaled_product_reads_exact_parameters_and_refuses_floats():
 
 
 def _solid_minors(a):
-    """Every solid minor of ``a`` (contiguous rows and columns), each the ``linalg.det``
+    """Every solid minor of ``a`` (contiguous rows and columns), each the ``oracles.det``
     of its submatrix: an oracle that shares no arithmetic with condensation."""
     n, m = a.shape
     return [
-        linalg.det(a[i : i + k, j : j + k])
+        oracles.det(a[i : i + k, j : j + k])
         for k in range(1, min(n, m) + 1)
         for i in range(n - k + 1)
         for j in range(m - k + 1)
@@ -738,7 +733,7 @@ def test_solid_certificate_gives_the_all_minors_verdict(n, side, walks):
     """The certificate's verdict is ``certify_minors``' on interior, boundary
     (``zero_mask``), extreme (e^±20), column-swapped and rectangular samples.
 
-    Its margin is the least solid minor (by ``linalg.det`` of each solid
+    Its margin is the least solid minor (by ``oracles.det`` of each solid
     submatrix) where it says "solid", ``certify_minors``' least minor over
     all minors where it says "all", as on every lower and upper sample, and
     none where a negative solid minor decides NEITHER.  Group interiors,
