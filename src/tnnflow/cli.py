@@ -362,7 +362,7 @@ def _load_start_point(cfg: RunConfig, path: str | None, chart) -> tuple:
         return p, linalg._float_of_scaled(*_scaled_product(params, "lower")), "random TNN flag"
     with open(path) as fh:
         doc = json.load(fh)
-    key = next((key for key in ("chart", "flag") if isinstance(doc, dict) and key in doc), None)
+    key = next((k for k in ("chart", "flag") if isinstance(doc, dict) and k in doc), None)
     if key is None:
         raise ValueError("point file needs a 'chart' or 'flag' entry")
     origin, want = ("chart point", "a list") if key == "chart" else ("flag matrix", "a list of equally long rows")
